@@ -370,21 +370,25 @@ def characterize_steps(
 
 
 def contains(poly: InnerPolytope, point_w: np.ndarray, tol: float = 1e-9) -> bool:
-    """Membership test: is `point_w` a convex combination of the vertices?"""
+    """Membership test: is `point_w` in the simplex conv{0, alpha_i e_i}?
+
+    In closed form: x >= 0, x_i = 0 where alpha_i = 0, and sum x_i / alpha_i
+    <= 1.  Coordinates are measured in units of max(1 W, max |alpha|), and
+    `tol` (at least 1e-9) is allowed in those units on each sign and zero
+    condition and on the sum.
+    """
     point = np.asarray(point_w, dtype=float)
     m = len(poly.axes)
     if point.shape != (m,):
         raise ValueError(f"point has shape {point.shape}, expected ({m},)")
-    scale = max(1.0, float(np.max(np.abs(poly.alpha_w))) if m else 1.0)
-    lp = LinearProgram()
-    lams = [lp.add_variable(f"lam{i}", 0.0, 1.0) for i in range(m + 1)]
-    lp.add_row({v: 1.0 for v in lams}, Rel.EQ, 1.0)
-    verts = poly.vertices_w / scale
-    for d in range(m):
-        coeffs = {lams[i]: verts[i, d] for i in range(m + 1) if verts[i, d] != 0.0}
-        lp.add_row(coeffs, Rel.EQ, point[d] / scale)
-    sol = solve(lp, SolverOptions(feas_tol=max(tol, 1e-9)))
-    return sol.status is LpStatus.OPTIMAL
+    tol = max(tol, 1e-9)
+    alpha = poly.alpha_w
+    scale = max(1.0, float(np.max(np.abs(alpha))) if m else 1.0)
+    x = point / scale
+    live = alpha > 0.0
+    if (x < -tol).any() or (np.abs(x[~live]) > tol).any():
+        return False
+    return float(np.sum(x[live] / (alpha[live] / scale))) <= 1.0 + tol
 
 
 def sample(poly: InnerPolytope, seed: int, count: int) -> np.ndarray:

@@ -2,25 +2,30 @@
 
 Every optimization in the toolkit lowers to a :class:`LinearProgram`: a list of
 bounded variables, a minimize objective, and sparse constraint rows with
-relations in {<=, =, >=}.  The built-in solver is a two-phase primal simplex in
-bounded-variable form.  It is fully deterministic: identical inputs produce
-bitwise-identical outputs.  A scipy/HiGHS backend can be selected through
-:class:`SolverOptions` for large problems; the built-in simplex remains the
-reference implementation and the one exercised by the oracle tests.
+relations in {<=, =, >=}.  Solving, the feasibility check and the HiGHS
+backend all start from one sparse assembly of the program's arrays.
+
+The built-in solver is a two-phase revised primal simplex in
+bounded-variable form over the sparse matrix [A | I_slack].  The basis B is
+kept as a sparse LU factorization (SuperLU with the fixed COLAMD column
+order) followed by product-form eta updates, and is refactorized after a
+fixed number of them.  Reduced costs come from y = B^-T c_B, basic values are
+re-solved from a fresh factorization before the final feasibility check, and
+no dense tableau is ever formed.  It is fully deterministic: identical inputs
+produce bitwise-identical outputs.  A scipy/HiGHS backend can be selected
+through :class:`SolverOptions`; the built-in simplex remains the reference
+implementation and the one exercised by the oracle tests.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
-
-try:  # in-place rank-1 update; ~2x faster than np.outer on big tableaus
-    from scipy.linalg.blas import dger as _dger
-except ImportError:  # pragma: no cover
-    _dger = None
 
 
 class Rel(str, enum.Enum):
@@ -62,8 +67,14 @@ class Row:
     tag: str = ""
 
 
-@dataclass
+PRICING_RULES = ("dantzig", "bland")
+BACKENDS = ("simplex", "scipy")
+
+
+@dataclass(frozen=True)
 class SolverOptions:
+    """Solver settings; invalid values raise ValueError on construction."""
+
     feas_tol: float = 1e-7
     opt_tol: float = 1e-7
     pivot_tol: float = 1e-9
@@ -71,9 +82,20 @@ class SolverOptions:
     # "dantzig": most-negative reduced cost, lowest index on ties; falls back
     # to Bland's rule after a degenerate stall.  "bland": pure Bland.
     pricing: str = "dantzig"
-    backend: str = "simplex"  # or "scipy"
+    backend: str = "simplex"  # or "scipy" (HiGHS)
     bland_stall: int = 40
-    refine: bool = True
+
+    def __post_init__(self) -> None:
+        if self.pricing not in PRICING_RULES:
+            raise ValueError(f"unknown pricing rule {self.pricing!r}; "
+                             f"expected one of {', '.join(PRICING_RULES)}")
+        if self.backend not in BACKENDS:
+            raise ValueError(f"unknown solver backend {self.backend!r}; "
+                             f"expected one of {', '.join(BACKENDS)}")
+        for name in ("feas_tol", "opt_tol", "pivot_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
 
 class LinearProgram:
@@ -136,25 +158,8 @@ class LinearProgram:
         return len(self.rows) - 1
 
     def validate(self) -> None:
-        n = self.n_variables
-        for idx, (lo, hi) in enumerate(zip(self.lower, self.upper)):
-            if math.isnan(lo) or math.isnan(hi):
-                raise MalformedProblem(f"NaN bound on variable {self.names[idx]!r}")
-            if lo > hi:
-                raise MalformedProblem(f"lower > upper on variable {self.names[idx]!r}")
-        for idx, coeff in self.objective.items():
-            if not 0 <= idx < n:
-                raise MalformedProblem(f"objective references unknown variable index {idx}")
-            if not math.isfinite(coeff):
-                raise MalformedProblem(f"non-finite objective coefficient on index {idx}")
-        for ri, row in enumerate(self.rows):
-            if not math.isfinite(row.rhs):
-                raise MalformedProblem(f"non-finite rhs on row {ri}")
-            for idx, coeff in row.coeffs.items():
-                if not 0 <= idx < n:
-                    raise MalformedProblem(f"row {ri} references unknown variable index {idx}")
-                if not math.isfinite(coeff):
-                    raise MalformedProblem(f"non-finite coefficient on row {ri}, index {idx}")
+        """Raise :class:`MalformedProblem` on the first structural defect."""
+        _assemble(self)
 
     def objective_vector(self) -> np.ndarray:
         c = np.zeros(self.n_variables)
@@ -199,6 +204,27 @@ class LinearProgram:
 
 
 @dataclass
+class SolveStats:
+    """Where the built-in simplex spent its iterations.
+
+    Phase-1 pivots, phase-2 pivots and bound flips sum to
+    :attr:`LpSolution.iterations`.
+    """
+
+    phase1_pivots: int = 0
+    phase2_pivots: int = 0
+    bound_flips: int = 0
+    # times the Dantzig rule fell back to Bland's rule after a degenerate stall
+    bland_entries: int = 0
+    # sparse LU factorizations of the basis, the final one included
+    refactorizations: int = 0
+
+    @property
+    def iterations(self) -> int:
+        return self.phase1_pivots + self.phase2_pivots + self.bound_flips
+
+
+@dataclass
 class LpSolution:
     status: LpStatus
     values: np.ndarray | None = None
@@ -206,6 +232,8 @@ class LpSolution:
     iterations: int = 0
     # rows whose phase-1 artificial stayed positive; an infeasibility certificate
     infeasible_rows: list[int] = field(default_factory=list)
+    # built-in simplex only; None from the HiGHS backend
+    stats: SolveStats | None = None
 
 
 @dataclass
@@ -218,36 +246,112 @@ class FeasibilityReport:
         return self.max_row_residual <= tol and self.max_bound_violation <= tol
 
 
+# row relation codes: the sign that turns a row into "<=" (0 for equality)
+_LE, _EQ, _GE = 1, 0, -1
+_REL_CODE = {Rel.LE: _LE, Rel.EQ: _EQ, Rel.GE: _GE}
+
+
+@dataclass(frozen=True)
+class _Assembled:
+    """A validated :class:`LinearProgram` as arrays.
+
+    The rows are in CSR form (`indptr`, `cols`, `vals`), each row's nonzeros
+    in the order of its coefficient dict; `nz_rows` is the row of each
+    nonzero.  The simplex, :func:`check_feasibility` and the HiGHS backend
+    all read this one assembly.
+    """
+
+    lower: np.ndarray
+    upper: np.ndarray
+    cost: np.ndarray
+    indptr: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    nz_rows: np.ndarray
+    rel: np.ndarray  # _LE, _EQ or _GE per row
+    rhs: np.ndarray
+
+    def row_activity(self, x: np.ndarray) -> np.ndarray:
+        """A @ x, summed in each row's coefficient order."""
+        return np.bincount(self.nz_rows, weights=self.vals * x[self.cols],
+                           minlength=len(self.rhs))
+
+    def feasibility(self, point: np.ndarray, tol: float) -> FeasibilityReport:
+        diff = self.row_activity(point) - self.rhs
+        resid = np.maximum(np.where(self.rel == _EQ, np.abs(diff), diff * self.rel), 0.0)
+        violations = [(int(ri), float(resid[ri])) for ri in np.flatnonzero(resid > tol)]
+        bound_viol = np.maximum(self.lower - point, point - self.upper)
+        return FeasibilityReport(float(resid.max(initial=0.0)),
+                                 float(max(bound_viol.max(initial=0.0), 0.0)), violations)
+
+
+def _assemble(lp: LinearProgram) -> _Assembled:
+    """Arrays of `lp`; raises :class:`MalformedProblem` on the first defect
+    (bounds first, then the objective, then the rows in order)."""
+    n, m = lp.n_variables, lp.n_rows
+    lower = np.array(lp.lower, dtype=float)
+    upper = np.array(lp.upper, dtype=float)
+    nan = np.isnan(lower) | np.isnan(upper)
+    bad = nan | (lower > upper)
+    if bad.any():
+        i = int(np.argmax(bad))
+        what = "NaN bound" if nan[i] else "lower > upper"
+        raise MalformedProblem(f"{what} on variable {lp.names[i]!r}")
+
+    obj_idx = np.fromiter(lp.objective.keys(), dtype=np.int64, count=len(lp.objective))
+    obj_val = np.fromiter(lp.objective.values(), dtype=float, count=len(lp.objective))
+    outside = (obj_idx < 0) | (obj_idx >= n)
+    bad = outside | ~np.isfinite(obj_val)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if outside[i]:
+            raise MalformedProblem(f"objective references unknown variable index {obj_idx[i]}")
+        raise MalformedProblem(f"non-finite objective coefficient on index {obj_idx[i]}")
+    cost = np.zeros(n)
+    cost[obj_idx] = obj_val
+
+    rows = lp.rows
+    coeffs = list(map(attrgetter("coeffs"), rows))
+    counts = np.fromiter(map(len, coeffs), dtype=np.int64, count=m)
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    nnz = int(indptr[-1])
+    cols = np.fromiter(itertools.chain.from_iterable(coeffs), dtype=np.int64, count=nnz)
+    vals = np.fromiter(itertools.chain.from_iterable(map(dict.values, coeffs)),
+                       dtype=float, count=nnz)
+    rhs = np.fromiter(map(attrgetter("rhs"), rows), dtype=float, count=m)
+    rel = np.fromiter(map(_REL_CODE.__getitem__, map(attrgetter("rel"), rows)),
+                      dtype=np.int64, count=m)
+    nz_rows = np.repeat(np.arange(m), counts)
+
+    outside = (cols < 0) | (cols >= n)
+    bad_nz = outside | ~np.isfinite(vals)
+    bad_row = ~np.isfinite(rhs)
+    bad_row[nz_rows[bad_nz]] = True
+    if bad_row.any():
+        ri = int(np.argmax(bad_row))
+        if not math.isfinite(rhs[ri]):
+            raise MalformedProblem(f"non-finite rhs on row {ri}")
+        k = int(indptr[ri] + np.argmax(bad_nz[indptr[ri]:indptr[ri + 1]]))
+        if outside[k]:
+            raise MalformedProblem(f"row {ri} references unknown variable index {cols[k]}")
+        raise MalformedProblem(f"non-finite coefficient on row {ri}, index {cols[k]}")
+    return _Assembled(lower, upper, cost, indptr, cols, vals, nz_rows, rel, rhs)
+
+
 def check_feasibility(lp: LinearProgram, point: np.ndarray, tol: float = 0.0) -> FeasibilityReport:
     """Evaluate every row and bound of `lp` at `point`.
 
     Residuals are one-sided: satisfied rows contribute 0, an equality row
-    contributes its absolute mismatch.  Rows with residual > `tol` are listed.
+    contributes its absolute mismatch.  Rows with residual > `tol` are listed
+    in row order.
     """
     point = np.asarray(point, dtype=float)
     if point.shape != (lp.n_variables,):
         raise DimensionMismatch(
             f"point has shape {point.shape}, expected ({lp.n_variables},)"
         )
-    violations = []
-    max_row = 0.0
-    for ri, row in enumerate(lp.rows):
-        ax = sum(point[idx] * coeff for idx, coeff in row.coeffs.items())
-        if row.rel is Rel.LE:
-            resid = ax - row.rhs
-        elif row.rel is Rel.GE:
-            resid = row.rhs - ax
-        else:
-            resid = abs(ax - row.rhs)
-        resid = max(resid, 0.0)
-        max_row = max(max_row, resid)
-        if resid > tol:
-            violations.append((ri, resid))
-    lo = np.array(lp.lower)
-    hi = np.array(lp.upper)
-    bound_viol = np.maximum(lo - point, point - hi)
-    max_bound = float(max(bound_viol.max(initial=0.0), 0.0))
-    return FeasibilityReport(max_row, max_bound, violations)
+    return _assemble(lp).feasibility(point, tol)
 
 
 def solve(lp: LinearProgram, options: SolverOptions | None = None) -> LpSolution:
@@ -260,12 +364,10 @@ def solve(lp: LinearProgram, options: SolverOptions | None = None) -> LpSolution
     silently suboptimal "optimal".
     """
     options = options or SolverOptions()
-    lp.validate()
+    mat = _assemble(lp)
     if options.backend == "scipy":
-        return _solve_scipy(lp, options)
-    if options.backend != "simplex":
-        raise ValueError(f"unknown solver backend {options.backend!r}")
-    return _BoundedSimplex(lp, options).run()
+        return _solve_scipy(mat)
+    return _BoundedSimplex(mat, options).run()
 
 
 # status codes for nonbasic/basic variables
@@ -274,198 +376,307 @@ _AT_LO = 1
 _AT_HI = 2
 _FREE = 3
 _FIXED = 4
+# per status: two factors on a reduced cost d whose maximum is the gain of
+# moving the variable off its bound (-d at a lower, d at an upper, |d| free)
+_GAIN_DIRS = ((0.0, 0.0), (-1.0, -1.0), (1.0, 1.0), (1.0, -1.0), (0.0, 0.0))
+_NO_TIE = np.iinfo(np.int64).max
+
+# Eta updates between refactorizations of the basis.  Applying the etas costs
+# a few vector operations per FTRAN and BTRAN, of length growing with their
+# number, and a refactorization one sparse LU of B.  Of 16 to 128, 64 was
+# fastest on the 241-row advset LPs and within noise of 32 on the 3k-row
+# dispatch LPs.
+_REFACTOR_EVERY = 64
+
+
+class _SignedIdentity:
+    """Stands in for the LU factors of the starting basis, whose columns are
+    slacks (+e_r) and artificials (+-e_r)."""
+
+    def __init__(self, signs: np.ndarray):
+        self.signs = signs
+
+    def solve(self, v: np.ndarray, trans: str = "N") -> np.ndarray:
+        return v * self.signs
+
+
+class _Basis:
+    """The inverse of the basis matrix in product form: B^-1 = E_K ... E_1 LU^-1.
+
+    LU is a SuperLU factorization of the basis at the last refactorization.
+    The eta E_k of the k-th pivot since then is kept as the FTRAN column w of
+    its entering variable with w[r_k] zeroed (row k of `etas`), its pivot row
+    r_k and its pivot w[r_k].  E_k^T changes only entry r_k of a vector, and
+    that entry depends on the other etas only through their pivot rows, so
+    all K etas apply as one K x K triangular solve.  `tri` holds the
+    pivots on its diagonal and, in column k above it, what the earlier etas
+    contribute to row r_k: -1 in the row of the previous eta on r_k, if any,
+    and nothing from etas before that one, whose value E_k replaces.
+    """
+
+    def __init__(self, m: int):
+        from scipy.linalg.lapack import dtrtrs
+
+        self._dtrtrs = dtrtrs
+        size = _REFACTOR_EVERY
+        self.lu = None
+        self.count = 0
+        self.etas = np.zeros((size, m))
+        self.rows = np.zeros(size, dtype=np.int64)
+        self.tri = np.zeros((size, size), order="F")
+        # unit diagonal and the off-diagonal part of `tri`
+        self.unit_tri = np.zeros((size, size))
+        # later[i, k] = etas[k, rows[i]], what eta k subtracts from row r_i (i < k)
+        self.later = np.zeros((size, size))
+        self.first = np.zeros(size)  # 1.0 on the first eta of each row
+        self.last = np.zeros(size, dtype=bool)  # the latest eta of each row
+        self._latest: dict[int, int] = {}
+
+    def factor(self, B) -> None:
+        from scipy.sparse.linalg import splu
+
+        try:
+            self.reset(splu(B, permc_spec="COLAMD"))
+        except RuntimeError as err:  # SuperLU reports an exactly singular B
+            raise ArithmeticError(f"simplex basis became singular: {err}") from err
+
+    def reset(self, lu) -> None:
+        self.lu = lu
+        self.count = 0
+        self._latest.clear()
+
+    def ftran(self, v: np.ndarray) -> np.ndarray:
+        """B^-1 v."""
+        x = self.lu.solve(v)
+        k = self.count
+        if k:
+            rows = self.rows[:k]
+            # t[k]: entry r_k as E_k sets it, the multiple of eta k subtracted
+            t = self._dtrtrs(self.tri[:k, :k], x[rows] * self.first[:k], trans=1)[0]
+            x -= self.etas[:k].T @ t
+            # a pivot row keeps the value its last eta set, less later etas
+            last = self.last[:k]
+            x[rows[last]] = (t - self.later[:k, :k] @ t)[last]
+        return x
+
+    def btran(self, v: np.ndarray) -> np.ndarray:
+        """B^-T v."""
+        k = self.count
+        if k:
+            rows = self.rows[:k]
+            # u[k]: entry r_k as E_k^T sets it; the first eta on a row acts last
+            rhs = self.unit_tri[:k, :k] @ v[rows] - self.etas[:k] @ v
+            u = self._dtrtrs(self.tri[:k, :k], rhs)[0]
+            v = v.copy()
+            first = self.first[:k] > 0.0
+            v[rows[first]] = u[first]
+        return self.lu.solve(v, trans="T")
+
+    def push(self, r: int, w: np.ndarray) -> bool:
+        """Record the pivot on row `r` of the FTRAN column `w`; True when the
+        etas are full and the basis must be refactorized."""
+        k = self.count
+        eta = self.etas[k]
+        eta[:] = w
+        eta[r] = 0.0
+        above = self.etas[:k, r].copy()
+        prev = self._latest.get(r)
+        if prev is not None:
+            above[:prev] = 0.0
+            above[prev] = -1.0
+            self.last[prev] = False
+        self.tri[:k, k] = above
+        self.tri[k, k] = w[r]
+        self.unit_tri[:k, k] = above
+        self.unit_tri[k, k] = 1.0
+        self.later[:k, k] = eta[self.rows[:k]]
+        self.first[k] = prev is None
+        self.last[k] = True
+        self.rows[k] = r
+        self._latest[r] = k
+        self.count = k + 1
+        return self.count == _REFACTOR_EVERY
 
 
 class _BoundedSimplex:
-    """Two-phase primal simplex over variables with general bounds.
+    """Two-phase revised primal simplex over variables with general bounds.
 
     Columns are the structural variables followed by one slack per inequality
     row (LE slack in [0, inf), GE slack in (-inf, 0]).  Rows that cannot start
-    with a feasible slack get a phase-1 artificial; artificial columns are
-    never stored since artificials may only leave the basis.
+    with a feasible slack get a phase-1 artificial art_sign[r] * e_r in basis
+    position r; artificials may only leave the basis, and `basis[r] == -1`
+    marks one still in it.
     """
 
-    def __init__(self, lp: LinearProgram, opt: SolverOptions):
-        self.lp = lp
+    def __init__(self, mat: _Assembled, opt: SolverOptions):
+        self.mat = mat
         self.opt = opt
-        n = lp.n_variables
-        m = lp.n_rows
+        n = len(mat.lower)
+        m = len(mat.rhs)
         self.n = n
         self.m = m
 
-        slack_cols = [i for i, row in enumerate(lp.rows) if row.rel is not Rel.EQ]
-        self.slack_of_row = {ri: n + j for j, ri in enumerate(slack_cols)}
-        N = n + len(slack_cols)
+        self.slack_rows = np.flatnonzero(mat.rel != _EQ)
+        n_slack = len(self.slack_rows)
+        N = n + n_slack
         self.N = N
+        le = mat.rel[self.slack_rows] == _LE
+        self.lo = np.concatenate([mat.lower, np.where(le, 0.0, -np.inf)])
+        self.hi = np.concatenate([mat.upper, np.where(le, np.inf, 0.0)])
+        self.c = np.concatenate([mat.cost, np.zeros(n_slack)])
 
-        self.lo = np.full(N, -np.inf)
-        self.hi = np.full(N, np.inf)
-        self.lo[:n] = lp.lower
-        self.hi[:n] = lp.upper
-        for ri, col in self.slack_of_row.items():
-            if lp.rows[ri].rel is Rel.LE:
-                self.lo[col], self.hi[col] = 0.0, np.inf
-            else:
-                self.lo[col], self.hi[col] = -np.inf, 0.0
+        # [A | I_slack] in CSC form, rows ascending within each column
+        order = np.argsort(mat.cols, kind="stable")
+        nnz = len(order)
+        self.col_ptr = np.concatenate([
+            [0], np.cumsum(np.bincount(mat.cols, minlength=n)),
+            nnz + np.arange(1, n_slack + 1),
+        ])
+        self.row_idx = np.concatenate([mat.nz_rows[order], self.slack_rows])
+        self.val = np.concatenate([mat.vals[order], np.ones(n_slack)])
+        self.col_of_nz = np.repeat(np.arange(N), np.diff(self.col_ptr))
 
-        # tableau in Fortran order so the BLAS rank-1 update runs in place
-        T = np.zeros((m, N), order="F")
-        for ri, row in enumerate(lp.rows):
-            for idx, coeff in row.coeffs.items():
-                T[ri, idx] += coeff
-            if ri in self.slack_of_row:
-                T[ri, self.slack_of_row[ri]] = 1.0
-        self.T = T
-        self.b = np.array([row.rhs for row in lp.rows], dtype=float)
+        lo, hi = self.lo, self.hi
+        flo, fhi = np.isfinite(lo), np.isfinite(hi)
+        # nonbasic start: a boxed variable at its bound nearer zero
+        st = np.where(flo, _AT_LO, np.where(fhi, _AT_HI, _FREE)).astype(np.int8)
+        st[flo & fhi & (np.abs(lo) > np.abs(hi))] = _AT_HI
+        st[lo == hi] = _FIXED
+        self.status = st
+        self.xval = np.where(st == _AT_HI, hi, np.where(st == _FREE, 0.0, lo))
+        self.dirs = np.array(_GAIN_DIRS)[self.status].T.copy()
+        self.gain = np.empty((2, N))
+        self.t_rows = np.empty(m)
 
-        self.c = np.zeros(N)
-        for idx, coeff in lp.objective.items():
-            self.c[idx] = coeff
+        self.B = _Basis(m)
+        self.stats = SolveStats()
 
-        self.status = np.empty(N, dtype=np.int8)
-        self.xval = np.zeros(N)
-        for j in range(N):
-            lo, hi = self.lo[j], self.hi[j]
-            if lo == hi:
-                self.status[j] = _FIXED
-                self.xval[j] = lo
-            elif math.isfinite(lo) and math.isfinite(hi):
-                self.status[j] = _AT_LO if abs(lo) <= abs(hi) else _AT_HI
-                self.xval[j] = lo if self.status[j] == _AT_LO else hi
-            elif math.isfinite(lo):
-                self.status[j] = _AT_LO
-                self.xval[j] = lo
-            elif math.isfinite(hi):
-                self.status[j] = _AT_HI
-                self.xval[j] = hi
-            else:
-                self.status[j] = _FREE
-                self.xval[j] = 0.0
+        # starting basis: the slack of each row that can absorb the row's
+        # residual at the nonbasic start, else an artificial signed to do so
+        rel = mat.rel
+        r = mat.rhs - mat.row_activity(self.xval[:n])
+        slack_col = np.full(m, -1, dtype=np.int64)
+        slack_col[self.slack_rows] = n + np.arange(n_slack)
+        ok = ((rel == _LE) & (r >= 0.0)) | ((rel == _GE) & (r <= 0.0))
+        self.basis = np.where(ok, slack_col, -1)  # column index, or -1 = artificial
+        self.status[self.basis[ok]] = _BASIC
+        self.dirs[:, self.basis[ok]] = 0.0
+        self.art_sign = np.where(ok, 0.0, np.where(r >= 0.0, 1.0, -1.0))
+        self.x_B = np.where(ok, r, np.abs(r))
 
-        self.basis = np.full(m, -1, dtype=np.int64)  # column index, or -1 = artificial
-        self.art_sign = np.zeros(m)
-        self.x_B = np.zeros(m)
-        self.iterations = 0
+        # artificial columns N .. N + m - 1, appended for building B only
+        self.ext_ptr = np.concatenate([self.col_ptr, self.col_ptr[-1] + np.arange(1, m + 1)])
+        self.ext_row = np.concatenate([self.row_idx, np.arange(m)])
+        self.ext_val = np.concatenate([self.val, self.art_sign])
 
-    # -- setup ----------------------------------------------------------------
+    def _refactor(self) -> None:
+        from scipy.sparse import csc_matrix
 
-    def _initial_basis(self) -> None:
-        r = self.b - self.T @ self.xval
-        for ri in range(self.m):
-            col = self.slack_of_row.get(ri)
-            ok = False
-            if col is not None:
-                rel = self.lp.rows[ri].rel
-                ok = (rel is Rel.LE and r[ri] >= 0.0) or (rel is Rel.GE and r[ri] <= 0.0)
-            if ok:
-                self.basis[ri] = col
-                self.status[col] = _BASIC
-                self.x_B[ri] = r[ri]
-            else:
-                self.basis[ri] = -1
-                self.art_sign[ri] = 1.0 if r[ri] >= 0.0 else -1.0
-                self.x_B[ri] = abs(r[ri])
-                if self.art_sign[ri] < 0.0:
-                    # the tableau is B^-1 [A | slacks]; a sign-flipped artificial
-                    # contributes a -1 diagonal to B, so its row negates
-                    self.T[ri, :] *= -1.0
+        m = self.m
+        cols = np.where(self.basis >= 0, self.basis, self.N + np.arange(m))
+        start = self.ext_ptr[cols]
+        length = self.ext_ptr[cols + 1] - start
+        ptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(length, out=ptr[1:])
+        take = np.arange(ptr[-1]) + np.repeat(start - ptr[:-1], length)
+        self.B.factor(csc_matrix((self.ext_val[take], self.ext_row[take], ptr), shape=(m, m)))
+        self.stats.refactorizations += 1
 
     # -- pricing ---------------------------------------------------------------
 
-    def _entering(self, zrow: np.ndarray, bland: bool) -> tuple[int, int] | None:
+    def _set_status(self, j: int, st: int) -> None:
+        self.status[j] = st
+        self.dirs[0, j], self.dirs[1, j] = _GAIN_DIRS[st]
+
+    def _reduced_costs(self, cost: np.ndarray, c_B: np.ndarray) -> np.ndarray:
+        """d = cost - A^T y with y = B^-T c_B."""
+        y = self.B.btran(c_B)
+        return cost - np.bincount(self.col_of_nz, weights=self.val * y[self.row_idx],
+                                  minlength=self.N)
+
+    def _entering(self, d: np.ndarray, bland: bool) -> tuple[int, int] | None:
         tol = self.opt.opt_tol
-        st = self.status
-        gain = np.zeros(self.N)
-        at_lo = st == _AT_LO
-        at_hi = st == _AT_HI
-        free = st == _FREE
-        gain[at_lo] = -zrow[at_lo]
-        gain[at_hi] = zrow[at_hi]
-        gain[free] = np.abs(zrow[free])
-        if bland:
-            elig = gain > tol
-            if not elig.any():
-                return None
-            j = int(np.argmax(elig))
-        else:
-            j = int(np.argmax(gain))
-            if gain[j] <= tol:
-                return None
-        if st[j] == _AT_HI or (st[j] == _FREE and zrow[j] > 0.0):
-            return j, -1
-        return j, +1
+        gain = np.multiply(self.dirs, d, out=self.gain)
+        gain = np.maximum(gain[0], gain[1], out=gain[0])
+        j = int((gain > tol).argmax() if bland else gain.argmax())
+        if gain[j] <= tol:
+            return None
+        # an eligible column at its lower bound has d < 0, at its upper d > 0
+        return j, (-1 if d[j] > 0.0 else +1)
 
     # -- core loop ---------------------------------------------------------------
 
     def run(self) -> LpSolution:
-        self._initial_basis()
+        self.B.reset(_SignedIdentity(np.where(self.basis >= 0, 1.0, self.art_sign)))
         max_iter = self.opt.max_iterations or (50 * (self.m + self.N) + 1000)
 
-        art_rows = self.basis == -1
-        if art_rows.any():
-            # phase 1: minimize total artificial infeasibility.  Rows are
-            # already B^-1-scaled, so the artificial block is the identity.
-            zrow = -(art_rows.astype(float)) @ self.T
-            outcome = self._iterate(zrow, phase=1, max_iter=max_iter)
+        if (self.basis == -1).any():
+            outcome = self._iterate(phase=1, max_iter=max_iter)
             if outcome is not None:  # unbounded phase 1 means numerical trouble
                 raise ArithmeticError("phase-1 simplex claimed unbounded; problem is corrupt")
-            p1 = float(self.x_B[self.basis == -1].sum()) if (self.basis == -1).any() else 0.0
-            if p1 > self.opt.feas_tol:
-                bad = [
-                    ri
-                    for ri in range(self.m)
-                    if self.basis[ri] == -1 and self.x_B[ri] > self.opt.feas_tol
-                ]
-                return LpSolution(LpStatus.INFEASIBLE, iterations=self.iterations,
-                                  infeasible_rows=bad)
+            art = self.basis == -1
+            if float(self.x_B[art].sum()) > self.opt.feas_tol:
+                bad = np.flatnonzero(art & (self.x_B > self.opt.feas_tol))
+                return LpSolution(LpStatus.INFEASIBLE, iterations=self.stats.iterations,
+                                  infeasible_rows=[int(ri) for ri in bad], stats=self.stats)
 
         # phase 2: original objective; leftover artificials pinned at zero
-        self.phase2 = True
-        cB = np.where(self.basis >= 0, self.c[np.maximum(self.basis, 0)], 0.0)
-        zrow = self.c - cB @ self.T
-        outcome = self._iterate(zrow, phase=2, max_iter=max_iter)
+        outcome = self._iterate(phase=2, max_iter=max_iter)
         if outcome == "unbounded":
-            return LpSolution(LpStatus.UNBOUNDED, iterations=self.iterations)
+            return LpSolution(LpStatus.UNBOUNDED, iterations=self.stats.iterations,
+                              stats=self.stats)
         return self._finish()
 
-    def _iterate(self, zrow: np.ndarray, phase: int, max_iter: int) -> str | None:
-        piv_tol = self.opt.pivot_tol
-        art_hi = np.inf if phase == 1 else 0.0
-        bland = self.opt.pricing == "bland"
+    def _iterate(self, phase: int, max_iter: int) -> str | None:
+        """Pivot to the optimum of the phase's objective: the sum of the
+        artificials in phase 1 (cost 1 each, all others 0), the LP's objective
+        in phase 2 (artificials cost 0 and are pinned to [0, 0])."""
+        m = self.m
+        opt = self.opt
+        stats = self.stats
+        pure_bland = opt.pricing == "bland"
+        cost = np.zeros(self.N) if phase == 1 else self.c
+        real = self.basis >= 0
+        safe = np.maximum(self.basis, 0)
+        # bounds and cost of the variable in each basis position
+        lo_B = np.where(real, self.lo[safe], 0.0)
+        hi_B = np.where(real, self.hi[safe], np.inf if phase == 1 else 0.0)
+        c_B = np.where(real, cost[safe], 1.0 if phase == 1 else 0.0)
+        a = np.zeros(m)
+        t_rows = self.t_rows
         stall = 0
+        fallback = False
+        d = None
 
         while True:
-            if phase == 1:
-                # stop as soon as the infeasibility is eliminated
-                art = self.basis == -1
-                if not art.any() or float(np.maximum(self.x_B[art], 0.0).sum()) <= self.opt.feas_tol * 0.5:
-                    return None
-            pick = self._entering(zrow, bland or stall > self.opt.bland_stall)
+            # phase 1 stops as soon as the infeasibility is eliminated
+            if phase == 1 and float(c_B @ np.maximum(self.x_B, 0.0)) <= opt.feas_tol * 0.5:
+                return None
+            if d is None:  # the basis changed; a bound flip leaves d as it is
+                d = self._reduced_costs(cost, c_B)
+            if not pure_bland and not fallback and stall > opt.bland_stall:
+                stats.bland_entries += 1
+            fallback = stall > opt.bland_stall
+            pick = self._entering(d, pure_bland or fallback)
             if pick is None:
                 return None
             j, sigma = pick
-            self.iterations += 1
-            if self.iterations > max_iter:
-                raise IterationLimitExceeded(self.iterations, phase)
+            if stats.iterations >= max_iter:
+                raise IterationLimitExceeded(stats.iterations + 1, phase)
 
-            col = np.array(self.T[:, j])
-            w = sigma * col
+            nz = slice(self.col_ptr[j], self.col_ptr[j + 1])
+            a[self.row_idx[nz]] = self.val[nz]
+            col = self.B.ftran(a)
+            a[self.row_idx[nz]] = 0.0
+            w = col if sigma > 0 else -col
 
-            basis = self.basis
-            real = basis >= 0
-            safe = np.maximum(basis, 0)
-            lo_B = np.where(real, self.lo[safe], 0.0)
-            hi_B = np.where(real, self.hi[safe], art_hi)
-
-            t_rows = np.full(self.m, np.inf)
-            pos = w > piv_tol
-            neg = w < -piv_tol
-            if pos.any():
-                t_rows[pos] = (self.x_B[pos] - lo_B[pos]) / w[pos]
-            if neg.any():
-                t_rows[neg] = (self.x_B[neg] - hi_B[neg]) / w[neg]
+            # ratio test: the step at which each basic variable reaches the
+            # bound it moves towards
+            t_rows.fill(np.inf)
+            np.divide(self.x_B - np.where(w > 0.0, lo_B, hi_B), w,
+                      out=t_rows, where=np.abs(w) > opt.pivot_tol)
             np.maximum(t_rows, 0.0, out=t_rows)
-            t_min = float(t_rows.min()) if self.m else np.inf
+            t_min = float(t_rows.min()) if m else np.inf
 
             lo_j, hi_j = self.lo[j], self.hi[j]
             t_bound = hi_j - lo_j if (math.isfinite(lo_j) and math.isfinite(hi_j)) else np.inf
@@ -476,144 +687,84 @@ class _BoundedSimplex:
                 # bound flip: no basis change
                 self.x_B -= w * t_bound
                 if self.status[j] == _AT_LO:
-                    self.status[j] = _AT_HI
+                    self._set_status(j, _AT_HI)
                     self.xval[j] = hi_j
                 else:
-                    self.status[j] = _AT_LO
+                    self._set_status(j, _AT_LO)
                     self.xval[j] = lo_j
+                stats.bound_flips += 1
                 stall = stall + 1 if t_bound <= 1e-11 else 0
                 continue
             if not math.isfinite(t_min):
                 return "unbounded"
 
-            # leaving row: Bland order with artificials ranked first
+            # leaving row: Bland order with artificials (basis -1) ranked first
             tie = t_rows <= t_min + 1e-10 * (1.0 + t_min)
-            keys = np.where(tie, np.where(real, basis, -1), np.iinfo(np.int64).max)
-            r = int(np.argmin(keys))
+            r = int(np.where(tie, self.basis, _NO_TIE).argmin())
 
             enter_val = self.xval[j] + sigma * t_min
             self.x_B -= w * t_min
-            leave = basis[r]
+            leave = self.basis[r]
             if leave >= 0:
                 if w[r] > 0:
-                    self.status[leave] = _AT_LO
+                    self._set_status(leave, _AT_LO)
                     self.xval[leave] = lo_B[r]
                 else:
-                    self.status[leave] = _AT_HI
+                    self._set_status(leave, _AT_HI)
                     self.xval[leave] = hi_B[r]
             self.basis[r] = j
-            self.status[j] = _BASIC
+            self._set_status(j, _BASIC)
             self.x_B[r] = enter_val
-
-            piv = self.T[r, j]
-            trow = self.T[r, :] / piv
-            col[r] = 0.0
-            if _dger is not None:
-                self.T = _dger(-1.0, col, trow, a=self.T, overwrite_a=1)
-            else:  # pragma: no cover
-                self.T -= np.outer(col, trow)
-            self.T[r, :] = trow
-            self.T[:, j] = 0.0
-            self.T[r, j] = 1.0
-            zj = zrow[j]
-            if zj != 0.0:
-                zrow -= zj * trow
-            zrow[j] = 0.0
-
+            lo_B[r], hi_B[r], c_B[r] = lo_j, hi_j, cost[j]
+            if self.B.push(r, col):
+                self._refactor()
+            d = None
+            if phase == 1:
+                stats.phase1_pivots += 1
+            else:
+                stats.phase2_pivots += 1
             stall = stall + 1 if t_min <= 1e-11 else 0
 
     # -- wrap-up ---------------------------------------------------------------
 
-    def _assemble(self) -> np.ndarray:
-        x = self.xval.copy()
-        real = self.basis >= 0
-        x[self.basis[real]] = self.x_B[real]
-        return x
-
     def _finish(self) -> LpSolution:
-        x = self._assemble()
-        report = check_feasibility(self.lp, x[: self.n])
-        if not report.ok(self.opt.feas_tol) and self.opt.refine:
-            x = self._refine()
-            report = check_feasibility(self.lp, x[: self.n])
+        # re-solve the basic values from a fresh factorization: x_B = B^-1 (b - N x_N)
+        self._refactor()
+        n = self.n
+        basic = self.basis[self.basis >= 0]
+        x = self.xval.copy()
+        x[basic] = 0.0
+        rhs = self.mat.rhs - self.mat.row_activity(x[:n])
+        rhs[self.slack_rows] -= x[n:]
+        self.x_B = self.B.ftran(rhs)
+        x[basic] = self.x_B[self.basis >= 0]
+        values = x[:n]
+        report = self.mat.feasibility(values, self.opt.feas_tol)
         if not report.ok(self.opt.feas_tol):
             raise ArithmeticError(
                 "simplex finished with residual "
                 f"{max(report.max_row_residual, report.max_bound_violation):.3e} > feas_tol"
             )
-        values = x[: self.n].copy()
-        obj = float(np.dot(self.c[: self.n], values))
+        obj = float(np.dot(self.c[:n], values))
         return LpSolution(LpStatus.OPTIMAL, values=values, objective_value=obj,
-                          iterations=self.iterations)
-
-    def _refine(self) -> np.ndarray:
-        """Recompute basic values exactly from the original columns."""
-        m = self.m
-        row_of_slack = {scol: ri for ri, scol in self.slack_of_row.items()}
-        col_entries: dict[int, list[tuple[int, float]]] = {}
-        for ri, row in enumerate(self.lp.rows):
-            for idx, coeff in row.coeffs.items():
-                col_entries.setdefault(idx, []).append((ri, coeff))
-        B = np.zeros((m, m))
-        for pos in range(m):
-            colid = int(self.basis[pos])
-            if colid == -1:
-                B[pos, pos] = self.art_sign[pos]
-            elif colid >= self.n:  # slack
-                B[row_of_slack[colid], pos] = 1.0
-            else:
-                for ri, coeff in col_entries.get(colid, ()):
-                    B[ri, pos] = coeff
-        xn = self.xval.copy()
-        real = self.basis >= 0
-        xn[self.basis[real]] = 0.0
-        rhs = self.b - self.T0_dot(xn)
-        try:
-            xb = np.linalg.solve(B, rhs)
-        except np.linalg.LinAlgError:
-            return self._assemble()
-        self.x_B = xb
-        return self._assemble()
-
-    def T0_dot(self, x: np.ndarray) -> np.ndarray:
-        """Original-constraint matrix times x (structurals and slacks)."""
-        out = np.zeros(self.m)
-        for ri, row in enumerate(self.lp.rows):
-            acc = 0.0
-            for idx, coeff in row.coeffs.items():
-                acc += coeff * x[idx]
-            col = self.slack_of_row.get(ri)
-            if col is not None:
-                acc += x[col]
-            out[ri] = acc
-        return out
+                          iterations=self.stats.iterations, stats=self.stats)
 
 
-def _solve_scipy(lp: LinearProgram, options: SolverOptions) -> LpSolution:
+def _solve_scipy(mat: _Assembled) -> LpSolution:
     from scipy.optimize import linprog
-    from scipy.sparse import lil_matrix
+    from scipy.sparse import csr_matrix
 
-    n = lp.n_variables
-    ub_rows = [(r, 1.0) for r in lp.rows if r.rel is Rel.LE]
-    ub_rows += [(r, -1.0) for r in lp.rows if r.rel is Rel.GE]
-    eq_rows = [r for r in lp.rows if r.rel is Rel.EQ]
-
-    def matrix(rows):
-        A = lil_matrix((len(rows), n))
-        b = np.zeros(len(rows))
-        for i, item in enumerate(rows):
-            row, sign = item if isinstance(item, tuple) else (item, 1.0)
-            for idx, coeff in row.coeffs.items():
-                A[i, idx] = sign * coeff
-            b[i] = sign * row.rhs
-        return A.tocsr(), b
-
-    A_ub, b_ub = matrix(ub_rows) if ub_rows else (None, None)
-    A_eq, b_eq = matrix(eq_rows) if eq_rows else (None, None)
-    bounds = [(lo if math.isfinite(lo) else None, hi if math.isfinite(hi) else None)
-              for lo, hi in zip(lp.lower, lp.upper)]
-    res = linprog(lp.objective_vector(), A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                  bounds=bounds, method="highs")
+    sign = np.where(mat.rel == _GE, -1.0, 1.0)  # GE rows enter A_ub negated
+    A = csr_matrix((mat.vals * sign[mat.nz_rows], mat.cols, mat.indptr),
+                   shape=(len(mat.rhs), len(mat.lower)))
+    A.eliminate_zeros()
+    b = mat.rhs * sign
+    ub = np.concatenate([np.flatnonzero(mat.rel == _LE), np.flatnonzero(mat.rel == _GE)])
+    eq = np.flatnonzero(mat.rel == _EQ)
+    res = linprog(mat.cost,
+                  A_ub=A[ub] if len(ub) else None, b_ub=b[ub] if len(ub) else None,
+                  A_eq=A[eq] if len(eq) else None, b_eq=b[eq] if len(eq) else None,
+                  bounds=np.column_stack([mat.lower, mat.upper]), method="highs")
     if res.status == 0:
         return LpSolution(LpStatus.OPTIMAL, values=np.asarray(res.x),
                           objective_value=float(res.fun), iterations=int(res.nit))

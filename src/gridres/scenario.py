@@ -176,12 +176,15 @@ def load_scenario(path, seed_override: int | None = None,
         )
 
     solver_doc = doc.get("solver", {})
-    solver = SolverOptions(
-        feas_tol=float(solver_doc.get("feas_tol", 1e-7)) if feas_tol is None else feas_tol,
-        opt_tol=float(solver_doc.get("opt_tol", 1e-7)),
-        pricing=solver_doc.get("pricing", "bland"),
-        backend=solver_doc.get("backend", "simplex"),
-    )
+    try:
+        solver = SolverOptions(
+            feas_tol=float(solver_doc.get("feas_tol", 1e-7)) if feas_tol is None else feas_tol,
+            opt_tol=float(solver_doc.get("opt_tol", 1e-7)),
+            pricing=solver_doc.get("pricing", "bland"),
+            backend=solver_doc.get("backend", "simplex"),
+        )
+    except (TypeError, ValueError) as err:
+        raise ScenarioError(f"solver: {err}") from err
     build_doc = doc.get("build", {})
     build = BuildOptions(
         poly_sides=int(build_doc.get("poly_sides", 8)) if poly_sides is None else poly_sides,

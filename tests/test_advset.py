@@ -16,6 +16,7 @@ from gridres.advset import (
     sample,
 )
 from gridres.dispatch import CostConfig, solve_baseline
+from gridres.lp import LinearProgram, LpStatus, Rel, SolverOptions, solve
 from gridres.robust import ReserveSchedule
 from util import single_bus, six_bus, two_bus
 
@@ -79,6 +80,42 @@ def test_membership_basics():
     assert not contains(poly, beyond)
     inside = 0.4 * poly.vertices_w[1] + 0.3 * poly.vertices_w[2]
     assert contains(poly, inside)
+
+
+def vertex_lp_contains(poly, point, tol=1e-9):
+    """Membership as an LP over vertex weights: lam in [0, 1], sum lam = 1,
+    sum lam_i v_i = point, in units of max(1, max |alpha|)."""
+    m = len(poly.axes)
+    scale = max(1.0, float(np.max(np.abs(poly.alpha_w))))
+    lp = LinearProgram()
+    lams = [lp.add_variable(f"lam{i}", 0.0, 1.0) for i in range(m + 1)]
+    lp.add_row({v: 1.0 for v in lams}, Rel.EQ, 1.0)
+    verts = poly.vertices_w / scale
+    for d in range(m):
+        coeffs = {lams[i]: verts[i, d] for i in range(m + 1) if verts[i, d] != 0.0}
+        lp.add_row(coeffs, Rel.EQ, point[d] / scale)
+    return solve(lp, SolverOptions(feas_tol=tol)).status is LpStatus.OPTIMAL
+
+
+def test_contains_matches_vertex_lp():
+    axes = [AdversarialAxis(AXIS_DG_LOSS, f"dg{i}") for i in range(4)]
+    rng = np.random.default_rng(8)
+    answers = []
+    for alpha in ([1.2e6, 0.4e6, 2.5e5, 3.0e6], [0.9e6, 0.0, 1.5e6, 0.0]):
+        poly = InnerPolytope(0, axes, np.array(alpha))
+        live = poly.alpha_w > 0
+        inside = sample(poly, seed=3, count=30)
+        levels = (inside[:, live] / poly.alpha_w[live]).sum(axis=1)
+        outside = inside * (rng.uniform(1.05, 2.0, size=(30, 1)) / levels[:, None])
+        negative = inside.copy()
+        negative[:, 0] = -rng.uniform(1e3, 1e5, size=30)
+        off_axis = inside.copy()
+        off_axis[:, ~live] = rng.uniform(1e3, 1e5, size=(30, int((~live).sum())))
+        for point in np.concatenate([inside, outside, negative, off_axis]):
+            expected = vertex_lp_contains(poly, point)
+            assert contains(poly, point) == expected, (alpha, point)
+            answers.append(expected)
+    assert answers.count(True) >= 60 and answers.count(False) >= 120
 
 
 def test_sampling_is_deterministic_and_inside():

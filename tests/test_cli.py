@@ -85,6 +85,15 @@ def test_missing_field_is_input_error(tmp_path, capsys):
     assert "network" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [("pricing", "steepest"), ("backend", "cplex")])
+def test_unknown_solver_option_is_input_error(tmp_path, capsys, field, value):
+    scenario = small_scenario(tmp_path, solver={field: value})
+    assert main(["baseline", str(scenario), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: solver:") and repr(value) in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_infeasible_maps_to_exit_2(tmp_path, capsys):
     scenario = small_scenario(
         tmp_path,

@@ -216,6 +216,65 @@ def test_beale_cycling_instance_terminates(pricing):
     assert sol.objective_value == pytest.approx(-0.05, abs=1e-9)
 
 
+def beale_lp() -> LinearProgram:
+    lp = LinearProgram()
+    x1, x2, x3, x4 = (lp.add_variable(f"x{i}", 0.0, 1e3) for i in range(1, 5))
+    lp.set_objective({x1: -0.75, x2: 150.0, x3: -0.02, x4: 6.0})
+    lp.add_row({x1: 0.25, x2: -60.0, x3: -0.04, x4: 9.0}, Rel.LE, 0.0)
+    lp.add_row({x1: 0.5, x2: -90.0, x3: -0.02, x4: 3.0}, Rel.LE, 0.0)
+    lp.add_row({x3: 1.0}, Rel.LE, 1.0)
+    return lp
+
+
+@pytest.mark.parametrize("pricing, bland_entries", [("dantzig", 1), ("bland", 0)])
+def test_beale_stall_records_a_bland_entry(pricing, bland_entries):
+    sol = solve(beale_lp(), SolverOptions(pricing=pricing))
+    assert sol.status is LpStatus.OPTIMAL
+    assert sol.stats.bland_entries == bland_entries
+
+
+def test_stats_parts_sum_to_iterations():
+    rng = np.random.default_rng(17)
+    totals = dict(phase1_pivots=0, phase2_pivots=0, bound_flips=0, refactorizations=0)
+    for _ in range(40):
+        lp = random_bounded_lp(rng)
+        for pricing in ("dantzig", "bland"):
+            sol = solve(lp, SolverOptions(pricing=pricing))
+            stats = sol.stats
+            assert stats.phase1_pivots + stats.phase2_pivots + stats.bound_flips == sol.iterations
+            if sol.status is LpStatus.OPTIMAL:
+                assert stats.refactorizations >= 1  # the final re-solve
+            for key in totals:
+                totals[key] += getattr(stats, key)
+    assert all(totals.values()), totals  # every counter was exercised
+    assert solve(random_bounded_lp(rng), SolverOptions(backend="scipy")).stats is None
+
+
+def test_eta_updates_match_dense_inverse():
+    """FTRAN and BTRAN through the LU factors and the product-form etas agree
+    with the replaced basis matrix, also when pivots repeat a row."""
+    from scipy.sparse import csc_matrix
+
+    from gridres.lp import _Basis
+
+    rng = np.random.default_rng(5)
+    m = 12
+    B = rng.normal(size=(m, m)) + 4.0 * np.eye(m)
+    basis = _Basis(m)
+    basis.factor(csc_matrix(B))
+    for r in (3, 7, 3, 0, 7, 7, 11, 3, 5):
+        a = rng.normal(size=m) + 4.0 * np.eye(m)[r]
+        w = basis.ftran(a)
+        np.testing.assert_allclose(B @ w, a, atol=1e-10)
+        v = rng.normal(size=m)
+        np.testing.assert_allclose(B.T @ basis.btran(v), v, atol=1e-10)
+        basis.push(r, w)
+        B[:, r] = a  # the entering column replaces column r
+    v = rng.normal(size=m)
+    np.testing.assert_allclose(B @ basis.ftran(v), v, atol=1e-10)
+    np.testing.assert_allclose(B.T @ basis.btran(v), v, atol=1e-10)
+
+
 def test_larger_lps_match_scipy_backend():
     """Beyond the vertex oracle's reach, the scipy backend is the referee."""
     rng = np.random.default_rng(404)

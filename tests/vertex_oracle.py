@@ -48,32 +48,27 @@ def enumerate_vertices(lp: LinearProgram, tol: float = 1e-9) -> np.ndarray:
     if not combos:
         return np.empty((0, n))
 
-    A = np.stack([np.stack([planes[i][0] for i in combo]) for combo in combos])
-    b = np.stack([np.array([planes[i][1] for i in combo]) for combo in combos])
+    chosen = np.array(combos)
+    A = np.stack([p[0] for p in planes])[chosen]
+    b = np.array([p[1] for p in planes])[chosen]
     dets = np.abs(np.linalg.det(A))
     good = dets > tol
     if not good.any():
         return np.empty((0, n))
     pts = np.linalg.solve(A[good], b[good][..., None])[..., 0]
 
-    keep = []
-    for x in pts:
-        if (x < lo - tol).any() or (x > hi + tol).any():
-            continue
-        ok = True
-        for row in lp.rows:
-            ax = sum(x[idx] * coeff for idx, coeff in row.coeffs.items())
-            if row.rel is Rel.LE and ax > row.rhs + tol:
-                ok = False
-            elif row.rel is Rel.GE and ax < row.rhs - tol:
-                ok = False
-            elif row.rel is Rel.EQ and abs(ax - row.rhs) > tol:
-                ok = False
-            if not ok:
-                break
-        if ok:
-            keep.append(x)
-    return np.array(keep) if keep else np.empty((0, n))
+    # the same per-vertex checks, evaluated for all candidates at once; each
+    # row activity is summed in the row's coefficient order
+    keep = ((pts >= lo - tol) & (pts <= hi + tol)).all(axis=1)
+    for row in lp.rows:
+        ax = sum(pts[:, idx] * coeff for idx, coeff in row.coeffs.items())
+        if row.rel is Rel.LE:
+            keep &= ax <= row.rhs + tol
+        elif row.rel is Rel.GE:
+            keep &= ax >= row.rhs - tol
+        else:
+            keep &= np.abs(ax - row.rhs) <= tol
+    return pts[keep]
 
 
 def brute_force_min(lp: LinearProgram, tol: float = 1e-9) -> float | None:
