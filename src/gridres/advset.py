@@ -9,13 +9,22 @@ reactive power follows served load, and inverter reactive output may
 re-regulate freely inside its apparent-power polygon (volt/var response
 consumes no active-power reserve).
 
+The recourse LP is a one-step emission through the shared DistFlow emitters
+of :mod:`gridres.constraints` (voltage drop, power balance, line and inverter
+polygons); this module adds only the reserve bands as column bounds, the
+load power-factor rows and one row (two for a load) per axis.  Each axis
+has a magnitude column alpha_i in its targeted entity's row, so an event's
+magnitudes are column bounds: fixed at alpha = m to test an event, or free
+for one axis and zero for the rest to maximize along it.
+
 Maximizing the event magnitude per axis yields one extreme point per axis;
 their convex hull with the nominal point is an inner approximation of the
 tolerable set: tolerability constraints are affine in (recourse, magnitude),
 so any convex combination of feasible extremes stays feasible.
 
-The per-axis problems share nothing but immutable inputs and may be solved
-concurrently by callers; a built InnerPolytope is immutable.
+A step's axes are solved in turn on one LP, re-bounded between solves;
+distinct steps share nothing but immutable inputs and may be characterized
+concurrently by callers.  A built InnerPolytope is immutable.
 """
 
 from __future__ import annotations
@@ -26,10 +35,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import (
+    BoundSpec,
     BuildOptions,
     PerUnit,
-    effective_impedance_pu,
+    URow,
+    apparent_power_rows,
+    apply_emissions,
+    build_namespace,
+    emit_power_balance,
+    emit_voltage_drop,
+    line_limit_rows,
     polygon_rows,
+    voltage_bounds,
 )
 from .dispatch import DispatchResult
 from .lp import LinearProgram, LpStatus, Rel, SolverOptions, solve
@@ -40,6 +57,8 @@ AXIS_DG_LOSS = "dg_capacity_loss"
 AXIS_LOAD_INCREASE = "load_increase"
 AXIS_PV_ERROR = "pv_forecast_error"
 AXIS_KINDS = (AXIS_DG_LOSS, AXIS_LOAD_INCREASE, AXIS_PV_ERROR)
+# the device class an axis of each kind targets
+AXIS_CLASS = {AXIS_DG_LOSS: "dg", AXIS_LOAD_INCREASE: "load", AXIS_PV_ERROR: "pv"}
 
 
 class AxisInfeasible(RuntimeError):
@@ -105,203 +124,82 @@ def build_recourse_lp(
     step: int,
     axes: list[AdversarialAxis],
     magnitudes_w: np.ndarray,
-    free_axis: int | None = None,
     options: BuildOptions | None = None,
-) -> tuple[LinearProgram, int | None]:
-    """Single-step feasibility LP for an event; optionally one axis magnitude free.
+) -> tuple[LinearProgram, list[int]]:
+    """Single-step feasibility LP for an event of the given magnitudes.
 
-    Returns the LP and the index of the free magnitude variable (scaled in pu)
-    or None when all magnitudes are fixed.
+    Returns the LP and the index of each axis's magnitude column (pu), fixed
+    at its magnitude; re-bound a column to let its magnitude vary.
     """
     options = options or BuildOptions()
-    pu = PerUnit.of(model)
-    s = pu.s_base
+    s = PerUnit.of(model).s_base
     k = step
     poly = polygon_rows(options.poly_sides)
-    lp = LinearProgram()
+    ns = build_namespace(model, steps=(k,))
+    lp = ns.make_lp()
+    alpha = [lp.add_variable(f"alpha[{i}]", m / s, m / s)
+             for i, m in enumerate(np.asarray(magnitudes_w, dtype=float))]
+    target_of = {(AXIS_CLASS[a.kind], a.entity): i for i, a in enumerate(axes)}
 
-    target_of: dict[tuple[str, str], int] = {}
-    for i, axis in enumerate(axes):
-        kind_map = {AXIS_DG_LOSS: "dg", AXIS_LOAD_INCREASE: "load", AXIS_PV_ERROR: "pv"}
-        target_of[(kind_map[axis.kind], axis.entity)] = i
+    rows = emit_voltage_drop(model, ns) + emit_power_balance(model, ns)
+    rows += line_limit_rows(model, ns, poly)
+    bounds = voltage_bounds(model, ns)
 
-    alpha_idx: int | None = None
-    if free_axis is not None:
-        axis = axes[free_axis]
-        hi = math.inf if axis.cap_w is None else axis.cap_w / s
-        alpha_idx = lp.add_variable("alpha", 0.0, hi)
-
-    def axis_term(i: int) -> tuple[float, float]:
-        """(constant magnitude pu, alpha coefficient) for axis i."""
-        if free_axis is not None and i == free_axis:
-            return 0.0, 1.0
-        return float(magnitudes_w[i]) / s, 0.0
+    def band(var: int, lo: float, hi: float) -> None:
+        bounds.append(BoundSpec(var, lo, hi, "reserve_band"))
 
     # realized device active powers; schedules are clamped into their physical
-    # windows first so solver-tolerance dust cannot invert a recourse band
-    r_pv: dict[str, int] = {}
-    for u in model.pv_units:
-        avail = float(u.forecast_w[k]) / s
-        sched = min(max(dispatch.pv_p[u.id][k] / s, 0.0), avail)
-        up = reserves.up[("pv", u.id)][k] / s
-        dn = reserves.down[("pv", u.id)][k] / s
-        i = target_of.get(("pv", u.id))
-        if i is None:
-            var = lp.add_variable(f"rpv[{u.id}]", max(0.0, sched - dn), min(sched + up, avail))
-        else:
-            var = lp.add_variable(f"rpv[{u.id}]", 0.0, min(sched + up, avail))
-            mag, acoef = axis_term(i)
-            coeffs = {var: 1.0}
-            if acoef:
-                coeffs[alpha_idx] = 1.0
-            lp.add_row(coeffs, Rel.LE, avail - mag, "avail")  # r + alpha <= forecast
-        r_pv[u.id] = var
-    r_dg: dict[str, int] = {}
-    for u in model.dg_units:
-        cap = u.capacity_va / s
-        sched = min(max(dispatch.dg_p[u.id][k] / s, 0.0), cap)
-        up = reserves.up[("dg", u.id)][k] / s
-        dn = reserves.down[("dg", u.id)][k] / s
-        i = target_of.get(("dg", u.id))
-        if i is None:
-            var = lp.add_variable(f"rdg[{u.id}]", max(0.0, sched - dn), min(sched + up, cap))
-        else:
-            var = lp.add_variable(f"rdg[{u.id}]", 0.0, min(sched + up, cap))
-            mag, acoef = axis_term(i)
-            coeffs = {var: 1.0}
-            if acoef:
-                coeffs[alpha_idx] = 1.0
-            lp.add_row(coeffs, Rel.LE, cap - mag, "cap")  # r + alpha <= capacity
-        r_dg[u.id] = var
-    r_es: dict[str, int] = {}
+    # windows first so solver-tolerance dust cannot invert a recourse band.
+    # Reactive output re-regulates freely inside each inverter polygon.
+    for cls, units, pmap, qmap, planned in (
+        ("pv", model.pv_units, ns.ppv, ns.qpv, dispatch.pv_p),
+        ("dg", model.dg_units, ns.pdg, ns.qdg, dispatch.dg_p),
+    ):
+        for u in units:
+            p, q = pmap[(u.id, k)], qmap[(u.id, k)]
+            # available active power: the solar forecast or the diesel rating;
+            # an axis on the unit takes its magnitude out of it
+            avail = (float(u.forecast_w[k]) if cls == "pv" else u.capacity_va) / s
+            sched = min(max(planned[u.id][k] / s, 0.0), avail)
+            up = reserves.up[(cls, u.id)][k] / s
+            dn = reserves.down[(cls, u.id)][k] / s
+            i = target_of.get((cls, u.id))
+            if i is None:
+                band(p, max(0.0, sched - dn), min(sched + up, avail))
+            else:
+                band(p, 0.0, min(sched + up, avail))
+                rows.append(URow({p: 1.0, alpha[i]: 1.0}, Rel.LE, avail, "axis"))
+            rows += apparent_power_rows(p, q, u.capacity_va / s, poly, f"{cls}_cap")
     for u in model.storage_units:
+        p, q = ns.pes[(u.id, k)], ns.qes[(u.id, k)]
         p_max = u.power_w / s
         sched = min(max(dispatch.es_p[u.id][k] / s, -p_max), p_max)
         up = reserves.up[("es", u.id)][k] / s
         dn = reserves.down[("es", u.id)][k] / s
         e_in = dispatch.soc_wh[u.id][k] / s  # energy entering the step, pu-h
-        e_min = u.energy_min_wh / s
-        e_max = u.energy_max_wh / s
         dt = model.dt_hours
-        lo = max(-p_max, sched - dn, (e_in - e_max) / dt)
-        hi = min(p_max, sched + up, (e_in - e_min) / dt)
-        r_es[u.id] = lp.add_variable(f"res[{u.id}]", min(lo, sched), max(hi, sched))
-    r_load: dict[str, int] = {}
-    q_load: dict[str, int] = {}
+        lo = max(-p_max, sched - dn, (e_in - u.energy_max_wh / s) / dt)
+        hi = min(p_max, sched + up, (e_in - u.energy_min_wh / s) / dt)
+        band(p, min(lo, sched), max(hi, sched))
+        rows += apparent_power_rows(p, q, u.capacity_va / s, poly, "storage")
     for u in model.loads:
+        p, q = ns.pload[(u.id, k)], ns.qload[(u.id, k)]
         desired = float(u.desired_w[k]) / s
         sched = min(max(dispatch.load_p[u.id][k] / s, 0.0), desired)
         up = reserves.up[("load", u.id)][k] / s
         dn = reserves.down[("load", u.id)][k] / s
         i = target_of.get(("load", u.id))
         if i is None:
-            var = lp.add_variable(f"rload[{u.id}]", max(0.0, sched - up), min(sched + dn, desired))
+            band(p, max(0.0, sched - up), min(sched + dn, desired))
         else:
-            var = lp.add_variable(f"rload[{u.id}]")
-            mag, acoef = axis_term(i)
             # serve at most the true demand, shed at most the up-reserve
-            hi_coeffs = {var: 1.0}
-            lo_coeffs = {var: -1.0}
-            if acoef:
-                hi_coeffs[alpha_idx] = -1.0
-                lo_coeffs[alpha_idx] = 1.0
-            lp.add_row(hi_coeffs, Rel.LE, sched + mag, "demand")
-            lp.add_row(lo_coeffs, Rel.LE, up - sched - mag, "shed-band")
-        r_load[u.id] = var
-        q_load[u.id] = lp.add_variable(f"qload[{u.id}]")
+            rows.append(URow({p: 1.0, alpha[i]: -1.0}, Rel.LE, sched, "axis"))
+            rows.append(URow({p: -1.0, alpha[i]: 1.0}, Rel.LE, up - sched, "axis"))
         tan_phi = math.tan(math.acos(u.power_factor))
-        lp.add_row({q_load[u.id]: 1.0, r_load[u.id]: -tan_phi}, Rel.EQ, 0.0, "pf")
+        rows.append(URow({q: 1.0, p: -tan_phi}, Rel.EQ, 0.0, "power_factor"))
 
-    # network state at the recourse point
-    w_var: dict[tuple[str, str], int] = {}
-    root = model.root.id
-    for bus in model.buses:
-        for phase in bus.phases:
-            if bus.id == root:
-                w_var[(bus.id, phase)] = lp.add_variable(f"w[{bus.id},{phase}]", 1.0, 1.0)
-            else:
-                w_var[(bus.id, phase)] = lp.add_variable(
-                    f"w[{bus.id},{phase}]", bus.v_min**2, bus.v_max**2
-                )
-    pf_var: dict[tuple[str, str], int] = {}
-    qf_var: dict[tuple[str, str], int] = {}
-    for br in model.branches:
-        for phase in br.phases:
-            pf_var[(br.id, phase)] = lp.add_variable(f"pflow[{br.id},{phase}]")
-            qf_var[(br.id, phase)] = lp.add_variable(f"qflow[{br.id},{phase}]")
-            z = effective_impedance_pu(br, phase, pu)
-            lp.add_row(
-                {
-                    w_var[(br.to_bus, phase)]: 1.0,
-                    w_var[(br.from_bus, phase)]: -1.0,
-                    pf_var[(br.id, phase)]: 2.0 * z.real,
-                    qf_var[(br.id, phase)]: 2.0 * z.imag,
-                },
-                Rel.EQ,
-                0.0,
-                "vdrop",
-            )
-            s_max = pu.power(br.flow_limit_va)
-            for cs, sn, off in poly:
-                lp.add_row(
-                    {pf_var[(br.id, phase)]: cs, qf_var[(br.id, phase)]: sn},
-                    Rel.LE,
-                    s_max * off,
-                    "line",
-                )
-
-    # reactive output re-regulates freely inside each inverter polygon
-    q_pv: dict[str, int] = {}
-    q_dg: dict[str, int] = {}
-    q_es: dict[str, int] = {}
-    for units, rmap, qmap, label in (
-        (model.pv_units, r_pv, q_pv, "pv"),
-        (model.dg_units, r_dg, q_dg, "dg"),
-        (model.storage_units, r_es, q_es, "es"),
-    ):
-        for u in units:
-            cap = u.capacity_va / s
-            qmap[u.id] = lp.add_variable(f"q{label}[{u.id}]")
-            for cs, sn, off in poly:
-                lp.add_row({rmap[u.id]: cs, qmap[u.id]: sn}, Rel.LE, cap * off,
-                           f"{label}-cap")
-
-    parent = model.parent_branch()
-    children = model.children()
-    for bus in model.buses:
-        share = 1.0 / len(bus.phases)
-        for phase in bus.phases:
-            pco: dict[int, float] = {}
-            qco: dict[int, float] = {}
-            up = parent.get(bus.id)
-            if up is not None and phase in up.phases:
-                pco[pf_var[(up.id, phase)]] = 1.0
-                qco[qf_var[(up.id, phase)]] = 1.0
-            for child in children[bus.id]:
-                br = parent[child]
-                if phase in br.phases:
-                    pco[pf_var[(br.id, phase)]] = -1.0
-                    qco[qf_var[(br.id, phase)]] = -1.0
-            for u in model.pv_units:
-                if u.bus == bus.id:
-                    pco[r_pv[u.id]] = share
-                    qco[q_pv[u.id]] = share
-            for u in model.dg_units:
-                if u.bus == bus.id:
-                    pco[r_dg[u.id]] = share
-                    qco[q_dg[u.id]] = share
-            for u in model.storage_units:
-                if u.bus == bus.id:
-                    pco[r_es[u.id]] = share
-                    qco[q_es[u.id]] = share
-            for u in model.loads:
-                if u.bus == bus.id:
-                    pco[r_load[u.id]] = -share
-                    qco[q_load[u.id]] = -share
-            lp.add_row(pco, Rel.EQ, 0.0, "balance-p")
-            lp.add_row(qco, Rel.EQ, 0.0, "balance-q")
-
-    return lp, alpha_idx
+    apply_emissions(lp, rows, bounds)
+    return lp, alpha
 
 
 def event_is_tolerable(
@@ -315,8 +213,7 @@ def event_is_tolerable(
     solver: SolverOptions | None = None,
 ) -> bool:
     """Feasibility of the recourse LP at fixed event magnitudes."""
-    lp, _ = build_recourse_lp(model, dispatch, reserves, step, axes, magnitudes_w,
-                              free_axis=None, options=options)
+    lp, _ = build_recourse_lp(model, dispatch, reserves, step, axes, magnitudes_w, options)
     return solve(lp, solver).status is LpStatus.OPTIMAL
 
 
@@ -329,28 +226,33 @@ def characterize(
     options: BuildOptions | None = None,
     solver: SolverOptions | None = None,
 ) -> InnerPolytope:
-    """Maximal tolerable magnitude along each axis at `step`, one LP per axis."""
+    """Maximal tolerable magnitude along each axis at `step`.
+
+    The recourse LP is built once; axis i is solved with every other
+    magnitude fixed at 0 and alpha_i free up to its cap.
+    """
     _validate_axes(axes)
-    pu = PerUnit.of(model)
+    s = PerUnit.of(model).s_base
+    lp, alpha = build_recourse_lp(model, dispatch, reserves, step, axes,
+                                  np.zeros(len(axes)), options)
     alphas = np.zeros(len(axes))
-    zeros = np.zeros(len(axes))
-    for i in range(len(axes)):
-        lp, alpha_idx = build_recourse_lp(
-            model, dispatch, reserves, step, axes, zeros, free_axis=i, options=options
-        )
-        lp.set_objective({alpha_idx: -1.0})  # maximize alpha
+    for i, axis in enumerate(axes):
+        for col in alpha:
+            lp.set_bounds(col, 0.0, 0.0)
+        lp.set_bounds(alpha[i], 0.0, math.inf if axis.cap_w is None else axis.cap_w / s)
+        lp.set_objective({alpha[i]: -1.0})  # maximize alpha_i
         sol = solve(lp, solver)
         if sol.status is LpStatus.INFEASIBLE:
             raise AxisInfeasible(
-                f"axis {axes[i].kind}/{axes[i].entity} infeasible even at zero "
+                f"axis {axis.kind}/{axis.entity} infeasible even at zero "
                 f"magnitude at step {step}; the dispatch point is not feasible"
             )
         if sol.status is LpStatus.UNBOUNDED:
             raise ValueError(
-                f"axis {axes[i].kind}/{axes[i].entity} unbounded at step {step}; "
+                f"axis {axis.kind}/{axis.entity} unbounded at step {step}; "
                 "give the axis an outer cap"
             )
-        alphas[i] = sol.values[alpha_idx] * pu.s_base
+        alphas[i] = sol.values[alpha[i]] * s
     return InnerPolytope(step, list(axes), alphas)
 
 
@@ -400,8 +302,13 @@ def sample(poly: InnerPolytope, seed: int, count: int) -> np.ndarray:
     if count < 1:
         raise ValueError("count must be at least 1")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2,)))
-    m = len(poly.axes)
-    draws = rng.exponential(1.0, size=(count, m + 1))
+    return _simplex_points(poly, rng, count)
+
+
+def _simplex_points(poly: InnerPolytope, rng: np.random.Generator, count: int) -> np.ndarray:
+    """`count` uniform points of `poly` from Dirichlet(1,..,1) vertex weights,
+    drawn as normalized exponentials."""
+    draws = rng.exponential(1.0, size=(count, len(poly.axes) + 1))
     weights = draws / draws.sum(axis=1, keepdims=True)
     return weights @ poly.vertices_w
 

@@ -79,7 +79,7 @@ def cmd_baseline(scenario: Scenario, out: Path, manifest: ManifestWriter,
     if dump_lp:
         from .dispatch import build_baseline_lp
 
-        lp, _ns, _block = build_baseline_lp(scenario.model, scenario.costs, scenario.build)
+        lp, _ns = build_baseline_lp(scenario.model, scenario.costs, scenario.build)
         (out / "problem.lp").write_text(lp.to_lp_text(f"{scenario.name}-baseline"))
         manifest.add_output(out / "problem.lp")
     result = solve_baseline(scenario.model, scenario.costs, scenario.build, scenario.solver)

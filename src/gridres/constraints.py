@@ -26,7 +26,13 @@ Variable ordering is deterministic: variable kind, then entity id (sorted),
 then phase (a < b < c), then step.  Device injections are per device (not per
 phase) and split equally across the phases of the hosting bus.
 
-Row-count formulas per tag (K = steps, sides = polygon sides):
+A namespace is declared for a set of steps, the whole horizon by default;
+the network emitters (voltage drop, power balance, line polygons) emit rows
+for exactly the namespace's steps.  The dispatch LPs use the whole horizon,
+the adversarial-set recourse LP a single step.  The polygon helpers
+(`line_limit_rows`, `apparent_power_rows`) are shared the same way.
+
+Row-count formulas per tag (K = steps emitted, sides = polygon sides):
     voltage_drop     sum_branch |phases| * K
     power_balance    2 * sum_bus |phases| * K      (net injections folded in)
     power_factor     n_load * K  (+ 2 * n_pv * K when a PV gamma is set)
@@ -54,8 +60,6 @@ ParamKey = tuple[str, str, int]
 P_DG_CAPACITY = "dg_capacity"
 P_LOAD_DESIRED = "load_desired"
 P_PV_FORECAST = "pv_forecast"
-
-RESERVE_CLASSES = ("pv", "dg", "es", "load")
 
 _ROTATION = {
     "a": 1.0 + 0.0j,
@@ -129,27 +133,25 @@ class BoundSpec:
     tag: str
 
 
-@dataclass
-class ConstraintBlock:
-    """Row and bound indices grouped by the tag that emitted them."""
-
-    rows_by_tag: dict[str, list[int]] = field(default_factory=dict)
-    bounds_by_tag: dict[str, list[int]] = field(default_factory=dict)
-
-    def add_row(self, tag: str, idx: int) -> None:
-        self.rows_by_tag.setdefault(tag, []).append(idx)
-
-    def add_bound(self, tag: str, var: int) -> None:
-        self.bounds_by_tag.setdefault(tag, []).append(var)
-
-    def row_count(self, tag: str) -> int:
-        return len(self.rows_by_tag.get(tag, []))
+def device_groups(model: NetworkModel):
+    """The four device classes, in the order reserves are declared and reported."""
+    return (
+        ("pv", model.pv_units),
+        ("dg", model.dg_units),
+        ("es", model.storage_units),
+        ("load", model.loads),
+    )
 
 
 class VariableNamespace:
-    """Index maps from model entities to LP variables, in documented order."""
+    """Index maps from model entities to LP variables, in documented order.
 
-    def __init__(self) -> None:
+    `steps` are the time steps the namespace declares variables for; the
+    emitters emit rows for exactly these steps.
+    """
+
+    def __init__(self, steps: tuple[int, ...]) -> None:
+        self.steps = steps
         self.names: list[str] = []
         self.lower: list[float] = []
         self.upper: list[float] = []
@@ -191,35 +193,37 @@ def build_namespace(
     model: NetworkModel,
     reserves: bool = False,
     dg_loss_keys: tuple[tuple[str, int], ...] = (),
+    steps: tuple[int, ...] | None = None,
 ) -> VariableNamespace:
     """Declare every LP variable for `model` in deterministic order.
 
-    With `reserves`, the four up/down reserve classes are added per device and
+    Variables are declared for `steps` (default: the whole horizon).  With
+    `reserves`, the four up/down reserve classes are added per device and
     step; `dg_loss_keys` adds the worst-case output-loss helpers used by the
     robust coverage rows.
     """
-    ns = VariableNamespace()
-    K = model.steps
+    ns = VariableNamespace(tuple(range(model.steps)) if steps is None else tuple(steps))
+    steps = ns.steps
 
     for bus in sorted(model.buses, key=lambda b: b.id):
         for phase in bus.phases:
-            for k in range(K):
+            for k in steps:
                 ns.w[(bus.id, phase, k)] = ns._new(f"w[{bus.id},{phase},{k}]")
     for br in sorted(model.branches, key=lambda b: b.id):
         for phase in br.phases:
-            for k in range(K):
+            for k in steps:
                 ns.pflow[(br.id, phase, k)] = ns._new(f"pflow[{br.id},{phase},{k}]")
     for br in sorted(model.branches, key=lambda b: b.id):
         for phase in br.phases:
-            for k in range(K):
+            for k in steps:
                 ns.qflow[(br.id, phase, k)] = ns._new(f"qflow[{br.id},{phase},{k}]")
 
     def device_block(units, pmap, qmap, label):
         for u in sorted(units, key=lambda d: d.id):
-            for k in range(K):
+            for k in steps:
                 pmap[(u.id, k)] = ns._new(f"p{label}[{u.id},{k}]")
         for u in sorted(units, key=lambda d: d.id):
-            for k in range(K):
+            for k in steps:
                 qmap[(u.id, k)] = ns._new(f"q{label}[{u.id},{k}]")
 
     device_block(model.pv_units, ns.ppv, ns.qpv, "pv")
@@ -228,34 +232,23 @@ def build_namespace(
     device_block(model.loads, ns.pload, ns.qload, "load")
 
     for es in sorted(model.storage_units, key=lambda d: d.id):
-        for k in range(K):
+        for k in steps:
             ns.soc[(es.id, k)] = ns._new(f"soc[{es.id},{k}]")
 
     if reserves:
-        groups = (
-            ("pv", model.pv_units),
-            ("dg", model.dg_units),
-            ("es", model.storage_units),
-            ("load", model.loads),
-        )
+        groups = device_groups(model)
         for cls, units in groups:
             for u in sorted(units, key=lambda d: d.id):
-                for k in range(K):
+                for k in steps:
                     ns.r_up[(cls, u.id, k)] = ns._new(f"rup_{cls}[{u.id},{k}]", 0.0)
         for cls, units in groups:
             for u in sorted(units, key=lambda d: d.id):
-                for k in range(K):
+                for k in steps:
                     ns.r_dn[(cls, u.id, k)] = ns._new(f"rdn_{cls}[{u.id},{k}]", 0.0)
     for uid, k in sorted(dg_loss_keys):
         ns.dg_loss[(uid, k)] = ns._new(f"dgloss[{uid},{k}]", 0.0)
 
     return ns
-
-
-def device_share(model: NetworkModel, bus_id: str) -> tuple[str, float]:
-    """Phases a device at `bus_id` spans and its per-phase injection share."""
-    phases = model.bus(bus_id).phases
-    return phases, 1.0 / len(phases)
 
 
 def emit_voltage_drop(model: NetworkModel, ns: VariableNamespace) -> list[URow]:
@@ -265,7 +258,7 @@ def emit_voltage_drop(model: NetworkModel, ns: VariableNamespace) -> list[URow]:
     for br in model.branches:
         for phase in br.phases:
             z = effective_impedance_pu(br, phase, pu)
-            for k in range(model.steps):
+            for k in ns.steps:
                 rows.append(
                     URow(
                         {
@@ -294,14 +287,10 @@ def emit_power_balance(model: NetworkModel, ns: VariableNamespace) -> list[URow]
     rows = []
     for bus in model.buses:
         share = 1.0 / len(bus.phases)
-        at_bus = {
-            "pv": [u for u in model.pv_units if u.bus == bus.id],
-            "dg": [u for u in model.dg_units if u.bus == bus.id],
-            "es": [u for u in model.storage_units if u.bus == bus.id],
-            "load": [u for u in model.loads if u.bus == bus.id],
-        }
+        at_bus = {cls: [u for u in units if u.bus == bus.id]
+                  for cls, units in device_groups(model)}
         for phase in bus.phases:
-            for k in range(model.steps):
+            for k in ns.steps:
                 pco: dict[int, float] = {}
                 qco: dict[int, float] = {}
                 up = parent.get(bus.id)
@@ -327,6 +316,42 @@ def emit_power_balance(model: NetworkModel, ns: VariableNamespace) -> list[URow]
                     qco[ns.qload[(u.id, k)]] = -share
                 rows.append(URow(pco, Rel.EQ, 0.0, "power_balance"))
                 rows.append(URow(qco, Rel.EQ, 0.0, "power_balance"))
+    return rows
+
+
+def voltage_bounds(model: NetworkModel, ns: VariableNamespace) -> list[BoundSpec]:
+    """Squared-voltage boxes; the root is the fixed reference at 1 pu."""
+    root = model.root.id
+    out = []
+    for (bus_id, phase, k), var in ns.w.items():
+        if bus_id == root:
+            out.append(BoundSpec(var, 1.0, 1.0, "voltage_limits"))
+        else:
+            bus = model.bus(bus_id)
+            out.append(BoundSpec(var, bus.v_min**2, bus.v_max**2, "voltage_limits"))
+    return out
+
+
+def apparent_power_rows(
+    p: int, q: int, s_max: float, poly: list[tuple[float, float, float]], tag: str
+) -> list[URow]:
+    """The inscribed polygon of |(p, q)| <= s_max, one row per side."""
+    return [URow({p: cs, q: sn}, Rel.LE, s_max * off, tag) for cs, sn, off in poly]
+
+
+def line_limit_rows(
+    model: NetworkModel, ns: VariableNamespace, poly: list[tuple[float, float, float]]
+) -> list[URow]:
+    """Line-flow polygons per branch-phase-step."""
+    pu = PerUnit.of(model)
+    rows = []
+    for br in model.branches:
+        s_max = pu.power(br.flow_limit_va)
+        for phase in br.phases:
+            for k in ns.steps:
+                rows += apparent_power_rows(ns.pflow[(br.id, phase, k)],
+                                            ns.qflow[(br.id, phase, k)], s_max, poly,
+                                            "line_limits")
     return rows
 
 
@@ -363,29 +388,8 @@ def emit_limits(
     em = Emission()
     poly = polygon_rows(options.poly_sides)
 
-    # voltage boxes; the root is the fixed reference at 1 pu
-    root = model.root.id
-    for (bus_id, phase, k), var in ns.w.items():
-        if bus_id == root:
-            em.bounds.append(BoundSpec(var, 1.0, 1.0, "voltage_limits"))
-        else:
-            bus = model.bus(bus_id)
-            em.bounds.append(BoundSpec(var, bus.v_min**2, bus.v_max**2, "voltage_limits"))
-
-    # line-flow polygons
-    for br in model.branches:
-        s_max = pu.power(br.flow_limit_va)
-        for phase in br.phases:
-            for k in range(K):
-                for cs, sn, off in poly:
-                    em.rows.append(
-                        URow(
-                            {ns.pflow[(br.id, phase, k)]: cs, ns.qflow[(br.id, phase, k)]: sn},
-                            Rel.LE,
-                            s_max * off,
-                            "line_limits",
-                        )
-                    )
+    em.bounds += voltage_bounds(model, ns)
+    em.rows += line_limit_rows(model, ns, poly)
 
     # PV: dispatch window plus inverter polygon
     for pv in model.pv_units:
@@ -424,8 +428,7 @@ def emit_limits(
                         "curtailment_bounds",
                     )
                 )
-            for cs, sn, off in poly:
-                em.rows.append(URow({p: cs, q: sn}, Rel.LE, cap * off, "pv_cap"))
+            em.rows += apparent_power_rows(p, q, cap, poly, "pv_cap")
             if options.pv_power_factor_gamma is not None:
                 g = options.pv_power_factor_gamma
                 em.rows.append(URow({q: 1.0, p: -g}, Rel.LE, 0.0, "power_factor"))
@@ -445,8 +448,7 @@ def emit_limits(
                 em.rows.append(
                     URow({ns.r_dn[("dg", dg.id, k)]: 1.0, p: -1.0}, Rel.LE, 0.0, "dg_cap")
                 )
-            for cs, sn, off in poly:
-                em.rows.append(URow({p: cs, q: sn}, Rel.LE, cap * off, "dg_cap"))
+            em.rows += apparent_power_rows(p, q, cap, poly, "dg_cap")
 
     # storage: SoC recursion, energy/power windows, inverter polygon
     for es in model.storage_units:
@@ -475,8 +477,7 @@ def emit_limits(
                 em.rows.append(URow({p: -1.0, dn: 1.0}, Rel.LE, p_max, "storage"))
                 em.rows.append(URow({e: 1.0, dn: dt}, Rel.LE, e_max, "storage"))
                 em.rows.append(URow({e: -1.0, up: dt}, Rel.LE, -e_min, "storage"))
-            for cs, sn, off in poly:
-                em.rows.append(URow({p: cs, q: sn}, Rel.LE, s_max * off, "storage"))
+            em.rows += apparent_power_rows(p, q, s_max, poly, "storage")
         if options.terminal_soc_geq_initial:
             em.rows.append(
                 URow({ns.soc[(es.id, K - 1)]: 1.0}, Rel.GE, e0, "storage")
@@ -529,17 +530,13 @@ def resolve_nominal(rows: list[URow], nominal: dict[ParamKey, float]) -> list[UR
     return out
 
 
-def apply_emissions(
-    lp: LinearProgram, block: ConstraintBlock, rows: list[URow], bounds: list[BoundSpec] = ()
-) -> None:
+def apply_emissions(lp: LinearProgram, rows: list[URow], bounds: list[BoundSpec] = ()) -> None:
     for row in rows:
         if row.wterms:
             raise ValueError("unresolved uncertain row; tighten or resolve it first")
-        idx = lp.add_row(row.coeffs, row.rel, row.rhs, row.tag)
-        block.add_row(row.tag, idx)
+        lp.add_row(row.coeffs, row.rel, row.rhs, row.tag)
     for b in bounds:
         lp.set_bounds(b.var, b.lower, b.upper)
-        block.add_bound(b.tag, b.var)
 
 
 # ---------------------------------------------------------------------------

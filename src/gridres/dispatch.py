@@ -14,7 +14,6 @@ import numpy as np
 
 from .constraints import (
     BuildOptions,
-    ConstraintBlock,
     VariableNamespace,
     apply_emissions,
     build_namespace,
@@ -127,17 +126,16 @@ class DispatchResult:
 
 def build_baseline_lp(
     model: NetworkModel, costs: CostConfig, options: BuildOptions | None = None
-) -> tuple[LinearProgram, VariableNamespace, ConstraintBlock]:
+) -> tuple[LinearProgram, VariableNamespace]:
     options = options or BuildOptions()
     ns = build_namespace(model)
     lp = ns.make_lp()
-    block = ConstraintBlock()
-    apply_emissions(lp, block, emit_voltage_drop(model, ns))
-    apply_emissions(lp, block, emit_power_balance(model, ns))
+    apply_emissions(lp, emit_voltage_drop(model, ns))
+    apply_emissions(lp, emit_power_balance(model, ns))
     em = emit_limits(model, ns, options)
-    apply_emissions(lp, block, em.rows, em.bounds)
+    apply_emissions(lp, em.rows, em.bounds)
     set_dispatch_objective(lp, ns, model, costs)
-    return lp, ns, block
+    return lp, ns
 
 
 def set_dispatch_objective(
@@ -239,7 +237,7 @@ def solve_baseline(
         raise ValueError("model failed validation: " + "; ".join(report.problems))
     costs = costs or CostConfig()
     options = options or BuildOptions()
-    lp, ns, block = build_baseline_lp(model, costs, options)
+    lp, ns = build_baseline_lp(model, costs, options)
     constant = _objective_constant(model, costs)
     sol = solve(lp, solver)
     if sol.status is LpStatus.INFEASIBLE:

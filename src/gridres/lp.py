@@ -101,8 +101,8 @@ class SolverOptions:
 class LinearProgram:
     """Minimize c.x subject to sparse rows and variable bounds.
 
-    Treat an instance as frozen once it has been handed to :func:`solve`;
-    the solver never mutates it and instances are safe to share read-only.
+    The solver never mutates an instance and reads it afresh on every
+    :func:`solve`, so bounds and objective may be changed between solves.
     """
 
     def __init__(self) -> None:
@@ -365,6 +365,13 @@ def solve(lp: LinearProgram, options: SolverOptions | None = None) -> LpSolution
     """
     options = options or SolverOptions()
     mat = _assemble(lp)
+    if not lp.n_variables:  # each row reads 0 <rel> rhs
+        stats = SolveStats() if options.backend == "simplex" else None
+        bad = [ri for ri, _ in mat.feasibility(np.zeros(0), options.feas_tol).violations]
+        if bad:
+            return LpSolution(LpStatus.INFEASIBLE, infeasible_rows=bad, stats=stats)
+        return LpSolution(LpStatus.OPTIMAL, values=np.zeros(0), objective_value=0.0,
+                          stats=stats)
     if options.backend == "scipy":
         return _solve_scipy(mat)
     return _BoundedSimplex(mat, options).run()

@@ -27,7 +27,6 @@ import numpy as np
 
 from .constraints import (
     BuildOptions,
-    ConstraintBlock,
     P_DG_CAPACITY,
     P_LOAD_DESIRED,
     P_PV_FORECAST,
@@ -36,6 +35,7 @@ from .constraints import (
     URow,
     apply_emissions,
     build_namespace,
+    device_groups,
     emit_limits,
     emit_power_balance,
     emit_voltage_drop,
@@ -184,7 +184,7 @@ class ReserveSchedule:
     @classmethod
     def zero(cls, model: NetworkModel) -> "ReserveSchedule":
         sched = cls()
-        for cls_name, units in _device_groups(model):
+        for cls_name, units in device_groups(model):
             for u in units:
                 sched.up[(cls_name, u.id)] = np.zeros(model.steps)
                 sched.down[(cls_name, u.id)] = np.zeros(model.steps)
@@ -223,15 +223,6 @@ class ReserveSchedule:
             sched.up[("load", u.id)] = np.maximum(p - np.asarray(u.minimum_w, dtype=float), 0.0)
             sched.down[("load", u.id)] = np.maximum(np.asarray(u.desired_w, dtype=float) - p, 0.0)
         return sched
-
-
-def _device_groups(model: NetworkModel):
-    return (
-        ("pv", model.pv_units),
-        ("dg", model.dg_units),
-        ("es", model.storage_units),
-        ("load", model.loads),
-    )
 
 
 @dataclass
@@ -313,12 +304,11 @@ def build_robust_lp(
     )
     ns = build_namespace(model, reserves=True, dg_loss_keys=dg_loss_keys)
     lp = ns.make_lp()
-    block = ConstraintBlock()
 
-    apply_emissions(lp, block, emit_voltage_drop(model, ns))
-    apply_emissions(lp, block, emit_power_balance(model, ns))
+    apply_emissions(lp, emit_voltage_drop(model, ns))
+    apply_emissions(lp, emit_power_balance(model, ns))
     em = emit_limits(model, ns, options, reserves=True, uncertain_pv=uncertain_pv)
-    apply_emissions(lp, block, tighten(em.rows, pu_box), em.bounds)
+    apply_emissions(lp, tighten(em.rows, pu_box), em.bounds)
 
     # worst-case output-loss helpers: loss >= P - cap_low, loss >= 0
     loss_rows = []
@@ -348,7 +338,7 @@ def build_robust_lp(
                 mask_down += pu.power(nom - lo)
         up_coeffs: dict[int, float] = {}
         dn_coeffs: dict[int, float] = {}
-        for cls_name, units in _device_groups(model):
+        for cls_name, units in device_groups(model):
             for u in units:
                 if cls_name == "dg" and (u.id, k) in excluded:
                     continue
@@ -363,14 +353,14 @@ def build_robust_lp(
             coverage_rows.append(URow(dn_coeffs, Rel.LE, -mask_down, "reserve_coverage"))
         worst_up[k] = mask_up  # diesel losses are added after solving
         worst_down[k] = mask_down
-    apply_emissions(lp, block, loss_rows + coverage_rows)
+    apply_emissions(lp, loss_rows + coverage_rows)
 
     set_dispatch_objective(lp, ns, model, costs)
     for (cls_name, uid, k), idx in ns.r_up.items():
         lp.add_objective_term(idx, reserve_costs.of(cls_name))
     for (cls_name, uid, k), idx in ns.r_dn.items():
         lp.add_objective_term(idx, reserve_costs.of(cls_name))
-    return lp, ns, block, worst_up, worst_down
+    return lp, ns, worst_up, worst_down
 
 
 def solve_robust(
@@ -394,7 +384,7 @@ def solve_robust(
     box = box or UncertaintyBox()
     box.validate(model)
 
-    lp, ns, block, worst_up, worst_down = build_robust_lp(
+    lp, ns, worst_up, worst_down = build_robust_lp(
         model, costs, reserve_costs, box, options
     )
     sol = solve(lp, solver)
@@ -408,7 +398,7 @@ def solve_robust(
     dispatch = extract_result(model, ns, sol, _objective_constant(model, costs))
 
     reserves = ReserveSchedule()
-    for cls_name, units in _device_groups(model):
+    for cls_name, units in device_groups(model):
         for u in units:
             up = np.array([sol.values[ns.r_up[(cls_name, u.id, k)]] for k in range(model.steps)])
             dn = np.array([sol.values[ns.r_dn[(cls_name, u.id, k)]] for k in range(model.steps)])

@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .advset import InnerPolytope
-from .constraints import PerUnit, solve_linear_flow
+from .advset import AXIS_CLASS, InnerPolytope, _simplex_points
+from .constraints import PerUnit, device_groups, solve_linear_flow
 from .network import NetworkModel
 from .robust import RobustResult
 
@@ -129,30 +129,23 @@ def events_from_polytopes(
 ) -> list[list[dict]]:
     """`count` per-step event dictionaries sampled from per-step polytopes.
 
-    At each step an independent point is drawn uniformly over the polytope's
-    vertex-weight simplex (normalized exponential draws), matching
-    :func:`gridres.advset.sample`; deterministic per seed.
+    At each step an independent point is drawn uniformly over the polytope,
+    as :func:`gridres.advset.sample` draws, from a seed stream of its own per
+    step; deterministic per seed.
     """
     steps = sorted(polys)
     horizon = max(steps) + 1
     runs: list[list[dict]] = [[{} for _ in range(horizon)] for _ in range(count)]
-    kind_group = {
-        "dg_capacity_loss": "dg",
-        "load_increase": "load",
-        "pv_forecast_error": "pv",
-    }
     for k in steps:
         poly = polys[k]
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(3, k)))
-        draws = rng.exponential(1.0, size=(count, len(poly.axes) + 1))
-        weights = draws / draws.sum(axis=1, keepdims=True)
-        points = weights @ poly.vertices_w
+        points = _simplex_points(poly, rng, count)
         for r in range(count):
             events = {}
             for i, axis in enumerate(poly.axes):
                 mag = float(points[r, i])
                 if mag > 0.0:
-                    events[(kind_group[axis.kind], axis.entity)] = mag
+                    events[(AXIS_CLASS[axis.kind], axis.entity)] = mag
             runs[r][k] = events
     return runs
 
@@ -231,10 +224,7 @@ def run_simulation(
         )
     }
     deployment: dict[tuple[str, str], np.ndarray] = {}
-    for cls_name, units in (
-        ("pv", model.pv_units), ("dg", model.dg_units),
-        ("es", model.storage_units), ("load", model.loads),
-    ):
+    for cls_name, units in device_groups(model):
         for u in units:
             deployment[(cls_name, u.id)] = np.zeros(K)
     violations = {c: np.zeros(K, dtype=bool) for c in VIOLATION_CLASSES}

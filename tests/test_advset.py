@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from gridres import advset
 from gridres.advset import (
     AdversarialAxis,
     AXIS_DG_LOSS,
@@ -8,6 +11,7 @@ from gridres.advset import (
     AXIS_PV_ERROR,
     AxisInfeasible,
     InnerPolytope,
+    build_recourse_lp,
     characterize,
     characterize_steps,
     contains,
@@ -15,8 +19,10 @@ from gridres.advset import (
     project_2d,
     sample,
 )
+from gridres.constraints import BuildOptions
 from gridres.dispatch import CostConfig, solve_baseline
 from gridres.lp import LinearProgram, LpStatus, Rel, SolverOptions, solve
+from gridres.network import SynthSpec, synth_feeder
 from gridres.robust import ReserveSchedule
 from util import single_bus, six_bus, two_bus
 
@@ -29,6 +35,74 @@ def dg_toy(load=2.0e6, cap=2.5e6, reserve=0.5e6):
     reserves = ReserveSchedule.zero(model)
     reserves.up[("dg", "dg1")][:] = reserve
     return model, dispatch, reserves
+
+
+def test_recourse_row_count_formulas_fuzz():
+    rng = np.random.default_rng(23)
+    for _ in range(8):
+        spec = SynthSpec(
+            buses=int(rng.integers(4, 9)),
+            seed=int(rng.integers(0, 1000)),
+            steps=int(rng.integers(2, 6)),
+            n_loads=int(rng.integers(2, 4)),
+            n_pv=int(rng.integers(1, 3)),
+            n_dg=int(rng.integers(1, 3)),
+            n_storage=int(rng.integers(1, 3)),
+            balanced_phases=False,
+        )
+        model = synth_feeder(spec)
+        K = model.steps
+        sides = int(rng.choice([4, 8]))
+        # the row count does not depend on the operating point
+        dispatch = SimpleNamespace(
+            pv_p={u.id: np.zeros(K) for u in model.pv_units},
+            dg_p={u.id: np.zeros(K) for u in model.dg_units},
+            es_p={u.id: np.zeros(K) for u in model.storage_units},
+            load_p={u.id: np.zeros(K) for u in model.loads},
+            soc_wh={u.id: np.full(K + 1, u.initial_soc_wh) for u in model.storage_units},
+        )
+        axes = [AdversarialAxis(AXIS_DG_LOSS, u.id) for u in model.dg_units[:1]]
+        axes += [AdversarialAxis(AXIS_PV_ERROR, u.id) for u in model.pv_units]
+        axes += [AdversarialAxis(AXIS_LOAD_INCREASE, u.id)
+                 for u in model.loads[:int(rng.integers(1, 3))]]
+        step = int(rng.integers(0, K))
+        lp, alpha = build_recourse_lp(model, dispatch, ReserveSchedule.zero(model), step,
+                                      axes, np.zeros(len(axes)), BuildOptions(poly_sides=sides))
+        bus_phases = sum(len(b.phases) for b in model.buses)
+        branch_phases = sum(len(br.phases) for br in model.branches)
+        n_pv, n_dg, n_es, n_load = (
+            len(model.pv_units), len(model.dg_units),
+            len(model.storage_units), len(model.loads),
+        )
+        axis_rows = sum(2 if a.kind == AXIS_LOAD_INCREASE else 1 for a in axes)
+        assert lp.n_rows == (
+            branch_phases + 2 * bus_phases
+            + sides * (branch_phases + n_pv + n_dg + n_es)
+            + n_load + axis_rows
+        )
+        assert len(alpha) == len(axes)
+        assert all(lp.lower[c] == lp.upper[c] == 0.0 for c in alpha)
+
+
+def test_characterize_builds_once_per_step(monkeypatch):
+    model = six_bus()
+    dispatch = solve_baseline(model, COSTS)
+    reserves = ReserveSchedule.from_headroom(model, dispatch)
+    axes = [
+        AdversarialAxis(AXIS_DG_LOSS, "dg1"),
+        AdversarialAxis(AXIS_LOAD_INCREASE, "load1", cap_w=0.5e6),
+        AdversarialAxis(AXIS_PV_ERROR, "pv1"),
+    ]
+    builds = []
+
+    def counting(*args, **kwargs):
+        builds.append(args[3])
+        return build_recourse_lp(*args, **kwargs)
+
+    monkeypatch.setattr(advset, "build_recourse_lp", counting)
+    polys = characterize_steps(model, dispatch, reserves, axes, steps=[0, 2])
+    assert builds == [0, 2]
+    assert (polys[2].alpha_w > 0).any()
 
 
 def test_zero_reserves_zero_alpha():

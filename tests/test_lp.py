@@ -42,6 +42,25 @@ def test_empty_feasible_set():
     assert sol.infeasible_rows  # certificate names at least one row
 
 
+@pytest.mark.parametrize("backend", ["simplex", "scipy"])
+def test_lp_without_variables(backend):
+    opts = SolverOptions(backend=backend)
+    sol = solve(LinearProgram(), opts)
+    assert sol.status is LpStatus.OPTIMAL
+    assert sol.objective_value == 0.0 and sol.values.shape == (0,)
+
+    lp = LinearProgram()
+    lp.add_row({}, Rel.LE, 1.0)
+    lp.add_row({}, Rel.EQ, 0.0)
+    lp.add_row({}, Rel.GE, 0.0)
+    assert solve(lp, opts).status is LpStatus.OPTIMAL
+    lp.add_row({}, Rel.GE, 0.5)
+    lp.add_row({}, Rel.EQ, -1.0)
+    sol = solve(lp, opts)
+    assert sol.status is LpStatus.INFEASIBLE
+    assert sol.infeasible_rows == [3, 4]
+
+
 def test_unbounded():
     lp = LinearProgram()
     x = lp.add_variable("x", 0.0)
