@@ -42,6 +42,7 @@ from .constraints import (
     apparent_power_rows,
     apply_emissions,
     build_namespace,
+    device_groups,
     emit_power_balance,
     emit_voltage_drop,
     line_limit_rows,
@@ -105,16 +106,23 @@ class InnerPolytope:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "InnerPolytope":
         axes = [AdversarialAxis(a["kind"], a["entity"], a.get("cap_w")) for a in doc["axes"]]
-        return cls(int(doc["step"]), axes, np.asarray(doc["alpha_w"], dtype=float))
+        alpha = np.asarray(doc["alpha_w"], dtype=float)
+        if alpha.shape != (len(axes),):
+            raise ValueError(f"alpha_w has {alpha.size} entries for {len(axes)} axes")
+        return cls(int(doc["step"]), axes, alpha)
 
 
-def _validate_axes(axes: list[AdversarialAxis]) -> None:
+def validate_axes(model: NetworkModel, axes: list[AdversarialAxis]) -> None:
+    """Raise ValueError on an axis whose entity the model lacks, or a repeated one."""
+    ids = {cls: {u.id for u in units} for cls, units in device_groups(model)}
     seen = set()
-    for a in axes:
-        key = (a.kind, a.entity)
-        if key in seen:
-            raise ValueError(f"duplicate axis {key}; axes must be independent")
-        seen.add(key)
+    for i, a in enumerate(axes):
+        if a.entity not in ids[AXIS_CLASS[a.kind]]:
+            raise ValueError(f"axes[{i}]: unknown entity {a.entity!r} for {a.kind}")
+        if (a.kind, a.entity) in seen:
+            raise ValueError(f"axes[{i}]: duplicate axis {a.kind}/{a.entity}; "
+                             "axes must be independent")
+        seen.add((a.kind, a.entity))
 
 
 def build_recourse_lp(
@@ -231,7 +239,7 @@ def characterize(
     The recourse LP is built once; axis i is solved with every other
     magnitude fixed at 0 and alpha_i free up to its cap.
     """
-    _validate_axes(axes)
+    validate_axes(model, axes)
     s = PerUnit.of(model).s_base
     lp, alpha = build_recourse_lp(model, dispatch, reserves, step, axes,
                                   np.zeros(len(axes)), options)

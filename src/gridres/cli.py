@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .advset import AxisInfeasible, InnerPolytope, characterize_steps, project_2d
+from .advset import AxisInfeasible, InnerPolytope, characterize_steps, project_2d, validate_axes
 from .dispatch import DispatchResult, InfeasibleDispatch, solve_baseline, summarize
 from .network import save_model, validate
 from .robust import ReserveSchedule, RobustResult, reserve_margin, solve_robust
@@ -30,7 +30,7 @@ from .scenario import (
     write_csv,
     write_json,
 )
-from .sim import events_from_polytopes, run_simulation, violation_report
+from .sim import VIOLATION_CLASSES, events_from_polytopes, run_simulation, violation_report
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -256,6 +256,8 @@ def cmd_simulate(scenario: Scenario, out: Path, manifest: ManifestWriter,
         manifest.add_output(out / "violations.json")
         return EXIT_OK
 
+    if sample < 1:
+        raise ScenarioError("--sample must be at least 1")
     if polytope_path is None:
         raise ScenarioError("--sample needs --polytope pointing at an advset output")
     try:
@@ -263,26 +265,27 @@ def cmd_simulate(scenario: Scenario, out: Path, manifest: ManifestWriter,
         polys = {
             int(k): InnerPolytope.from_json_dict(p) for k, p in doc["steps"].items()
         }
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as err:
+        if not polys:
+            raise ValueError("no steps")
+        for k, poly in polys.items():
+            if not 0 <= k < scenario.model.steps:
+                raise ValueError(f"step {k} outside the horizon of {scenario.model.steps} steps")
+            validate_axes(scenario.model, poly.axes)
+    except (OSError, AttributeError, KeyError, TypeError, ValueError) as err:
         raise ScenarioError(f"--polytope {polytope_path}: {err}") from err
     manifest.add_input(polytope_path)
 
     seed = scenario.seed if sample_seed is None else sample_seed
     runs = events_from_polytopes(polys, seed=seed, count=sample)
-    totals = {c: 0 for c in ("voltage", "soc", "line", "shortfall")}
+    totals = dict.fromkeys(VIOLATION_CLASSES, 0)
     rows = []
     for r, per_step in enumerate(runs):
         traj = run_simulation(scenario.model, robust, per_step_events=per_step)
         report = violation_report(traj)
-        rows.append([
-            r, report.total,
-            report.counts["voltage"], report.counts["soc"],
-            report.counts["line"], report.counts["shortfall"],
-        ])
+        rows.append([r, report.total, *(report.counts[c] for c in VIOLATION_CLASSES)])
         for c in totals:
             totals[c] += report.counts[c]
-    write_csv(out / "samples.csv",
-              ["run", "violations", "voltage", "soc", "line", "shortfall"], rows)
+    write_csv(out / "samples.csv", ["run", "violations", *VIOLATION_CLASSES], rows)
     manifest.add_output(out / "samples.csv")
     write_json(out / "violations.json",
                {"runs": sample, "counts": totals, "total": sum(totals.values())})

@@ -282,13 +282,14 @@ def emit_power_balance(model: NetworkModel, ns: VariableNamespace) -> list[URow]
     downstream bus of its feeding branch.  Summed over the feeder these rows
     telescope to total generation = total load (the lossless-model identity).
     """
-    parent = model.parent_branch()
-    children = model.children()
+    _, parent, children = model.tree()
+    columns = {"pv": (ns.ppv, ns.qpv, 1.0), "dg": (ns.pdg, ns.qdg, 1.0),
+               "es": (ns.pes, ns.qes, 1.0), "load": (ns.pload, ns.qload, -1.0)}
     rows = []
     for bus in model.buses:
         share = 1.0 / len(bus.phases)
-        at_bus = {cls: [u for u in units if u.bus == bus.id]
-                  for cls, units in device_groups(model)}
+        at_bus = [(u.id, *columns[cls]) for cls, units in device_groups(model)
+                  for u in units if u.bus == bus.id]
         for phase in bus.phases:
             for k in ns.steps:
                 pco: dict[int, float] = {}
@@ -302,18 +303,9 @@ def emit_power_balance(model: NetworkModel, ns: VariableNamespace) -> list[URow]
                     if phase in br.phases:
                         pco[ns.pflow[(br.id, phase, k)]] = -1.0
                         qco[ns.qflow[(br.id, phase, k)]] = -1.0
-                for u in at_bus["pv"]:
-                    pco[ns.ppv[(u.id, k)]] = share
-                    qco[ns.qpv[(u.id, k)]] = share
-                for u in at_bus["dg"]:
-                    pco[ns.pdg[(u.id, k)]] = share
-                    qco[ns.qdg[(u.id, k)]] = share
-                for u in at_bus["es"]:
-                    pco[ns.pes[(u.id, k)]] = share
-                    qco[ns.qes[(u.id, k)]] = share
-                for u in at_bus["load"]:
-                    pco[ns.pload[(u.id, k)]] = -share
-                    qco[ns.qload[(u.id, k)]] = -share
+                for uid, pmap, qmap, sign in at_bus:  # loads withdraw
+                    pco[pmap[(uid, k)]] = sign * share
+                    qco[qmap[(uid, k)]] = sign * share
                 rows.append(URow(pco, Rel.EQ, 0.0, "power_balance"))
                 rows.append(URow(qco, Rel.EQ, 0.0, "power_balance"))
     return rows
@@ -322,12 +314,13 @@ def emit_power_balance(model: NetworkModel, ns: VariableNamespace) -> list[URow]
 def voltage_bounds(model: NetworkModel, ns: VariableNamespace) -> list[BoundSpec]:
     """Squared-voltage boxes; the root is the fixed reference at 1 pu."""
     root = model.root.id
+    buses = {b.id: b for b in model.buses}
     out = []
     for (bus_id, phase, k), var in ns.w.items():
         if bus_id == root:
             out.append(BoundSpec(var, 1.0, 1.0, "voltage_limits"))
         else:
-            bus = model.bus(bus_id)
+            bus = buses[bus_id]
             out.append(BoundSpec(var, bus.v_min**2, bus.v_max**2, "voltage_limits"))
     return out
 
@@ -554,8 +547,7 @@ def solve_linear_flow(
     root.  Radial sweep, exact for the linear model.
     """
     pu = PerUnit.of(model)
-    order, parent = model._bfs()
-    children = model.children()
+    order, parent, children = model.tree()
     bus_map = {b.id: b for b in model.buses}
     subtree: dict[tuple[str, str], tuple[float, float]] = {}
     for bus_id in reversed(order):

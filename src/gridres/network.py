@@ -111,48 +111,31 @@ class NetworkModel:
     def root(self) -> Bus:
         return self.buses[0]
 
-    def bus(self, bus_id: str) -> Bus:
-        return self._bus_map()[bus_id]
-
-    def _bus_map(self) -> dict[str, Bus]:
-        return {b.id: b for b in self.buses}
-
     def devices(self):
         return [*self.pv_units, *self.dg_units, *self.storage_units, *self.loads]
 
-    def parent_branch(self) -> dict[str, Branch]:
-        """Map each non-root bus to the branch feeding it (assumes validity)."""
-        order, parent = self._bfs()
-        return parent
-
-    def _bfs(self):
+    def tree(self) -> tuple[list[str], dict[str, Branch], dict[str, list[str]]]:
+        """One breadth-first walk from the root: the buses in visit order, the
+        branch feeding each reached non-root bus, and each bus's children in
+        visit order.  Branches to an unknown bus are skipped, so that
+        :func:`validate` can report them."""
         adj: dict[str, list[Branch]] = {b.id: [] for b in self.buses}
         for br in self.branches:
-            adj[br.from_bus].append(br)
-            adj[br.to_bus].append(br)
+            if br.from_bus in adj and br.to_bus in adj:
+                adj[br.from_bus].append(br)
+                adj[br.to_bus].append(br)
         root = self.root.id
-        seen = {root}
-        order = [root]
+        order = [root]  # also the queue: the loop reaches buses as they are appended
         parent: dict[str, Branch] = {}
-        queue = [root]
-        while queue:
-            cur = queue.pop(0)
+        children: dict[str, list[str]] = {bus_id: [] for bus_id in adj}
+        for cur in order:
             for br in adj[cur]:
                 nxt = br.to_bus if br.from_bus == cur else br.from_bus
-                if nxt not in seen:
-                    seen.add(nxt)
+                if nxt != root and nxt not in parent:
                     parent[nxt] = br
+                    children[cur].append(nxt)
                     order.append(nxt)
-                    queue.append(nxt)
-        return order, parent
-
-    def children(self) -> dict[str, list[str]]:
-        _, parent = self._bfs()
-        out: dict[str, list[str]] = {b.id: [] for b in self.buses}
-        for bus_id, br in parent.items():
-            other = br.from_bus if br.to_bus == bus_id else br.to_bus
-            out[other].append(bus_id)
-        return out
+        return order, parent, children
 
 
 @dataclass
@@ -193,7 +176,7 @@ def validate(model: NetworkModel) -> ValidationReport:
         problems.append(
             f"not radial: {len(model.branches)} branches for {len(model.buses)} buses"
         )
-    order, parent = model._bfs()
+    order, parent, _ = model.tree()
     if len(order) != len(model.buses):
         missing = sorted(set(ids) - set(order))
         problems.append(f"disconnected buses: {', '.join(missing)}")

@@ -22,12 +22,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .advset import AdversarialAxis
+from .advset import AdversarialAxis, validate_axes
 from .constraints import (
     BuildOptions,
     P_DG_CAPACITY,
     P_LOAD_DESIRED,
     P_PV_FORECAST,
+    device_groups,
 )
 from .dispatch import CostConfig
 from .lp import SolverOptions
@@ -37,10 +38,11 @@ from .sim import Event, EventTimeline
 
 SCHEMA_VERSION = 1
 
+# scenario parameter name -> (uncertain-parameter kind, device class)
 PARAM_NAMES = {
-    "dg_capacity": P_DG_CAPACITY,
-    "load_desired": P_LOAD_DESIRED,
-    "pv_forecast": P_PV_FORECAST,
+    "dg_capacity": (P_DG_CAPACITY, "dg"),
+    "load_desired": (P_LOAD_DESIRED, "load"),
+    "pv_forecast": (P_PV_FORECAST, "pv"),
 }
 
 
@@ -74,39 +76,57 @@ def _require(doc: dict, key: str, context: str):
     return doc[key]
 
 
-def _nominal_of(model: NetworkModel, param: str, entity: str, step: int) -> float:
+def _number(value, context: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{context}: expected a number, got {value!r}") from None
+
+
+def _nominal_of(unit, param: str, step: int) -> float:
     if param == P_DG_CAPACITY:
-        return next(u.capacity_va for u in model.dg_units if u.id == entity)
+        return unit.capacity_va
     if param == P_PV_FORECAST:
-        return float(next(u.forecast_w[step] for u in model.pv_units if u.id == entity))
-    return float(next(u.desired_w[step] for u in model.loads if u.id == entity))
+        return float(unit.forecast_w[step])
+    return float(unit.desired_w[step])
 
 
 def _parse_box(doc: list, model: NetworkModel) -> UncertaintyBox:
+    units = {cls: {u.id: u for u in group} for cls, group in device_groups(model)}
     box = UncertaintyBox()
     for i, entry in enumerate(doc):
         ctx = f"uncertainty[{i}]"
         raw = _require(entry, "parameter", ctx)
         if raw not in PARAM_NAMES:
             raise ScenarioError(f"{ctx}: unknown parameter {raw!r}")
-        param = PARAM_NAMES[raw]
+        param, cls = PARAM_NAMES[raw]
         entity = _require(entry, "entity", ctx)
-        a, b = _require(entry, "steps", ctx)
-        for k in range(int(a), int(b)):
-            nom = _nominal_of(model, param, entity, k)
+        if entity not in units[cls]:
+            raise ScenarioError(f"{ctx}: unknown {cls} entity {entity!r}")
+        try:
+            a, b = (int(k) for k in _require(entry, "steps", ctx))
+        except (TypeError, ValueError) as err:
+            raise ScenarioError(f"{ctx}: steps: {err}") from err
+        if not 0 <= a <= b <= model.steps:
+            raise ScenarioError(f"{ctx}: steps [{a}, {b}) outside the horizon "
+                                f"of {model.steps} steps")
+        bound = {key: _number(value, f"{ctx}: {key}") for key, value in entry.items()
+                 if key.startswith(("low_", "high_"))}
+        for k in range(a, b):
+            nom = _nominal_of(units[cls][entity], param, k)
             lo = hi = nom
-            if "low_w" in entry:
-                lo = float(entry["low_w"])
-            if "low_scale" in entry:
-                lo = nom * float(entry["low_scale"])
-            if "low_sub_w" in entry:
-                lo = nom - float(entry["low_sub_w"])
-            if "high_w" in entry:
-                hi = float(entry["high_w"])
-            if "high_scale" in entry:
-                hi = nom * float(entry["high_scale"])
-            if "high_add_w" in entry:
-                hi = nom + float(entry["high_add_w"])
+            if "low_w" in bound:
+                lo = bound["low_w"]
+            if "low_scale" in bound:
+                lo = nom * bound["low_scale"]
+            if "low_sub_w" in bound:
+                lo = nom - bound["low_sub_w"]
+            if "high_w" in bound:
+                hi = bound["high_w"]
+            if "high_scale" in bound:
+                hi = nom * bound["high_scale"]
+            if "high_add_w" in bound:
+                hi = nom + bound["high_add_w"]
             try:
                 box.add(param, entity, k, lo, nom, hi)
             except ValueError as err:
@@ -160,19 +180,19 @@ def load_scenario(path, seed_override: int | None = None,
 
     costs_doc = doc.get("costs", {})
     costs = CostConfig(
-        dg_energy=float(costs_doc.get("dg_energy", 1.0)),
-        pv_curtail=float(costs_doc.get("pv_curtail", 0.1)),
-        load_curtail=float(costs_doc.get("load_curtail", 10.0)),
+        dg_energy=_number(costs_doc.get("dg_energy", 1.0), "costs.dg_energy"),
+        pv_curtail=_number(costs_doc.get("pv_curtail", 0.1), "costs.pv_curtail"),
+        load_curtail=_number(costs_doc.get("load_curtail", 10.0), "costs.load_curtail"),
     )
     factors = doc.get("reserve_cost_factors")
     if factors is None:
         reserve_costs = ReserveCosts.from_costs(costs)
     else:
         reserve_costs = ReserveCosts(
-            pv=float(factors.get("pv", 0.2)) * costs.pv_curtail,
-            dg=float(factors.get("dg", 0.2)) * costs.dg_energy,
-            es=float(factors.get("es", 0.15)) * costs.dg_energy,
-            load=float(factors.get("load", 0.2)) * costs.load_curtail,
+            pv=_number(factors.get("pv", 0.2), "reserve_cost_factors.pv") * costs.pv_curtail,
+            dg=_number(factors.get("dg", 0.2), "reserve_cost_factors.dg") * costs.dg_energy,
+            es=_number(factors.get("es", 0.15), "reserve_cost_factors.es") * costs.dg_energy,
+            load=_number(factors.get("load", 0.2), "reserve_cost_factors.load") * costs.load_curtail,
         )
 
     solver_doc = doc.get("solver", {})
@@ -198,24 +218,20 @@ def load_scenario(path, seed_override: int | None = None,
     except ValueError as err:
         raise ScenarioError(f"uncertainty: {err}") from err
 
-    axis_entities = {
-        "dg_capacity_loss": {u.id for u in model.dg_units},
-        "load_increase": {u.id for u in model.loads},
-        "pv_forecast_error": {u.id for u in model.pv_units},
-    }
     axes = []
     for i, a in enumerate(doc.get("axes", [])):
         try:
-            axis = AdversarialAxis(
+            axes.append(AdversarialAxis(
                 _require(a, "kind", f"axes[{i}]"),
                 _require(a, "entity", f"axes[{i}]"),
                 a.get("cap_w"),
-            )
+            ))
         except ValueError as err:
             raise ScenarioError(f"axes[{i}]: {err}") from err
-        if axis.entity not in axis_entities[axis.kind]:
-            raise ScenarioError(f"axes[{i}]: unknown entity {axis.entity!r} for {axis.kind}")
-        axes.append(axis)
+    try:
+        validate_axes(model, axes)
+    except ValueError as err:
+        raise ScenarioError(str(err)) from err
 
     advset_steps = [int(k) for k in doc.get("advset_steps", range(model.steps))]
     for k in advset_steps:

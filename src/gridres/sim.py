@@ -1,15 +1,17 @@
 """Quasi-static replay of cyber-physical events against a reserve schedule.
 
-Each step: apply the active events (diesel trips, load-masking attacks, solar
-shortfalls) to the scheduled operating point, measure the supply-demand
-imbalance, and deploy reserves with a proportional controller:
+Each step keeps one ledger over the devices of every class: the scheduled
+setpoint, the forced setpoint after the active events (a diesel trip or a
+solar shortfall clips a generator; a masked load draws schedule plus masked
+demand), and the room to move up and down from there.  The imbalance, masked
+demand plus clipped generation, is met by a proportional controller:
 
     deployment_d = capacity_d / total_capacity * min(imbalance, total_capacity)
 
-where capacity_d is the device's allocated reserve clipped to what it can
-physically deliver right now (a tripped diesel deploys nothing; a battery is
-limited by its realized state of charge).  Deployment beyond the pool is
-impossible: the residual is recorded as shortfall, never silently dropped.
+where capacity_d is the device's reserve in the imbalance's direction clipped
+to its room (a tripped diesel deploys nothing; a battery is limited by its
+realized state of charge).  Deployment beyond the pool is impossible: the
+residual is recorded as shortfall, never silently dropped.
 The network state is re-evaluated each step by a direct linear flow solve at
 the realized injections; device reactive output stays at schedule while load
 reactive power follows served load.  Masked load is invisible to the operator
@@ -32,14 +34,15 @@ from .constraints import PerUnit, device_groups, solve_linear_flow
 from .network import NetworkModel
 from .robust import RobustResult
 
-EVENT_KINDS = (
-    "dg_trip",
-    "dg_restore",
-    "load_mask_start",
-    "load_mask_end",
-    "pv_loss",
-    "pv_restore",
-)
+# event kind -> (device class it targets, whether it starts an event)
+EVENT_KINDS = {
+    "dg_trip": ("dg", True),
+    "dg_restore": ("dg", False),
+    "load_mask_start": ("load", True),
+    "load_mask_end": ("load", False),
+    "pv_loss": ("pv", True),
+    "pv_restore": ("pv", False),
+}
 
 
 @dataclass
@@ -55,16 +58,7 @@ class EventTimeline:
     events: list[Event] = field(default_factory=list)
 
     def validate(self, model: NetworkModel) -> None:
-        ids = {
-            "dg": {u.id for u in model.dg_units},
-            "load": {u.id for u in model.loads},
-            "pv": {u.id for u in model.pv_units},
-        }
-        group = {
-            "dg_trip": "dg", "dg_restore": "dg",
-            "load_mask_start": "load", "load_mask_end": "load",
-            "pv_loss": "pv", "pv_restore": "pv",
-        }
+        ids = {cls: {u.id for u in units} for cls, units in device_groups(model)}
         last_t = -math.inf
         active: set[tuple[str, str]] = set()
         for ev in self.events:
@@ -73,11 +67,11 @@ class EventTimeline:
             if ev.time_min < last_t:
                 raise ValueError("event times must be non-decreasing")
             last_t = ev.time_min
-            g = group[ev.kind]
-            if ev.entity not in ids[g]:
-                raise ValueError(f"event references unknown {g} entity {ev.entity!r}")
-            key = (g, ev.entity)
-            if ev.kind in ("dg_trip", "load_mask_start", "pv_loss"):
+            cls, starts = EVENT_KINDS[ev.kind]
+            if ev.entity not in ids[cls]:
+                raise ValueError(f"event references unknown {cls} entity {ev.entity!r}")
+            key = (cls, ev.entity)
+            if starts:
                 active.add(key)
                 if ev.kind == "load_mask_start" and ev.magnitude_w is None:
                     raise ValueError("load_mask_start needs a magnitude_w")
@@ -106,20 +100,14 @@ def compile_timeline(model: NetworkModel, timeline: EventTimeline) -> list[dict]
     out = []
     for k in range(model.steps):
         for ev in by_step.get(k, []):
-            if ev.kind == "dg_trip":
-                active[("dg", ev.entity)] = (
-                    caps[ev.entity] if ev.magnitude_w is None else ev.magnitude_w
-                )
-            elif ev.kind == "dg_restore":
-                active.pop(("dg", ev.entity), None)
-            elif ev.kind == "load_mask_start":
-                active[("load", ev.entity)] = ev.magnitude_w
-            elif ev.kind == "load_mask_end":
-                active.pop(("load", ev.entity), None)
-            elif ev.kind == "pv_loss":
-                active[("pv", ev.entity)] = ev.magnitude_w  # None = full forecast
-            elif ev.kind == "pv_restore":
-                active.pop(("pv", ev.entity), None)
+            cls, starts = EVENT_KINDS[ev.kind]
+            key = (cls, ev.entity)
+            if not starts:
+                active.pop(key, None)
+            elif cls == "dg" and ev.magnitude_w is None:
+                active[key] = caps[ev.entity]
+            else:
+                active[key] = ev.magnitude_w  # a pv loss without one is the full forecast
         out.append(dict(active))
     return out
 
@@ -151,8 +139,8 @@ def events_from_polytopes(
 
 
 def proportional_dispatch(
-    imbalance_w: float, capacities_w: dict[str, float]
-) -> tuple[dict[str, float], float]:
+    imbalance_w: float, capacities_w: dict[tuple[str, str], float]
+) -> tuple[dict[tuple[str, str], float], float]:
     """Split `imbalance_w` across devices in proportion to their capacity.
 
     Returns (per-device deployment, shortfall).  Deployments sum to
@@ -194,6 +182,45 @@ class Trajectory:
 
 VIOLATION_CLASSES = ("voltage", "soc", "line", "shortfall")
 
+_STEP_SERIES = (
+    "time_min", "sched_gen_w", "pv_w", "dg_w", "es_w", "served_load_w",
+    "true_demand_w", "shed_w", "imbalance_w", "deployed_up_w",
+    "deployed_down_w", "shortfall_w", "voltage_min_pu", "voltage_max_pu",
+)
+
+
+def _class_sum(column: dict[tuple[str, str], float], keys) -> float:
+    return sum(column[key] for key in keys)
+
+
+def _forced_point(cls: str, u, k: int, sched: float, events: dict,
+                  soc: dict[str, np.ndarray], dt: float) -> tuple[float, float, float]:
+    """(setpoint after events, room up, room down) of one device at step k.
+
+    A generator's setpoint is its schedule clipped to what survives the
+    events; a load's is its true draw, schedule plus masked demand, and its
+    up direction is shedding toward the critical minimum.
+    """
+    key = (cls, u.id)
+    if cls == "pv":
+        avail = float(u.forecast_w[k])
+        if key in events:
+            lost = events[key]
+            avail = max(avail - (avail if lost is None else lost), 0.0)
+        p0 = min(sched, avail)
+        return p0, avail - p0, p0
+    if cls == "dg":
+        cap = max(u.capacity_va - events.get(key, 0.0), 0.0)
+        p0 = min(sched, cap)
+        return p0, cap - p0, p0
+    if cls == "es":
+        e_now = soc[u.id][k]
+        return (sched,
+                min(u.power_w - sched, (e_now - u.energy_min_wh) / dt - sched),
+                min(u.power_w + sched, (u.energy_max_wh - e_now) / dt + sched))
+    draw = sched + events.get(key, 0.0)
+    return draw, draw - float(u.minimum_w[k]), float(u.desired_w[k]) - sched
+
 
 def run_simulation(
     model: NetworkModel,
@@ -210,222 +237,122 @@ def run_simulation(
     K = model.steps
     dt = model.dt_hours
     pu = PerUnit.of(model)
+    buses = {b.id: b for b in model.buses}
+    groups = device_groups(model)
+    devices = [(cls, u) for cls, units in groups for u in units]
+    keys = {cls: [(cls, u.id) for u in units] for cls, units in groups}
+    p_sched = {"pv": dispatch.pv_p, "dg": dispatch.dg_p, "es": dispatch.es_p,
+               "load": dispatch.load_p}
+    q_sched = {"pv": dispatch.pv_q, "dg": dispatch.dg_q, "es": dispatch.es_q}
 
-    soc = {u.id: np.zeros(K + 1) for u in model.storage_units}
-    for u in model.storage_units:
-        soc[u.id][0] = u.initial_soc_wh
-
-    arrays = {
-        name: np.zeros(K)
-        for name in (
-            "time_min", "sched_gen_w", "pv_w", "dg_w", "es_w", "served_load_w",
-            "true_demand_w", "shed_w", "imbalance_w", "deployed_up_w",
-            "deployed_down_w", "shortfall_w", "voltage_min_pu", "voltage_max_pu",
-        )
-    }
-    deployment: dict[tuple[str, str], np.ndarray] = {}
-    for cls_name, units in device_groups(model):
-        for u in units:
-            deployment[(cls_name, u.id)] = np.zeros(K)
+    soc = {u.id: np.full(K + 1, u.initial_soc_wh, dtype=float) for u in model.storage_units}
+    arrays = {name: np.zeros(K) for name in _STEP_SERIES}
+    deployment = {(cls, u.id): np.zeros(K) for cls, u in devices}
     violations = {c: np.zeros(K, dtype=bool) for c in VIOLATION_CLASSES}
     magnitude = {c: np.zeros(K) for c in VIOLATION_CLASSES}
+
+    def flag(name: str, k: int, excess: float, tol: float, size: float) -> None:
+        if excess > tol:
+            violations[name][k] = True
+            magnitude[name][k] = max(magnitude[name][k], size)
 
     for k in range(K):
         events = per_step_events[k] if k < len(per_step_events) else {}
         arrays["time_min"][k] = k * dt * 60.0
 
-        # realized availability after events
-        dg_cap = {}
-        for u in model.dg_units:
-            lost = events.get(("dg", u.id), 0.0)
-            dg_cap[u.id] = max(u.capacity_va - lost, 0.0)
-        pv_avail = {}
-        for u in model.pv_units:
-            lost = events.get(("pv", u.id))
-            fc = float(u.forecast_w[k])
-            if ("pv", u.id) in events:
-                pv_avail[u.id] = max(fc - (fc if lost is None else lost), 0.0)
-            else:
-                pv_avail[u.id] = fc
+        # the ledger: per device, its schedule, its setpoint after events and
+        # its room to move up and down from there
+        sched, point, room_up, room_dn = {}, {}, {}, {}
+        for cls, u in devices:
+            key = (cls, u.id)
+            sched[key] = p_sched[cls][u.id][k]
+            point[key], room_up[key], room_dn[key] = _forced_point(
+                cls, u, k, sched[key], events, soc, dt)
 
-        # forced deviations from schedule
-        pv0 = {u.id: min(dispatch.pv_p[u.id][k], pv_avail[u.id]) for u in model.pv_units}
-        dg0 = {u.id: min(dispatch.dg_p[u.id][k], dg_cap[u.id]) for u in model.dg_units}
-        es0 = {u.id: dispatch.es_p[u.id][k] for u in model.storage_units}
-        load_sched = {u.id: dispatch.load_p[u.id][k] for u in model.loads}
-        mask = {u.id: events.get(("load", u.id), 0.0) for u in model.loads}
-
-        forced_loss = sum(dispatch.pv_p[u.id][k] - pv0[u.id] for u in model.pv_units)
-        forced_loss += sum(dispatch.dg_p[u.id][k] - dg0[u.id] for u in model.dg_units)
-        imbalance = sum(mask.values()) + forced_loss
+        masks = [events.get(key, 0.0) for key in keys["load"]]
+        forced_loss = (sum(sched[key] - point[key] for key in keys["pv"])
+                       + sum(sched[key] - point[key] for key in keys["dg"]))
+        imbalance = sum(masks) + forced_loss
         arrays["imbalance_w"][k] = imbalance
 
-        # deployable reserve: allocation clipped by physics right now
-        caps_up: dict[tuple[str, str], float] = {}
-        caps_dn: dict[tuple[str, str], float] = {}
-        for u in model.pv_units:
-            caps_up[("pv", u.id)] = max(
-                min(reserves.up[("pv", u.id)][k], pv_avail[u.id] - pv0[u.id]), 0.0
-            )
-            caps_dn[("pv", u.id)] = max(min(reserves.down[("pv", u.id)][k], pv0[u.id]), 0.0)
-        for u in model.dg_units:
-            caps_up[("dg", u.id)] = max(
-                min(reserves.up[("dg", u.id)][k], dg_cap[u.id] - dg0[u.id]), 0.0
-            )
-            caps_dn[("dg", u.id)] = max(min(reserves.down[("dg", u.id)][k], dg0[u.id]), 0.0)
-        for u in model.storage_units:
-            e_now = soc[u.id][k]
-            rate_up = u.power_w - es0[u.id]
-            rate_dn = u.power_w + es0[u.id]
-            energy_up = (e_now - u.energy_min_wh) / dt - es0[u.id]
-            energy_dn = (u.energy_max_wh - e_now) / dt + es0[u.id]
-            caps_up[("es", u.id)] = max(
-                min(reserves.up[("es", u.id)][k], rate_up, energy_up), 0.0
-            )
-            caps_dn[("es", u.id)] = max(
-                min(reserves.down[("es", u.id)][k], rate_dn, energy_dn), 0.0
-            )
-        for u in model.loads:
-            draw = load_sched[u.id] + mask[u.id]
-            caps_up[("load", u.id)] = max(
-                min(reserves.up[("load", u.id)][k], draw - float(u.minimum_w[k])), 0.0
-            )
-            caps_dn[("load", u.id)] = max(
-                min(
-                    reserves.down[("load", u.id)][k],
-                    float(u.desired_w[k]) - load_sched[u.id],
-                ),
-                0.0,
-            )
-
-        keyed_caps = {f"{c}:{i}": v for (c, i), v in caps_up.items()}
-        if imbalance >= 0.0:
-            dep, shortfall = proportional_dispatch(imbalance, keyed_caps)
-            up_dep = {tuple(d.split(":", 1)): v for d, v in dep.items()}
-            dn_dep = {key: 0.0 for key in caps_dn}
-            arrays["deployed_up_w"][k] = sum(up_dep.values())
-        else:
-            keyed_dn = {f"{c}:{i}": v for (c, i), v in caps_dn.items()}
-            dep, shortfall = proportional_dispatch(-imbalance, keyed_dn)
-            dn_dep = {tuple(d.split(":", 1)): v for d, v in dep.items()}
-            up_dep = {key: 0.0 for key in caps_up}
-            arrays["deployed_down_w"][k] = sum(dn_dep.values())
+        # deployable reserve in the active direction: the allocation clipped
+        # by what the device can physically deliver right now
+        up = imbalance >= 0.0
+        reserve, room = (reserves.up, room_up) if up else (reserves.down, room_dn)
+        caps = {key: max(min(reserve[key][k], room[key]), 0.0) for key in point}
+        dep, shortfall = proportional_dispatch(imbalance if up else -imbalance, caps)
+        arrays["deployed_up_w" if up else "deployed_down_w"][k] = sum(dep.values())
         arrays["shortfall_w"][k] = shortfall
+        idle = dict.fromkeys(dep, 0.0)
+        d_up, d_dn = (dep, idle) if up else (idle, dep)
 
-        # realized operating point
-        pv_real = {
-            u.id: pv0[u.id] + up_dep[("pv", u.id)] - dn_dep[("pv", u.id)]
-            for u in model.pv_units
-        }
-        dg_real = {
-            u.id: dg0[u.id] + up_dep[("dg", u.id)] - dn_dep[("dg", u.id)]
-            for u in model.dg_units
-        }
-        es_real = {
-            u.id: es0[u.id] + up_dep[("es", u.id)] - dn_dep[("es", u.id)]
-            for u in model.storage_units
-        }
-        shed = {u.id: up_dep[("load", u.id)] for u in model.loads}
-        served = {
-            u.id: load_sched[u.id] + mask[u.id] - shed[u.id] + dn_dep[("load", u.id)]
-            for u in model.loads
-        }
-        for key, val in up_dep.items():
-            deployment[key][k] = val - dn_dep[key]
+        # realized operating point; loads move opposite to generators
+        realized = {}
+        for key, p0 in point.items():
+            if key[0] == "load":
+                realized[key] = p0 - d_up[key] + d_dn[key]
+            else:
+                realized[key] = p0 + d_up[key] - d_dn[key]
+            deployment[key][k] = d_up[key] - d_dn[key]
 
-        arrays["pv_w"][k] = sum(pv_real.values())
-        arrays["dg_w"][k] = sum(dg_real.values())
-        arrays["es_w"][k] = sum(es_real.values())
-        arrays["sched_gen_w"][k] = sum(
-            dispatch.pv_p[u.id][k] for u in model.pv_units
-        ) + sum(dispatch.dg_p[u.id][k] for u in model.dg_units) + sum(
-            dispatch.es_p[u.id][k] for u in model.storage_units
-        )
-        arrays["true_demand_w"][k] = sum(load_sched.values()) + sum(mask.values())
-        arrays["shed_w"][k] = sum(shed.values())
+        arrays["pv_w"][k] = _class_sum(realized, keys["pv"])
+        arrays["dg_w"][k] = _class_sum(realized, keys["dg"])
+        arrays["es_w"][k] = _class_sum(realized, keys["es"])
+        arrays["sched_gen_w"][k] = (_class_sum(sched, keys["pv"]) + _class_sum(sched, keys["dg"])
+                                    + _class_sum(sched, keys["es"]))
+        arrays["true_demand_w"][k] = _class_sum(sched, keys["load"]) + sum(masks)
+        arrays["shed_w"][k] = _class_sum(d_up, keys["load"])
         # demand-side ledger: demand = served + shed + unserved shortfall
         # (a down-direction shortfall is unabsorbed surplus, not unserved load)
-        up_shortfall = shortfall if imbalance >= 0.0 else 0.0
         arrays["served_load_w"][k] = (
             arrays["true_demand_w"][k] - arrays["shed_w"][k]
-            + sum(dn_dep[("load", u.id)] for u in model.loads) - up_shortfall
+            + _class_sum(d_dn, keys["load"]) - (shortfall if up else 0.0)
         )
 
         # state of charge
         for u in model.storage_units:
-            soc[u.id][k + 1] = soc[u.id][k] - es_real[u.id] * dt
+            soc[u.id][k + 1] = soc[u.id][k] - realized[("es", u.id)] * dt
             e = soc[u.id][k + 1]
             excess = max(u.energy_min_wh - e, e - u.energy_max_wh)
-            if excess > 1e-6 * u.energy_max_wh:
-                violations["soc"][k] = True
-                magnitude["soc"][k] = max(magnitude["soc"][k], excess)
+            flag("soc", k, excess, 1e-6 * u.energy_max_wh, excess)
 
-        # network state at the realized injections
+        # network state at the realized injections, split equally over the
+        # phases of each device's bus; load reactive power follows served load
         injections: dict[tuple[str, str], tuple[float, float]] = {}
-
-        def inject(bus_id: str, p_w: float, q_w: float) -> None:
-            bus = model.bus(bus_id)
-            share = 1.0 / len(bus.phases)
-            for phase in bus.phases:
-                p0, q0 = injections.get((bus_id, phase), (0.0, 0.0))
-                injections[(bus_id, phase)] = (
-                    p0 + share * pu.power(p_w), q0 + share * pu.power(q_w),
+        for cls, u in devices:
+            if cls == "load":
+                p = -realized[(cls, u.id)]
+                q = u.q_of(p)
+            else:
+                p = realized[(cls, u.id)]
+                q = q_sched[cls][u.id][k]
+            phases = buses[u.bus].phases
+            share = 1.0 / len(phases)
+            for phase in phases:
+                p_in, q_in = injections.get((u.bus, phase), (0.0, 0.0))
+                injections[(u.bus, phase)] = (
+                    p_in + share * pu.power(p), q_in + share * pu.power(q),
                 )
-
-        for u in model.pv_units:
-            inject(u.bus, pv_real[u.id], dispatch.pv_q[u.id][k])
-        for u in model.dg_units:
-            inject(u.bus, dg_real[u.id], dispatch.dg_q[u.id][k])
-        for u in model.storage_units:
-            inject(u.bus, es_real[u.id], dispatch.es_q[u.id][k])
-        for u in model.loads:
-            inject(u.bus, -served[u.id], -served[u.id] * math.tan(math.acos(u.power_factor)))
 
         flows, w = solve_linear_flow(model, injections)
         w_vals = np.array(list(w.values()))
         arrays["voltage_min_pu"][k] = math.sqrt(max(w_vals.min(), 0.0))
         arrays["voltage_max_pu"][k] = math.sqrt(w_vals.max())
         for (bus_id, phase), wv in w.items():
-            bus = model.bus(bus_id)
+            bus = buses[bus_id]
             v = math.sqrt(max(wv, 0.0))
             over = max(bus.v_min - v, v - bus.v_max)
-            if over > voltage_tol:
-                violations["voltage"][k] = True
-                magnitude["voltage"][k] = max(magnitude["voltage"][k], over)
+            flag("voltage", k, over, voltage_tol, over)
         for br in model.branches:
             limit = pu.power(br.flow_limit_va)
             for phase in br.phases:
                 fp, fq = flows[(br.id, phase)]
                 over = math.hypot(fp, fq) - limit
-                if over > 1e-6:
-                    violations["line"][k] = True
-                    magnitude["line"][k] = max(
-                        magnitude["line"][k], over * pu.s_base
-                    )
-        if shortfall > 1e-3:
-            violations["shortfall"][k] = True
-            magnitude["shortfall"][k] = shortfall
+                flag("line", k, over, 1e-6, over * pu.s_base)
+        flag("shortfall", k, shortfall, 1e-3, shortfall)
 
-    return Trajectory(
-        time_min=arrays["time_min"],
-        sched_gen_w=arrays["sched_gen_w"],
-        pv_w=arrays["pv_w"],
-        dg_w=arrays["dg_w"],
-        es_w=arrays["es_w"],
-        served_load_w=arrays["served_load_w"],
-        true_demand_w=arrays["true_demand_w"],
-        shed_w=arrays["shed_w"],
-        imbalance_w=arrays["imbalance_w"],
-        deployed_up_w=arrays["deployed_up_w"],
-        deployed_down_w=arrays["deployed_down_w"],
-        shortfall_w=arrays["shortfall_w"],
-        soc_wh=soc,
-        deployment_w=deployment,
-        voltage_min_pu=arrays["voltage_min_pu"],
-        voltage_max_pu=arrays["voltage_max_pu"],
-        violations=violations,
-        violation_magnitude=magnitude,
-    )
+    return Trajectory(**arrays, soc_wh=soc, deployment_w=deployment,
+                      violations=violations, violation_magnitude=magnitude)
 
 
 @dataclass

@@ -94,6 +94,37 @@ def test_unknown_solver_option_is_input_error(tmp_path, capsys, field, value):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("overrides, expected", [
+    ({"uncertainty": [{"parameter": "load_desired", "entity": "load99", "steps": [1, 3],
+                       "high_add_w": 1.0}]}, "load99"),
+    ({"uncertainty": [{"parameter": "load_desired", "entity": "load01", "steps": [2, 9],
+                       "high_add_w": 1.0}]}, "outside the horizon"),
+    ({"costs": {"dg_energy": "cheap"}}, "costs.dg_energy"),
+], ids=["unknown-entity", "steps-past-horizon", "non-numeric-cost"])
+def test_bad_box_input_is_input_error(tmp_path, capsys, overrides, expected):
+    scenario = small_scenario(tmp_path, **overrides)
+    assert main(["baseline", str(scenario), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and expected in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_branch_to_unknown_bus_fails_validation(tmp_path, capsys):
+    net = tmp_path / "net"
+    assert main(["synth", str(small_scenario(tmp_path)), "--out", str(net)]) == 0
+    doc = json.loads((net / "network.json").read_text())
+    doc["branches"][0]["to"] = "bus99"
+    (net / "network.json").write_text(json.dumps(doc))
+    scenario = small_scenario(
+        tmp_path, name="files", uncertainty=[], axes=[], timeline=[],
+        network={"files": {"network": "net/network.json", "profiles": "net/profiles.csv"}},
+    )
+    assert main(["validate", str(scenario)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "unknown bus bus99" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_infeasible_maps_to_exit_2(tmp_path, capsys):
     scenario = small_scenario(
         tmp_path,
@@ -175,6 +206,29 @@ def test_sample_without_polytope_is_input_error(tmp_path, capsys):
     assert main(["simulate", str(scenario), "--out", str(tmp_path / "o"),
                  "--sample", "5"]) == 1
     assert "polytope" in capsys.readouterr().err
+
+
+POLY = {"step": 1, "axes": [{"kind": "dg_capacity_loss", "entity": "dg01"}],
+        "alpha_w": [1000.0]}
+
+
+@pytest.mark.parametrize("sample, steps, expected", [
+    ("-1", {"1": POLY}, "--sample must be at least 1"),
+    ("5", {}, "no steps"),
+    ("5", {"4": {**POLY, "step": 4}}, "step 4 outside the horizon"),
+    ("5", {"1": {**POLY, "axes": [{"kind": "dg_capacity_loss", "entity": "dg99"}]}},
+     "unknown entity 'dg99'"),
+    ("5", {"1": {**POLY, "alpha_w": [1000.0, 0.0]}}, "alpha_w has 2 entries for 1 axes"),
+], ids=["negative-count", "no-steps", "step-past-horizon", "unknown-entity", "alpha-length"])
+def test_bad_sample_input_is_input_error(tmp_path, capsys, sample, steps, expected):
+    scenario = small_scenario(tmp_path)
+    polytope = tmp_path / "polytope.json"
+    polytope.write_text(json.dumps({"steps": steps}))
+    assert main(["simulate", str(scenario), "--out", str(tmp_path / "o"),
+                 "--polytope", str(polytope), "--sample", sample]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and expected in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -266,6 +320,15 @@ def test_unknown_axis_entity_is_input_error(tmp_path, capsys):
     )
     assert main(["advset", str(scenario), "--out", str(tmp_path / "o")]) == 1
     assert "dg99" in capsys.readouterr().err
+
+
+def test_duplicate_axis_is_input_error(tmp_path, capsys):
+    axis = {"kind": "dg_capacity_loss", "entity": "dg01"}
+    scenario = small_scenario(tmp_path, axes=[axis, axis])
+    assert main(["advset", str(scenario), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: axes[1]: duplicate axis")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_baseline_infeasible_maps_to_exit_2(tmp_path):

@@ -45,6 +45,13 @@ def test_cycle_is_invalid():
     assert not report.ok
 
 
+def test_branch_to_unknown_bus_is_reported():
+    buses = [Bus("bus0", "a"), Bus("bus1", "a")]
+    branches = [Branch("bus0", "bus9", "a", {"aa": 0.1j}, 1e6)]
+    report = validate(bare_model(buses, branches))
+    assert "branch bus0->bus9: unknown bus bus9" in report.problems
+
+
 def test_phase_compatibility_checked():
     buses = [Bus("bus0", "a"), Bus("bus1", "abc")]  # child carries more phases
     branches = [Branch("bus0", "bus1", "abc", {p + p: 0.1j for p in "abc"}, 1e6)]
