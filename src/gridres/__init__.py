@@ -39,7 +39,6 @@ from .robust import (  # noqa: F401
     ReserveCosts,
     ReserveSchedule,
     RobustResult,
-    UncertainEqualityRow,
     UncertaintyBox,
     reserve_margin,
     solve_robust,

@@ -38,7 +38,6 @@ from .constraints import (
     BoundSpec,
     BuildOptions,
     PerUnit,
-    URow,
     apparent_power_rows,
     apply_emissions,
     build_namespace,
@@ -50,7 +49,7 @@ from .constraints import (
     voltage_bounds,
 )
 from .dispatch import DispatchResult
-from .lp import LinearProgram, LpStatus, Rel, SolverOptions, solve
+from .lp import LinearProgram, LpStatus, Rel, Row, SolverOptions, solve
 from .network import NetworkModel
 from .robust import ReserveSchedule
 
@@ -176,7 +175,7 @@ def build_recourse_lp(
                 band(p, max(0.0, sched - dn), min(sched + up, avail))
             else:
                 band(p, 0.0, min(sched + up, avail))
-                rows.append(URow({p: 1.0, alpha[i]: 1.0}, Rel.LE, avail, "axis"))
+                rows.append(Row({p: 1.0, alpha[i]: 1.0}, Rel.LE, avail, "axis"))
             rows += apparent_power_rows(p, q, u.capacity_va / s, poly, f"{cls}_cap")
     for u in model.storage_units:
         p, q = ns.pes[(u.id, k)], ns.qes[(u.id, k)]
@@ -201,10 +200,10 @@ def build_recourse_lp(
             band(p, max(0.0, sched - up), min(sched + dn, desired))
         else:
             # serve at most the true demand, shed at most the up-reserve
-            rows.append(URow({p: 1.0, alpha[i]: -1.0}, Rel.LE, sched, "axis"))
-            rows.append(URow({p: -1.0, alpha[i]: 1.0}, Rel.LE, up - sched, "axis"))
+            rows.append(Row({p: 1.0, alpha[i]: -1.0}, Rel.LE, sched, "axis"))
+            rows.append(Row({p: -1.0, alpha[i]: 1.0}, Rel.LE, up - sched, "axis"))
         tan_phi = math.tan(math.acos(u.power_factor))
-        rows.append(URow({q: 1.0, p: -tan_phi}, Rel.EQ, 0.0, "power_factor"))
+        rows.append(Row({q: 1.0, p: -tan_phi}, Rel.EQ, 0.0, "power_factor"))
 
     apply_emissions(lp, rows, bounds)
     return lp, alpha

@@ -29,8 +29,14 @@ phase) and split equally across the phases of the hosting bus.
 A namespace is declared for a set of steps, the whole horizon by default;
 the network emitters (voltage drop, power balance, line polygons) emit rows
 for exactly the namespace's steps.  The dispatch LPs use the whole horizon,
-the adversarial-set recourse LP a single step.  The polygon helpers
+the adversarial-set recourse LP a single step (without stored-energy
+columns: the SoC recursion spans the horizon).  The polygon helpers
 (`line_limit_rows`, `apparent_power_rows`) are shared the same way.
+
+Emitters return plain :class:`gridres.lp.Row` objects with every parameter
+at a number: no row carries an uncertain term.  The robust dispatch reads
+its box once (:func:`gridres.robust.tighten`) and passes the worst-case
+solar forecasts to `emit_limits` as `pv_floor`.
 
 Row-count formulas per tag (K = steps emitted, sides = polygon sides):
     voltage_drop     sum_branch |phases| * K
@@ -51,7 +57,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from .lp import LinearProgram, Rel
+from .lp import LinearProgram, Rel, Row
 from .network import NetworkModel
 
 # uncertain-parameter key: (kind, entity id, step)
@@ -106,23 +112,6 @@ def polygon_rows(sides: int) -> list[tuple[float, float, float]]:
         theta = math.pi * (2 * t + 1) / sides
         out.append((math.cos(theta), math.sin(theta), off))
     return out
-
-
-@dataclass
-class URow:
-    """An LP row that may carry uncertain parameters.
-
-    The row reads  coeffs . x + wterms . w  (rel)  rhs, with w the uncertain
-    parameter vector.  Certain rows leave `wterms` empty; a nominal resolution
-    folds nominal parameter values into the rhs, and a box robustification
-    replaces them with their worst case over the box.
-    """
-
-    coeffs: dict[int, float]
-    rel: Rel
-    rhs: float
-    tag: str = ""
-    wterms: dict[ParamKey, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -197,10 +186,11 @@ def build_namespace(
 ) -> VariableNamespace:
     """Declare every LP variable for `model` in deterministic order.
 
-    Variables are declared for `steps` (default: the whole horizon).  With
-    `reserves`, the four up/down reserve classes are added per device and
-    step; `dg_loss_keys` adds the worst-case output-loss helpers used by the
-    robust coverage rows.
+    Variables are declared for `steps` (default: the whole horizon); the
+    stored-energy columns only for the whole horizon.  With `reserves`, the
+    four up/down reserve classes are added per device and step;
+    `dg_loss_keys` adds the worst-case output-loss helpers used by the robust
+    coverage rows.
     """
     ns = VariableNamespace(tuple(range(model.steps)) if steps is None else tuple(steps))
     steps = ns.steps
@@ -231,9 +221,10 @@ def build_namespace(
     device_block(model.storage_units, ns.pes, ns.qes, "es")
     device_block(model.loads, ns.pload, ns.qload, "load")
 
-    for es in sorted(model.storage_units, key=lambda d: d.id):
-        for k in steps:
-            ns.soc[(es.id, k)] = ns._new(f"soc[{es.id},{k}]")
+    if steps == tuple(range(model.steps)):  # the SoC recursion spans the horizon
+        for es in sorted(model.storage_units, key=lambda d: d.id):
+            for k in steps:
+                ns.soc[(es.id, k)] = ns._new(f"soc[{es.id},{k}]")
 
     if reserves:
         groups = device_groups(model)
@@ -251,7 +242,7 @@ def build_namespace(
     return ns
 
 
-def emit_voltage_drop(model: NetworkModel, ns: VariableNamespace) -> list[URow]:
+def emit_voltage_drop(model: NetworkModel, ns: VariableNamespace) -> list[Row]:
     """One equality per branch-phase-step: w_to = w_from - 2(r_eff P + x_eff Q)."""
     pu = PerUnit.of(model)
     rows = []
@@ -260,7 +251,7 @@ def emit_voltage_drop(model: NetworkModel, ns: VariableNamespace) -> list[URow]:
             z = effective_impedance_pu(br, phase, pu)
             for k in ns.steps:
                 rows.append(
-                    URow(
+                    Row(
                         {
                             ns.w[(br.to_bus, phase, k)]: 1.0,
                             ns.w[(br.from_bus, phase, k)]: -1.0,
@@ -275,7 +266,7 @@ def emit_voltage_drop(model: NetworkModel, ns: VariableNamespace) -> list[URow]:
     return rows
 
 
-def emit_power_balance(model: NetworkModel, ns: VariableNamespace) -> list[URow]:
+def emit_power_balance(model: NetworkModel, ns: VariableNamespace) -> list[Row]:
     """Two equalities (P and Q) per bus-phase-step.
 
     Inflow - outflow + generation - load = 0; the injection belongs to the
@@ -306,8 +297,8 @@ def emit_power_balance(model: NetworkModel, ns: VariableNamespace) -> list[URow]
                 for uid, pmap, qmap, sign in at_bus:  # loads withdraw
                     pco[pmap[(uid, k)]] = sign * share
                     qco[qmap[(uid, k)]] = sign * share
-                rows.append(URow(pco, Rel.EQ, 0.0, "power_balance"))
-                rows.append(URow(qco, Rel.EQ, 0.0, "power_balance"))
+                rows.append(Row(pco, Rel.EQ, 0.0, "power_balance"))
+                rows.append(Row(qco, Rel.EQ, 0.0, "power_balance"))
     return rows
 
 
@@ -327,14 +318,14 @@ def voltage_bounds(model: NetworkModel, ns: VariableNamespace) -> list[BoundSpec
 
 def apparent_power_rows(
     p: int, q: int, s_max: float, poly: list[tuple[float, float, float]], tag: str
-) -> list[URow]:
+) -> list[Row]:
     """The inscribed polygon of |(p, q)| <= s_max, one row per side."""
-    return [URow({p: cs, q: sn}, Rel.LE, s_max * off, tag) for cs, sn, off in poly]
+    return [Row({p: cs, q: sn}, Rel.LE, s_max * off, tag) for cs, sn, off in poly]
 
 
 def line_limit_rows(
     model: NetworkModel, ns: VariableNamespace, poly: list[tuple[float, float, float]]
-) -> list[URow]:
+) -> list[Row]:
     """Line-flow polygons per branch-phase-step."""
     pu = PerUnit.of(model)
     rows = []
@@ -354,10 +345,14 @@ class BuildOptions:
     pv_power_factor_gamma: float | None = None
     terminal_soc_geq_initial: bool = False
 
+    def __post_init__(self) -> None:
+        if self.poly_sides < 3:
+            raise ValueError(f"poly_sides must be at least 3, got {self.poly_sides}")
+
 
 @dataclass
 class Emission:
-    rows: list[URow] = field(default_factory=list)
+    rows: list[Row] = field(default_factory=list)
     bounds: list[BoundSpec] = field(default_factory=list)
 
 
@@ -366,15 +361,16 @@ def emit_limits(
     ns: VariableNamespace,
     options: BuildOptions,
     reserves: bool = False,
-    uncertain_pv: frozenset[tuple[str, int]] = frozenset(),
+    pv_floor: dict[tuple[str, int], float] | None = None,
 ) -> Emission:
     """Voltage boxes, polygonized apparent-power limits, SoC dynamics, and
     dispatch windows.
 
     In reserve mode the PV/DG/storage/load windows widen into the reserve-band
-    rows; a PV upper band whose (unit, step) appears in `uncertain_pv` carries
-    its forecast as an uncertain term so the robust pass can tighten it.
+    rows; a PV upper band whose (unit, step) is a key of `pv_floor` is capped
+    at that floor (pu) rather than at the nominal forecast.
     """
+    pv_floor = pv_floor or {}
     pu = PerUnit.of(model)
     K = model.steps
     dt = model.dt_hours
@@ -393,28 +389,17 @@ def emit_limits(
             forecast = pu.power(float(pv.forecast_w[k]))
             em.bounds.append(BoundSpec(p, 0.0, forecast, "curtailment_bounds"))
             if reserves:
-                # p + R+ <= forecast(w); R- <= p
-                if (pv.id, k) in uncertain_pv:
-                    em.rows.append(
-                        URow(
-                            {p: 1.0, ns.r_up[("pv", pv.id, k)]: 1.0},
-                            Rel.LE,
-                            0.0,
-                            "curtailment_bounds",
-                            wterms={(P_PV_FORECAST, pv.id, k): -1.0},
-                        )
-                    )
-                else:
-                    em.rows.append(
-                        URow(
-                            {p: 1.0, ns.r_up[("pv", pv.id, k)]: 1.0},
-                            Rel.LE,
-                            forecast,
-                            "curtailment_bounds",
-                        )
-                    )
+                # p + R+ <= forecast, or its floor under a box; R- <= p
                 em.rows.append(
-                    URow(
+                    Row(
+                        {p: 1.0, ns.r_up[("pv", pv.id, k)]: 1.0},
+                        Rel.LE,
+                        pv_floor.get((pv.id, k), forecast),
+                        "curtailment_bounds",
+                    )
+                )
+                em.rows.append(
+                    Row(
                         {ns.r_dn[("pv", pv.id, k)]: 1.0, p: -1.0},
                         Rel.LE,
                         0.0,
@@ -424,8 +409,8 @@ def emit_limits(
             em.rows += apparent_power_rows(p, q, cap, poly, "pv_cap")
             if options.pv_power_factor_gamma is not None:
                 g = options.pv_power_factor_gamma
-                em.rows.append(URow({q: 1.0, p: -g}, Rel.LE, 0.0, "power_factor"))
-                em.rows.append(URow({q: -1.0, p: -g}, Rel.LE, 0.0, "power_factor"))
+                em.rows.append(Row({q: 1.0, p: -g}, Rel.LE, 0.0, "power_factor"))
+                em.rows.append(Row({q: -1.0, p: -g}, Rel.LE, 0.0, "power_factor"))
 
     # DG: capacity window plus polygon
     for dg in model.dg_units:
@@ -436,10 +421,10 @@ def emit_limits(
             em.bounds.append(BoundSpec(p, 0.0, cap, "dg_cap"))
             if reserves:
                 em.rows.append(
-                    URow({p: 1.0, ns.r_up[("dg", dg.id, k)]: 1.0}, Rel.LE, cap, "dg_cap")
+                    Row({p: 1.0, ns.r_up[("dg", dg.id, k)]: 1.0}, Rel.LE, cap, "dg_cap")
                 )
                 em.rows.append(
-                    URow({ns.r_dn[("dg", dg.id, k)]: 1.0, p: -1.0}, Rel.LE, 0.0, "dg_cap")
+                    Row({ns.r_dn[("dg", dg.id, k)]: 1.0, p: -1.0}, Rel.LE, 0.0, "dg_cap")
                 )
             em.rows += apparent_power_rows(p, q, cap, poly, "dg_cap")
 
@@ -462,18 +447,18 @@ def emit_limits(
                 rhs = e0
             else:
                 coeffs[ns.soc[(es.id, k - 1)]] = -1.0
-            em.rows.append(URow(coeffs, Rel.EQ, rhs, "storage"))
+            em.rows.append(Row(coeffs, Rel.EQ, rhs, "storage"))
             if reserves:
                 up = ns.r_up[("es", es.id, k)]
                 dn = ns.r_dn[("es", es.id, k)]
-                em.rows.append(URow({p: 1.0, up: 1.0}, Rel.LE, p_max, "storage"))
-                em.rows.append(URow({p: -1.0, dn: 1.0}, Rel.LE, p_max, "storage"))
-                em.rows.append(URow({e: 1.0, dn: dt}, Rel.LE, e_max, "storage"))
-                em.rows.append(URow({e: -1.0, up: dt}, Rel.LE, -e_min, "storage"))
+                em.rows.append(Row({p: 1.0, up: 1.0}, Rel.LE, p_max, "storage"))
+                em.rows.append(Row({p: -1.0, dn: 1.0}, Rel.LE, p_max, "storage"))
+                em.rows.append(Row({e: 1.0, dn: dt}, Rel.LE, e_max, "storage"))
+                em.rows.append(Row({e: -1.0, up: dt}, Rel.LE, -e_min, "storage"))
             em.rows += apparent_power_rows(p, q, s_max, poly, "storage")
         if options.terminal_soc_geq_initial:
             em.rows.append(
-                URow({ns.soc[(es.id, K - 1)]: 1.0}, Rel.GE, e0, "storage")
+                Row({ns.soc[(es.id, K - 1)]: 1.0}, Rel.GE, e0, "storage")
             )
 
     # loads: service window between the critical minimum and the desired level,
@@ -486,47 +471,18 @@ def emit_limits(
             lo = pu.power(float(ld.minimum_w[k]))
             hi = pu.power(float(ld.desired_w[k]))
             em.bounds.append(BoundSpec(p, lo, hi, "curtailment_bounds"))
-            em.rows.append(URow({q: 1.0, p: -tan_phi}, Rel.EQ, 0.0, "power_factor"))
+            em.rows.append(Row({q: 1.0, p: -tan_phi}, Rel.EQ, 0.0, "power_factor"))
             if reserves:
                 up = ns.r_up[("load", ld.id, k)]
                 dn = ns.r_dn[("load", ld.id, k)]
                 # reverse convention: up-reserve is room to shed toward the minimum
-                em.rows.append(URow({p: -1.0, up: 1.0}, Rel.LE, -lo, "curtailment_bounds"))
-                em.rows.append(URow({p: 1.0, dn: 1.0}, Rel.LE, hi, "curtailment_bounds"))
+                em.rows.append(Row({p: -1.0, up: 1.0}, Rel.LE, -lo, "curtailment_bounds"))
+                em.rows.append(Row({p: 1.0, dn: 1.0}, Rel.LE, hi, "curtailment_bounds"))
     return em
 
 
-def nominal_params(model: NetworkModel) -> dict[ParamKey, float]:
-    """Nominal pu value of every parameter that can be declared uncertain."""
-    pu = PerUnit.of(model)
-    out: dict[ParamKey, float] = {}
-    for k in range(model.steps):
-        for pv in model.pv_units:
-            out[(P_PV_FORECAST, pv.id, k)] = pu.power(float(pv.forecast_w[k]))
-        for dg in model.dg_units:
-            out[(P_DG_CAPACITY, dg.id, k)] = pu.power(dg.capacity_va)
-        for ld in model.loads:
-            out[(P_LOAD_DESIRED, ld.id, k)] = pu.power(float(ld.desired_w[k]))
-    return out
-
-
-def resolve_nominal(rows: list[URow], nominal: dict[ParamKey, float]) -> list[URow]:
-    """Fold nominal parameter values into the rhs of any uncertain rows
-    (coeffs.x <= rhs - wterms.w_nom and likewise for the other relations)."""
-    out = []
+def apply_emissions(lp: LinearProgram, rows: list[Row], bounds: list[BoundSpec] = ()) -> None:
     for row in rows:
-        if not row.wterms:
-            out.append(row)
-            continue
-        rhs = row.rhs - sum(coeff * nominal[key] for key, coeff in row.wterms.items())
-        out.append(URow(dict(row.coeffs), row.rel, rhs, row.tag))
-    return out
-
-
-def apply_emissions(lp: LinearProgram, rows: list[URow], bounds: list[BoundSpec] = ()) -> None:
-    for row in rows:
-        if row.wterms:
-            raise ValueError("unresolved uncertain row; tighten or resolve it first")
         lp.add_row(row.coeffs, row.rel, row.rhs, row.tag)
     for b in bounds:
         lp.set_bounds(b.var, b.lower, b.upper)

@@ -111,7 +111,7 @@ class LinearProgram:
         self.upper: list[float] = []
         self.objective: dict[int, float] = {}
         self.rows: list[Row] = []
-        self._name_to_idx: dict[str, int] = {}
+        self._name_set: set[str] = set()
 
     @property
     def n_variables(self) -> int:
@@ -122,7 +122,7 @@ class LinearProgram:
         return len(self.rows)
 
     def add_variable(self, name: str, lower: float = -math.inf, upper: float = math.inf) -> int:
-        if name in self._name_to_idx:
+        if name in self._name_set:
             raise MalformedProblem(f"duplicate variable name {name!r}")
         if math.isnan(lower) or math.isnan(upper):
             raise MalformedProblem(f"NaN bound on variable {name!r}")
@@ -132,11 +132,8 @@ class LinearProgram:
         self.names.append(name)
         self.lower.append(float(lower))
         self.upper.append(float(upper))
-        self._name_to_idx[name] = idx
+        self._name_set.add(name)
         return idx
-
-    def index_of(self, name: str) -> int:
-        return self._name_to_idx[name]
 
     def set_bounds(self, idx: int, lower: float, upper: float) -> None:
         if lower > upper:

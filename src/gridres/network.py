@@ -149,6 +149,8 @@ class ValidationReport:
 
 def validate(model: NetworkModel) -> ValidationReport:
     """Check every structural invariant; an empty report means the model is usable."""
+    if not model.buses:
+        return ValidationReport(["no buses"])
     problems: list[str] = []
     ids = [b.id for b in model.buses]
     bus_map = {}

@@ -2,16 +2,17 @@
 
 The uncertain parameters are diesel capacity (outages), desired load
 (masking attacks raise the true demand), and the solar forecast (sudden
-cloud cover).  Robustification is by explicit worst-case substitution:
+cloud cover).  For a box, the robust counterpart of a row is the same row
+evaluated at the box's worst end, so the box is read once (:func:`tighten`)
+into its worst case in pu and the rows are emitted with those numbers:
 
-  * inequality rows that carry an uncertain parameter are tightened
-    coordinate-wise by the sign of its coefficient (:func:`tighten`);
+  * a PV up-band p + R+ <= forecast is capped at the forecast's low end;
   * the load-balance equality cannot be tightened that way, so it is
     reformulated through recourse: per step, the guaranteed up-reserve pool
     must cover the worst-case imbalance (load-mask widths plus worst-case
     generation losses), and symmetrically for the down direction.
 
-A diesel unit whose capacity is uncertain at some step cannot promise its own
+A diesel unit whose capacity can fall at some step cannot promise its own
 reserves there, so its reserve variables are excluded from that step's
 coverage pool; its worst-case output loss max(0, P - cap_low) enters the
 requirement side through a helper variable instead.  Reserves are priced per
@@ -32,14 +33,12 @@ from .constraints import (
     P_PV_FORECAST,
     ParamKey,
     PerUnit,
-    URow,
     apply_emissions,
     build_namespace,
     device_groups,
     emit_limits,
     emit_power_balance,
     emit_voltage_drop,
-    nominal_params,
 )
 from .dispatch import (
     CostConfig,
@@ -49,12 +48,8 @@ from .dispatch import (
     set_dispatch_objective,
     _objective_constant,
 )
-from .lp import LpStatus, Rel, SolverOptions, solve
+from .lp import LpStatus, Rel, Row, SolverOptions, solve
 from .network import NetworkModel, validate
-
-
-class UncertainEqualityRow(ValueError):
-    """An equality row carries an uncertain parameter; reformulate via recourse."""
 
 
 @dataclass
@@ -71,9 +66,6 @@ class UncertaintyBox:
         if not lo <= nom <= hi:
             raise ValueError(f"box entry {kind}/{entity}/{step}: need lo <= nom <= hi")
         self.entries[(kind, entity, step)] = (float(lo), float(nom), float(hi))
-
-    def is_zero_width(self, tol: float = 0.0) -> bool:
-        return all(hi - lo <= tol for lo, _n, hi in self.entries.values())
 
     def validate(self, model: NetworkModel) -> None:
         known = {
@@ -92,57 +84,40 @@ class UncertaintyBox:
                 raise ValueError(f"box entry {kind}/{entity}/{step}: lo <= nom <= hi violated")
 
 
-class PuBox:
-    """Per-unit view of an uncertainty box with nominal fallbacks."""
+@dataclass
+class WorstCase:
+    """The worst case of an uncertainty box, in pu.
 
-    def __init__(self, bounds: dict[ParamKey, tuple[float, float]], nominal: dict[ParamKey, float]):
-        self.bounds = bounds
-        self.nominal = nominal
-
-    @classmethod
-    def of(cls, box: UncertaintyBox, model: NetworkModel) -> "PuBox":
-        pu = PerUnit.of(model)
-        bounds = {
-            key: (pu.power(lo), pu.power(hi)) for key, (lo, _n, hi) in box.entries.items()
-        }
-        return cls(bounds, nominal_params(model))
-
-    def lo(self, key: ParamKey) -> float:
-        if key in self.bounds:
-            return self.bounds[key][0]
-        return self.nominal[key]
-
-    def hi(self, key: ParamKey) -> float:
-        if key in self.bounds:
-            return self.bounds[key][1]
-        return self.nominal[key]
-
-
-def tighten(rows: list[URow], box: PuBox) -> list[URow]:
-    """Worst-case substitution for uncertain inequality rows.
-
-    A row coeffs.x + wterms.w <= rhs becomes coeffs.x <= rhs - max_box(wterms.w),
-    evaluated coordinate-wise by coefficient sign (and min for >= rows).
-    Equality rows with uncertain terms raise :class:`UncertainEqualityRow`.
+    `pv_floor` holds the low end of each uncertain solar forecast and
+    `dg_floor` the low end of each diesel capacity that can fall, both keyed
+    by (unit id, step); `mask_up` and `mask_down` sum the masked-load widths
+    above and below nominal per step.
     """
-    out = []
-    for row in rows:
-        if not row.wterms:
-            out.append(row)
-            continue
-        if row.rel is Rel.EQ:
-            raise UncertainEqualityRow(
-                f"equality row (tag {row.tag!r}) carries uncertain parameters; "
-                "reformulate through reserve recourse before tightening"
-            )
-        shift = 0.0
-        for key, coeff in row.wterms.items():
-            if row.rel is Rel.LE:
-                shift += coeff * (box.hi(key) if coeff > 0 else box.lo(key))
-            else:  # GE: keep the row valid at the minimum of the uncertain term
-                shift += coeff * (box.lo(key) if coeff > 0 else box.hi(key))
-        out.append(URow(dict(row.coeffs), row.rel, row.rhs - shift, row.tag))
-    return out
+
+    pv_floor: dict[tuple[str, int], float]
+    dg_floor: dict[tuple[str, int], float]
+    mask_up: np.ndarray
+    mask_down: np.ndarray
+
+
+def tighten(box: UncertaintyBox, model: NetworkModel) -> WorstCase:
+    """Read `box` once into its worst case for the robust dispatch rows.
+
+    A diesel entry whose capacity cannot fall by more than 1e-12 pu is
+    treated as certain and yields no floor.
+    """
+    pu = PerUnit.of(model)
+    worst = WorstCase({}, {}, np.zeros(model.steps), np.zeros(model.steps))
+    for (kind, entity, k), (lo, nom, hi) in box.entries.items():
+        if kind == P_PV_FORECAST:
+            worst.pv_floor[(entity, k)] = pu.power(lo)
+        elif kind == P_DG_CAPACITY:
+            if pu.power(nom - lo) > 1e-12:
+                worst.dg_floor[(entity, k)] = pu.power(lo)
+        elif kind == P_LOAD_DESIRED:
+            worst.mask_up[k] += pu.power(hi - nom)
+            worst.mask_down[k] += pu.power(nom - lo)
+    return worst
 
 
 @dataclass
@@ -198,7 +173,6 @@ class ReserveSchedule:
         where nothing was explicitly set aside but headroom still exists.
         """
         sched = cls()
-        K = model.steps
         dt = model.dt_hours
         for u in model.pv_units:
             p = dispatch.pv_p[u.id]
@@ -211,11 +185,11 @@ class ReserveSchedule:
             sched.down[("dg", u.id)] = np.maximum(p, 0.0)
         for u in model.storage_units:
             p = dispatch.es_p[u.id]
-            soc_end = dispatch.soc_wh[u.id][1:]
+            soc_in = dispatch.soc_wh[u.id][:-1]  # energy entering each step
             rate_up = u.power_w - p
             rate_dn = u.power_w + p
-            energy_up = (soc_end - u.energy_min_wh) / dt - p
-            energy_dn = (u.energy_max_wh - soc_end) / dt + p
+            energy_up = (soc_in - u.energy_min_wh) / dt - p
+            energy_dn = (u.energy_max_wh - soc_in) / dt + p
             sched.up[("es", u.id)] = np.maximum(np.minimum(rate_up, energy_up), 0.0)
             sched.down[("es", u.id)] = np.maximum(np.minimum(rate_dn, energy_dn), 0.0)
         for u in model.loads:
@@ -276,15 +250,6 @@ def reserve_margin(result: RobustResult, k: int) -> tuple[float, float]:
     return result.reserves.total_up(k), result.reserves.total_down(k)
 
 
-def _uncertain_dg_steps(box: UncertaintyBox, model: NetworkModel) -> set[tuple[str, int]]:
-    pu = PerUnit.of(model)
-    keys = set()
-    for (kind, entity, step), (lo, nom, _hi) in box.entries.items():
-        if kind == P_DG_CAPACITY and pu.power(nom - lo) > 1e-12:
-            keys.add((entity, step))
-    return keys
-
-
 def build_robust_lp(
     model: NetworkModel,
     costs: CostConfig,
@@ -293,54 +258,33 @@ def build_robust_lp(
     options: BuildOptions | None = None,
 ):
     options = options or BuildOptions()
-    pu = PerUnit.of(model)
-    pu_box = PuBox.of(box, model)
-
-    dg_loss_keys = tuple(sorted(_uncertain_dg_steps(box, model)))
-    uncertain_pv = frozenset(
-        (entity, step)
-        for (kind, entity, step), (lo, _n, hi) in box.entries.items()
-        if kind == P_PV_FORECAST
-    )
+    worst = tighten(box, model)
+    dg_loss_keys = tuple(sorted(worst.dg_floor))
     ns = build_namespace(model, reserves=True, dg_loss_keys=dg_loss_keys)
     lp = ns.make_lp()
 
     apply_emissions(lp, emit_voltage_drop(model, ns))
     apply_emissions(lp, emit_power_balance(model, ns))
-    em = emit_limits(model, ns, options, reserves=True, uncertain_pv=uncertain_pv)
-    apply_emissions(lp, tighten(em.rows, pu_box), em.bounds)
+    em = emit_limits(model, ns, options, reserves=True, pv_floor=worst.pv_floor)
+    apply_emissions(lp, em.rows, em.bounds)
 
     # worst-case output-loss helpers: loss >= P - cap_low, loss >= 0
-    loss_rows = []
-    for (dg_id, k) in dg_loss_keys:
-        cap_low = pu_box.lo((P_DG_CAPACITY, dg_id, k))
-        loss_rows.append(
-            URow(
-                {ns.pdg[(dg_id, k)]: 1.0, ns.dg_loss[(dg_id, k)]: -1.0},
-                Rel.LE,
-                cap_low,
-                "reserve_coverage",
-            )
-        )
+    rows = [
+        Row({ns.pdg[key]: 1.0, ns.dg_loss[key]: -1.0}, Rel.LE, worst.dg_floor[key],
+            "reserve_coverage")
+        for key in dg_loss_keys
+    ]
 
     # per-step coverage: guaranteed reserves must absorb the worst-case
     # imbalance; reserves of capacity-uncertain diesel units do not count
-    worst_up = np.zeros(model.steps)
-    worst_down = np.zeros(model.steps)
-    coverage_rows = []
-    excluded = set(dg_loss_keys)
     for k in range(model.steps):
-        mask_up = 0.0
-        mask_down = 0.0
-        for (kind, entity, step), (lo, nom, hi) in box.entries.items():
-            if kind == P_LOAD_DESIRED and step == k:
-                mask_up += pu.power(hi - nom)
-                mask_down += pu.power(nom - lo)
+        mask_up = worst.mask_up[k]
+        mask_down = worst.mask_down[k]
         up_coeffs: dict[int, float] = {}
         dn_coeffs: dict[int, float] = {}
         for cls_name, units in device_groups(model):
             for u in units:
-                if cls_name == "dg" and (u.id, k) in excluded:
+                if cls_name == "dg" and (u.id, k) in worst.dg_floor:
                     continue
                 up_coeffs[ns.r_up[(cls_name, u.id, k)]] = -1.0
                 dn_coeffs[ns.r_dn[(cls_name, u.id, k)]] = -1.0
@@ -348,19 +292,18 @@ def build_robust_lp(
         for dg_id in losses_at_k:
             up_coeffs[ns.dg_loss[(dg_id, k)]] = 1.0
         if mask_up > 0.0 or losses_at_k:
-            coverage_rows.append(URow(up_coeffs, Rel.LE, -mask_up, "reserve_coverage"))
+            rows.append(Row(up_coeffs, Rel.LE, -mask_up, "reserve_coverage"))
         if mask_down > 0.0:
-            coverage_rows.append(URow(dn_coeffs, Rel.LE, -mask_down, "reserve_coverage"))
-        worst_up[k] = mask_up  # diesel losses are added after solving
-        worst_down[k] = mask_down
-    apply_emissions(lp, loss_rows + coverage_rows)
+            rows.append(Row(dn_coeffs, Rel.LE, -mask_down, "reserve_coverage"))
+    apply_emissions(lp, rows)
 
     set_dispatch_objective(lp, ns, model, costs)
     for (cls_name, uid, k), idx in ns.r_up.items():
         lp.add_objective_term(idx, reserve_costs.of(cls_name))
     for (cls_name, uid, k), idx in ns.r_dn.items():
         lp.add_objective_term(idx, reserve_costs.of(cls_name))
-    return lp, ns, worst_up, worst_down
+    # diesel losses are added to the up requirement after solving
+    return lp, ns, worst.mask_up, worst.mask_down
 
 
 def solve_robust(

@@ -37,6 +37,7 @@ from .robust import ReserveCosts, UncertaintyBox
 from .sim import Event, EventTimeline
 
 SCHEMA_VERSION = 1
+SOLVER_KEYS = ("backend", "feas_tol", "opt_tol", "pricing")
 
 # scenario parameter name -> (uncertain-parameter kind, device class)
 PARAM_NAMES = {
@@ -196,6 +197,9 @@ def load_scenario(path, seed_override: int | None = None,
         )
 
     solver_doc = doc.get("solver", {})
+    for key in sorted(set(solver_doc) - set(SOLVER_KEYS)):
+        raise ScenarioError(f"solver: unknown field {key!r} = {solver_doc[key]!r}; "
+                            f"expected one of {', '.join(SOLVER_KEYS)}")
     try:
         solver = SolverOptions(
             feas_tol=float(solver_doc.get("feas_tol", 1e-7)) if feas_tol is None else feas_tol,
@@ -206,11 +210,14 @@ def load_scenario(path, seed_override: int | None = None,
     except (TypeError, ValueError) as err:
         raise ScenarioError(f"solver: {err}") from err
     build_doc = doc.get("build", {})
-    build = BuildOptions(
-        poly_sides=int(build_doc.get("poly_sides", 8)) if poly_sides is None else poly_sides,
-        pv_power_factor_gamma=build_doc.get("pv_power_factor_gamma"),
-        terminal_soc_geq_initial=bool(build_doc.get("terminal_soc_geq_initial", False)),
-    )
+    try:
+        build = BuildOptions(
+            poly_sides=int(build_doc.get("poly_sides", 8)) if poly_sides is None else poly_sides,
+            pv_power_factor_gamma=build_doc.get("pv_power_factor_gamma"),
+            terminal_soc_geq_initial=bool(build_doc.get("terminal_soc_geq_initial", False)),
+        )
+    except (TypeError, ValueError) as err:
+        raise ScenarioError(f"build: {err}") from err
 
     box = _parse_box(doc.get("uncertainty", []), model)
     try:
@@ -233,7 +240,10 @@ def load_scenario(path, seed_override: int | None = None,
     except ValueError as err:
         raise ScenarioError(str(err)) from err
 
-    advset_steps = [int(k) for k in doc.get("advset_steps", range(model.steps))]
+    try:
+        advset_steps = [int(k) for k in doc.get("advset_steps", range(model.steps))]
+    except (TypeError, ValueError) as err:
+        raise ScenarioError(f"advset_steps: {err}") from err
     for k in advset_steps:
         if not 0 <= k < model.steps:
             raise ScenarioError(f"advset_steps: step {k} outside horizon")
@@ -242,7 +252,7 @@ def load_scenario(path, seed_override: int | None = None,
     for i, e in enumerate(doc.get("timeline", [])):
         events.append(
             Event(
-                float(_require(e, "time_min", f"timeline[{i}]")),
+                _number(_require(e, "time_min", f"timeline[{i}]"), f"timeline[{i}].time_min"),
                 _require(e, "kind", f"timeline[{i}]"),
                 _require(e, "entity", f"timeline[{i}]"),
                 e.get("magnitude_w"),

@@ -85,7 +85,8 @@ def test_missing_field_is_input_error(tmp_path, capsys):
     assert "network" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field, value", [("pricing", "steepest"), ("backend", "cplex")])
+@pytest.mark.parametrize("field, value", [("pricing", "steepest"), ("backend", "cplex"),
+                                          ("max_iter", 5)])
 def test_unknown_solver_option_is_input_error(tmp_path, capsys, field, value):
     scenario = small_scenario(tmp_path, solver={field: value})
     assert main(["baseline", str(scenario), "--out", str(tmp_path / "o")]) == 1
@@ -94,35 +95,54 @@ def test_unknown_solver_option_is_input_error(tmp_path, capsys, field, value):
     assert len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("overrides, expected", [
+@pytest.mark.parametrize("overrides, flags, expected", [
     ({"uncertainty": [{"parameter": "load_desired", "entity": "load99", "steps": [1, 3],
-                       "high_add_w": 1.0}]}, "load99"),
+                       "high_add_w": 1.0}]}, [], "load99"),
     ({"uncertainty": [{"parameter": "load_desired", "entity": "load01", "steps": [2, 9],
-                       "high_add_w": 1.0}]}, "outside the horizon"),
-    ({"costs": {"dg_energy": "cheap"}}, "costs.dg_energy"),
-], ids=["unknown-entity", "steps-past-horizon", "non-numeric-cost"])
-def test_bad_box_input_is_input_error(tmp_path, capsys, overrides, expected):
+                       "high_add_w": 1.0}]}, [], "outside the horizon"),
+    ({"costs": {"dg_energy": "cheap"}}, [], "costs.dg_energy"),
+    ({"build": {"poly_sides": 2}}, [], "build: poly_sides must be at least 3"),
+    ({}, ["--poly-sides", "2"], "build: poly_sides must be at least 3"),
+    ({"timeline": [{"time_min": "soon", "kind": "dg_trip", "entity": "dg01"}]}, [],
+     "timeline[0].time_min"),
+    ({"advset_steps": [0, "one"]}, [], "advset_steps"),
+], ids=["unknown-entity", "steps-past-horizon", "non-numeric-cost", "two-poly-sides",
+        "two-poly-sides-flag", "non-numeric-time", "non-numeric-advset-step"])
+def test_bad_box_input_is_input_error(tmp_path, capsys, overrides, flags, expected):
     scenario = small_scenario(tmp_path, **overrides)
-    assert main(["baseline", str(scenario), "--out", str(tmp_path / "o")]) == 1
+    assert main(["baseline", str(scenario), "--out", str(tmp_path / "o"), *flags]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and expected in err
     assert len(err.strip().splitlines()) == 1
 
 
-def test_branch_to_unknown_bus_fails_validation(tmp_path, capsys):
+def files_scenario(tmp_path, edit) -> Path:
+    """A scenario over the small synthetic network written to files, with
+    `edit` applied to the network document."""
     net = tmp_path / "net"
     assert main(["synth", str(small_scenario(tmp_path)), "--out", str(net)]) == 0
     doc = json.loads((net / "network.json").read_text())
-    doc["branches"][0]["to"] = "bus99"
+    edit(doc)
     (net / "network.json").write_text(json.dumps(doc))
-    scenario = small_scenario(
+    return small_scenario(
         tmp_path, name="files", uncertainty=[], axes=[], timeline=[],
         network={"files": {"network": "net/network.json", "profiles": "net/profiles.csv"}},
     )
+
+
+def test_branch_to_unknown_bus_fails_validation(tmp_path, capsys):
+    scenario = files_scenario(tmp_path, lambda doc: doc["branches"][0].update(to="bus99"))
     assert main(["validate", str(scenario)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "unknown bus bus99" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_empty_bus_list_fails_validation(tmp_path, capsys):
+    scenario = files_scenario(tmp_path, lambda doc: doc.update(buses=[]))
+    assert main(["validate", str(scenario)]) == 1
+    err = capsys.readouterr().err
+    assert err.strip() == "error: network failed validation: no buses"
 
 
 def test_infeasible_maps_to_exit_2(tmp_path, capsys):

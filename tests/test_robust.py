@@ -1,108 +1,51 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from gridres.constraints import (
-    P_DG_CAPACITY,
-    P_LOAD_DESIRED,
-    P_PV_FORECAST,
-    URow,
-)
+from gridres.constraints import P_DG_CAPACITY, P_LOAD_DESIRED, P_PV_FORECAST
 from gridres.dispatch import CostConfig, InfeasibleDispatch, solve_baseline
-from gridres.lp import Rel
 from gridres.network import SynthSpec, synth_feeder
 from gridres.robust import (
-    PuBox,
     ReserveCosts,
-    UncertainEqualityRow,
+    ReserveSchedule,
     UncertaintyBox,
     reserve_margin,
     solve_robust,
     tighten,
 )
-from util import single_bus
+from util import single_bus, six_bus
 
 COSTS = CostConfig(1.0, 0.1, 10.0)
 
 
-def box_of(**triples) -> PuBox:
-    bounds = {}
-    nominal = {}
-    for key, (lo, nom, hi) in triples.items():
-        kind, entity, step = key.split("_")
-        pkey = (kind, entity, int(step))
-        bounds[pkey] = (lo, hi)
-        nominal[pkey] = nom
-    return PuBox(bounds, nominal)
-
-
-def test_tighten_sign_logic():
-    """Pdg >= load with load in [1, 1.3] tightens to Pdg >= 1.3."""
-    row = URow({0: 1.0}, Rel.GE, 0.0, wterms={("load", "l1", 0): -1.0})
-    box = PuBox({("load", "l1", 0): (1.0, 1.3)}, {("load", "l1", 0): 1.0})
-    out = tighten([row], box)
-    assert out[0].rhs == pytest.approx(1.3)
-    assert not out[0].wterms
-
-    # positive coefficient on a >= row keeps the row valid at the low end
-    row = URow({0: 1.0}, Rel.GE, 2.0, wterms={("pv", "p1", 0): 1.0})
-    box = PuBox({("pv", "p1", 0): (0.4, 0.9)}, {})
-    out = tighten([row], box)
-    assert out[0].rhs == pytest.approx(2.0 - 0.4)
-
-
 def test_tighten_upper_bound_uses_low_end():
-    """P <= forecast with forecast in [0.7, 1.0] tightens to P <= 0.7."""
-    row = URow({0: 1.0}, Rel.LE, 0.0, wterms={("pv", "p1", 0): -1.0})
-    box = PuBox({("pv", "p1", 0): (0.7, 1.0)}, {("pv", "p1", 0): 1.0})
-    out = tighten([row], box)
-    assert out[0].rhs == pytest.approx(0.7)
+    """P + R+ <= forecast with forecast in [0.3, 0.5] MW is capped at 0.3 MW."""
+    model = single_bus(with_pv=True, steps=2)
+    box = UncertaintyBox()
+    box.add(P_PV_FORECAST, "pv1", 1, 0.3e6, 0.5e6, 0.5e6)
+    worst = tighten(box, model)
+    assert worst.pv_floor == {("pv1", 1): pytest.approx(0.3)}  # pu at 1 MVA
 
 
-def test_tighten_leaves_certain_rows_alone():
-    row = URow({0: 1.0, 1: -2.0}, Rel.LE, 5.0)
-    out = tighten([row], PuBox({}, {}))
-    assert out[0] is row
+def test_tighten_skips_zero_width_diesel_entry():
+    """A diesel capacity that cannot fall is certain: no floor, no loss helper."""
+    model = single_bus(steps=2)
+    box = UncertaintyBox()
+    box.add(P_DG_CAPACITY, "dg1", 0, 2.0e6, 2.0e6, 2.0e6)
+    box.add(P_DG_CAPACITY, "dg1", 1, 0.5e6, 2.0e6, 2.0e6)
+    assert tighten(box, model).dg_floor == {("dg1", 1): pytest.approx(0.5)}
 
 
-def test_tighten_rejects_uncertain_equalities():
-    row = URow({0: 1.0}, Rel.EQ, 0.0, wterms={("load", "l1", 0): 1.0})
-    with pytest.raises(UncertainEqualityRow):
-        tighten([row], PuBox({("load", "l1", 0): (0.0, 1.0)}, {}))
-
-
-def test_tighten_matches_sampling_oracle():
-    """Tightened rhs equals the exact box worst case (corner enumeration) and
-    is never looser than any of 10^4 sampled interior points."""
-    import itertools
-
-    rng = np.random.default_rng(21)
-    for _ in range(20):
-        nkeys = int(rng.integers(1, 4))
-        keys = [("load", f"l{i}", 0) for i in range(nkeys)]
-        lo = rng.uniform(-2, 0, nkeys)
-        hi = lo + rng.uniform(0, 2, nkeys)
-        wterms = {k: float(rng.uniform(-2, 2)) for k in keys}
-        rhs = float(rng.uniform(-1, 1))
-        row = URow({0: 1.0}, Rel.LE, rhs, wterms=dict(wterms))
-        box = PuBox({k: (float(lo[i]), float(hi[i])) for i, k in enumerate(keys)}, {})
-        out = tighten([row], box)[0]
-
-        b = np.array([wterms[k] for k in keys])
-        corners = np.array(list(itertools.product(*zip(lo, hi))))
-        worst = (corners @ b).max()
-        assert out.rhs == pytest.approx(rhs - worst, abs=1e-9)
-
-        samples = rng.uniform(lo, hi, size=(10_000, nkeys))
-        assert out.rhs <= (rhs - samples @ b).min() + 1e-9  # never looser
-
-
-def test_tighten_idempotent_under_zero_box():
-    row = URow({0: 1.0}, Rel.LE, 0.0, wterms={("pv", "p1", 0): -1.0})
-    box = PuBox({("pv", "p1", 0): (0.7, 1.0)}, {("pv", "p1", 0): 1.0})
-    once = tighten([row], box)
-    again = tighten(once, PuBox({}, {("pv", "p1", 0): 1.0}))
-    assert again[0].rhs == once[0].rhs
-    assert again[0].coeffs == once[0].coeffs
+def test_tighten_sums_mask_widths_per_step():
+    model = six_bus(steps=3)
+    box = UncertaintyBox()
+    box.add(P_LOAD_DESIRED, "load1", 1, 0.9e6, 1.0e6, 1.2e6)
+    box.add(P_LOAD_DESIRED, "load2", 1, 0.7e6, 1.0e6, 1.1e6)
+    box.add(P_LOAD_DESIRED, "load3", 2, 1.0e6, 1.0e6, 1.4e6)
+    worst = tighten(box, model)
+    assert worst.mask_up == pytest.approx([0.0, 0.3, 0.4])
+    assert worst.mask_down == pytest.approx([0.0, 0.4, 0.0])
 
 
 def test_zero_width_box_matches_baseline():
@@ -199,6 +142,22 @@ def test_pv_forecast_uncertainty_tightens_dispatch():
     ppv = rob.dispatch.pv_p["pv1"][0]
     rup = rob.reserves.up[("pv", "pv1")][0]
     assert ppv + rup <= 0.3e6 + 1.0  # dispatched below the worst forecast
+
+
+@pytest.mark.parametrize("p_w, soc_in_wh, up_w, down_w", [
+    (-0.1e6, 0.25e6, 0.3e6, 0.4e6),  # charging just above the 0.2 MWh floor
+    (0.1e6, 1.95e6, 0.4e6, 0.3e6),   # discharging just below the 2 MWh ceiling
+], ids=["charging", "discharging"])
+def test_storage_headroom_uses_energy_entering_the_step(p_w, soc_in_wh, up_w, down_w):
+    """With 15-minute steps and 0.5 MW of rate, the energy window binds: the
+    headroom is the energy entering the step over dt, less the setpoint."""
+    model = single_bus(with_storage=True)
+    base = solve_baseline(model, COSTS)
+    soc = np.array([soc_in_wh, soc_in_wh - p_w * model.dt_hours])
+    dispatch = dataclasses.replace(base, es_p={"es1": np.array([p_w])}, soc_wh={"es1": soc})
+    sched = ReserveSchedule.from_headroom(model, dispatch)
+    assert sched.up[("es", "es1")][0] == pytest.approx(up_w)
+    assert sched.down[("es", "es1")][0] == pytest.approx(down_w)
 
 
 def test_reserve_costs_default_ordering():
