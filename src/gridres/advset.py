@@ -141,6 +141,7 @@ def build_recourse_lp(
     options = options or BuildOptions()
     s = PerUnit.of(model).s_base
     k = step
+    dt = model.dt_hours
     poly = polygon_rows(options.poly_sides)
     ns = build_namespace(model, steps=(k,))
     lp = ns.make_lp()
@@ -158,52 +159,44 @@ def build_recourse_lp(
     # realized device active powers; schedules are clamped into their physical
     # windows first so solver-tolerance dust cannot invert a recourse band.
     # Reactive output re-regulates freely inside each inverter polygon.
-    for cls, units, pmap, qmap, planned in (
-        ("pv", model.pv_units, ns.ppv, ns.qpv, dispatch.pv_p),
-        ("dg", model.dg_units, ns.pdg, ns.qdg, dispatch.dg_p),
-    ):
+    for cls, units in device_groups(model):
         for u in units:
-            p, q = pmap[(u.id, k)], qmap[(u.id, k)]
-            # available active power: the solar forecast or the diesel rating;
-            # an axis on the unit takes its magnitude out of it
-            avail = (float(u.forecast_w[k]) if cls == "pv" else u.capacity_va) / s
-            sched = min(max(planned[u.id][k] / s, 0.0), avail)
-            up = reserves.up[(cls, u.id)][k] / s
-            dn = reserves.down[(cls, u.id)][k] / s
-            i = target_of.get((cls, u.id))
-            if i is None:
-                band(p, max(0.0, sched - dn), min(sched + up, avail))
+            key = (cls, u.id)
+            p, q = ns.p[(cls, u.id, k)], ns.q[(cls, u.id, k)]
+            planned = dispatch.p[key][k] / s
+            up = reserves.up[key][k] / s
+            dn = reserves.down[key][k] / s
+            i = target_of.get(key)
+            if cls == "es":
+                p_max = u.power_w / s
+                sched = min(max(planned, -p_max), p_max)
+                e_in = dispatch.soc_wh[u.id][k] / s  # energy entering the step, pu-h
+                lo = max(-p_max, sched - dn, (e_in - u.energy_max_wh / s) / dt)
+                hi = min(p_max, sched + up, (e_in - u.energy_min_wh / s) / dt)
+                band(p, min(lo, sched), max(hi, sched))
+                rows += apparent_power_rows(p, q, u.capacity_va / s, poly, "storage")
+            elif cls == "load":
+                desired = float(u.desired_w[k]) / s
+                sched = min(max(planned, 0.0), desired)
+                if i is None:
+                    band(p, max(0.0, sched - up), min(sched + dn, desired))
+                else:
+                    # serve at most the true demand, shed at most the up-reserve
+                    rows.append(Row({p: 1.0, alpha[i]: -1.0}, Rel.LE, sched, "axis"))
+                    rows.append(Row({p: -1.0, alpha[i]: 1.0}, Rel.LE, up - sched, "axis"))
+                tan_phi = math.tan(math.acos(u.power_factor))
+                rows.append(Row({q: 1.0, p: -tan_phi}, Rel.EQ, 0.0, "power_factor"))
             else:
-                band(p, 0.0, min(sched + up, avail))
-                rows.append(Row({p: 1.0, alpha[i]: 1.0}, Rel.LE, avail, "axis"))
-            rows += apparent_power_rows(p, q, u.capacity_va / s, poly, f"{cls}_cap")
-    for u in model.storage_units:
-        p, q = ns.pes[(u.id, k)], ns.qes[(u.id, k)]
-        p_max = u.power_w / s
-        sched = min(max(dispatch.es_p[u.id][k] / s, -p_max), p_max)
-        up = reserves.up[("es", u.id)][k] / s
-        dn = reserves.down[("es", u.id)][k] / s
-        e_in = dispatch.soc_wh[u.id][k] / s  # energy entering the step, pu-h
-        dt = model.dt_hours
-        lo = max(-p_max, sched - dn, (e_in - u.energy_max_wh / s) / dt)
-        hi = min(p_max, sched + up, (e_in - u.energy_min_wh / s) / dt)
-        band(p, min(lo, sched), max(hi, sched))
-        rows += apparent_power_rows(p, q, u.capacity_va / s, poly, "storage")
-    for u in model.loads:
-        p, q = ns.pload[(u.id, k)], ns.qload[(u.id, k)]
-        desired = float(u.desired_w[k]) / s
-        sched = min(max(dispatch.load_p[u.id][k] / s, 0.0), desired)
-        up = reserves.up[("load", u.id)][k] / s
-        dn = reserves.down[("load", u.id)][k] / s
-        i = target_of.get(("load", u.id))
-        if i is None:
-            band(p, max(0.0, sched - up), min(sched + dn, desired))
-        else:
-            # serve at most the true demand, shed at most the up-reserve
-            rows.append(Row({p: 1.0, alpha[i]: -1.0}, Rel.LE, sched, "axis"))
-            rows.append(Row({p: -1.0, alpha[i]: 1.0}, Rel.LE, up - sched, "axis"))
-        tan_phi = math.tan(math.acos(u.power_factor))
-        rows.append(Row({q: 1.0, p: -tan_phi}, Rel.EQ, 0.0, "power_factor"))
+                # available active power: the solar forecast or the diesel rating;
+                # an axis on the unit takes its magnitude out of it
+                avail = (float(u.forecast_w[k]) if cls == "pv" else u.capacity_va) / s
+                sched = min(max(planned, 0.0), avail)
+                if i is None:
+                    band(p, max(0.0, sched - dn), min(sched + up, avail))
+                else:
+                    band(p, 0.0, min(sched + up, avail))
+                    rows.append(Row({p: 1.0, alpha[i]: 1.0}, Rel.LE, avail, "axis"))
+                rows += apparent_power_rows(p, q, u.capacity_va / s, poly, f"{cls}_cap")
 
     apply_emissions(lp, rows, bounds)
     return lp, alpha

@@ -4,8 +4,10 @@ Subcommands: baseline, robust, advset, simulate, synth, validate.  Every run
 reads one scenario JSON, writes plot-ready CSV/JSON files plus a manifest into
 --out, and exits with: 0 success, 1 input error, 2 optimization infeasible,
 3 downstream infeasibility (e.g. an adversarial axis with no feasible
-recourse).  Given equal inputs and seed, output files are byte-identical
-across runs (the manifest records wall-clock timing and is exempt).
+recourse), 4 solver failure (the simplex hit its iteration cap or lost
+numerical soundness).  Given equal inputs and seed, output files are
+byte-identical across runs (the manifest records wall-clock timing and is
+exempt).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 from . import __version__
 from .advset import AxisInfeasible, InnerPolytope, characterize_steps, project_2d, validate_axes
 from .dispatch import DispatchResult, InfeasibleDispatch, solve_baseline, summarize
+from .lp import IterationLimitExceeded
 from .network import save_model, validate
 from .robust import ReserveSchedule, RobustResult, reserve_margin, solve_robust
 from .scenario import (
@@ -36,6 +39,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INFEASIBLE = 2
 EXIT_DOWNSTREAM = 3
+EXIT_SOLVER = 4
 
 MW = 1.0e6
 
@@ -402,6 +406,9 @@ def main(argv: list[str] | None = None) -> int:
     except AxisInfeasible as err:
         print(f"downstream infeasibility: {err}", file=sys.stderr)
         return EXIT_DOWNSTREAM
+    except (IterationLimitExceeded, ArithmeticError) as err:
+        print(f"solver failure: {err}", file=sys.stderr)
+        return EXIT_SOLVER
 
     manifest.write(out)
     return code

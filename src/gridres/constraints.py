@@ -24,7 +24,10 @@ LP.
 
 Variable ordering is deterministic: variable kind, then entity id (sorted),
 then phase (a < b < c), then step.  Device injections are per device (not per
-phase) and split equally across the phases of the hosting bus.
+phase) and split equally across the phases of the hosting bus.  A device's
+active and reactive columns are `ns.p` and `ns.q`, keyed by (class, id,
+step), where the class is one of `DEVICE_CLASSES` (pv, dg, es, load); the
+same (class, id) key names the device's reserves and its dispatch series.
 
 A namespace is declared for a set of steps, the whole horizon by default;
 the network emitters (voltage drop, power balance, line polygons) emit rows
@@ -48,7 +51,7 @@ Row-count formulas per tag (K = steps emitted, sides = polygon sides):
     dg_cap           n_dg * K * sides
     line_limits      sum_branch |phases| * K * sides
     voltage_limits   bounds on every w variable (no rows)
-    curtailment_bounds  bounds on every ppv and pload variable (no rows)
+    curtailment_bounds  bounds on every PV and load active-power column (no rows)
 """
 
 from __future__ import annotations
@@ -66,6 +69,8 @@ ParamKey = tuple[str, str, int]
 P_DG_CAPACITY = "dg_capacity"
 P_LOAD_DESIRED = "load_desired"
 P_PV_FORECAST = "pv_forecast"
+# the device class whose units each uncertain parameter describes
+PARAM_CLASS = {P_DG_CAPACITY: "dg", P_LOAD_DESIRED: "load", P_PV_FORECAST: "pv"}
 
 _ROTATION = {
     "a": 1.0 + 0.0j,
@@ -122,14 +127,14 @@ class BoundSpec:
     tag: str
 
 
+# the four device classes, in the order columns, reserves and series are declared
+DEVICE_CLASSES = ("pv", "dg", "es", "load")
+
+
 def device_groups(model: NetworkModel):
-    """The four device classes, in the order reserves are declared and reported."""
-    return (
-        ("pv", model.pv_units),
-        ("dg", model.dg_units),
-        ("es", model.storage_units),
-        ("load", model.loads),
-    )
+    """(class, units) for each of `DEVICE_CLASSES`, in that order."""
+    return tuple(zip(DEVICE_CLASSES,
+                     (model.pv_units, model.dg_units, model.storage_units, model.loads)))
 
 
 class VariableNamespace:
@@ -147,14 +152,8 @@ class VariableNamespace:
         self.w: dict[tuple[str, str, int], int] = {}
         self.pflow: dict[tuple[str, str, int], int] = {}
         self.qflow: dict[tuple[str, str, int], int] = {}
-        self.ppv: dict[tuple[str, int], int] = {}
-        self.qpv: dict[tuple[str, int], int] = {}
-        self.pdg: dict[tuple[str, int], int] = {}
-        self.qdg: dict[tuple[str, int], int] = {}
-        self.pes: dict[tuple[str, int], int] = {}
-        self.qes: dict[tuple[str, int], int] = {}
-        self.pload: dict[tuple[str, int], int] = {}
-        self.qload: dict[tuple[str, int], int] = {}
+        self.p: dict[tuple[str, str, int], int] = {}  # (class, id, k)
+        self.q: dict[tuple[str, str, int], int] = {}
         self.soc: dict[tuple[str, int], int] = {}  # stored energy at END of step k
         self.r_up: dict[tuple[str, str, int], int] = {}  # (class, id, k)
         self.r_dn: dict[tuple[str, str, int], int] = {}
@@ -208,18 +207,13 @@ def build_namespace(
             for k in steps:
                 ns.qflow[(br.id, phase, k)] = ns._new(f"qflow[{br.id},{phase},{k}]")
 
-    def device_block(units, pmap, qmap, label):
+    for cls, units in device_groups(model):
         for u in sorted(units, key=lambda d: d.id):
             for k in steps:
-                pmap[(u.id, k)] = ns._new(f"p{label}[{u.id},{k}]")
+                ns.p[(cls, u.id, k)] = ns._new(f"p{cls}[{u.id},{k}]")
         for u in sorted(units, key=lambda d: d.id):
             for k in steps:
-                qmap[(u.id, k)] = ns._new(f"q{label}[{u.id},{k}]")
-
-    device_block(model.pv_units, ns.ppv, ns.qpv, "pv")
-    device_block(model.dg_units, ns.pdg, ns.qdg, "dg")
-    device_block(model.storage_units, ns.pes, ns.qes, "es")
-    device_block(model.loads, ns.pload, ns.qload, "load")
+                ns.q[(cls, u.id, k)] = ns._new(f"q{cls}[{u.id},{k}]")
 
     if steps == tuple(range(model.steps)):  # the SoC recursion spans the horizon
         for es in sorted(model.storage_units, key=lambda d: d.id):
@@ -274,13 +268,11 @@ def emit_power_balance(model: NetworkModel, ns: VariableNamespace) -> list[Row]:
     telescope to total generation = total load (the lossless-model identity).
     """
     _, parent, children = model.tree()
-    columns = {"pv": (ns.ppv, ns.qpv, 1.0), "dg": (ns.pdg, ns.qdg, 1.0),
-               "es": (ns.pes, ns.qes, 1.0), "load": (ns.pload, ns.qload, -1.0)}
     rows = []
     for bus in model.buses:
         share = 1.0 / len(bus.phases)
-        at_bus = [(u.id, *columns[cls]) for cls, units in device_groups(model)
-                  for u in units if u.bus == bus.id]
+        at_bus = [(cls, u.id, -1.0 if cls == "load" else 1.0)
+                  for cls, units in device_groups(model) for u in units if u.bus == bus.id]
         for phase in bus.phases:
             for k in ns.steps:
                 pco: dict[int, float] = {}
@@ -294,9 +286,9 @@ def emit_power_balance(model: NetworkModel, ns: VariableNamespace) -> list[Row]:
                     if phase in br.phases:
                         pco[ns.pflow[(br.id, phase, k)]] = -1.0
                         qco[ns.qflow[(br.id, phase, k)]] = -1.0
-                for uid, pmap, qmap, sign in at_bus:  # loads withdraw
-                    pco[pmap[(uid, k)]] = sign * share
-                    qco[qmap[(uid, k)]] = sign * share
+                for cls, uid, sign in at_bus:  # loads withdraw
+                    pco[ns.p[(cls, uid, k)]] = sign * share
+                    qco[ns.q[(cls, uid, k)]] = sign * share
                 rows.append(Row(pco, Rel.EQ, 0.0, "power_balance"))
                 rows.append(Row(qco, Rel.EQ, 0.0, "power_balance"))
     return rows
@@ -384,8 +376,8 @@ def emit_limits(
     for pv in model.pv_units:
         cap = pu.power(pv.capacity_va)
         for k in range(K):
-            p = ns.ppv[(pv.id, k)]
-            q = ns.qpv[(pv.id, k)]
+            p = ns.p[("pv", pv.id, k)]
+            q = ns.q[("pv", pv.id, k)]
             forecast = pu.power(float(pv.forecast_w[k]))
             em.bounds.append(BoundSpec(p, 0.0, forecast, "curtailment_bounds"))
             if reserves:
@@ -416,8 +408,8 @@ def emit_limits(
     for dg in model.dg_units:
         cap = pu.power(dg.capacity_va)
         for k in range(K):
-            p = ns.pdg[(dg.id, k)]
-            q = ns.qdg[(dg.id, k)]
+            p = ns.p[("dg", dg.id, k)]
+            q = ns.q[("dg", dg.id, k)]
             em.bounds.append(BoundSpec(p, 0.0, cap, "dg_cap"))
             if reserves:
                 em.rows.append(
@@ -436,8 +428,8 @@ def emit_limits(
         e0 = pu.energy(es.initial_soc_wh)
         s_max = pu.power(es.capacity_va)
         for k in range(K):
-            p = ns.pes[(es.id, k)]
-            q = ns.qes[(es.id, k)]
+            p = ns.p[("es", es.id, k)]
+            q = ns.q[("es", es.id, k)]
             e = ns.soc[(es.id, k)]
             em.bounds.append(BoundSpec(p, -p_max, p_max, "storage"))
             em.bounds.append(BoundSpec(e, e_min, e_max, "storage"))
@@ -466,8 +458,8 @@ def emit_limits(
     for ld in model.loads:
         tan_phi = math.tan(math.acos(ld.power_factor))
         for k in range(K):
-            p = ns.pload[(ld.id, k)]
-            q = ns.qload[(ld.id, k)]
+            p = ns.p[("load", ld.id, k)]
+            q = ns.q[("load", ld.id, k)]
             lo = pu.power(float(ld.minimum_w[k]))
             hi = pu.power(float(ld.desired_w[k]))
             em.bounds.append(BoundSpec(p, lo, hi, "curtailment_bounds"))

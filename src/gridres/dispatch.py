@@ -13,10 +13,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constraints import (
+    DEVICE_CLASSES,
     BuildOptions,
     VariableNamespace,
     apply_emissions,
     build_namespace,
+    device_groups,
     emit_limits,
     emit_power_balance,
     emit_voltage_drop,
@@ -52,18 +54,26 @@ class InfeasibleDispatch(RuntimeError):
         )
 
 
+def keyed_to_json(d: dict[tuple[str, str], np.ndarray]) -> dict[str, list[float]]:
+    """Series keyed by a pair, as JSON keys "a:b" in sorted order."""
+    return {f"{a}:{b}": [float(v) for v in arr] for (a, b), arr in sorted(d.items())}
+
+
+def keyed_from_json(d: dict[str, list[float]]) -> dict[tuple[str, str], np.ndarray]:
+    return {tuple(key.split(":", 1)): np.asarray(v, dtype=float) for key, v in d.items()}
+
+
 @dataclass
 class DispatchResult:
-    """Optimal setpoints in SI units plus the raw LP point for diagnostics."""
+    """Optimal setpoints in SI units plus the raw LP point for diagnostics.
 
-    pv_p: dict[str, np.ndarray]
-    pv_q: dict[str, np.ndarray]
-    dg_p: dict[str, np.ndarray]
-    dg_q: dict[str, np.ndarray]
-    es_p: dict[str, np.ndarray]
-    es_q: dict[str, np.ndarray]
-    load_p: dict[str, np.ndarray]
-    load_q: dict[str, np.ndarray]
+    `p` and `q` hold each device's active and reactive series (W, var),
+    keyed by (class, id) like the reserves; the JSON form keeps one
+    `<class>_p_w` / `<class>_q_w` map per class, keyed by id.
+    """
+
+    p: dict[tuple[str, str], np.ndarray]
+    q: dict[tuple[str, str], np.ndarray]
     soc_wh: dict[str, np.ndarray]  # length K+1, includes the initial state
     voltage_sq_pu: dict[tuple[str, str], np.ndarray]
     flow_p_w: dict[tuple[str, str], np.ndarray]
@@ -78,45 +88,37 @@ class DispatchResult:
         def series(d):
             return {k: [float(v) for v in arr] for k, arr in sorted(d.items())}
 
-        def keyed(d):
-            return {
-                f"{a}:{b}": [float(v) for v in arr] for (a, b), arr in sorted(d.items())
-            }
-
-        return {
+        doc = {
             "objective_value": self.objective_value,
             "iterations": self.iterations,
-            "pv_p_w": series(self.pv_p), "pv_q_w": series(self.pv_q),
-            "dg_p_w": series(self.dg_p), "dg_q_w": series(self.dg_q),
-            "es_p_w": series(self.es_p), "es_q_w": series(self.es_q),
-            "load_p_w": series(self.load_p), "load_q_w": series(self.load_q),
             "soc_wh": series(self.soc_wh),
-            "voltage_sq_pu": keyed(self.voltage_sq_pu),
-            "flow_p_w": keyed(self.flow_p_w), "flow_q_w": keyed(self.flow_q_w),
+            "voltage_sq_pu": keyed_to_json(self.voltage_sq_pu),
+            "flow_p_w": keyed_to_json(self.flow_p_w), "flow_q_w": keyed_to_json(self.flow_q_w),
             "pv_curtail_w": series(self.pv_curtail_w),
             "load_curtail_w": series(self.load_curtail_w),
         }
+        for part, d in (("p", self.p), ("q", self.q)):
+            for cls in DEVICE_CLASSES:
+                doc[f"{cls}_{part}_w"] = series({uid: arr for (c, uid), arr in d.items()
+                                                 if c == cls})
+        return doc
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "DispatchResult":
         def series(d):
             return {k: np.asarray(v, dtype=float) for k, v in d.items()}
 
-        def keyed(d):
-            out = {}
-            for key, v in d.items():
-                a, b = key.split(":", 1)
-                out[(a, b)] = np.asarray(v, dtype=float)
-            return out
+        def devices(part):
+            return {(c, uid): np.asarray(v, dtype=float) for c in DEVICE_CLASSES
+                    for uid, v in doc[f"{c}_{part}_w"].items()}
 
         return cls(
-            pv_p=series(doc["pv_p_w"]), pv_q=series(doc["pv_q_w"]),
-            dg_p=series(doc["dg_p_w"]), dg_q=series(doc["dg_q_w"]),
-            es_p=series(doc["es_p_w"]), es_q=series(doc["es_q_w"]),
-            load_p=series(doc["load_p_w"]), load_q=series(doc["load_q_w"]),
+            p=devices("p"),
+            q=devices("q"),
             soc_wh=series(doc["soc_wh"]),
-            voltage_sq_pu=keyed(doc["voltage_sq_pu"]),
-            flow_p_w=keyed(doc["flow_p_w"]), flow_q_w=keyed(doc["flow_q_w"]),
+            voltage_sq_pu=keyed_from_json(doc["voltage_sq_pu"]),
+            flow_p_w=keyed_from_json(doc["flow_p_w"]),
+            flow_q_w=keyed_from_json(doc["flow_q_w"]),
             pv_curtail_w=series(doc["pv_curtail_w"]),
             load_curtail_w=series(doc["load_curtail_w"]),
             objective_value=float(doc["objective_value"]),
@@ -148,12 +150,10 @@ def set_dispatch_objective(
     when the reported objective is assembled.
     """
     costs.validate()
-    for (_uid, _k), idx in ns.pdg.items():
-        lp.add_objective_term(idx, costs.dg_energy)
-    for (_uid, _k), idx in ns.ppv.items():
-        lp.add_objective_term(idx, -costs.pv_curtail)
-    for (_uid, _k), idx in ns.pload.items():
-        lp.add_objective_term(idx, -costs.load_curtail)
+    weight = {"pv": -costs.pv_curtail, "dg": costs.dg_energy, "load": -costs.load_curtail}
+    for (cls, _uid, _k), idx in ns.p.items():
+        if cls in weight:
+            lp.add_objective_term(idx, weight[cls])
 
 
 def extract_result(
@@ -166,16 +166,13 @@ def extract_result(
     x = solution.values
     K = model.steps
 
-    def series(index_map, ids, scale):
-        return {
-            uid: np.array([x[index_map[(uid, k)]] * scale for k in range(K)]) for uid in ids
-        }
-
     s = pu.s_base
-    pv_ids = [u.id for u in model.pv_units]
-    dg_ids = [u.id for u in model.dg_units]
-    es_ids = [u.id for u in model.storage_units]
-    load_ids = [u.id for u in model.loads]
+    p = {}
+    q = {}
+    for cls, units in device_groups(model):
+        for u in units:
+            p[(cls, u.id)] = np.array([x[ns.p[(cls, u.id, k)]] * s for k in range(K)])
+            q[(cls, u.id)] = np.array([x[ns.q[(cls, u.id, k)]] * s for k in range(K)])
 
     soc = {}
     for es in model.storage_units:
@@ -193,26 +190,18 @@ def extract_result(
     for (br, phase, k), idx in ns.qflow.items():
         flow_q.setdefault((br, phase), np.zeros(K))[k] = x[idx] * s
 
-    pv_p = series(ns.ppv, pv_ids, s)
-    load_p = series(ns.pload, load_ids, s)
     pv_curtail = {
-        u.id: np.maximum(np.asarray(u.forecast_w, dtype=float) - pv_p[u.id], 0.0)
+        u.id: np.maximum(np.asarray(u.forecast_w, dtype=float) - p[("pv", u.id)], 0.0)
         for u in model.pv_units
     }
     load_curtail = {
-        u.id: np.maximum(np.asarray(u.desired_w, dtype=float) - load_p[u.id], 0.0)
+        u.id: np.maximum(np.asarray(u.desired_w, dtype=float) - p[("load", u.id)], 0.0)
         for u in model.loads
     }
 
     return DispatchResult(
-        pv_p=pv_p,
-        pv_q=series(ns.qpv, pv_ids, s),
-        dg_p=series(ns.pdg, dg_ids, s),
-        dg_q=series(ns.qdg, dg_ids, s),
-        es_p=series(ns.pes, es_ids, s),
-        es_q=series(ns.qes, es_ids, s),
-        load_p=load_p,
-        load_q=series(ns.qload, load_ids, s),
+        p=p,
+        q=q,
         soc_wh=soc,
         voltage_sq_pu=voltage,
         flow_p_w=flow_p,
@@ -225,6 +214,29 @@ def extract_result(
     )
 
 
+def require_valid(model: NetworkModel) -> None:
+    """Raise ValueError naming every problem when `model` fails validation."""
+    report = validate(model)
+    if not report.ok:
+        raise ValueError("model failed validation: " + "; ".join(report.problems))
+
+
+def solve_dispatch_lp(lp: LinearProgram, solver: SolverOptions | None,
+                      context: str) -> LpSolution:
+    """Solve a dispatch LP to optimality.
+
+    Raises :class:`InfeasibleDispatch` with the certificate's row tags, or
+    ArithmeticError on an unbounded LP, which bounded devices rule out.
+    """
+    sol = solve(lp, solver)
+    if sol.status is LpStatus.INFEASIBLE:
+        tags = [lp.rows[i].tag for i in sol.infeasible_rows]
+        raise InfeasibleDispatch(sol.infeasible_rows, tags, context)
+    if sol.status is LpStatus.UNBOUNDED:
+        raise ArithmeticError(f"{context} dispatch unbounded; model is corrupt")
+    return sol
+
+
 def solve_baseline(
     model: NetworkModel,
     costs: CostConfig | None = None,
@@ -232,19 +244,12 @@ def solve_baseline(
     solver: SolverOptions | None = None,
 ) -> DispatchResult:
     """Solve the baseline dispatch; raises :class:`InfeasibleDispatch` otherwise."""
-    report = validate(model)
-    if not report.ok:
-        raise ValueError("model failed validation: " + "; ".join(report.problems))
+    require_valid(model)
     costs = costs or CostConfig()
     options = options or BuildOptions()
     lp, ns = build_baseline_lp(model, costs, options)
     constant = _objective_constant(model, costs)
-    sol = solve(lp, solver)
-    if sol.status is LpStatus.INFEASIBLE:
-        tags = [lp.rows[i].tag for i in sol.infeasible_rows]
-        raise InfeasibleDispatch(sol.infeasible_rows, tags, "baseline")
-    if sol.status is LpStatus.UNBOUNDED:  # impossible with bounded devices
-        raise ArithmeticError("baseline dispatch unbounded; model is corrupt")
+    sol = solve_dispatch_lp(lp, solver, "baseline")
     return extract_result(model, ns, sol, constant)
 
 
@@ -273,18 +278,21 @@ class AggregateSeries:
 
 
 def summarize(result: DispatchResult) -> AggregateSeries:
-    def total(d: dict[str, np.ndarray], k_len: int) -> np.ndarray:
+    def total(d: dict, k_len: int) -> np.ndarray:
         if not d:
             return np.zeros(k_len)
         return np.sum(np.stack(list(d.values())), axis=0)
 
+    def of_class(cls: str) -> dict:
+        return {key: arr for key, arr in result.p.items() if key[0] == cls}
+
     K = len(next(iter(result.voltage_sq_pu.values())))
     volt = np.stack(list(result.voltage_sq_pu.values()))
     return AggregateSeries(
-        pv_w=total(result.pv_p, K),
-        dg_w=total(result.dg_p, K),
-        es_w=total(result.es_p, K),
-        load_w=total(result.load_p, K),
+        pv_w=total(of_class("pv"), K),
+        dg_w=total(of_class("dg"), K),
+        es_w=total(of_class("es"), K),
+        load_w=total(of_class("load"), K),
         pv_curtail_w=total(result.pv_curtail_w, K),
         load_curtail_w=total(result.load_curtail_w, K),
         v_min_pu=np.sqrt(volt.min(axis=0)),

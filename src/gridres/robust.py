@@ -31,6 +31,7 @@ from .constraints import (
     P_DG_CAPACITY,
     P_LOAD_DESIRED,
     P_PV_FORECAST,
+    PARAM_CLASS,
     ParamKey,
     PerUnit,
     apply_emissions,
@@ -43,13 +44,16 @@ from .constraints import (
 from .dispatch import (
     CostConfig,
     DispatchResult,
-    InfeasibleDispatch,
     extract_result,
+    keyed_from_json,
+    keyed_to_json,
+    require_valid,
     set_dispatch_objective,
+    solve_dispatch_lp,
     _objective_constant,
 )
-from .lp import LpStatus, Rel, Row, SolverOptions, solve
-from .network import NetworkModel, validate
+from .lp import Rel, Row, SolverOptions
+from .network import NetworkModel
 
 
 @dataclass
@@ -68,15 +72,11 @@ class UncertaintyBox:
         self.entries[(kind, entity, step)] = (float(lo), float(nom), float(hi))
 
     def validate(self, model: NetworkModel) -> None:
-        known = {
-            P_PV_FORECAST: {u.id for u in model.pv_units},
-            P_DG_CAPACITY: {u.id for u in model.dg_units},
-            P_LOAD_DESIRED: {u.id for u in model.loads},
-        }
+        ids = {cls: {u.id for u in units} for cls, units in device_groups(model)}
         for (kind, entity, step), (lo, nom, hi) in self.entries.items():
-            if kind not in known:
+            if kind not in PARAM_CLASS:
                 raise ValueError(f"unknown uncertain parameter kind {kind!r}")
-            if entity not in known[kind]:
+            if entity not in ids[PARAM_CLASS[kind]]:
                 raise ValueError(f"box references unknown entity {entity!r} for {kind}")
             if not 0 <= step < model.steps:
                 raise ValueError(f"box step {step} outside horizon")
@@ -128,15 +128,16 @@ class ReserveCosts:
     load: float
 
     @classmethod
-    def from_costs(cls, costs: CostConfig) -> "ReserveCosts":
-        # each class priced below its energy counterpart; storage (unpriced in
-        # the dispatch objective) sits just under diesel so event response
-        # leans on the batteries first
+    def from_costs(cls, costs: CostConfig, pv: float = 0.2, dg: float = 0.2,
+                   es: float = 0.15, load: float = 0.2) -> "ReserveCosts":
+        # each class priced at a factor of its energy counterpart, by default
+        # below it; storage (unpriced in the dispatch objective) sits just
+        # under diesel so event response leans on the batteries first
         return cls(
-            pv=0.2 * costs.pv_curtail,
-            dg=0.2 * costs.dg_energy,
-            es=0.15 * costs.dg_energy,
-            load=0.2 * costs.load_curtail,
+            pv=pv * costs.pv_curtail,
+            dg=dg * costs.dg_energy,
+            es=es * costs.dg_energy,
+            load=load * costs.load_curtail,
         )
 
     def of(self, cls_name: str) -> float:
@@ -175,16 +176,16 @@ class ReserveSchedule:
         sched = cls()
         dt = model.dt_hours
         for u in model.pv_units:
-            p = dispatch.pv_p[u.id]
+            p = dispatch.p[("pv", u.id)]
             avail = np.asarray(u.forecast_w, dtype=float)
             sched.up[("pv", u.id)] = np.maximum(avail - p, 0.0)
             sched.down[("pv", u.id)] = np.maximum(p, 0.0)
         for u in model.dg_units:
-            p = dispatch.dg_p[u.id]
+            p = dispatch.p[("dg", u.id)]
             sched.up[("dg", u.id)] = np.maximum(u.capacity_va - p, 0.0)
             sched.down[("dg", u.id)] = np.maximum(p, 0.0)
         for u in model.storage_units:
-            p = dispatch.es_p[u.id]
+            p = dispatch.p[("es", u.id)]
             soc_in = dispatch.soc_wh[u.id][:-1]  # energy entering each step
             rate_up = u.power_w - p
             rate_dn = u.power_w + p
@@ -193,7 +194,7 @@ class ReserveSchedule:
             sched.up[("es", u.id)] = np.maximum(np.minimum(rate_up, energy_up), 0.0)
             sched.down[("es", u.id)] = np.maximum(np.minimum(rate_dn, energy_dn), 0.0)
         for u in model.loads:
-            p = dispatch.load_p[u.id]
+            p = dispatch.p[("load", u.id)]
             sched.up[("load", u.id)] = np.maximum(p - np.asarray(u.minimum_w, dtype=float), 0.0)
             sched.down[("load", u.id)] = np.maximum(np.asarray(u.desired_w, dtype=float) - p, 0.0)
         return sched
@@ -209,14 +210,10 @@ class RobustResult:
     worst_down_w: np.ndarray
 
     def to_json_dict(self) -> dict:
-        def keyed(d):
-            return {
-                f"{a}:{b}": [float(v) for v in arr] for (a, b), arr in sorted(d.items())
-            }
-
         return {
             "dispatch": self.dispatch.to_json_dict(),
-            "reserves": {"up": keyed(self.reserves.up), "down": keyed(self.reserves.down)},
+            "reserves": {"up": keyed_to_json(self.reserves.up),
+                         "down": keyed_to_json(self.reserves.down)},
             "objective_value": self.objective_value,
             "reserve_cost": self.reserve_cost,
             "worst_up_w": [float(v) for v in self.worst_up_w],
@@ -225,15 +222,9 @@ class RobustResult:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "RobustResult":
-        def keyed(d):
-            out = {}
-            for key, v in d.items():
-                a, b = key.split(":", 1)
-                out[(a, b)] = np.asarray(v, dtype=float)
-            return out
-
         reserves = ReserveSchedule(
-            up=keyed(doc["reserves"]["up"]), down=keyed(doc["reserves"]["down"])
+            up=keyed_from_json(doc["reserves"]["up"]),
+            down=keyed_from_json(doc["reserves"]["down"]),
         )
         return cls(
             dispatch=DispatchResult.from_json_dict(doc["dispatch"]),
@@ -270,7 +261,7 @@ def build_robust_lp(
 
     # worst-case output-loss helpers: loss >= P - cap_low, loss >= 0
     rows = [
-        Row({ns.pdg[key]: 1.0, ns.dg_loss[key]: -1.0}, Rel.LE, worst.dg_floor[key],
+        Row({ns.p[("dg", *key)]: 1.0, ns.dg_loss[key]: -1.0}, Rel.LE, worst.dg_floor[key],
             "reserve_coverage")
         for key in dg_loss_keys
     ]
@@ -319,9 +310,7 @@ def solve_robust(
     Infeasibility here means the box exceeds what any reserve allocation can
     cover at the stated device limits.
     """
-    report = validate(model)
-    if not report.ok:
-        raise ValueError("model failed validation: " + "; ".join(report.problems))
+    require_valid(model)
     costs = costs or CostConfig()
     reserve_costs = reserve_costs or ReserveCosts.from_costs(costs)
     box = box or UncertaintyBox()
@@ -330,12 +319,7 @@ def solve_robust(
     lp, ns, worst_up, worst_down = build_robust_lp(
         model, costs, reserve_costs, box, options
     )
-    sol = solve(lp, solver)
-    if sol.status is LpStatus.INFEASIBLE:
-        tags = [lp.rows[i].tag for i in sol.infeasible_rows]
-        raise InfeasibleDispatch(sol.infeasible_rows, tags, "robust")
-    if sol.status is LpStatus.UNBOUNDED:
-        raise ArithmeticError("robust dispatch unbounded; model is corrupt")
+    sol = solve_dispatch_lp(lp, solver, "robust")
 
     pu = PerUnit.of(model)
     dispatch = extract_result(model, ns, sol, _objective_constant(model, costs))

@@ -26,8 +26,8 @@ from .advset import AdversarialAxis, validate_axes
 from .constraints import (
     BuildOptions,
     P_DG_CAPACITY,
-    P_LOAD_DESIRED,
     P_PV_FORECAST,
+    PARAM_CLASS,
     device_groups,
 )
 from .dispatch import CostConfig
@@ -37,14 +37,6 @@ from .robust import ReserveCosts, UncertaintyBox
 from .sim import Event, EventTimeline
 
 SCHEMA_VERSION = 1
-SOLVER_KEYS = ("backend", "feas_tol", "opt_tol", "pricing")
-
-# scenario parameter name -> (uncertain-parameter kind, device class)
-PARAM_NAMES = {
-    "dg_capacity": (P_DG_CAPACITY, "dg"),
-    "load_desired": (P_LOAD_DESIRED, "load"),
-    "pv_forecast": (P_PV_FORECAST, "pv"),
-}
 
 
 class ScenarioError(ValueError):
@@ -72,6 +64,8 @@ class Scenario:
 
 
 def _require(doc: dict, key: str, context: str):
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{context}: expected a JSON object, got {doc!r}")
     if key not in doc:
         raise ScenarioError(f"{context}: missing required field {key!r}")
     return doc[key]
@@ -82,6 +76,42 @@ def _number(value, context: str) -> float:
         return float(value)
     except (TypeError, ValueError):
         raise ScenarioError(f"{context}: expected a number, got {value!r}") from None
+
+
+def _integer(value, context: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{context}: expected an integer, got {value!r}") from None
+
+
+def _optional_number(value, context: str) -> float | None:
+    return None if value is None else _number(value, context)
+
+
+def _as_is(value, context: str):
+    return value
+
+
+def _section(doc: dict, key: str, convert: dict) -> dict:
+    """The fields the scenario gives in the object `doc[key]`, each passed
+    through its converter; absent fields are left to the dataclass defaults."""
+    block = doc.get(key)
+    if block is None:
+        return {}
+    if not isinstance(block, dict):
+        raise ScenarioError(f"{key}: expected a JSON object, got {block!r}")
+    for name in sorted(set(block) - set(convert)):
+        raise ScenarioError(f"{key}: unknown field {name!r} = {block[name]!r}; "
+                            f"expected one of {', '.join(convert)}")
+    return {name: convert[name](value, f"{key}.{name}") for name, value in block.items()}
+
+
+def _array(doc: dict, key: str, default=()) -> list:
+    value = doc.get(key, default)
+    if not isinstance(value, (list, tuple, range)):
+        raise ScenarioError(f"{key}: expected a JSON array, got {value!r}")
+    return value
 
 
 def _nominal_of(unit, param: str, step: int) -> float:
@@ -97,10 +127,10 @@ def _parse_box(doc: list, model: NetworkModel) -> UncertaintyBox:
     box = UncertaintyBox()
     for i, entry in enumerate(doc):
         ctx = f"uncertainty[{i}]"
-        raw = _require(entry, "parameter", ctx)
-        if raw not in PARAM_NAMES:
-            raise ScenarioError(f"{ctx}: unknown parameter {raw!r}")
-        param, cls = PARAM_NAMES[raw]
+        param = _require(entry, "parameter", ctx)
+        if param not in PARAM_CLASS:
+            raise ScenarioError(f"{ctx}: unknown parameter {param!r}")
+        cls = PARAM_CLASS[param]
         entity = _require(entry, "entity", ctx)
         if entity not in units[cls]:
             raise ScenarioError(f"{ctx}: unknown {cls} entity {entity!r}")
@@ -150,27 +180,29 @@ def load_scenario(path, seed_override: int | None = None,
             f"scenario {path} is not valid JSON at byte offset {err.pos}: {err.msg}"
         ) from err
 
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"scenario {path}: expected a JSON object, got {doc!r}")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ScenarioError(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
-    seed = int(doc.get("seed", 0)) if seed_override is None else int(seed_override)
+    seed = _integer(doc.get("seed", 0), "seed") if seed_override is None else int(seed_override)
 
     net = _require(doc, "network", "scenario")
+    if not isinstance(net, dict):
+        raise ScenarioError(f"network: expected a JSON object, got {net!r}")
     if "synth" in net:
-        synth = dict(net["synth"])
-        synth.setdefault("seed", seed)
         try:
-            spec = SynthSpec(**synth)
-            model = synth_feeder(spec)
+            synth = dict(net["synth"])
+            synth.setdefault("seed", seed)
+            model = synth_feeder(SynthSpec(**synth))
         except (TypeError, ValueError) as err:
             raise ScenarioError(f"network.synth: {err}") from err
     elif "files" in net:
-        files = net["files"]
-        base = path.parent
+        network_file = _require(net["files"], "network", "network.files")
+        profiles_file = _require(net["files"], "profiles", "network.files")
         try:
-            model = load_model(base / _require(files, "network", "network.files"),
-                               base / _require(files, "profiles", "network.files"))
-        except (OSError, ValueError, KeyError) as err:
+            model = load_model(path.parent / network_file, path.parent / profiles_file)
+        except (OSError, TypeError, ValueError, KeyError) as err:
             raise ScenarioError(f"network.files: {err}") from err
     else:
         raise ScenarioError("network: needs either 'synth' or 'files'")
@@ -179,60 +211,43 @@ def load_scenario(path, seed_override: int | None = None,
     if not report.ok:
         raise ScenarioError("network failed validation: " + "; ".join(report.problems))
 
-    costs_doc = doc.get("costs", {})
-    costs = CostConfig(
-        dg_energy=_number(costs_doc.get("dg_energy", 1.0), "costs.dg_energy"),
-        pv_curtail=_number(costs_doc.get("pv_curtail", 0.1), "costs.pv_curtail"),
-        load_curtail=_number(costs_doc.get("load_curtail", 10.0), "costs.load_curtail"),
-    )
-    factors = doc.get("reserve_cost_factors")
-    if factors is None:
-        reserve_costs = ReserveCosts.from_costs(costs)
-    else:
-        reserve_costs = ReserveCosts(
-            pv=_number(factors.get("pv", 0.2), "reserve_cost_factors.pv") * costs.pv_curtail,
-            dg=_number(factors.get("dg", 0.2), "reserve_cost_factors.dg") * costs.dg_energy,
-            es=_number(factors.get("es", 0.15), "reserve_cost_factors.es") * costs.dg_energy,
-            load=_number(factors.get("load", 0.2), "reserve_cost_factors.load") * costs.load_curtail,
-        )
+    costs = CostConfig(**_section(doc, "costs", dict.fromkeys(
+        ("dg_energy", "pv_curtail", "load_curtail"), _number)))
+    reserve_costs = ReserveCosts.from_costs(costs, **_section(
+        doc, "reserve_cost_factors", dict.fromkeys(("pv", "dg", "es", "load"), _number)))
 
-    solver_doc = doc.get("solver", {})
-    for key in sorted(set(solver_doc) - set(SOLVER_KEYS)):
-        raise ScenarioError(f"solver: unknown field {key!r} = {solver_doc[key]!r}; "
-                            f"expected one of {', '.join(SOLVER_KEYS)}")
+    solver_fields = {"pricing": "bland"}  # the scenario-level default
+    solver_fields.update(_section(doc, "solver", {
+        "backend": _as_is, "feas_tol": _number, "opt_tol": _number, "pricing": _as_is}))
+    if feas_tol is not None:
+        solver_fields["feas_tol"] = feas_tol
     try:
-        solver = SolverOptions(
-            feas_tol=float(solver_doc.get("feas_tol", 1e-7)) if feas_tol is None else feas_tol,
-            opt_tol=float(solver_doc.get("opt_tol", 1e-7)),
-            pricing=solver_doc.get("pricing", "bland"),
-            backend=solver_doc.get("backend", "simplex"),
-        )
+        solver = SolverOptions(**solver_fields)
     except (TypeError, ValueError) as err:
         raise ScenarioError(f"solver: {err}") from err
-    build_doc = doc.get("build", {})
+    build_fields = _section(doc, "build", {
+        "poly_sides": _integer, "pv_power_factor_gamma": _optional_number,
+        "terminal_soc_geq_initial": lambda value, _context: bool(value)})
+    if poly_sides is not None:
+        build_fields["poly_sides"] = poly_sides
     try:
-        build = BuildOptions(
-            poly_sides=int(build_doc.get("poly_sides", 8)) if poly_sides is None else poly_sides,
-            pv_power_factor_gamma=build_doc.get("pv_power_factor_gamma"),
-            terminal_soc_geq_initial=bool(build_doc.get("terminal_soc_geq_initial", False)),
-        )
-    except (TypeError, ValueError) as err:
+        build = BuildOptions(**build_fields)
+    except ValueError as err:
         raise ScenarioError(f"build: {err}") from err
 
-    box = _parse_box(doc.get("uncertainty", []), model)
+    box = _parse_box(_array(doc, "uncertainty"), model)
     try:
         box.validate(model)
     except ValueError as err:
         raise ScenarioError(f"uncertainty: {err}") from err
 
     axes = []
-    for i, a in enumerate(doc.get("axes", [])):
+    for i, a in enumerate(_array(doc, "axes")):
+        kind = _require(a, "kind", f"axes[{i}]")
+        entity = _require(a, "entity", f"axes[{i}]")
+        cap_w = _optional_number(a.get("cap_w"), f"axes[{i}].cap_w")
         try:
-            axes.append(AdversarialAxis(
-                _require(a, "kind", f"axes[{i}]"),
-                _require(a, "entity", f"axes[{i}]"),
-                a.get("cap_w"),
-            ))
+            axes.append(AdversarialAxis(kind, entity, cap_w))
         except ValueError as err:
             raise ScenarioError(f"axes[{i}]: {err}") from err
     try:
@@ -241,7 +256,7 @@ def load_scenario(path, seed_override: int | None = None,
         raise ScenarioError(str(err)) from err
 
     try:
-        advset_steps = [int(k) for k in doc.get("advset_steps", range(model.steps))]
+        advset_steps = [int(k) for k in _array(doc, "advset_steps", range(model.steps))]
     except (TypeError, ValueError) as err:
         raise ScenarioError(f"advset_steps: {err}") from err
     for k in advset_steps:
@@ -249,13 +264,13 @@ def load_scenario(path, seed_override: int | None = None,
             raise ScenarioError(f"advset_steps: step {k} outside horizon")
 
     events = []
-    for i, e in enumerate(doc.get("timeline", [])):
+    for i, e in enumerate(_array(doc, "timeline")):
         events.append(
             Event(
                 _number(_require(e, "time_min", f"timeline[{i}]"), f"timeline[{i}].time_min"),
                 _require(e, "kind", f"timeline[{i}]"),
                 _require(e, "entity", f"timeline[{i}]"),
-                e.get("magnitude_w"),
+                _optional_number(e.get("magnitude_w"), f"timeline[{i}].magnitude_w"),
             )
         )
     timeline = EventTimeline(events)

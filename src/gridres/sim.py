@@ -241,9 +241,6 @@ def run_simulation(
     groups = device_groups(model)
     devices = [(cls, u) for cls, units in groups for u in units]
     keys = {cls: [(cls, u.id) for u in units] for cls, units in groups}
-    p_sched = {"pv": dispatch.pv_p, "dg": dispatch.dg_p, "es": dispatch.es_p,
-               "load": dispatch.load_p}
-    q_sched = {"pv": dispatch.pv_q, "dg": dispatch.dg_q, "es": dispatch.es_q}
 
     soc = {u.id: np.full(K + 1, u.initial_soc_wh, dtype=float) for u in model.storage_units}
     arrays = {name: np.zeros(K) for name in _STEP_SERIES}
@@ -265,7 +262,7 @@ def run_simulation(
         sched, point, room_up, room_dn = {}, {}, {}, {}
         for cls, u in devices:
             key = (cls, u.id)
-            sched[key] = p_sched[cls][u.id][k]
+            sched[key] = dispatch.p[key][k]
             point[key], room_up[key], room_dn[key] = _forced_point(
                 cls, u, k, sched[key], events, soc, dt)
 
@@ -325,7 +322,7 @@ def run_simulation(
                 q = u.q_of(p)
             else:
                 p = realized[(cls, u.id)]
-                q = q_sched[cls][u.id][k]
+                q = dispatch.q[(cls, u.id)][k]
             phases = buses[u.bus].phases
             share = 1.0 / len(phases)
             for phase in phases:

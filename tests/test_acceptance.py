@@ -76,8 +76,9 @@ def test_c2_baseline_qualitative_reproduction(lshl_run, hsll_run):
         assert agg.load_curtail_w[k] == pytest.approx(0.0, abs=1e-1)
 
     _scenario, hsll_base, _rob = hsll_run
-    for series in hsll_base.dg_p.values():
-        np.testing.assert_allclose(series, 0.0, atol=1e-3)
+    for (cls, _uid), series in hsll_base.p.items():
+        if cls == "dg":
+            np.testing.assert_allclose(series, 0.0, atol=1e-3)
     ok("criterion 2: baseline qualitative reproduction",
        f"shedding ends at step {k_star}; midday diesel identically zero")
 
@@ -114,8 +115,8 @@ def test_c4_cyber_physical_event_replay(event_run):
     # exceeds schedule while the diesel is offline (minutes 20-40)
     model = scenario.model
     sched = np.array([
-        sum(robust.dispatch.pv_p[u.id][k] for u in model.pv_units)
-        + sum(robust.dispatch.es_p[u.id][k] for u in model.storage_units)
+        sum(robust.dispatch.p[("pv", u.id)][k] for u in model.pv_units)
+        + sum(robust.dispatch.p[("es", u.id)][k] for u in model.storage_units)
         for k in range(model.steps)
     ])
     realized = traj.pv_w + traj.es_w
@@ -204,7 +205,7 @@ def test_c8_conservation_properties(event_run, advset_run):
         assert np.abs(ledger).max() <= BALANCE_TOL_W
         dt = model.dt_hours
         for unit in model.storage_units:
-            es_real = robust.dispatch.es_p[unit.id] + traj.deployment_w[("es", unit.id)]
+            es_real = robust.dispatch.p[("es", unit.id)] + traj.deployment_w[("es", unit.id)]
             for k in range(model.steps):
                 resid = (
                     traj.soc_wh[unit.id][k + 1] - traj.soc_wh[unit.id][k]

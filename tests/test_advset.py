@@ -19,7 +19,7 @@ from gridres.advset import (
     project_2d,
     sample,
 )
-from gridres.constraints import BuildOptions
+from gridres.constraints import BuildOptions, device_groups
 from gridres.dispatch import CostConfig, solve_baseline
 from gridres.lp import LinearProgram, LpStatus, Rel, SolverOptions, solve
 from gridres.network import SynthSpec, synth_feeder
@@ -55,10 +55,7 @@ def test_recourse_row_count_formulas_fuzz():
         sides = int(rng.choice([4, 8]))
         # the row count does not depend on the operating point
         dispatch = SimpleNamespace(
-            pv_p={u.id: np.zeros(K) for u in model.pv_units},
-            dg_p={u.id: np.zeros(K) for u in model.dg_units},
-            es_p={u.id: np.zeros(K) for u in model.storage_units},
-            load_p={u.id: np.zeros(K) for u in model.loads},
+            p={(cls, u.id): np.zeros(K) for cls, units in device_groups(model) for u in units},
             soc_wh={u.id: np.full(K + 1, u.initial_soc_wh) for u in model.storage_units},
         )
         axes = [AdversarialAxis(AXIS_DG_LOSS, u.id) for u in model.dg_units[:1]]
@@ -260,7 +257,7 @@ def test_infeasible_dispatch_point_flagged():
     model, dispatch, reserves = dg_toy()
     corrupt = dispatch
     # stay inside the device window (no clamping) but break the power balance
-    corrupt.dg_p["dg1"] = corrupt.dg_p["dg1"] - 0.5e6
+    corrupt.p[("dg", "dg1")] = corrupt.p[("dg", "dg1")] - 0.5e6
     reserves.up[("dg", "dg1")][:] = 0.0
     with pytest.raises(AxisInfeasible):
         characterize(model, corrupt, reserves,

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from gridres import dispatch
 from gridres.cli import main
+from gridres.lp import IterationLimitExceeded
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -106,13 +108,50 @@ def test_unknown_solver_option_is_input_error(tmp_path, capsys, field, value):
     ({"timeline": [{"time_min": "soon", "kind": "dg_trip", "entity": "dg01"}]}, [],
      "timeline[0].time_min"),
     ({"advset_steps": [0, "one"]}, [], "advset_steps"),
+    ({"build": {"pv_power_factor_gamma": "steep"}}, [], "build.pv_power_factor_gamma"),
+    ({"axes": [{"kind": "dg_capacity_loss", "entity": "dg01", "cap_w": "big"}]}, [],
+     "axes[0].cap_w"),
+    ({"timeline": [{"time_min": 15, "kind": "load_mask_start", "entity": "load01",
+                    "magnitude_w": "lots"}]}, [], "timeline[0].magnitude_w"),
+    ({"solver": 5}, [], "error: solver: expected a JSON object"),
+    ({"build": 5}, [], "error: build: expected a JSON object"),
+    ({"costs": 5}, [], "error: costs: expected a JSON object"),
+    ({"reserve_cost_factors": [0.2]}, [], "error: reserve_cost_factors: expected a JSON object"),
+    ({"network": 5}, [], "error: network: expected a JSON object"),
+    ({"uncertainty": 5}, [], "error: uncertainty: expected a JSON array"),
+    ({"seed": "abc"}, [], "error: seed: expected an integer"),
+    ([1, 2], [], "expected a JSON object"),
+    ({"axes": [{"entity": "dg01"}]}, [], "error: axes[0]: missing required field 'kind'"),
 ], ids=["unknown-entity", "steps-past-horizon", "non-numeric-cost", "two-poly-sides",
-        "two-poly-sides-flag", "non-numeric-time", "non-numeric-advset-step"])
+        "two-poly-sides-flag", "non-numeric-time", "non-numeric-advset-step",
+        "non-numeric-gamma", "non-numeric-cap", "non-numeric-magnitude", "solver-not-object",
+        "build-not-object", "costs-not-object", "factors-not-object", "network-not-object",
+        "uncertainty-not-array", "non-numeric-seed", "document-not-object",
+        "axis-missing-kind"])
 def test_bad_box_input_is_input_error(tmp_path, capsys, overrides, flags, expected):
-    scenario = small_scenario(tmp_path, **overrides)
+    if isinstance(overrides, dict):
+        scenario = small_scenario(tmp_path, **overrides)
+    else:  # the whole document
+        scenario = tmp_path / "doc.json"
+        scenario.write_text(json.dumps(overrides))
     assert main(["baseline", str(scenario), "--out", str(tmp_path / "o"), *flags]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and expected in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("error", [IterationLimitExceeded(7, 1),
+                                   ArithmeticError("simplex basis became singular")],
+                         ids=["iteration-limit", "arithmetic"])
+def test_solver_failure_maps_to_exit_4(tmp_path, capsys, monkeypatch, error):
+    def failing(lp, options=None):
+        raise error
+
+    monkeypatch.setattr(dispatch, "solve", failing)
+    scenario = small_scenario(tmp_path)
+    assert main(["baseline", str(scenario), "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure:") and str(error) in err
     assert len(err.strip().splitlines()) == 1
 
 

@@ -27,8 +27,9 @@ def test_namespace_count_two_bus():
     ns = build_namespace(model)
     assert len(ns.w) == 2
     assert len(ns.pflow) == len(ns.qflow) == 1
-    assert len(ns.ppv) == len(ns.qpv) == 1
-    assert len(ns.pdg) == len(ns.qdg) == 1
+    for cls in ("pv", "dg"):
+        assert [key for key in ns.p if key[0] == cls] == [(cls, f"{cls}1", 0)]
+        assert [key for key in ns.q if key[0] == cls] == [(cls, f"{cls}1", 0)]
     assert ns.n_variables == 2 + 2 + 2 + 2
 
 
@@ -129,10 +130,10 @@ def test_power_balance_leaf_and_junction():
     leaf_p = next(
         r for r in rows
         if ns.pflow.get(("bus1->bus3", "b", 0)) in r.coeffs
-        and ns.pload.get(("load2", 0)) in r.coeffs
+        and ns.p.get(("load", "load2", 0)) in r.coeffs
     )
     assert leaf_p.coeffs[ns.pflow[("bus1->bus3", "b", 0)]] == 1.0
-    assert leaf_p.coeffs[ns.pload[("load2", 0)]] == -1.0
+    assert leaf_p.coeffs[ns.p[("load", "load2", 0)]] == -1.0
 
     # junction bus1 on phase a: inflow from trunk, outflow to bus2 lateral
     junction = next(
@@ -164,10 +165,11 @@ def test_balance_rows_telescope_to_lossless_identity():
     for key, idx in ns.qflow.items():
         assert total.get(idx, 0.0) == pytest.approx(0.0, abs=1e-12)
     # device shares sum back to one per device-step
-    for (uid, kk), idx in ns.pdg.items():
-        assert total.get(idx) == pytest.approx(1.0)
-    for (uid, kk), idx in ns.pload.items():
-        assert total.get(idx) == pytest.approx(-1.0)
+    for (cls, uid, kk), idx in ns.p.items():
+        if cls == "dg":
+            assert total.get(idx) == pytest.approx(1.0)
+        elif cls == "load":
+            assert total.get(idx) == pytest.approx(-1.0)
 
 
 def test_polygon_vertex_feasible_with_two_adjacent_equalities():
@@ -211,10 +213,10 @@ def test_soc_recursion_arithmetic():
     assert len(rec) == 2
     first = rec[0]
     # soc[0] + dt * pes[0] = E0  ->  with pes = 1.5 pu, soc[0] = 3.0 - 0.375
-    point = {ns.pes[("es1", 0)]: 1.5}
+    point = {ns.p[("es", "es1", 0)]: 1.5}
     lhs_coeff = first.coeffs[ns.soc[("es1", 0)]]
     assert lhs_coeff == 1.0
-    soc0 = first.rhs - first.coeffs[ns.pes[("es1", 0)]] * point[ns.pes[("es1", 0)]]
+    soc0 = first.rhs - first.coeffs[ns.p[("es", "es1", 0)]] * point[ns.p[("es", "es1", 0)]]
     assert soc0 == pytest.approx(3.0 - 1.5 * 0.25)
 
 
@@ -222,7 +224,7 @@ def test_night_pv_forced_to_zero():
     model = two_bus(steps=1, forecast_w=np.array([0.0]))
     ns = build_namespace(model)
     em = emit_limits(model, ns, BuildOptions())
-    b = next(b for b in em.bounds if b.var == ns.ppv[("pv1", 0)])
+    b = next(b for b in em.bounds if b.var == ns.p[("pv", "pv1", 0)])
     assert b.lower == 0.0 and b.upper == 0.0
 
 
@@ -292,20 +294,20 @@ def test_linear_flow_matches_lp_voltages():
             p = q = 0.0
             for u in model.pv_units:
                 if u.bus == bus.id:
-                    p += share * pu.power(result.pv_p[u.id][k])
-                    q += share * pu.power(result.pv_q[u.id][k])
+                    p += share * pu.power(result.p[("pv", u.id)][k])
+                    q += share * pu.power(result.q[("pv", u.id)][k])
             for u in model.dg_units:
                 if u.bus == bus.id:
-                    p += share * pu.power(result.dg_p[u.id][k])
-                    q += share * pu.power(result.dg_q[u.id][k])
+                    p += share * pu.power(result.p[("dg", u.id)][k])
+                    q += share * pu.power(result.q[("dg", u.id)][k])
             for u in model.storage_units:
                 if u.bus == bus.id:
-                    p += share * pu.power(result.es_p[u.id][k])
-                    q += share * pu.power(result.es_q[u.id][k])
+                    p += share * pu.power(result.p[("es", u.id)][k])
+                    q += share * pu.power(result.q[("es", u.id)][k])
             for u in model.loads:
                 if u.bus == bus.id:
-                    p -= share * pu.power(result.load_p[u.id][k])
-                    q -= share * pu.power(result.load_q[u.id][k])
+                    p -= share * pu.power(result.p[("load", u.id)][k])
+                    q -= share * pu.power(result.q[("load", u.id)][k])
             injections[(bus.id, phase)] = (p, q)
     flows, w = solve_linear_flow(model, injections)
     for key, arr in result.voltage_sq_pu.items():
@@ -324,8 +326,8 @@ def test_optional_pv_power_factor_rows():
 
     result = solve_baseline(model, CostConfig(), BuildOptions(pv_power_factor_gamma=0.4))
     for k in range(model.steps):
-        p = result.pv_p["pv1"][k]
-        q = result.pv_q["pv1"][k]
+        p = result.p[("pv", "pv1")][k]
+        q = result.q[("pv", "pv1")][k]
         assert abs(q) <= 0.4 * p + 1e-1
 
 

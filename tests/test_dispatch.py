@@ -21,7 +21,7 @@ def test_forced_balance_toy():
     """1 MW inflexible load, 2 MW DG: the DG serves it at cost c1*1."""
     model = single_bus(load_des_w=1.0e6, load_min_w=1.0e6, dg_cap_va=2.0e6)
     result = solve_baseline(model, COSTS)
-    assert result.dg_p["dg1"][0] == pytest.approx(1.0e6, abs=1)
+    assert result.p[("dg", "dg1")][0] == pytest.approx(1.0e6, abs=1)
     assert result.load_curtail_w["load1"][0] == pytest.approx(0.0, abs=1)
     assert result.objective_value == pytest.approx(COSTS.dg_energy * 1.0, abs=1e-7)
 
@@ -34,8 +34,8 @@ def test_scarce_capacity_sheds_to_the_cap():
     """
     model = single_bus(load_des_w=2.0e6, load_min_w=0.5e6, dg_cap_va=1.0e6)
     result = solve_baseline(model, COSTS)
-    assert result.dg_p["dg1"][0] == pytest.approx(1.0e6, abs=1)
-    assert result.load_p["load1"][0] == pytest.approx(1.0e6, abs=1)
+    assert result.p[("dg", "dg1")][0] == pytest.approx(1.0e6, abs=1)
+    assert result.p[("load", "load1")][0] == pytest.approx(1.0e6, abs=1)
     assert result.load_curtail_w["load1"][0] == pytest.approx(1.0e6, abs=1)
     assert result.objective_value == pytest.approx(11.0, abs=1e-7)
 
@@ -62,16 +62,18 @@ def test_infeasible_when_critical_load_exceeds_capacity():
 def test_high_solar_low_load_zeroes_the_dg():
     model = synth_feeder(SynthSpec(seed=5, profile="high_solar_low_load"))
     result = solve_baseline(model, COSTS)
-    for dg_id, series in result.dg_p.items():
-        np.testing.assert_allclose(series, 0.0, atol=1e-3)
+    for (cls, _uid), series in result.p.items():
+        if cls == "dg":
+            np.testing.assert_allclose(series, 0.0, atol=1e-3)
 
 
 def test_objective_recomputes_from_series():
     model = six_bus()
     result = solve_baseline(model, COSTS)
     total = 0.0
-    for series in result.dg_p.values():
-        total += COSTS.dg_energy * series.sum() / 1e6
+    for (cls, _uid), series in result.p.items():
+        if cls == "dg":
+            total += COSTS.dg_energy * series.sum() / 1e6
     for series in result.pv_curtail_w.values():
         total += COSTS.pv_curtail * series.sum() / 1e6
     for series in result.load_curtail_w.values():

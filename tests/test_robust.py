@@ -3,12 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gridres.constraints import P_DG_CAPACITY, P_LOAD_DESIRED, P_PV_FORECAST
+from gridres.constraints import P_DG_CAPACITY, P_LOAD_DESIRED, P_PV_FORECAST, device_groups
 from gridres.dispatch import CostConfig, InfeasibleDispatch, solve_baseline
 from gridres.network import SynthSpec, synth_feeder
 from gridres.robust import (
     ReserveCosts,
     ReserveSchedule,
+    RobustResult,
     UncertaintyBox,
     reserve_margin,
     solve_robust,
@@ -69,7 +70,7 @@ def test_load_mask_allocates_up_reserve():
     box = UncertaintyBox()
     box.add(P_LOAD_DESIRED, "load1", 0, 1.0e6, 1.0e6, 1.4e6)
     rob = solve_robust(model, COSTS, box=box)
-    assert rob.dispatch.dg_p["dg1"][0] >= 1.0e6 - 1.0
+    assert rob.dispatch.p[("dg", "dg1")][0] >= 1.0e6 - 1.0
     up, _dn = reserve_margin(rob, 0)
     assert up >= 0.4e6 - 1.0
     assert rob.reserves.up[("dg", "dg1")][0] == pytest.approx(0.4e6, abs=1.0)
@@ -120,7 +121,7 @@ def test_dg_outage_covered_by_other_devices():
     box = UncertaintyBox()
     box.add(P_DG_CAPACITY, "dg1", 0, 0.0, 1.5e6, 1.5e6)  # full trip possible
     rob = solve_robust(model, COSTS, box=box)
-    pdg = rob.dispatch.dg_p["dg1"][0]
+    pdg = rob.dispatch.p[("dg", "dg1")][0]
     assert pdg >= 0.5e6 - 1.0  # the unit still runs despite being trippable
     # its own reserves are worthless during the outage window
     assert rob.reserves.up[("dg", "dg1")][0] == pytest.approx(0.0, abs=1.0)
@@ -139,7 +140,7 @@ def test_pv_forecast_uncertainty_tightens_dispatch():
     box = UncertaintyBox()
     box.add(P_PV_FORECAST, "pv1", 0, 0.3e6, 0.5e6, 0.5e6)
     rob = solve_robust(model, COSTS, box=box)
-    ppv = rob.dispatch.pv_p["pv1"][0]
+    ppv = rob.dispatch.p[("pv", "pv1")][0]
     rup = rob.reserves.up[("pv", "pv1")][0]
     assert ppv + rup <= 0.3e6 + 1.0  # dispatched below the worst forecast
 
@@ -154,7 +155,8 @@ def test_storage_headroom_uses_energy_entering_the_step(p_w, soc_in_wh, up_w, do
     model = single_bus(with_storage=True)
     base = solve_baseline(model, COSTS)
     soc = np.array([soc_in_wh, soc_in_wh - p_w * model.dt_hours])
-    dispatch = dataclasses.replace(base, es_p={"es1": np.array([p_w])}, soc_wh={"es1": soc})
+    dispatch = dataclasses.replace(base, p={**base.p, ("es", "es1"): np.array([p_w])},
+                                   soc_wh={"es1": soc})
     sched = ReserveSchedule.from_headroom(model, dispatch)
     assert sched.up[("es", "es1")][0] == pytest.approx(up_w)
     assert sched.down[("es", "es1")][0] == pytest.approx(down_w)
@@ -175,3 +177,21 @@ def test_scipy_backend_solves_the_pipeline():
     theirs = solve_robust(model, COSTS, box=box,
                           solver=SolverOptions(backend="scipy"))
     assert theirs.objective_value == pytest.approx(ours.objective_value, abs=1e-6)
+
+
+def test_result_json_round_trip(hsll_run):
+    """robust.json reads back to the same document; dispatch.json keeps one
+    `<class>_p_w` / `<class>_q_w` map per device class, keyed by unit id."""
+    scenario, _base, rob = hsll_run
+    doc = rob.to_json_dict()
+    assert RobustResult.from_json_dict(doc).to_json_dict() == doc
+    dispatch = doc["dispatch"]
+    assert set(dispatch) == {
+        "objective_value", "iterations", "soc_wh", "voltage_sq_pu", "flow_p_w",
+        "flow_q_w", "pv_curtail_w", "load_curtail_w",
+        "pv_p_w", "pv_q_w", "dg_p_w", "dg_q_w", "es_p_w", "es_q_w", "load_p_w", "load_q_w",
+    }
+    for cls, units in device_groups(scenario.model):
+        assert units
+        for part in ("p", "q"):
+            assert sorted(dispatch[f"{cls}_{part}_w"]) == sorted(u.id for u in units)

@@ -98,7 +98,7 @@ def test_empty_timeline_reproduces_schedule():
     np.testing.assert_array_equal(traj.deployed_up_w, 0.0)
     np.testing.assert_array_equal(traj.shortfall_w, 0.0)
     sched = np.array([
-        sum(robust.dispatch.dg_p[u.id][k] for u in model.dg_units)
+        sum(robust.dispatch.p[("dg", u.id)][k] for u in model.dg_units)
         for k in range(model.steps)
     ])
     np.testing.assert_array_equal(traj.dg_w, sched)
@@ -121,7 +121,7 @@ def test_event_replay_deploys_and_stays_clean():
     report = violation_report(traj)
     assert report.clean(), report
     # the trip bites only if the unit was dispatched above the derated level
-    pdg = robust.dispatch.dg_p["dg1"]
+    pdg = robust.dispatch.p[("dg", "dg1")]
     expect_1 = max(pdg[1] - 1.0e6, 0.0)
     assert traj.imbalance_w[1] == pytest.approx(expect_1, abs=1e-3)
     assert traj.imbalance_w[2] == pytest.approx(0.2e6, abs=1e-3)
@@ -220,17 +220,17 @@ def test_recourse_point_satisfies_perturbed_rows():
         point[ns.w[("bus0", "a", 0)]] = 1.0
         for kk in range(model.steps):
             point[ns.w[("bus0", "a", kk)]] = 1.0
-            point[ns.pdg[("dg1", kk)]] = traj.dg_w[kk] / 1e6
-            point[ns.pes[("es1", kk)]] = traj.es_w[kk] / 1e6
-            point[ns.pload[("load1", kk)]] = traj.served_load_w[kk] / 1e6
+            point[ns.p[("dg", "dg1", kk)]] = traj.dg_w[kk] / 1e6
+            point[ns.p[("es", "es1", kk)]] = traj.es_w[kk] / 1e6
+            point[ns.p[("load", "load1", kk)]] = traj.served_load_w[kk] / 1e6
             point[ns.soc[("es1", kk)]] = traj.soc_wh["es1"][kk + 1] / 1e6
         # loosen the load window to the realized demand before checking
         for kk in range(model.steps):
-            lo, hi = lp.lower[ns.pload[("load1", kk)]], lp.upper[ns.pload[("load1", kk)]]
+            lo, hi = lp.lower[ns.p[("load", "load1", kk)]], lp.upper[ns.p[("load", "load1", kk)]]
             true_hi = traj.true_demand_w[kk] / 1e6
-            lp.set_bounds(ns.pload[("load1", kk)], min(lo, true_hi), max(hi, true_hi))
+            lp.set_bounds(ns.p[("load", "load1", kk)], min(lo, true_hi), max(hi, true_hi))
             if trip and kk == k:
-                lp.set_bounds(ns.pdg[("dg1", kk)], 0.0, 0.5)  # derated capacity
+                lp.set_bounds(ns.p[("dg", "dg1", kk)], 0.0, 0.5)  # derated capacity
         report = check_feasibility(lp, point, tol=1e-6)
         assert report.max_row_residual <= 1e-6, (trip, mask, k, report.violations)
         assert report.max_bound_violation <= 1e-6
@@ -265,7 +265,7 @@ def test_pv_loss_and_restore_events():
         box.add(P_PV_FORECAST, "pv1", k, 0.2e6, 0.5e6, 0.5e6)
     robust = solve_robust(model, COSTS, box=box)
     # the tightened band keeps dispatch under the worst-case forecast
-    assert robust.dispatch.pv_p["pv1"][0] <= 0.2e6 + 1.0
+    assert robust.dispatch.p[("pv", "pv1")][0] <= 0.2e6 + 1.0
 
     # a loss at the box edge: dispatch already sits below the worst forecast,
     # so the event forces nothing and the replay is clean
@@ -282,7 +282,7 @@ def test_pv_loss_and_restore_events():
     full = EventTimeline([Event(0.0, "pv_loss", "pv1")])  # default: all of it
     traj = run_simulation(model, robust, full)
     assert traj.pv_w[0] == pytest.approx(0.0, abs=1e-6)
-    assert traj.imbalance_w[0] == pytest.approx(robust.dispatch.pv_p["pv1"][0], abs=1e-3)
+    assert traj.imbalance_w[0] == pytest.approx(robust.dispatch.p[("pv", "pv1")][0], abs=1e-3)
 
 
 def test_no_event_voltages_match_schedule():
