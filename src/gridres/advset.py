@@ -11,8 +11,11 @@ consumes no active-power reserve).
 
 The recourse LP is a one-step emission through the shared DistFlow emitters
 of :mod:`gridres.constraints` (voltage drop, power balance, line and inverter
-polygons); this module adds only the reserve bands as column bounds, the
-load power-factor rows and one row (two for a load) per axis.  Each axis
+polygons), on the LP its namespace declares with the voltage boxes and the
+device windows as column bounds.  This module narrows each window to the
+device's reserve band around its schedule, and adds the load power-factor
+rows and one row (two for a load) per axis.  A targeted load's column is
+freed instead, since the true demand may exceed the desired level.  Each axis
 has a magnitude column alpha_i in its targeted entity's row, so an event's
 magnitudes are column bounds: fixed at alpha = m to test an event, or free
 for one axis and zero for the rest to maximize along it.
@@ -35,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import (
-    BoundSpec,
     BuildOptions,
     PerUnit,
     apparent_power_rows,
@@ -46,7 +48,6 @@ from .constraints import (
     emit_voltage_drop,
     line_limit_rows,
     polygon_rows,
-    voltage_bounds,
 )
 from .dispatch import DispatchResult
 from .lp import LinearProgram, LpStatus, Rel, Row, SolverOptions, solve
@@ -144,61 +145,55 @@ def build_recourse_lp(
     dt = model.dt_hours
     poly = polygon_rows(options.poly_sides)
     ns = build_namespace(model, steps=(k,))
-    lp = ns.make_lp()
+    lp = ns.lp
     alpha = [lp.add_variable(f"alpha[{i}]", m / s, m / s)
              for i, m in enumerate(np.asarray(magnitudes_w, dtype=float))]
     target_of = {(AXIS_CLASS[a.kind], a.entity): i for i, a in enumerate(axes)}
 
     rows = emit_voltage_drop(model, ns) + emit_power_balance(model, ns)
     rows += line_limit_rows(model, ns, poly)
-    bounds = voltage_bounds(model, ns)
 
-    def band(var: int, lo: float, hi: float) -> None:
-        bounds.append(BoundSpec(var, lo, hi, "reserve_band"))
-
-    # realized device active powers; schedules are clamped into their physical
-    # windows first so solver-tolerance dust cannot invert a recourse band.
-    # Reactive output re-regulates freely inside each inverter polygon.
+    # realized device active powers narrow from their windows (the column
+    # bounds) to reserve bands; schedules are clamped into the windows first
+    # so solver-tolerance dust cannot invert a band.  Reactive output
+    # re-regulates freely inside each inverter polygon.
     for cls, units in device_groups(model):
         for u in units:
             key = (cls, u.id)
             p, q = ns.p[(cls, u.id, k)], ns.q[(cls, u.id, k)]
-            planned = dispatch.p[key][k] / s
+            lo, hi = lp.lower[p], lp.upper[p]
+            sched = min(max(dispatch.p[key][k] / s, lo), hi)
             up = reserves.up[key][k] / s
             dn = reserves.down[key][k] / s
             i = target_of.get(key)
             if cls == "es":
-                p_max = u.power_w / s
-                sched = min(max(planned, -p_max), p_max)
                 e_in = dispatch.soc_wh[u.id][k] / s  # energy entering the step, pu-h
-                lo = max(-p_max, sched - dn, (e_in - u.energy_max_wh / s) / dt)
-                hi = min(p_max, sched + up, (e_in - u.energy_min_wh / s) / dt)
-                band(p, min(lo, sched), max(hi, sched))
+                lo = max(lo, sched - dn, (e_in - u.energy_max_wh / s) / dt)
+                hi = min(hi, sched + up, (e_in - u.energy_min_wh / s) / dt)
+                lp.set_bounds(p, min(lo, sched), max(hi, sched))
                 rows += apparent_power_rows(p, q, u.capacity_va / s, poly, "storage")
             elif cls == "load":
-                desired = float(u.desired_w[k]) / s
-                sched = min(max(planned, 0.0), desired)
                 if i is None:
-                    band(p, max(0.0, sched - up), min(sched + dn, desired))
+                    lp.set_bounds(p, max(lo, sched - up), min(sched + dn, hi))
                 else:
-                    # serve at most the true demand, shed at most the up-reserve
+                    # served load is free: the true demand may exceed the desired
+                    # level; serve at most that demand, shed at most the up-reserve
+                    lp.set_bounds(p, -math.inf, math.inf)
                     rows.append(Row({p: 1.0, alpha[i]: -1.0}, Rel.LE, sched, "axis"))
                     rows.append(Row({p: -1.0, alpha[i]: 1.0}, Rel.LE, up - sched, "axis"))
                 tan_phi = math.tan(math.acos(u.power_factor))
                 rows.append(Row({q: 1.0, p: -tan_phi}, Rel.EQ, 0.0, "power_factor"))
             else:
-                # available active power: the solar forecast or the diesel rating;
-                # an axis on the unit takes its magnitude out of it
-                avail = (float(u.forecast_w[k]) if cls == "pv" else u.capacity_va) / s
-                sched = min(max(planned, 0.0), avail)
+                # an axis on a solar or diesel unit takes its magnitude out of
+                # the available power: the forecast or the rating
                 if i is None:
-                    band(p, max(0.0, sched - dn), min(sched + up, avail))
+                    lp.set_bounds(p, max(lo, sched - dn), min(sched + up, hi))
                 else:
-                    band(p, 0.0, min(sched + up, avail))
-                    rows.append(Row({p: 1.0, alpha[i]: 1.0}, Rel.LE, avail, "axis"))
+                    lp.set_bounds(p, lo, min(sched + up, hi))
+                    rows.append(Row({p: 1.0, alpha[i]: 1.0}, Rel.LE, hi, "axis"))
                 rows += apparent_power_rows(p, q, u.capacity_va / s, poly, f"{cls}_cap")
 
-    apply_emissions(lp, rows, bounds)
+    apply_emissions(lp, rows)
     return lp, alpha
 
 

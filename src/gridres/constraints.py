@@ -36,12 +36,26 @@ the adversarial-set recourse LP a single step (without stored-energy
 columns: the SoC recursion spans the horizon).  The polygon helpers
 (`line_limit_rows`, `apparent_power_rows`) are shared the same way.
 
-Emitters return plain :class:`gridres.lp.Row` objects with every parameter
-at a number: no row carries an uncertain term.  The robust dispatch reads
-its box once (:func:`gridres.robust.tighten`) and passes the worst-case
-solar forecasts to `emit_limits` as `pv_floor`.
+`build_namespace` creates the step's :class:`gridres.lp.LinearProgram` as
+`ns.lp` and declares every column straight into it with its final bounds:
 
-Row-count formulas per tag (K = steps emitted, sides = polygon sides):
+    w (squared voltage)   [v_min^2, v_max^2]; the root fixed at 1
+    p (device active)     the device window: PV [0, forecast_k],
+                          diesel [0, rating], storage [-P, P],
+                          load [minimum_k, desired_k]
+    soc (stored energy)   [e_min, e_max]
+    reserves, dg losses   [0, inf)
+    flows, reactive q     free
+
+Emitters read a device's window back from `ns.lp.lower`/`ns.lp.upper`
+rather than working it out again, and return plain
+:class:`gridres.lp.Row` objects with every parameter at a number: no row
+carries an uncertain term.  The robust dispatch reads its box once
+(:func:`gridres.robust.tighten`) and passes the worst-case solar forecasts
+to `emit_limits` as `pv_floor`.
+
+Row-count formulas per tag (K = steps emitted, sides = polygon sides); the
+voltage boxes and the dispatch windows are column bounds and emit no rows:
     voltage_drop     sum_branch |phases| * K
     power_balance    2 * sum_bus |phases| * K      (net injections folded in)
     power_factor     n_load * K  (+ 2 * n_pv * K when a PV gamma is set)
@@ -50,15 +64,16 @@ Row-count formulas per tag (K = steps emitted, sides = polygon sides):
     pv_cap           n_pv * K * sides
     dg_cap           n_dg * K * sides
     line_limits      sum_branch |phases| * K * sides
-    voltage_limits   bounds on every w variable (no rows)
-    curtailment_bounds  bounds on every PV and load active-power column (no rows)
+In reserve mode each device adds two band rows per step (tagged
+curtailment_bounds for PV and loads, dg_cap, storage) and each storage unit
+two energy rows per step.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .lp import LinearProgram, Rel, Row
 from .network import NetworkModel
@@ -119,14 +134,6 @@ def polygon_rows(sides: int) -> list[tuple[float, float, float]]:
     return out
 
 
-@dataclass
-class BoundSpec:
-    var: int
-    lower: float
-    upper: float
-    tag: str
-
-
 # the four device classes, in the order columns, reserves and series are declared
 DEVICE_CLASSES = ("pv", "dg", "es", "load")
 
@@ -137,8 +144,18 @@ def device_groups(model: NetworkModel):
                      (model.pv_units, model.dg_units, model.storage_units, model.loads)))
 
 
+# each device class's active-power window at step k, pu: the one source of
+# the dispatch columns' bounds and of the recourse bands built on them
+_WINDOW = {
+    "pv": lambda u, k, pu: (0.0, pu.power(float(u.forecast_w[k]))),
+    "dg": lambda u, k, pu: (0.0, pu.power(u.capacity_va)),
+    "es": lambda u, k, pu: (-pu.power(u.power_w), pu.power(u.power_w)),
+    "load": lambda u, k, pu: (pu.power(float(u.minimum_w[k])), pu.power(float(u.desired_w[k]))),
+}
+
+
 class VariableNamespace:
-    """Index maps from model entities to LP variables, in documented order.
+    """Index maps from model entities to the columns of `lp`, in documented order.
 
     `steps` are the time steps the namespace declares variables for; the
     emitters emit rows for exactly these steps.
@@ -146,9 +163,7 @@ class VariableNamespace:
 
     def __init__(self, steps: tuple[int, ...]) -> None:
         self.steps = steps
-        self.names: list[str] = []
-        self.lower: list[float] = []
-        self.upper: list[float] = []
+        self.lp = LinearProgram()
         self.w: dict[tuple[str, str, int], int] = {}
         self.pflow: dict[tuple[str, str, int], int] = {}
         self.qflow: dict[tuple[str, str, int], int] = {}
@@ -159,23 +174,6 @@ class VariableNamespace:
         self.r_dn: dict[tuple[str, str, int], int] = {}
         self.dg_loss: dict[tuple[str, int], int] = {}
 
-    @property
-    def n_variables(self) -> int:
-        return len(self.names)
-
-    def _new(self, name: str, lower=-math.inf, upper=math.inf) -> int:
-        idx = len(self.names)
-        self.names.append(name)
-        self.lower.append(lower)
-        self.upper.append(upper)
-        return idx
-
-    def make_lp(self) -> LinearProgram:
-        lp = LinearProgram()
-        for name, lo, hi in zip(self.names, self.lower, self.upper):
-            lp.add_variable(name, lo, hi)
-        return lp
-
 
 def build_namespace(
     model: NetworkModel,
@@ -183,55 +181,63 @@ def build_namespace(
     dg_loss_keys: tuple[tuple[str, int], ...] = (),
     steps: tuple[int, ...] | None = None,
 ) -> VariableNamespace:
-    """Declare every LP variable for `model` in deterministic order.
+    """Declare every LP column for `model` in deterministic order, with its bounds.
 
-    Variables are declared for `steps` (default: the whole horizon); the
-    stored-energy columns only for the whole horizon.  With `reserves`, the
-    four up/down reserve classes are added per device and step;
-    `dg_loss_keys` adds the worst-case output-loss helpers used by the robust
-    coverage rows.
+    Columns are declared into `ns.lp` for `steps` (default: the whole
+    horizon); the stored-energy columns only for the whole horizon.  Squared
+    voltages lie in [v_min^2, v_max^2] (the root fixed at 1), device active
+    powers in their `_WINDOW`, stored energies in [e_min, e_max]; flows and
+    reactive powers are free.  With `reserves`, the four up/down reserve
+    classes are added per device and step; `dg_loss_keys` adds the
+    worst-case output-loss helpers used by the robust coverage rows.  Both
+    are non-negative.
     """
     ns = VariableNamespace(tuple(range(model.steps)) if steps is None else tuple(steps))
     steps = ns.steps
+    new = ns.lp.add_variable
+    pu = PerUnit.of(model)
 
+    root = model.root.id
     for bus in sorted(model.buses, key=lambda b: b.id):
+        lo, hi = (1.0, 1.0) if bus.id == root else (bus.v_min**2, bus.v_max**2)
         for phase in bus.phases:
             for k in steps:
-                ns.w[(bus.id, phase, k)] = ns._new(f"w[{bus.id},{phase},{k}]")
+                ns.w[(bus.id, phase, k)] = new(f"w[{bus.id},{phase},{k}]", lo, hi)
     for br in sorted(model.branches, key=lambda b: b.id):
         for phase in br.phases:
             for k in steps:
-                ns.pflow[(br.id, phase, k)] = ns._new(f"pflow[{br.id},{phase},{k}]")
+                ns.pflow[(br.id, phase, k)] = new(f"pflow[{br.id},{phase},{k}]")
     for br in sorted(model.branches, key=lambda b: b.id):
         for phase in br.phases:
             for k in steps:
-                ns.qflow[(br.id, phase, k)] = ns._new(f"qflow[{br.id},{phase},{k}]")
+                ns.qflow[(br.id, phase, k)] = new(f"qflow[{br.id},{phase},{k}]")
 
     for cls, units in device_groups(model):
         for u in sorted(units, key=lambda d: d.id):
             for k in steps:
-                ns.p[(cls, u.id, k)] = ns._new(f"p{cls}[{u.id},{k}]")
+                ns.p[(cls, u.id, k)] = new(f"p{cls}[{u.id},{k}]", *_WINDOW[cls](u, k, pu))
         for u in sorted(units, key=lambda d: d.id):
             for k in steps:
-                ns.q[(cls, u.id, k)] = ns._new(f"q{cls}[{u.id},{k}]")
+                ns.q[(cls, u.id, k)] = new(f"q{cls}[{u.id},{k}]")
 
     if steps == tuple(range(model.steps)):  # the SoC recursion spans the horizon
         for es in sorted(model.storage_units, key=lambda d: d.id):
+            e_min, e_max = pu.energy(es.energy_min_wh), pu.energy(es.energy_max_wh)
             for k in steps:
-                ns.soc[(es.id, k)] = ns._new(f"soc[{es.id},{k}]")
+                ns.soc[(es.id, k)] = new(f"soc[{es.id},{k}]", e_min, e_max)
 
     if reserves:
         groups = device_groups(model)
         for cls, units in groups:
             for u in sorted(units, key=lambda d: d.id):
                 for k in steps:
-                    ns.r_up[(cls, u.id, k)] = ns._new(f"rup_{cls}[{u.id},{k}]", 0.0)
+                    ns.r_up[(cls, u.id, k)] = new(f"rup_{cls}[{u.id},{k}]", 0.0)
         for cls, units in groups:
             for u in sorted(units, key=lambda d: d.id):
                 for k in steps:
-                    ns.r_dn[(cls, u.id, k)] = ns._new(f"rdn_{cls}[{u.id},{k}]", 0.0)
+                    ns.r_dn[(cls, u.id, k)] = new(f"rdn_{cls}[{u.id},{k}]", 0.0)
     for uid, k in sorted(dg_loss_keys):
-        ns.dg_loss[(uid, k)] = ns._new(f"dgloss[{uid},{k}]", 0.0)
+        ns.dg_loss[(uid, k)] = new(f"dgloss[{uid},{k}]", 0.0)
 
     return ns
 
@@ -294,20 +300,6 @@ def emit_power_balance(model: NetworkModel, ns: VariableNamespace) -> list[Row]:
     return rows
 
 
-def voltage_bounds(model: NetworkModel, ns: VariableNamespace) -> list[BoundSpec]:
-    """Squared-voltage boxes; the root is the fixed reference at 1 pu."""
-    root = model.root.id
-    buses = {b.id: b for b in model.buses}
-    out = []
-    for (bus_id, phase, k), var in ns.w.items():
-        if bus_id == root:
-            out.append(BoundSpec(var, 1.0, 1.0, "voltage_limits"))
-        else:
-            bus = buses[bus_id]
-            out.append(BoundSpec(var, bus.v_min**2, bus.v_max**2, "voltage_limits"))
-    return out
-
-
 def apparent_power_rows(
     p: int, q: int, s_max: float, poly: list[tuple[float, float, float]], tag: str
 ) -> list[Row]:
@@ -342,55 +334,46 @@ class BuildOptions:
             raise ValueError(f"poly_sides must be at least 3, got {self.poly_sides}")
 
 
-@dataclass
-class Emission:
-    rows: list[Row] = field(default_factory=list)
-    bounds: list[BoundSpec] = field(default_factory=list)
-
-
 def emit_limits(
     model: NetworkModel,
     ns: VariableNamespace,
     options: BuildOptions,
     reserves: bool = False,
     pv_floor: dict[tuple[str, int], float] | None = None,
-) -> Emission:
-    """Voltage boxes, polygonized apparent-power limits, SoC dynamics, and
-    dispatch windows.
+) -> list[Row]:
+    """Polygonized apparent-power limits, SoC dynamics, and load power factors.
 
-    In reserve mode the PV/DG/storage/load windows widen into the reserve-band
-    rows; a PV upper band whose (unit, step) is a key of `pv_floor` is capped
-    at that floor (pu) rather than at the nominal forecast.
+    The voltage boxes and dispatch windows are the column bounds of `ns.lp`.
+    In reserve mode each window widens into the reserve-band rows, read off
+    those bounds; a PV upper band whose (unit, step) is a key of `pv_floor`
+    is capped at that floor (pu) rather than at the nominal forecast.
     """
     pv_floor = pv_floor or {}
     pu = PerUnit.of(model)
+    lower, upper = ns.lp.lower, ns.lp.upper
     K = model.steps
     dt = model.dt_hours
-    em = Emission()
     poly = polygon_rows(options.poly_sides)
 
-    em.bounds += voltage_bounds(model, ns)
-    em.rows += line_limit_rows(model, ns, poly)
+    rows = line_limit_rows(model, ns, poly)
 
-    # PV: dispatch window plus inverter polygon
+    # PV: inverter polygon and, with reserves, the band under the forecast
     for pv in model.pv_units:
         cap = pu.power(pv.capacity_va)
         for k in range(K):
             p = ns.p[("pv", pv.id, k)]
             q = ns.q[("pv", pv.id, k)]
-            forecast = pu.power(float(pv.forecast_w[k]))
-            em.bounds.append(BoundSpec(p, 0.0, forecast, "curtailment_bounds"))
             if reserves:
                 # p + R+ <= forecast, or its floor under a box; R- <= p
-                em.rows.append(
+                rows.append(
                     Row(
                         {p: 1.0, ns.r_up[("pv", pv.id, k)]: 1.0},
                         Rel.LE,
-                        pv_floor.get((pv.id, k), forecast),
+                        pv_floor.get((pv.id, k), upper[p]),
                         "curtailment_bounds",
                     )
                 )
-                em.rows.append(
+                rows.append(
                     Row(
                         {ns.r_dn[("pv", pv.id, k)]: 1.0, p: -1.0},
                         Rel.LE,
@@ -398,86 +381,75 @@ def emit_limits(
                         "curtailment_bounds",
                     )
                 )
-            em.rows += apparent_power_rows(p, q, cap, poly, "pv_cap")
+            rows += apparent_power_rows(p, q, cap, poly, "pv_cap")
             if options.pv_power_factor_gamma is not None:
                 g = options.pv_power_factor_gamma
-                em.rows.append(Row({q: 1.0, p: -g}, Rel.LE, 0.0, "power_factor"))
-                em.rows.append(Row({q: -1.0, p: -g}, Rel.LE, 0.0, "power_factor"))
+                rows.append(Row({q: 1.0, p: -g}, Rel.LE, 0.0, "power_factor"))
+                rows.append(Row({q: -1.0, p: -g}, Rel.LE, 0.0, "power_factor"))
 
-    # DG: capacity window plus polygon
+    # DG: polygon and, with reserves, the band under the rating
     for dg in model.dg_units:
         cap = pu.power(dg.capacity_va)
         for k in range(K):
             p = ns.p[("dg", dg.id, k)]
             q = ns.q[("dg", dg.id, k)]
-            em.bounds.append(BoundSpec(p, 0.0, cap, "dg_cap"))
             if reserves:
-                em.rows.append(
-                    Row({p: 1.0, ns.r_up[("dg", dg.id, k)]: 1.0}, Rel.LE, cap, "dg_cap")
+                rows.append(
+                    Row({p: 1.0, ns.r_up[("dg", dg.id, k)]: 1.0}, Rel.LE, upper[p], "dg_cap")
                 )
-                em.rows.append(
+                rows.append(
                     Row({ns.r_dn[("dg", dg.id, k)]: 1.0, p: -1.0}, Rel.LE, 0.0, "dg_cap")
                 )
-            em.rows += apparent_power_rows(p, q, cap, poly, "dg_cap")
+            rows += apparent_power_rows(p, q, cap, poly, "dg_cap")
 
-    # storage: SoC recursion, energy/power windows, inverter polygon
+    # storage: SoC recursion, reserve bands, inverter polygon
     for es in model.storage_units:
-        p_max = pu.power(es.power_w)
-        e_min = pu.energy(es.energy_min_wh)
-        e_max = pu.energy(es.energy_max_wh)
         e0 = pu.energy(es.initial_soc_wh)
         s_max = pu.power(es.capacity_va)
         for k in range(K):
             p = ns.p[("es", es.id, k)]
             q = ns.q[("es", es.id, k)]
             e = ns.soc[(es.id, k)]
-            em.bounds.append(BoundSpec(p, -p_max, p_max, "storage"))
-            em.bounds.append(BoundSpec(e, e_min, e_max, "storage"))
             coeffs = {e: 1.0, p: dt}
             rhs = 0.0
             if k == 0:
                 rhs = e0
             else:
                 coeffs[ns.soc[(es.id, k - 1)]] = -1.0
-            em.rows.append(Row(coeffs, Rel.EQ, rhs, "storage"))
+            rows.append(Row(coeffs, Rel.EQ, rhs, "storage"))
             if reserves:
                 up = ns.r_up[("es", es.id, k)]
                 dn = ns.r_dn[("es", es.id, k)]
-                em.rows.append(Row({p: 1.0, up: 1.0}, Rel.LE, p_max, "storage"))
-                em.rows.append(Row({p: -1.0, dn: 1.0}, Rel.LE, p_max, "storage"))
-                em.rows.append(Row({e: 1.0, dn: dt}, Rel.LE, e_max, "storage"))
-                em.rows.append(Row({e: -1.0, up: dt}, Rel.LE, -e_min, "storage"))
-            em.rows += apparent_power_rows(p, q, s_max, poly, "storage")
+                rows.append(Row({p: 1.0, up: 1.0}, Rel.LE, upper[p], "storage"))
+                rows.append(Row({p: -1.0, dn: 1.0}, Rel.LE, upper[p], "storage"))
+                rows.append(Row({e: 1.0, dn: dt}, Rel.LE, upper[e], "storage"))
+                rows.append(Row({e: -1.0, up: dt}, Rel.LE, -lower[e], "storage"))
+            rows += apparent_power_rows(p, q, s_max, poly, "storage")
         if options.terminal_soc_geq_initial:
-            em.rows.append(
+            rows.append(
                 Row({ns.soc[(es.id, K - 1)]: 1.0}, Rel.GE, e0, "storage")
             )
 
-    # loads: service window between the critical minimum and the desired level,
-    # with reactive power following through the fixed power factor
+    # loads: reactive power follows through the fixed power factor; with
+    # reserves, the bands inside the window [critical minimum, desired level]
     for ld in model.loads:
         tan_phi = math.tan(math.acos(ld.power_factor))
         for k in range(K):
             p = ns.p[("load", ld.id, k)]
             q = ns.q[("load", ld.id, k)]
-            lo = pu.power(float(ld.minimum_w[k]))
-            hi = pu.power(float(ld.desired_w[k]))
-            em.bounds.append(BoundSpec(p, lo, hi, "curtailment_bounds"))
-            em.rows.append(Row({q: 1.0, p: -tan_phi}, Rel.EQ, 0.0, "power_factor"))
+            rows.append(Row({q: 1.0, p: -tan_phi}, Rel.EQ, 0.0, "power_factor"))
             if reserves:
                 up = ns.r_up[("load", ld.id, k)]
                 dn = ns.r_dn[("load", ld.id, k)]
                 # reverse convention: up-reserve is room to shed toward the minimum
-                em.rows.append(Row({p: -1.0, up: 1.0}, Rel.LE, -lo, "curtailment_bounds"))
-                em.rows.append(Row({p: 1.0, dn: 1.0}, Rel.LE, hi, "curtailment_bounds"))
-    return em
+                rows.append(Row({p: -1.0, up: 1.0}, Rel.LE, -lower[p], "curtailment_bounds"))
+                rows.append(Row({p: 1.0, dn: 1.0}, Rel.LE, upper[p], "curtailment_bounds"))
+    return rows
 
 
-def apply_emissions(lp: LinearProgram, rows: list[Row], bounds: list[BoundSpec] = ()) -> None:
+def apply_emissions(lp: LinearProgram, rows: list[Row]) -> None:
     for row in rows:
         lp.add_row(row.coeffs, row.rel, row.rhs, row.tag)
-    for b in bounds:
-        lp.set_bounds(b.var, b.lower, b.upper)
 
 
 # ---------------------------------------------------------------------------

@@ -131,11 +131,10 @@ def build_baseline_lp(
 ) -> tuple[LinearProgram, VariableNamespace]:
     options = options or BuildOptions()
     ns = build_namespace(model)
-    lp = ns.make_lp()
+    lp = ns.lp
     apply_emissions(lp, emit_voltage_drop(model, ns))
     apply_emissions(lp, emit_power_balance(model, ns))
-    em = emit_limits(model, ns, options)
-    apply_emissions(lp, em.rows, em.bounds)
+    apply_emissions(lp, emit_limits(model, ns, options))
     set_dispatch_objective(lp, ns, model, costs)
     return lp, ns
 

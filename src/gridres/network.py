@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -147,6 +147,13 @@ class ValidationReport:
         return not self.problems
 
 
+def _non_finite_fields(obj) -> list[str]:
+    """The numeric fields of dataclass `obj` that hold a NaN or an infinity."""
+    return [f.name for f in fields(obj)
+            if isinstance(value := getattr(obj, f.name), (int, float, np.ndarray))
+            and not np.isfinite(value).all()]
+
+
 def validate(model: NetworkModel) -> ValidationReport:
     """Check every structural invariant; an empty report means the model is usable."""
     if not model.buses:
@@ -230,6 +237,14 @@ def validate(model: NetworkModel) -> ValidationReport:
         problems.append("horizon must have at least one step")
     if model.dt_hours <= 0:
         problems.append("dt_hours must be positive")
+
+    # every rating, limit, time step and profile value must be finite
+    labelled = [("horizon", model), ("base", model.base)]
+    labelled += [(f"bus {b.id}", b) for b in model.buses]
+    labelled += [(f"branch {br.id}", br) for br in model.branches]
+    labelled += [(f"device {dev.id}", dev) for dev in model.devices()]
+    for label, obj in labelled:
+        problems += [f"{label}: non-finite {name}" for name in _non_finite_fields(obj)]
 
     return ValidationReport(problems)
 

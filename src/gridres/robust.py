@@ -252,12 +252,12 @@ def build_robust_lp(
     worst = tighten(box, model)
     dg_loss_keys = tuple(sorted(worst.dg_floor))
     ns = build_namespace(model, reserves=True, dg_loss_keys=dg_loss_keys)
-    lp = ns.make_lp()
+    lp = ns.lp
 
     apply_emissions(lp, emit_voltage_drop(model, ns))
     apply_emissions(lp, emit_power_balance(model, ns))
-    em = emit_limits(model, ns, options, reserves=True, pv_floor=worst.pv_floor)
-    apply_emissions(lp, em.rows, em.bounds)
+    apply_emissions(lp, emit_limits(model, ns, options, reserves=True,
+                                    pv_floor=worst.pv_floor))
 
     # worst-case output-loss helpers: loss >= P - cap_low, loss >= 0
     rows = [

@@ -56,7 +56,6 @@ class Scenario:
     axes: list[AdversarialAxis]
     advset_steps: list[int]
     timeline: EventTimeline
-    source_path: Path | None = None
 
     @property
     def has_box(self) -> bool:
@@ -83,6 +82,14 @@ def _integer(value, context: str) -> int:
         return int(value)
     except (TypeError, ValueError):
         raise ScenarioError(f"{context}: expected an integer, got {value!r}") from None
+
+
+def _identifier(doc: dict, key: str, context: str) -> str:
+    """The required string field `doc[key]`: a kind or an entity id."""
+    value = _require(doc, key, context)
+    if not isinstance(value, str):
+        raise ScenarioError(f"{context}.{key}: expected a string, got {value!r}")
+    return value
 
 
 def _optional_number(value, context: str) -> float | None:
@@ -127,11 +134,11 @@ def _parse_box(doc: list, model: NetworkModel) -> UncertaintyBox:
     box = UncertaintyBox()
     for i, entry in enumerate(doc):
         ctx = f"uncertainty[{i}]"
-        param = _require(entry, "parameter", ctx)
+        param = _identifier(entry, "parameter", ctx)
         if param not in PARAM_CLASS:
             raise ScenarioError(f"{ctx}: unknown parameter {param!r}")
         cls = PARAM_CLASS[param]
-        entity = _require(entry, "entity", ctx)
+        entity = _identifier(entry, "entity", ctx)
         if entity not in units[cls]:
             raise ScenarioError(f"{ctx}: unknown {cls} entity {entity!r}")
         try:
@@ -243,8 +250,8 @@ def load_scenario(path, seed_override: int | None = None,
 
     axes = []
     for i, a in enumerate(_array(doc, "axes")):
-        kind = _require(a, "kind", f"axes[{i}]")
-        entity = _require(a, "entity", f"axes[{i}]")
+        kind = _identifier(a, "kind", f"axes[{i}]")
+        entity = _identifier(a, "entity", f"axes[{i}]")
         cap_w = _optional_number(a.get("cap_w"), f"axes[{i}].cap_w")
         try:
             axes.append(AdversarialAxis(kind, entity, cap_w))
@@ -268,8 +275,8 @@ def load_scenario(path, seed_override: int | None = None,
         events.append(
             Event(
                 _number(_require(e, "time_min", f"timeline[{i}]"), f"timeline[{i}].time_min"),
-                _require(e, "kind", f"timeline[{i}]"),
-                _require(e, "entity", f"timeline[{i}]"),
+                _identifier(e, "kind", f"timeline[{i}]"),
+                _identifier(e, "entity", f"timeline[{i}]"),
                 _optional_number(e.get("magnitude_w"), f"timeline[{i}].magnitude_w"),
             )
         )
@@ -291,7 +298,6 @@ def load_scenario(path, seed_override: int | None = None,
         axes=axes,
         advset_steps=advset_steps,
         timeline=timeline,
-        source_path=path,
     )
 
 

@@ -161,7 +161,6 @@ class Trajectory:
     """Per-step record of the simulated feeder state."""
 
     time_min: np.ndarray
-    sched_gen_w: np.ndarray
     pv_w: np.ndarray
     dg_w: np.ndarray
     es_w: np.ndarray
@@ -183,7 +182,7 @@ class Trajectory:
 VIOLATION_CLASSES = ("voltage", "soc", "line", "shortfall")
 
 _STEP_SERIES = (
-    "time_min", "sched_gen_w", "pv_w", "dg_w", "es_w", "served_load_w",
+    "time_min", "pv_w", "dg_w", "es_w", "served_load_w",
     "true_demand_w", "shed_w", "imbalance_w", "deployed_up_w",
     "deployed_down_w", "shortfall_w", "voltage_min_pu", "voltage_max_pu",
 )
@@ -295,8 +294,6 @@ def run_simulation(
         arrays["pv_w"][k] = _class_sum(realized, keys["pv"])
         arrays["dg_w"][k] = _class_sum(realized, keys["dg"])
         arrays["es_w"][k] = _class_sum(realized, keys["es"])
-        arrays["sched_gen_w"][k] = (_class_sum(sched, keys["pv"]) + _class_sum(sched, keys["dg"])
-                                    + _class_sum(sched, keys["es"]))
         arrays["true_demand_w"][k] = _class_sum(sched, keys["load"]) + sum(masks)
         arrays["shed_w"][k] = _class_sum(d_up, keys["load"])
         # demand-side ledger: demand = served + shed + unserved shortfall

@@ -122,12 +122,23 @@ def test_unknown_solver_option_is_input_error(tmp_path, capsys, field, value):
     ({"seed": "abc"}, [], "error: seed: expected an integer"),
     ([1, 2], [], "expected a JSON object"),
     ({"axes": [{"entity": "dg01"}]}, [], "error: axes[0]: missing required field 'kind'"),
+    ({"uncertainty": [{"parameter": ["load_desired"], "entity": "load01", "steps": [1, 3],
+                       "high_add_w": 1.0}]}, [], "error: uncertainty[0].parameter: expected a string"),
+    ({"uncertainty": [{"parameter": "load_desired", "entity": {"id": "load01"}, "steps": [1, 3],
+                       "high_add_w": 1.0}]}, [], "error: uncertainty[0].entity: expected a string"),
+    ({"axes": [{"kind": "dg_capacity_loss", "entity": ["dg01"]}]}, [],
+     "error: axes[0].entity: expected a string"),
+    ({"timeline": [{"time_min": 15, "kind": ["dg_trip"], "entity": "dg01"}]}, [],
+     "error: timeline[0].kind: expected a string"),
+    ({"timeline": [{"time_min": 15, "kind": "dg_trip", "entity": {"id": "dg01"}}]}, [],
+     "error: timeline[0].entity: expected a string"),
 ], ids=["unknown-entity", "steps-past-horizon", "non-numeric-cost", "two-poly-sides",
         "two-poly-sides-flag", "non-numeric-time", "non-numeric-advset-step",
         "non-numeric-gamma", "non-numeric-cap", "non-numeric-magnitude", "solver-not-object",
         "build-not-object", "costs-not-object", "factors-not-object", "network-not-object",
         "uncertainty-not-array", "non-numeric-seed", "document-not-object",
-        "axis-missing-kind"])
+        "axis-missing-kind", "array-parameter", "object-box-entity", "array-axis-entity",
+        "array-event-kind", "object-event-entity"])
 def test_bad_box_input_is_input_error(tmp_path, capsys, overrides, flags, expected):
     if isinstance(overrides, dict):
         scenario = small_scenario(tmp_path, **overrides)
@@ -182,6 +193,31 @@ def test_empty_bus_list_fails_validation(tmp_path, capsys):
     assert main(["validate", str(scenario)]) == 1
     err = capsys.readouterr().err
     assert err.strip() == "error: network failed validation: no buses"
+
+
+def _nan_first_profile_value(tmp_path):
+    path = tmp_path / "net" / "profiles.csv"
+    lines = path.read_text().splitlines()
+    lines[1] = lines[1].rsplit(",", 1)[0] + ",nan"
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("edit, profiles, expected", [
+    (lambda doc: None, _nan_first_profile_value, "non-finite forecast_w"),
+    (lambda doc: doc["pv"][0].update(capacity_va=float("nan")), None,
+     "non-finite capacity_va"),
+    (lambda doc: doc["branches"][0].update(flow_limit_va=float("inf")), None,
+     "non-finite flow_limit_va"),
+], ids=["nan-profile", "nan-rating", "infinite-limit"])
+def test_non_finite_network_number_fails_validation(tmp_path, capsys, edit, profiles,
+                                                    expected):
+    scenario = files_scenario(tmp_path, edit)
+    if profiles is not None:
+        profiles(tmp_path)
+    assert main(["baseline", str(scenario), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: network failed validation:") and expected in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_infeasible_maps_to_exit_2(tmp_path, capsys):

@@ -30,13 +30,13 @@ def test_namespace_count_two_bus():
     for cls in ("pv", "dg"):
         assert [key for key in ns.p if key[0] == cls] == [(cls, f"{cls}1", 0)]
         assert [key for key in ns.q if key[0] == cls] == [(cls, f"{cls}1", 0)]
-    assert ns.n_variables == 2 + 2 + 2 + 2
+    assert ns.lp.n_variables == 2 + 2 + 2 + 2
 
 
 def test_namespace_time_scaling():
     a = build_namespace(two_bus(steps=1))
     b = build_namespace(two_bus(steps=3))
-    assert b.n_variables == 3 * a.n_variables
+    assert b.lp.n_variables == 3 * a.lp.n_variables
 
 
 def test_namespace_empty_devices():
@@ -44,15 +44,15 @@ def test_namespace_empty_devices():
     model.pv_units = []
     model.dg_units = []
     ns = build_namespace(model)
-    assert ns.n_variables == len(ns.w) + len(ns.pflow) + len(ns.qflow)
+    assert ns.lp.n_variables == len(ns.w) + len(ns.pflow) + len(ns.qflow)
 
 
 def test_namespace_deterministic_ordering():
     model = six_bus()
     a = build_namespace(model)
     b = build_namespace(model)
-    assert a.names == b.names
-    assert a.names[0].startswith("w[")
+    assert a.lp.names == b.lp.names
+    assert a.lp.names[0].startswith("w[")
 
 
 def test_voltage_drop_direct_substitution():
@@ -208,8 +208,8 @@ def test_soc_recursion_arithmetic():
         )
     ]
     ns = build_namespace(model)
-    em = emit_limits(model, ns, BuildOptions())
-    rec = [r for r in em.rows if r.tag == "storage" and r.rel is Rel.EQ]
+    rows = emit_limits(model, ns, BuildOptions())
+    rec = [r for r in rows if r.tag == "storage" and r.rel is Rel.EQ]
     assert len(rec) == 2
     first = rec[0]
     # soc[0] + dt * pes[0] = E0  ->  with pes = 1.5 pu, soc[0] = 3.0 - 0.375
@@ -223,9 +223,8 @@ def test_soc_recursion_arithmetic():
 def test_night_pv_forced_to_zero():
     model = two_bus(steps=1, forecast_w=np.array([0.0]))
     ns = build_namespace(model)
-    em = emit_limits(model, ns, BuildOptions())
-    b = next(b for b in em.bounds if b.var == ns.p[("pv", "pv1", 0)])
-    assert b.lower == 0.0 and b.upper == 0.0
+    p = ns.p[("pv", "pv1", 0)]
+    assert ns.lp.lower[p] == 0.0 and ns.lp.upper[p] == 0.0
 
 
 def test_row_count_formulas_fuzz():
@@ -252,9 +251,9 @@ def test_row_count_formulas_fuzz():
         assert len(vd) == branch_phases * K
         pb = emit_power_balance(model, ns)
         assert len(pb) == 2 * bus_phases * K
-        em = emit_limits(model, ns, BuildOptions(poly_sides=sides))
+        rows = emit_limits(model, ns, BuildOptions(poly_sides=sides))
         by_tag = {}
-        for r in em.rows:
+        for r in rows:
             by_tag[r.tag] = by_tag.get(r.tag, 0) + 1
         n_pv, n_dg, n_es, n_load = (
             len(model.pv_units), len(model.dg_units),
@@ -265,11 +264,22 @@ def test_row_count_formulas_fuzz():
         assert by_tag["dg_cap"] == n_dg * K * sides
         assert by_tag["storage"] == n_es * K * sides + n_es * K
         assert by_tag["power_factor"] == n_load * K
-        bound_tags = {}
-        for b in em.bounds:
-            bound_tags[b.tag] = bound_tags.get(b.tag, 0) + 1
-        assert bound_tags["voltage_limits"] == bus_phases * K
-        assert bound_tags["curtailment_bounds"] == (n_pv + n_load) * K
+        # voltage boxes and curtailment windows are column bounds, not rows
+        lp, pu = ns.lp, PerUnit.of(model)
+        buses = {b.id: b for b in model.buses}
+        assert len(ns.w) == bus_phases * K
+        for (bus, _phase, _k), idx in ns.w.items():
+            b = buses[bus]
+            want = (1.0, 1.0) if bus == model.root.id else (b.v_min**2, b.v_max**2)
+            assert (lp.lower[idx], lp.upper[idx]) == want
+        windows = {("pv", u.id, k): (0.0, pu.power(float(u.forecast_w[k])))
+                   for u in model.pv_units for k in range(K)}
+        windows.update({("load", u.id, k): (pu.power(float(u.minimum_w[k])),
+                                            pu.power(float(u.desired_w[k])))
+                        for u in model.loads for k in range(K)})
+        assert len(windows) == (n_pv + n_load) * K
+        for key, window in windows.items():
+            assert (lp.lower[ns.p[key]], lp.upper[ns.p[key]]) == window
 
 
 def test_voltage_monotone_on_consuming_feeder():
@@ -318,8 +328,8 @@ def test_optional_pv_power_factor_rows():
     """With a gamma set, PV reactive output is fenced to |Q| <= gamma * P."""
     model = two_bus(steps=2)
     ns = build_namespace(model)
-    em = emit_limits(model, ns, BuildOptions(pv_power_factor_gamma=0.4))
-    pf_rows = [r for r in em.rows if r.tag == "power_factor" and r.rel is Rel.LE]
+    rows = emit_limits(model, ns, BuildOptions(pv_power_factor_gamma=0.4))
+    pf_rows = [r for r in rows if r.tag == "power_factor" and r.rel is Rel.LE]
     assert len(pf_rows) == 2 * 1 * 2  # two rows per pv unit and step
 
     from gridres.dispatch import CostConfig, solve_baseline
