@@ -25,8 +25,10 @@ their convex hull with the nominal point is an inner approximation of the
 tolerable set: tolerability constraints are affine in (recourse, magnitude),
 so any convex combination of feasible extremes stays feasible.
 
-A step's axes are solved in turn on one LP, re-bounded between solves;
-distinct steps share nothing but immutable inputs and may be characterized
+A step's axes are solved in turn on one LP, re-bounded between solves.  The
+LP is first solved once with every magnitude fixed at zero, the step's one
+phase 1; each axis then warm-starts from that basis and runs phase 2 only.
+Distinct steps share nothing but immutable inputs and may be characterized
 concurrently by callers.  A built InnerPolytope is immutable.
 """
 
@@ -223,25 +225,28 @@ def characterize(
 ) -> InnerPolytope:
     """Maximal tolerable magnitude along each axis at `step`.
 
-    The recourse LP is built once; axis i is solved with every other
-    magnitude fixed at 0 and alpha_i free up to its cap.
+    The recourse LP is built once and solved once with every magnitude fixed
+    at 0 and no objective: the step's one phase 1.  Axis i then frees
+    alpha_i up to its cap and maximizes it from that basis, in phase 2 only.
     """
     validate_axes(model, axes)
     s = PerUnit.of(model).s_base
     lp, alpha = build_recourse_lp(model, dispatch, reserves, step, axes,
                                   np.zeros(len(axes)), options)
+    base = solve(lp, solver)  # the built LP has no objective
+    if base.status is not LpStatus.OPTIMAL:
+        raise AxisInfeasible(f"recourse LP infeasible even at zero event magnitude at step "
+                             f"{step}; the dispatch point is not feasible")
     alphas = np.zeros(len(axes))
     for i, axis in enumerate(axes):
         for col in alpha:
             lp.set_bounds(col, 0.0, 0.0)
         lp.set_bounds(alpha[i], 0.0, math.inf if axis.cap_w is None else axis.cap_w / s)
         lp.set_objective({alpha[i]: -1.0})  # maximize alpha_i
-        sol = solve(lp, solver)
-        if sol.status is LpStatus.INFEASIBLE:
-            raise AxisInfeasible(
-                f"axis {axis.kind}/{axis.entity} infeasible even at zero "
-                f"magnitude at step {step}; the dispatch point is not feasible"
-            )
+        sol = solve(lp, solver, start=base.basis)
+        if sol.status is LpStatus.INFEASIBLE:  # alpha = 0 is feasible: numerical trouble
+            raise AxisInfeasible(f"axis {axis.kind}/{axis.entity} infeasible at step {step} "
+                                 "although zero magnitude is feasible")
         if sol.status is LpStatus.UNBOUNDED:
             raise ValueError(
                 f"axis {axis.kind}/{axis.entity} unbounded at step {step}; "

@@ -11,8 +11,12 @@ kept as a sparse LU factorization (SuperLU with the fixed COLAMD column
 order) followed by product-form eta updates, and is refactorized after a
 fixed number of them.  Reduced costs come from y = B^-T c_B, basic values are
 re-solved from a fresh factorization before the final feasibility check, and
-no dense tableau is ever formed.  It is fully deterministic: identical inputs
-produce bitwise-identical outputs.  A scipy/HiGHS backend can be selected
+no dense tableau is ever formed.  An optimal solve returns its final basis,
+and a later solve of the same rows under changed bounds or objective may
+start from it: B is factored once and, if the basic values it gives are
+within their bounds, only phase 2 runs; otherwise the solve starts cold.  It
+is fully deterministic: identical inputs produce bitwise-identical outputs.
+A scipy/HiGHS backend can be selected
 through :class:`SolverOptions`; the built-in simplex remains the reference
 implementation and the one exercised by the oracle tests.
 """
@@ -221,6 +225,16 @@ class SolveStats:
         return self.phase1_pivots + self.phase2_pivots + self.bound_flips
 
 
+@dataclass(frozen=True)
+class SimplexBasis:
+    """The final basis of an optimal built-in simplex solve, to warm-start a
+    re-solve of the same rows through ``solve(..., start=)``."""
+
+    basic: np.ndarray  # column in each row's basis position; -1 = artificial at zero
+    status: np.ndarray  # bound status of every structural and slack column
+    art_sign: np.ndarray  # sign of each row's phase-1 artificial column
+
+
 @dataclass
 class LpSolution:
     status: LpStatus
@@ -231,6 +245,8 @@ class LpSolution:
     infeasible_rows: list[int] = field(default_factory=list)
     # built-in simplex only; None from the HiGHS backend
     stats: SolveStats | None = None
+    # built-in simplex and OPTIMAL only
+    basis: SimplexBasis | None = None
 
 
 @dataclass
@@ -351,7 +367,8 @@ def check_feasibility(lp: LinearProgram, point: np.ndarray, tol: float = 0.0) ->
     return _assemble(lp).feasibility(point, tol)
 
 
-def solve(lp: LinearProgram, options: SolverOptions | None = None) -> LpSolution:
+def solve(lp: LinearProgram, options: SolverOptions | None = None,
+          start: SimplexBasis | None = None) -> LpSolution:
     """Solve `lp` to optimality, infeasibility, or unboundedness.
 
     Optimal solutions satisfy all rows and bounds to `feas_tol` and are optimal
@@ -359,6 +376,15 @@ def solve(lp: LinearProgram, options: SolverOptions | None = None) -> LpSolution
     bitwise-equal values.  Raises :class:`MalformedProblem` on structural
     defects and :class:`IterationLimitExceeded` rather than ever returning a
     silently suboptimal "optimal".
+
+    `start` is the :attr:`LpSolution.basis` of an earlier solve of the same
+    rows, whose bounds and objective may since have changed.  Its nonbasic
+    columns keep their bounds (a formerly fixed one moves to a finite bound),
+    B is factored once and x_B = B^-1 (b - N x_N) is computed; if x_B is
+    within its bounds to `feas_tol`, only phase 2 runs.  Otherwise, or if a
+    nonbasic column's bound is no longer finite, the solve starts cold.  A
+    start of the wrong size raises :class:`MalformedProblem`; the HiGHS
+    backend ignores it.
     """
     options = options or SolverOptions()
     mat = _assemble(lp)
@@ -371,7 +397,7 @@ def solve(lp: LinearProgram, options: SolverOptions | None = None) -> LpSolution
                           stats=stats)
     if options.backend == "scipy":
         return _solve_scipy(mat)
-    return _BoundedSimplex(mat, options).run()
+    return _BoundedSimplex(mat, options).run(start)
 
 
 # status codes for nonbasic/basic variables
@@ -540,38 +566,84 @@ class _BoundedSimplex:
         self.val = np.concatenate([mat.vals[order], np.ones(n_slack)])
         self.col_of_nz = np.repeat(np.arange(N), np.diff(self.col_ptr))
 
-        lo, hi = self.lo, self.hi
-        flo, fhi = np.isfinite(lo), np.isfinite(hi)
-        # nonbasic start: a boxed variable at its bound nearer zero
-        st = np.where(flo, _AT_LO, np.where(fhi, _AT_HI, _FREE)).astype(np.int8)
-        st[flo & fhi & (np.abs(lo) > np.abs(hi))] = _AT_HI
-        st[lo == hi] = _FIXED
-        self.status = st
-        self.xval = np.where(st == _AT_HI, hi, np.where(st == _FREE, 0.0, lo))
-        self.dirs = np.array(_GAIN_DIRS)[self.status].T.copy()
         self.gain = np.empty((2, N))
         self.t_rows = np.empty(m)
-
         self.B = _Basis(m)
         self.stats = SolveStats()
-
-        # starting basis: the slack of each row that can absorb the row's
-        # residual at the nonbasic start, else an artificial signed to do so
-        rel = mat.rel
-        r = mat.rhs - mat.row_activity(self.xval[:n])
-        slack_col = np.full(m, -1, dtype=np.int64)
-        slack_col[self.slack_rows] = n + np.arange(n_slack)
-        ok = ((rel == _LE) & (r >= 0.0)) | ((rel == _GE) & (r <= 0.0))
-        self.basis = np.where(ok, slack_col, -1)  # column index, or -1 = artificial
-        self.status[self.basis[ok]] = _BASIC
-        self.dirs[:, self.basis[ok]] = 0.0
-        self.art_sign = np.where(ok, 0.0, np.where(r >= 0.0, 1.0, -1.0))
-        self.x_B = np.where(ok, r, np.abs(r))
-
         # artificial columns N .. N + m - 1, appended for building B only
         self.ext_ptr = np.concatenate([self.col_ptr, self.col_ptr[-1] + np.arange(1, m + 1)])
         self.ext_row = np.concatenate([self.row_idx, np.arange(m)])
-        self.ext_val = np.concatenate([self.val, self.art_sign])
+
+    def _place(self, st: np.ndarray) -> None:
+        """Put each nonbasic column at the bound its status names."""
+        lo, hi = self.lo, self.hi
+        self.status = st
+        self.xval = np.where(st == _AT_HI, hi, np.where(st == _FREE, 0.0, lo))
+        self.dirs = np.array(_GAIN_DIRS)[st].T.copy()
+
+    def _set_basis(self, basis: np.ndarray, art_sign: np.ndarray) -> None:
+        self.basis = basis  # column index, or -1 = artificial
+        self.art_sign = art_sign
+        self.status[basis[basis >= 0]] = _BASIC
+        self.dirs[:, basis[basis >= 0]] = 0.0
+        self.ext_val = np.concatenate([self.val, art_sign])
+
+    def _cold_status(self) -> np.ndarray:
+        """Nonbasic start: a boxed variable at its bound nearer zero."""
+        lo, hi = self.lo, self.hi
+        flo, fhi = np.isfinite(lo), np.isfinite(hi)
+        st = np.where(flo, _AT_LO, np.where(fhi, _AT_HI, _FREE)).astype(np.int8)
+        st[flo & fhi & (np.abs(lo) > np.abs(hi))] = _AT_HI
+        st[lo == hi] = _FIXED
+        return st
+
+    def _cold_start(self) -> None:
+        self._place(self._cold_status())
+
+        # starting basis: the slack of each row that can absorb the row's
+        # residual at the nonbasic start, else an artificial signed to do so
+        mat, n, m = self.mat, self.n, self.m
+        rel = mat.rel
+        r = mat.rhs - mat.row_activity(self.xval[:n])
+        slack_col = np.full(m, -1, dtype=np.int64)
+        slack_col[self.slack_rows] = n + np.arange(len(self.slack_rows))
+        ok = ((rel == _LE) & (r >= 0.0)) | ((rel == _GE) & (r <= 0.0))
+        self._set_basis(np.where(ok, slack_col, -1),
+                        np.where(ok, 0.0, np.where(r >= 0.0, 1.0, -1.0)))
+        self.x_B = np.where(ok, r, np.abs(r))
+        self.B.reset(_SignedIdentity(np.where(ok, 1.0, self.art_sign)))
+
+    def _warm_start(self, start: SimplexBasis) -> bool:
+        """Take the basis of `start` under the LP's current bounds; False when
+        a nonbasic column has lost its bound or x_B is outside its bounds by
+        more than feas_tol, and the solve must start cold."""
+        m, N = self.m, self.N
+        basic, prev = start.basic, start.status
+        if basic.shape != (m,) or prev.shape != (N,) or start.art_sign.shape != (m,):
+            raise MalformedProblem(f"start basis has {len(basic)} rows and {len(prev)} "
+                                   f"columns; the problem has {m} and {N}")
+        if not np.array_equal(np.flatnonzero(prev == _BASIC), np.sort(basic[basic != -1])):
+            raise MalformedProblem("start basis: basic columns and statuses disagree")
+        # a column at a bound stays there unless it is now fixed; a formerly
+        # fixed or free column is placed as in a cold start
+        lo, hi = self.lo, self.hi
+        st = self._cold_status()
+        keep = ((prev == _AT_LO) | (prev == _AT_HI)) & (lo != hi)
+        st[keep] = prev[keep]
+        if not (np.isfinite(lo[st == _AT_LO]).all() and np.isfinite(hi[st == _AT_HI]).all()):
+            return False
+        self._place(st)
+        self._set_basis(basic.copy(), start.art_sign.copy())
+        try:
+            self._refactor()
+        except ArithmeticError:  # the basis does not fit this problem's rows
+            return False
+        self.x_B = self._basic_values()
+        real = basic >= 0
+        safe = np.maximum(basic, 0)
+        tol = self.opt.feas_tol
+        return bool((self.x_B >= np.where(real, lo[safe], 0.0) - tol).all()
+                    and (self.x_B <= np.where(real, hi[safe], 0.0) + tol).all())
 
     def _refactor(self) -> None:
         from scipy.sparse import csc_matrix
@@ -610,11 +682,13 @@ class _BoundedSimplex:
 
     # -- core loop ---------------------------------------------------------------
 
-    def run(self) -> LpSolution:
-        self.B.reset(_SignedIdentity(np.where(self.basis >= 0, 1.0, self.art_sign)))
+    def run(self, start: SimplexBasis | None = None) -> LpSolution:
+        warm = start is not None and self._warm_start(start)
+        if not warm:
+            self._cold_start()
         max_iter = self.opt.max_iterations or (50 * (self.m + self.N) + 1000)
 
-        if (self.basis == -1).any():
+        if not warm and (self.basis == -1).any():
             outcome = self._iterate(phase=1, max_iter=max_iter)
             if outcome is not None:  # unbounded phase 1 means numerical trouble
                 raise ArithmeticError("phase-1 simplex claimed unbounded; problem is corrupt")
@@ -731,27 +805,33 @@ class _BoundedSimplex:
 
     # -- wrap-up ---------------------------------------------------------------
 
-    def _finish(self) -> LpSolution:
-        # re-solve the basic values from a fresh factorization: x_B = B^-1 (b - N x_N)
-        self._refactor()
+    def _basic_values(self) -> np.ndarray:
+        """x_B = B^-1 (b - N x_N)."""
         n = self.n
-        basic = self.basis[self.basis >= 0]
         x = self.xval.copy()
-        x[basic] = 0.0
+        x[self.basis[self.basis >= 0]] = 0.0
         rhs = self.mat.rhs - self.mat.row_activity(x[:n])
         rhs[self.slack_rows] -= x[n:]
-        self.x_B = self.B.ftran(rhs)
-        x[basic] = self.x_B[self.basis >= 0]
-        values = x[:n]
+        return self.B.ftran(rhs)
+
+    def _finish(self) -> LpSolution:
+        # re-solve the basic values from a fresh factorization
+        self._refactor()
+        self.x_B = self._basic_values()
+        real = self.basis >= 0
+        x = self.xval.copy()
+        x[self.basis[real]] = self.x_B[real]
+        values = x[:self.n]
         report = self.mat.feasibility(values, self.opt.feas_tol)
         if not report.ok(self.opt.feas_tol):
             raise ArithmeticError(
                 "simplex finished with residual "
                 f"{max(report.max_row_residual, report.max_bound_violation):.3e} > feas_tol"
             )
-        obj = float(np.dot(self.c[:n], values))
+        obj = float(np.dot(self.c[:self.n], values))
         return LpSolution(LpStatus.OPTIMAL, values=values, objective_value=obj,
-                          iterations=self.stats.iterations, stats=self.stats)
+                          iterations=self.stats.iterations, stats=self.stats,
+                          basis=SimplexBasis(self.basis, self.status, self.art_sign))
 
 
 def _solve_scipy(mat: _Assembled) -> LpSolution:

@@ -221,6 +221,8 @@ def validate(model: NetworkModel) -> ValidationReport:
             problems.append(f"storage {es.id}: need 0 <= energy_min < energy_max")
         if es.power_w <= 0:
             problems.append(f"storage {es.id}: power rating must be positive")
+        if es.capacity_va <= 0:
+            problems.append(f"storage {es.id}: capacity must be positive")
         if not es.energy_min_wh <= es.initial_soc_wh <= es.energy_max_wh:
             problems.append(f"storage {es.id}: initial SoC outside energy limits")
     for ld in model.loads:
@@ -237,6 +239,9 @@ def validate(model: NetworkModel) -> ValidationReport:
         problems.append("horizon must have at least one step")
     if model.dt_hours <= 0:
         problems.append("dt_hours must be positive")
+    for name in ("power_va", "voltage_ll_v"):
+        if getattr(model.base, name) <= 0:
+            problems.append(f"base: {name} must be positive")
 
     # every rating, limit, time step and profile value must be finite
     labelled = [("horizon", model), ("base", model.base)]
@@ -532,6 +537,17 @@ def save_model(model: NetworkModel, network_path, profiles_path) -> None:
             writer.writerow([k, ent, fieldname, repr(value)])
 
 
+def _floats(d: dict, label: str, *keys: str) -> list[float]:
+    """The numbers under `keys` of the JSON object `d`, each through float()."""
+    out = []
+    for key in keys:
+        try:
+            out.append(float(d[key]))
+        except (TypeError, ValueError):
+            raise ValueError(f"{label}: {key} must be a number, got {d[key]!r}") from None
+    return out
+
+
 def from_json_dict(doc: dict, profiles: list[tuple[int, str, str, float]]) -> NetworkModel:
     steps = int(doc["horizon"]["steps"])
     series: dict[tuple[str, str], np.ndarray] = {}
@@ -539,26 +555,30 @@ def from_json_dict(doc: dict, profiles: list[tuple[int, str, str, float]]) -> Ne
         arr = series.setdefault((ent, fieldname), np.zeros(steps))
         arr[int(k)] = value
 
-    buses = [Bus(d["id"], d["phases"], d["v_min"], d["v_max"]) for d in doc["buses"]]
+    buses = [Bus(d["id"], d["phases"], *_floats(d, f"bus {d['id']}", "v_min", "v_max"))
+             for d in doc["buses"]]
     branches = [
         Branch(
             d["from"],
             d["to"],
             d["phases"],
             {pair: complex(ri[0], ri[1]) for pair, ri in d["impedance_ohm"].items()},
-            d["flow_limit_va"],
+            *_floats(d, f"branch {d['from']}->{d['to']}", "flow_limit_va"),
         )
         for d in doc["branches"]
     ]
     pvs = [
-        PvUnit(d["id"], d["bus"], d["capacity_va"], series.get((d["id"], "pv_forecast_w"), np.zeros(steps)))
+        PvUnit(d["id"], d["bus"], *_floats(d, f"pv {d['id']}", "capacity_va"),
+               series.get((d["id"], "pv_forecast_w"), np.zeros(steps)))
         for d in doc["pv"]
     ]
-    dgs = [DgUnit(d["id"], d["bus"], d["capacity_va"]) for d in doc["dg"]]
+    dgs = [DgUnit(d["id"], d["bus"], *_floats(d, f"dg {d['id']}", "capacity_va"))
+           for d in doc["dg"]]
     storages = [
         StorageUnit(
-            d["id"], d["bus"], d["power_w"], d["energy_min_wh"], d["energy_max_wh"],
-            d["capacity_va"], d["initial_soc_wh"],
+            d["id"], d["bus"],
+            *_floats(d, f"storage {d['id']}", "power_w", "energy_min_wh", "energy_max_wh",
+                     "capacity_va", "initial_soc_wh"),
         )
         for d in doc["storage"]
     ]
@@ -567,7 +587,7 @@ def from_json_dict(doc: dict, profiles: list[tuple[int, str, str, float]]) -> Ne
             d["id"], d["bus"],
             series.get((d["id"], "load_desired_w"), np.zeros(steps)),
             series.get((d["id"], "load_minimum_w"), np.zeros(steps)),
-            d["power_factor"],
+            *_floats(d, f"load {d['id']}", "power_factor"),
         )
         for d in doc["loads"]
     ]
@@ -580,7 +600,7 @@ def from_json_dict(doc: dict, profiles: list[tuple[int, str, str, float]]) -> Ne
         loads=loads,
         steps=steps,
         dt_hours=float(doc["horizon"]["dt_hours"]),
-        base=BaseQuantities(doc["base"]["voltage_ll_v"], doc["base"]["power_va"]),
+        base=BaseQuantities(*_floats(doc["base"], "base", "voltage_ll_v", "power_va")),
     )
 
 

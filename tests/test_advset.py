@@ -1,3 +1,4 @@
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,9 +25,11 @@ from gridres.dispatch import CostConfig, solve_baseline
 from gridres.lp import LinearProgram, LpStatus, Rel, SolverOptions, solve
 from gridres.network import SynthSpec, synth_feeder
 from gridres.robust import ReserveSchedule
+from gridres.scenario import load_scenario
 from util import single_bus, six_bus, two_bus
 
 COSTS = CostConfig(1.0, 0.1, 10.0)
+DOCS = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
 
 def dg_toy(load=2.0e6, cap=2.5e6, reserve=0.5e6):
@@ -100,6 +103,42 @@ def test_characterize_builds_once_per_step(monkeypatch):
     polys = characterize_steps(model, dispatch, reserves, axes, steps=[0, 2])
     assert builds == [0, 2]
     assert (polys[2].alpha_w > 0).any()
+
+
+def test_one_phase_one_per_step_and_alpha_matches_cold(monkeypatch):
+    """On the six-bus example only the zero-magnitude solve of each step runs
+    phase 1; the axes start from its basis and find the cold solves' alpha."""
+    sc = load_scenario(DOCS / "sixbus_scenario.json")
+    dispatch = solve_baseline(sc.model, sc.costs, sc.build, sc.solver)
+    reserves = ReserveSchedule.from_headroom(sc.model, dispatch)
+    solves = []
+
+    def recording(lp, options=None, start=None):
+        sol = solve(lp, options, start)
+        solves.append((start is None, sol.stats))
+        return sol
+
+    monkeypatch.setattr(advset, "solve", recording)
+    steps = list(range(sc.model.steps))
+    polys = characterize_steps(sc.model, dispatch, reserves, sc.axes, steps,
+                               sc.build, sc.solver)
+    monkeypatch.undo()
+    per_step = 1 + len(sc.axes)
+    assert len(solves) == per_step * len(steps)
+    assert [cold for cold, _ in solves] == ([True] + [False] * len(sc.axes)) * len(steps)
+    assert all(stats.phase1_pivots > 0 for cold, stats in solves if cold)
+    assert all(stats.phase1_pivots == 0 for cold, stats in solves if not cold)
+
+    s = sc.model.base.power_va
+    for k in steps:
+        for i, axis in enumerate(sc.axes):
+            lp, alpha = build_recourse_lp(sc.model, dispatch, reserves, k, sc.axes,
+                                          np.zeros(len(sc.axes)), sc.build)
+            lp.set_bounds(alpha[i], 0.0, np.inf if axis.cap_w is None else axis.cap_w / s)
+            lp.set_objective({alpha[i]: -1.0})
+            cold = solve(lp, sc.solver)
+            assert polys[k].alpha_w[i] == pytest.approx(cold.values[alpha[i]] * s,
+                                                        rel=1e-9, abs=1e-9)
 
 
 def test_zero_reserves_zero_alpha():
@@ -259,7 +298,7 @@ def test_infeasible_dispatch_point_flagged():
     # stay inside the device window (no clamping) but break the power balance
     corrupt.p[("dg", "dg1")] = corrupt.p[("dg", "dg1")] - 0.5e6
     reserves.up[("dg", "dg1")][:] = 0.0
-    with pytest.raises(AxisInfeasible):
+    with pytest.raises(AxisInfeasible, match="at step 0"):
         characterize(model, corrupt, reserves,
                      [AdversarialAxis(AXIS_LOAD_INCREASE, "load1")], step=0)
 

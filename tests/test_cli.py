@@ -220,6 +220,44 @@ def test_non_finite_network_number_fails_validation(tmp_path, capsys, edit, prof
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("edit, expected", [
+    (lambda doc: doc["storage"][0].update(capacity_va=-1.0),
+     "storage es01: capacity must be positive"),
+    (lambda doc: doc["base"].update(power_va=0), "base: power_va must be positive"),
+    (lambda doc: doc["base"].update(voltage_ll_v=-4160.0),
+     "base: voltage_ll_v must be positive"),
+], ids=["storage-capacity", "base-power", "base-voltage"])
+def test_non_positive_network_quantity_fails_validation(tmp_path, capsys, edit, expected):
+    scenario = files_scenario(tmp_path, edit)
+    assert main(["baseline", str(scenario), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: network failed validation:") and expected in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("block, index, key", [
+    ("pv", 0, "capacity_va"),
+    ("dg", 0, "capacity_va"),
+    ("storage", 0, "initial_soc_wh"),
+    ("loads", 0, "power_factor"),
+    ("branches", 0, "flow_limit_va"),
+    ("buses", 1, "v_max"),
+    ("base", None, "power_va"),
+], ids=["pv-rating", "dg-rating", "storage-soc", "power-factor", "flow-limit",
+        "voltage-bound", "base-power"])
+@pytest.mark.parametrize("value", ["big", None, [1.0]], ids=["string", "null", "array"])
+def test_wrong_json_type_in_network_is_input_error(tmp_path, capsys, block, index, key, value):
+    def edit(doc):
+        obj = doc[block] if index is None else doc[block][index]
+        obj[key] = value
+
+    scenario = files_scenario(tmp_path, edit)
+    assert main(["baseline", str(scenario), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: network.files:") and f"{key} must be a number" in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
 def test_infeasible_maps_to_exit_2(tmp_path, capsys):
     scenario = small_scenario(
         tmp_path,

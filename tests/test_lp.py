@@ -318,3 +318,94 @@ def test_larger_lps_match_scipy_backend():
             assert ours.objective_value == pytest.approx(ref.objective_value, abs=1e-6)
             agreed += 1
     assert agreed >= 10
+
+
+def rebound_and_reprice(lp: LinearProgram, rng: np.random.Generator) -> None:
+    """Move some bounds (fixing a few columns) and draw a new objective."""
+    for j in range(lp.n_variables):
+        u = rng.random()
+        if u < 0.3:
+            lp.set_bounds(j, float(rng.uniform(-3.0, 0.0)), float(rng.uniform(0.5, 4.0)))
+        elif u < 0.4:
+            value = float(rng.uniform(-1.0, 1.0))
+            lp.set_bounds(j, value, value)
+    lp.set_objective({j: float(rng.uniform(-2.0, 2.0)) for j in range(lp.n_variables)})
+
+
+def test_warm_start_matches_cold_solve():
+    rng = np.random.default_rng(99)
+    opt = SolverOptions()
+    warm_only = 0
+    for _ in range(25):
+        lp = random_bounded_lp(rng)
+        first = solve(lp)
+        if first.status is not LpStatus.OPTIMAL:
+            assert first.basis is None
+            continue
+        for _ in range(3):
+            rebound_and_reprice(lp, rng)
+            cold = solve(lp)
+            warm = solve(lp, start=first.basis)
+            assert warm.status == cold.status
+            if cold.status is LpStatus.OPTIMAL:
+                assert warm.objective_value == pytest.approx(cold.objective_value,
+                                                             rel=1e-9, abs=1e-12)
+                assert check_feasibility(lp, warm.values).ok(opt.feas_tol)
+                warm_only += warm.stats.phase1_pivots == 0 < cold.stats.phase1_pivots
+    assert warm_only >= 5  # starts that skipped a phase 1 the cold solve needed
+
+
+def test_warm_start_from_unchanged_lp_takes_no_pivots():
+    rng = np.random.default_rng(3)
+    solved = 0
+    for _ in range(10):
+        lp = random_bounded_lp(rng)
+        cold = solve(lp)
+        if cold.status is not LpStatus.OPTIMAL:
+            continue
+        warm = solve(lp, start=cold.basis)
+        assert warm.iterations == 0
+        assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-12, abs=1e-12)
+        np.testing.assert_array_equal(warm.basis.basic, cold.basis.basic)
+        solved += 1
+    assert solved >= 3
+
+
+def equality_pair_lp():
+    """min x subject to x + y = 4, x in [0, 10], y in [0, 1]: x = 3 basic, y at 1."""
+    lp = LinearProgram()
+    x = lp.add_variable("x", 0.0, 10.0)
+    y = lp.add_variable("y", 0.0, 1.0)
+    lp.set_objective({x: 1.0})
+    lp.add_row({x: 1.0, y: 1.0}, Rel.EQ, 4.0)
+    return lp, x, y
+
+
+@pytest.mark.parametrize("upper", [5.0, np.inf], ids=["x_B-infeasible", "bound-lost"])
+def test_warm_start_falls_back_to_cold(upper):
+    lp, x, y = equality_pair_lp()
+    start = solve(lp).basis
+    # y stays at its upper bound: at 5, x_B = -1 < 0; at infinity y has no bound
+    lp.set_bounds(y, 2.0, upper)
+    cold = solve(lp)
+    warm = solve(lp, start=start)
+    assert warm.status is LpStatus.OPTIMAL
+    assert warm.values[x] == pytest.approx(0.0, abs=1e-12)
+    np.testing.assert_array_equal(warm.values, cold.values)
+    assert warm.stats.phase1_pivots == cold.stats.phase1_pivots > 0
+
+
+def test_warm_start_of_wrong_size_is_malformed():
+    lp, _, _ = equality_pair_lp()
+    start = solve(lp).basis
+    lp.add_variable("z", 0.0, 1.0)
+    with pytest.raises(MalformedProblem):
+        solve(lp, start=start)
+
+
+def test_scipy_backend_returns_no_basis():
+    lp, x, _ = equality_pair_lp()
+    start = solve(lp).basis
+    sol = solve(lp, SolverOptions(backend="scipy"), start=start)
+    assert sol.status is LpStatus.OPTIMAL and sol.basis is None
+    assert sol.values[x] == pytest.approx(3.0)
