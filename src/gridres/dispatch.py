@@ -34,7 +34,7 @@ class CostConfig:
     pv_curtail: float = 0.1
     load_curtail: float = 10.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if min(self.dg_energy, self.pv_curtail, self.load_curtail) < 0:
             raise ValueError("cost weights must be non-negative")
 
@@ -148,7 +148,6 @@ def set_dispatch_objective(
     -c3*Pload; the constant baseline (c2*forecast + c3*desired) is added back
     when the reported objective is assembled.
     """
-    costs.validate()
     weight = {"pv": -costs.pv_curtail, "dg": costs.dg_energy, "load": -costs.load_curtail}
     for (cls, _uid, _k), idx in ns.p.items():
         if cls in weight:

@@ -73,6 +73,8 @@ class Row:
 
 PRICING_RULES = ("dantzig", "bland")
 BACKENDS = ("simplex", "scipy")
+PIVOT_TOL = 1e-9  # smallest |pivot| the ratio test accepts
+BLAND_STALL = 40  # degenerate pivots before Dantzig pricing falls back to Bland's rule
 
 
 @dataclass(frozen=True)
@@ -81,13 +83,11 @@ class SolverOptions:
 
     feas_tol: float = 1e-7
     opt_tol: float = 1e-7
-    pivot_tol: float = 1e-9
     max_iterations: int | None = None
     # "dantzig": most-negative reduced cost, lowest index on ties; falls back
     # to Bland's rule after a degenerate stall.  "bland": pure Bland.
     pricing: str = "dantzig"
     backend: str = "simplex"  # or "scipy" (HiGHS)
-    bland_stall: int = 40
 
     def __post_init__(self) -> None:
         if self.pricing not in PRICING_RULES:
@@ -96,7 +96,7 @@ class SolverOptions:
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown solver backend {self.backend!r}; "
                              f"expected one of {', '.join(BACKENDS)}")
-        for name in ("feas_tol", "opt_tol", "pivot_tol"):
+        for name in ("feas_tol", "opt_tol"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be a positive finite number, got {value!r}")
@@ -732,9 +732,9 @@ class _BoundedSimplex:
                 return None
             if d is None:  # the basis changed; a bound flip leaves d as it is
                 d = self._reduced_costs(cost, c_B)
-            if not pure_bland and not fallback and stall > opt.bland_stall:
+            if not pure_bland and not fallback and stall > BLAND_STALL:
                 stats.bland_entries += 1
-            fallback = stall > opt.bland_stall
+            fallback = stall > BLAND_STALL
             pick = self._entering(d, pure_bland or fallback)
             if pick is None:
                 return None
@@ -752,7 +752,7 @@ class _BoundedSimplex:
             # bound it moves towards
             t_rows.fill(np.inf)
             np.divide(self.x_B - np.where(w > 0.0, lo_B, hi_B), w,
-                      out=t_rows, where=np.abs(w) > opt.pivot_tol)
+                      out=t_rows, where=np.abs(w) > PIVOT_TOL)
             np.maximum(t_rows, 0.0, out=t_rows)
             t_min = float(t_rows.min()) if m else np.inf
 

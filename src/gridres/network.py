@@ -303,7 +303,7 @@ class SynthSpec:
     n_loads: int = 6
     steps: int = 12
     dt_hours: float = 5.0 / 60.0
-    profile: str = "event_day"
+    profile: str = "event_day"  # a key of PROFILE_PRESETS
     initial_soc: str = "mid"  # "low" | "mid" | "high" | "seeded"
     three_phase_buses: int = 3  # buses nearest the root carry all three phases
     # balanced mode keeps per-phase load exactly a third of the total, so
@@ -337,6 +337,12 @@ def synth_feeder(spec: SynthSpec) -> NetworkModel:
         raise ValueError("need at least one bus")
     if spec.buses == 1 and spec.n_loads > 1:
         raise ValueError("single-bus feeder cannot host multiple load points")
+    if spec.profile not in PROFILE_PRESETS:
+        raise ValueError(f"unknown profile {spec.profile!r}; "
+                         f"expected one of {', '.join(PROFILE_PRESETS)}")
+    if spec.initial_soc not in ("low", "mid", "high", "seeded"):
+        raise ValueError(f"unknown initial_soc {spec.initial_soc!r}; "
+                         "expected one of low, mid, high, seeded")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=(0,)))
 
     n3 = min(spec.three_phase_buses, spec.buses)
@@ -464,66 +470,170 @@ def synth_feeder(spec: SynthSpec) -> NetworkModel:
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# JSON field readers: each takes a JSON value and the path that names it in
+# messages (``axes[0].cap_w``) and returns the value as the program uses it,
+# or raises InputError naming that path.
+
+
+class InputError(ValueError):
+    """An input file is malformed; the message names the offending field."""
+
+
+def number(value, path: str) -> float:
+    """A JSON number, never a boolean, as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError(f"{path} must be a number, got {value!r}")
+    return float(value)
+
+
+def integer(value, path: str) -> int:
+    """An integral JSON number (``4`` or ``4.0``), never a boolean, as an int."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
+def _exactly(kind: type, what: str):
+    """A reader of a JSON value that is an instance of `kind`, as it is."""
+    def read(value, path: str):
+        if not isinstance(value, kind):
+            raise InputError(f"{path}: expected {what}, got {value!r}")
+        return value
+    return read
+
+
+string = _exactly(str, "a string")
+boolean = _exactly(bool, "true or false")
+
+
+def nullable(read):
+    """The reader `read`, except that a JSON null reads as None."""
+    return lambda value, path: None if value is None else read(value, path)
+
+
+def array(read):
+    """A reader of a JSON array whose items are each read by `read`."""
+    def read_array(value, path: str) -> list:
+        if not isinstance(value, list):
+            raise InputError(f"{path}: expected a JSON array, got {value!r}")
+        return [read(item, f"{path}[{i}]") for i, item in enumerate(value)]
+    return read_array
+
+
+def record(required: dict, optional: dict | None = None):
+    """A reader of a JSON object with a closed set of fields: each key of
+    `required` must be present, each key of `optional` may be, and any other
+    field is an error.  It returns the present fields, each through its
+    reader.  The path of a document's root object is empty."""
+    readers = {**required, **(optional or {})}
+
+    def read_record(value, path: str) -> dict:
+        at = f"{path}: " if path else ""
+        if not isinstance(value, dict):
+            raise InputError(f"{at}expected a JSON object, got {value!r}")
+        for key in required:
+            if key not in value:
+                raise InputError(f"{at}missing required field {key!r}")
+        for key in value:
+            if key not in readers:
+                raise InputError(f"{at}unknown field {key!r} = {value[key]!r}; "
+                                 f"expected one of {', '.join(readers)}")
+        return {key: readers[key](item, f"{path}.{key}" if path else key)
+                for key, item in value.items()}
+    return read_record
+
+
+_READ_BY_TYPE = {"int": integer, "float": number, "str": string, "bool": boolean,
+                 "float | None": nullable(number)}
+
+
+def dataclass_record(cls):
+    """A reader of a JSON object whose fields, all optional, are those of the
+    dataclass `cls`, each read by its annotated type."""
+    return record({}, {f.name: _READ_BY_TYPE[f.type] for f in fields(cls)})
+
+
+# ---------------------------------------------------------------------------
+# network files
+
+
+@dataclass(frozen=True)
+class RecordList:
+    """How one list of bus or device records is laid out in the network file.
+    Every string and number field is required and keeps its attribute name;
+    each profile series is an attribute read from the profiles CSV."""
+
+    key: str  # JSON key of the list
+    attr: str  # NetworkModel attribute holding the records
+    cls: type
+    strings: tuple[str, ...]
+    numbers: tuple[str, ...]
+    series: tuple[tuple[str, str], ...] = ()  # (attribute, profiles CSV field)
+
+
+NETWORK_LAYOUT = (
+    RecordList("buses", "buses", Bus, ("id", "phases"), ("v_min", "v_max")),
+    RecordList("pv", "pv_units", PvUnit, ("id", "bus"), ("capacity_va",),
+               (("forecast_w", "pv_forecast_w"),)),
+    RecordList("dg", "dg_units", DgUnit, ("id", "bus"), ("capacity_va",)),
+    RecordList("storage", "storage_units", StorageUnit, ("id", "bus"),
+               ("power_w", "energy_min_wh", "energy_max_wh", "capacity_va", "initial_soc_wh")),
+    RecordList("loads", "loads", LoadPoint, ("id", "bus"), ("power_factor",),
+               (("desired_w", "load_desired_w"), ("minimum_w", "load_minimum_w"))),
+)
+SERIES_FIELDS = tuple(name for rec in NETWORK_LAYOUT for _, name in rec.series)
+PROFILES_HEADER = ["time", "entity_id", "field", "value"]
+PHASE_PAIRS = ("aa", "ab", "ac", "bb", "bc", "cc")
+
+
+def _impedance(value, path: str) -> complex:
+    """``[r_ohm, x_ohm]`` as a complex impedance."""
+    pair = array(number)(value, path)
+    if len(pair) != 2:
+        raise InputError(f"{path}: expected [r_ohm, x_ohm], got {value!r}")
+    return complex(*pair)
+
+
+_read_network = record({
+    "base": record(dict.fromkeys(("voltage_ll_v", "power_va"), number)),
+    "horizon": record({"steps": integer, "dt_hours": number}),
+    "branches": array(record({
+        "from": string, "to": string, "phases": string,
+        "impedance_ohm": record({}, dict.fromkeys(PHASE_PAIRS, _impedance)),
+        "flow_limit_va": number,
+    })),
+    **{rec.key: array(record({**dict.fromkeys(rec.strings, string),
+                              **dict.fromkeys(rec.numbers, number)}))
+       for rec in NETWORK_LAYOUT},
+}, {"schema_version": integer})
 
 
 def to_json_dict(model: NetworkModel) -> dict:
-    return {
+    doc = {
         "schema_version": 1,
-        "base": {
-            "voltage_ll_v": model.base.voltage_ll_v,
-            "power_va": model.base.power_va,
-        },
+        "base": {"voltage_ll_v": model.base.voltage_ll_v, "power_va": model.base.power_va},
         "horizon": {"steps": model.steps, "dt_hours": model.dt_hours},
-        "buses": [
-            {"id": b.id, "phases": b.phases, "v_min": b.v_min, "v_max": b.v_max}
-            for b in model.buses
-        ],
         "branches": [
-            {
-                "from": br.from_bus,
-                "to": br.to_bus,
-                "phases": br.phases,
-                "impedance_ohm": {
-                    pair: [z.real, z.imag] for pair, z in sorted(br.impedance_ohm.items())
-                },
-                "flow_limit_va": br.flow_limit_va,
-            }
+            {"from": br.from_bus, "to": br.to_bus, "phases": br.phases,
+             "impedance_ohm": {pair: [z.real, z.imag]
+                               for pair, z in sorted(br.impedance_ohm.items())},
+             "flow_limit_va": br.flow_limit_va}
             for br in model.branches
         ],
-        "pv": [
-            {"id": u.id, "bus": u.bus, "capacity_va": u.capacity_va} for u in model.pv_units
-        ],
-        "dg": [
-            {"id": u.id, "bus": u.bus, "capacity_va": u.capacity_va} for u in model.dg_units
-        ],
-        "storage": [
-            {
-                "id": u.id,
-                "bus": u.bus,
-                "power_w": u.power_w,
-                "energy_min_wh": u.energy_min_wh,
-                "energy_max_wh": u.energy_max_wh,
-                "capacity_va": u.capacity_va,
-                "initial_soc_wh": u.initial_soc_wh,
-            }
-            for u in model.storage_units
-        ],
-        "loads": [
-            {"id": u.id, "bus": u.bus, "power_factor": u.power_factor} for u in model.loads
-        ],
     }
+    for rec in NETWORK_LAYOUT:
+        doc[rec.key] = [{name: getattr(u, name) for name in rec.strings + rec.numbers}
+                        for u in getattr(model, rec.attr)]
+    return doc
 
 
 def profiles_rows(model: NetworkModel) -> list[tuple[int, str, str, float]]:
-    rows = []
-    for k in range(model.steps):
-        for pv in model.pv_units:
-            rows.append((k, pv.id, "pv_forecast_w", float(pv.forecast_w[k])))
-        for ld in model.loads:
-            rows.append((k, ld.id, "load_desired_w", float(ld.desired_w[k])))
-            rows.append((k, ld.id, "load_minimum_w", float(ld.minimum_w[k])))
-    return rows
+    series = [(u, attr, name) for rec in NETWORK_LAYOUT for u in getattr(model, rec.attr)
+              for attr, name in rec.series]
+    return [(k, u.id, name, float(getattr(u, attr)[k]))
+            for k in range(model.steps) for u, attr, name in series]
 
 
 def save_model(model: NetworkModel, network_path, profiles_path) -> None:
@@ -532,75 +642,44 @@ def save_model(model: NetworkModel, network_path, profiles_path) -> None:
         f.write("\n")
     with open(profiles_path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["time", "entity_id", "field", "value"])
+        writer.writerow(PROFILES_HEADER)
         for k, ent, fieldname, value in profiles_rows(model):
             writer.writerow([k, ent, fieldname, repr(value)])
 
 
-def _floats(d: dict, label: str, *keys: str) -> list[float]:
-    """The numbers under `keys` of the JSON object `d`, each through float()."""
-    out = []
-    for key in keys:
-        try:
-            out.append(float(d[key]))
-        except (TypeError, ValueError):
-            raise ValueError(f"{label}: {key} must be a number, got {d[key]!r}") from None
-    return out
+def _profile_series(profiles, steps: int, doc: dict) -> dict[tuple[str, str], np.ndarray]:
+    """Every profile series of the records in `doc`, keyed by (entity, CSV
+    field); a value the profiles omit is zero.  A bad row is named by its
+    line in the profiles CSV, whose header is line 1."""
+    series = {(d["id"], name): np.zeros(max(steps, 0))  # validate() reports steps < 1
+              for rec in NETWORK_LAYOUT for d in doc[rec.key] for _, name in rec.series}
+    for line, (k, ent, name, value) in enumerate(profiles, start=2):
+        if name not in SERIES_FIELDS:
+            raise InputError(f"profiles line {line}: unknown field {name!r}; "
+                             f"expected one of {', '.join(SERIES_FIELDS)}")
+        if (ent, name) not in series:
+            raise InputError(f"profiles line {line}: {name} for unknown entity {ent!r}")
+        if not 0 <= k < steps:
+            raise InputError(f"profiles line {line}: step {k} outside [0, {steps})")
+        series[(ent, name)][k] = value
+    return series
 
 
 def from_json_dict(doc: dict, profiles: list[tuple[int, str, str, float]]) -> NetworkModel:
-    steps = int(doc["horizon"]["steps"])
-    series: dict[tuple[str, str], np.ndarray] = {}
-    for k, ent, fieldname, value in profiles:
-        arr = series.setdefault((ent, fieldname), np.zeros(steps))
-        arr[int(k)] = value
-
-    buses = [Bus(d["id"], d["phases"], *_floats(d, f"bus {d['id']}", "v_min", "v_max"))
-             for d in doc["buses"]]
-    branches = [
-        Branch(
-            d["from"],
-            d["to"],
-            d["phases"],
-            {pair: complex(ri[0], ri[1]) for pair, ri in d["impedance_ohm"].items()},
-            *_floats(d, f"branch {d['from']}->{d['to']}", "flow_limit_va"),
-        )
-        for d in doc["branches"]
-    ]
-    pvs = [
-        PvUnit(d["id"], d["bus"], *_floats(d, f"pv {d['id']}", "capacity_va"),
-               series.get((d["id"], "pv_forecast_w"), np.zeros(steps)))
-        for d in doc["pv"]
-    ]
-    dgs = [DgUnit(d["id"], d["bus"], *_floats(d, f"dg {d['id']}", "capacity_va"))
-           for d in doc["dg"]]
-    storages = [
-        StorageUnit(
-            d["id"], d["bus"],
-            *_floats(d, f"storage {d['id']}", "power_w", "energy_min_wh", "energy_max_wh",
-                     "capacity_va", "initial_soc_wh"),
-        )
-        for d in doc["storage"]
-    ]
-    loads = [
-        LoadPoint(
-            d["id"], d["bus"],
-            series.get((d["id"], "load_desired_w"), np.zeros(steps)),
-            series.get((d["id"], "load_minimum_w"), np.zeros(steps)),
-            *_floats(d, f"load {d['id']}", "power_factor"),
-        )
-        for d in doc["loads"]
-    ]
+    doc = _read_network(doc, "")
+    if doc.get("schema_version", 1) != 1:
+        raise InputError(f"schema_version: expected 1, got {doc['schema_version']}")
+    steps = doc["horizon"]["steps"]
+    series = _profile_series(profiles, steps, doc)
     return NetworkModel(
-        buses=buses,
-        branches=branches,
-        pv_units=pvs,
-        dg_units=dgs,
-        storage_units=storages,
-        loads=loads,
+        branches=[Branch(d["from"], d["to"], d["phases"], d["impedance_ohm"], d["flow_limit_va"])
+                  for d in doc["branches"]],
         steps=steps,
-        dt_hours=float(doc["horizon"]["dt_hours"]),
-        base=BaseQuantities(*_floats(doc["base"], "base", "voltage_ll_v", "power_va")),
+        dt_hours=doc["horizon"]["dt_hours"],
+        base=BaseQuantities(**doc["base"]),
+        **{rec.attr: [rec.cls(**d, **{attr: series[(d["id"], name)] for attr, name in rec.series})
+                      for d in doc[rec.key]]
+           for rec in NETWORK_LAYOUT},
     )
 
 
@@ -608,11 +687,17 @@ def read_profiles_csv(path) -> list[tuple[int, str, str, float]]:
     rows = []
     with open(path, newline="") as f:
         reader = csv.reader(f)
-        header = next(reader)
-        if header != ["time", "entity_id", "field", "value"]:
-            raise ValueError(f"unexpected profiles header: {header}")
-        for rec in reader:
-            rows.append((int(rec[0]), rec[1], rec[2], float(rec[3])))
+        header = next(reader, None)
+        if header != PROFILES_HEADER:
+            raise InputError(f"profiles line 1: expected the header "
+                             f"{','.join(PROFILES_HEADER)}, got {header}")
+        for line, rec in enumerate(reader, start=2):
+            try:
+                k, ent, name, value = rec
+                rows.append((int(k), ent, name, float(value)))
+            except ValueError:
+                raise InputError(f"profiles line {line}: expected an integer step, an "
+                                 f"entity, a field and a number, got {rec}") from None
     return rows
 
 

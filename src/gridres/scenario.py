@@ -17,30 +17,52 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import operator
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
 from .advset import AdversarialAxis, validate_axes
-from .constraints import (
-    BuildOptions,
-    P_DG_CAPACITY,
-    P_PV_FORECAST,
-    PARAM_CLASS,
-    device_groups,
-)
+from .constraints import BuildOptions, P_DG_CAPACITY, P_PV_FORECAST, PARAM_CLASS, device_groups
 from .dispatch import CostConfig
 from .lp import SolverOptions
-from .network import NetworkModel, SynthSpec, load_model, synth_feeder, validate
+from .network import InputError as ScenarioError  # a malformed scenario or command line
+from .network import (NetworkModel, SynthSpec, array, dataclass_record, integer, load_model,
+                      nullable, number, record, string, synth_feeder, validate)
 from .robust import ReserveCosts, UncertaintyBox
 from .sim import Event, EventTimeline
 
 SCHEMA_VERSION = 1
 
 
-class ScenarioError(ValueError):
-    """A scenario file is malformed; the message names the offending field."""
+# Each box bound as a function of the nominal value and the given number.
+LOW_BOUNDS = {"low_w": lambda nom, w: w, "low_scale": operator.mul, "low_sub_w": operator.sub}
+HIGH_BOUNDS = {"high_w": lambda nom, w: w, "high_scale": operator.mul,
+               "high_add_w": operator.add}
+
+_read_scenario = record({
+    "schema_version": integer,
+    "network": record({}, {
+        "synth": dataclass_record(SynthSpec),
+        "files": record({"network": string, "profiles": string}),
+    }),
+}, {
+    "name": string,
+    "seed": integer,
+    "costs": dataclass_record(CostConfig),
+    "reserve_cost_factors": record({}, dict.fromkeys(("pv", "dg", "es", "load"), number)),
+    "solver": record({}, {"backend": string, "feas_tol": number, "opt_tol": number,
+                          "pricing": string}),
+    "build": dataclass_record(BuildOptions),
+    "uncertainty": array(record({"parameter": string, "entity": string, "steps": array(integer)},
+                                dict.fromkeys([*LOW_BOUNDS, *HIGH_BOUNDS], number))),
+    "axes": array(record({"kind": string, "entity": string}, {"cap_w": nullable(number)})),
+    "advset_steps": array(integer),
+    "timeline": array(record({"time_min": number, "kind": string, "entity": string},
+                             {"magnitude_w": nullable(number)})),
+})
 
 
 @dataclass
@@ -62,63 +84,14 @@ class Scenario:
         return bool(self.box.entries)
 
 
-def _require(doc: dict, key: str, context: str):
-    if not isinstance(doc, dict):
-        raise ScenarioError(f"{context}: expected a JSON object, got {doc!r}")
-    if key not in doc:
-        raise ScenarioError(f"{context}: missing required field {key!r}")
-    return doc[key]
-
-
-def _number(value, context: str) -> float:
+@contextmanager
+def _input_error(field: str):
+    """Re-raise a ValueError or OSError from the block as a ScenarioError
+    whose message starts with `field`."""
     try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"{context}: expected a number, got {value!r}") from None
-
-
-def _integer(value, context: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"{context}: expected an integer, got {value!r}") from None
-
-
-def _identifier(doc: dict, key: str, context: str) -> str:
-    """The required string field `doc[key]`: a kind or an entity id."""
-    value = _require(doc, key, context)
-    if not isinstance(value, str):
-        raise ScenarioError(f"{context}.{key}: expected a string, got {value!r}")
-    return value
-
-
-def _optional_number(value, context: str) -> float | None:
-    return None if value is None else _number(value, context)
-
-
-def _as_is(value, context: str):
-    return value
-
-
-def _section(doc: dict, key: str, convert: dict) -> dict:
-    """The fields the scenario gives in the object `doc[key]`, each passed
-    through its converter; absent fields are left to the dataclass defaults."""
-    block = doc.get(key)
-    if block is None:
-        return {}
-    if not isinstance(block, dict):
-        raise ScenarioError(f"{key}: expected a JSON object, got {block!r}")
-    for name in sorted(set(block) - set(convert)):
-        raise ScenarioError(f"{key}: unknown field {name!r} = {block[name]!r}; "
-                            f"expected one of {', '.join(convert)}")
-    return {name: convert[name](value, f"{key}.{name}") for name, value in block.items()}
-
-
-def _array(doc: dict, key: str, default=()) -> list:
-    value = doc.get(key, default)
-    if not isinstance(value, (list, tuple, range)):
-        raise ScenarioError(f"{key}: expected a JSON array, got {value!r}")
-    return value
+        yield
+    except (OSError, ValueError) as err:
+        raise ScenarioError(f"{field}: {err}" if field else str(err)) from err
 
 
 def _nominal_of(unit, param: str, step: int) -> float:
@@ -129,46 +102,42 @@ def _nominal_of(unit, param: str, step: int) -> float:
     return float(unit.desired_w[step])
 
 
-def _parse_box(doc: list, model: NetworkModel) -> UncertaintyBox:
+def _bound_rule(entry: dict, rules: dict, ctx: str):
+    """The entry's bound on one side of the box as a function of the nominal
+    value; an entry gives at most one bound per side."""
+    given = [key for key in rules if key in entry]
+    if len(given) > 1:
+        raise ScenarioError(f"{ctx}: give at most one of {', '.join(rules)}, "
+                            f"got {', '.join(given)}")
+    if not given:
+        return lambda nom: nom
+    rule, value = rules[given[0]], entry[given[0]]
+    return lambda nom: rule(nom, value)
+
+
+def _parse_box(entries: list[dict], model: NetworkModel) -> UncertaintyBox:
     units = {cls: {u.id: u for u in group} for cls, group in device_groups(model)}
     box = UncertaintyBox()
-    for i, entry in enumerate(doc):
+    for i, entry in enumerate(entries):
         ctx = f"uncertainty[{i}]"
-        param = _identifier(entry, "parameter", ctx)
+        param, entity = entry["parameter"], entry["entity"]
         if param not in PARAM_CLASS:
             raise ScenarioError(f"{ctx}: unknown parameter {param!r}")
         cls = PARAM_CLASS[param]
-        entity = _identifier(entry, "entity", ctx)
         if entity not in units[cls]:
             raise ScenarioError(f"{ctx}: unknown {cls} entity {entity!r}")
-        try:
-            a, b = (int(k) for k in _require(entry, "steps", ctx))
-        except (TypeError, ValueError) as err:
-            raise ScenarioError(f"{ctx}: steps: {err}") from err
+        if len(entry["steps"]) != 2:
+            raise ScenarioError(f"{ctx}.steps: expected [first, last), got {entry['steps']}")
+        a, b = entry["steps"]
         if not 0 <= a <= b <= model.steps:
             raise ScenarioError(f"{ctx}: steps [{a}, {b}) outside the horizon "
                                 f"of {model.steps} steps")
-        bound = {key: _number(value, f"{ctx}: {key}") for key, value in entry.items()
-                 if key.startswith(("low_", "high_"))}
+        low = _bound_rule(entry, LOW_BOUNDS, ctx)
+        high = _bound_rule(entry, HIGH_BOUNDS, ctx)
         for k in range(a, b):
             nom = _nominal_of(units[cls][entity], param, k)
-            lo = hi = nom
-            if "low_w" in bound:
-                lo = bound["low_w"]
-            if "low_scale" in bound:
-                lo = nom * bound["low_scale"]
-            if "low_sub_w" in bound:
-                lo = nom - bound["low_sub_w"]
-            if "high_w" in bound:
-                hi = bound["high_w"]
-            if "high_scale" in bound:
-                hi = nom * bound["high_scale"]
-            if "high_add_w" in bound:
-                hi = nom + bound["high_add_w"]
-            try:
-                box.add(param, entity, k, lo, nom, hi)
-            except ValueError as err:
-                raise ScenarioError(f"{ctx}: {err}") from err
+            with _input_error(ctx):
+                box.add(param, entity, k, low(nom), nom, high(nom))
     return box
 
 
@@ -177,128 +146,72 @@ def load_scenario(path, seed_override: int | None = None,
                   feas_tol: float | None = None) -> Scenario:
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as err:
-        raise ScenarioError(f"cannot read scenario {path}: {err}") from err
-    try:
-        doc = json.loads(text)
+        doc = json.loads(path.read_text())
     except json.JSONDecodeError as err:
         raise ScenarioError(
             f"scenario {path} is not valid JSON at byte offset {err.pos}: {err.msg}"
         ) from err
+    except (OSError, ValueError) as err:
+        raise ScenarioError(f"cannot read scenario {path}: {err}") from err
 
-    if not isinstance(doc, dict):
-        raise ScenarioError(f"scenario {path}: expected a JSON object, got {doc!r}")
-    version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ScenarioError(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
-    seed = _integer(doc.get("seed", 0), "seed") if seed_override is None else int(seed_override)
+    doc = _read_scenario(doc, "")
+    if doc["schema_version"] != SCHEMA_VERSION:
+        raise ScenarioError(f"schema_version: expected {SCHEMA_VERSION}, "
+                            f"got {doc['schema_version']!r}")
+    seed = doc.get("seed", 0) if seed_override is None else int(seed_override)
+    if seed < 0:  # numpy seed sequences take only non-negative entropy
+        raise ScenarioError(f"seed: expected a non-negative integer, got {seed}")
 
-    net = _require(doc, "network", "scenario")
-    if not isinstance(net, dict):
-        raise ScenarioError(f"network: expected a JSON object, got {net!r}")
+    net = doc["network"]
+    if len(net) != 1:
+        raise ScenarioError("network: needs exactly one of 'synth' and 'files'")
     if "synth" in net:
-        try:
-            synth = dict(net["synth"])
-            synth.setdefault("seed", seed)
-            model = synth_feeder(SynthSpec(**synth))
-        except (TypeError, ValueError) as err:
-            raise ScenarioError(f"network.synth: {err}") from err
-    elif "files" in net:
-        network_file = _require(net["files"], "network", "network.files")
-        profiles_file = _require(net["files"], "profiles", "network.files")
-        try:
-            model = load_model(path.parent / network_file, path.parent / profiles_file)
-        except (OSError, TypeError, ValueError, KeyError) as err:
-            raise ScenarioError(f"network.files: {err}") from err
+        with _input_error("network.synth"):
+            model = synth_feeder(SynthSpec(**{"seed": seed, **net["synth"]}))
     else:
-        raise ScenarioError("network: needs either 'synth' or 'files'")
+        files = net["files"]
+        with _input_error("network.files"):
+            model = load_model(path.parent / files["network"], path.parent / files["profiles"])
 
     report = validate(model)
     if not report.ok:
         raise ScenarioError("network failed validation: " + "; ".join(report.problems))
 
-    costs = CostConfig(**_section(doc, "costs", dict.fromkeys(
-        ("dg_energy", "pv_curtail", "load_curtail"), _number)))
-    reserve_costs = ReserveCosts.from_costs(costs, **_section(
-        doc, "reserve_cost_factors", dict.fromkeys(("pv", "dg", "es", "load"), _number)))
+    with _input_error("costs"):
+        costs = CostConfig(**doc.get("costs", {}))
+    reserve_costs = ReserveCosts.from_costs(costs, **doc.get("reserve_cost_factors", {}))
 
-    solver_fields = {"pricing": "bland"}  # the scenario-level default
-    solver_fields.update(_section(doc, "solver", {
-        "backend": _as_is, "feas_tol": _number, "opt_tol": _number, "pricing": _as_is}))
+    solver_fields = {"pricing": "bland", **doc.get("solver", {})}  # the scenario default
     if feas_tol is not None:
         solver_fields["feas_tol"] = feas_tol
-    try:
+    with _input_error("solver"):
         solver = SolverOptions(**solver_fields)
-    except (TypeError, ValueError) as err:
-        raise ScenarioError(f"solver: {err}") from err
-    build_fields = _section(doc, "build", {
-        "poly_sides": _integer, "pv_power_factor_gamma": _optional_number,
-        "terminal_soc_geq_initial": lambda value, _context: bool(value)})
+    build_fields = doc.get("build", {})
     if poly_sides is not None:
         build_fields["poly_sides"] = poly_sides
-    try:
+    with _input_error("build"):
         build = BuildOptions(**build_fields)
-    except ValueError as err:
-        raise ScenarioError(f"build: {err}") from err
 
-    box = _parse_box(_array(doc, "uncertainty"), model)
-    try:
-        box.validate(model)
-    except ValueError as err:
-        raise ScenarioError(f"uncertainty: {err}") from err
-
+    box = _parse_box(doc.get("uncertainty", []), model)
     axes = []
-    for i, a in enumerate(_array(doc, "axes")):
-        kind = _identifier(a, "kind", f"axes[{i}]")
-        entity = _identifier(a, "entity", f"axes[{i}]")
-        cap_w = _optional_number(a.get("cap_w"), f"axes[{i}].cap_w")
-        try:
-            axes.append(AdversarialAxis(kind, entity, cap_w))
-        except ValueError as err:
-            raise ScenarioError(f"axes[{i}]: {err}") from err
-    try:
+    for i, a in enumerate(doc.get("axes", [])):
+        with _input_error(f"axes[{i}]"):
+            axes.append(AdversarialAxis(a["kind"], a["entity"], a.get("cap_w")))
+    with _input_error(""):  # the message names the axis
         validate_axes(model, axes)
-    except ValueError as err:
-        raise ScenarioError(str(err)) from err
 
-    try:
-        advset_steps = [int(k) for k in _array(doc, "advset_steps", range(model.steps))]
-    except (TypeError, ValueError) as err:
-        raise ScenarioError(f"advset_steps: {err}") from err
+    advset_steps = doc.get("advset_steps", list(range(model.steps)))
     for k in advset_steps:
         if not 0 <= k < model.steps:
             raise ScenarioError(f"advset_steps: step {k} outside horizon")
 
-    events = []
-    for i, e in enumerate(_array(doc, "timeline")):
-        events.append(
-            Event(
-                _number(_require(e, "time_min", f"timeline[{i}]"), f"timeline[{i}].time_min"),
-                _identifier(e, "kind", f"timeline[{i}]"),
-                _identifier(e, "entity", f"timeline[{i}]"),
-                _optional_number(e.get("magnitude_w"), f"timeline[{i}].magnitude_w"),
-            )
-        )
-    timeline = EventTimeline(events)
-    try:
+    timeline = EventTimeline([Event(e["time_min"], e["kind"], e["entity"], e.get("magnitude_w"))
+                              for e in doc.get("timeline", [])])
+    with _input_error("timeline"):
         timeline.validate(model)
-    except ValueError as err:
-        raise ScenarioError(f"timeline: {err}") from err
 
-    return Scenario(
-        name=doc.get("name", path.stem),
-        seed=seed,
-        model=model,
-        costs=costs,
-        reserve_costs=reserve_costs,
-        solver=solver,
-        build=build,
-        box=box,
-        axes=axes,
-        advset_steps=advset_steps,
-        timeline=timeline,
-    )
+    return Scenario(doc.get("name", path.stem), seed, model, costs, reserve_costs, solver, build,
+                    box, axes, advset_steps, timeline)
 
 
 # ---------------------------------------------------------------------------

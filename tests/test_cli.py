@@ -8,6 +8,8 @@ from gridres.cli import main
 from gridres.lp import IterationLimitExceeded
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+SMALL_SYNTH = {"buses": 6, "steps": 4, "dt_hours": 0.25, "profile": "event_day",
+               "initial_soc": "mid", "n_loads": 3, "n_pv": 2, "n_dg": 2, "n_storage": 1}
 
 
 def small_scenario(tmp_path, name="small", **overrides) -> Path:
@@ -15,19 +17,7 @@ def small_scenario(tmp_path, name="small", **overrides) -> Path:
         "schema_version": 1,
         "name": name,
         "seed": 11,
-        "network": {
-            "synth": {
-                "buses": 6,
-                "steps": 4,
-                "dt_hours": 0.25,
-                "profile": "event_day",
-                "initial_soc": "mid",
-                "n_loads": 3,
-                "n_pv": 2,
-                "n_dg": 2,
-                "n_storage": 1,
-            }
-        },
+        "network": {"synth": dict(SMALL_SYNTH)},
         "costs": {"dg_energy": 1.0, "pv_curtail": 0.1, "load_curtail": 10.0},
         "uncertainty": [
             {"parameter": "load_desired", "entity": "load01", "steps": [1, 3],
@@ -132,13 +122,42 @@ def test_unknown_solver_option_is_input_error(tmp_path, capsys, field, value):
      "error: timeline[0].kind: expected a string"),
     ({"timeline": [{"time_min": 15, "kind": "dg_trip", "entity": {"id": "dg01"}}]}, [],
      "error: timeline[0].entity: expected a string"),
+    ({"seed": True}, [], "error: seed: expected an integer, got True"),
+    ({"seed": 3.7}, [], "error: seed: expected an integer, got 3.7"),
+    ({"build": {"poly_sides": 8.9}}, [], "error: build.poly_sides: expected an integer"),
+    ({"advset_steps": [1.5]}, [], "error: advset_steps[0]: expected an integer"),
+    ({"axes": [{"kind": "dg_capacity_loss", "entity": "dg01", "cap_w": True}]}, [],
+     "error: axes[0].cap_w must be a number, got True"),
+    ({"axes": [{"kind": "dg_capacity_loss", "entity": "dg01", "cap": 1.0e5}]}, [],
+     "error: axes[0]: unknown field 'cap'"),
+    ({"timeline": [{"time_min": 15, "kind": "load_mask_start", "entity": "load01",
+                    "magnitde_w": 1.5e5}]}, [], "error: timeline[0]: unknown field 'magnitde_w'"),
+    ({"uncertainty": [{"parameter": "load_desired", "entity": "load01", "steps": [1, 3],
+                       "hi_add_w": 1.0}]}, [], "error: uncertainty[0]: unknown field 'hi_add_w'"),
+    ({"uncertainty": [{"parameter": "load_desired", "entity": "load01", "steps": [1, 3],
+                       "high_w": 1.0e6, "high_add_w": 1.0}]}, [],
+     "error: uncertainty[0]: give at most one of high_w, high_scale, high_add_w"),
+    ({"uncertainty": [{"parameter": "load_desired", "entity": "load01", "steps": [1, 3],
+                       "low_foo": 1.0}]}, [], "error: uncertainty[0]: unknown field 'low_foo'"),
+    ({"network": {"synth": {**SMALL_SYNTH, "profile": "nope"}}}, [],
+     "error: network.synth: unknown profile 'nope'; expected one of low_solar_high_load"),
+    ({"network": {"synth": {**SMALL_SYNTH, "initial_soc": "weird"}}}, [],
+     "error: network.synth: unknown initial_soc 'weird'; expected one of low, mid, high, seeded"),
+    ({"network": {"synth": {**SMALL_SYNTH, "buses": "six"}}}, [],
+     "error: network.synth.buses: expected an integer"),
+    ({"costs": {"dg_energy": -1.0}}, [], "error: costs: cost weights must be non-negative"),
+    ({}, ["--seed", "-1"], "error: seed: expected a non-negative integer, got -1"),
 ], ids=["unknown-entity", "steps-past-horizon", "non-numeric-cost", "two-poly-sides",
         "two-poly-sides-flag", "non-numeric-time", "non-numeric-advset-step",
         "non-numeric-gamma", "non-numeric-cap", "non-numeric-magnitude", "solver-not-object",
         "build-not-object", "costs-not-object", "factors-not-object", "network-not-object",
         "uncertainty-not-array", "non-numeric-seed", "document-not-object",
         "axis-missing-kind", "array-parameter", "object-box-entity", "array-axis-entity",
-        "array-event-kind", "object-event-entity"])
+        "array-event-kind", "object-event-entity", "boolean-seed", "fractional-seed",
+        "fractional-poly-sides", "fractional-advset-step", "boolean-cap", "misspelled-cap",
+        "misspelled-magnitude", "misspelled-box-bound", "two-high-bounds", "unknown-low-bound",
+        "unknown-profile", "unknown-initial-soc", "string-bus-count", "negative-cost",
+        "negative-seed"])
 def test_bad_box_input_is_input_error(tmp_path, capsys, overrides, flags, expected):
     if isinstance(overrides, dict):
         scenario = small_scenario(tmp_path, **overrides)
@@ -256,6 +275,58 @@ def test_wrong_json_type_in_network_is_input_error(tmp_path, capsys, block, inde
     err = capsys.readouterr().err
     assert err.startswith("error: network.files:") and f"{key} must be a number" in err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def _profile_cells(edit):
+    """A profiles edit applying `edit` to the cells of CSV line 2, the first row."""
+    def apply(tmp_path):
+        path = tmp_path / "net" / "profiles.csv"
+        lines = path.read_text().splitlines()
+        lines[1] = ",".join(edit(lines[1].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+    return apply
+
+
+def _set(block, index, key, value):
+    return lambda doc: doc[block][index].update({key: value})
+
+
+@pytest.mark.parametrize("edit, profiles, expected", [
+    (_set("buses", 0, "phases", 5), None, "buses[0].phases: expected a string, got 5"),
+    (_set("buses", 1, "id", 7), None, "buses[1].id: expected a string, got 7"),
+    (_set("pv", 0, "bus", ["x"]), None, "pv[0].bus: expected a string, got ['x']"),
+    (_set("buses", 0, "v_min", True), None, "buses[0].v_min must be a number, got True"),
+    (lambda doc: doc.pop("pv"), None, "missing required field 'pv'"),
+    (lambda doc: doc["horizon"].update(steps="big"), None,
+     "horizon.steps: expected an integer, got 'big'"),
+    (lambda doc: doc["horizon"].update(dt_hours="big"), None,
+     "horizon.dt_hours must be a number, got 'big'"),
+    (lambda doc: doc["branches"][0]["impedance_ohm"].update(aa=["big", 0.1]), None,
+     "branches[0].impedance_ohm.aa[0] must be a number, got 'big'"),
+    (lambda doc: doc["branches"][0]["impedance_ohm"].update(ba=[0.1, 0.2]), None,
+     "branches[0].impedance_ohm: unknown field 'ba'"),
+    (_set("storage", 0, "capacity", 1.0), None, "storage[0]: unknown field 'capacity'"),
+    (lambda doc: None, _profile_cells(lambda c: ["99", *c[1:]]),
+     "profiles line 2: step 99 outside [0, 4)"),
+    (lambda doc: None, _profile_cells(lambda c: ["-1", *c[1:]]),
+     "profiles line 2: step -1 outside [0, 4)"),
+    (lambda doc: None, _profile_cells(lambda c: c[:3]), "profiles line 2: expected an integer"),
+    (lambda doc: None, _profile_cells(lambda c: [*c[:2], "pv_forcast_w", c[3]]),
+     "profiles line 2: unknown field 'pv_forcast_w'"),
+    (lambda doc: None, _profile_cells(lambda c: [c[0], "pv99", *c[2:]]),
+     "profiles line 2: pv_forecast_w for unknown entity 'pv99'"),
+], ids=["integer-phases", "integer-bus-id", "array-device-bus", "boolean-voltage-bound",
+        "missing-list", "string-steps", "string-dt", "string-impedance", "unknown-phase-pair",
+        "unknown-record-field", "profile-step-past-horizon", "profile-negative-step",
+        "profile-three-columns", "profile-unknown-field", "profile-unknown-entity"])
+def test_malformed_network_files_are_input_errors(tmp_path, capsys, edit, profiles, expected):
+    scenario = files_scenario(tmp_path, edit)
+    if profiles is not None:
+        profiles(tmp_path)
+    assert main(["validate", str(scenario)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: network.files:") and expected in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_infeasible_maps_to_exit_2(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,12 +10,19 @@ from gridres.network import (
     NetworkModel,
     SynthSpec,
     from_json_dict,
+    load_model,
     profiles_rows,
+    save_model,
     synth_feeder,
     to_json_dict,
     validate,
 )
+from gridres.scenario import load_scenario
 from util import six_bus, two_bus
+
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
+DOCS = ROOT / "docs" / "examples"
 
 
 def bare_model(buses, branches):
@@ -156,6 +166,42 @@ def test_save_load_files_round_trip(tmp_path):
     assert to_json_dict(clone) == to_json_dict(model)
     for orig, back in zip(model.loads, clone.loads):
         np.testing.assert_array_equal(orig.desired_w, back.desired_w)
+
+
+def assert_bit_identical(a, b, where="model"):
+    """`a` and `b` hold equal values of equal types down to every array bit."""
+    assert type(a) is type(b), where
+    if isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), where
+    elif isinstance(a, list):
+        assert len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_bit_identical(x, y, f"{where}[{i}]")
+    elif isinstance(a, dict):
+        assert list(a) == list(b), where
+        for key in a:
+            assert_bit_identical(a[key], b[key], f"{where}.{key}")
+    elif dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            assert_bit_identical(getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}")
+    else:
+        assert a == b, where
+
+
+@pytest.mark.parametrize("source", ["lshl", "hsll", "cyber_event", "sixbus"])
+def test_network_files_round_trip_bit_identical(tmp_path, source):
+    """save_model -> load_model returns every field bit-identical, and saving
+    the loaded model again writes the same bytes."""
+    if source == "sixbus":
+        model = load_model(DOCS / "sixbus_network.json", DOCS / "sixbus_profiles.csv")
+    else:
+        model = load_scenario(SCENARIOS / f"{source}.json").model
+    save_model(model, tmp_path / "a.json", tmp_path / "a.csv")
+    clone = load_model(tmp_path / "a.json", tmp_path / "a.csv")
+    assert_bit_identical(model, clone)
+    save_model(clone, tmp_path / "b.json", tmp_path / "b.csv")
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_six_bus_fixture_is_valid():
