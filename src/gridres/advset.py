@@ -35,7 +35,7 @@ concurrently by callers.  A built InnerPolytope is immutable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,7 +53,8 @@ from .constraints import (
 )
 from .dispatch import DispatchResult
 from .lp import LinearProgram, LpStatus, Rel, Row, SolverOptions, solve
-from .network import NetworkModel
+from .network import (InputError, NetworkModel, array, input_error, integer, mapping, nullable,
+                      number, record, series, string)
 from .robust import ReserveSchedule
 
 AXIS_DG_LOSS = "dg_capacity_loss"
@@ -80,6 +81,19 @@ class AdversarialAxis:
             raise ValueError(f"unknown axis kind {self.kind!r}")
 
 
+_axis_fields = record({"kind": string, "entity": string}, {"cap_w": nullable(number)})
+
+
+def read_axis(value, path: str) -> AdversarialAxis:
+    """An axis entry, of a scenario's `axes` or of a polytope.json step."""
+    fields = _axis_fields(value, path)
+    with input_error(path):
+        return AdversarialAxis(**fields)
+
+
+_read_polytope = record({"step": integer, "axes": array(read_axis), "alpha_w": series})
+
+
 @dataclass
 class InnerPolytope:
     """Vertices {nominal, nominal + alpha_i e_i} in axis-magnitude coordinates (W)."""
@@ -97,21 +111,37 @@ class InnerPolytope:
         return verts
 
     def to_json_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "axes": [
-                {"kind": a.kind, "entity": a.entity, "cap_w": a.cap_w} for a in self.axes
-            ],
-            "alpha_w": [float(a) for a in self.alpha_w],
-        }
+        return {"step": self.step, "axes": [asdict(a) for a in self.axes],
+                "alpha_w": [float(a) for a in self.alpha_w]}
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "InnerPolytope":
-        axes = [AdversarialAxis(a["kind"], a["entity"], a.get("cap_w")) for a in doc["axes"]]
-        alpha = np.asarray(doc["alpha_w"], dtype=float)
-        if alpha.shape != (len(axes),):
-            raise ValueError(f"alpha_w has {alpha.size} entries for {len(axes)} axes")
-        return cls(int(doc["step"]), axes, alpha)
+    def from_json_dict(cls, doc, path: str = "") -> "InnerPolytope":
+        poly = cls(**_read_polytope(doc, path))
+        alpha, at = poly.alpha_w, f"{path}." if path else ""
+        if alpha.shape != (len(poly.axes),):
+            raise InputError(f"{at}alpha_w has {alpha.size} entries for {len(poly.axes)} axes")
+        if (alpha < 0).any():
+            raise InputError(f"{at}alpha_w: expected no negative entry, got {alpha.tolist()}")
+        return poly
+
+
+def polytopes_to_json(polys: dict[int, InnerPolytope]) -> dict:
+    """The polytope.json document: each step's polytope under its step."""
+    return {"steps": {str(k): p.to_json_dict() for k, p in sorted(polys.items())}}
+
+
+def polytopes_from_json(doc, model: NetworkModel) -> dict[int, InnerPolytope]:
+    """The polytopes of a polytope.json document by step, checked against `model`."""
+    steps = record({"steps": mapping(InnerPolytope.from_json_dict)})(doc, "")["steps"]
+    if not steps:
+        raise InputError("no steps")
+    for key, poly in steps.items():
+        if key != str(poly.step):
+            raise InputError(f"steps.{key}.step: expected {key}, got {poly.step}")
+        if not 0 <= poly.step < model.steps:
+            raise InputError(f"step {poly.step} outside the horizon of {model.steps} steps")
+        validate_axes(model, poly.axes)
+    return {poly.step: poly for poly in steps.values()}
 
 
 def validate_axes(model: NetworkModel, axes: list[AdversarialAxis]) -> None:

@@ -20,10 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .advset import AxisInfeasible, InnerPolytope, characterize_steps, project_2d, validate_axes
+from .advset import (AxisInfeasible, characterize_steps, polytopes_from_json, polytopes_to_json,
+                     project_2d)
 from .dispatch import DispatchResult, InfeasibleDispatch, solve_baseline, summarize
 from .lp import IterationLimitExceeded
-from .network import save_model, validate
+from .network import input_error, save_model, validate
 from .robust import ReserveSchedule, RobustResult, reserve_margin, solve_robust
 from .scenario import (
     ManifestWriter,
@@ -178,8 +179,7 @@ def cmd_advset(scenario: Scenario, out: Path, manifest: ManifestWriter,
         scenario.advset_steps, scenario.build, scenario.solver,
     )
 
-    write_json(out / "polytope.json",
-               {"steps": {str(k): p.to_json_dict() for k, p in sorted(polys.items())}})
+    write_json(out / "polytope.json", polytopes_to_json(polys))
     manifest.add_output(out / "polytope.json")
 
     rows = []
@@ -239,10 +239,9 @@ def cmd_simulate(scenario: Scenario, out: Path, manifest: ManifestWriter,
                  robust_path: Path | None = None, polytope_path: Path | None = None,
                  sample: int | None = None, sample_seed: int | None = None) -> int:
     if robust_path is not None:
-        try:
+        with input_error(f"--robust {robust_path}"):
             robust = RobustResult.from_json_dict(json.loads(Path(robust_path).read_text()))
-        except (OSError, json.JSONDecodeError, KeyError) as err:
-            raise ScenarioError(f"--robust {robust_path}: {err}") from err
+            robust.check_schedule(scenario.model)
         manifest.add_input(robust_path)
     else:
         robust = _solve_robust_for(scenario)
@@ -262,21 +261,12 @@ def cmd_simulate(scenario: Scenario, out: Path, manifest: ManifestWriter,
 
     if sample < 1:
         raise ScenarioError("--sample must be at least 1")
+    if sample_seed is not None and sample_seed < 0:
+        raise ScenarioError(f"--sample-seed: expected a non-negative integer, got {sample_seed}")
     if polytope_path is None:
         raise ScenarioError("--sample needs --polytope pointing at an advset output")
-    try:
-        doc = json.loads(Path(polytope_path).read_text())
-        polys = {
-            int(k): InnerPolytope.from_json_dict(p) for k, p in doc["steps"].items()
-        }
-        if not polys:
-            raise ValueError("no steps")
-        for k, poly in polys.items():
-            if not 0 <= k < scenario.model.steps:
-                raise ValueError(f"step {k} outside the horizon of {scenario.model.steps} steps")
-            validate_axes(scenario.model, poly.axes)
-    except (OSError, AttributeError, KeyError, TypeError, ValueError) as err:
-        raise ScenarioError(f"--polytope {polytope_path}: {err}") from err
+    with input_error(f"--polytope {polytope_path}"):
+        polys = polytopes_from_json(json.loads(Path(polytope_path).read_text()), scenario.model)
     manifest.add_input(polytope_path)
 
     seed = scenario.seed if sample_seed is None else sample_seed

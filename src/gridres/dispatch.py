@@ -25,7 +25,7 @@ from .constraints import (
     PerUnit,
 )
 from .lp import LinearProgram, LpSolution, LpStatus, SolverOptions, solve
-from .network import NetworkModel, validate
+from .network import NetworkModel, integer, mapping, number, record, series, validate
 
 
 @dataclass
@@ -54,13 +54,26 @@ class InfeasibleDispatch(RuntimeError):
         )
 
 
-def keyed_to_json(d: dict[tuple[str, str], np.ndarray]) -> dict[str, list[float]]:
-    """Series keyed by a pair, as JSON keys "a:b" in sorted order."""
-    return {f"{a}:{b}": [float(v) for v in arr] for (a, b), arr in sorted(d.items())}
+def series_map(paired: bool = False):
+    """A reader of a JSON object of series keyed by id, or by a pair (a, b) as "a:b"."""
+    return lambda value, path: {tuple(key.split(":", 1)) if paired else key: arr
+                                for key, arr in mapping(series)(value, path).items()}
 
 
-def keyed_from_json(d: dict[str, list[float]]) -> dict[tuple[str, str], np.ndarray]:
-    return {tuple(key.split(":", 1)): np.asarray(v, dtype=float) for key, v in d.items()}
+def series_map_json(d: dict) -> dict[str, list[float]]:
+    """A map of series as JSON, in key order; a pair key (a, b) is written "a:b"."""
+    return {key if isinstance(key, str) else ":".join(key): [float(v) for v in arr]
+            for key, arr in sorted(d.items())}
+
+
+# The JSON layout of a DispatchResult: each series map, and whether it is keyed by a pair
+# rather than an id; p and q are written as one map per class, <class>_p_w and <class>_q_w.
+SERIES_MAPS = {"soc_wh": False, "voltage_sq_pu": True, "flow_p_w": True, "flow_q_w": True,
+               "pv_curtail_w": False, "load_curtail_w": False}
+DEVICE_MAPS = {f"{cls}_{part}_w": (part, cls) for part in ("p", "q") for cls in DEVICE_CLASSES}
+_read_dispatch = record({"objective_value": number, "iterations": integer,
+                        **{name: series_map(paired) for name, paired in SERIES_MAPS.items()},
+                        **dict.fromkeys(DEVICE_MAPS, series_map())})
 
 
 @dataclass
@@ -68,8 +81,7 @@ class DispatchResult:
     """Optimal setpoints in SI units plus the raw LP point for diagnostics.
 
     `p` and `q` hold each device's active and reactive series (W, var),
-    keyed by (class, id) like the reserves; the JSON form keeps one
-    `<class>_p_w` / `<class>_q_w` map per class, keyed by id.
+    keyed by (class, id) like the reserves.
     """
 
     p: dict[tuple[str, str], np.ndarray]
@@ -85,45 +97,19 @@ class DispatchResult:
     lp_values: np.ndarray = field(repr=False, default=None)
 
     def to_json_dict(self) -> dict:
-        def series(d):
-            return {k: [float(v) for v in arr] for k, arr in sorted(d.items())}
-
-        doc = {
-            "objective_value": self.objective_value,
-            "iterations": self.iterations,
-            "soc_wh": series(self.soc_wh),
-            "voltage_sq_pu": keyed_to_json(self.voltage_sq_pu),
-            "flow_p_w": keyed_to_json(self.flow_p_w), "flow_q_w": keyed_to_json(self.flow_q_w),
-            "pv_curtail_w": series(self.pv_curtail_w),
-            "load_curtail_w": series(self.load_curtail_w),
-        }
-        for part, d in (("p", self.p), ("q", self.q)):
-            for cls in DEVICE_CLASSES:
-                doc[f"{cls}_{part}_w"] = series({uid: arr for (c, uid), arr in d.items()
-                                                 if c == cls})
+        doc = {"objective_value": self.objective_value, "iterations": self.iterations,
+               **{name: series_map_json(getattr(self, name)) for name in SERIES_MAPS}}
+        for name, (part, cls) in DEVICE_MAPS.items():
+            doc[name] = series_map_json({uid: arr for (c, uid), arr in getattr(self, part).items()
+                                         if c == cls})
         return doc
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "DispatchResult":
-        def series(d):
-            return {k: np.asarray(v, dtype=float) for k, v in d.items()}
-
-        def devices(part):
-            return {(c, uid): np.asarray(v, dtype=float) for c in DEVICE_CLASSES
-                    for uid, v in doc[f"{c}_{part}_w"].items()}
-
-        return cls(
-            p=devices("p"),
-            q=devices("q"),
-            soc_wh=series(doc["soc_wh"]),
-            voltage_sq_pu=keyed_from_json(doc["voltage_sq_pu"]),
-            flow_p_w=keyed_from_json(doc["flow_p_w"]),
-            flow_q_w=keyed_from_json(doc["flow_q_w"]),
-            pv_curtail_w=series(doc["pv_curtail_w"]),
-            load_curtail_w=series(doc["load_curtail_w"]),
-            objective_value=float(doc["objective_value"]),
-            iterations=int(doc["iterations"]),
-        )
+    def from_json_dict(cls, doc, path: str = "") -> "DispatchResult":
+        doc = _read_dispatch(doc, path)
+        for name, (part, c) in DEVICE_MAPS.items():
+            doc.setdefault(part, {}).update({(c, uid): arr for uid, arr in doc.pop(name).items()})
+        return cls(**doc)
 
 
 def build_baseline_lp(

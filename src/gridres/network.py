@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -479,6 +480,16 @@ class InputError(ValueError):
     """An input file is malformed; the message names the offending field."""
 
 
+@contextmanager
+def input_error(field: str):
+    """Re-raise a ValueError or OSError from the block as an InputError
+    whose message starts with `field`."""
+    try:
+        yield
+    except (OSError, ValueError) as err:
+        raise InputError(f"{field}: {err}" if field else str(err)) from err
+
+
 def number(value, path: str) -> float:
     """A JSON number, never a boolean, as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -520,6 +531,21 @@ def array(read):
             raise InputError(f"{path}: expected a JSON array, got {value!r}")
         return [read(item, f"{path}[{i}]") for i, item in enumerate(value)]
     return read_array
+
+
+def series(value, path: str) -> np.ndarray:
+    """A JSON array of finite numbers, as a float array."""
+    arr = np.array(array(number)(value, path), dtype=float)
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise InputError(f"{path}[{bad[0]}]: expected a finite number, got {value[bad[0]]!r}")
+    return arr
+
+
+def mapping(read):
+    """A reader of a JSON object with free keys, each value read by `read`."""
+    return lambda value, path: {key: read(item, f"{path}.{key}") for key, item
+                                in _exactly(dict, "a JSON object")(value, path).items()}
 
 
 def record(required: dict, optional: dict | None = None):

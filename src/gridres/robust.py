@@ -45,15 +45,15 @@ from .dispatch import (
     CostConfig,
     DispatchResult,
     extract_result,
-    keyed_from_json,
-    keyed_to_json,
     require_valid,
+    series_map,
+    series_map_json,
     set_dispatch_objective,
     solve_dispatch_lp,
     _objective_constant,
 )
 from .lp import Rel, Row, SolverOptions
-from .network import NetworkModel
+from .network import InputError, NetworkModel, number, record, series
 
 
 @dataclass
@@ -200,6 +200,12 @@ class ReserveSchedule:
         return sched
 
 
+_read_robust = record({"dispatch": DispatchResult.from_json_dict,
+                      "reserves": record(dict.fromkeys(("up", "down"), series_map(paired=True))),
+                      "objective_value": number, "reserve_cost": number,
+                      "worst_up_w": series, "worst_down_w": series})
+
+
 @dataclass
 class RobustResult:
     dispatch: DispatchResult
@@ -210,30 +216,35 @@ class RobustResult:
     worst_down_w: np.ndarray
 
     def to_json_dict(self) -> dict:
-        return {
-            "dispatch": self.dispatch.to_json_dict(),
-            "reserves": {"up": keyed_to_json(self.reserves.up),
-                         "down": keyed_to_json(self.reserves.down)},
-            "objective_value": self.objective_value,
-            "reserve_cost": self.reserve_cost,
-            "worst_up_w": [float(v) for v in self.worst_up_w],
-            "worst_down_w": [float(v) for v in self.worst_down_w],
-        }
+        return {"dispatch": self.dispatch.to_json_dict(),
+                "reserves": {"up": series_map_json(self.reserves.up),
+                             "down": series_map_json(self.reserves.down)},
+                "objective_value": self.objective_value, "reserve_cost": self.reserve_cost,
+                "worst_up_w": [float(v) for v in self.worst_up_w],
+                "worst_down_w": [float(v) for v in self.worst_down_w]}
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "RobustResult":
-        reserves = ReserveSchedule(
-            up=keyed_from_json(doc["reserves"]["up"]),
-            down=keyed_from_json(doc["reserves"]["down"]),
-        )
-        return cls(
-            dispatch=DispatchResult.from_json_dict(doc["dispatch"]),
-            reserves=reserves,
-            objective_value=float(doc["objective_value"]),
-            reserve_cost=float(doc["reserve_cost"]),
-            worst_up_w=np.asarray(doc["worst_up_w"], dtype=float),
-            worst_down_w=np.asarray(doc["worst_down_w"], dtype=float),
-        )
+    def from_json_dict(cls, doc, path: str = "") -> "RobustResult":
+        doc = _read_robust(doc, path)
+        return cls(**{**doc, "reserves": ReserveSchedule(**doc["reserves"])})
+
+    def check_schedule(self, model: NetworkModel) -> None:
+        """Raise InputError unless every device of `model` has p, q, up- and down-reserve
+        series of model.steps values, and every storage unit a soc_wh series of steps + 1."""
+        d, r, k = self.dispatch, self.reserves, model.steps
+        want = {f"dispatch.soc_wh.{u.id}": (d.soc_wh.get(u.id), k + 1)
+                for u in model.storage_units}
+        for c, units in device_groups(model):
+            for u in units:
+                key = (c, u.id)
+                want.update({f"dispatch.{c}_p_w.{u.id}": (d.p.get(key), k),
+                             f"dispatch.{c}_q_w.{u.id}": (d.q.get(key), k),
+                             f"reserves.up.{c}:{u.id}": (r.up.get(key), k),
+                             f"reserves.down.{c}:{u.id}": (r.down.get(key), k)})
+        for path, (arr, n) in want.items():
+            if arr is None or len(arr) != n:
+                got = "no series" if arr is None else f"{len(arr)} values"
+                raise InputError(f"{path}: expected {n} values, got {got}")
 
 
 def reserve_margin(result: RobustResult, k: int) -> tuple[float, float]:

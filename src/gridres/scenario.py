@@ -19,18 +19,17 @@ import hashlib
 import json
 import operator
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .advset import AdversarialAxis, validate_axes
+from .advset import AdversarialAxis, read_axis, validate_axes
 from .constraints import BuildOptions, P_DG_CAPACITY, P_PV_FORECAST, PARAM_CLASS, device_groups
 from .dispatch import CostConfig
 from .lp import SolverOptions
 from .network import InputError as ScenarioError  # a malformed scenario or command line
-from .network import (NetworkModel, SynthSpec, array, dataclass_record, integer, load_model,
-                      nullable, number, record, string, synth_feeder, validate)
+from .network import (NetworkModel, SynthSpec, array, dataclass_record, input_error, integer,
+                      load_model, nullable, number, record, string, synth_feeder, validate)
 from .robust import ReserveCosts, UncertaintyBox
 from .sim import Event, EventTimeline
 
@@ -58,7 +57,7 @@ _read_scenario = record({
     "build": dataclass_record(BuildOptions),
     "uncertainty": array(record({"parameter": string, "entity": string, "steps": array(integer)},
                                 dict.fromkeys([*LOW_BOUNDS, *HIGH_BOUNDS], number))),
-    "axes": array(record({"kind": string, "entity": string}, {"cap_w": nullable(number)})),
+    "axes": array(read_axis),
     "advset_steps": array(integer),
     "timeline": array(record({"time_min": number, "kind": string, "entity": string},
                              {"magnitude_w": nullable(number)})),
@@ -82,16 +81,6 @@ class Scenario:
     @property
     def has_box(self) -> bool:
         return bool(self.box.entries)
-
-
-@contextmanager
-def _input_error(field: str):
-    """Re-raise a ValueError or OSError from the block as a ScenarioError
-    whose message starts with `field`."""
-    try:
-        yield
-    except (OSError, ValueError) as err:
-        raise ScenarioError(f"{field}: {err}" if field else str(err)) from err
 
 
 def _nominal_of(unit, param: str, step: int) -> float:
@@ -136,7 +125,7 @@ def _parse_box(entries: list[dict], model: NetworkModel) -> UncertaintyBox:
         high = _bound_rule(entry, HIGH_BOUNDS, ctx)
         for k in range(a, b):
             nom = _nominal_of(units[cls][entity], param, k)
-            with _input_error(ctx):
+            with input_error(ctx):
                 box.add(param, entity, k, low(nom), nom, high(nom))
     return box
 
@@ -166,38 +155,35 @@ def load_scenario(path, seed_override: int | None = None,
     if len(net) != 1:
         raise ScenarioError("network: needs exactly one of 'synth' and 'files'")
     if "synth" in net:
-        with _input_error("network.synth"):
+        with input_error("network.synth"):
             model = synth_feeder(SynthSpec(**{"seed": seed, **net["synth"]}))
     else:
         files = net["files"]
-        with _input_error("network.files"):
+        with input_error("network.files"):
             model = load_model(path.parent / files["network"], path.parent / files["profiles"])
 
     report = validate(model)
     if not report.ok:
         raise ScenarioError("network failed validation: " + "; ".join(report.problems))
 
-    with _input_error("costs"):
+    with input_error("costs"):
         costs = CostConfig(**doc.get("costs", {}))
     reserve_costs = ReserveCosts.from_costs(costs, **doc.get("reserve_cost_factors", {}))
 
     solver_fields = {"pricing": "bland", **doc.get("solver", {})}  # the scenario default
     if feas_tol is not None:
         solver_fields["feas_tol"] = feas_tol
-    with _input_error("solver"):
+    with input_error("solver"):
         solver = SolverOptions(**solver_fields)
     build_fields = doc.get("build", {})
     if poly_sides is not None:
         build_fields["poly_sides"] = poly_sides
-    with _input_error("build"):
+    with input_error("build"):
         build = BuildOptions(**build_fields)
 
     box = _parse_box(doc.get("uncertainty", []), model)
-    axes = []
-    for i, a in enumerate(doc.get("axes", [])):
-        with _input_error(f"axes[{i}]"):
-            axes.append(AdversarialAxis(a["kind"], a["entity"], a.get("cap_w")))
-    with _input_error(""):  # the message names the axis
+    axes = doc.get("axes", [])
+    with input_error(""):  # the message names the axis
         validate_axes(model, axes)
 
     advset_steps = doc.get("advset_steps", list(range(model.steps)))
@@ -205,9 +191,8 @@ def load_scenario(path, seed_override: int | None = None,
         if not 0 <= k < model.steps:
             raise ScenarioError(f"advset_steps: step {k} outside horizon")
 
-    timeline = EventTimeline([Event(e["time_min"], e["kind"], e["entity"], e.get("magnitude_w"))
-                              for e in doc.get("timeline", [])])
-    with _input_error("timeline"):
+    timeline = EventTimeline([Event(**e) for e in doc.get("timeline", [])])
+    with input_error("timeline"):
         timeline.validate(model)
 
     return Scenario(doc.get("name", path.stem), seed, model, costs, reserve_costs, solver, build,

@@ -64,6 +64,8 @@ class EventTimeline:
         for ev in self.events:
             if ev.kind not in EVENT_KINDS:
                 raise ValueError(f"unknown event kind {ev.kind!r}")
+            if not 0 <= ev.time_min < math.inf:
+                raise ValueError(f"time_min must be finite and non-negative, got {ev.time_min}")
             if ev.time_min < last_t:
                 raise ValueError("event times must be non-decreasing")
             last_t = ev.time_min

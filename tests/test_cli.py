@@ -147,6 +147,10 @@ def test_unknown_solver_option_is_input_error(tmp_path, capsys, field, value):
      "error: network.synth.buses: expected an integer"),
     ({"costs": {"dg_energy": -1.0}}, [], "error: costs: cost weights must be non-negative"),
     ({}, ["--seed", "-1"], "error: seed: expected a non-negative integer, got -1"),
+    ({"timeline": [{"time_min": float("nan"), "kind": "dg_trip", "entity": "dg01"}]}, [],
+     "error: timeline: time_min must be finite and non-negative, got nan"),
+    ({"timeline": [{"time_min": -5, "kind": "dg_trip", "entity": "dg01"}]}, [],
+     "error: timeline: time_min must be finite and non-negative, got -5.0"),
 ], ids=["unknown-entity", "steps-past-horizon", "non-numeric-cost", "two-poly-sides",
         "two-poly-sides-flag", "non-numeric-time", "non-numeric-advset-step",
         "non-numeric-gamma", "non-numeric-cap", "non-numeric-magnitude", "solver-not-object",
@@ -157,7 +161,7 @@ def test_unknown_solver_option_is_input_error(tmp_path, capsys, field, value):
         "fractional-poly-sides", "fractional-advset-step", "boolean-cap", "misspelled-cap",
         "misspelled-magnitude", "misspelled-box-bound", "two-high-bounds", "unknown-low-bound",
         "unknown-profile", "unknown-initial-soc", "string-bus-count", "negative-cost",
-        "negative-seed"])
+        "negative-seed", "nan-event-time", "negative-event-time"])
 def test_bad_box_input_is_input_error(tmp_path, capsys, overrides, flags, expected):
     if isinstance(overrides, dict):
         scenario = small_scenario(tmp_path, **overrides)
@@ -423,7 +427,23 @@ POLY = {"step": 1, "axes": [{"kind": "dg_capacity_loss", "entity": "dg01"}],
     ("5", {"1": {**POLY, "axes": [{"kind": "dg_capacity_loss", "entity": "dg99"}]}},
      "unknown entity 'dg99'"),
     ("5", {"1": {**POLY, "alpha_w": [1000.0, 0.0]}}, "alpha_w has 2 entries for 1 axes"),
-], ids=["negative-count", "no-steps", "step-past-horizon", "unknown-entity", "alpha-length"])
+    ("5", {"1": {**POLY, "alpha_w": [float("nan")]}},
+     "steps.1.alpha_w[0]: expected a finite number, got nan"),
+    ("5", {"1": {**POLY, "alpha_w": [float("inf")]}},
+     "steps.1.alpha_w[0]: expected a finite number, got inf"),
+    ("5", {"1": {**POLY, "alpha_w": [-1000.0]}},
+     "steps.1.alpha_w: expected no negative entry, got [-1000.0]"),
+    ("5", {"1": {**POLY, "alpha_w": [True]}}, "steps.1.alpha_w[0] must be a number, got True"),
+    ("5", {"1": {**POLY, "axes": [{"kind": "dg_capacity_loss", "entity": "dg01",
+                                   "cap_w": "big"}]}},
+     "steps.1.axes[0].cap_w must be a number, got 'big'"),
+    ("5", {"1": {**POLY, "alpha": [1000.0]}}, "steps.1: unknown field 'alpha'"),
+    ("5", {"2": POLY}, "steps.2.step: expected 2, got 1"),
+    ("5", {"1": {**POLY, "axes": [{"kind": "dg_capacity_loss", "entity": ["dg01"]}]}},
+     "steps.1.axes[0].entity: expected a string, got ['dg01']"),
+], ids=["negative-count", "no-steps", "step-past-horizon", "unknown-entity", "alpha-length",
+        "nan-alpha", "infinite-alpha", "negative-alpha", "boolean-alpha", "string-cap",
+        "unknown-field", "key-not-step", "array-entity"])
 def test_bad_sample_input_is_input_error(tmp_path, capsys, sample, steps, expected):
     scenario = small_scenario(tmp_path)
     polytope = tmp_path / "polytope.json"
@@ -432,6 +452,73 @@ def test_bad_sample_input_is_input_error(tmp_path, capsys, sample, steps, expect
                  "--polytope", str(polytope), "--sample", sample]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and expected in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_negative_sample_seed_is_input_error(tmp_path, capsys):
+    scenario = small_scenario(tmp_path)
+    polytope = tmp_path / "polytope.json"
+    polytope.write_text(json.dumps({"steps": {"1": POLY}}))
+    assert main(["simulate", str(scenario), "--out", str(tmp_path / "o"),
+                 "--polytope", str(polytope), "--sample", "5", "--sample-seed", "-5"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: --sample-seed: expected a non-negative integer, got -5\n"
+
+
+@pytest.fixture(scope="module")
+def headroom_file(tmp_path_factory):
+    """The small scenario and the robust.json of its `advset` run."""
+    tmp = tmp_path_factory.mktemp("headroom")
+    scenario = small_scenario(tmp)
+    assert main(["advset", str(scenario), "--out", str(tmp / "adv")]) == 0
+    return scenario, json.loads((tmp / "adv" / "robust.json").read_text())
+
+
+def _set_item(*path_and_value):
+    """An edit of a JSON document that sets the item at a key path."""
+    *path, key, value = path_and_value
+
+    def edit(doc):
+        for k in path:
+            doc = doc[k]
+        doc[key] = value
+    return edit
+
+
+def _delete_item(*path):
+    def edit(doc):
+        for k in path[:-1]:
+            doc = doc[k]
+        del doc[path[-1]]
+    return edit
+
+
+@pytest.mark.parametrize("edit, expected", [
+    (_set_item("objective_value", "x"), "objective_value must be a number, got 'x'"),
+    (lambda doc: doc["dispatch"]["dg_p_w"]["dg01"].pop(),
+     "dispatch.dg_p_w.dg01: expected 4 values, got 3 values"),
+    (_delete_item("dispatch", "dg_p_w", "dg01"),
+     "dispatch.dg_p_w.dg01: expected 4 values, got no series"),
+    (_delete_item("reserves", "up", "dg:dg01"),
+     "reserves.up.dg:dg01: expected 4 values, got no series"),
+    (_set_item("reserves", []), "reserves: expected a JSON object, got []"),
+    (_set_item("dispatch", 5), "dispatch: expected a JSON object, got 5"),
+    (_set_item("worst_up_w", 0, None), "worst_up_w[0] must be a number, got None"),
+    (_set_item("dispatch", "soc_wh", "es01", 1, float("nan")),
+     "dispatch.soc_wh.es01[1]: expected a finite number, got nan"),
+    (_set_item("reserve", 0.0), "unknown field 'reserve'"),
+], ids=["string-objective", "short-series", "missing-device", "missing-reserve",
+        "reserves-array", "dispatch-number", "null-in-series", "nan-in-series", "unknown-field"])
+def test_bad_robust_file_is_input_error(tmp_path, capsys, headroom_file, edit, expected):
+    scenario, doc = headroom_file
+    doc = json.loads(json.dumps(doc))
+    edit(doc)
+    robust = tmp_path / "robust.json"
+    robust.write_text(json.dumps(doc))
+    assert main(["simulate", str(scenario), "--out", str(tmp_path / "o"),
+                 "--robust", str(robust)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --robust {robust}: ") and expected in err
     assert len(err.strip().splitlines()) == 1
 
 

@@ -2,8 +2,10 @@
 
 Each case makes one mutation to a shipped scenario, the six-bus example
 scenario, its network file or its profiles CSV, and runs `gridres validate`
-on the result.  Whatever the mutation, the run must exit 0 or 1 with at most
-one line on stderr, and no exception may escape.
+on the result; or to the six-bus example's `advset` outputs, robust.json and
+polytope.json, and runs `gridres simulate --sample` on them.  Whatever the
+mutation, the run must exit 0 or 1 with at most one line on stderr, and no
+exception may escape.
 """
 
 import copy
@@ -18,6 +20,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DOCS = ROOT / "docs" / "examples"
 SCENARIOS = ("lshl", "hsll", "cyber_event")
 MUTATIONS = 240
+RESULT_MUTATIONS = 240
 ODD_VALUES = [None, True, False, "x", [], {}, [1], -1, 0, 2.5, float("nan")]
 ODD_STEPS = ["-1", "99", "x", "1.5", ""]
 
@@ -104,11 +107,43 @@ def test_mutated_inputs_exit_with_one_line(tmp_path, capsys):
                 (tmp_path / f"mutated_{i}.profiles").write_text(mutated)
         scenario = tmp_path / f"scenario_{i}.json"
         scenario.write_text(json.dumps(doc))
-        try:
-            code = main(["validate", str(scenario)])
-        except Exception as exc:  # an escaping exception is what this test hunts
-            code = f"{type(exc).__name__}: {exc}"
-        err = capsys.readouterr().err
-        if code not in (0, 1) or len(err.strip().splitlines()) > 1 or "Traceback" in err:
-            failures.append(f"#{i} {target}: {label}: exit {code}, stderr {err!r}")
+        problem = run_problem(["validate", str(scenario)], capsys)
+        if problem:
+            failures.append(f"#{i} {target}: {label}: {problem}")
+    assert not failures, "\n".join(failures)
+
+
+def run_problem(argv: list[str], capsys) -> str | None:
+    """What is wrong with running `argv`: an exit code other than 0 or 1, more
+    than one line on stderr, or an escaping exception; None if nothing is."""
+    try:
+        code = main(argv)
+    except Exception as exc:  # an escaping exception is what this test hunts
+        code = f"{type(exc).__name__}: {exc}"
+    err = capsys.readouterr().err
+    if code not in (0, 1) or len(err.strip().splitlines()) > 1 or "Traceback" in err:
+        return f"exit {code}, stderr {err!r}"
+    return None
+
+
+def test_mutated_result_files_exit_with_one_line(tmp_path, capsys):
+    scenario = str(DOCS / "sixbus_scenario.json")
+    adv = tmp_path / "advset"
+    assert main(["advset", scenario, "--out", str(adv)]) == 0
+    capsys.readouterr()
+    docs = {name: json.loads((adv / f"{name}.json").read_text())
+            for name in ("robust", "polytope")}
+    rng = random.Random(2026)
+    failures = []
+    for i in range(RESULT_MUTATIONS):
+        files = {name: adv / f"{name}.json" for name in docs}
+        target = rng.choice(sorted(docs))
+        doc, label = mutate_json(docs[target], rng)
+        files[target] = tmp_path / f"mutated_{i}.json"
+        files[target].write_text(json.dumps(doc))
+        problem = run_problem(["simulate", scenario, "--out", str(tmp_path / "out"),
+                               "--robust", str(files["robust"]),
+                               "--polytope", str(files["polytope"]), "--sample", "3"], capsys)
+        if problem:
+            failures.append(f"#{i} {target}.json: {label}: {problem}")
     assert not failures, "\n".join(failures)
