@@ -6,17 +6,21 @@ entity) is *tolerable* when some recourse point exists with every network and
 device row satisfied: active outputs may move only inside their reserve
 bands, the targeted entity additionally accepts its forced reduction, load
 reactive power follows served load, and inverter reactive output may
-re-regulate freely inside its apparent-power polygon (volt/var response
-consumes no active-power reserve).
+re-regulate freely inside its apparent-power polygon and, with a PV
+power-factor gamma set, a PV unit's inside its cone |q| <= gamma p (volt/var
+response consumes no active-power reserve).
 
-The recourse LP is a one-step emission through the shared DistFlow emitters
-of :mod:`gridres.constraints` (voltage drop, power balance, line and inverter
-polygons), on the LP its namespace declares with the voltage boxes and the
-device windows as column bounds.  This module narrows each window to the
-device's reserve band around its schedule, and adds the load power-factor
-rows and one row (two for a load) per axis.  A targeted load's column is
-freed instead, since the true demand may exceed the desired level.  Each axis
-has a magnitude column alpha_i in its targeted entity's row, so an event's
+The recourse LP is a one-step emission through the shared emitters of
+:mod:`gridres.constraints`: voltage drop, power balance and `emit_limits`
+with reserves off (line and inverter polygons, load power factors and, when
+`pv_power_factor_gamma` is set, the PV power-factor cone the dispatch LP
+enforces), on the LP its namespace declares with the voltage boxes and the
+device windows as column bounds.  This module only narrows each column to
+the device's reserve band around its schedule, inside its
+`device_window` (a battery's narrowed by the energy entering the step), and
+adds one row (two for a load) per axis.  A targeted load's column is freed
+instead, since the true demand may exceed the desired level.  Each axis has
+a magnitude column alpha_i in its targeted entity's row, so an event's
 magnitudes are column bounds: fixed at alpha = m to test an event, or free
 for one axis and zero for the rest to maximize along it.
 
@@ -42,14 +46,14 @@ import numpy as np
 from .constraints import (
     BuildOptions,
     PerUnit,
-    apparent_power_rows,
     apply_emissions,
     build_namespace,
     device_groups,
+    device_window,
+    emit_limits,
     emit_power_balance,
     emit_voltage_drop,
-    line_limit_rows,
-    polygon_rows,
+    reserve_room,
 )
 from .dispatch import DispatchResult
 from .lp import LinearProgram, LpStatus, Rel, Row, SolverOptions, solve
@@ -174,8 +178,6 @@ def build_recourse_lp(
     options = options or BuildOptions()
     s = PerUnit.of(model).s_base
     k = step
-    dt = model.dt_hours
-    poly = polygon_rows(options.poly_sides)
     ns = build_namespace(model, steps=(k,))
     lp = ns.lp
     alpha = [lp.add_variable(f"alpha[{i}]", m / s, m / s)
@@ -183,47 +185,39 @@ def build_recourse_lp(
     target_of = {(AXIS_CLASS[a.kind], a.entity): i for i, a in enumerate(axes)}
 
     rows = emit_voltage_drop(model, ns) + emit_power_balance(model, ns)
-    rows += line_limit_rows(model, ns, poly)
+    rows += emit_limits(model, ns, options)
 
-    # realized device active powers narrow from their windows (the column
-    # bounds) to reserve bands; schedules are clamped into the windows first
-    # so solver-tolerance dust cannot invert a band.  Reactive output
-    # re-regulates freely inside each inverter polygon.
+    # realized device active powers narrow from their windows to reserve bands
+    # around the schedule, each clamped into the declared window first and
+    # kept in its band, so solver-tolerance dust cannot invert a band
     for cls, units in device_groups(model):
         for u in units:
             key = (cls, u.id)
-            p, q = ns.p[(cls, u.id, k)], ns.q[(cls, u.id, k)]
-            lo, hi = lp.lower[p], lp.upper[p]
-            sched = min(max(dispatch.p[key][k] / s, lo), hi)
+            p = ns.p[(cls, u.id, k)]
+            e_in = dispatch.soc_wh[u.id][k] / s if cls == "es" else None  # pu-h
+            lo, hi = device_window(cls, u, k, s, e_in, model.dt_hours)
+            sched = min(max(dispatch.p[key][k] / s, lp.lower[p]), lp.upper[p])
             up = reserves.up[key][k] / s
-            dn = reserves.down[key][k] / s
+            # how far the band reaches below and above the schedule: the room
+            # at p = 0 in the window [-up, down], which is (down, up) for a
+            # generator or battery and (up, down) for a load
+            below, above = reserve_room(cls, -up, reserves.down[key][k] / s, 0.0)
+            band_lo = min(max(lo, sched - below), sched)
+            band_hi = max(min(sched + above, hi), sched)
             i = target_of.get(key)
-            if cls == "es":
-                e_in = dispatch.soc_wh[u.id][k] / s  # energy entering the step, pu-h
-                lo = max(lo, sched - dn, (e_in - u.energy_max_wh / s) / dt)
-                hi = min(hi, sched + up, (e_in - u.energy_min_wh / s) / dt)
-                lp.set_bounds(p, min(lo, sched), max(hi, sched))
-                rows += apparent_power_rows(p, q, u.capacity_va / s, poly, "storage")
+            if i is None:
+                lp.set_bounds(p, band_lo, band_hi)
             elif cls == "load":
-                if i is None:
-                    lp.set_bounds(p, max(lo, sched - up), min(sched + dn, hi))
-                else:
-                    # served load is free: the true demand may exceed the desired
-                    # level; serve at most that demand, shed at most the up-reserve
-                    lp.set_bounds(p, -math.inf, math.inf)
-                    rows.append(Row({p: 1.0, alpha[i]: -1.0}, Rel.LE, sched, "axis"))
-                    rows.append(Row({p: -1.0, alpha[i]: 1.0}, Rel.LE, up - sched, "axis"))
-                tan_phi = math.tan(math.acos(u.power_factor))
-                rows.append(Row({q: 1.0, p: -tan_phi}, Rel.EQ, 0.0, "power_factor"))
+                # served load is free: the true demand may exceed the desired
+                # level; serve at most that demand, shed at most the up-reserve
+                lp.set_bounds(p, -math.inf, math.inf)
+                rows.append(Row({p: 1.0, alpha[i]: -1.0}, Rel.LE, sched, "axis"))
+                rows.append(Row({p: -1.0, alpha[i]: 1.0}, Rel.LE, up - sched, "axis"))
             else:
                 # an axis on a solar or diesel unit takes its magnitude out of
                 # the available power: the forecast or the rating
-                if i is None:
-                    lp.set_bounds(p, max(lo, sched - dn), min(sched + up, hi))
-                else:
-                    lp.set_bounds(p, lo, min(sched + up, hi))
-                    rows.append(Row({p: 1.0, alpha[i]: 1.0}, Rel.LE, hi, "axis"))
-                rows += apparent_power_rows(p, q, u.capacity_va / s, poly, f"{cls}_cap")
+                lp.set_bounds(p, lo, band_hi)
+                rows.append(Row({p: 1.0, alpha[i]: 1.0}, Rel.LE, hi, "axis"))
 
     apply_emissions(lp, rows)
     return lp, alpha
@@ -346,36 +340,17 @@ def _simplex_points(poly: InnerPolytope, rng: np.random.Generator, count: int) -
 def project_2d(poly: InnerPolytope, axis_i: int, axis_j: int) -> tuple[list[tuple[float, float]], bool]:
     """Convex hull of the vertices projected on two axes, counterclockwise.
 
-    Returns (vertices, degenerate); `degenerate` marks a hull that collapses
-    to a segment or point.
+    The projected vertices are 0, alpha_i e_i and alpha_j e_j, so the hull is
+    the origin followed by each of (alpha_i, 0) and (0, alpha_j) whose
+    magnitude is positive.  Returns (vertices, degenerate); `degenerate` marks
+    a hull that collapses to a segment or point.
     """
     if axis_i == axis_j:
         raise ValueError("projection axes must differ")
-    pts = [(float(v[axis_i]), float(v[axis_j])) for v in poly.vertices_w]
-    hull = _convex_hull(pts)
+    a_i, a_j = float(poly.alpha_w[axis_i]), float(poly.alpha_w[axis_j])
+    hull = [(0.0, 0.0)]
+    if a_i > 0.0:
+        hull.append((a_i, 0.0))
+    if a_j > 0.0:
+        hull.append((0.0, a_j))
     return hull, len(hull) < 3
-
-
-def _convex_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Monotone chain; returns counterclockwise vertices without repeats."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 3:  # all collinear
-        return [pts[0], pts[-1]]
-    return hull

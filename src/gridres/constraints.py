@@ -29,20 +29,29 @@ active and reactive columns are `ns.p` and `ns.q`, keyed by (class, id,
 step), where the class is one of `DEVICE_CLASSES` (pv, dg, es, load); the
 same (class, id) key names the device's reserves and its dispatch series.
 
+Each device class's active-power window lives here and nowhere else:
+`device_window` gives PV [0, forecast_k], diesel [0, rating], storage
+[-P, P] (narrowed, given the energy entering a step, so the energy stays in
+[e_min, e_max]) and load [minimum_k, desired_k], and `reserve_room` the room
+a setpoint has inside a window, where a load's up-reserve sheds demand and
+so lowers p.  The dispatch columns' bounds, the headroom reserves
+(:meth:`gridres.robust.ReserveSchedule.from_headroom`), the recourse bands
+(:func:`gridres.advset.build_recourse_lp`) and the replay's room to move
+(:mod:`gridres.sim`) all read them.
+
 A namespace is declared for a set of steps, the whole horizon by default;
-the network emitters (voltage drop, power balance, line polygons) emit rows
-for exactly the namespace's steps.  The dispatch LPs use the whole horizon,
-the adversarial-set recourse LP a single step (without stored-energy
-columns: the SoC recursion spans the horizon).  The polygon helpers
-(`line_limit_rows`, `apparent_power_rows`) are shared the same way.
+every emitter (voltage drop, power balance, `emit_limits`) emits rows for
+exactly the namespace's steps.  The dispatch LPs use the whole horizon, the
+adversarial-set recourse LP a single step, without stored-energy columns:
+the SoC recursion spans the horizon, so its rows, the terminal-SoC row and
+the storage energy rows are emitted only when the namespace declares SoC
+columns.
 
 `build_namespace` creates the step's :class:`gridres.lp.LinearProgram` as
 `ns.lp` and declares every column straight into it with its final bounds:
 
     w (squared voltage)   [v_min^2, v_max^2]; the root fixed at 1
-    p (device active)     the device window: PV [0, forecast_k],
-                          diesel [0, rating], storage [-P, P],
-                          load [minimum_k, desired_k]
+    p (device active)     the device window, in pu
     soc (stored energy)   [e_min, e_max]
     reserves, dg losses   [0, inf)
     flows, reactive q     free
@@ -64,9 +73,12 @@ voltage boxes and the dispatch windows are column bounds and emit no rows:
     pv_cap           n_pv * K * sides
     dg_cap           n_dg * K * sides
     line_limits      sum_branch |phases| * K * sides
-In reserve mode each device adds two band rows per step (tagged
-curtailment_bounds for PV and loads, dg_cap, storage) and each storage unit
-two energy rows per step.
+In reserve mode each device adds two band rows per step, R+ <= room up and
+R- <= room down (tagged curtailment_bounds for PV and loads, dg_cap,
+storage), and each storage unit two energy rows per step.  `emit_limits`
+emits device by device, and per step in this order: SoC recursion, load
+power factor, band rows, storage energy rows, inverter polygon, PV gamma
+rows.
 """
 
 from __future__ import annotations
@@ -144,14 +156,37 @@ def device_groups(model: NetworkModel):
                      (model.pv_units, model.dg_units, model.storage_units, model.loads)))
 
 
-# each device class's active-power window at step k, pu: the one source of
-# the dispatch columns' bounds and of the recourse bands built on them
-_WINDOW = {
-    "pv": lambda u, k, pu: (0.0, pu.power(float(u.forecast_w[k]))),
-    "dg": lambda u, k, pu: (0.0, pu.power(u.capacity_va)),
-    "es": lambda u, k, pu: (-pu.power(u.power_w), pu.power(u.power_w)),
-    "load": lambda u, k, pu: (pu.power(float(u.minimum_w[k])), pu.power(float(u.desired_w[k]))),
-}
+def device_window(cls: str, u, k: int, scale: float = 1.0, e_in: float | None = None,
+                  dt: float = 1.0) -> tuple[float, float]:
+    """The active-power window (lo, hi) of device `u` of class `cls` at step k, W / `scale`.
+
+    PV [0, forecast_k], diesel [0, rating], storage [-P, P] and load
+    [minimum_k, desired_k].  Given `e_in`, the stored energy (Wh / `scale`)
+    entering a step of `dt` hours, a storage window also keeps the energy at
+    the end of the step inside [e_min, e_max].
+    """
+    if cls == "pv":
+        return 0.0, float(u.forecast_w[k]) / scale
+    if cls == "dg":
+        return 0.0, u.capacity_va / scale
+    if cls == "load":
+        return float(u.minimum_w[k]) / scale, float(u.desired_w[k]) / scale
+    lo, hi = -u.power_w / scale, u.power_w / scale
+    if e_in is None:
+        return lo, hi
+    return (max(lo, (e_in - u.energy_max_wh / scale) / dt),
+            min(hi, (e_in - u.energy_min_wh / scale) / dt))
+
+
+def reserve_room(cls: str, lo, hi, p):
+    """(up, down): how far a device at active power p can move inside [lo, hi].
+
+    Up-reserve raises a generator's or a battery's output toward hi; a load's
+    up-reserve sheds demand, lowering p toward lo.  Elementwise on arrays.
+    """
+    if cls == "load":
+        return p - lo, hi - p
+    return hi - p, p - lo
 
 
 class VariableNamespace:
@@ -186,7 +221,7 @@ def build_namespace(
     Columns are declared into `ns.lp` for `steps` (default: the whole
     horizon); the stored-energy columns only for the whole horizon.  Squared
     voltages lie in [v_min^2, v_max^2] (the root fixed at 1), device active
-    powers in their `_WINDOW`, stored energies in [e_min, e_max]; flows and
+    powers in their `device_window`, stored energies in [e_min, e_max]; flows and
     reactive powers are free.  With `reserves`, the four up/down reserve
     classes are added per device and step; `dg_loss_keys` adds the
     worst-case output-loss helpers used by the robust coverage rows.  Both
@@ -215,7 +250,8 @@ def build_namespace(
     for cls, units in device_groups(model):
         for u in sorted(units, key=lambda d: d.id):
             for k in steps:
-                ns.p[(cls, u.id, k)] = new(f"p{cls}[{u.id},{k}]", *_WINDOW[cls](u, k, pu))
+                ns.p[(cls, u.id, k)] = new(f"p{cls}[{u.id},{k}]",
+                                           *device_window(cls, u, k, pu.s_base))
         for u in sorted(units, key=lambda d: d.id):
             for k in steps:
                 ns.q[(cls, u.id, k)] = new(f"q{cls}[{u.id},{k}]")
@@ -307,22 +343,6 @@ def apparent_power_rows(
     return [Row({p: cs, q: sn}, Rel.LE, s_max * off, tag) for cs, sn, off in poly]
 
 
-def line_limit_rows(
-    model: NetworkModel, ns: VariableNamespace, poly: list[tuple[float, float, float]]
-) -> list[Row]:
-    """Line-flow polygons per branch-phase-step."""
-    pu = PerUnit.of(model)
-    rows = []
-    for br in model.branches:
-        s_max = pu.power(br.flow_limit_va)
-        for phase in br.phases:
-            for k in ns.steps:
-                rows += apparent_power_rows(ns.pflow[(br.id, phase, k)],
-                                            ns.qflow[(br.id, phase, k)], s_max, poly,
-                                            "line_limits")
-    return rows
-
-
 @dataclass
 class BuildOptions:
     poly_sides: int = 8
@@ -334,6 +354,12 @@ class BuildOptions:
             raise ValueError(f"poly_sides must be at least 3, got {self.poly_sides}")
 
 
+# the tags of each class's band rows and of its apparent-power polygon
+_BAND_TAG = {"pv": "curtailment_bounds", "dg": "dg_cap", "es": "storage",
+             "load": "curtailment_bounds"}
+_POLYGON_TAG = {"pv": "pv_cap", "dg": "dg_cap", "es": "storage"}
+
+
 def emit_limits(
     model: NetworkModel,
     ns: VariableNamespace,
@@ -343,107 +369,67 @@ def emit_limits(
 ) -> list[Row]:
     """Polygonized apparent-power limits, SoC dynamics, and load power factors.
 
-    The voltage boxes and dispatch windows are the column bounds of `ns.lp`.
-    In reserve mode each window widens into the reserve-band rows, read off
-    those bounds; a PV upper band whose (unit, step) is a key of `pv_floor`
-    is capped at that floor (pu) rather than at the nominal forecast.
+    Rows are emitted for the namespace's steps, device by device in
+    `device_groups` order.  The voltage boxes and dispatch windows are the
+    column bounds of `ns.lp`.  In reserve mode each window widens into two
+    band rows, read off those bounds; a PV upper band whose (unit, step) is a
+    key of `pv_floor` is capped at that floor (pu) rather than at the
+    nominal forecast.  The SoC recursion, the terminal-SoC row and the
+    storage energy rows need the namespace's SoC columns.
     """
     pv_floor = pv_floor or {}
     pu = PerUnit.of(model)
     lower, upper = ns.lp.lower, ns.lp.upper
-    K = model.steps
     dt = model.dt_hours
+    gamma = options.pv_power_factor_gamma
     poly = polygon_rows(options.poly_sides)
+    soc = bool(ns.soc)
 
-    rows = line_limit_rows(model, ns, poly)
-
-    # PV: inverter polygon and, with reserves, the band under the forecast
-    for pv in model.pv_units:
-        cap = pu.power(pv.capacity_va)
-        for k in range(K):
-            p = ns.p[("pv", pv.id, k)]
-            q = ns.q[("pv", pv.id, k)]
-            if reserves:
-                # p + R+ <= forecast, or its floor under a box; R- <= p
-                rows.append(
-                    Row(
-                        {p: 1.0, ns.r_up[("pv", pv.id, k)]: 1.0},
-                        Rel.LE,
-                        pv_floor.get((pv.id, k), upper[p]),
-                        "curtailment_bounds",
-                    )
-                )
-                rows.append(
-                    Row(
-                        {ns.r_dn[("pv", pv.id, k)]: 1.0, p: -1.0},
-                        Rel.LE,
-                        0.0,
-                        "curtailment_bounds",
-                    )
-                )
-            rows += apparent_power_rows(p, q, cap, poly, "pv_cap")
-            if options.pv_power_factor_gamma is not None:
-                g = options.pv_power_factor_gamma
-                rows.append(Row({q: 1.0, p: -g}, Rel.LE, 0.0, "power_factor"))
-                rows.append(Row({q: -1.0, p: -g}, Rel.LE, 0.0, "power_factor"))
-
-    # DG: polygon and, with reserves, the band under the rating
-    for dg in model.dg_units:
-        cap = pu.power(dg.capacity_va)
-        for k in range(K):
-            p = ns.p[("dg", dg.id, k)]
-            q = ns.q[("dg", dg.id, k)]
-            if reserves:
-                rows.append(
-                    Row({p: 1.0, ns.r_up[("dg", dg.id, k)]: 1.0}, Rel.LE, upper[p], "dg_cap")
-                )
-                rows.append(
-                    Row({ns.r_dn[("dg", dg.id, k)]: 1.0, p: -1.0}, Rel.LE, 0.0, "dg_cap")
-                )
-            rows += apparent_power_rows(p, q, cap, poly, "dg_cap")
-
-    # storage: SoC recursion, reserve bands, inverter polygon
-    for es in model.storage_units:
-        e0 = pu.energy(es.initial_soc_wh)
-        s_max = pu.power(es.capacity_va)
-        for k in range(K):
-            p = ns.p[("es", es.id, k)]
-            q = ns.q[("es", es.id, k)]
-            e = ns.soc[(es.id, k)]
-            coeffs = {e: 1.0, p: dt}
-            rhs = 0.0
-            if k == 0:
-                rhs = e0
-            else:
-                coeffs[ns.soc[(es.id, k - 1)]] = -1.0
-            rows.append(Row(coeffs, Rel.EQ, rhs, "storage"))
-            if reserves:
-                up = ns.r_up[("es", es.id, k)]
-                dn = ns.r_dn[("es", es.id, k)]
-                rows.append(Row({p: 1.0, up: 1.0}, Rel.LE, upper[p], "storage"))
-                rows.append(Row({p: -1.0, dn: 1.0}, Rel.LE, upper[p], "storage"))
-                rows.append(Row({e: 1.0, dn: dt}, Rel.LE, upper[e], "storage"))
-                rows.append(Row({e: -1.0, up: dt}, Rel.LE, -lower[e], "storage"))
-            rows += apparent_power_rows(p, q, s_max, poly, "storage")
-        if options.terminal_soc_geq_initial:
-            rows.append(
-                Row({ns.soc[(es.id, K - 1)]: 1.0}, Rel.GE, e0, "storage")
-            )
-
-    # loads: reactive power follows through the fixed power factor; with
-    # reserves, the bands inside the window [critical minimum, desired level]
-    for ld in model.loads:
-        tan_phi = math.tan(math.acos(ld.power_factor))
-        for k in range(K):
-            p = ns.p[("load", ld.id, k)]
-            q = ns.q[("load", ld.id, k)]
-            rows.append(Row({q: 1.0, p: -tan_phi}, Rel.EQ, 0.0, "power_factor"))
-            if reserves:
-                up = ns.r_up[("load", ld.id, k)]
-                dn = ns.r_dn[("load", ld.id, k)]
-                # reverse convention: up-reserve is room to shed toward the minimum
-                rows.append(Row({p: -1.0, up: 1.0}, Rel.LE, -lower[p], "curtailment_bounds"))
-                rows.append(Row({p: 1.0, dn: 1.0}, Rel.LE, upper[p], "curtailment_bounds"))
+    rows = []
+    for br in model.branches:  # line-flow polygons
+        for phase in br.phases:
+            for k in ns.steps:
+                rows += apparent_power_rows(ns.pflow[(br.id, phase, k)],
+                                            ns.qflow[(br.id, phase, k)],
+                                            pu.power(br.flow_limit_va), poly, "line_limits")
+    for cls, units in device_groups(model):
+        for u in units:
+            e0 = pu.energy(u.initial_soc_wh) if cls == "es" else None
+            for k in ns.steps:
+                p = ns.p[(cls, u.id, k)]
+                q = ns.q[(cls, u.id, k)]
+                if cls == "es" and soc:
+                    e = ns.soc[(u.id, k)]
+                    coeffs = {e: 1.0, p: dt}
+                    rhs = 0.0
+                    if k == 0:
+                        rhs = e0
+                    else:
+                        coeffs[ns.soc[(u.id, k - 1)]] = -1.0
+                    rows.append(Row(coeffs, Rel.EQ, rhs, "storage"))
+                if cls == "load":  # reactive power follows the fixed power factor
+                    tan_phi = math.tan(math.acos(u.power_factor))
+                    rows.append(Row({q: 1.0, p: -tan_phi}, Rel.EQ, 0.0, "power_factor"))
+                if reserves:
+                    # R <= room(p), each room affine in p: its value at p = 0 is
+                    # the right-hand side, its slope the negated coefficient of p
+                    top = pv_floor.get((u.id, k), upper[p]) if cls == "pv" else upper[p]
+                    up_rhs, dn_rhs = reserve_room(cls, lower[p], top, 0.0)
+                    up_dp, dn_dp = reserve_room(cls, 0.0, 0.0, 1.0)
+                    up, dn = ns.r_up[(cls, u.id, k)], ns.r_dn[(cls, u.id, k)]
+                    rows.append(Row({p: -up_dp, up: 1.0}, Rel.LE, up_rhs, _BAND_TAG[cls]))
+                    rows.append(Row({p: -dn_dp, dn: 1.0}, Rel.LE, dn_rhs, _BAND_TAG[cls]))
+                    if cls == "es" and soc:
+                        rows.append(Row({e: 1.0, dn: dt}, Rel.LE, upper[e], "storage"))
+                        rows.append(Row({e: -1.0, up: dt}, Rel.LE, -lower[e], "storage"))
+                if cls in _POLYGON_TAG:
+                    rows += apparent_power_rows(p, q, pu.power(u.capacity_va), poly,
+                                                _POLYGON_TAG[cls])
+                if cls == "pv" and gamma is not None:
+                    rows.append(Row({q: 1.0, p: -gamma}, Rel.LE, 0.0, "power_factor"))
+                    rows.append(Row({q: -1.0, p: -gamma}, Rel.LE, 0.0, "power_factor"))
+            if cls == "es" and soc and options.terminal_soc_geq_initial:
+                rows.append(Row({ns.soc[(u.id, ns.steps[-1])]: 1.0}, Rel.GE, e0, "storage"))
     return rows
 
 

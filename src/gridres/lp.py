@@ -158,10 +158,6 @@ class LinearProgram:
         self.rows.append(Row(merged, Rel(rel), float(rhs), tag))
         return len(self.rows) - 1
 
-    def validate(self) -> None:
-        """Raise :class:`MalformedProblem` on the first structural defect."""
-        _assemble(self)
-
     def objective_vector(self) -> np.ndarray:
         c = np.zeros(self.n_variables)
         for idx, coeff in self.objective.items():

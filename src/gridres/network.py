@@ -494,7 +494,10 @@ def number(value, path: str) -> float:
     """A JSON number, never a boolean, as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputError(f"{path} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise InputError(f"{path}: number too large for a float") from None
 
 
 def integer(value, path: str) -> int:

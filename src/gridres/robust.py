@@ -37,9 +37,11 @@ from .constraints import (
     apply_emissions,
     build_namespace,
     device_groups,
+    device_window,
     emit_limits,
     emit_power_balance,
     emit_voltage_drop,
+    reserve_room,
 )
 from .dispatch import (
     CostConfig,
@@ -171,32 +173,20 @@ class ReserveSchedule:
         """The implicit flexibility of a dispatch: distance to device limits.
 
         This is the reserve notion that applies to a plain economic dispatch,
-        where nothing was explicitly set aside but headroom still exists.
+        where nothing was explicitly set aside but headroom still exists: the
+        room of each device's schedule inside its window, a battery's window
+        narrowed by the energy entering each step.
         """
         sched = cls()
-        dt = model.dt_hours
-        for u in model.pv_units:
-            p = dispatch.p[("pv", u.id)]
-            avail = np.asarray(u.forecast_w, dtype=float)
-            sched.up[("pv", u.id)] = np.maximum(avail - p, 0.0)
-            sched.down[("pv", u.id)] = np.maximum(p, 0.0)
-        for u in model.dg_units:
-            p = dispatch.p[("dg", u.id)]
-            sched.up[("dg", u.id)] = np.maximum(u.capacity_va - p, 0.0)
-            sched.down[("dg", u.id)] = np.maximum(p, 0.0)
-        for u in model.storage_units:
-            p = dispatch.p[("es", u.id)]
-            soc_in = dispatch.soc_wh[u.id][:-1]  # energy entering each step
-            rate_up = u.power_w - p
-            rate_dn = u.power_w + p
-            energy_up = (soc_in - u.energy_min_wh) / dt - p
-            energy_dn = (u.energy_max_wh - soc_in) / dt + p
-            sched.up[("es", u.id)] = np.maximum(np.minimum(rate_up, energy_up), 0.0)
-            sched.down[("es", u.id)] = np.maximum(np.minimum(rate_dn, energy_dn), 0.0)
-        for u in model.loads:
-            p = dispatch.p[("load", u.id)]
-            sched.up[("load", u.id)] = np.maximum(p - np.asarray(u.minimum_w, dtype=float), 0.0)
-            sched.down[("load", u.id)] = np.maximum(np.asarray(u.desired_w, dtype=float) - p, 0.0)
+        for c, units in device_groups(model):
+            for u in units:
+                key = (c, u.id)
+                e_in = dispatch.soc_wh[u.id] if c == "es" else [None] * model.steps
+                lo, hi = np.array([device_window(c, u, k, e_in=e_in[k], dt=model.dt_hours)
+                                   for k in range(model.steps)]).T
+                up, down = reserve_room(c, lo, hi, dispatch.p[key])
+                sched.up[key] = np.maximum(up, 0.0)
+                sched.down[key] = np.maximum(down, 0.0)
         return sched
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .advset import AXIS_CLASS, InnerPolytope, _simplex_points
-from .constraints import PerUnit, device_groups, solve_linear_flow
+from .constraints import PerUnit, device_groups, device_window, reserve_room, solve_linear_flow
 from .network import NetworkModel
 from .robust import RobustResult
 
@@ -59,6 +59,7 @@ class EventTimeline:
 
     def validate(self, model: NetworkModel) -> None:
         ids = {cls: {u.id for u in units} for cls, units in device_groups(model)}
+        step_min = model.dt_hours * 60.0
         last_t = -math.inf
         active: set[tuple[str, str]] = set()
         for ev in self.events:
@@ -66,6 +67,9 @@ class EventTimeline:
                 raise ValueError(f"unknown event kind {ev.kind!r}")
             if not 0 <= ev.time_min < math.inf:
                 raise ValueError(f"time_min must be finite and non-negative, got {ev.time_min}")
+            if ev.time_min // step_min >= model.steps:  # the step compile_timeline would use
+                raise ValueError(f"time_min must fall before the end of the horizon at "
+                                 f"{model.steps * step_min:g} min, got {ev.time_min}")
             if ev.time_min < last_t:
                 raise ValueError("event times must be non-decreasing")
             last_t = ev.time_min
@@ -198,29 +202,24 @@ def _forced_point(cls: str, u, k: int, sched: float, events: dict,
                   soc: dict[str, np.ndarray], dt: float) -> tuple[float, float, float]:
     """(setpoint after events, room up, room down) of one device at step k.
 
-    A generator's setpoint is its schedule clipped to what survives the
-    events; a load's is its true draw, schedule plus masked demand, and its
-    up direction is shedding toward the critical minimum.
+    The room is measured inside the device's window, a battery's narrowed by
+    its realized state of charge.  A diesel trip or a solar shortfall lowers
+    a generator's top, and its setpoint is the schedule clipped to what
+    survives.  A mask moves only a load's draw, to schedule plus masked
+    demand: shedding starts from that draw, while the room to draw more is
+    what the operator sees, above the schedule.
     """
     key = (cls, u.id)
-    if cls == "pv":
-        avail = float(u.forecast_w[k])
+    lo, hi = device_window(cls, u, k, e_in=soc[u.id][k] if cls == "es" else None, dt=dt)
+    if cls == "load":
+        draw = sched + events.get(key, 0.0)
+        return draw, reserve_room(cls, lo, hi, draw)[0], reserve_room(cls, lo, hi, sched)[1]
+    if cls != "es":
         if key in events:
             lost = events[key]
-            avail = max(avail - (avail if lost is None else lost), 0.0)
-        p0 = min(sched, avail)
-        return p0, avail - p0, p0
-    if cls == "dg":
-        cap = max(u.capacity_va - events.get(key, 0.0), 0.0)
-        p0 = min(sched, cap)
-        return p0, cap - p0, p0
-    if cls == "es":
-        e_now = soc[u.id][k]
-        return (sched,
-                min(u.power_w - sched, (e_now - u.energy_min_wh) / dt - sched),
-                min(u.power_w + sched, (u.energy_max_wh - e_now) / dt + sched))
-    draw = sched + events.get(key, 0.0)
-    return draw, draw - float(u.minimum_w[k]), float(u.desired_w[k]) - sched
+            hi = max(hi - (hi if lost is None else lost), 0.0)
+        sched = min(sched, hi)
+    return (sched, *reserve_room(cls, lo, hi, sched))
 
 
 def run_simulation(

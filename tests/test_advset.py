@@ -42,7 +42,8 @@ def dg_toy(load=2.0e6, cap=2.5e6, reserve=0.5e6):
 
 def test_recourse_row_count_formulas_fuzz():
     rng = np.random.default_rng(23)
-    for _ in range(8):
+    for trial in range(8):
+        gamma = 0.3 if trial % 2 else None  # the PV power-factor cone of the dispatch LP
         spec = SynthSpec(
             buses=int(rng.integers(4, 9)),
             seed=int(rng.integers(0, 1000)),
@@ -67,7 +68,8 @@ def test_recourse_row_count_formulas_fuzz():
                  for u in model.loads[:int(rng.integers(1, 3))]]
         step = int(rng.integers(0, K))
         lp, alpha = build_recourse_lp(model, dispatch, ReserveSchedule.zero(model), step,
-                                      axes, np.zeros(len(axes)), BuildOptions(poly_sides=sides))
+                                      axes, np.zeros(len(axes)),
+                                      BuildOptions(poly_sides=sides, pv_power_factor_gamma=gamma))
         bus_phases = sum(len(b.phases) for b in model.buses)
         branch_phases = sum(len(br.phases) for br in model.branches)
         n_pv, n_dg, n_es, n_load = (
@@ -78,7 +80,7 @@ def test_recourse_row_count_formulas_fuzz():
         assert lp.n_rows == (
             branch_phases + 2 * bus_phases
             + sides * (branch_phases + n_pv + n_dg + n_es)
-            + n_load + axis_rows
+            + n_load + axis_rows + (0 if gamma is None else 2 * n_pv)
         )
         assert len(alpha) == len(axes)
         assert all(lp.lower[c] == lp.upper[c] == 0.0 for c in alpha)
@@ -331,7 +333,11 @@ def test_projection_geometry():
 
     # the axis with alpha = 0 collapses the projection to a segment
     seg, degenerate = project_2d(poly, 2, 0)
-    assert degenerate
+    assert degenerate and seg == [(0.0, 0.0), (0.0, 1.2e6)]
+
+    # and two such axes to the point at the origin
+    point, degenerate = project_2d(InnerPolytope(0, poly.axes, np.array([1.2e6, 0.0, 0.0])), 1, 2)
+    assert degenerate and point == [(0.0, 0.0)]
 
     with pytest.raises(ValueError):
         project_2d(poly, 1, 1)

@@ -151,6 +151,10 @@ def test_unknown_solver_option_is_input_error(tmp_path, capsys, field, value):
      "error: timeline: time_min must be finite and non-negative, got nan"),
     ({"timeline": [{"time_min": -5, "kind": "dg_trip", "entity": "dg01"}]}, [],
      "error: timeline: time_min must be finite and non-negative, got -5.0"),
+    ({"timeline": [{"time_min": 60, "kind": "dg_trip", "entity": "dg01"}]}, [],
+     "error: timeline: time_min must fall before the end of the horizon at 60 min, got 60.0"),
+    ({"costs": {"load_curtail": 10**400}}, [],
+     "error: costs.load_curtail: number too large for a float"),
 ], ids=["unknown-entity", "steps-past-horizon", "non-numeric-cost", "two-poly-sides",
         "two-poly-sides-flag", "non-numeric-time", "non-numeric-advset-step",
         "non-numeric-gamma", "non-numeric-cap", "non-numeric-magnitude", "solver-not-object",
@@ -161,7 +165,8 @@ def test_unknown_solver_option_is_input_error(tmp_path, capsys, field, value):
         "fractional-poly-sides", "fractional-advset-step", "boolean-cap", "misspelled-cap",
         "misspelled-magnitude", "misspelled-box-bound", "two-high-bounds", "unknown-low-bound",
         "unknown-profile", "unknown-initial-soc", "string-bus-count", "negative-cost",
-        "negative-seed", "nan-event-time", "negative-event-time"])
+        "negative-seed", "nan-event-time", "negative-event-time", "event-at-horizon-end",
+        "huge-integer-cost"])
 def test_bad_box_input_is_input_error(tmp_path, capsys, overrides, flags, expected):
     if isinstance(overrides, dict):
         scenario = small_scenario(tmp_path, **overrides)
@@ -507,8 +512,10 @@ def _delete_item(*path):
     (_set_item("dispatch", "soc_wh", "es01", 1, float("nan")),
      "dispatch.soc_wh.es01[1]: expected a finite number, got nan"),
     (_set_item("reserve", 0.0), "unknown field 'reserve'"),
+    (_set_item("reserve_cost", 10**400), "reserve_cost: number too large for a float"),
 ], ids=["string-objective", "short-series", "missing-device", "missing-reserve",
-        "reserves-array", "dispatch-number", "null-in-series", "nan-in-series", "unknown-field"])
+        "reserves-array", "dispatch-number", "null-in-series", "nan-in-series", "unknown-field",
+        "huge-integer-cost"])
 def test_bad_robust_file_is_input_error(tmp_path, capsys, headroom_file, edit, expected):
     scenario, doc = headroom_file
     doc = json.loads(json.dumps(doc))

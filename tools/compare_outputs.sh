@@ -1,0 +1,60 @@
+#!/usr/bin/env bash
+# Compare the CLI outputs of two checkouts of gridres.
+#
+#   tools/compare_outputs.sh PARENT CHANGE
+#
+# PARENT and CHANGE are the roots of two source trees (each with src/gridres
+# and scenarios/).  The same command matrix runs in each, from its own
+# sources, into a temporary directory; the two result trees are then compared
+# with `diff -r`, manifest.json aside (it records timings and paths).  Exits
+# 0 when every output is byte-identical, 1 on any difference, and 2 when a
+# command of the matrix fails.
+set -euo pipefail
+
+if [ "$#" -ne 2 ]; then
+    echo "usage: $0 PARENT CHANGE" >&2
+    exit 2
+fi
+
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+log=$work/stderr.log
+
+run_matrix() {
+    local root out
+    root=$(cd "$1" && pwd)
+    out=$2
+    gr() {
+        (cd "$root" && PYTHONPATH="$root/src" OMP_NUM_THREADS=1 python -m gridres.cli "$@") 2>"$log" \
+            || { echo "error: gridres $* failed in $root:" >&2; cat "$log" >&2; exit 2; }
+    }
+    for sc in lshl hsll cyber_event; do
+        gr baseline "scenarios/$sc.json" --out "$out/baseline_$sc" --dump-lp
+    done
+    for sc in hsll cyber_event; do
+        gr robust "scenarios/$sc.json" --out "$out/robust_$sc" --dump-lp
+    done
+    gr advset scenarios/cyber_event.json --out "$out/advset_cyber_event" --project 1 2 6
+    gr advset docs/examples/sixbus_scenario.json --out "$out/advset_sixbus"
+    gr simulate scenarios/cyber_event.json --out "$out/simulate_cyber_event"
+    for seed in 2026 7; do
+        gr simulate scenarios/cyber_event.json --out "$out/sample_cyber_event_$seed" \
+            --robust "$out/advset_cyber_event/robust.json" \
+            --polytope "$out/advset_cyber_event/polytope.json" --sample 200 --sample-seed "$seed"
+        gr simulate docs/examples/sixbus_scenario.json --out "$out/sample_sixbus_$seed" \
+            --robust "$out/advset_sixbus/robust.json" \
+            --polytope "$out/advset_sixbus/polytope.json" --sample 200 --sample-seed "$seed"
+    done
+}
+
+for side in parent change; do
+    root=$1
+    [ "$side" = change ] && root=$2
+    run_matrix "$root" "$work/$side"
+done
+
+if diff -r -x manifest.json "$work/parent" "$work/change"; then
+    echo "identical: $(find "$work/change" -type f ! -name manifest.json | wc -l) files"
+else
+    exit 1
+fi
