@@ -15,7 +15,9 @@ The recourse LP is a one-step emission through the shared emitters of
 with reserves off (line and inverter polygons, load power factors and, when
 `pv_power_factor_gamma` is set, the PV power-factor cone the dispatch LP
 enforces), on the LP its namespace declares with the voltage boxes and the
-device windows as column bounds.  This module only narrows each column to
+device windows as column bounds.  The namespace names its one step, so it
+declares no stored-energy columns and the LP carries no SoC rows, also on a
+one-step horizon.  This module only narrows each column to
 the device's reserve band around its schedule, inside its
 `device_window` (a battery's narrowed by the energy entering the step), and
 adds one row (two for a load) per axis.  A targeted load's column is freed
@@ -53,7 +55,6 @@ from .constraints import (
     emit_limits,
     emit_power_balance,
     emit_voltage_drop,
-    reserve_room,
 )
 from .dispatch import DispatchResult
 from .lp import LinearProgram, LpStatus, Rel, Row, SolverOptions, solve
@@ -197,11 +198,9 @@ def build_recourse_lp(
             e_in = dispatch.soc_wh[u.id][k] / s if cls == "es" else None  # pu-h
             lo, hi = device_window(cls, u, k, s, e_in, model.dt_hours)
             sched = min(max(dispatch.p[key][k] / s, lp.lower[p]), lp.upper[p])
-            up = reserves.up[key][k] / s
-            # how far the band reaches below and above the schedule: the room
-            # at p = 0 in the window [-up, down], which is (down, up) for a
-            # generator or battery and (up, down) for a load
-            below, above = reserve_room(cls, -up, reserves.down[key][k] / s, 0.0)
+            up, down = reserves.up[key][k] / s, reserves.down[key][k] / s
+            # a load's up-reserve sheds demand, so its band reaches up below p
+            below, above = (up, down) if cls == "load" else (down, up)
             band_lo = min(max(lo, sched - below), sched)
             band_hi = max(min(sched + above, hi), sched)
             i = target_of.get(key)

@@ -34,18 +34,20 @@ Each device class's active-power window lives here and nowhere else:
 [-P, P] (narrowed, given the energy entering a step, so the energy stays in
 [e_min, e_max]) and load [minimum_k, desired_k], and `reserve_room` the room
 a setpoint has inside a window, where a load's up-reserve sheds demand and
-so lowers p.  The dispatch columns' bounds, the headroom reserves
-(:meth:`gridres.robust.ReserveSchedule.from_headroom`), the recourse bands
+so lowers p.  The dispatch columns' bounds, the recourse bands
 (:func:`gridres.advset.build_recourse_lp`) and the replay's room to move
-(:mod:`gridres.sim`) all read them.
+(:mod:`gridres.sim`) read the window; the headroom reserves
+(:meth:`gridres.robust.ReserveSchedule.from_headroom`) and the replay read
+the room as well.
 
 A namespace is declared for a set of steps, the whole horizon by default;
 every emitter (voltage drop, power balance, `emit_limits`) emits rows for
 exactly the namespace's steps.  The dispatch LPs use the whole horizon, the
-adversarial-set recourse LP a single step, without stored-energy columns:
-the SoC recursion spans the horizon, so its rows, the terminal-SoC row and
-the storage energy rows are emitted only when the namespace declares SoC
-columns.
+adversarial-set recourse LP a single step.  The SoC recursion spans the
+horizon, so stored-energy columns are declared only for the default whole
+horizon (a one-step horizon named as `steps=(0,)` gets none), and its rows,
+the terminal-SoC row and the storage energy rows are emitted only when the
+namespace declares SoC columns.
 
 `build_namespace` creates the step's :class:`gridres.lp.LinearProgram` as
 `ns.lp` and declares every column straight into it with its final bounds:
@@ -219,15 +221,16 @@ def build_namespace(
     """Declare every LP column for `model` in deterministic order, with its bounds.
 
     Columns are declared into `ns.lp` for `steps` (default: the whole
-    horizon); the stored-energy columns only for the whole horizon.  Squared
-    voltages lie in [v_min^2, v_max^2] (the root fixed at 1), device active
-    powers in their `device_window`, stored energies in [e_min, e_max]; flows and
-    reactive powers are free.  With `reserves`, the four up/down reserve
+    horizon); the stored-energy columns only by default, since the SoC
+    recursion spans the horizon.  Squared voltages lie in [v_min^2, v_max^2]
+    (the root fixed at 1), device active powers in their `device_window`,
+    stored energies in [e_min, e_max]; flows and reactive powers are free.  With `reserves`, the four up/down reserve
     classes are added per device and step; `dg_loss_keys` adds the
     worst-case output-loss helpers used by the robust coverage rows.  Both
     are non-negative.
     """
-    ns = VariableNamespace(tuple(range(model.steps)) if steps is None else tuple(steps))
+    whole_horizon = steps is None
+    ns = VariableNamespace(tuple(range(model.steps)) if whole_horizon else tuple(steps))
     steps = ns.steps
     new = ns.lp.add_variable
     pu = PerUnit.of(model)
@@ -256,7 +259,7 @@ def build_namespace(
             for k in steps:
                 ns.q[(cls, u.id, k)] = new(f"q{cls}[{u.id},{k}]")
 
-    if steps == tuple(range(model.steps)):  # the SoC recursion spans the horizon
+    if whole_horizon:
         for es in sorted(model.storage_units, key=lambda d: d.id):
             e_min, e_max = pu.energy(es.energy_min_wh), pu.energy(es.energy_max_wh)
             for k in steps:
@@ -411,14 +414,15 @@ def emit_limits(
                     tan_phi = math.tan(math.acos(u.power_factor))
                     rows.append(Row({q: 1.0, p: -tan_phi}, Rel.EQ, 0.0, "power_factor"))
                 if reserves:
-                    # R <= room(p), each room affine in p: its value at p = 0 is
-                    # the right-hand side, its slope the negated coefficient of p
+                    # p + R+ <= top and -p + R- <= -lo, swapped for a load
                     top = pv_floor.get((u.id, k), upper[p]) if cls == "pv" else upper[p]
-                    up_rhs, dn_rhs = reserve_room(cls, lower[p], top, 0.0)
-                    up_dp, dn_dp = reserve_room(cls, 0.0, 0.0, 1.0)
+                    minus_lo = 0.0 - lower[p]  # +0.0, not -0.0, for a zero lo
+                    sign, up_rhs, dn_rhs = 1.0, top, minus_lo
+                    if cls == "load":  # a load's up-reserve sheds demand
+                        sign, up_rhs, dn_rhs = -1.0, minus_lo, top
                     up, dn = ns.r_up[(cls, u.id, k)], ns.r_dn[(cls, u.id, k)]
-                    rows.append(Row({p: -up_dp, up: 1.0}, Rel.LE, up_rhs, _BAND_TAG[cls]))
-                    rows.append(Row({p: -dn_dp, dn: 1.0}, Rel.LE, dn_rhs, _BAND_TAG[cls]))
+                    rows.append(Row({p: sign, up: 1.0}, Rel.LE, up_rhs, _BAND_TAG[cls]))
+                    rows.append(Row({p: -sign, dn: 1.0}, Rel.LE, dn_rhs, _BAND_TAG[cls]))
                     if cls == "es" and soc:
                         rows.append(Row({e: 1.0, dn: dt}, Rel.LE, upper[e], "storage"))
                         rows.append(Row({e: -1.0, up: dt}, Rel.LE, -lower[e], "storage"))

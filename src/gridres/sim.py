@@ -213,7 +213,7 @@ def _forced_point(cls: str, u, k: int, sched: float, events: dict,
     lo, hi = device_window(cls, u, k, e_in=soc[u.id][k] if cls == "es" else None, dt=dt)
     if cls == "load":
         draw = sched + events.get(key, 0.0)
-        return draw, reserve_room(cls, lo, hi, draw)[0], reserve_room(cls, lo, hi, sched)[1]
+        return draw, draw - lo, hi - sched
     if cls != "es":
         if key in events:
             lost = events[key]

@@ -44,10 +44,11 @@ def test_recourse_row_count_formulas_fuzz():
     rng = np.random.default_rng(23)
     for trial in range(8):
         gamma = 0.3 if trial % 2 else None  # the PV power-factor cone of the dispatch LP
+        terminal = trial % 3 == 0  # adds no row: the recourse LP has no SoC rows
         spec = SynthSpec(
             buses=int(rng.integers(4, 9)),
             seed=int(rng.integers(0, 1000)),
-            steps=int(rng.integers(2, 6)),
+            steps=1 + trial % 5,
             n_loads=int(rng.integers(2, 4)),
             n_pv=int(rng.integers(1, 3)),
             n_dg=int(rng.integers(1, 3)),
@@ -69,7 +70,8 @@ def test_recourse_row_count_formulas_fuzz():
         step = int(rng.integers(0, K))
         lp, alpha = build_recourse_lp(model, dispatch, ReserveSchedule.zero(model), step,
                                       axes, np.zeros(len(axes)),
-                                      BuildOptions(poly_sides=sides, pv_power_factor_gamma=gamma))
+                                      BuildOptions(poly_sides=sides, pv_power_factor_gamma=gamma,
+                                                   terminal_soc_geq_initial=terminal))
         bus_phases = sum(len(b.phases) for b in model.buses)
         branch_phases = sum(len(br.phases) for br in model.branches)
         n_pv, n_dg, n_es, n_load = (
@@ -84,6 +86,23 @@ def test_recourse_row_count_formulas_fuzz():
         )
         assert len(alpha) == len(axes)
         assert all(lp.lower[c] == lp.upper[c] == 0.0 for c in alpha)
+
+
+def test_one_step_recourse_ignores_the_soc_recursion():
+    # the recourse LP carries no SoC rows, also when the horizon is one step:
+    # a discharging battery keeps its schedule whatever the terminal-SoC flag
+    model = six_bus(steps=1)
+    dispatch = solve_baseline(model, COSTS)
+    reserves = ReserveSchedule.from_headroom(model, dispatch)
+    assert dispatch.p[("es", "es1")][0] > 0.0
+    axes = [AdversarialAxis(AXIS_DG_LOSS, "dg1")]
+    free, terminal = (characterize(model, dispatch, reserves, axes, 0,
+                                   BuildOptions(terminal_soc_geq_initial=flag)).alpha_w
+                      for flag in (False, True))
+    np.testing.assert_array_equal(terminal, free)
+    lp, _ = build_recourse_lp(model, dispatch, reserves, 0, axes, np.zeros(1),
+                              BuildOptions(terminal_soc_geq_initial=True))
+    assert not any(name.startswith("soc[") for name in lp.names)
 
 
 def test_characterize_builds_once_per_step(monkeypatch):
