@@ -57,7 +57,6 @@ from .advset import (  # noqa: F401
 )
 from .sim import (  # noqa: F401
     Event,
-    EventTimeline,
     Trajectory,
     ViolationSummary,
     events_from_polytopes,

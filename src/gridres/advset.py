@@ -58,8 +58,8 @@ from .constraints import (
 )
 from .dispatch import DispatchResult
 from .lp import LinearProgram, LpStatus, Rel, Row, SolverOptions, solve
-from .network import (InputError, NetworkModel, array, input_error, integer, mapping, nullable,
-                      number, record, series, string)
+from .network import (InputError, NetworkModel, array, input_error, integer, mapping,
+                      non_negative_series, nullable, number, record, string)
 from .robust import ReserveSchedule
 
 AXIS_DG_LOSS = "dg_capacity_loss"
@@ -84,6 +84,8 @@ class AdversarialAxis:
     def __post_init__(self):
         if self.kind not in AXIS_KINDS:
             raise ValueError(f"unknown axis kind {self.kind!r}")
+        if self.cap_w is not None and not self.cap_w >= 0.0:  # NaN fails too
+            raise ValueError(f"cap_w must be a non-negative number, got {self.cap_w}")
 
 
 _axis_fields = record({"kind": string, "entity": string}, {"cap_w": nullable(number)})
@@ -96,7 +98,8 @@ def read_axis(value, path: str) -> AdversarialAxis:
         return AdversarialAxis(**fields)
 
 
-_read_polytope = record({"step": integer, "axes": array(read_axis), "alpha_w": series})
+_read_polytope = record({"step": integer, "axes": array(read_axis),
+                         "alpha_w": non_negative_series})
 
 
 @dataclass
@@ -125,8 +128,6 @@ class InnerPolytope:
         alpha, at = poly.alpha_w, f"{path}." if path else ""
         if alpha.shape != (len(poly.axes),):
             raise InputError(f"{at}alpha_w has {alpha.size} entries for {len(poly.axes)} axes")
-        if (alpha < 0).any():
-            raise InputError(f"{at}alpha_w: expected no negative entry, got {alpha.tolist()}")
         return poly
 
 

@@ -163,6 +163,13 @@ def cmd_advset(scenario: Scenario, out: Path, manifest: ManifestWriter,
     """
     if not scenario.axes:
         raise ScenarioError("scenario declares no adversarial axes")
+    for (i, j, k) in projections:  # before any solve, so a bad triple writes nothing
+        if k not in scenario.advset_steps:
+            raise ScenarioError(f"--project step {k} was not characterized")
+        if not (0 <= i < len(scenario.axes) and 0 <= j < len(scenario.axes)):
+            raise ScenarioError(f"--project axes ({i}, {j}) out of range")
+        if i == j:
+            raise ScenarioError(f"--project axes ({i}, {j}) must differ")
     base = solve_baseline(scenario.model, scenario.costs, scenario.build, scenario.solver)
     reserves = ReserveSchedule.from_headroom(scenario.model, base)
     robust = RobustResult(
@@ -192,11 +199,7 @@ def cmd_advset(scenario: Scenario, out: Path, manifest: ManifestWriter,
     manifest.add_output(out / "alpha.csv")
 
     for (i, j, k) in projections:
-        if k not in polys:
-            raise ScenarioError(f"--project step {k} was not characterized")
         poly = polys[k]
-        if not (0 <= i < len(poly.axes) and 0 <= j < len(poly.axes)):
-            raise ScenarioError(f"--project axes ({i}, {j}) out of range")
         hull, degenerate = project_2d(poly, i, j)
         name = f"polygon_{i}_{j}_{k}.csv"
         rows = [[float(x / MW), float(y / MW)] for x, y in hull]
@@ -247,7 +250,7 @@ def cmd_simulate(scenario: Scenario, out: Path, manifest: ManifestWriter,
         robust = _solve_robust_for(scenario)
 
     if sample is None:
-        traj = run_simulation(scenario.model, robust, scenario.timeline)
+        traj = run_simulation(scenario.model, robust, scenario.events)
         write_csv(out / "trajectory.csv",
                   ["step", "time_min", "series", "entity", "value"],
                   _trajectory_rows(scenario.model, traj))
@@ -274,7 +277,7 @@ def cmd_simulate(scenario: Scenario, out: Path, manifest: ManifestWriter,
     totals = dict.fromkeys(VIOLATION_CLASSES, 0)
     rows = []
     for r, per_step in enumerate(runs):
-        traj = run_simulation(scenario.model, robust, per_step_events=per_step)
+        traj = run_simulation(scenario.model, robust, per_step)
         report = violation_report(traj)
         rows.append([r, report.total, *(report.counts[c] for c in VIOLATION_CLASSES)])
         for c in totals:

@@ -24,9 +24,10 @@ LP.
 
 Variable ordering is deterministic: variable kind, then entity id (sorted),
 then phase (a < b < c), then step.  Device injections are per device (not per
-phase) and split equally across the phases of the hosting bus.  A device's
-active and reactive columns are `ns.p` and `ns.q`, keyed by (class, id,
-step), where the class is one of `DEVICE_CLASSES` (pv, dg, es, load); the
+phase) and split equally across the phases of the hosting bus, a load's
+withdrawn (`balance_shares`, read by the balance rows and `solve_linear_flow`).
+A device's active and reactive columns are `ns.p` and `ns.q`, keyed by (class,
+id, step), where the class is one of `DEVICE_CLASSES` (pv, dg, es, load); the
 same (class, id) key names the device's reserves and its dispatch series.
 
 Each device class's active-power window lives here and nowhere else:
@@ -305,6 +306,17 @@ def emit_voltage_drop(model: NetworkModel, ns: VariableNamespace) -> list[Row]:
     return rows
 
 
+def balance_shares(model: NetworkModel) -> dict[str, list[tuple[tuple[str, str], float]]]:
+    """Each bus's devices in `device_groups` order, as ((class, id), share): the
+    device's coefficient on each phase of its bus, 1/|phases|, negated for a load."""
+    shares = {bus.id: [] for bus in model.buses}
+    split = {bus.id: 1.0 / len(bus.phases) for bus in model.buses}
+    for cls, units in device_groups(model):
+        for u in units:
+            shares[u.bus].append(((cls, u.id), (-1.0 if cls == "load" else 1.0) * split[u.bus]))
+    return shares
+
+
 def emit_power_balance(model: NetworkModel, ns: VariableNamespace) -> list[Row]:
     """Two equalities (P and Q) per bus-phase-step.
 
@@ -313,11 +325,9 @@ def emit_power_balance(model: NetworkModel, ns: VariableNamespace) -> list[Row]:
     telescope to total generation = total load (the lossless-model identity).
     """
     _, parent, children = model.tree()
+    shares = balance_shares(model)
     rows = []
     for bus in model.buses:
-        share = 1.0 / len(bus.phases)
-        at_bus = [(cls, u.id, -1.0 if cls == "load" else 1.0)
-                  for cls, units in device_groups(model) for u in units if u.bus == bus.id]
         for phase in bus.phases:
             for k in ns.steps:
                 pco: dict[int, float] = {}
@@ -331,9 +341,9 @@ def emit_power_balance(model: NetworkModel, ns: VariableNamespace) -> list[Row]:
                     if phase in br.phases:
                         pco[ns.pflow[(br.id, phase, k)]] = -1.0
                         qco[ns.qflow[(br.id, phase, k)]] = -1.0
-                for cls, uid, sign in at_bus:  # loads withdraw
-                    pco[ns.p[(cls, uid, k)]] = sign * share
-                    qco[ns.q[(cls, uid, k)]] = sign * share
+                for (cls, uid), share in shares[bus.id]:
+                    pco[ns.p[(cls, uid, k)]] = share
+                    qco[ns.q[(cls, uid, k)]] = share
                 rows.append(Row(pco, Rel.EQ, 0.0, "power_balance"))
                 rows.append(Row(qco, Rel.EQ, 0.0, "power_balance"))
     return rows
@@ -447,23 +457,27 @@ def apply_emissions(lp: LinearProgram, rows: list[Row]) -> None:
 
 
 def solve_linear_flow(
-    model: NetworkModel, injections_pu: dict[tuple[str, str], tuple[float, float]]
+    model: NetworkModel, p_w: dict[tuple[str, str], float], q_w: dict[tuple[str, str], float]
 ) -> tuple[dict[tuple[str, str], tuple[float, float]], dict[tuple[str, str], float]]:
-    """Branch flows and squared voltages for fixed net injections.
+    """Branch flows and squared voltages for fixed device outputs.
 
-    `injections_pu` maps (bus, phase) to net injected (P, Q) in pu
-    (generation minus load).  Flows are signed parent->child; voltages follow
-    the same linear drop equation as the LP rows, anchored at 1 pu^2 on the
-    root.  Radial sweep, exact for the linear model.
+    `p_w` and `q_w` map (class, id) to a device's output in W and var, a load's
+    as drawn, which enters its bus's phases by its `balance_shares`.  Flows are
+    signed parent->child; voltages follow the same linear drop equation as the
+    LP rows, anchored at 1 pu^2 on the root.  Radial sweep, exact for the linear model.
     """
     pu = PerUnit.of(model)
     order, parent, children = model.tree()
     bus_map = {b.id: b for b in model.buses}
+    shares = balance_shares(model)
     subtree: dict[tuple[str, str], tuple[float, float]] = {}
     for bus_id in reversed(order):
-        bus = bus_map[bus_id]
-        for phase in bus.phases:
-            p, q = injections_pu.get((bus_id, phase), (0.0, 0.0))
+        p0 = q0 = 0.0  # the injection on each phase of the bus
+        for key, share in shares[bus_id]:
+            p0 += share * pu.power(p_w[key])
+            q0 += share * pu.power(q_w[key])
+        for phase in bus_map[bus_id].phases:
+            p, q = p0, q0
             for child in children[bus_id]:
                 if phase in bus_map[child].phases:
                     cp, cq = subtree[(child, phase)]

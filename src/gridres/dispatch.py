@@ -54,10 +54,10 @@ class InfeasibleDispatch(RuntimeError):
         )
 
 
-def series_map(paired: bool = False):
-    """A reader of a JSON object of series keyed by id, or by a pair (a, b) as "a:b"."""
+def series_map(paired: bool = False, read=series):
+    """A reader of a JSON object of series read by `read`, keyed by id or by a pair as "a:b"."""
     return lambda value, path: {tuple(key.split(":", 1)) if paired else key: arr
-                                for key, arr in mapping(series)(value, path).items()}
+                                for key, arr in mapping(read)(value, path).items()}
 
 
 def series_map_json(d: dict) -> dict[str, list[float]]:

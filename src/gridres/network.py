@@ -332,8 +332,16 @@ def _split_total(total: float, n: int, rng: np.random.Generator, spread: float =
     return parts
 
 
+# the largest value of each size field of a recipe, checked before anything is built
+SYNTH_SIZE_LIMITS = dict.fromkeys(("buses", "steps", "n_dg", "n_pv", "n_storage", "n_loads"),
+                                  1000)
+
+
 def synth_feeder(spec: SynthSpec) -> NetworkModel:
     """Build a deterministic radial feeder matching the recipe's aggregate ratings."""
+    for name, limit in SYNTH_SIZE_LIMITS.items():
+        if not 0 <= getattr(spec, name) <= limit:
+            raise ValueError(f"{name} must be in [0, {limit}], got {getattr(spec, name)}")
     if spec.buses < 1:
         raise ValueError("need at least one bus")
     if spec.buses == 1 and spec.n_loads > 1:
@@ -542,6 +550,14 @@ def series(value, path: str) -> np.ndarray:
     bad = np.flatnonzero(~np.isfinite(arr))
     if bad.size:
         raise InputError(f"{path}[{bad[0]}]: expected a finite number, got {value[bad[0]]!r}")
+    return arr
+
+
+def non_negative_series(value, path: str) -> np.ndarray:
+    """A series (finite numbers) with no negative entry."""
+    arr = series(value, path)
+    if (arr < 0).any():
+        raise InputError(f"{path}: expected no negative entry, got {arr.tolist()}")
     return arr
 
 

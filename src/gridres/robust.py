@@ -55,7 +55,7 @@ from .dispatch import (
     _objective_constant,
 )
 from .lp import Rel, Row, SolverOptions
-from .network import InputError, NetworkModel, number, record, series
+from .network import InputError, NetworkModel, non_negative_series, number, record, series
 
 
 @dataclass
@@ -191,7 +191,8 @@ class ReserveSchedule:
 
 
 _read_robust = record({"dispatch": DispatchResult.from_json_dict,
-                      "reserves": record(dict.fromkeys(("up", "down"), series_map(paired=True))),
+                      "reserves": record(dict.fromkeys(
+                          ("up", "down"), series_map(paired=True, read=non_negative_series))),
                       "objective_value": number, "reserve_cost": number,
                       "worst_up_w": series, "worst_down_w": series})
 

@@ -31,7 +31,7 @@ from .network import InputError as ScenarioError  # a malformed scenario or comm
 from .network import (NetworkModel, SynthSpec, array, dataclass_record, input_error, integer,
                       load_model, nullable, number, record, string, synth_feeder, validate)
 from .robust import ReserveCosts, UncertaintyBox
-from .sim import Event, EventTimeline
+from .sim import Event, compile_timeline
 
 SCHEMA_VERSION = 1
 
@@ -76,7 +76,7 @@ class Scenario:
     box: UncertaintyBox
     axes: list[AdversarialAxis]
     advset_steps: list[int]
-    timeline: EventTimeline
+    events: list[dict]  # the timeline compiled per step, as the replay takes it
 
     @property
     def has_box(self) -> bool:
@@ -191,12 +191,11 @@ def load_scenario(path, seed_override: int | None = None,
         if not 0 <= k < model.steps:
             raise ScenarioError(f"advset_steps: step {k} outside horizon")
 
-    timeline = EventTimeline([Event(**e) for e in doc.get("timeline", [])])
     with input_error("timeline"):
-        timeline.validate(model)
+        events = compile_timeline(model, [Event(**e) for e in doc.get("timeline", [])])
 
     return Scenario(doc.get("name", path.stem), seed, model, costs, reserve_costs, solver, build,
-                    box, axes, advset_steps, timeline)
+                    box, axes, advset_steps, events)
 
 
 # ---------------------------------------------------------------------------

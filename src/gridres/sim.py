@@ -13,19 +13,21 @@ to its room (a tripped diesel deploys nothing; a battery is limited by its
 realized state of charge).  Deployment beyond the pool is impossible: the
 residual is recorded as shortfall, never silently dropped.
 The network state is re-evaluated each step by a direct linear flow solve at
-the realized injections; device reactive output stays at schedule while load
-reactive power follows served load.  Masked load is invisible to the operator
-but present in the physics, so it surfaces through the imbalance measurement,
-which is exactly how the controller notices it.
+the realized device outputs; device reactive output stays at schedule while
+load reactive power follows served load.  Masked load is invisible to the
+operator but present in the physics, so it surfaces through the imbalance
+measurement, which is exactly how the controller notices it.
 
-A run is strictly sequential in time; distinct runs over the same immutable
-model and schedule (e.g. a Monte Carlo suite) may execute concurrently.
+A run replays per-step events, compiled from a timeline (a list of `Event`)
+by `compile_timeline` or sampled by `events_from_polytopes`.  A run is
+strictly sequential in time; distinct runs over the same immutable model and
+schedule (e.g. a Monte Carlo suite) may execute concurrently.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,67 +55,52 @@ class Event:
     magnitude_w: float | None = None  # dg_trip/pv_loss default to the full amount
 
 
-@dataclass
-class EventTimeline:
-    events: list[Event] = field(default_factory=list)
-
-    def validate(self, model: NetworkModel) -> None:
-        ids = {cls: {u.id for u in units} for cls, units in device_groups(model)}
-        step_min = model.dt_hours * 60.0
-        last_t = -math.inf
-        active: set[tuple[str, str]] = set()
-        for ev in self.events:
-            if ev.kind not in EVENT_KINDS:
-                raise ValueError(f"unknown event kind {ev.kind!r}")
-            if not 0 <= ev.time_min < math.inf:
-                raise ValueError(f"time_min must be finite and non-negative, got {ev.time_min}")
-            if ev.time_min // step_min >= model.steps:  # the step compile_timeline would use
-                raise ValueError(f"time_min must fall before the end of the horizon at "
-                                 f"{model.steps * step_min:g} min, got {ev.time_min}")
-            if ev.time_min < last_t:
-                raise ValueError("event times must be non-decreasing")
-            last_t = ev.time_min
-            cls, starts = EVENT_KINDS[ev.kind]
-            if ev.entity not in ids[cls]:
-                raise ValueError(f"event references unknown {cls} entity {ev.entity!r}")
-            key = (cls, ev.entity)
-            if starts:
-                active.add(key)
-                if ev.kind == "load_mask_start" and ev.magnitude_w is None:
-                    raise ValueError("load_mask_start needs a magnitude_w")
-            else:
-                if key not in active:
-                    raise ValueError(
-                        f"{ev.kind} for {ev.entity!r} has no matching start event"
-                    )
-                active.discard(key)
-
-
-def compile_timeline(model: NetworkModel, timeline: EventTimeline) -> list[dict]:
-    """Active event magnitudes per step: {(group, entity): magnitude_w}.
+def compile_timeline(model: NetworkModel, timeline: list[Event]) -> list[dict]:
+    """Active event magnitudes per step: {(class, entity): magnitude_w}.
 
     An event at time t takes effect at the step whose interval contains t.
-    Unclosed events stay active to the end of the horizon.
+    Unclosed events stay active to the end of the horizon.  Raises ValueError
+    on the first event that cannot be replayed, as the one walk reaches it.
     """
-    timeline.validate(model)
+    units = {cls: {u.id: u for u in group} for cls, group in device_groups(model)}
     step_min = model.dt_hours * 60.0
-    by_step: dict[int, list[Event]] = {}
-    for ev in timeline.events:
-        k = int(ev.time_min // step_min)
-        by_step.setdefault(k, []).append(ev)
-    caps = {u.id: u.capacity_va for u in model.dg_units}
-    active: dict[tuple[str, str], float] = {}
-    out = []
-    for k in range(model.steps):
-        for ev in by_step.get(k, []):
-            cls, starts = EVENT_KINDS[ev.kind]
-            key = (cls, ev.entity)
-            if not starts:
-                active.pop(key, None)
-            elif cls == "dg" and ev.magnitude_w is None:
-                active[key] = caps[ev.entity]
-            else:
-                active[key] = ev.magnitude_w  # a pv loss without one is the full forecast
+    last_t = -math.inf
+    active: dict[tuple[str, str], float | None] = {}
+    out: list[dict] = []
+    for ev in timeline:
+        if ev.kind not in EVENT_KINDS:
+            raise ValueError(f"unknown event kind {ev.kind!r}")
+        if not 0 <= ev.time_min < math.inf:
+            raise ValueError(f"time_min must be finite and non-negative, got {ev.time_min}")
+        k = ev.time_min // step_min
+        if k >= model.steps:
+            raise ValueError(f"time_min must fall before the end of the horizon at "
+                             f"{model.steps * step_min:g} min, got {ev.time_min}")
+        if ev.time_min < last_t:
+            raise ValueError("event times must be non-decreasing")
+        last_t = ev.time_min
+        cls, starts = EVENT_KINDS[ev.kind]
+        if ev.entity not in units[cls]:
+            raise ValueError(f"event references unknown {cls} entity {ev.entity!r}")
+        while len(out) < k:  # the steps before this event's are complete
+            out.append(dict(active))
+        key = (cls, ev.entity)
+        mag = ev.magnitude_w
+        if not starts:
+            if key not in active:
+                raise ValueError(f"{ev.kind} for {ev.entity!r} has no matching start event")
+            del active[key]
+            continue
+        if mag is None:
+            if cls == "load":
+                raise ValueError("load_mask_start needs a magnitude_w")
+            mag = units["dg"][ev.entity].capacity_va if cls == "dg" else None  # pv: all of it
+        elif not math.isfinite(mag):
+            raise ValueError(f"magnitude_w must be finite, got {mag}")
+        elif mag < 0 and cls != "load":  # a loss cannot raise a unit's output
+            raise ValueError(f"{ev.kind} magnitude_w must be non-negative, got {mag}")
+        active[key] = mag
+    while len(out) < model.steps:
         out.append(dict(active))
     return out
 
@@ -186,6 +173,7 @@ class Trajectory:
 
 
 VIOLATION_CLASSES = ("voltage", "soc", "line", "shortfall")
+VOLTAGE_TOL = 1e-7  # pu of voltage magnitude outside [v_min, v_max] flagged as a violation
 
 _STEP_SERIES = (
     "time_min", "pv_w", "dg_w", "es_w", "served_load_w",
@@ -222,22 +210,14 @@ def _forced_point(cls: str, u, k: int, sched: float, events: dict,
     return (sched, *reserve_room(cls, lo, hi, sched))
 
 
-def run_simulation(
-    model: NetworkModel,
-    robust: RobustResult,
-    timeline: EventTimeline | None = None,
-    per_step_events: list[dict] | None = None,
-    voltage_tol: float = 1e-7,
-) -> Trajectory:
-    """Replay `timeline` (or precompiled per-step events) against the schedule."""
-    if per_step_events is None:
-        per_step_events = compile_timeline(model, timeline or EventTimeline())
+def run_simulation(model: NetworkModel, robust: RobustResult, events: list[dict]) -> Trajectory:
+    """Replay per-step events against the schedule: `events[k]` maps (class,
+    entity) to the magnitude active at step k; steps past the list have none."""
     dispatch = robust.dispatch
     reserves = robust.reserves
     K = model.steps
     dt = model.dt_hours
     pu = PerUnit.of(model)
-    buses = {b.id: b for b in model.buses}
     groups = device_groups(model)
     devices = [(cls, u) for cls, units in groups for u in units]
     keys = {cls: [(cls, u.id) for u in units] for cls, units in groups}
@@ -254,7 +234,7 @@ def run_simulation(
             magnitude[name][k] = max(magnitude[name][k], size)
 
     for k in range(K):
-        events = per_step_events[k] if k < len(per_step_events) else {}
+        step_events = events[k] if k < len(events) else {}
         arrays["time_min"][k] = k * dt * 60.0
 
         # the ledger: per device, its schedule, its setpoint after events and
@@ -264,9 +244,9 @@ def run_simulation(
             key = (cls, u.id)
             sched[key] = dispatch.p[key][k]
             point[key], room_up[key], room_dn[key] = _forced_point(
-                cls, u, k, sched[key], events, soc, dt)
+                cls, u, k, sched[key], step_events, soc, dt)
 
-        masks = [events.get(key, 0.0) for key in keys["load"]]
+        masks = [step_events.get(key, 0.0) for key in keys["load"]]
         forced_loss = (sum(sched[key] - point[key] for key in keys["pv"])
                        + sum(sched[key] - point[key] for key in keys["dg"]))
         imbalance = sum(masks) + forced_loss
@@ -311,33 +291,18 @@ def run_simulation(
             excess = max(u.energy_min_wh - e, e - u.energy_max_wh)
             flag("soc", k, excess, 1e-6 * u.energy_max_wh, excess)
 
-        # network state at the realized injections, split equally over the
-        # phases of each device's bus; load reactive power follows served load
-        injections: dict[tuple[str, str], tuple[float, float]] = {}
-        for cls, u in devices:
-            if cls == "load":
-                p = -realized[(cls, u.id)]
-                q = u.q_of(p)
-            else:
-                p = realized[(cls, u.id)]
-                q = dispatch.q[(cls, u.id)][k]
-            phases = buses[u.bus].phases
-            share = 1.0 / len(phases)
-            for phase in phases:
-                p_in, q_in = injections.get((u.bus, phase), (0.0, 0.0))
-                injections[(u.bus, phase)] = (
-                    p_in + share * pu.power(p), q_in + share * pu.power(q),
-                )
-
-        flows, w = solve_linear_flow(model, injections)
-        w_vals = np.array(list(w.values()))
-        arrays["voltage_min_pu"][k] = math.sqrt(max(w_vals.min(), 0.0))
-        arrays["voltage_max_pu"][k] = math.sqrt(w_vals.max())
-        for (bus_id, phase), wv in w.items():
-            bus = buses[bus_id]
-            v = math.sqrt(max(wv, 0.0))
-            over = max(bus.v_min - v, v - bus.v_max)
-            flag("voltage", k, over, voltage_tol, over)
+        # network state at the realized outputs; a load's reactive power
+        # follows its served load
+        q_w = {(cls, u.id): u.q_of(realized[(cls, u.id)]) if cls == "load"
+               else dispatch.q[(cls, u.id)][k] for cls, u in devices}
+        flows, w = solve_linear_flow(model, realized, q_w)
+        arrays["voltage_min_pu"][k] = math.sqrt(max(min(w.values()), 0.0))
+        arrays["voltage_max_pu"][k] = math.sqrt(max(w.values()))
+        for bus in model.buses:
+            for phase in bus.phases:
+                v = math.sqrt(max(w[(bus.id, phase)], 0.0))
+                over = max(bus.v_min - v, v - bus.v_max)
+                flag("voltage", k, over, VOLTAGE_TOL, over)
         for br in model.branches:
             limit = pu.power(br.flow_limit_va)
             for phase in br.phases:

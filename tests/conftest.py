@@ -46,7 +46,7 @@ def event_run():
     t0 = time.perf_counter()
     robust = solve_robust(scenario.model, scenario.costs, scenario.reserve_costs,
                           scenario.box, scenario.build, scenario.solver)
-    traj = run_simulation(scenario.model, robust, scenario.timeline)
+    traj = run_simulation(scenario.model, robust, scenario.events)
     elapsed = time.perf_counter() - t0
     return scenario, base, robust, traj, elapsed
 

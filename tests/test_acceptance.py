@@ -142,7 +142,7 @@ def test_c5_adversarial_set_soundness(advset_run):
     runs = events_from_polytopes(polys, seed=scenario.seed, count=100)
     total = 0
     for per_step in runs:
-        traj = run_simulation(scenario.model, wrap, per_step_events=per_step)
+        traj = run_simulation(scenario.model, wrap, per_step)
         report = violation_report(traj)
         total += report.total
         for unit in scenario.model.storage_units:
@@ -220,7 +220,7 @@ def test_c8_conservation_properties(event_run, advset_run):
     runs = events_from_polytopes(polys, seed=adv_scenario.seed, count=20)
     for per_step in runs:
         check(adv_scenario.model, wrap,
-              run_simulation(adv_scenario.model, wrap, per_step_events=per_step))
+              run_simulation(adv_scenario.model, wrap, per_step))
     ok("criterion 8: conservation properties", "ledger and SoC replay within 1e-9")
 
 

@@ -155,6 +155,25 @@ def test_unknown_solver_option_is_input_error(tmp_path, capsys, field, value):
      "error: timeline: time_min must fall before the end of the horizon at 60 min, got 60.0"),
     ({"costs": {"load_curtail": 10**400}}, [],
      "error: costs.load_curtail: number too large for a float"),
+    ({"timeline": [{"time_min": 15, "kind": "load_mask_start", "entity": "load01",
+                    "magnitude_w": float("nan")}]}, [],
+     "error: timeline: magnitude_w must be finite, got nan"),
+    ({"timeline": [{"time_min": 15, "kind": "dg_trip", "entity": "dg01",
+                    "magnitude_w": float("nan")}]}, [],
+     "error: timeline: magnitude_w must be finite, got nan"),
+    ({"timeline": [{"time_min": 15, "kind": "pv_loss", "entity": "pv01",
+                    "magnitude_w": float("inf")}]}, [],
+     "error: timeline: magnitude_w must be finite, got inf"),
+    ({"timeline": [{"time_min": 15, "kind": "dg_trip", "entity": "dg01",
+                    "magnitude_w": -5.0}]}, [],
+     "error: timeline: dg_trip magnitude_w must be non-negative, got -5.0"),
+    ({"timeline": [{"time_min": 15, "kind": "pv_loss", "entity": "pv01",
+                    "magnitude_w": -5.0}]}, [],
+     "error: timeline: pv_loss magnitude_w must be non-negative, got -5.0"),
+    ({"axes": [{"kind": "dg_capacity_loss", "entity": "dg01", "cap_w": -5.0}]}, [],
+     "error: axes[0]: cap_w must be a non-negative number, got -5.0"),
+    ({"axes": [{"kind": "dg_capacity_loss", "entity": "dg01", "cap_w": float("nan")}]}, [],
+     "error: axes[0]: cap_w must be a non-negative number, got nan"),
 ], ids=["unknown-entity", "steps-past-horizon", "non-numeric-cost", "two-poly-sides",
         "two-poly-sides-flag", "non-numeric-time", "non-numeric-advset-step",
         "non-numeric-gamma", "non-numeric-cap", "non-numeric-magnitude", "solver-not-object",
@@ -166,7 +185,9 @@ def test_unknown_solver_option_is_input_error(tmp_path, capsys, field, value):
         "misspelled-magnitude", "misspelled-box-bound", "two-high-bounds", "unknown-low-bound",
         "unknown-profile", "unknown-initial-soc", "string-bus-count", "negative-cost",
         "negative-seed", "nan-event-time", "negative-event-time", "event-at-horizon-end",
-        "huge-integer-cost"])
+        "huge-integer-cost", "nan-mask-magnitude", "nan-trip-magnitude",
+        "infinite-loss-magnitude", "negative-trip-magnitude", "negative-loss-magnitude",
+        "negative-cap", "nan-cap"])
 def test_bad_box_input_is_input_error(tmp_path, capsys, overrides, flags, expected):
     if isinstance(overrides, dict):
         scenario = small_scenario(tmp_path, **overrides)
@@ -177,6 +198,15 @@ def test_bad_box_input_is_input_error(tmp_path, capsys, overrides, flags, expect
     err = capsys.readouterr().err
     assert err.startswith("error:") and expected in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("value", [1001, -1])
+@pytest.mark.parametrize("field", ["buses", "steps", "n_dg", "n_pv", "n_storage", "n_loads"])
+def test_recipe_size_out_of_range_is_input_error(tmp_path, capsys, field, value):
+    scenario = small_scenario(tmp_path, network={"synth": {**SMALL_SYNTH, field: value}})
+    assert main(["validate", str(scenario)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: network.synth: {field} must be in [0, 1000], got {value}\n"
 
 
 @pytest.mark.parametrize("error", [IterationLimitExceeded(7, 1),
@@ -405,6 +435,24 @@ def test_advset_then_sampled_simulation(tmp_path):
     assert len(rows) == 21  # header + one row per run
 
 
+@pytest.mark.parametrize("triple, expected", [
+    (["0", "0", "1"], "error: --project axes (0, 0) must differ"),
+    (["0", "2", "1"], "error: --project axes (0, 2) out of range"),
+    (["-1", "0", "1"], "error: --project axes (-1, 0) out of range"),
+    (["0", "1", "9"], "error: --project step 9 was not characterized"),
+], ids=["same-axes", "axis-out-of-range", "negative-axis", "step-not-characterized"])
+def test_bad_projection_fails_before_any_solve(tmp_path, capsys, monkeypatch, triple, expected):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking --project")
+
+    monkeypatch.setattr("gridres.cli.solve_baseline", no_solve)
+    scenario = small_scenario(tmp_path, advset_steps=[1, 2])
+    out = tmp_path / "o"
+    assert main(["advset", str(scenario), "--out", str(out), "--project", *triple]) == 1
+    assert capsys.readouterr().err == expected + "\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_simulate_timeline(tmp_path):
     scenario = small_scenario(tmp_path)
     out = tmp_path / "sim"
@@ -442,13 +490,16 @@ POLY = {"step": 1, "axes": [{"kind": "dg_capacity_loss", "entity": "dg01"}],
     ("5", {"1": {**POLY, "axes": [{"kind": "dg_capacity_loss", "entity": "dg01",
                                    "cap_w": "big"}]}},
      "steps.1.axes[0].cap_w must be a number, got 'big'"),
+    ("5", {"1": {**POLY, "axes": [{"kind": "dg_capacity_loss", "entity": "dg01",
+                                   "cap_w": -5.0}]}},
+     "steps.1.axes[0]: cap_w must be a non-negative number, got -5.0"),
     ("5", {"1": {**POLY, "alpha": [1000.0]}}, "steps.1: unknown field 'alpha'"),
     ("5", {"2": POLY}, "steps.2.step: expected 2, got 1"),
     ("5", {"1": {**POLY, "axes": [{"kind": "dg_capacity_loss", "entity": ["dg01"]}]}},
      "steps.1.axes[0].entity: expected a string, got ['dg01']"),
 ], ids=["negative-count", "no-steps", "step-past-horizon", "unknown-entity", "alpha-length",
         "nan-alpha", "infinite-alpha", "negative-alpha", "boolean-alpha", "string-cap",
-        "unknown-field", "key-not-step", "array-entity"])
+        "negative-cap", "unknown-field", "key-not-step", "array-entity"])
 def test_bad_sample_input_is_input_error(tmp_path, capsys, sample, steps, expected):
     scenario = small_scenario(tmp_path)
     polytope = tmp_path / "polytope.json"
@@ -513,9 +564,13 @@ def _delete_item(*path):
      "dispatch.soc_wh.es01[1]: expected a finite number, got nan"),
     (_set_item("reserve", 0.0), "unknown field 'reserve'"),
     (_set_item("reserve_cost", 10**400), "reserve_cost: number too large for a float"),
+    (_set_item("reserves", "up", "dg:dg01", 1, -1.0),
+     "reserves.up.dg:dg01: expected no negative entry, got ["),
+    (_set_item("reserves", "down", "load:load01", 0, -1.0e9),
+     "reserves.down.load:load01: expected no negative entry, got [-1000000000.0, "),
 ], ids=["string-objective", "short-series", "missing-device", "missing-reserve",
         "reserves-array", "dispatch-number", "null-in-series", "nan-in-series", "unknown-field",
-        "huge-integer-cost"])
+        "huge-integer-cost", "negative-up-reserve", "negative-down-reserve"])
 def test_bad_robust_file_is_input_error(tmp_path, capsys, headroom_file, edit, expected):
     scenario, doc = headroom_file
     doc = json.loads(json.dumps(doc))

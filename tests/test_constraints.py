@@ -295,31 +295,9 @@ def test_voltage_monotone_on_consuming_feeder():
 def test_linear_flow_matches_lp_voltages():
     model = six_bus(steps=2)
     result = solve_baseline(model, CostConfig())
-    pu = PerUnit.of(model)
     k = 1
-    injections = {}
-    for bus in model.buses:
-        share = 1.0 / len(bus.phases)
-        for phase in bus.phases:
-            p = q = 0.0
-            for u in model.pv_units:
-                if u.bus == bus.id:
-                    p += share * pu.power(result.p[("pv", u.id)][k])
-                    q += share * pu.power(result.q[("pv", u.id)][k])
-            for u in model.dg_units:
-                if u.bus == bus.id:
-                    p += share * pu.power(result.p[("dg", u.id)][k])
-                    q += share * pu.power(result.q[("dg", u.id)][k])
-            for u in model.storage_units:
-                if u.bus == bus.id:
-                    p += share * pu.power(result.p[("es", u.id)][k])
-                    q += share * pu.power(result.q[("es", u.id)][k])
-            for u in model.loads:
-                if u.bus == bus.id:
-                    p -= share * pu.power(result.p[("load", u.id)][k])
-                    q -= share * pu.power(result.q[("load", u.id)][k])
-            injections[(bus.id, phase)] = (p, q)
-    flows, w = solve_linear_flow(model, injections)
+    flows, w = solve_linear_flow(model, {key: arr[k] for key, arr in result.p.items()},
+                                 {key: arr[k] for key, arr in result.q.items()})
     for key, arr in result.voltage_sq_pu.items():
         assert w[key] == pytest.approx(arr[k], abs=5e-7)
 

@@ -8,7 +8,6 @@ from gridres.lp import check_feasibility
 from gridres.robust import UncertaintyBox, solve_robust
 from gridres.sim import (
     Event,
-    EventTimeline,
     compile_timeline,
     events_from_polytopes,
     proportional_dispatch,
@@ -47,29 +46,28 @@ def test_proportional_empty_pool():
 
 def test_timeline_validation():
     model = six_bus()
-    bad = EventTimeline([Event(10.0, "dg_restore", "dg1")])
     with pytest.raises(ValueError, match="matching start"):
-        bad.validate(model)
-    bad = EventTimeline([
-        Event(20.0, "dg_trip", "dg1"),
-        Event(10.0, "dg_restore", "dg1"),
-    ])
+        compile_timeline(model, [Event(10.0, "dg_restore", "dg1")])
     with pytest.raises(ValueError, match="non-decreasing"):
-        bad.validate(model)
+        compile_timeline(model, [Event(20.0, "dg_trip", "dg1"), Event(10.0, "dg_restore", "dg1")])
     with pytest.raises(ValueError, match="magnitude"):
-        EventTimeline([Event(5.0, "load_mask_start", "load1")]).validate(model)
+        compile_timeline(model, [Event(5.0, "load_mask_start", "load1")])
     with pytest.raises(ValueError, match="unknown"):
-        EventTimeline([Event(5.0, "dg_trip", "nope")]).validate(model)
+        compile_timeline(model, [Event(5.0, "dg_trip", "nope")])
+    with pytest.raises(ValueError, match="finite"):
+        compile_timeline(model, [Event(5.0, "load_mask_start", "load1", float("nan"))])
+    with pytest.raises(ValueError, match="non-negative"):  # a mask may be negative, a loss not
+        compile_timeline(model, [Event(5.0, "pv_loss", "pv1", -1.0)])
 
 
 def test_compile_timeline_windows():
     model = six_bus(steps=8)  # 15-minute steps
-    tl = EventTimeline([
+    tl = [
         Event(30.0, "dg_trip", "dg1"),
         Event(45.0, "load_mask_start", "load1", 0.1e6),
         Event(75.0, "dg_restore", "dg1"),
         Event(90.0, "load_mask_end", "load1"),
-    ])
+    ]
     steps = compile_timeline(model, tl)
     assert ("dg", "dg1") not in steps[1]
     assert steps[2][("dg", "dg1")] == pytest.approx(1.5e6)  # full trip default
@@ -93,7 +91,7 @@ def event_toy():
 
 def test_empty_timeline_reproduces_schedule():
     model, robust = event_toy()
-    traj = run_simulation(model, robust, EventTimeline())
+    traj = run_simulation(model, robust, [])
     np.testing.assert_array_equal(traj.imbalance_w, 0.0)
     np.testing.assert_array_equal(traj.deployed_up_w, 0.0)
     np.testing.assert_array_equal(traj.shortfall_w, 0.0)
@@ -111,13 +109,13 @@ def test_empty_timeline_reproduces_schedule():
 def test_event_replay_deploys_and_stays_clean():
     model, robust = event_toy()
     # 15-minute steps: trip in step 1, mask in steps 2-3
-    tl = EventTimeline([
+    tl = [
         Event(15.0, "dg_trip", "dg1", 0.5e6),
         Event(30.0, "dg_restore", "dg1"),
         Event(30.0, "load_mask_start", "load1", 0.2e6),
         Event(55.0, "load_mask_end", "load1"),
-    ])
-    traj = run_simulation(model, robust, tl)
+    ]
+    traj = run_simulation(model, robust, compile_timeline(model, tl))
     report = violation_report(traj)
     assert report.clean(), report
     # the trip bites only if the unit was dispatched above the derated level
@@ -135,9 +133,8 @@ def test_event_replay_deploys_and_stays_clean():
 
 def test_soc_recursion_replay():
     model, robust = event_toy()
-    tl = EventTimeline([Event(0.0, "dg_trip", "dg1", 0.8e6),
-                        Event(30.0, "dg_restore", "dg1")])
-    traj = run_simulation(model, robust, tl)
+    tl = [Event(0.0, "dg_trip", "dg1", 0.8e6), Event(30.0, "dg_restore", "dg1")]
+    traj = run_simulation(model, robust, compile_timeline(model, tl))
     dt = model.dt_hours
     for u in model.storage_units:
         es_series = []
@@ -151,8 +148,8 @@ def test_soc_recursion_replay():
 
 def test_oversized_event_records_shortfall():
     model, robust = event_toy()
-    tl = EventTimeline([Event(0.0, "load_mask_start", "load1", 5.0e6)])
-    traj = run_simulation(model, robust, tl)
+    tl = [Event(0.0, "load_mask_start", "load1", 5.0e6)]
+    traj = run_simulation(model, robust, compile_timeline(model, tl))
     report = violation_report(traj)
     assert report.counts["shortfall"] > 0
     assert report.max_magnitude["shortfall"] > 1.0e6
@@ -164,8 +161,8 @@ def test_oversized_event_records_shortfall():
 
 def test_violation_report_matches_recount():
     model, robust = event_toy()
-    tl = EventTimeline([Event(0.0, "load_mask_start", "load1", 5.0e6)])
-    traj = run_simulation(model, robust, tl)
+    tl = [Event(0.0, "load_mask_start", "load1", 5.0e6)]
+    traj = run_simulation(model, robust, compile_timeline(model, tl))
     report = violation_report(traj)
     for cls_name, flags in traj.violations.items():
         assert report.counts[cls_name] == int(flags.sum())
@@ -179,8 +176,8 @@ def test_down_direction_absorbs_load_drop():
     for k in range(model.steps):
         box.add(P_LOAD_DESIRED, "load1", k, 0.7e6, 1.0e6, 1.0e6)
     robust = solve_robust(model, COSTS, box=box)
-    tl = EventTimeline([Event(0.0, "load_mask_start", "load1", -0.3e6)])
-    traj = run_simulation(model, robust, tl)
+    tl = [Event(0.0, "load_mask_start", "load1", -0.3e6)]
+    traj = run_simulation(model, robust, compile_timeline(model, tl))
     assert traj.imbalance_w[0] == pytest.approx(-0.3e6, abs=1e-3)
     assert traj.deployed_down_w[0] == pytest.approx(0.3e6, abs=1e-3)
     assert violation_report(traj).clean()
@@ -207,7 +204,7 @@ def test_recourse_point_satisfies_perturbed_rows():
             if k + 1 < model.steps:
                 events.append(Event((k + 1) * step_min, "load_mask_end", "load1"))
         events.sort(key=lambda e: e.time_min)
-        traj = run_simulation(model, robust, EventTimeline(events))
+        traj = run_simulation(model, robust, compile_timeline(model, events))
         assert violation_report(traj).clean()
 
         # rebuild the nominal problem at the realized parameters
@@ -249,7 +246,7 @@ def test_polytope_sampled_events_simulate_clean():
     for a, b in zip(runs, again):
         assert a == b
     for per_step in runs:
-        traj = run_simulation(model, robust, per_step_events=per_step)
+        traj = run_simulation(model, robust, per_step)
         assert violation_report(traj).clean()
 
 
@@ -269,18 +266,18 @@ def test_pv_loss_and_restore_events():
 
     # a loss at the box edge: dispatch already sits below the worst forecast,
     # so the event forces nothing and the replay is clean
-    tl = EventTimeline([
+    tl = [
         Event(0.0, "pv_loss", "pv1", 0.3e6),
         Event(30.0, "pv_restore", "pv1"),
-    ])
-    traj = run_simulation(model, robust, tl)
+    ]
+    traj = run_simulation(model, robust, compile_timeline(model, tl))
     assert violation_report(traj).clean()
     np.testing.assert_allclose(traj.imbalance_w, 0.0, atol=1e-3)
 
     # a loss beyond the covered box forces output below dispatch; if the gap
     # exceeds the reserve pool the residual is recorded as shortfall
-    full = EventTimeline([Event(0.0, "pv_loss", "pv1")])  # default: all of it
-    traj = run_simulation(model, robust, full)
+    full = [Event(0.0, "pv_loss", "pv1")]  # default: all of it
+    traj = run_simulation(model, robust, compile_timeline(model, full))
     assert traj.pv_w[0] == pytest.approx(0.0, abs=1e-6)
     assert traj.imbalance_w[0] == pytest.approx(robust.dispatch.p[("pv", "pv1")][0], abs=1e-3)
 
@@ -297,7 +294,7 @@ def test_no_event_voltages_match_schedule():
         box.add(P_LOAD_DESIRED, "load1", k,
                 *(lambda n: (n, n, n + 0.1e6))(float(model.loads[0].desired_w[k])))
     robust = solve_robust(model, COSTS, box=box)
-    traj = run_simulation(model, robust, EventTimeline())
+    traj = run_simulation(model, robust, [])
     agg = summarize(robust.dispatch)
     np.testing.assert_allclose(traj.voltage_min_pu, agg.v_min_pu, atol=5e-7)
     np.testing.assert_allclose(traj.voltage_max_pu, agg.v_max_pu, atol=5e-7)

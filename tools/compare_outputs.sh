@@ -5,7 +5,8 @@
 #
 # PARENT and CHANGE are the roots of two source trees (each with src/gridres
 # and scenarios/).  The same command matrix runs in each, from its own
-# sources, into a temporary directory; the two result trees are then compared
+# sources, into a temporary directory (`validate` prints its report, which is
+# kept as a file); the two result trees are then compared
 # with `diff -r`, manifest.json aside (it records timings and paths).  Exits
 # 0 when every output is byte-identical, 1 on any difference, and 2 when a
 # command of the matrix fails.
@@ -28,6 +29,12 @@ run_matrix() {
         (cd "$root" && PYTHONPATH="$root/src" OMP_NUM_THREADS=1 python -m gridres.cli "$@") 2>"$log" \
             || { echo "error: gridres $* failed in $root:" >&2; cat "$log" >&2; exit 2; }
     }
+    mkdir -p "$out/validate"
+    for sc in scenarios/lshl.json scenarios/cyber_event.json docs/examples/sixbus_scenario.json; do
+        gr validate "$sc" > "$out/validate/$(basename "$sc" .json).json"
+    done
+    gr synth scenarios/cyber_event.json --out "$out/synth_cyber_event"
+    gr synth docs/examples/sixbus_scenario.json --out "$out/synth_sixbus"
     for sc in lshl hsll cyber_event; do
         gr baseline "scenarios/$sc.json" --out "$out/baseline_$sc" --dump-lp
     done
