@@ -10,21 +10,19 @@ re-regulate freely inside its apparent-power polygon and, with a PV
 power-factor gamma set, a PV unit's inside its cone |q| <= gamma p (volt/var
 response consumes no active-power reserve).
 
-The recourse LP is a one-step emission through the shared emitters of
-:mod:`gridres.constraints`: voltage drop, power balance and `emit_limits`
-with reserves off (line and inverter polygons, load power factors and, when
-`pv_power_factor_gamma` is set, the PV power-factor cone the dispatch LP
-enforces), on the LP its namespace declares with the voltage boxes and the
-device windows as column bounds.  The namespace names its one step, so it
-declares no stored-energy columns and the LP carries no SoC rows, also on a
-one-step horizon.  This module only narrows each column to
-the device's reserve band around its schedule, inside its
-`device_window` (a battery's narrowed by the energy entering the step), and
-adds one row (two for a load) per axis.  A targeted load's column is freed
-instead, since the true demand may exceed the desired level.  Each axis has
-a magnitude column alpha_i in its targeted entity's row, so an event's
-magnitudes are column bounds: fixed at alpha = m to test an event, or free
-for one axis and zero for the rest to maximize along it.
+The recourse LP is the one-step feeder LP of
+:func:`gridres.constraints.build_feeder_lp` with reserves off, the same
+network and device rows the dispatch LP enforces, with the voltage boxes and
+the device windows as column bounds.  Its namespace names its one step, so
+it declares no stored-energy columns and the LP carries no SoC rows, also on
+a one-step horizon.  This module only narrows each column to the device's
+reserve band around its schedule, inside its `device_window` (a battery's
+narrowed by the energy entering the step), and adds one row (two for a
+load) per axis.  A targeted load's column is freed instead, since the true
+demand may exceed the desired level.  Each axis has a magnitude column
+alpha_i in its targeted entity's row, so an event's magnitudes are column
+bounds: fixed at alpha = m to test an event, or free for one axis and zero
+for the rest to maximize along it.
 
 Maximizing the event magnitude per axis yields one extreme point per axis;
 their convex hull with the nominal point is an inner approximation of the
@@ -45,19 +43,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .constraints import (
-    BuildOptions,
-    PerUnit,
-    apply_emissions,
-    build_namespace,
-    device_groups,
-    device_window,
-    emit_limits,
-    emit_power_balance,
-    emit_voltage_drop,
-)
+from .constraints import BuildOptions, PerUnit, build_feeder_lp, device_groups, device_window
 from .dispatch import DispatchResult
-from .lp import LinearProgram, LpStatus, Rel, Row, SolverOptions, solve
+from .lp import LinearProgram, LpStatus, Rel, SolverOptions, solve
 from .network import (InputError, NetworkModel, array, input_error, integer, mapping,
                       non_negative_series, nullable, number, record, string)
 from .robust import ReserveSchedule
@@ -177,17 +165,13 @@ def build_recourse_lp(
     Returns the LP and the index of each axis's magnitude column (pu), fixed
     at its magnitude; re-bound a column to let its magnitude vary.
     """
-    options = options or BuildOptions()
     s = PerUnit.of(model).s_base
     k = step
-    ns = build_namespace(model, steps=(k,))
+    ns = build_feeder_lp(model, options or BuildOptions(), steps=(k,))
     lp = ns.lp
     alpha = [lp.add_variable(f"alpha[{i}]", m / s, m / s)
              for i, m in enumerate(np.asarray(magnitudes_w, dtype=float))]
     target_of = {(AXIS_CLASS[a.kind], a.entity): i for i, a in enumerate(axes)}
-
-    rows = emit_voltage_drop(model, ns) + emit_power_balance(model, ns)
-    rows += emit_limits(model, ns, options)
 
     # realized device active powers narrow from their windows to reserve bands
     # around the schedule, each clamped into the declared window first and
@@ -211,15 +195,13 @@ def build_recourse_lp(
                 # served load is free: the true demand may exceed the desired
                 # level; serve at most that demand, shed at most the up-reserve
                 lp.set_bounds(p, -math.inf, math.inf)
-                rows.append(Row({p: 1.0, alpha[i]: -1.0}, Rel.LE, sched, "axis"))
-                rows.append(Row({p: -1.0, alpha[i]: 1.0}, Rel.LE, up - sched, "axis"))
+                lp.add_row({p: 1.0, alpha[i]: -1.0}, Rel.LE, sched, "axis")
+                lp.add_row({p: -1.0, alpha[i]: 1.0}, Rel.LE, up - sched, "axis")
             else:
                 # an axis on a solar or diesel unit takes its magnitude out of
                 # the available power: the forecast or the rating
                 lp.set_bounds(p, lo, band_hi)
-                rows.append(Row({p: 1.0, alpha[i]: 1.0}, Rel.LE, hi, "axis"))
-
-    apply_emissions(lp, rows)
+                lp.add_row({p: 1.0, alpha[i]: 1.0}, Rel.LE, hi, "axis")
     return lp, alpha
 
 

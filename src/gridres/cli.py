@@ -163,6 +163,8 @@ def cmd_advset(scenario: Scenario, out: Path, manifest: ManifestWriter,
     """
     if not scenario.axes:
         raise ScenarioError("scenario declares no adversarial axes")
+    if not scenario.advset_steps:
+        raise ScenarioError("advset_steps is empty; no step to characterize")
     for (i, j, k) in projections:  # before any solve, so a bad triple writes nothing
         if k not in scenario.advset_steps:
             raise ScenarioError(f"--project step {k} was not characterized")
@@ -241,6 +243,10 @@ def _trajectory_rows(model, traj) -> list[list]:
 def cmd_simulate(scenario: Scenario, out: Path, manifest: ManifestWriter,
                  robust_path: Path | None = None, polytope_path: Path | None = None,
                  sample: int | None = None, sample_seed: int | None = None) -> int:
+    if sample is None:  # before any read or solve, so a stray flag writes nothing
+        for flag, value in (("--polytope", polytope_path), ("--sample-seed", sample_seed)):
+            if value is not None:
+                raise ScenarioError(f"{flag} needs --sample")
     if robust_path is not None:
         with input_error(f"--robust {robust_path}"):
             robust = RobustResult.from_json_dict(json.loads(Path(robust_path).read_text()))

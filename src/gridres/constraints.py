@@ -41,14 +41,17 @@ so lowers p.  The dispatch columns' bounds, the recourse bands
 (:meth:`gridres.robust.ReserveSchedule.from_headroom`) and the replay read
 the room as well.
 
-A namespace is declared for a set of steps, the whole horizon by default;
-every emitter (voltage drop, power balance, `emit_limits`) emits rows for
-exactly the namespace's steps.  The dispatch LPs use the whole horizon, the
-adversarial-set recourse LP a single step.  The SoC recursion spans the
-horizon, so stored-energy columns are declared only for the default whole
-horizon (a one-step horizon named as `steps=(0,)` gets none), and its rows,
-the terminal-SoC row and the storage energy rows are emitted only when the
-namespace declares SoC columns.
+`build_feeder_lp` is the one place that lists the feeder's rows: it declares
+a namespace and applies the voltage-drop, power-balance and `emit_limits`
+rows to its LP.  The baseline and robust dispatch LPs and the
+adversarial-set recourse LP are built by it and add only their own rows.
+A namespace is declared for a set of steps, the whole horizon by default,
+and every emitter emits rows for exactly the namespace's steps.  The
+dispatch LPs use the whole horizon, the recourse LP a single step.  The SoC
+recursion spans the horizon, so stored-energy columns are declared only for
+the default whole horizon (a one-step horizon named as `steps=(0,)` gets
+none), and its rows, the terminal-SoC row and the storage energy rows are
+emitted only when the namespace declares SoC columns.
 
 `build_namespace` creates the step's :class:`gridres.lp.LinearProgram` as
 `ns.lp` and declares every column straight into it with its final bounds:
@@ -450,6 +453,23 @@ def emit_limits(
 def apply_emissions(lp: LinearProgram, rows: list[Row]) -> None:
     for row in rows:
         lp.add_row(row.coeffs, row.rel, row.rhs, row.tag)
+
+
+def build_feeder_lp(
+    model: NetworkModel,
+    options: BuildOptions,
+    steps: tuple[int, ...] | None = None,
+    reserves: bool = False,
+    dg_loss_keys: tuple[tuple[str, int], ...] = (),
+    pv_floor: dict[tuple[str, int], float] | None = None,
+) -> VariableNamespace:
+    """The feeder LP as `ns.lp`: the columns of `build_namespace`, then the
+    voltage-drop, power-balance and `emit_limits` rows, in that order."""
+    ns = build_namespace(model, reserves, dg_loss_keys, steps)
+    apply_emissions(ns.lp, emit_voltage_drop(model, ns))
+    apply_emissions(ns.lp, emit_power_balance(model, ns))
+    apply_emissions(ns.lp, emit_limits(model, ns, options, reserves, pv_floor))
+    return ns
 
 
 # ---------------------------------------------------------------------------

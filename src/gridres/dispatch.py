@@ -16,12 +16,8 @@ from .constraints import (
     DEVICE_CLASSES,
     BuildOptions,
     VariableNamespace,
-    apply_emissions,
-    build_namespace,
+    build_feeder_lp,
     device_groups,
-    emit_limits,
-    emit_power_balance,
-    emit_voltage_drop,
     PerUnit,
 )
 from .lp import LinearProgram, LpSolution, LpStatus, SolverOptions, solve
@@ -115,14 +111,9 @@ class DispatchResult:
 def build_baseline_lp(
     model: NetworkModel, costs: CostConfig, options: BuildOptions | None = None
 ) -> tuple[LinearProgram, VariableNamespace]:
-    options = options or BuildOptions()
-    ns = build_namespace(model)
-    lp = ns.lp
-    apply_emissions(lp, emit_voltage_drop(model, ns))
-    apply_emissions(lp, emit_power_balance(model, ns))
-    apply_emissions(lp, emit_limits(model, ns, options))
-    set_dispatch_objective(lp, ns, model, costs)
-    return lp, ns
+    ns = build_feeder_lp(model, options or BuildOptions())
+    set_dispatch_objective(ns.lp, ns, model, costs)
+    return ns.lp, ns
 
 
 def set_dispatch_objective(
@@ -140,40 +131,35 @@ def set_dispatch_objective(
             lp.add_objective_term(idx, weight[cls])
 
 
+def device_series(model: NetworkModel, cols: dict[tuple[str, str, int], int], x: np.ndarray,
+                  scale: float = 1.0) -> dict[tuple[str, str], np.ndarray]:
+    """Each device's series x[cols[(class, id, k)]] * scale, keyed (class, id) in
+    `device_groups` order, the order the class totals are summed in."""
+    return {(cls, u.id): np.array([x[cols[(cls, u.id, k)]] * scale for k in range(model.steps)])
+            for cls, units in device_groups(model) for u in units}
+
+
+def pair_series(model: NetworkModel, cols: dict[tuple[str, str, int], int], x: np.ndarray,
+                scale: float = 1.0) -> dict[tuple[str, str], np.ndarray]:
+    """Each (a, b) series x[cols[(a, b, k)]] * scale, keyed (a, b) in the order of `cols`."""
+    out = {}
+    for (a, b, k), idx in cols.items():
+        out.setdefault((a, b), np.zeros(model.steps))[k] = x[idx] * scale
+    return out
+
+
 def extract_result(
     model: NetworkModel,
     ns: VariableNamespace,
     solution: LpSolution,
     objective_constant: float,
 ) -> DispatchResult:
-    pu = PerUnit.of(model)
     x = solution.values
-    K = model.steps
-
-    s = pu.s_base
-    p = {}
-    q = {}
-    for cls, units in device_groups(model):
-        for u in units:
-            p[(cls, u.id)] = np.array([x[ns.p[(cls, u.id, k)]] * s for k in range(K)])
-            q[(cls, u.id)] = np.array([x[ns.q[(cls, u.id, k)]] * s for k in range(K)])
-
-    soc = {}
-    for es in model.storage_units:
-        vals = [es.initial_soc_wh]
-        vals += [x[ns.soc[(es.id, k)]] * s for k in range(K)]
-        soc[es.id] = np.array(vals)
-
-    voltage = {}
-    for (bus, phase, k), idx in ns.w.items():
-        voltage.setdefault((bus, phase), np.zeros(K))[k] = x[idx]
-    flow_p = {}
-    flow_q = {}
-    for (br, phase, k), idx in ns.pflow.items():
-        flow_p.setdefault((br, phase), np.zeros(K))[k] = x[idx] * s
-    for (br, phase, k), idx in ns.qflow.items():
-        flow_q.setdefault((br, phase), np.zeros(K))[k] = x[idx] * s
-
+    s = PerUnit.of(model).s_base
+    p = device_series(model, ns.p, x, s)
+    soc = {es.id: np.array([es.initial_soc_wh, *(x[ns.soc[(es.id, k)]] * s
+                                                 for k in range(model.steps))])
+           for es in model.storage_units}
     pv_curtail = {
         u.id: np.maximum(np.asarray(u.forecast_w, dtype=float) - p[("pv", u.id)], 0.0)
         for u in model.pv_units
@@ -185,11 +171,11 @@ def extract_result(
 
     return DispatchResult(
         p=p,
-        q=q,
+        q=device_series(model, ns.q, x, s),
         soc_wh=soc,
-        voltage_sq_pu=voltage,
-        flow_p_w=flow_p,
-        flow_q_w=flow_q,
+        voltage_sq_pu=pair_series(model, ns.w, x),
+        flow_p_w=pair_series(model, ns.pflow, x, s),
+        flow_q_w=pair_series(model, ns.qflow, x, s),
         pv_curtail_w=pv_curtail,
         load_curtail_w=load_curtail,
         objective_value=float(solution.objective_value + objective_constant),
@@ -205,9 +191,10 @@ def require_valid(model: NetworkModel) -> None:
         raise ValueError("model failed validation: " + "; ".join(report.problems))
 
 
-def solve_dispatch_lp(lp: LinearProgram, solver: SolverOptions | None,
-                      context: str) -> LpSolution:
-    """Solve a dispatch LP to optimality.
+def solve_dispatch_lp(model: NetworkModel, costs: CostConfig, lp: LinearProgram,
+                      ns: VariableNamespace, solver: SolverOptions | None,
+                      context: str) -> tuple[LpSolution, DispatchResult]:
+    """Solve a dispatch LP to optimality and read its result.
 
     Raises :class:`InfeasibleDispatch` with the certificate's row tags, or
     ArithmeticError on an unbounded LP, which bounded devices rule out.
@@ -218,7 +205,7 @@ def solve_dispatch_lp(lp: LinearProgram, solver: SolverOptions | None,
         raise InfeasibleDispatch(sol.infeasible_rows, tags, context)
     if sol.status is LpStatus.UNBOUNDED:
         raise ArithmeticError(f"{context} dispatch unbounded; model is corrupt")
-    return sol
+    return sol, extract_result(model, ns, sol, _objective_constant(model, costs))
 
 
 def solve_baseline(
@@ -230,11 +217,8 @@ def solve_baseline(
     """Solve the baseline dispatch; raises :class:`InfeasibleDispatch` otherwise."""
     require_valid(model)
     costs = costs or CostConfig()
-    options = options or BuildOptions()
     lp, ns = build_baseline_lp(model, costs, options)
-    constant = _objective_constant(model, costs)
-    sol = solve_dispatch_lp(lp, solver, "baseline")
-    return extract_result(model, ns, sol, constant)
+    return solve_dispatch_lp(model, costs, lp, ns, solver, "baseline")[1]
 
 
 def _objective_constant(model: NetworkModel, costs: CostConfig) -> float:

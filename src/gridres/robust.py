@@ -34,27 +34,23 @@ from .constraints import (
     PARAM_CLASS,
     ParamKey,
     PerUnit,
-    apply_emissions,
-    build_namespace,
+    VariableNamespace,
+    build_feeder_lp,
     device_groups,
     device_window,
-    emit_limits,
-    emit_power_balance,
-    emit_voltage_drop,
     reserve_room,
 )
 from .dispatch import (
     CostConfig,
     DispatchResult,
-    extract_result,
+    device_series,
     require_valid,
     series_map,
     series_map_json,
     set_dispatch_objective,
     solve_dispatch_lp,
-    _objective_constant,
 )
-from .lp import Rel, Row, SolverOptions
+from .lp import LinearProgram, Rel, SolverOptions
 from .network import InputError, NetworkModel, non_negative_series, number, record, series
 
 
@@ -135,6 +131,9 @@ class ReserveCosts:
         # each class priced at a factor of its energy counterpart, by default
         # below it; storage (unpriced in the dispatch objective) sits just
         # under diesel so event response leans on the batteries first
+        for name, factor in {"pv": pv, "dg": dg, "es": es, "load": load}.items():
+            if not factor >= 0.0:  # NaN fails too
+                raise ValueError(f"{name} must be a non-negative number, got {factor}")
         return cls(
             pv=pv * costs.pv_curtail,
             dg=dg * costs.dg_energy,
@@ -249,24 +248,18 @@ def build_robust_lp(
     reserve_costs: ReserveCosts,
     box: UncertaintyBox,
     options: BuildOptions | None = None,
-):
-    options = options or BuildOptions()
+) -> tuple[LinearProgram, VariableNamespace, WorstCase]:
+    """The reserve dispatch LP against `box`, its namespace and the box's worst case."""
     worst = tighten(box, model)
     dg_loss_keys = tuple(sorted(worst.dg_floor))
-    ns = build_namespace(model, reserves=True, dg_loss_keys=dg_loss_keys)
+    ns = build_feeder_lp(model, options or BuildOptions(), reserves=True,
+                         dg_loss_keys=dg_loss_keys, pv_floor=worst.pv_floor)
     lp = ns.lp
 
-    apply_emissions(lp, emit_voltage_drop(model, ns))
-    apply_emissions(lp, emit_power_balance(model, ns))
-    apply_emissions(lp, emit_limits(model, ns, options, reserves=True,
-                                    pv_floor=worst.pv_floor))
-
     # worst-case output-loss helpers: loss >= P - cap_low, loss >= 0
-    rows = [
-        Row({ns.p[("dg", *key)]: 1.0, ns.dg_loss[key]: -1.0}, Rel.LE, worst.dg_floor[key],
-            "reserve_coverage")
-        for key in dg_loss_keys
-    ]
+    for key in dg_loss_keys:
+        lp.add_row({ns.p[("dg", *key)]: 1.0, ns.dg_loss[key]: -1.0}, Rel.LE,
+                   worst.dg_floor[key], "reserve_coverage")
 
     # per-step coverage: guaranteed reserves must absorb the worst-case
     # imbalance; reserves of capacity-uncertain diesel units do not count
@@ -285,18 +278,14 @@ def build_robust_lp(
         for dg_id in losses_at_k:
             up_coeffs[ns.dg_loss[(dg_id, k)]] = 1.0
         if mask_up > 0.0 or losses_at_k:
-            rows.append(Row(up_coeffs, Rel.LE, -mask_up, "reserve_coverage"))
+            lp.add_row(up_coeffs, Rel.LE, -mask_up, "reserve_coverage")
         if mask_down > 0.0:
-            rows.append(Row(dn_coeffs, Rel.LE, -mask_down, "reserve_coverage"))
-    apply_emissions(lp, rows)
+            lp.add_row(dn_coeffs, Rel.LE, -mask_down, "reserve_coverage")
 
     set_dispatch_objective(lp, ns, model, costs)
-    for (cls_name, uid, k), idx in ns.r_up.items():
+    for (cls_name, _uid, _k), idx in [*ns.r_up.items(), *ns.r_dn.items()]:
         lp.add_objective_term(idx, reserve_costs.of(cls_name))
-    for (cls_name, uid, k), idx in ns.r_dn.items():
-        lp.add_objective_term(idx, reserve_costs.of(cls_name))
-    # diesel losses are added to the up requirement after solving
-    return lp, ns, worst.mask_up, worst.mask_down
+    return lp, ns, worst
 
 
 def solve_robust(
@@ -318,41 +307,30 @@ def solve_robust(
     box = box or UncertaintyBox()
     box.validate(model)
 
-    lp, ns, worst_up, worst_down = build_robust_lp(
-        model, costs, reserve_costs, box, options
-    )
-    sol = solve_dispatch_lp(lp, solver, "robust")
+    lp, ns, worst = build_robust_lp(model, costs, reserve_costs, box, options)
+    sol, dispatch = solve_dispatch_lp(model, costs, lp, ns, solver, "robust")
+    x, s = sol.values, PerUnit.of(model).s_base
 
-    pu = PerUnit.of(model)
-    dispatch = extract_result(model, ns, sol, _objective_constant(model, costs))
-
-    reserves = ReserveSchedule()
-    for cls_name, units in device_groups(model):
-        for u in units:
-            up = np.array([sol.values[ns.r_up[(cls_name, u.id, k)]] for k in range(model.steps)])
-            dn = np.array([sol.values[ns.r_dn[(cls_name, u.id, k)]] for k in range(model.steps)])
-            # reserves are definitionally non-negative; strip basic-variable dust
-            reserves.up[(cls_name, u.id)] = np.maximum(up, 0.0) * pu.s_base
-            reserves.down[(cls_name, u.id)] = np.maximum(dn, 0.0) * pu.s_base
-
+    # reserves are definitionally non-negative; strip basic-variable dust
+    up, down = ({key: np.maximum(arr, 0.0)
+                 for key, arr in device_series(model, cols, x, s).items()}
+                for cols in (ns.r_up, ns.r_dn))
     reserve_cost = 0.0
-    for (cls_name, _uid, _k), idx in ns.r_up.items():
-        reserve_cost += reserve_costs.of(cls_name) * sol.values[idx]
-    for (cls_name, _uid, _k), idx in ns.r_dn.items():
-        reserve_cost += reserve_costs.of(cls_name) * sol.values[idx]
+    for (cls_name, _uid, _k), idx in [*ns.r_up.items(), *ns.r_dn.items()]:
+        reserve_cost += reserve_costs.of(cls_name) * x[idx]
 
     total = dispatch.objective_value
     dispatch.objective_value = total - reserve_cost  # the pure dispatch part
 
     # realized worst-case requirement includes the diesel loss terms
     for (dg_id, k), idx in ns.dg_loss.items():
-        worst_up[k] += sol.values[idx]
+        worst.mask_up[k] += x[idx]
 
     return RobustResult(
         dispatch=dispatch,
-        reserves=reserves,
+        reserves=ReserveSchedule(up, down),
         objective_value=total,
         reserve_cost=reserve_cost,
-        worst_up_w=worst_up * pu.s_base,
-        worst_down_w=worst_down * pu.s_base,
+        worst_up_w=worst.mask_up * s,
+        worst_down_w=worst.mask_down * s,
     )

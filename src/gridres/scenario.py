@@ -168,7 +168,8 @@ def load_scenario(path, seed_override: int | None = None,
 
     with input_error("costs"):
         costs = CostConfig(**doc.get("costs", {}))
-    reserve_costs = ReserveCosts.from_costs(costs, **doc.get("reserve_cost_factors", {}))
+    with input_error("reserve_cost_factors"):
+        reserve_costs = ReserveCosts.from_costs(costs, **doc.get("reserve_cost_factors", {}))
 
     solver_fields = {"pricing": "bland", **doc.get("solver", {})}  # the scenario default
     if feas_tol is not None:

@@ -3,8 +3,9 @@
 Each step keeps one ledger over the devices of every class: the scheduled
 setpoint, the forced setpoint after the active events (a diesel trip or a
 solar shortfall clips a generator; a masked load draws schedule plus masked
-demand), and the room to move up and down from there.  The imbalance, masked
-demand plus clipped generation, is met by a proportional controller:
+demand, never below zero), and the room to move up and down from there.  The
+imbalance, masked demand plus clipped generation, is met by a proportional
+controller:
 
     deployment_d = capacity_d / total_capacity * min(imbalance, total_capacity)
 
@@ -234,15 +235,18 @@ def run_simulation(model: NetworkModel, robust: RobustResult, events: list[dict]
             magnitude[name][k] = max(magnitude[name][k], size)
 
     for k in range(K):
-        step_events = events[k] if k < len(events) else {}
         arrays["time_min"][k] = k * dt * 60.0
+        sched = {key: dispatch.p[key][k] for key in deployment}
+        # a mask deeper than a load's scheduled draw applies as minus that
+        # draw: the draw floors at zero, a load never generates
+        step_events = {key: max(mag, -sched[key]) if key[0] == "load" else mag
+                       for key, mag in (events[k] if k < len(events) else {}).items()}
 
         # the ledger: per device, its schedule, its setpoint after events and
         # its room to move up and down from there
-        sched, point, room_up, room_dn = {}, {}, {}, {}
+        point, room_up, room_dn = {}, {}, {}
         for cls, u in devices:
             key = (cls, u.id)
-            sched[key] = dispatch.p[key][k]
             point[key], room_up[key], room_dn[key] = _forced_point(
                 cls, u, k, sched[key], step_events, soc, dt)
 

@@ -174,6 +174,10 @@ def test_unknown_solver_option_is_input_error(tmp_path, capsys, field, value):
      "error: axes[0]: cap_w must be a non-negative number, got -5.0"),
     ({"axes": [{"kind": "dg_capacity_loss", "entity": "dg01", "cap_w": float("nan")}]}, [],
      "error: axes[0]: cap_w must be a non-negative number, got nan"),
+    ({"reserve_cost_factors": {"pv": 0.2, "dg": -5.0}}, [],
+     "error: reserve_cost_factors: dg must be a non-negative number, got -5.0"),
+    ({"reserve_cost_factors": {"es": float("nan")}}, [],
+     "error: reserve_cost_factors: es must be a non-negative number, got nan"),
 ], ids=["unknown-entity", "steps-past-horizon", "non-numeric-cost", "two-poly-sides",
         "two-poly-sides-flag", "non-numeric-time", "non-numeric-advset-step",
         "non-numeric-gamma", "non-numeric-cap", "non-numeric-magnitude", "solver-not-object",
@@ -187,7 +191,7 @@ def test_unknown_solver_option_is_input_error(tmp_path, capsys, field, value):
         "negative-seed", "nan-event-time", "negative-event-time", "event-at-horizon-end",
         "huge-integer-cost", "nan-mask-magnitude", "nan-trip-magnitude",
         "infinite-loss-magnitude", "negative-trip-magnitude", "negative-loss-magnitude",
-        "negative-cap", "nan-cap"])
+        "negative-cap", "nan-cap", "negative-reserve-factor", "nan-reserve-factor"])
 def test_bad_box_input_is_input_error(tmp_path, capsys, overrides, flags, expected):
     if isinstance(overrides, dict):
         scenario = small_scenario(tmp_path, **overrides)
@@ -453,6 +457,18 @@ def test_bad_projection_fails_before_any_solve(tmp_path, capsys, monkeypatch, tr
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_empty_advset_steps_fails_before_any_solve(tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking advset_steps")
+
+    monkeypatch.setattr("gridres.cli.solve_baseline", no_solve)
+    scenario = small_scenario(tmp_path, advset_steps=[])
+    out = tmp_path / "o"
+    assert main(["advset", str(scenario), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: advset_steps is empty; no step to characterize\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_simulate_timeline(tmp_path):
     scenario = small_scenario(tmp_path)
     out = tmp_path / "sim"
@@ -509,6 +525,23 @@ def test_bad_sample_input_is_input_error(tmp_path, capsys, sample, steps, expect
     err = capsys.readouterr().err
     assert err.startswith("error:") and expected in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("flags, expected", [
+    (["--polytope", "missing.json"], "error: --polytope needs --sample"),
+    (["--polytope", "polytope.json"], "error: --polytope needs --sample"),
+    (["--sample-seed", "3"], "error: --sample-seed needs --sample"),
+    (["--robust", "missing.json", "--sample-seed", "3"], "error: --sample-seed needs --sample"),
+], ids=["missing-polytope", "polytope", "sample-seed", "sample-seed-before-robust"])
+def test_sample_flag_without_sample_is_input_error(tmp_path, capsys, monkeypatch, flags,
+                                                   expected):
+    monkeypatch.chdir(tmp_path)
+    scenario = small_scenario(tmp_path)
+    (tmp_path / "polytope.json").write_text(json.dumps({"steps": {"1": POLY}}))
+    out = tmp_path / "o"
+    assert main(["simulate", str(scenario), "--out", str(out), *flags]) == 1
+    assert capsys.readouterr().err == expected + "\n"
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_negative_sample_seed_is_input_error(tmp_path, capsys):

@@ -5,7 +5,9 @@ scenario, its network file or its profiles CSV, and runs `gridres validate`
 on the result; or to the six-bus example's `advset` outputs, robust.json and
 polytope.json, and runs `gridres simulate --sample` on them.  Whatever the
 mutation, the run must exit 0 or 1 with at most one line on stderr, and no
-exception may escape.
+exception may escape.  Mutations of the six-bus example's scenario, network
+and profiles also go through `gridres baseline`, which solves them; there the
+run may exit with any documented code, 0 to 4.
 """
 
 import copy
@@ -21,6 +23,7 @@ DOCS = ROOT / "docs" / "examples"
 SCENARIOS = ("lshl", "hsll", "cyber_event")
 MUTATIONS = 240
 RESULT_MUTATIONS = 240
+BASELINE_MUTATIONS = 240
 ODD_VALUES = [None, True, False, "x", [], {}, [1], -1, 0, 2.5, float("nan")]
 ODD_STEPS = ["-1", "99", "x", "1.5", ""]
 
@@ -80,19 +83,20 @@ def mutate_csv(text: str, rng: random.Random):
     return "\n".join(lines) + "\n", f"{kind} on CSV line {line + 1}"
 
 
-def test_mutated_inputs_exit_with_one_line(tmp_path, capsys):
-    rng = random.Random(2026)
+def mutated_scenarios(tmp_path, rng: random.Random, count: int, shipped=SCENARIOS):
+    """`count` scenario files, each with one mutation to one of the `shipped`
+    scenarios, the six-bus example scenario, its network file or its profiles
+    CSV: (index, target, label, path) each."""
     for name in ("sixbus_network.json", "sixbus_profiles.csv", "sixbus_scenario.json"):
         shutil.copy(DOCS / name, tmp_path / name)
     scenarios = {name: json.loads((ROOT / "scenarios" / f"{name}.json").read_text())
-                 for name in SCENARIOS}
+                 for name in shipped}
     scenarios["sixbus"] = json.loads((DOCS / "sixbus_scenario.json").read_text())
     network = json.loads((DOCS / "sixbus_network.json").read_text())
     profiles = (DOCS / "sixbus_profiles.csv").read_text()
     files = {"network": "sixbus_network.json", "profiles": "sixbus_profiles.csv"}
 
-    failures = []
-    for i in range(MUTATIONS):
+    for i in range(count):
         target = rng.choice([*scenarios, "network", "profiles"])
         if target in scenarios:
             doc, label = mutate_json(scenarios[target], rng)
@@ -107,21 +111,39 @@ def test_mutated_inputs_exit_with_one_line(tmp_path, capsys):
                 (tmp_path / f"mutated_{i}.profiles").write_text(mutated)
         scenario = tmp_path / f"scenario_{i}.json"
         scenario.write_text(json.dumps(doc))
+        yield i, target, label, scenario
+
+
+def test_mutated_inputs_exit_with_one_line(tmp_path, capsys):
+    failures = []
+    for i, target, label, scenario in mutated_scenarios(tmp_path, random.Random(2026),
+                                                        MUTATIONS):
         problem = run_problem(["validate", str(scenario)], capsys)
         if problem:
             failures.append(f"#{i} {target}: {label}: {problem}")
     assert not failures, "\n".join(failures)
 
 
-def run_problem(argv: list[str], capsys) -> str | None:
-    """What is wrong with running `argv`: an exit code other than 0 or 1, more
+def test_mutated_inputs_solve_or_exit_with_one_line(tmp_path, capsys):
+    failures = []
+    for i, target, label, scenario in mutated_scenarios(tmp_path, random.Random(2026),
+                                                        BASELINE_MUTATIONS, shipped=()):
+        problem = run_problem(["baseline", str(scenario), "--out", str(tmp_path / "out")],
+                              capsys, codes=range(5))
+        if problem:
+            failures.append(f"#{i} {target}: {label}: {problem}")
+    assert not failures, "\n".join(failures)
+
+
+def run_problem(argv: list[str], capsys, codes=(0, 1)) -> str | None:
+    """What is wrong with running `argv`: an exit code not in `codes`, more
     than one line on stderr, or an escaping exception; None if nothing is."""
     try:
         code = main(argv)
     except Exception as exc:  # an escaping exception is what this test hunts
         code = f"{type(exc).__name__}: {exc}"
     err = capsys.readouterr().err
-    if code not in (0, 1) or len(err.strip().splitlines()) > 1 or "Traceback" in err:
+    if code not in codes or len(err.strip().splitlines()) > 1 or "Traceback" in err:
         return f"exit {code}, stderr {err!r}"
     return None
 

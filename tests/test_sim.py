@@ -183,6 +183,20 @@ def test_down_direction_absorbs_load_drop():
     assert violation_report(traj).clean()
 
 
+def test_mask_deeper_than_the_draw_floors_the_draw_at_zero():
+    """A negative mask beyond the scheduled draw applies as minus that draw:
+    the load stops drawing, it never generates."""
+    model, robust = event_toy()
+    sched = robust.dispatch.p[("load", "load1")]
+    deep = compile_timeline(model, [Event(0.0, "load_mask_start", "load1", -5.0e6)])
+    exact = [{("load", "load1"): -sched[k]} for k in range(model.steps)]
+    traj, floored = (run_simulation(model, robust, events) for events in (deep, exact))
+    np.testing.assert_array_equal(traj.true_demand_w, 0.0)
+    np.testing.assert_array_equal(traj.imbalance_w, -sched)
+    for name in ("imbalance_w", "true_demand_w", "served_load_w", "shortfall_w"):
+        np.testing.assert_array_equal(getattr(traj, name), getattr(floored, name))
+
+
 def test_recourse_point_satisfies_perturbed_rows():
     """Box-vertex events: the controller's recourse point passes
     check_feasibility on the nominal rows re-evaluated at the realized

@@ -41,9 +41,12 @@ run_matrix() {
     for sc in hsll cyber_event; do
         gr robust "scenarios/$sc.json" --out "$out/robust_$sc" --dump-lp
     done
+    gr robust docs/examples/sixbus_scenario.json --out "$out/robust_sixbus" --dump-lp
     gr advset scenarios/cyber_event.json --out "$out/advset_cyber_event" --project 1 2 6
     gr advset docs/examples/sixbus_scenario.json --out "$out/advset_sixbus"
     gr simulate scenarios/cyber_event.json --out "$out/simulate_cyber_event"
+    gr simulate scenarios/cyber_event.json --out "$out/simulate_robust_cyber_event" \
+        --robust "$out/robust_cyber_event/robust.json"
     for seed in 2026 7; do
         gr simulate scenarios/cyber_event.json --out "$out/sample_cyber_event_$seed" \
             --robust "$out/advset_cyber_event/robust.json" \
