@@ -53,6 +53,14 @@ the default whole horizon (a one-step horizon named as `steps=(0,)` gets
 none), and its rows, the terminal-SoC row and the storage energy rows are
 emitted only when the namespace declares SoC columns.
 
+Each equality row names the column that starts basic in its position
+(`Row.basic`, a hint to the simplex's crash start): a voltage-drop row the w
+of its branch's downstream bus, a power-balance row its feeding branch's
+flow (none at the root), a load power-factor row the load's q and a SoC row
+that step's stored energy.  With the flows solved leaves-up and the voltages
+root-down, these columns make the start basis triangular along the tree, so
+only the root's balance rows need phase-1 artificials.
+
 `build_namespace` creates the step's :class:`gridres.lp.LinearProgram` as
 `ns.lp` and declares every column straight into it with its final bounds:
 
@@ -288,6 +296,8 @@ def build_namespace(
 def emit_voltage_drop(model: NetworkModel, ns: VariableNamespace) -> list[Row]:
     """One equality per branch-phase-step: w_to = w_from - 2(r_eff P + x_eff Q)."""
     pu = PerUnit.of(model)
+    _, parent, _ = model.tree()
+    child = {br.id: bus_id for bus_id, br in parent.items()}
     rows = []
     for br in model.branches:
         for phase in br.phases:
@@ -304,6 +314,7 @@ def emit_voltage_drop(model: NetworkModel, ns: VariableNamespace) -> list[Row]:
                         Rel.EQ,
                         0.0,
                         "voltage_drop",
+                        ns.w[(child[br.id], phase, k)],
                     )
                 )
     return rows
@@ -335,10 +346,12 @@ def emit_power_balance(model: NetworkModel, ns: VariableNamespace) -> list[Row]:
             for k in ns.steps:
                 pco: dict[int, float] = {}
                 qco: dict[int, float] = {}
+                p_in = q_in = None  # the feeding branch's flows, the rows' basic hints
                 up = parent.get(bus.id)
                 if up is not None and phase in up.phases:
-                    pco[ns.pflow[(up.id, phase, k)]] = 1.0
-                    qco[ns.qflow[(up.id, phase, k)]] = 1.0
+                    p_in, q_in = ns.pflow[(up.id, phase, k)], ns.qflow[(up.id, phase, k)]
+                    pco[p_in] = 1.0
+                    qco[q_in] = 1.0
                 for child in children[bus.id]:
                     br = parent[child]
                     if phase in br.phases:
@@ -347,8 +360,8 @@ def emit_power_balance(model: NetworkModel, ns: VariableNamespace) -> list[Row]:
                 for (cls, uid), share in shares[bus.id]:
                     pco[ns.p[(cls, uid, k)]] = share
                     qco[ns.q[(cls, uid, k)]] = share
-                rows.append(Row(pco, Rel.EQ, 0.0, "power_balance"))
-                rows.append(Row(qco, Rel.EQ, 0.0, "power_balance"))
+                rows.append(Row(pco, Rel.EQ, 0.0, "power_balance", p_in))
+                rows.append(Row(qco, Rel.EQ, 0.0, "power_balance", q_in))
     return rows
 
 
@@ -368,6 +381,10 @@ class BuildOptions:
     def __post_init__(self) -> None:
         if self.poly_sides < 3:
             raise ValueError(f"poly_sides must be at least 3, got {self.poly_sides}")
+        gamma = self.pv_power_factor_gamma
+        if gamma is not None and not 0.0 <= gamma < math.inf:  # NaN fails too
+            raise ValueError(f"pv_power_factor_gamma must be a non-negative finite number "
+                             f"or null, got {gamma}")
 
 
 # the tags of each class's band rows and of its apparent-power polygon
@@ -422,10 +439,10 @@ def emit_limits(
                         rhs = e0
                     else:
                         coeffs[ns.soc[(u.id, k - 1)]] = -1.0
-                    rows.append(Row(coeffs, Rel.EQ, rhs, "storage"))
+                    rows.append(Row(coeffs, Rel.EQ, rhs, "storage", e))
                 if cls == "load":  # reactive power follows the fixed power factor
                     tan_phi = math.tan(math.acos(u.power_factor))
-                    rows.append(Row({q: 1.0, p: -tan_phi}, Rel.EQ, 0.0, "power_factor"))
+                    rows.append(Row({q: 1.0, p: -tan_phi}, Rel.EQ, 0.0, "power_factor", q))
                 if reserves:
                     # p + R+ <= top and -p + R- <= -lo, swapped for a load
                     top = pv_floor.get((u.id, k), upper[p]) if cls == "pv" else upper[p]
@@ -452,7 +469,7 @@ def emit_limits(
 
 def apply_emissions(lp: LinearProgram, rows: list[Row]) -> None:
     for row in rows:
-        lp.add_row(row.coeffs, row.rel, row.rhs, row.tag)
+        lp.add_row(row.coeffs, row.rel, row.rhs, row.tag, row.basic)
 
 
 def build_feeder_lp(

@@ -8,7 +8,8 @@ critical demand is served first; curtailing free solar carries the smallest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -31,8 +32,10 @@ class CostConfig:
     load_curtail: float = 10.0
 
     def __post_init__(self) -> None:
-        if min(self.dg_energy, self.pv_curtail, self.load_curtail) < 0:
-            raise ValueError("cost weights must be non-negative")
+        for f in fields(self):
+            if not 0.0 <= getattr(self, f.name) < math.inf:  # NaN fails too
+                raise ValueError(f"cost weights must be non-negative and finite, "
+                                 f"got {f.name} = {getattr(self, f.name)}")
 
 
 class InfeasibleDispatch(RuntimeError):

@@ -11,7 +11,17 @@ kept as a sparse LU factorization (SuperLU with the fixed COLAMD column
 order) followed by product-form eta updates, and is refactorized after a
 fixed number of them.  Reduced costs come from y = B^-T c_B, basic values are
 re-solved from a fresh factorization before the final feasibility check, and
-no dense tableau is ever formed.  An optimal solve returns its final basis,
+no dense tableau is ever formed.
+
+A cold solve starts from a crash basis (Bixby 1992).  A row may name a
+column to start basic in its position (`Row.basic`); the solver takes it as
+a hint only, refusing a fixed column, one an earlier row claimed, and one
+that x_B = B^-1 (b - N x_N) puts outside its bounds.  Every other row starts
+with its slack, or with a phase-1 artificial where it has none or the slack
+is outside its bound, so without hints the start is all slacks and
+artificials.  The feeder rows name the columns that make B triangular along
+the tree (see :mod:`gridres.constraints`), and phase 1 runs only if an
+artificial is positive.  An optimal solve returns its final basis,
 and a later solve of the same rows under changed bounds or objective may
 start from it: B is factored once and, if the basic values it gives are
 within their bounds, only phase 2 runs; otherwise the solve starts cold.  It
@@ -69,6 +79,8 @@ class Row:
     rel: Rel
     rhs: float
     tag: str = ""
+    # a column to start basic in this row's position; a hint the solver may drop
+    basic: int | None = None
 
 
 PRICING_RULES = ("dantzig", "bland")
@@ -151,11 +163,12 @@ class LinearProgram:
     def set_objective(self, coeffs: dict[int, float]) -> None:
         self.objective = {int(k): float(v) for k, v in coeffs.items()}
 
-    def add_row(self, coeffs: dict[int, float], rel: Rel, rhs: float, tag: str = "") -> int:
+    def add_row(self, coeffs: dict[int, float], rel: Rel, rhs: float, tag: str = "",
+                basic: int | None = None) -> int:
         merged: dict[int, float] = {}
         for k, v in coeffs.items():
             merged[int(k)] = merged.get(int(k), 0.0) + float(v)
-        self.rows.append(Row(merged, Rel(rel), float(rhs), tag))
+        self.rows.append(Row(merged, Rel(rel), float(rhs), tag, basic))
         return len(self.rows) - 1
 
     def objective_vector(self) -> np.ndarray:
@@ -279,6 +292,7 @@ class _Assembled:
     nz_rows: np.ndarray
     rel: np.ndarray  # _LE, _EQ or _GE per row
     rhs: np.ndarray
+    basic: np.ndarray  # each row's hinted starting column (Row.basic), -1 for none
 
     def row_activity(self, x: np.ndarray) -> np.ndarray:
         """A @ x, summed in each row's coefficient order."""
@@ -332,20 +346,24 @@ def _assemble(lp: LinearProgram) -> _Assembled:
     rel = np.fromiter(map(_REL_CODE.__getitem__, map(attrgetter("rel"), rows)),
                       dtype=np.int64, count=m)
     nz_rows = np.repeat(np.arange(m), counts)
+    basic = np.fromiter((-1 if row.basic is None else row.basic for row in rows),
+                        dtype=np.int64, count=m)
 
     outside = (cols < 0) | (cols >= n)
     bad_nz = outside | ~np.isfinite(vals)
-    bad_row = ~np.isfinite(rhs)
+    bad_row = ~np.isfinite(rhs) | (basic < -1) | (basic >= n)
     bad_row[nz_rows[bad_nz]] = True
     if bad_row.any():
         ri = int(np.argmax(bad_row))
         if not math.isfinite(rhs[ri]):
             raise MalformedProblem(f"non-finite rhs on row {ri}")
+        if not -1 <= basic[ri] < n:
+            raise MalformedProblem(f"row {ri} hints unknown variable index {basic[ri]}")
         k = int(indptr[ri] + np.argmax(bad_nz[indptr[ri]:indptr[ri + 1]]))
         if outside[k]:
             raise MalformedProblem(f"row {ri} references unknown variable index {cols[k]}")
         raise MalformedProblem(f"non-finite coefficient on row {ri}, index {cols[k]}")
-    return _Assembled(lower, upper, cost, indptr, cols, vals, nz_rows, rel, rhs)
+    return _Assembled(lower, upper, cost, indptr, cols, vals, nz_rows, rel, rhs, basic)
 
 
 def check_feasibility(lp: LinearProgram, point: np.ndarray, tol: float = 0.0) -> FeasibilityReport:
@@ -415,17 +433,6 @@ _NO_TIE = np.iinfo(np.int64).max
 _REFACTOR_EVERY = 64
 
 
-class _SignedIdentity:
-    """Stands in for the LU factors of the starting basis, whose columns are
-    slacks (+e_r) and artificials (+-e_r)."""
-
-    def __init__(self, signs: np.ndarray):
-        self.signs = signs
-
-    def solve(self, v: np.ndarray, trans: str = "N") -> np.ndarray:
-        return v * self.signs
-
-
 class _Basis:
     """The inverse of the basis matrix in product form: B^-1 = E_K ... E_1 LU^-1.
 
@@ -462,12 +469,9 @@ class _Basis:
         from scipy.sparse.linalg import splu
 
         try:
-            self.reset(splu(B, permc_spec="COLAMD"))
+            self.lu = splu(B, permc_spec="COLAMD")
         except RuntimeError as err:  # SuperLU reports an exactly singular B
             raise ArithmeticError(f"simplex basis became singular: {err}") from err
-
-    def reset(self, lu) -> None:
-        self.lu = lu
         self.count = 0
         self._latest.clear()
 
@@ -594,20 +598,45 @@ class _BoundedSimplex:
         return st
 
     def _cold_start(self) -> None:
-        self._place(self._cold_status())
-
-        # starting basis: the slack of each row that can absorb the row's
-        # residual at the nonbasic start, else an artificial signed to do so
-        mat, n, m = self.mat, self.n, self.m
-        rel = mat.rel
-        r = mat.rhs - mat.row_activity(self.xval[:n])
-        slack_col = np.full(m, -1, dtype=np.int64)
-        slack_col[self.slack_rows] = n + np.arange(len(self.slack_rows))
-        ok = ((rel == _LE) & (r >= 0.0)) | ((rel == _GE) & (r <= 0.0))
-        self._set_basis(np.where(ok, slack_col, -1),
-                        np.where(ok, 0.0, np.where(r >= 0.0, 1.0, -1.0)))
-        self.x_B = np.where(ok, r, np.abs(r))
-        self.B.reset(_SignedIdentity(np.where(ok, 1.0, self.art_sign)))
+        """The crash basis.  Each row's basis position takes the row's hinted
+        column unless that column is fixed or an earlier row claimed it, else
+        the row's slack, else an artificial.  B is factored and x_B computed;
+        a hinted column outside its bounds gives its position back to the
+        slack or artificial and B is factored again, at most once per hinted
+        row.  A slack outside its bound then turns into an artificial, and
+        every artificial takes the sign that makes its value non-negative."""
+        n, m = self.n, self.m
+        st = self._cold_status()
+        fallback = np.full(m, -1, dtype=np.int64)  # the row's slack, else its artificial
+        fallback[self.slack_rows] = n + np.arange(len(self.slack_rows))
+        basis = fallback.copy()
+        hint = self.mat.basic
+        rows = np.flatnonzero(hint >= 0)
+        rows = rows[st[hint[rows]] != _FIXED]
+        _, first = np.unique(hint[rows], return_index=True)  # the first row's claim
+        rows = rows[first]
+        basis[rows] = hint[rows]
+        while True:  # each round drops a hinted column or ends
+            self._place(st.copy())
+            self._set_basis(basis, np.ones(m))
+            hinted = basis != fallback
+            try:
+                self._refactor()
+            except ArithmeticError:  # the hints make B singular: drop them all
+                out = hinted
+            else:
+                self.x_B = self._basic_values()
+                out = hinted & self._outside()
+            if not out.any():
+                break
+            basis[out] = fallback[out]
+        basis[(basis >= n) & self._outside()] = -1
+        flip = (basis == -1) & (self.x_B < 0.0)
+        self._place(st)
+        self._set_basis(basis, np.where(flip, -1.0, 1.0))
+        self.x_B[flip] *= -1.0
+        if flip.any():
+            self._refactor()
 
     def _warm_start(self, start: SimplexBasis) -> bool:
         """Take the basis of `start` under the LP's current bounds; False when
@@ -635,11 +664,16 @@ class _BoundedSimplex:
         except ArithmeticError:  # the basis does not fit this problem's rows
             return False
         self.x_B = self._basic_values()
-        real = basic >= 0
-        safe = np.maximum(basic, 0)
+        return not self._outside().any()
+
+    def _outside(self) -> np.ndarray:
+        """The basis positions whose x_B is outside the bounds of their column
+        by more than feas_tol; an artificial's bounds are [0, 0]."""
+        real = self.basis >= 0
+        safe = np.maximum(self.basis, 0)
         tol = self.opt.feas_tol
-        return bool((self.x_B >= np.where(real, lo[safe], 0.0) - tol).all()
-                    and (self.x_B <= np.where(real, hi[safe], 0.0) + tol).all())
+        return ((self.x_B < np.where(real, self.lo[safe], 0.0) - tol)
+                | (self.x_B > np.where(real, self.hi[safe], 0.0) + tol))
 
     def _refactor(self) -> None:
         from scipy.sparse import csc_matrix

@@ -178,6 +178,12 @@ def test_unknown_solver_option_is_input_error(tmp_path, capsys, field, value):
      "error: reserve_cost_factors: dg must be a non-negative number, got -5.0"),
     ({"reserve_cost_factors": {"es": float("nan")}}, [],
      "error: reserve_cost_factors: es must be a non-negative number, got nan"),
+    ({"costs": {"dg_energy": float("nan")}}, [],
+     "error: costs: cost weights must be non-negative and finite, got dg_energy = nan"),
+    ({"build": {"pv_power_factor_gamma": float("nan")}}, [],
+     "error: build: pv_power_factor_gamma must be a non-negative finite number or null, got nan"),
+    ({"build": {"pv_power_factor_gamma": -0.5}}, [],
+     "error: build: pv_power_factor_gamma must be a non-negative finite number or null, got -0.5"),
 ], ids=["unknown-entity", "steps-past-horizon", "non-numeric-cost", "two-poly-sides",
         "two-poly-sides-flag", "non-numeric-time", "non-numeric-advset-step",
         "non-numeric-gamma", "non-numeric-cap", "non-numeric-magnitude", "solver-not-object",
@@ -191,7 +197,8 @@ def test_unknown_solver_option_is_input_error(tmp_path, capsys, field, value):
         "negative-seed", "nan-event-time", "negative-event-time", "event-at-horizon-end",
         "huge-integer-cost", "nan-mask-magnitude", "nan-trip-magnitude",
         "infinite-loss-magnitude", "negative-trip-magnitude", "negative-loss-magnitude",
-        "negative-cap", "nan-cap", "negative-reserve-factor", "nan-reserve-factor"])
+        "negative-cap", "nan-cap", "negative-reserve-factor", "nan-reserve-factor",
+        "nan-cost", "nan-gamma", "negative-gamma"])
 def test_bad_box_input_is_input_error(tmp_path, capsys, overrides, flags, expected):
     if isinstance(overrides, dict):
         scenario = small_scenario(tmp_path, **overrides)

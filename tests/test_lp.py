@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from gridres.lp import (
     solve,
 )
 from vertex_oracle import brute_force_min, random_bounded_lp
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def single_var_lp():
@@ -409,3 +413,83 @@ def test_scipy_backend_returns_no_basis():
     sol = solve(lp, SolverOptions(backend="scipy"), start=start)
     assert sol.status is LpStatus.OPTIMAL and sol.basis is None
     assert sol.values[x] == pytest.approx(3.0)
+
+
+def crash_lp(case: str) -> LinearProgram:
+    """A boxed LP whose row hints the crash start must partly refuse."""
+    lp = LinearProgram()
+    x = lp.add_variable("x", *((1.0, 1.0) if case == "fixed" else (0.0, 1.0)))
+    y = lp.add_variable("y", 0.0, 3.0)
+    z = lp.add_variable("z", 0.0, 4.0)
+    lp.set_objective({x: -1.0, y: 0.5, z: 0.25})
+    if case == "outside-bounds":  # y and z start at 0, so x would start at 2 > 1
+        lp.add_row({x: 1.0, y: 1.0, z: 1.0}, Rel.EQ, 2.0, basic=x)
+    elif case == "fixed":
+        lp.add_row({x: 1.0, y: 1.0}, Rel.EQ, 2.0, basic=x)
+        lp.add_row({y: 1.0, z: -1.0}, Rel.LE, 0.5, basic=z)
+    elif case == "claimed":  # the second row's claim on y is refused
+        lp.add_row({x: 1.0, y: 1.0}, Rel.EQ, 1.5, basic=y)
+        lp.add_row({y: 1.0, z: -1.0}, Rel.EQ, 0.0, basic=y)
+    else:  # "singular": the two hinted columns are parallel in B
+        lp.add_row({x: 1.0, y: 1.0, z: 1.0}, Rel.EQ, 2.0, basic=x)
+        lp.add_row({x: 1.0, y: 1.0, z: -1.0}, Rel.EQ, 0.0, basic=y)
+    return lp
+
+
+@pytest.mark.parametrize("case", ["outside-bounds", "fixed", "claimed", "singular"])
+def test_refused_crash_hints_still_solve(case):
+    lp = crash_lp(case)
+    sol = solve(lp)
+    assert sol.status is LpStatus.OPTIMAL
+    assert sol.objective_value == pytest.approx(brute_force_min(lp), abs=1e-9)
+    assert check_feasibility(lp, sol.values).ok(1e-9)
+
+
+def test_crash_hint_that_fits_skips_phase_one():
+    lp, x, _ = equality_pair_lp()  # y starts at 0, so x = 4 is within [0, 10]
+    assert solve(lp).stats.phase1_pivots > 0
+    lp.rows[0].basic = x
+    sol = solve(lp)
+    assert sol.status is LpStatus.OPTIMAL and sol.stats.phase1_pivots == 0
+    assert sol.objective_value == pytest.approx(3.0, abs=1e-12)
+
+
+def test_random_crash_hints_match_the_oracle():
+    rng = np.random.default_rng(31)
+    checked = 0
+    for _ in range(60):
+        lp = random_bounded_lp(rng)
+        for row in lp.rows:  # usually a column of the row, sometimes any column
+            pool = list(row.coeffs) if rng.random() < 0.8 else range(lp.n_variables)
+            row.basic = int(rng.choice(pool))
+        expected = brute_force_min(lp)
+        sol = solve(lp)
+        if expected is None:
+            assert sol.status is LpStatus.INFEASIBLE
+        else:
+            assert sol.status is LpStatus.OPTIMAL
+            assert sol.objective_value == pytest.approx(expected, abs=1e-6)
+            checked += 1
+    assert checked > 20
+
+
+def test_hint_of_unknown_column_is_malformed():
+    lp, x, _ = equality_pair_lp()
+    lp.rows[0].basic = x + 5
+    with pytest.raises(MalformedProblem, match="hints unknown variable index"):
+        solve(lp)
+
+
+def test_lshl_crash_start_cuts_phase_one():
+    """The DistFlow crash basis covers all but a few equality rows of lshl."""
+    from gridres.dispatch import build_baseline_lp
+    from gridres.scenario import load_scenario
+
+    scenario = load_scenario(SCENARIOS / "lshl.json")
+    assert scenario.seed == 2026
+    lp, _ = build_baseline_lp(scenario.model, scenario.costs, scenario.build)
+    sol = solve(lp, scenario.solver)
+    ref = solve(lp, SolverOptions(backend="scipy"))
+    assert sol.status is LpStatus.OPTIMAL
+    assert sol.stats.phase1_pivots <= 141  # 709 from an all-slack-and-artificial start
+    assert sol.objective_value == pytest.approx(ref.objective_value, rel=1e-9)
