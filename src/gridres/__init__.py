@@ -48,6 +48,7 @@ from .advset import (  # noqa: F401
     AdversarialAxis,
     AxisInfeasible,
     InnerPolytope,
+    RecourseStep,
     characterize,
     characterize_steps,
     contains,

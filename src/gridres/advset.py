@@ -29,11 +29,18 @@ their convex hull with the nominal point is an inner approximation of the
 tolerable set: tolerability constraints are affine in (recourse, magnitude),
 so any convex combination of feasible extremes stays feasible.
 
-A step's axes are solved in turn on one LP, re-bounded between solves.  The
-LP is first solved once with every magnitude fixed at zero, the step's one
-phase 1; each axis then warm-starts from that basis and runs phase 2 only.
-Distinct steps share nothing but immutable inputs and may be characterized
-concurrently by callers.  A built InnerPolytope is immutable.
+Each step has one :class:`RecourseStep`: the recourse LP, built once and
+solved once with every magnitude fixed at zero, the step's one phase 1.
+Every query re-bounds the magnitude columns of that LP and re-solves it from
+the zero-magnitude solve, taking over its basis, its assembled rows and its
+factored basis matrix.  An axis maximization then runs primal phase 2 only.
+A membership test fixes the magnitudes, which moves the basic values out of
+their bounds; without an objective the basis stays dual feasible, so the
+dual simplex answers it with no phase 1.  Nothing rebuilds the LP per query:
+:func:`event_is_tolerable` is a one-off step object.  Distinct steps share
+nothing but immutable inputs and may be characterized concurrently by
+callers; one step object serves one caller at a time.  A built
+InnerPolytope is immutable.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ import numpy as np
 
 from .constraints import BuildOptions, PerUnit, build_feeder_lp, device_groups, device_window
 from .dispatch import DispatchResult
-from .lp import LinearProgram, LpStatus, Rel, SolverOptions, solve
+from .lp import LinearProgram, LpSolution, LpStatus, Rel, SolverOptions, solve
 from .network import (InputError, NetworkModel, array, input_error, integer, mapping,
                       non_negative_series, nullable, number, record, string)
 from .robust import ReserveSchedule
@@ -205,6 +212,57 @@ def build_recourse_lp(
     return lp, alpha
 
 
+class RecourseStep:
+    """The recourse LP of one step, solved once with every magnitude at zero.
+
+    Each query re-bounds the magnitude columns and re-solves from that
+    zero-magnitude solve: with the built-in simplex from its basis, its
+    assembled and set-up rows and its factored basis matrix (see
+    :func:`gridres.lp.solve`); with the HiGHS backend, or when the
+    zero-magnitude LP is infeasible, as a plain solve.
+    """
+
+    def __init__(
+        self,
+        model: NetworkModel,
+        dispatch: DispatchResult,
+        reserves: ReserveSchedule,
+        step: int,
+        axes: list[AdversarialAxis],
+        options: BuildOptions | None = None,
+        solver: SolverOptions | None = None,
+    ):
+        self.axes = list(axes)
+        self.solver = solver
+        self.s_base = PerUnit.of(model).s_base
+        self.lp, self.alpha = build_recourse_lp(model, dispatch, reserves, step, self.axes,
+                                                np.zeros(len(self.axes)), options)
+        self.base = solve(self.lp, solver)  # the built LP has no objective
+
+    def _resolve(self, lower: np.ndarray, upper: np.ndarray,
+                 objective: dict[int, float] | None = None) -> LpSolution:
+        """Solve with magnitude i in [lower[i], upper[i]] (pu) under
+        `objective`, starting from the zero-magnitude solve."""
+        for col, lo, hi in zip(self.alpha, lower, upper):
+            self.lp.set_bounds(col, lo, hi)
+        self.lp.set_objective(objective or {})
+        return solve(self.lp, self.solver, start=self.base.basis)
+
+    def event(self, magnitudes_w: np.ndarray) -> LpSolution:
+        """The recourse LP with every magnitude fixed at `magnitudes_w` (W)."""
+        m = np.asarray(magnitudes_w, dtype=float)
+        if m.shape != (len(self.axes),):
+            raise ValueError(f"magnitudes have shape {m.shape}, expected ({len(self.axes)},)")
+        return self._resolve(m / self.s_base, m / self.s_base)
+
+    def maximize(self, i: int) -> LpSolution:
+        """Maximize magnitude i up to its axis's cap, the others at zero."""
+        cap = self.axes[i].cap_w
+        upper = np.zeros(len(self.axes))
+        upper[i] = math.inf if cap is None else cap / self.s_base
+        return self._resolve(np.zeros(len(self.axes)), upper, {self.alpha[i]: -1.0})
+
+
 def event_is_tolerable(
     model: NetworkModel,
     dispatch: DispatchResult,
@@ -216,8 +274,8 @@ def event_is_tolerable(
     solver: SolverOptions | None = None,
 ) -> bool:
     """Feasibility of the recourse LP at fixed event magnitudes."""
-    lp, _ = build_recourse_lp(model, dispatch, reserves, step, axes, magnitudes_w, options)
-    return solve(lp, solver).status is LpStatus.OPTIMAL
+    return RecourseStep(model, dispatch, reserves, step, axes, options,
+                        solver).event(magnitudes_w).status is LpStatus.OPTIMAL
 
 
 def characterize(
@@ -231,25 +289,18 @@ def characterize(
 ) -> InnerPolytope:
     """Maximal tolerable magnitude along each axis at `step`.
 
-    The recourse LP is built once and solved once with every magnitude fixed
+    The step's :class:`RecourseStep` solves its LP once with every magnitude
     at 0 and no objective: the step's one phase 1.  Axis i then frees
-    alpha_i up to its cap and maximizes it from that basis, in phase 2 only.
+    alpha_i up to its cap and maximizes it from that solve, in phase 2 only.
     """
     validate_axes(model, axes)
-    s = PerUnit.of(model).s_base
-    lp, alpha = build_recourse_lp(model, dispatch, reserves, step, axes,
-                                  np.zeros(len(axes)), options)
-    base = solve(lp, solver)  # the built LP has no objective
-    if base.status is not LpStatus.OPTIMAL:
+    recourse = RecourseStep(model, dispatch, reserves, step, axes, options, solver)
+    if recourse.base.status is not LpStatus.OPTIMAL:
         raise AxisInfeasible(f"recourse LP infeasible even at zero event magnitude at step "
                              f"{step}; the dispatch point is not feasible")
     alphas = np.zeros(len(axes))
     for i, axis in enumerate(axes):
-        for col in alpha:
-            lp.set_bounds(col, 0.0, 0.0)
-        lp.set_bounds(alpha[i], 0.0, math.inf if axis.cap_w is None else axis.cap_w / s)
-        lp.set_objective({alpha[i]: -1.0})  # maximize alpha_i
-        sol = solve(lp, solver, start=base.basis)
+        sol = recourse.maximize(i)
         if sol.status is LpStatus.INFEASIBLE:  # alpha = 0 is feasible: numerical trouble
             raise AxisInfeasible(f"axis {axis.kind}/{axis.entity} infeasible at step {step} "
                                  "although zero magnitude is feasible")
@@ -258,7 +309,7 @@ def characterize(
                 f"axis {axis.kind}/{axis.entity} unbounded at step {step}; "
                 "give the axis an outer cap"
             )
-        alphas[i] = sol.values[alpha[i]] * s
+        alphas[i] = sol.values[recourse.alpha[i]] * recourse.s_base
     return InnerPolytope(step, list(axes), alphas)
 
 

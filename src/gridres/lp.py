@@ -21,11 +21,21 @@ with its slack, or with a phase-1 artificial where it has none or the slack
 is outside its bound, so without hints the start is all slacks and
 artificials.  The feeder rows name the columns that make B triangular along
 the tree (see :mod:`gridres.constraints`), and phase 1 runs only if an
-artificial is positive.  An optimal solve returns its final basis,
-and a later solve of the same rows under changed bounds or objective may
-start from it: B is factored once and, if the basic values it gives are
-within their bounds, only phase 2 runs; otherwise the solve starts cold.  It
-is fully deterministic: identical inputs produce bitwise-identical outputs.
+artificial is positive.
+
+An optimal solve returns its final basis, together with its assembled rows
+and the factorization of B, and a later solve of the same rows under
+changed bounds, objective or right-hand sides may start from it.  If the LP
+still has those rows, the re-solve takes over the assembly and the factored B
+instead of building them again.  If the basic values are within their bounds,
+only primal phase 2 runs.  If they are not but the basis is dual feasible,
+which it always is without an objective, a bounded dual simplex with bound
+flipping (Koberstein 2005; Maros 2003) drives them into their bounds on the
+same basis, and phase 2 then confirms optimality.  Only a dual infeasible
+basis, or one whose nonbasic column lost its bound, starts cold.  Every
+solve ends in the same check: B is factored afresh, the basic values are
+re-solved and every row and bound is checked at feas_tol.  It is fully
+deterministic: identical inputs produce bitwise-identical outputs.
 A scipy/HiGHS backend can be selected
 through :class:`SolverOptions`; the built-in simplex remains the reference
 implementation and the one exercised by the oracle tests.
@@ -37,6 +47,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import attrgetter
 
 import numpy as np
@@ -215,14 +226,18 @@ class LinearProgram:
 
 @dataclass
 class SolveStats:
-    """Where the built-in simplex spent its iterations.
+    """How the built-in simplex started and where it spent its iterations.
 
-    Phase-1 pivots, phase-2 pivots and bound flips sum to
+    Phase-1, phase-2 and dual pivots plus bound flips sum to
     :attr:`LpSolution.iterations`.
     """
 
+    # "cold" (the crash basis), "warm" (a start whose x_B is within its
+    # bounds: primal phase 2) or "dual" (a dual feasible start whose x_B is not)
+    start: str = "cold"
     phase1_pivots: int = 0
     phase2_pivots: int = 0
+    dual_pivots: int = 0
     bound_flips: int = 0
     # times the Dantzig rule fell back to Bland's rule after a degenerate stall
     bland_entries: int = 0
@@ -231,17 +246,24 @@ class SolveStats:
 
     @property
     def iterations(self) -> int:
-        return self.phase1_pivots + self.phase2_pivots + self.bound_flips
+        return self.phase1_pivots + self.phase2_pivots + self.dual_pivots + self.bound_flips
 
 
 @dataclass(frozen=True)
 class SimplexBasis:
     """The final basis of an optimal built-in simplex solve, to warm-start a
-    re-solve of the same rows through ``solve(..., start=)``."""
+    re-solve of the same rows through ``solve(..., start=)``.
+
+    It also carries the rows it was solved on, assembled and set up, and the
+    factorization of its basis matrix, which a re-solve of an LP with the
+    same rows takes over instead of assembling and factoring again.
+    """
 
     basic: np.ndarray  # column in each row's basis position; -1 = artificial at zero
     status: np.ndarray  # bound status of every structural and slack column
     art_sign: np.ndarray  # sign of each row's phase-1 artificial column
+    rows: _Rows | None = field(default=None, repr=False, compare=False)
+    lu: object = field(default=None, repr=False, compare=False)  # SuperLU of B
 
 
 @dataclass
@@ -250,7 +272,9 @@ class LpSolution:
     values: np.ndarray | None = None
     objective_value: float | None = None
     iterations: int = 0
-    # rows whose phase-1 artificial stayed positive; an infeasibility certificate
+    # an infeasibility certificate: the rows whose phase-1 artificial stayed
+    # positive, or the basis position whose row of B^-1 [A | I] the dual
+    # simplex proved unsatisfiable
     infeasible_rows: list[int] = field(default_factory=list)
     # built-in simplex only; None from the HiGHS backend
     stats: SolveStats | None = None
@@ -274,43 +298,99 @@ _REL_CODE = {Rel.LE: _LE, Rel.EQ: _EQ, Rel.GE: _GE}
 
 
 @dataclass(frozen=True)
-class _Assembled:
-    """A validated :class:`LinearProgram` as arrays.
+class _Rows:
+    """The rows of a validated :class:`LinearProgram` over its `n` columns,
+    as arrays: everything of an assembly but bounds, objective and rhs.
 
-    The rows are in CSR form (`indptr`, `cols`, `vals`), each row's nonzeros
-    in the order of its coefficient dict; `nz_rows` is the row of each
-    nonzero.  The simplex, :func:`check_feasibility` and the HiGHS backend
-    all read this one assembly.
+    The nonzeros are in CSR form (`indptr`, `cols`, `vals`), each row's in
+    the order of its coefficient dict; `nz_rows` is the row of each nonzero.
+    `given` keeps each row's coefficients, relation and hint as the LP gave
+    them, to tell whether a later LP has the same rows.
     """
 
-    lower: np.ndarray
-    upper: np.ndarray
-    cost: np.ndarray
+    n: int
     indptr: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
     nz_rows: np.ndarray
     rel: np.ndarray  # _LE, _EQ or _GE per row
-    rhs: np.ndarray
     basic: np.ndarray  # each row's hinted starting column (Row.basic), -1 for none
+    given: tuple[list, list, list]
+
+    def fits(self, lp: LinearProgram) -> bool:
+        """Whether `lp` has these columns and rows, whatever its bounds,
+        objective and right-hand sides."""
+        rows = lp.rows
+        coeffs, rels, hints = self.given
+        return (lp.n_variables == self.n and len(rows) == len(rels)
+                and list(map(attrgetter("coeffs"), rows)) == coeffs
+                and list(map(attrgetter("rel"), rows)) == rels
+                and list(map(attrgetter("basic"), rows)) == hints)
+
+    @cached_property
+    def columns(self) -> _Columns:
+        return _Columns(self)
+
+
+class _Columns:
+    """The simplex's column form of some rows: [A | I_slack] in CSC form,
+    rows ascending within each column, and the same with one artificial
+    column e_r per row appended, for building B."""
+
+    def __init__(self, rows: _Rows):
+        n, m = rows.n, len(rows.rel)
+        self.slack_rows = np.flatnonzero(rows.rel != _EQ)
+        n_slack = len(self.slack_rows)
+        self.N = n + n_slack
+        le = rows.rel[self.slack_rows] == _LE
+        self.slack_lo = np.where(le, 0.0, -np.inf)
+        self.slack_hi = np.where(le, np.inf, 0.0)
+        order = np.argsort(rows.cols, kind="stable")
+        nnz = len(order)
+        self.col_ptr = np.concatenate([
+            [0], np.cumsum(np.bincount(rows.cols, minlength=n)),
+            nnz + np.arange(1, n_slack + 1),
+        ])
+        self.row_idx = np.concatenate([rows.nz_rows[order], self.slack_rows])
+        self.val = np.concatenate([rows.vals[order], np.ones(n_slack)])
+        self.col_of_nz = np.repeat(np.arange(self.N), np.diff(self.col_ptr))
+        self.ext_ptr = np.concatenate([self.col_ptr, self.col_ptr[-1] + np.arange(1, m + 1)])
+        self.ext_row = np.concatenate([self.row_idx, np.arange(m)])
+
+
+@dataclass(frozen=True)
+class _Assembled:
+    """A validated :class:`LinearProgram` as arrays: its rows, bounds,
+    objective and right-hand sides.  The simplex, :func:`check_feasibility`
+    and the HiGHS backend all read this one assembly.
+    """
+
+    rows: _Rows
+    lower: np.ndarray
+    upper: np.ndarray
+    cost: np.ndarray
+    rhs: np.ndarray
 
     def row_activity(self, x: np.ndarray) -> np.ndarray:
         """A @ x, summed in each row's coefficient order."""
-        return np.bincount(self.nz_rows, weights=self.vals * x[self.cols],
+        rows = self.rows
+        return np.bincount(rows.nz_rows, weights=rows.vals * x[rows.cols],
                            minlength=len(self.rhs))
 
     def feasibility(self, point: np.ndarray, tol: float) -> FeasibilityReport:
         diff = self.row_activity(point) - self.rhs
-        resid = np.maximum(np.where(self.rel == _EQ, np.abs(diff), diff * self.rel), 0.0)
+        rel = self.rows.rel
+        resid = np.maximum(np.where(rel == _EQ, np.abs(diff), diff * rel), 0.0)
         violations = [(int(ri), float(resid[ri])) for ri in np.flatnonzero(resid > tol)]
         bound_viol = np.maximum(self.lower - point, point - self.upper)
         return FeasibilityReport(float(resid.max(initial=0.0)),
                                  float(max(bound_viol.max(initial=0.0), 0.0)), violations)
 
 
-def _assemble(lp: LinearProgram) -> _Assembled:
+def _assemble(lp: LinearProgram, known: _Rows | None = None) -> _Assembled:
     """Arrays of `lp`; raises :class:`MalformedProblem` on the first defect
-    (bounds first, then the objective, then the rows in order)."""
+    (bounds first, then the objective, then the rows in order).  The rows of
+    `known` are taken over when `lp` has the same rows."""
     n, m = lp.n_variables, lp.n_rows
     lower = np.array(lp.lower, dtype=float)
     upper = np.array(lp.upper, dtype=float)
@@ -334,6 +414,11 @@ def _assemble(lp: LinearProgram) -> _Assembled:
     cost[obj_idx] = obj_val
 
     rows = lp.rows
+    rhs = np.fromiter(map(attrgetter("rhs"), rows), dtype=float, count=m)
+    if known is not None and known.fits(lp):
+        if not np.isfinite(rhs).all():
+            raise MalformedProblem(f"non-finite rhs on row {int(np.argmax(~np.isfinite(rhs)))}")
+        return _Assembled(known, lower, upper, cost, rhs)
     coeffs = list(map(attrgetter("coeffs"), rows))
     counts = np.fromiter(map(len, coeffs), dtype=np.int64, count=m)
     indptr = np.zeros(m + 1, dtype=np.int64)
@@ -342,11 +427,11 @@ def _assemble(lp: LinearProgram) -> _Assembled:
     cols = np.fromiter(itertools.chain.from_iterable(coeffs), dtype=np.int64, count=nnz)
     vals = np.fromiter(itertools.chain.from_iterable(map(dict.values, coeffs)),
                        dtype=float, count=nnz)
-    rhs = np.fromiter(map(attrgetter("rhs"), rows), dtype=float, count=m)
-    rel = np.fromiter(map(_REL_CODE.__getitem__, map(attrgetter("rel"), rows)),
-                      dtype=np.int64, count=m)
+    rels = list(map(attrgetter("rel"), rows))
+    rel = np.fromiter(map(_REL_CODE.__getitem__, rels), dtype=np.int64, count=m)
     nz_rows = np.repeat(np.arange(m), counts)
-    basic = np.fromiter((-1 if row.basic is None else row.basic for row in rows),
+    hints = list(map(attrgetter("basic"), rows))
+    basic = np.fromiter((-1 if hint is None else hint for hint in hints),
                         dtype=np.int64, count=m)
 
     outside = (cols < 0) | (cols >= n)
@@ -363,7 +448,9 @@ def _assemble(lp: LinearProgram) -> _Assembled:
         if outside[k]:
             raise MalformedProblem(f"row {ri} references unknown variable index {cols[k]}")
         raise MalformedProblem(f"non-finite coefficient on row {ri}, index {cols[k]}")
-    return _Assembled(lower, upper, cost, indptr, cols, vals, nz_rows, rel, rhs, basic)
+    given = (list(map(dict.copy, coeffs)), rels, hints)
+    return _Assembled(_Rows(n, indptr, cols, vals, nz_rows, rel, basic, given),
+                      lower, upper, cost, rhs)
 
 
 def check_feasibility(lp: LinearProgram, point: np.ndarray, tol: float = 0.0) -> FeasibilityReport:
@@ -392,16 +479,19 @@ def solve(lp: LinearProgram, options: SolverOptions | None = None,
     silently suboptimal "optimal".
 
     `start` is the :attr:`LpSolution.basis` of an earlier solve of the same
-    rows, whose bounds and objective may since have changed.  Its nonbasic
-    columns keep their bounds (a formerly fixed one moves to a finite bound),
-    B is factored once and x_B = B^-1 (b - N x_N) is computed; if x_B is
-    within its bounds to `feas_tol`, only phase 2 runs.  Otherwise, or if a
-    nonbasic column's bound is no longer finite, the solve starts cold.  A
+    rows, whose bounds, objective and right-hand sides may since have
+    changed.  Its nonbasic columns keep their bounds (a formerly fixed one
+    moves to a finite bound) and x_B = B^-1 (b - N x_N) is computed, with the
+    start's own factorization of B when the rows are still the ones it was
+    solved on.  If x_B is within its bounds to `feas_tol`, only primal phase 2
+    runs; if not but the start is dual feasible, the bounded dual simplex
+    runs first.  Otherwise, or if a nonbasic column's bound is no longer
+    finite, the solve starts cold.  :attr:`SolveStats.start` says which.  A
     start of the wrong size raises :class:`MalformedProblem`; the HiGHS
     backend ignores it.
     """
     options = options or SolverOptions()
-    mat = _assemble(lp)
+    mat = _assemble(lp, start.rows if start is not None else None)
     if not lp.n_variables:  # each row reads 0 <rel> rhs
         stats = SolveStats() if options.backend == "simplex" else None
         bad = [ri for ri, _ in mat.feasibility(np.zeros(0), options.feas_tol).violations]
@@ -546,33 +636,22 @@ class _BoundedSimplex:
         self.n = n
         self.m = m
 
-        self.slack_rows = np.flatnonzero(mat.rel != _EQ)
-        n_slack = len(self.slack_rows)
-        N = n + n_slack
-        self.N = N
-        le = mat.rel[self.slack_rows] == _LE
-        self.lo = np.concatenate([mat.lower, np.where(le, 0.0, -np.inf)])
-        self.hi = np.concatenate([mat.upper, np.where(le, np.inf, 0.0)])
-        self.c = np.concatenate([mat.cost, np.zeros(n_slack)])
-
-        # [A | I_slack] in CSC form, rows ascending within each column
-        order = np.argsort(mat.cols, kind="stable")
-        nnz = len(order)
-        self.col_ptr = np.concatenate([
-            [0], np.cumsum(np.bincount(mat.cols, minlength=n)),
-            nnz + np.arange(1, n_slack + 1),
-        ])
-        self.row_idx = np.concatenate([mat.nz_rows[order], self.slack_rows])
-        self.val = np.concatenate([mat.vals[order], np.ones(n_slack)])
-        self.col_of_nz = np.repeat(np.arange(N), np.diff(self.col_ptr))
+        # the set-up that depends on the rows only, shared by re-solves
+        cols = mat.rows.columns
+        self.slack_rows = cols.slack_rows
+        self.N = N = cols.N
+        self.col_ptr, self.row_idx, self.val = cols.col_ptr, cols.row_idx, cols.val
+        self.col_of_nz = cols.col_of_nz
+        # artificial columns N .. N + m - 1, appended for building B only
+        self.ext_ptr, self.ext_row = cols.ext_ptr, cols.ext_row
+        self.lo = np.concatenate([mat.lower, cols.slack_lo])
+        self.hi = np.concatenate([mat.upper, cols.slack_hi])
+        self.c = np.concatenate([mat.cost, np.zeros(N - n)])
 
         self.gain = np.empty((2, N))
         self.t_rows = np.empty(m)
         self.B = _Basis(m)
         self.stats = SolveStats()
-        # artificial columns N .. N + m - 1, appended for building B only
-        self.ext_ptr = np.concatenate([self.col_ptr, self.col_ptr[-1] + np.arange(1, m + 1)])
-        self.ext_row = np.concatenate([self.row_idx, np.arange(m)])
 
     def _place(self, st: np.ndarray) -> None:
         """Put each nonbasic column at the bound its status names."""
@@ -610,7 +689,7 @@ class _BoundedSimplex:
         fallback = np.full(m, -1, dtype=np.int64)  # the row's slack, else its artificial
         fallback[self.slack_rows] = n + np.arange(len(self.slack_rows))
         basis = fallback.copy()
-        hint = self.mat.basic
+        hint = self.mat.rows.basic
         rows = np.flatnonzero(hint >= 0)
         rows = rows[st[hint[rows]] != _FIXED]
         _, first = np.unique(hint[rows], return_index=True)  # the first row's claim
@@ -638,10 +717,11 @@ class _BoundedSimplex:
         if flip.any():
             self._refactor()
 
-    def _warm_start(self, start: SimplexBasis) -> bool:
-        """Take the basis of `start` under the LP's current bounds; False when
-        a nonbasic column has lost its bound or x_B is outside its bounds by
-        more than feas_tol, and the solve must start cold."""
+    def _warm_start(self, start: SimplexBasis) -> str:
+        """Take the basis of `start` under the LP's current bounds.  Returns
+        "warm" when x_B is within its bounds to feas_tol, "dual" when it is
+        not but the basis is dual feasible, and "cold" when neither holds or
+        a nonbasic column has lost its bound: the solve must start cold."""
         m, N = self.m, self.N
         basic, prev = start.basic, start.status
         if basic.shape != (m,) or prev.shape != (N,) or start.art_sign.shape != (m,):
@@ -656,15 +736,22 @@ class _BoundedSimplex:
         keep = ((prev == _AT_LO) | (prev == _AT_HI)) & (lo != hi)
         st[keep] = prev[keep]
         if not (np.isfinite(lo[st == _AT_LO]).all() and np.isfinite(hi[st == _AT_HI]).all()):
-            return False
+            return "cold"
         self._place(st)
         self._set_basis(basic.copy(), start.art_sign.copy())
-        try:
-            self._refactor()
-        except ArithmeticError:  # the basis does not fit this problem's rows
-            return False
+        if start.rows is self.mat.rows:
+            self.B.lu = start.lu  # the same B, factored when the start was solved
+        else:
+            try:
+                self._refactor()
+            except ArithmeticError:  # the basis does not fit this problem's rows
+                return "cold"
         self.x_B = self._basic_values()
-        return not self._outside().any()
+        if not self._outside().any():
+            return "warm"
+        real = self.basis >= 0
+        d = self._reduced_costs(self.c, np.where(real, self.c[np.maximum(self.basis, 0)], 0.0))
+        return "dual" if self._entering(d, bland=False) is None else "cold"
 
     def _outside(self) -> np.ndarray:
         """The basis positions whose x_B is outside the bounds of their column
@@ -695,7 +782,9 @@ class _BoundedSimplex:
         self.dirs[0, j], self.dirs[1, j] = _GAIN_DIRS[st]
 
     def _reduced_costs(self, cost: np.ndarray, c_B: np.ndarray) -> np.ndarray:
-        """d = cost - A^T y with y = B^-T c_B."""
+        """d = cost - A^T y with y = B^-T c_B, which is 0 when c_B is."""
+        if not c_B.any():
+            return cost.copy()
         y = self.B.btran(c_B)
         return cost - np.bincount(self.col_of_nz, weights=self.val * y[self.row_idx],
                                   minlength=self.N)
@@ -713,12 +802,13 @@ class _BoundedSimplex:
     # -- core loop ---------------------------------------------------------------
 
     def run(self, start: SimplexBasis | None = None) -> LpSolution:
-        warm = start is not None and self._warm_start(start)
-        if not warm:
+        how = "cold" if start is None else self._warm_start(start)
+        if how == "cold":
             self._cold_start()
+        self.stats.start = how
         max_iter = self.opt.max_iterations or (50 * (self.m + self.N) + 1000)
 
-        if not warm and (self.basis == -1).any():
+        if how == "cold" and (self.basis == -1).any():
             outcome = self._iterate(phase=1, max_iter=max_iter)
             if outcome is not None:  # unbounded phase 1 means numerical trouble
                 raise ArithmeticError("phase-1 simplex claimed unbounded; problem is corrupt")
@@ -727,6 +817,11 @@ class _BoundedSimplex:
                 bad = np.flatnonzero(art & (self.x_B > self.opt.feas_tol))
                 return LpSolution(LpStatus.INFEASIBLE, iterations=self.stats.iterations,
                                   infeasible_rows=[int(ri) for ri in bad], stats=self.stats)
+        if how == "dual":
+            r = self._dual(max_iter)
+            if r is not None:
+                return LpSolution(LpStatus.INFEASIBLE, iterations=self.stats.iterations,
+                                  infeasible_rows=[r], stats=self.stats)
 
         # phase 2: original objective; leftover artificials pinned at zero
         outcome = self._iterate(phase=2, max_iter=max_iter)
@@ -833,6 +928,109 @@ class _BoundedSimplex:
                 stats.phase2_pivots += 1
             stall = stall + 1 if t_min <= 1e-11 else 0
 
+    def _dual(self, max_iter: int) -> int | None:
+        """Bounded dual phase 2 from a dual feasible basis whose x_B is
+        outside its bounds (Koberstein 2005; Maros 2003, the dual chapters).
+
+        Each pivot takes a basic variable outside its bounds, the largest
+        violation first, and drives it to the bound it violates.  Its
+        row of B^-1 [A | I] comes from a BTRAN of e_r.  The ratio test with
+        bound flipping passes the columns in order of their dual ratio: a
+        boxed column whose flip to its other bound still leaves the row short
+        of that bound flips, and the first one that would overshoot enters.
+        After BLAND_STALL pivots without a dual step, or throughout under
+        Bland pricing, the violating variable of lowest index leaves and ties
+        go to the lowest column index.  Returns None once x_B is within its
+        bounds, or the basis position of a row that no column can bring
+        within them, which proves the LP infeasible."""
+        m, N = self.m, self.N
+        opt = self.opt
+        stats = self.stats
+        lowest_only = opt.pricing == "bland"
+        real = self.basis >= 0
+        safe = np.maximum(self.basis, 0)
+        lo_B = np.where(real, self.lo[safe], 0.0)
+        hi_B = np.where(real, self.hi[safe], 0.0)
+        c_B = np.where(real, self.c[safe], 0.0)
+        span = self.hi - self.lo  # inf for a column without two finite bounds
+        movable = span > 0.0
+        e_r = np.zeros(m)
+        a = np.zeros(m)
+        stall = 0
+        fallback = False
+        d = None
+
+        while True:
+            below = lo_B - self.x_B
+            gap = np.maximum(below, self.x_B - hi_B)
+            bad = gap > opt.feas_tol
+            if not bad.any():
+                return None
+            if not lowest_only and not fallback and stall > BLAND_STALL:
+                stats.bland_entries += 1
+            fallback = stall > BLAND_STALL
+            lowest = lowest_only or fallback
+            # leaving row: Bland order ranks artificials (basis -1) first
+            r = int(np.where(bad, self.basis, _NO_TIE).argmin() if lowest else gap.argmax())
+            if stats.iterations >= max_iter:
+                raise IterationLimitExceeded(stats.iterations + 1, 2)
+            if d is None:  # the basis changed; a bound flip leaves d as it is
+                d = self._reduced_costs(self.c, c_B)
+
+            e_r[r] = 1.0
+            rho = self.B.btran(e_r)
+            e_r[r] = 0.0
+            # row r of B^-1 [A | I], signed so that g[j] > 0 where column j
+            # rising moves x_B[r] away from the bound it violates
+            rises = below[r] > opt.feas_tol
+            g = np.bincount(self.col_of_nz, weights=self.val * rho[self.row_idx], minlength=N)
+            if not rises:
+                g = -g
+            # how fast x_B[r] nears that bound as each column leaves its own
+            rate = np.multiply(self.dirs, g, out=self.gain)
+            rate = np.maximum(rate[0], rate[1], out=rate[0])
+            cand = np.flatnonzero((rate > PIVOT_TOL) & movable)
+            ratio = np.maximum(-d[cand] / g[cand], 0.0)
+            order = np.lexsort((cand if lowest else -rate[cand], ratio))
+            cand, ratio = cand[order], ratio[order]
+            # the cumulative move of x_B[r] as the candidates flip in turn
+            reach = np.cumsum(rate[cand] * span[cand])
+            k = int(np.searchsorted(reach, gap[r], side="right"))
+            if k == len(cand) and gap[r] - (reach[-1] if k else 0.0) > opt.feas_tol:
+                return r  # even every column at its best bound leaves row r short
+
+            if k:  # bound flips: the basis stays, x_B moves
+                for j in cand[:k]:
+                    to_hi = self.status[j] == _AT_LO
+                    self._set_status(j, _AT_HI if to_hi else _AT_LO)
+                    self.xval[j] = self.hi[j] if to_hi else self.lo[j]
+                self.x_B = self._basic_values()
+                stats.bound_flips += k
+            if k == len(cand):
+                continue
+            q = int(cand[k])
+            nz = slice(self.col_ptr[q], self.col_ptr[q + 1])
+            a[self.row_idx[nz]] = self.val[nz]
+            col = self.B.ftran(a)
+            a[self.row_idx[nz]] = 0.0
+            target = lo_B[r] if rises else hi_B[r]
+            step = (self.x_B[r] - target) / col[r]
+            enter_val = self.xval[q] + step
+            self.x_B -= col * step
+            leave = self.basis[r]
+            if leave >= 0:
+                self._set_status(leave, _AT_LO if rises else _AT_HI)
+                self.xval[leave] = target
+            self.basis[r] = q
+            self._set_status(q, _BASIC)
+            self.x_B[r] = enter_val
+            lo_B[r], hi_B[r], c_B[r] = self.lo[q], self.hi[q], self.c[q]
+            if self.B.push(r, col):
+                self._refactor()
+            d = None
+            stats.dual_pivots += 1
+            stall = stall + 1 if ratio[k] <= 1e-11 else 0
+
     # -- wrap-up ---------------------------------------------------------------
 
     def _basic_values(self) -> np.ndarray:
@@ -861,20 +1059,22 @@ class _BoundedSimplex:
         obj = float(np.dot(self.c[:self.n], values))
         return LpSolution(LpStatus.OPTIMAL, values=values, objective_value=obj,
                           iterations=self.stats.iterations, stats=self.stats,
-                          basis=SimplexBasis(self.basis, self.status, self.art_sign))
+                          basis=SimplexBasis(self.basis, self.status, self.art_sign,
+                                             self.mat.rows, self.B.lu))
 
 
 def _solve_scipy(mat: _Assembled) -> LpSolution:
     from scipy.optimize import linprog
     from scipy.sparse import csr_matrix
 
-    sign = np.where(mat.rel == _GE, -1.0, 1.0)  # GE rows enter A_ub negated
-    A = csr_matrix((mat.vals * sign[mat.nz_rows], mat.cols, mat.indptr),
+    rows = mat.rows
+    sign = np.where(rows.rel == _GE, -1.0, 1.0)  # GE rows enter A_ub negated
+    A = csr_matrix((rows.vals * sign[rows.nz_rows], rows.cols, rows.indptr),
                    shape=(len(mat.rhs), len(mat.lower)))
     A.eliminate_zeros()
     b = mat.rhs * sign
-    ub = np.concatenate([np.flatnonzero(mat.rel == _LE), np.flatnonzero(mat.rel == _GE)])
-    eq = np.flatnonzero(mat.rel == _EQ)
+    ub = np.concatenate([np.flatnonzero(rows.rel == _LE), np.flatnonzero(rows.rel == _GE)])
+    eq = np.flatnonzero(rows.rel == _EQ)
     res = linprog(mat.cost,
                   A_ub=A[ub] if len(ub) else None, b_ub=b[ub] if len(ub) else None,
                   A_eq=A[eq] if len(eq) else None, b_eq=b[eq] if len(eq) else None,

@@ -22,6 +22,7 @@ when the box demands them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,6 +135,8 @@ class ReserveCosts:
         for name, factor in {"pv": pv, "dg": dg, "es": es, "load": load}.items():
             if not factor >= 0.0:  # NaN fails too
                 raise ValueError(f"{name} must be a non-negative number, got {factor}")
+            if not math.isfinite(factor):
+                raise ValueError(f"{name} must be finite, got {factor}")
         return cls(
             pv=pv * costs.pv_curtail,
             dg=dg * costs.dg_energy,

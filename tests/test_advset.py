@@ -12,6 +12,7 @@ from gridres.advset import (
     AXIS_PV_ERROR,
     AxisInfeasible,
     InnerPolytope,
+    RecourseStep,
     build_recourse_lp,
     characterize,
     characterize_steps,
@@ -390,3 +391,56 @@ def test_polytope_json_round_trip():
     assert back.step == 3
     assert back.axes == poly.axes
     np.testing.assert_array_equal(back.alpha_w, poly.alpha_w)
+
+
+def test_recourse_step_answers_equal_cold_solves():
+    """On the six-bus example, 200 seeded magnitudes per step, inside and
+    outside the polytope: the step object's answer equals a cold solve of
+    the recourse LP built at those magnitudes, and no re-solve runs phase 1."""
+    sc = load_scenario(DOCS / "sixbus_scenario.json")
+    dispatch = solve_baseline(sc.model, sc.costs, sc.build, sc.solver)
+    reserves = ReserveSchedule.from_headroom(sc.model, dispatch)
+    rng = np.random.default_rng(200)
+    answers = []
+    for k in range(sc.model.steps):
+        poly = characterize(sc.model, dispatch, reserves, sc.axes, k, sc.build, sc.solver)
+        step = RecourseStep(sc.model, dispatch, reserves, k, sc.axes, sc.build, sc.solver)
+        inside = sample(poly, seed=k, count=100)
+        outward = rng.uniform(1.05, 4.0, size=(100, 1)) * sample(poly, seed=100 + k, count=100)
+        for point in np.concatenate([inside, outward]):
+            sol = step.event(point)
+            lp, _ = build_recourse_lp(sc.model, dispatch, reserves, k, sc.axes, point, sc.build)
+            assert sol.status == solve(lp, sc.solver).status, (k, point)
+            assert sol.stats.phase1_pivots == 0 and sol.stats.start in ("warm", "dual")
+            answers.append(sol.status is LpStatus.OPTIMAL)
+    assert answers[:100] == [True] * 100
+    assert answers.count(False) >= 100, answers.count(False)
+
+
+def test_headroom_sweep_resolves_without_a_cold_start(advset_run):
+    """Headroom bands scaled by rho = 1 -> 0.75 -> 0.5 -> 0.25 on every
+    cyber_event step: each re-solve of the step's LP starts from its
+    zero-magnitude basis, warm or in the dual simplex, never cold."""
+    scenario, wrap, _polys = advset_run
+    model, dispatch = scenario.model, wrap.dispatch
+    n_axes = len(scenario.axes)
+    starts = []
+    for k in range(model.steps):
+        step = RecourseStep(model, dispatch, wrap.reserves, k, scenario.axes, scenario.build,
+                            scenario.solver)
+        for rho in (0.75, 0.5, 0.25):
+            scaled = ReserveSchedule({key: rho * v for key, v in wrap.reserves.up.items()},
+                                     {key: rho * v for key, v in wrap.reserves.down.items()})
+            banded, _ = build_recourse_lp(model, dispatch, scaled, k, scenario.axes,
+                                          np.zeros(n_axes), scenario.build)
+            # the narrower bands are the column bounds and axis-row right-hand
+            # sides of the LP built at the scaled reserves
+            step.lp.lower[:], step.lp.upper[:] = banded.lower, banded.upper
+            for row, new in zip(step.lp.rows, banded.rows):
+                row.rhs = new.rhs
+            sol = step.event(np.zeros(n_axes))
+            assert sol.status is solve(banded, scenario.solver).status is LpStatus.OPTIMAL
+            assert sol.stats.phase1_pivots == 0
+            starts.append(sol.stats.start)
+    assert len(starts) == 36 and "cold" not in starts
+    assert starts.count("dual") >= 30, starts

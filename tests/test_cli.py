@@ -178,6 +178,8 @@ def test_unknown_solver_option_is_input_error(tmp_path, capsys, field, value):
      "error: reserve_cost_factors: dg must be a non-negative number, got -5.0"),
     ({"reserve_cost_factors": {"es": float("nan")}}, [],
      "error: reserve_cost_factors: es must be a non-negative number, got nan"),
+    ({"reserve_cost_factors": {"pv": float("inf")}}, [],
+     "error: reserve_cost_factors: pv must be finite, got inf"),
     ({"costs": {"dg_energy": float("nan")}}, [],
      "error: costs: cost weights must be non-negative and finite, got dg_energy = nan"),
     ({"build": {"pv_power_factor_gamma": float("nan")}}, [],
@@ -198,7 +200,7 @@ def test_unknown_solver_option_is_input_error(tmp_path, capsys, field, value):
         "huge-integer-cost", "nan-mask-magnitude", "nan-trip-magnitude",
         "infinite-loss-magnitude", "negative-trip-magnitude", "negative-loss-magnitude",
         "negative-cap", "nan-cap", "negative-reserve-factor", "nan-reserve-factor",
-        "nan-cost", "nan-gamma", "negative-gamma"])
+        "infinite-reserve-factor", "nan-cost", "nan-gamma", "negative-gamma"])
 def test_bad_box_input_is_input_error(tmp_path, capsys, overrides, flags, expected):
     if isinstance(overrides, dict):
         scenario = small_scenario(tmp_path, **overrides)

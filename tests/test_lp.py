@@ -385,11 +385,26 @@ def equality_pair_lp():
     return lp, x, y
 
 
-@pytest.mark.parametrize("upper", [5.0, np.inf], ids=["x_B-infeasible", "bound-lost"])
+def test_warm_start_outside_its_bounds_runs_the_dual_simplex():
+    lp, x, y = equality_pair_lp()
+    start = solve(lp).basis
+    # y stays at its upper bound 5, so x_B = -1 < 0; d_y = -1 keeps the basis
+    # dual feasible
+    lp.set_bounds(y, 2.0, 5.0)
+    cold = solve(lp)
+    warm = solve(lp, start=start)
+    assert warm.status is LpStatus.OPTIMAL and warm.stats.start == "dual"
+    assert warm.values[x] == pytest.approx(0.0, abs=1e-12)
+    np.testing.assert_array_equal(warm.values, cold.values)
+    assert warm.stats.phase1_pivots == 0 < cold.stats.phase1_pivots
+    assert warm.stats.dual_pivots >= 1
+
+
+@pytest.mark.parametrize("upper", [np.inf], ids=["bound-lost"])
 def test_warm_start_falls_back_to_cold(upper):
     lp, x, y = equality_pair_lp()
     start = solve(lp).basis
-    # y stays at its upper bound: at 5, x_B = -1 < 0; at infinity y has no bound
+    # y stays at its upper bound, which is no longer finite
     lp.set_bounds(y, 2.0, upper)
     cold = solve(lp)
     warm = solve(lp, start=start)
@@ -493,3 +508,98 @@ def test_lshl_crash_start_cuts_phase_one():
     assert sol.status is LpStatus.OPTIMAL
     assert sol.stats.phase1_pivots <= 141  # 709 from an all-slack-and-artificial start
     assert sol.objective_value == pytest.approx(ref.objective_value, rel=1e-9)
+
+
+def rebound(lp: LinearProgram, rng: np.random.Generator) -> None:
+    """Move, shrink or fix the bounds of some columns; often enough to move
+    the start's basic values out of their bounds, or to leave no feasible
+    point at all."""
+    for j in range(lp.n_variables):
+        u = rng.random()
+        if u < 0.4:
+            lo = float(rng.uniform(-3.0, 1.0))
+            lp.set_bounds(j, lo, lo + float(rng.uniform(0.0, 3.0)))
+        elif u < 0.5:
+            value = float(rng.uniform(-1.0, 1.0))
+            lp.set_bounds(j, value, value)
+
+
+def test_resolve_after_bound_changes_matches_oracle_and_highs():
+    """60 random LPs, a third of them without objective, re-solved from their
+    basis after random bound changes: the same answer as the vertex oracle and
+    HiGHS, and dual pivots bounded by max_iterations."""
+    rng = np.random.default_rng(61)
+    highs = SolverOptions(backend="scipy")
+    checked = 0
+    seen = {"warm": 0, "dual": 0, "dual-infeasible": 0, "zero-objective": 0, "limited": 0}
+    while checked < 60:
+        lp = random_bounded_lp(rng)
+        if checked % 3 == 0:
+            lp.set_objective({})
+        options = SolverOptions(pricing=("dantzig", "bland")[checked % 2])
+        first = solve(lp, options)
+        if first.status is not LpStatus.OPTIMAL:
+            continue
+        rebound(lp, rng)
+        sol = solve(lp, options, start=first.basis)
+        stats = sol.stats
+        assert stats.start in ("warm", "dual") and stats.phase1_pivots == 0
+        assert (stats.phase1_pivots + stats.phase2_pivots + stats.dual_pivots
+                + stats.bound_flips) == sol.iterations
+        expected = brute_force_min(lp)
+        ref = solve(lp, highs)
+        assert sol.status == ref.status
+        if expected is None:
+            assert sol.status is LpStatus.INFEASIBLE
+            assert len(sol.infeasible_rows) == 1 and 0 <= sol.infeasible_rows[0] < lp.n_rows
+            seen["dual-infeasible"] += 1
+        else:
+            assert sol.status is LpStatus.OPTIMAL
+            assert sol.objective_value == pytest.approx(expected, abs=1e-6)
+            assert sol.objective_value == pytest.approx(ref.objective_value, abs=1e-6)
+            assert check_feasibility(lp, sol.values).ok(options.feas_tol)
+        if stats.dual_pivots > 1:
+            with pytest.raises(IterationLimitExceeded):
+                solve(lp, SolverOptions(pricing=options.pricing, max_iterations=1),
+                      start=first.basis)
+            seen["limited"] += 1
+        seen[stats.start] += 1
+        seen["zero-objective"] += not lp.objective
+        checked += 1
+    assert min(seen.values()) >= 5, seen
+
+
+def test_dual_stall_falls_back_to_lowest_index(monkeypatch):
+    """With no stall allowed, every dual pivot after a degenerate one picks
+    by lowest index; the answers still match the oracle."""
+    import gridres.lp as lp_module
+
+    monkeypatch.setattr(lp_module, "BLAND_STALL", 0)
+    rng = np.random.default_rng(8)
+    fallbacks = 0
+    for _ in range(80):
+        lp = random_bounded_lp(rng)
+        lp.set_objective({})  # every dual pivot is degenerate
+        first = solve(lp)
+        if first.status is not LpStatus.OPTIMAL:
+            continue
+        rebound(lp, rng)
+        sol = solve(lp, start=first.basis)
+        expected = brute_force_min(lp)
+        assert sol.status is (LpStatus.INFEASIBLE if expected is None else LpStatus.OPTIMAL)
+        if sol.stats.phase2_pivots == 0:  # any fallback was the dual simplex's
+            fallbacks += sol.stats.bland_entries
+    assert fallbacks >= 5
+
+
+def test_resolve_with_changed_rows_refactors():
+    """A start carries the rows it was solved on; a re-solve of an LP with
+    other coefficients factors its own basis and still finds the optimum."""
+    lp, x, y = equality_pair_lp()
+    start = solve(lp).basis
+    same = solve(lp, start=start)
+    assert same.stats.refactorizations == 1  # the final check only
+    lp.rows[0].coeffs[y] = 2.0  # x + 2y = 4: x = 2 with y at 1
+    sol = solve(lp, start=start)
+    assert sol.stats.refactorizations == 2
+    assert sol.status is LpStatus.OPTIMAL and sol.values[x] == pytest.approx(2.0, abs=1e-12)

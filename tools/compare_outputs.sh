@@ -43,6 +43,7 @@ run_matrix() {
     done
     gr robust docs/examples/sixbus_scenario.json --out "$out/robust_sixbus" --dump-lp
     gr advset scenarios/cyber_event.json --out "$out/advset_cyber_event" --project 1 2 6
+    gr advset scenarios/cyber_event.json --out "$out/advset_cyber_event_seed7" --seed 7
     gr advset docs/examples/sixbus_scenario.json --out "$out/advset_sixbus"
     gr simulate scenarios/cyber_event.json --out "$out/simulate_cyber_event"
     gr simulate scenarios/cyber_event.json --out "$out/simulate_robust_cyber_event" \
