@@ -650,6 +650,7 @@ class _BoundedSimplex:
 
         self.gain = np.empty((2, N))
         self.t_rows = np.empty(m)
+        self.a = np.zeros(m)
         self.B = _Basis(m)
         self.stats = SolveStats()
 
@@ -830,6 +831,50 @@ class _BoundedSimplex:
                               stats=self.stats)
         return self._finish()
 
+    def _price_basis(self, phase: int) -> None:
+        """The phase's cost of every column, and the bounds and cost of the
+        variable in each basis position: phase 1 costs the artificials 1 and
+        every column 0, phase 2 costs the artificials 0 and pins them to [0, 0]."""
+        real = self.basis >= 0
+        safe = np.maximum(self.basis, 0)
+        self.cost = np.zeros(self.N) if phase == 1 else self.c
+        self.lo_B = np.where(real, self.lo[safe], 0.0)
+        self.hi_B = np.where(real, self.hi[safe], np.inf if phase == 1 else 0.0)
+        self.c_B = np.where(real, self.cost[safe], 1.0 if phase == 1 else 0.0)
+
+    def _column(self, j: int) -> np.ndarray:
+        """B^-1 a_j for column j of [A | I]."""
+        a = self.a  # all zero between calls
+        nz = slice(self.col_ptr[j], self.col_ptr[j + 1])
+        a[self.row_idx[nz]] = self.val[nz]
+        col = self.B.ftran(a)
+        a[self.row_idx[nz]] = 0.0
+        return col
+
+    def _flip(self, j: int) -> None:
+        """Move nonbasic column j to its other bound; x_B is the caller's."""
+        to_hi = self.status[j] == _AT_LO
+        self._set_status(j, _AT_HI if to_hi else _AT_LO)
+        self.xval[j] = self.hi[j] if to_hi else self.lo[j]
+        self.stats.bound_flips += 1
+
+    def _pivot(self, r: int, q: int, col: np.ndarray, theta: float, to_lo: bool) -> None:
+        """Column q, with FTRAN column `col`, enters basis position r as it
+        moves by `theta`; the leaving column stays at the bound it reached,
+        its lower one if `to_lo`."""
+        enter_val = self.xval[q] + theta
+        self.x_B -= col * theta
+        leave = self.basis[r]
+        if leave >= 0:
+            self._set_status(leave, _AT_LO if to_lo else _AT_HI)
+            self.xval[leave] = self.lo_B[r] if to_lo else self.hi_B[r]
+        self.basis[r] = q
+        self._set_status(q, _BASIC)
+        self.x_B[r] = enter_val
+        self.lo_B[r], self.hi_B[r], self.c_B[r] = self.lo[q], self.hi[q], self.cost[q]
+        if self.B.push(r, col):
+            self._refactor()
+
     def _iterate(self, phase: int, max_iter: int) -> str | None:
         """Pivot to the optimum of the phase's objective: the sum of the
         artificials in phase 1 (cost 1 each, all others 0), the LP's objective
@@ -838,14 +883,8 @@ class _BoundedSimplex:
         opt = self.opt
         stats = self.stats
         pure_bland = opt.pricing == "bland"
-        cost = np.zeros(self.N) if phase == 1 else self.c
-        real = self.basis >= 0
-        safe = np.maximum(self.basis, 0)
-        # bounds and cost of the variable in each basis position
-        lo_B = np.where(real, self.lo[safe], 0.0)
-        hi_B = np.where(real, self.hi[safe], np.inf if phase == 1 else 0.0)
-        c_B = np.where(real, cost[safe], 1.0 if phase == 1 else 0.0)
-        a = np.zeros(m)
+        self._price_basis(phase)
+        lo_B, hi_B, c_B = self.lo_B, self.hi_B, self.c_B
         t_rows = self.t_rows
         stall = 0
         fallback = False
@@ -856,7 +895,7 @@ class _BoundedSimplex:
             if phase == 1 and float(c_B @ np.maximum(self.x_B, 0.0)) <= opt.feas_tol * 0.5:
                 return None
             if d is None:  # the basis changed; a bound flip leaves d as it is
-                d = self._reduced_costs(cost, c_B)
+                d = self._reduced_costs(self.cost, c_B)
             if not pure_bland and not fallback and stall > BLAND_STALL:
                 stats.bland_entries += 1
             fallback = stall > BLAND_STALL
@@ -867,10 +906,7 @@ class _BoundedSimplex:
             if stats.iterations >= max_iter:
                 raise IterationLimitExceeded(stats.iterations + 1, phase)
 
-            nz = slice(self.col_ptr[j], self.col_ptr[j + 1])
-            a[self.row_idx[nz]] = self.val[nz]
-            col = self.B.ftran(a)
-            a[self.row_idx[nz]] = 0.0
+            col = self._column(j)
             w = col if sigma > 0 else -col
 
             # ratio test: the step at which each basic variable reaches the
@@ -887,15 +923,8 @@ class _BoundedSimplex:
             if t_bound <= t_min:
                 if not math.isfinite(t_bound):
                     return "unbounded"
-                # bound flip: no basis change
                 self.x_B -= w * t_bound
-                if self.status[j] == _AT_LO:
-                    self._set_status(j, _AT_HI)
-                    self.xval[j] = hi_j
-                else:
-                    self._set_status(j, _AT_LO)
-                    self.xval[j] = lo_j
-                stats.bound_flips += 1
+                self._flip(j)
                 stall = stall + 1 if t_bound <= 1e-11 else 0
                 continue
             if not math.isfinite(t_min):
@@ -904,23 +933,7 @@ class _BoundedSimplex:
             # leaving row: Bland order with artificials (basis -1) ranked first
             tie = t_rows <= t_min + 1e-10 * (1.0 + t_min)
             r = int(np.where(tie, self.basis, _NO_TIE).argmin())
-
-            enter_val = self.xval[j] + sigma * t_min
-            self.x_B -= w * t_min
-            leave = self.basis[r]
-            if leave >= 0:
-                if w[r] > 0:
-                    self._set_status(leave, _AT_LO)
-                    self.xval[leave] = lo_B[r]
-                else:
-                    self._set_status(leave, _AT_HI)
-                    self.xval[leave] = hi_B[r]
-            self.basis[r] = j
-            self._set_status(j, _BASIC)
-            self.x_B[r] = enter_val
-            lo_B[r], hi_B[r], c_B[r] = lo_j, hi_j, cost[j]
-            if self.B.push(r, col):
-                self._refactor()
+            self._pivot(r, j, col, sigma * t_min, bool(w[r] > 0.0))
             d = None
             if phase == 1:
                 stats.phase1_pivots += 1
@@ -947,15 +960,11 @@ class _BoundedSimplex:
         opt = self.opt
         stats = self.stats
         lowest_only = opt.pricing == "bland"
-        real = self.basis >= 0
-        safe = np.maximum(self.basis, 0)
-        lo_B = np.where(real, self.lo[safe], 0.0)
-        hi_B = np.where(real, self.hi[safe], 0.0)
-        c_B = np.where(real, self.c[safe], 0.0)
+        self._price_basis(2)
+        lo_B, hi_B, c_B = self.lo_B, self.hi_B, self.c_B
         span = self.hi - self.lo  # inf for a column without two finite bounds
         movable = span > 0.0
         e_r = np.zeros(m)
-        a = np.zeros(m)
         stall = 0
         fallback = False
         d = None
@@ -1001,32 +1010,14 @@ class _BoundedSimplex:
 
             if k:  # bound flips: the basis stays, x_B moves
                 for j in cand[:k]:
-                    to_hi = self.status[j] == _AT_LO
-                    self._set_status(j, _AT_HI if to_hi else _AT_LO)
-                    self.xval[j] = self.hi[j] if to_hi else self.lo[j]
+                    self._flip(j)
                 self.x_B = self._basic_values()
-                stats.bound_flips += k
             if k == len(cand):
                 continue
             q = int(cand[k])
-            nz = slice(self.col_ptr[q], self.col_ptr[q + 1])
-            a[self.row_idx[nz]] = self.val[nz]
-            col = self.B.ftran(a)
-            a[self.row_idx[nz]] = 0.0
+            col = self._column(q)
             target = lo_B[r] if rises else hi_B[r]
-            step = (self.x_B[r] - target) / col[r]
-            enter_val = self.xval[q] + step
-            self.x_B -= col * step
-            leave = self.basis[r]
-            if leave >= 0:
-                self._set_status(leave, _AT_LO if rises else _AT_HI)
-                self.xval[leave] = target
-            self.basis[r] = q
-            self._set_status(q, _BASIC)
-            self.x_B[r] = enter_val
-            lo_B[r], hi_B[r], c_B[r] = self.lo[q], self.hi[q], self.c[q]
-            if self.B.push(r, col):
-                self._refactor()
+            self._pivot(r, q, col, (self.x_B[r] - target) / col[r], bool(rises))
             d = None
             stats.dual_pivots += 1
             stall = stall + 1 if ratio[k] <= 1e-11 else 0
