@@ -468,8 +468,9 @@ def emit_limits(
 
 
 def apply_emissions(lp: LinearProgram, rows: list[Row]) -> None:
-    for row in rows:
-        lp.add_row(row.coeffs, row.rel, row.rhs, row.tag, row.basic)
+    """Append the emitters' rows to `lp` as they are: each already has int
+    keys with one entry per column, a `Rel` and a float rhs."""
+    lp.rows.extend(rows)
 
 
 def build_feeder_lp(

@@ -11,7 +11,11 @@ kept as a sparse LU factorization (SuperLU with the fixed COLAMD column
 order) followed by product-form eta updates, and is refactorized after a
 fixed number of them.  Reduced costs come from y = B^-T c_B, basic values are
 re-solved from a fresh factorization before the final feasibility check, and
-no dense tableau is ever formed.
+no dense tableau is ever formed.  The column with the largest reduced-cost
+gain enters (Dantzig's rule, the lowest index on ties); after BLAND_STALL
+degenerate pivots in a row the lowest eligible index enters (Bland's rule)
+until a pivot makes progress.  Among tied ratios, an artificial leaves
+first, else the lowest basic index (Maros 2003, ch. 9).
 
 A cold solve starts from a crash basis (Bixby 1992).  A row may name a
 column to start basic in its position (`Row.basic`); the solver takes it as
@@ -94,10 +98,9 @@ class Row:
     basic: int | None = None
 
 
-PRICING_RULES = ("dantzig", "bland")
 BACKENDS = ("simplex", "scipy")
 PIVOT_TOL = 1e-9  # smallest |pivot| the ratio test accepts
-BLAND_STALL = 40  # degenerate pivots before Dantzig pricing falls back to Bland's rule
+BLAND_STALL = 40  # degenerate pivots before Dantzig's rule falls back to Bland's
 
 
 @dataclass(frozen=True)
@@ -106,16 +109,13 @@ class SolverOptions:
 
     feas_tol: float = 1e-7
     opt_tol: float = 1e-7
-    max_iterations: int | None = None
-    # "dantzig": most-negative reduced cost, lowest index on ties; falls back
-    # to Bland's rule after a degenerate stall.  "bland": pure Bland.
-    pricing: str = "dantzig"
+    max_iterations: int | None = None  # None: 50 (rows + columns of [A | I]) + 1000
     backend: str = "simplex"  # or "scipy" (HiGHS)
 
     def __post_init__(self) -> None:
-        if self.pricing not in PRICING_RULES:
-            raise ValueError(f"unknown pricing rule {self.pricing!r}; "
-                             f"expected one of {', '.join(PRICING_RULES)}")
+        cap = self.max_iterations
+        if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int) or cap < 0):
+            raise ValueError(f"max_iterations must be a non-negative integer, got {cap!r}")
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown solver backend {self.backend!r}; "
                              f"expected one of {', '.join(BACKENDS)}")
@@ -750,18 +750,15 @@ class _BoundedSimplex:
         self.x_B = self._basic_values()
         if not self._outside().any():
             return "warm"
-        real = self.basis >= 0
-        d = self._reduced_costs(self.c, np.where(real, self.c[np.maximum(self.basis, 0)], 0.0))
+        d = self._reduced_costs(self.c, self.c_B)  # c_B as _outside priced it
         return "dual" if self._entering(d, bland=False) is None else "cold"
 
     def _outside(self) -> np.ndarray:
-        """The basis positions whose x_B is outside the bounds of their column
-        by more than feas_tol; an artificial's bounds are [0, 0]."""
-        real = self.basis >= 0
-        safe = np.maximum(self.basis, 0)
+        """The basis positions whose x_B is outside the phase-2 bounds of
+        their column by more than feas_tol; an artificial's bounds are [0, 0]."""
+        self._price_basis(2)
         tol = self.opt.feas_tol
-        return ((self.x_B < np.where(real, self.lo[safe], 0.0) - tol)
-                | (self.x_B > np.where(real, self.hi[safe], 0.0) + tol))
+        return (self.x_B < self.lo_B - tol) | (self.x_B > self.hi_B + tol)
 
     def _refactor(self) -> None:
         from scipy.sparse import csc_matrix
@@ -776,7 +773,7 @@ class _BoundedSimplex:
         self.B.factor(csc_matrix((self.ext_val[take], self.ext_row[take], ptr), shape=(m, m)))
         self.stats.refactorizations += 1
 
-    # -- pricing ---------------------------------------------------------------
+    # -- entering column ---------------------------------------------------------
 
     def _set_status(self, j: int, st: int) -> None:
         self.status[j] = st
@@ -807,7 +804,9 @@ class _BoundedSimplex:
         if how == "cold":
             self._cold_start()
         self.stats.start = how
-        max_iter = self.opt.max_iterations or (50 * (self.m + self.N) + 1000)
+        max_iter = self.opt.max_iterations
+        if max_iter is None:
+            max_iter = 50 * (self.m + self.N) + 1000
 
         if how == "cold" and (self.basis == -1).any():
             outcome = self._iterate(phase=1, max_iter=max_iter)
@@ -852,7 +851,7 @@ class _BoundedSimplex:
         return col
 
     def _flip(self, j: int) -> None:
-        """Move nonbasic column j to its other bound; x_B is the caller's."""
+        """Move nonbasic column j to its other bound; the caller moves x_B."""
         to_hi = self.status[j] == _AT_LO
         self._set_status(j, _AT_HI if to_hi else _AT_LO)
         self.xval[j] = self.hi[j] if to_hi else self.lo[j]
@@ -882,7 +881,6 @@ class _BoundedSimplex:
         m = self.m
         opt = self.opt
         stats = self.stats
-        pure_bland = opt.pricing == "bland"
         self._price_basis(phase)
         lo_B, hi_B, c_B = self.lo_B, self.hi_B, self.c_B
         t_rows = self.t_rows
@@ -896,10 +894,10 @@ class _BoundedSimplex:
                 return None
             if d is None:  # the basis changed; a bound flip leaves d as it is
                 d = self._reduced_costs(self.cost, c_B)
-            if not pure_bland and not fallback and stall > BLAND_STALL:
+            if not fallback and stall > BLAND_STALL:
                 stats.bland_entries += 1
             fallback = stall > BLAND_STALL
-            pick = self._entering(d, pure_bland or fallback)
+            pick = self._entering(d, fallback)
             if pick is None:
                 return None
             j, sigma = pick
@@ -933,7 +931,7 @@ class _BoundedSimplex:
             # leaving row: Bland order with artificials (basis -1) ranked first
             tie = t_rows <= t_min + 1e-10 * (1.0 + t_min)
             r = int(np.where(tie, self.basis, _NO_TIE).argmin())
-            self._pivot(r, j, col, sigma * t_min, bool(w[r] > 0.0))
+            self._pivot(r, j, col, sigma * t_min, w[r] > 0.0)
             d = None
             if phase == 1:
                 stats.phase1_pivots += 1
@@ -951,15 +949,14 @@ class _BoundedSimplex:
         bound flipping passes the columns in order of their dual ratio: a
         boxed column whose flip to its other bound still leaves the row short
         of that bound flips, and the first one that would overshoot enters.
-        After BLAND_STALL pivots without a dual step, or throughout under
-        Bland pricing, the violating variable of lowest index leaves and ties
-        go to the lowest column index.  Returns None once x_B is within its
-        bounds, or the basis position of a row that no column can bring
-        within them, which proves the LP infeasible."""
+        After BLAND_STALL pivots without a dual step, the violating variable
+        of lowest index leaves and ties go to the lowest column index.
+        Returns None once x_B is within its bounds, or the basis position of
+        a row that no column can bring within them, which proves the LP
+        infeasible."""
         m, N = self.m, self.N
         opt = self.opt
         stats = self.stats
-        lowest_only = opt.pricing == "bland"
         self._price_basis(2)
         lo_B, hi_B, c_B = self.lo_B, self.hi_B, self.c_B
         span = self.hi - self.lo  # inf for a column without two finite bounds
@@ -975,12 +972,11 @@ class _BoundedSimplex:
             bad = gap > opt.feas_tol
             if not bad.any():
                 return None
-            if not lowest_only and not fallback and stall > BLAND_STALL:
+            if not fallback and stall > BLAND_STALL:
                 stats.bland_entries += 1
             fallback = stall > BLAND_STALL
-            lowest = lowest_only or fallback
             # leaving row: Bland order ranks artificials (basis -1) first
-            r = int(np.where(bad, self.basis, _NO_TIE).argmin() if lowest else gap.argmax())
+            r = int(np.where(bad, self.basis, _NO_TIE).argmin() if fallback else gap.argmax())
             if stats.iterations >= max_iter:
                 raise IterationLimitExceeded(stats.iterations + 1, 2)
             if d is None:  # the basis changed; a bound flip leaves d as it is
@@ -1000,7 +996,7 @@ class _BoundedSimplex:
             rate = np.maximum(rate[0], rate[1], out=rate[0])
             cand = np.flatnonzero((rate > PIVOT_TOL) & movable)
             ratio = np.maximum(-d[cand] / g[cand], 0.0)
-            order = np.lexsort((cand if lowest else -rate[cand], ratio))
+            order = np.lexsort((cand if fallback else -rate[cand], ratio))
             cand, ratio = cand[order], ratio[order]
             # the cumulative move of x_B[r] as the candidates flip in turn
             reach = np.cumsum(rate[cand] * span[cand])
@@ -1017,7 +1013,7 @@ class _BoundedSimplex:
             q = int(cand[k])
             col = self._column(q)
             target = lo_B[r] if rises else hi_B[r]
-            self._pivot(r, q, col, (self.x_B[r] - target) / col[r], bool(rises))
+            self._pivot(r, q, col, (self.x_B[r] - target) / col[r], rises)
             d = None
             stats.dual_pivots += 1
             stall = stall + 1 if ratio[k] <= 1e-11 else 0

@@ -52,8 +52,7 @@ _read_scenario = record({
     "seed": integer,
     "costs": dataclass_record(CostConfig),
     "reserve_cost_factors": record({}, dict.fromkeys(("pv", "dg", "es", "load"), number)),
-    "solver": record({}, {"backend": string, "feas_tol": number, "opt_tol": number,
-                          "pricing": string}),
+    "solver": record({}, {"backend": string, "feas_tol": number, "opt_tol": number}),
     "build": dataclass_record(BuildOptions),
     "uncertainty": array(record({"parameter": string, "entity": string, "steps": array(integer)},
                                 dict.fromkeys([*LOW_BOUNDS, *HIGH_BOUNDS], number))),
@@ -171,7 +170,7 @@ def load_scenario(path, seed_override: int | None = None,
     with input_error("reserve_cost_factors"):
         reserve_costs = ReserveCosts.from_costs(costs, **doc.get("reserve_cost_factors", {}))
 
-    solver_fields = {"pricing": "bland", **doc.get("solver", {})}  # the scenario default
+    solver_fields = doc.get("solver", {})
     if feas_tol is not None:
         solver_fields["feas_tol"] = feas_tol
     with input_error("solver"):

@@ -77,8 +77,8 @@ def test_missing_field_is_input_error(tmp_path, capsys):
     assert "network" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field, value", [("pricing", "steepest"), ("backend", "cplex"),
-                                          ("max_iter", 5)])
+@pytest.mark.parametrize("field, value", [("pricing", "steepest"), ("pricing", "bland"),
+                                          ("backend", "cplex"), ("max_iter", 5)])
 def test_unknown_solver_option_is_input_error(tmp_path, capsys, field, value):
     scenario = small_scenario(tmp_path, solver={field: value})
     assert main(["baseline", str(scenario), "--out", str(tmp_path / "o")]) == 1

@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gridres.lp as lp_module
 from gridres.lp import (
     DimensionMismatch,
     IterationLimitExceeded,
@@ -17,6 +18,20 @@ from gridres.lp import (
 from vertex_oracle import brute_force_min, random_bounded_lp
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+# BLAND_STALL per test id: the shipped allowance of degenerate pivots before
+# Bland's rule takes over from Dantzig's, and none, so that Bland's lowest-index
+# entering and leaving choice follows every degenerate pivot
+STALL = {"dantzig": 40, "bland": 0}
+
+
+@pytest.fixture
+def bland_stall(request, monkeypatch):
+    monkeypatch.setattr(lp_module, "BLAND_STALL", STALL[request.param])
+    return request.param
+
+
+by_stall = pytest.mark.parametrize("bland_stall", list(STALL), indirect=True)
 
 
 def single_var_lp():
@@ -122,6 +137,20 @@ def test_iteration_limit_is_loud():
         solve(lp, SolverOptions(max_iterations=1))
 
 
+def test_iteration_cap_of_zero_allows_no_pivot():
+    lp, _ = single_var_lp()  # the slack basis is infeasible: it takes a pivot
+    with pytest.raises(IterationLimitExceeded):
+        solve(lp, SolverOptions(max_iterations=0))
+    assert solve(lp, SolverOptions(max_iterations=None)).status is LpStatus.OPTIMAL
+
+
+@pytest.mark.parametrize("cap", [-5, 2.5, True, "10"],
+                         ids=["negative", "fraction", "boolean", "string"])
+def test_bad_iteration_cap_is_rejected(cap):
+    with pytest.raises(ValueError, match="max_iterations"):
+        SolverOptions(max_iterations=cap)
+
+
 def test_check_feasibility_examples():
     lp, x = single_var_lp()
     report = check_feasibility(lp, np.array([2.0]))
@@ -158,11 +187,11 @@ def test_determinism_bitwise():
             assert a.objective_value == b.objective_value
 
 
-@pytest.mark.parametrize("pricing", ["dantzig", "bland"])
-def test_oracle_equivalence(pricing):
+@by_stall
+def test_oracle_equivalence(bland_stall):
     """Simplex matches brute-force vertex enumeration on random bounded LPs."""
     rng = np.random.default_rng(2024)
-    options = SolverOptions(pricing=pricing)
+    options = SolverOptions()
     checked = 0
     for _ in range(60):
         lp = random_bounded_lp(rng)
@@ -222,8 +251,8 @@ def test_lp_text_dump():
     assert text.endswith("End\n")
 
 
-@pytest.mark.parametrize("pricing", ["dantzig", "bland"])
-def test_beale_cycling_instance_terminates(pricing):
+@by_stall
+def test_beale_cycling_instance_terminates(bland_stall):
     """The classic degenerate instance that cycles under naive pivoting."""
     lp = LinearProgram()
     x1 = lp.add_variable("x1", 0.0, 1e3)
@@ -234,7 +263,7 @@ def test_beale_cycling_instance_terminates(pricing):
     lp.add_row({x1: 0.25, x2: -60.0, x3: -0.04, x4: 9.0}, Rel.LE, 0.0)
     lp.add_row({x1: 0.5, x2: -90.0, x3: -0.02, x4: 3.0}, Rel.LE, 0.0)
     lp.add_row({x3: 1.0}, Rel.LE, 1.0)
-    sol = solve(lp, SolverOptions(pricing=pricing))
+    sol = solve(lp)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.objective_value == pytest.approx(-0.05, abs=1e-9)
 
@@ -249,20 +278,22 @@ def beale_lp() -> LinearProgram:
     return lp
 
 
-@pytest.mark.parametrize("pricing, bland_entries", [("dantzig", 1), ("bland", 0)])
-def test_beale_stall_records_a_bland_entry(pricing, bland_entries):
-    sol = solve(beale_lp(), SolverOptions(pricing=pricing))
+@pytest.mark.parametrize("bland_stall, bland_entries", [("dantzig", 1), ("bland", 1)],
+                         indirect=["bland_stall"])
+def test_beale_stall_records_a_bland_entry(bland_stall, bland_entries):
+    sol = solve(beale_lp())
     assert sol.status is LpStatus.OPTIMAL
     assert sol.stats.bland_entries == bland_entries
 
 
-def test_stats_parts_sum_to_iterations():
+def test_stats_parts_sum_to_iterations(monkeypatch):
     rng = np.random.default_rng(17)
     totals = dict(phase1_pivots=0, phase2_pivots=0, bound_flips=0, refactorizations=0)
     for _ in range(40):
         lp = random_bounded_lp(rng)
-        for pricing in ("dantzig", "bland"):
-            sol = solve(lp, SolverOptions(pricing=pricing))
+        for stall in STALL.values():
+            monkeypatch.setattr(lp_module, "BLAND_STALL", stall)
+            sol = solve(lp)
             stats = sol.stats
             assert stats.phase1_pivots + stats.phase2_pivots + stats.bound_flips == sol.iterations
             if sol.status is LpStatus.OPTIMAL:
@@ -524,10 +555,11 @@ def rebound(lp: LinearProgram, rng: np.random.Generator) -> None:
             lp.set_bounds(j, value, value)
 
 
-def test_resolve_after_bound_changes_matches_oracle_and_highs():
+def test_resolve_after_bound_changes_matches_oracle_and_highs(monkeypatch):
     """60 random LPs, a third of them without objective, re-solved from their
     basis after random bound changes: the same answer as the vertex oracle and
-    HiGHS, and dual pivots bounded by max_iterations."""
+    HiGHS, and dual pivots bounded by max_iterations.  Every other LP runs
+    with no degenerate pivot allowed before Bland's rule takes over."""
     rng = np.random.default_rng(61)
     highs = SolverOptions(backend="scipy")
     checked = 0
@@ -536,7 +568,8 @@ def test_resolve_after_bound_changes_matches_oracle_and_highs():
         lp = random_bounded_lp(rng)
         if checked % 3 == 0:
             lp.set_objective({})
-        options = SolverOptions(pricing=("dantzig", "bland")[checked % 2])
+        monkeypatch.setattr(lp_module, "BLAND_STALL", list(STALL.values())[checked % 2])
+        options = SolverOptions()
         first = solve(lp, options)
         if first.status is not LpStatus.OPTIMAL:
             continue
@@ -560,7 +593,7 @@ def test_resolve_after_bound_changes_matches_oracle_and_highs():
             assert check_feasibility(lp, sol.values).ok(options.feas_tol)
         if stats.dual_pivots > 1:
             with pytest.raises(IterationLimitExceeded):
-                solve(lp, SolverOptions(pricing=options.pricing, max_iterations=1),
+                solve(lp, SolverOptions(max_iterations=1),
                       start=first.basis)
             seen["limited"] += 1
         seen[stats.start] += 1
@@ -572,8 +605,6 @@ def test_resolve_after_bound_changes_matches_oracle_and_highs():
 def test_dual_stall_falls_back_to_lowest_index(monkeypatch):
     """With no stall allowed, every dual pivot after a degenerate one picks
     by lowest index; the answers still match the oracle."""
-    import gridres.lp as lp_module
-
     monkeypatch.setattr(lp_module, "BLAND_STALL", 0)
     rng = np.random.default_rng(8)
     fallbacks = 0

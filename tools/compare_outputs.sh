@@ -7,9 +7,12 @@
 # and scenarios/).  The same command matrix runs in each, from its own
 # sources, into a temporary directory (`validate` prints its report, which is
 # kept as a file); the two result trees are then compared
-# with `diff -r`, manifest.json aside (it records timings and paths).  Exits
-# 0 when every output is byte-identical, 1 on any difference, and 2 when a
-# command of the matrix fails.
+# with `diff -r`, manifest.json aside (it records timings and paths).  On a
+# difference it then prints the objective_value of both sides of every
+# differing dispatch.json and robust.json, so one run shows whether a changed
+# schedule is only another vertex of the same optimum.  Exits 0 when every
+# output is byte-identical, 1 on any difference, and 2 when a command of the
+# matrix fails.
 set -euo pipefail
 
 if [ "$#" -ne 2 ]; then
@@ -67,5 +70,17 @@ done
 if diff -r -x manifest.json "$work/parent" "$work/change"; then
     echo "identical: $(find "$work/change" -type f ! -name manifest.json | wc -l) files"
 else
+    (cd "$work/parent" && find . -name dispatch.json -o -name robust.json) | sort |
+        while read -r file; do
+            if [ -f "$work/change/$file" ] && ! cmp -s "$work/parent/$file" "$work/change/$file"; then
+                python -c '
+import json, sys
+path, parent, change = sys.argv[1:]
+a, b = (json.load(open(side))["objective_value"] for side in (parent, change))
+print(f"objective_value {path}: parent {a!r} change {b!r} "
+      f"(relative difference {abs(a - b) / max(abs(a), abs(b), 1e-300):.3g})")
+' "${file#./}" "$work/parent/$file" "$work/change/$file"
+            fi
+        done
     exit 1
 fi
