@@ -30,13 +30,13 @@ tolerable set: tolerability constraints are affine in (recourse, magnitude),
 so any convex combination of feasible extremes stays feasible.
 
 Each step has one :class:`RecourseStep`: the recourse LP, built once and
-solved once with every magnitude fixed at zero, the step's one phase 1.
+solved once from the crash basis with every magnitude fixed at zero.
 Every query re-bounds the magnitude columns of that LP and re-solves it from
 the zero-magnitude solve, taking over its basis, its assembled rows and its
-factored basis matrix.  An axis maximization then runs primal phase 2 only.
-A membership test fixes the magnitudes, which moves the basic values out of
-their bounds; without an objective the basis stays dual feasible, so the
-dual simplex answers it with no phase 1.  Nothing rebuilds the LP per query:
+factored basis matrix.  An axis maximization then runs the primal simplex
+only.  A membership test fixes the magnitudes, which moves the basic values
+out of their bounds; without an objective the basis stays dual feasible, so
+the dual simplex answers it.  Nothing rebuilds the LP per query:
 :func:`event_is_tolerable` is a one-off step object.  Distinct steps share
 nothing but immutable inputs and may be characterized concurrently by
 callers; one step object serves one caller at a time.  A built
@@ -81,6 +81,8 @@ class AdversarialAxis:
             raise ValueError(f"unknown axis kind {self.kind!r}")
         if self.cap_w is not None and not self.cap_w >= 0.0:  # NaN fails too
             raise ValueError(f"cap_w must be a non-negative number, got {self.cap_w}")
+        if self.cap_w == math.inf:
+            raise ValueError("cap_w must be finite, got inf; null means no cap")
 
 
 _axis_fields = record({"kind": string, "entity": string}, {"cap_w": nullable(number)})
@@ -290,8 +292,9 @@ def characterize(
     """Maximal tolerable magnitude along each axis at `step`.
 
     The step's :class:`RecourseStep` solves its LP once with every magnitude
-    at 0 and no objective: the step's one phase 1.  Axis i then frees
-    alpha_i up to its cap and maximizes it from that solve, in phase 2 only.
+    at 0 and no objective, from the crash basis.  Axis i then frees alpha_i
+    up to its cap and maximizes it from that solve, in the primal simplex
+    only.
     """
     validate_axes(model, axes)
     recourse = RecourseStep(model, dispatch, reserves, step, axes, options, solver)

@@ -41,7 +41,8 @@ class CostConfig:
 class InfeasibleDispatch(RuntimeError):
     """The dispatch problem has no feasible point.
 
-    Carries the offending row indices and tags (the phase-1 certificate).
+    Carries the row indices and tags of the simplex's infeasibility
+    certificate: rows that are infeasible together.
     """
 
     def __init__(self, rows: list[int], tags: list[str], context: str):

@@ -5,44 +5,49 @@ bounded variables, a minimize objective, and sparse constraint rows with
 relations in {<=, =, >=}.  Solving, the feasibility check and the HiGHS
 backend all start from one sparse assembly of the program's arrays.
 
-The built-in solver is a two-phase revised primal simplex in
-bounded-variable form over the sparse matrix [A | I_slack].  The basis B is
-kept as a sparse LU factorization (SuperLU with the fixed COLAMD column
-order) followed by product-form eta updates, and is refactorized after a
-fixed number of them.  Reduced costs come from y = B^-T c_B, basic values are
-re-solved from a fresh factorization before the final feasibility check, and
-no dense tableau is ever formed.  The column with the largest reduced-cost
-gain enters (Dantzig's rule, the lowest index on ties); after BLAND_STALL
-degenerate pivots in a row the lowest eligible index enters (Bland's rule)
-until a pivot makes progress.  Among tied ratios, an artificial leaves
-first, else the lowest basic index (Maros 2003, ch. 9).
+The built-in solver is a revised simplex in bounded-variable form over the
+sparse matrix [A | I_slack].  The basis B is kept as a sparse LU
+factorization (SuperLU with the fixed COLAMD column order) followed by
+product-form eta updates, and is refactorized after a fixed number of them.
+Reduced costs come from y = B^-T c_B and no dense tableau is ever formed.
+Every solve takes one path:
 
-A cold solve starts from a crash basis (Bixby 1992).  A row may name a
-column to start basic in its position (`Row.basic`); the solver takes it as
-a hint only, refusing a fixed column, one an earlier row claimed, and one
-that x_B = B^-1 (b - N x_N) puts outside its bounds.  Every other row starts
-with its slack, or with a phase-1 artificial where it has none or the slack
-is outside its bound, so without hints the start is all slacks and
-artificials.  The feeder rows name the columns that make B triangular along
-the tree (see :mod:`gridres.constraints`), and phase 1 runs only if an
-artificial is positive.
+1. It starts from a basis: the crash basis of a cold solve, or `start`.
+2. If the basic values x_B = B^-1 (b - N x_N) are outside their bounds, a
+   bounded dual simplex with bound flipping (Koberstein 2005; Maros 2003)
+   drives them into their bounds.  It prices by the LP's costs when the
+   basis is dual feasible for them, and otherwise by zero costs, under which
+   every basis is (Koberstein's cost-modification dual phase 1).  A row that
+   no column can bring within its bounds proves the LP infeasible.
+3. The primal simplex pivots to optimality.
+4. B is factored afresh, x_B re-solved and every row and bound checked at
+   feas_tol.
+
+In the primal, the column with the largest reduced-cost gain enters
+(Dantzig's rule, the lowest index on ties), and among tied ratios an
+artificial leaves first, else the lowest basic index (Maros 2003, ch. 9).
+In the dual, the largest bound violation leaves.  After BLAND_STALL
+degenerate pivots in a row either loop takes the lowest eligible index
+(Bland's rule) until a pivot makes progress; every zero-cost dual pivot is
+degenerate, so a cold solve whose dual is longer than that enters Bland's
+rule once and keeps it.
+
+The crash basis (Bixby 1992): a row may name a column to start basic in its
+position (`Row.basic`).  The solver takes it as a hint only, refusing a fixed
+column and one an earlier row claimed, and dropping every hint if they make
+B singular.  Every other row starts with its slack, or with an artificial
+column e_r pinned to [0, 0] where it has none, so without hints the start is
+all slacks and artificials.  The feeder rows name the columns that make B
+triangular along the tree (see :mod:`gridres.constraints`).
 
 An optimal solve returns its final basis, together with its assembled rows
 and the factorization of B, and a later solve of the same rows under
 changed bounds, objective or right-hand sides may start from it.  If the LP
 still has those rows, the re-solve takes over the assembly and the factored B
-instead of building them again.  If the basic values are within their bounds,
-only primal phase 2 runs.  If they are not but the basis is dual feasible,
-which it always is without an objective, a bounded dual simplex with bound
-flipping (Koberstein 2005; Maros 2003) drives them into their bounds on the
-same basis, and phase 2 then confirms optimality.  Only a dual infeasible
-basis, or one whose nonbasic column lost its bound, starts cold.  Every
-solve ends in the same check: B is factored afresh, the basic values are
-re-solved and every row and bound is checked at feas_tol.  It is fully
-deterministic: identical inputs produce bitwise-identical outputs.
-A scipy/HiGHS backend can be selected
-through :class:`SolverOptions`; the built-in simplex remains the reference
-implementation and the one exercised by the oracle tests.
+instead of building them again.  The solver is fully deterministic:
+identical inputs produce bitwise-identical outputs.  A scipy/HiGHS backend
+can be selected through :class:`SolverOptions`; the built-in simplex remains
+the reference implementation and the one exercised by the oracle tests.
 """
 
 from __future__ import annotations
@@ -76,11 +81,11 @@ class MalformedProblem(ValueError):
 class IterationLimitExceeded(RuntimeError):
     """The simplex hit its iteration cap before proving optimality."""
 
-    def __init__(self, iterations: int, phase: int):
+    def __init__(self, iterations: int, loop: str):
         self.iterations = iterations
-        self.phase = phase
+        self.loop = loop  # "primal" or "dual"
         super().__init__(
-            f"simplex iteration limit reached after {iterations} iterations (phase {phase})"
+            f"simplex iteration limit reached after {iterations} iterations ({loop} simplex)"
         )
 
 
@@ -228,25 +233,24 @@ class LinearProgram:
 class SolveStats:
     """How the built-in simplex started and where it spent its iterations.
 
-    Phase-1, phase-2 and dual pivots plus bound flips sum to
+    Primal (`phase2_pivots`) and dual pivots plus bound flips sum to
     :attr:`LpSolution.iterations`.
     """
 
-    # "cold" (the crash basis), "warm" (a start whose x_B is within its
-    # bounds: primal phase 2) or "dual" (a dual feasible start whose x_B is not)
+    # "cold" (the crash basis) or "warm" (the basis of `start`)
     start: str = "cold"
-    phase1_pivots: int = 0
     phase2_pivots: int = 0
     dual_pivots: int = 0
     bound_flips: int = 0
-    # times the Dantzig rule fell back to Bland's rule after a degenerate stall
+    # times a loop fell back to Bland's rule after a degenerate stall; once
+    # on a cold solve whose zero-cost dual runs longer than BLAND_STALL pivots
     bland_entries: int = 0
     # sparse LU factorizations of the basis, the final one included
     refactorizations: int = 0
 
     @property
     def iterations(self) -> int:
-        return self.phase1_pivots + self.phase2_pivots + self.dual_pivots + self.bound_flips
+        return self.phase2_pivots + self.dual_pivots + self.bound_flips
 
 
 @dataclass(frozen=True)
@@ -261,7 +265,6 @@ class SimplexBasis:
 
     basic: np.ndarray  # column in each row's basis position; -1 = artificial at zero
     status: np.ndarray  # bound status of every structural and slack column
-    art_sign: np.ndarray  # sign of each row's phase-1 artificial column
     rows: _Rows | None = field(default=None, repr=False, compare=False)
     lu: object = field(default=None, repr=False, compare=False)  # SuperLU of B
 
@@ -272,9 +275,9 @@ class LpSolution:
     values: np.ndarray | None = None
     objective_value: float | None = None
     iterations: int = 0
-    # an infeasibility certificate: the rows whose phase-1 artificial stayed
-    # positive, or the basis position whose row of B^-1 [A | I] the dual
-    # simplex proved unsatisfiable
+    # an infeasibility certificate: the rows, in order, where rho = B^-T e_r
+    # of the dual simplex's unsatisfiable row r is nonzero (relative to
+    # max |rho|); they are infeasible together under the column bounds
     infeasible_rows: list[int] = field(default_factory=list)
     # built-in simplex only; None from the HiGHS backend
     stats: SolveStats | None = None
@@ -335,7 +338,7 @@ class _Rows:
 class _Columns:
     """The simplex's column form of some rows: [A | I_slack] in CSC form,
     rows ascending within each column, and the same with one artificial
-    column e_r per row appended, for building B."""
+    column e_r per row appended (`ext_*`), for building B."""
 
     def __init__(self, rows: _Rows):
         n, m = rows.n, len(rows.rel)
@@ -356,6 +359,7 @@ class _Columns:
         self.col_of_nz = np.repeat(np.arange(self.N), np.diff(self.col_ptr))
         self.ext_ptr = np.concatenate([self.col_ptr, self.col_ptr[-1] + np.arange(1, m + 1)])
         self.ext_row = np.concatenate([self.row_idx, np.arange(m)])
+        self.ext_val = np.concatenate([self.val, np.ones(m)])
 
 
 @dataclass(frozen=True)
@@ -480,15 +484,13 @@ def solve(lp: LinearProgram, options: SolverOptions | None = None,
 
     `start` is the :attr:`LpSolution.basis` of an earlier solve of the same
     rows, whose bounds, objective and right-hand sides may since have
-    changed.  Its nonbasic columns keep their bounds (a formerly fixed one
-    moves to a finite bound) and x_B = B^-1 (b - N x_N) is computed, with the
-    start's own factorization of B when the rows are still the ones it was
-    solved on.  If x_B is within its bounds to `feas_tol`, only primal phase 2
-    runs; if not but the start is dual feasible, the bounded dual simplex
-    runs first.  Otherwise, or if a nonbasic column's bound is no longer
-    finite, the solve starts cold.  :attr:`SolveStats.start` says which.  A
-    start of the wrong size raises :class:`MalformedProblem`; the HiGHS
-    backend ignores it.
+    changed.  Its nonbasic columns keep their bounds while those are finite
+    and not fixed, and are otherwise placed as on a cold solve; B is the
+    start's own factorization when the rows are still the ones it was solved
+    on.  Only a B that is singular for these rows starts from the crash
+    basis instead; :attr:`SolveStats.start` says which.  A start of the
+    wrong size raises :class:`MalformedProblem`; the HiGHS backend ignores
+    it.
     """
     options = options or SolverOptions()
     mat = _assemble(lp, start.rows if start is not None else None)
@@ -619,13 +621,14 @@ class _Basis:
 
 
 class _BoundedSimplex:
-    """Two-phase revised primal simplex over variables with general bounds.
+    """Revised simplex over variables with general bounds: a bounded dual
+    simplex to feasibility, then the primal simplex to optimality.
 
     Columns are the structural variables followed by one slack per inequality
-    row (LE slack in [0, inf), GE slack in (-inf, 0]).  Rows that cannot start
-    with a feasible slack get a phase-1 artificial art_sign[r] * e_r in basis
-    position r; artificials may only leave the basis, and `basis[r] == -1`
-    marks one still in it.
+    row (LE slack in [0, inf), GE slack in (-inf, 0]).  A row with neither a
+    hinted column nor a slack starts with the artificial e_r in basis
+    position r, pinned to [0, 0]; artificials may only leave the basis, and
+    `basis[r] == -1` marks one still in it.
     """
 
     def __init__(self, mat: _Assembled, opt: SolverOptions):
@@ -643,7 +646,7 @@ class _BoundedSimplex:
         self.col_ptr, self.row_idx, self.val = cols.col_ptr, cols.row_idx, cols.val
         self.col_of_nz = cols.col_of_nz
         # artificial columns N .. N + m - 1, appended for building B only
-        self.ext_ptr, self.ext_row = cols.ext_ptr, cols.ext_row
+        self.ext_ptr, self.ext_row, self.ext_val = cols.ext_ptr, cols.ext_row, cols.ext_val
         self.lo = np.concatenate([mat.lower, cols.slack_lo])
         self.hi = np.concatenate([mat.upper, cols.slack_hi])
         self.c = np.concatenate([mat.cost, np.zeros(N - n)])
@@ -661,12 +664,10 @@ class _BoundedSimplex:
         self.xval = np.where(st == _AT_HI, hi, np.where(st == _FREE, 0.0, lo))
         self.dirs = np.array(_GAIN_DIRS)[st].T.copy()
 
-    def _set_basis(self, basis: np.ndarray, art_sign: np.ndarray) -> None:
+    def _set_basis(self, basis: np.ndarray) -> None:
         self.basis = basis  # column index, or -1 = artificial
-        self.art_sign = art_sign
         self.status[basis[basis >= 0]] = _BASIC
         self.dirs[:, basis[basis >= 0]] = 0.0
-        self.ext_val = np.concatenate([self.val, art_sign])
 
     def _cold_status(self) -> np.ndarray:
         """Nonbasic start: a boxed variable at its bound nearer zero."""
@@ -680,11 +681,8 @@ class _BoundedSimplex:
     def _cold_start(self) -> None:
         """The crash basis.  Each row's basis position takes the row's hinted
         column unless that column is fixed or an earlier row claimed it, else
-        the row's slack, else an artificial.  B is factored and x_B computed;
-        a hinted column outside its bounds gives its position back to the
-        slack or artificial and B is factored again, at most once per hinted
-        row.  A slack outside its bound then turns into an artificial, and
-        every artificial takes the sign that makes its value non-negative."""
+        the row's slack, else its artificial; if the hinted columns make B
+        singular, every position takes its slack or artificial."""
         n, m = self.n, self.m
         st = self._cold_status()
         fallback = np.full(m, -1, dtype=np.int64)  # the row's slack, else its artificial
@@ -696,67 +694,49 @@ class _BoundedSimplex:
         _, first = np.unique(hint[rows], return_index=True)  # the first row's claim
         rows = rows[first]
         basis[rows] = hint[rows]
-        while True:  # each round drops a hinted column or ends
-            self._place(st.copy())
-            self._set_basis(basis, np.ones(m))
-            hinted = basis != fallback
-            try:
-                self._refactor()
-            except ArithmeticError:  # the hints make B singular: drop them all
-                out = hinted
-            else:
-                self.x_B = self._basic_values()
-                out = hinted & self._outside()
-            if not out.any():
-                break
-            basis[out] = fallback[out]
-        basis[(basis >= n) & self._outside()] = -1
-        flip = (basis == -1) & (self.x_B < 0.0)
-        self._place(st)
-        self._set_basis(basis, np.where(flip, -1.0, 1.0))
-        self.x_B[flip] *= -1.0
-        if flip.any():
+        self._place(st.copy())
+        self._set_basis(basis)
+        try:
             self._refactor()
+        except ArithmeticError:  # the hints make B singular: drop them all
+            self._place(st)
+            self._set_basis(fallback)
+            self._refactor()
+        self.x_B = self._basic_values()
 
-    def _warm_start(self, start: SimplexBasis) -> str:
-        """Take the basis of `start` under the LP's current bounds.  Returns
-        "warm" when x_B is within its bounds to feas_tol, "dual" when it is
-        not but the basis is dual feasible, and "cold" when neither holds or
-        a nonbasic column has lost its bound: the solve must start cold."""
+    def _warm_start(self, start: SimplexBasis) -> bool:
+        """Take the basis of `start` under the LP's current bounds; False
+        when its B is singular for these rows."""
         m, N = self.m, self.N
         basic, prev = start.basic, start.status
-        if basic.shape != (m,) or prev.shape != (N,) or start.art_sign.shape != (m,):
+        if basic.shape != (m,) or prev.shape != (N,):
             raise MalformedProblem(f"start basis has {len(basic)} rows and {len(prev)} "
                                    f"columns; the problem has {m} and {N}")
         if not np.array_equal(np.flatnonzero(prev == _BASIC), np.sort(basic[basic != -1])):
             raise MalformedProblem("start basis: basic columns and statuses disagree")
-        # a column at a bound stays there unless it is now fixed; a formerly
-        # fixed or free column is placed as in a cold start
+        # a column stays at its bound while that is finite and not fixed;
+        # any other nonbasic column is placed as in a cold start
         lo, hi = self.lo, self.hi
         st = self._cold_status()
-        keep = ((prev == _AT_LO) | (prev == _AT_HI)) & (lo != hi)
+        keep = ((prev == _AT_LO) & np.isfinite(lo)) | ((prev == _AT_HI) & np.isfinite(hi))
+        keep &= lo != hi
         st[keep] = prev[keep]
-        if not (np.isfinite(lo[st == _AT_LO]).all() and np.isfinite(hi[st == _AT_HI]).all()):
-            return "cold"
         self._place(st)
-        self._set_basis(basic.copy(), start.art_sign.copy())
+        self._set_basis(basic.copy())
         if start.rows is self.mat.rows:
             self.B.lu = start.lu  # the same B, factored when the start was solved
         else:
             try:
                 self._refactor()
             except ArithmeticError:  # the basis does not fit this problem's rows
-                return "cold"
+                return False
         self.x_B = self._basic_values()
-        if not self._outside().any():
-            return "warm"
-        d = self._reduced_costs(self.c, self.c_B)  # c_B as _outside priced it
-        return "dual" if self._entering(d, bland=False) is None else "cold"
+        return True
 
     def _outside(self) -> np.ndarray:
-        """The basis positions whose x_B is outside the phase-2 bounds of
-        their column by more than feas_tol; an artificial's bounds are [0, 0]."""
-        self._price_basis(2)
+        """The basis positions whose x_B is outside the bounds of their
+        column by more than feas_tol; an artificial's bounds are [0, 0]."""
+        self._price_basis(self.c)
         tol = self.opt.feas_tol
         return (self.x_B < self.lo_B - tol) | (self.x_B > self.hi_B + tol)
 
@@ -800,46 +780,36 @@ class _BoundedSimplex:
     # -- core loop ---------------------------------------------------------------
 
     def run(self, start: SimplexBasis | None = None) -> LpSolution:
-        how = "cold" if start is None else self._warm_start(start)
-        if how == "cold":
+        warm = start is not None and self._warm_start(start)
+        if not warm:
             self._cold_start()
-        self.stats.start = how
+        self.stats.start = "warm" if warm else "cold"
         max_iter = self.opt.max_iterations
         if max_iter is None:
             max_iter = 50 * (self.m + self.N) + 1000
 
-        if how == "cold" and (self.basis == -1).any():
-            outcome = self._iterate(phase=1, max_iter=max_iter)
-            if outcome is not None:  # unbounded phase 1 means numerical trouble
-                raise ArithmeticError("phase-1 simplex claimed unbounded; problem is corrupt")
-            art = self.basis == -1
-            if float(self.x_B[art].sum()) > self.opt.feas_tol:
-                bad = np.flatnonzero(art & (self.x_B > self.opt.feas_tol))
+        if self._outside().any():
+            # the LP's costs if the basis is dual feasible for them, else zero
+            d = self._reduced_costs(self.c, self.c_B)
+            dual_cost = self.c if self._entering(d, bland=False) is None else np.zeros(self.N)
+            bad = self._dual(dual_cost, max_iter)
+            if bad is not None:
                 return LpSolution(LpStatus.INFEASIBLE, iterations=self.stats.iterations,
-                                  infeasible_rows=[int(ri) for ri in bad], stats=self.stats)
-        if how == "dual":
-            r = self._dual(max_iter)
-            if r is not None:
-                return LpSolution(LpStatus.INFEASIBLE, iterations=self.stats.iterations,
-                                  infeasible_rows=[r], stats=self.stats)
-
-        # phase 2: original objective; leftover artificials pinned at zero
-        outcome = self._iterate(phase=2, max_iter=max_iter)
-        if outcome == "unbounded":
+                                  infeasible_rows=bad, stats=self.stats)
+        if self._iterate(max_iter) == "unbounded":
             return LpSolution(LpStatus.UNBOUNDED, iterations=self.stats.iterations,
                               stats=self.stats)
         return self._finish()
 
-    def _price_basis(self, phase: int) -> None:
-        """The phase's cost of every column, and the bounds and cost of the
-        variable in each basis position: phase 1 costs the artificials 1 and
-        every column 0, phase 2 costs the artificials 0 and pins them to [0, 0]."""
+    def _price_basis(self, cost: np.ndarray) -> None:
+        """Price the columns at `cost`, and take the bounds and cost of the
+        variable in each basis position: an artificial's are [0, 0] and 0."""
         real = self.basis >= 0
         safe = np.maximum(self.basis, 0)
-        self.cost = np.zeros(self.N) if phase == 1 else self.c
+        self.cost = cost
         self.lo_B = np.where(real, self.lo[safe], 0.0)
-        self.hi_B = np.where(real, self.hi[safe], np.inf if phase == 1 else 0.0)
-        self.c_B = np.where(real, self.cost[safe], 1.0 if phase == 1 else 0.0)
+        self.hi_B = np.where(real, self.hi[safe], 0.0)
+        self.c_B = np.where(real, cost[safe], 0.0)
 
     def _column(self, j: int) -> np.ndarray:
         """B^-1 a_j for column j of [A | I]."""
@@ -874,14 +844,12 @@ class _BoundedSimplex:
         if self.B.push(r, col):
             self._refactor()
 
-    def _iterate(self, phase: int, max_iter: int) -> str | None:
-        """Pivot to the optimum of the phase's objective: the sum of the
-        artificials in phase 1 (cost 1 each, all others 0), the LP's objective
-        in phase 2 (artificials cost 0 and are pinned to [0, 0])."""
+    def _iterate(self, max_iter: int) -> str | None:
+        """Primal simplex from a basis whose x_B is within its bounds to the
+        optimum of the LP's objective; "unbounded" if there is none."""
         m = self.m
-        opt = self.opt
         stats = self.stats
-        self._price_basis(phase)
+        self._price_basis(self.c)
         lo_B, hi_B, c_B = self.lo_B, self.hi_B, self.c_B
         t_rows = self.t_rows
         stall = 0
@@ -889,9 +857,6 @@ class _BoundedSimplex:
         d = None
 
         while True:
-            # phase 1 stops as soon as the infeasibility is eliminated
-            if phase == 1 and float(c_B @ np.maximum(self.x_B, 0.0)) <= opt.feas_tol * 0.5:
-                return None
             if d is None:  # the basis changed; a bound flip leaves d as it is
                 d = self._reduced_costs(self.cost, c_B)
             if not fallback and stall > BLAND_STALL:
@@ -902,7 +867,7 @@ class _BoundedSimplex:
                 return None
             j, sigma = pick
             if stats.iterations >= max_iter:
-                raise IterationLimitExceeded(stats.iterations + 1, phase)
+                raise IterationLimitExceeded(stats.iterations + 1, "primal")
 
             col = self._column(j)
             w = col if sigma > 0 else -col
@@ -933,15 +898,13 @@ class _BoundedSimplex:
             r = int(np.where(tie, self.basis, _NO_TIE).argmin())
             self._pivot(r, j, col, sigma * t_min, w[r] > 0.0)
             d = None
-            if phase == 1:
-                stats.phase1_pivots += 1
-            else:
-                stats.phase2_pivots += 1
+            stats.phase2_pivots += 1
             stall = stall + 1 if t_min <= 1e-11 else 0
 
-    def _dual(self, max_iter: int) -> int | None:
-        """Bounded dual phase 2 from a dual feasible basis whose x_B is
-        outside its bounds (Koberstein 2005; Maros 2003, the dual chapters).
+    def _dual(self, cost: np.ndarray, max_iter: int) -> list[int] | None:
+        """Bounded dual simplex under `cost`, for which the basis is dual
+        feasible, until x_B is within its bounds (Koberstein 2005; Maros
+        2003, the dual chapters).
 
         Each pivot takes a basic variable outside its bounds, the largest
         violation first, and drives it to the bound it violates.  Its
@@ -951,13 +914,13 @@ class _BoundedSimplex:
         of that bound flips, and the first one that would overshoot enters.
         After BLAND_STALL pivots without a dual step, the violating variable
         of lowest index leaves and ties go to the lowest column index.
-        Returns None once x_B is within its bounds, or the basis position of
-        a row that no column can bring within them, which proves the LP
-        infeasible."""
+        Returns None once x_B is within its bounds, or, when no column can
+        bring row r within them, the rows that rho = B^-T e_r combines into
+        that unsatisfiable row: an infeasibility certificate."""
         m, N = self.m, self.N
         opt = self.opt
         stats = self.stats
-        self._price_basis(2)
+        self._price_basis(cost)
         lo_B, hi_B, c_B = self.lo_B, self.hi_B, self.c_B
         span = self.hi - self.lo  # inf for a column without two finite bounds
         movable = span > 0.0
@@ -978,9 +941,9 @@ class _BoundedSimplex:
             # leaving row: Bland order ranks artificials (basis -1) first
             r = int(np.where(bad, self.basis, _NO_TIE).argmin() if fallback else gap.argmax())
             if stats.iterations >= max_iter:
-                raise IterationLimitExceeded(stats.iterations + 1, 2)
+                raise IterationLimitExceeded(stats.iterations + 1, "dual")
             if d is None:  # the basis changed; a bound flip leaves d as it is
-                d = self._reduced_costs(self.c, c_B)
+                d = self._reduced_costs(cost, c_B)
 
             e_r[r] = 1.0
             rho = self.B.btran(e_r)
@@ -1002,7 +965,9 @@ class _BoundedSimplex:
             reach = np.cumsum(rate[cand] * span[cand])
             k = int(np.searchsorted(reach, gap[r], side="right"))
             if k == len(cand) and gap[r] - (reach[-1] if k else 0.0) > opt.feas_tol:
-                return r  # even every column at its best bound leaves row r short
+                # even every column at its best bound leaves row r short
+                weight = np.abs(rho)
+                return np.flatnonzero(weight > PIVOT_TOL * weight.max()).tolist()
 
             if k:  # bound flips: the basis stays, x_B moves
                 for j in cand[:k]:
@@ -1046,8 +1011,8 @@ class _BoundedSimplex:
         obj = float(np.dot(self.c[:self.n], values))
         return LpSolution(LpStatus.OPTIMAL, values=values, objective_value=obj,
                           iterations=self.stats.iterations, stats=self.stats,
-                          basis=SimplexBasis(self.basis, self.status, self.art_sign,
-                                             self.mat.rows, self.B.lu))
+                          basis=SimplexBasis(self.basis, self.status, self.mat.rows,
+                                             self.B.lu))
 
 
 def _solve_scipy(mat: _Assembled) -> LpSolution:

@@ -66,6 +66,9 @@ class UncertaintyBox:
     entries: dict[ParamKey, tuple[float, float, float]] = field(default_factory=dict)
 
     def add(self, kind: str, entity: str, step: int, lo: float, nom: float, hi: float) -> None:
+        if not all(map(math.isfinite, (lo, nom, hi))):
+            raise ValueError(f"box entry {kind}/{entity}/{step}: lo, nom and hi must be "
+                             f"finite, got {lo}, {nom}, {hi}")
         if not lo <= nom <= hi:
             raise ValueError(f"box entry {kind}/{entity}/{step}: need lo <= nom <= hi")
         self.entries[(kind, entity, step)] = (float(lo), float(nom), float(hi))

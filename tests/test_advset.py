@@ -129,7 +129,8 @@ def test_characterize_builds_once_per_step(monkeypatch):
 
 def test_one_phase_one_per_step_and_alpha_matches_cold(monkeypatch):
     """On the six-bus example only the zero-magnitude solve of each step runs
-    phase 1; the axes start from its basis and find the cold solves' alpha."""
+    the dual simplex to feasibility; the axes start from its basis and find
+    the cold solves' alpha."""
     sc = load_scenario(DOCS / "sixbus_scenario.json")
     dispatch = solve_baseline(sc.model, sc.costs, sc.build, sc.solver)
     reserves = ReserveSchedule.from_headroom(sc.model, dispatch)
@@ -148,8 +149,9 @@ def test_one_phase_one_per_step_and_alpha_matches_cold(monkeypatch):
     per_step = 1 + len(sc.axes)
     assert len(solves) == per_step * len(steps)
     assert [cold for cold, _ in solves] == ([True] + [False] * len(sc.axes)) * len(steps)
-    assert all(stats.phase1_pivots > 0 for cold, stats in solves if cold)
-    assert all(stats.phase1_pivots == 0 for cold, stats in solves if not cold)
+    assert all(stats.dual_pivots > 0 for cold, stats in solves if cold)
+    assert all(stats.start == "warm" and stats.dual_pivots == 0
+               for cold, stats in solves if not cold)
 
     s = sc.model.base.power_va
     for k in steps:
@@ -396,7 +398,8 @@ def test_polytope_json_round_trip():
 def test_recourse_step_answers_equal_cold_solves():
     """On the six-bus example, 200 seeded magnitudes per step, inside and
     outside the polytope: the step object's answer equals a cold solve of
-    the recourse LP built at those magnitudes, and no re-solve runs phase 1."""
+    the recourse LP built at those magnitudes, and every re-solve starts from
+    the step's basis."""
     sc = load_scenario(DOCS / "sixbus_scenario.json")
     dispatch = solve_baseline(sc.model, sc.costs, sc.build, sc.solver)
     reserves = ReserveSchedule.from_headroom(sc.model, dispatch)
@@ -411,7 +414,7 @@ def test_recourse_step_answers_equal_cold_solves():
             sol = step.event(point)
             lp, _ = build_recourse_lp(sc.model, dispatch, reserves, k, sc.axes, point, sc.build)
             assert sol.status == solve(lp, sc.solver).status, (k, point)
-            assert sol.stats.phase1_pivots == 0 and sol.stats.start in ("warm", "dual")
+            assert sol.stats.start == "warm"
             answers.append(sol.status is LpStatus.OPTIMAL)
     assert answers[:100] == [True] * 100
     assert answers.count(False) >= 100, answers.count(False)
@@ -420,7 +423,8 @@ def test_recourse_step_answers_equal_cold_solves():
 def test_headroom_sweep_resolves_without_a_cold_start(advset_run):
     """Headroom bands scaled by rho = 1 -> 0.75 -> 0.5 -> 0.25 on every
     cyber_event step: each re-solve of the step's LP starts from its
-    zero-magnitude basis, warm or in the dual simplex, never cold."""
+    zero-magnitude basis, never from the crash basis, and most take dual
+    pivots."""
     scenario, wrap, _polys = advset_run
     model, dispatch = scenario.model, wrap.dispatch
     n_axes = len(scenario.axes)
@@ -440,7 +444,6 @@ def test_headroom_sweep_resolves_without_a_cold_start(advset_run):
                 row.rhs = new.rhs
             sol = step.event(np.zeros(n_axes))
             assert sol.status is solve(banded, scenario.solver).status is LpStatus.OPTIMAL
-            assert sol.stats.phase1_pivots == 0
-            starts.append(sol.stats.start)
-    assert len(starts) == 36 and "cold" not in starts
-    assert starts.count("dual") >= 29, starts
+            starts.append((sol.stats.start, sol.stats.dual_pivots))
+    assert len(starts) == 36 and all(start == "warm" for start, _ in starts)
+    assert sum(pivots > 0 for _, pivots in starts) >= 29, starts

@@ -186,6 +186,20 @@ def test_unknown_solver_option_is_input_error(tmp_path, capsys, field, value):
      "error: build: pv_power_factor_gamma must be a non-negative finite number or null, got nan"),
     ({"build": {"pv_power_factor_gamma": -0.5}}, [],
      "error: build: pv_power_factor_gamma must be a non-negative finite number or null, got -0.5"),
+    ({"uncertainty": [{"parameter": "load_desired", "entity": "load01", "steps": [1, 3],
+                       "high_add_w": float("inf")}]}, [],
+     "error: uncertainty[0]: box entry load_desired/load01/1: lo, nom and hi must be finite"),
+    ({"uncertainty": [{"parameter": "load_desired", "entity": "load01", "steps": [1, 3],
+                       "high_scale": float("inf")}]}, [],
+     "error: uncertainty[0]: box entry load_desired/load01/1: lo, nom and hi must be finite"),
+    ({"uncertainty": [{"parameter": "dg_capacity", "entity": "dg01", "steps": [1, 3],
+                       "low_w": -float("inf")}]}, [],
+     "error: uncertainty[0]: box entry dg_capacity/dg01/1: lo, nom and hi must be finite"),
+    ({"uncertainty": [{"parameter": "pv_forecast", "entity": "pv01", "steps": [1, 3],
+                       "low_sub_w": float("inf")}]}, [],
+     "error: uncertainty[0]: box entry pv_forecast/pv01/1: lo, nom and hi must be finite"),
+    ({"axes": [{"kind": "dg_capacity_loss", "entity": "dg01", "cap_w": float("inf")}]}, [],
+     "error: axes[0]: cap_w must be finite, got inf; null means no cap"),
 ], ids=["unknown-entity", "steps-past-horizon", "non-numeric-cost", "two-poly-sides",
         "two-poly-sides-flag", "non-numeric-time", "non-numeric-advset-step",
         "non-numeric-gamma", "non-numeric-cap", "non-numeric-magnitude", "solver-not-object",
@@ -200,7 +214,9 @@ def test_unknown_solver_option_is_input_error(tmp_path, capsys, field, value):
         "huge-integer-cost", "nan-mask-magnitude", "nan-trip-magnitude",
         "infinite-loss-magnitude", "negative-trip-magnitude", "negative-loss-magnitude",
         "negative-cap", "nan-cap", "negative-reserve-factor", "nan-reserve-factor",
-        "infinite-reserve-factor", "nan-cost", "nan-gamma", "negative-gamma"])
+        "infinite-reserve-factor", "nan-cost", "nan-gamma", "negative-gamma",
+        "infinite-load-add", "infinite-load-scale", "infinite-dg-low", "infinite-pv-sub",
+        "infinite-cap"])
 def test_bad_box_input_is_input_error(tmp_path, capsys, overrides, flags, expected):
     if isinstance(overrides, dict):
         scenario = small_scenario(tmp_path, **overrides)
@@ -222,7 +238,7 @@ def test_recipe_size_out_of_range_is_input_error(tmp_path, capsys, field, value)
     assert err == f"error: network.synth: {field} must be in [0, 1000], got {value}\n"
 
 
-@pytest.mark.parametrize("error", [IterationLimitExceeded(7, 1),
+@pytest.mark.parametrize("error", [IterationLimitExceeded(7, "primal"),
                                    ArithmeticError("simplex basis became singular")],
                          ids=["iteration-limit", "arithmetic"])
 def test_solver_failure_maps_to_exit_4(tmp_path, capsys, monkeypatch, error):
@@ -518,13 +534,16 @@ POLY = {"step": 1, "axes": [{"kind": "dg_capacity_loss", "entity": "dg01"}],
     ("5", {"1": {**POLY, "axes": [{"kind": "dg_capacity_loss", "entity": "dg01",
                                    "cap_w": -5.0}]}},
      "steps.1.axes[0]: cap_w must be a non-negative number, got -5.0"),
+    ("5", {"1": {**POLY, "axes": [{"kind": "dg_capacity_loss", "entity": "dg01",
+                                   "cap_w": float("inf")}]}},
+     "steps.1.axes[0]: cap_w must be finite, got inf; null means no cap"),
     ("5", {"1": {**POLY, "alpha": [1000.0]}}, "steps.1: unknown field 'alpha'"),
     ("5", {"2": POLY}, "steps.2.step: expected 2, got 1"),
     ("5", {"1": {**POLY, "axes": [{"kind": "dg_capacity_loss", "entity": ["dg01"]}]}},
      "steps.1.axes[0].entity: expected a string, got ['dg01']"),
 ], ids=["negative-count", "no-steps", "step-past-horizon", "unknown-entity", "alpha-length",
         "nan-alpha", "infinite-alpha", "negative-alpha", "boolean-alpha", "string-cap",
-        "negative-cap", "unknown-field", "key-not-step", "array-entity"])
+        "negative-cap", "infinite-cap", "unknown-field", "key-not-step", "array-entity"])
 def test_bad_sample_input_is_input_error(tmp_path, capsys, sample, steps, expected):
     scenario = small_scenario(tmp_path)
     polytope = tmp_path / "polytope.json"

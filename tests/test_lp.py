@@ -80,6 +80,31 @@ def test_lp_without_variables(backend):
     assert sol.infeasible_rows == [3, 4]
 
 
+def test_infeasibility_certificate_rows_are_infeasible_together():
+    """Each infeasible random LP, cut down to the rows its certificate names
+    with every column and bound kept, is still infeasible for HiGHS and for
+    the vertex oracle."""
+    rng = np.random.default_rng(5)
+    highs = SolverOptions(backend="scipy")
+    infeasible = 0
+    for _ in range(400):
+        lp = random_bounded_lp(rng)
+        sol = solve(lp)
+        if sol.status is not LpStatus.INFEASIBLE:
+            continue
+        infeasible += 1
+        rows = sol.infeasible_rows
+        assert rows and rows == sorted(set(rows))
+        core = LinearProgram()
+        for j, name in enumerate(lp.names):
+            core.add_variable(name, lp.lower[j], lp.upper[j])
+        for ri in rows:
+            core.add_row(lp.rows[ri].coeffs, lp.rows[ri].rel, lp.rows[ri].rhs)
+        assert solve(core, highs).status is LpStatus.INFEASIBLE, rows
+        assert brute_force_min(core) is None, rows
+    assert infeasible >= 200
+
+
 def test_unbounded():
     lp = LinearProgram()
     x = lp.add_variable("x", 0.0)
@@ -288,14 +313,14 @@ def test_beale_stall_records_a_bland_entry(bland_stall, bland_entries):
 
 def test_stats_parts_sum_to_iterations(monkeypatch):
     rng = np.random.default_rng(17)
-    totals = dict(phase1_pivots=0, phase2_pivots=0, bound_flips=0, refactorizations=0)
+    totals = dict(dual_pivots=0, phase2_pivots=0, bound_flips=0, refactorizations=0)
     for _ in range(40):
         lp = random_bounded_lp(rng)
         for stall in STALL.values():
             monkeypatch.setattr(lp_module, "BLAND_STALL", stall)
             sol = solve(lp)
             stats = sol.stats
-            assert stats.phase1_pivots + stats.phase2_pivots + stats.bound_flips == sol.iterations
+            assert stats.dual_pivots + stats.phase2_pivots + stats.bound_flips == sol.iterations
             if sol.status is LpStatus.OPTIMAL:
                 assert stats.refactorizations >= 1  # the final re-solve
             for key in totals:
@@ -386,8 +411,8 @@ def test_warm_start_matches_cold_solve():
                 assert warm.objective_value == pytest.approx(cold.objective_value,
                                                              rel=1e-9, abs=1e-12)
                 assert check_feasibility(lp, warm.values).ok(opt.feas_tol)
-                warm_only += warm.stats.phase1_pivots == 0 < cold.stats.phase1_pivots
-    assert warm_only >= 5  # starts that skipped a phase 1 the cold solve needed
+                warm_only += warm.stats.dual_pivots == 0 < cold.stats.dual_pivots
+    assert warm_only >= 5  # starts that skipped a dual simplex the cold solve needed
 
 
 def test_warm_start_from_unchanged_lp_takes_no_pivots():
@@ -424,25 +449,26 @@ def test_warm_start_outside_its_bounds_runs_the_dual_simplex():
     lp.set_bounds(y, 2.0, 5.0)
     cold = solve(lp)
     warm = solve(lp, start=start)
-    assert warm.status is LpStatus.OPTIMAL and warm.stats.start == "dual"
+    assert warm.status is LpStatus.OPTIMAL and warm.stats.start == "warm"
     assert warm.values[x] == pytest.approx(0.0, abs=1e-12)
     np.testing.assert_array_equal(warm.values, cold.values)
-    assert warm.stats.phase1_pivots == 0 < cold.stats.phase1_pivots
-    assert warm.stats.dual_pivots >= 1
+    # the dual simplex on the LP's own costs ends at the optimum
+    assert warm.stats.dual_pivots >= 1 and warm.stats.phase2_pivots == 0
 
 
 @pytest.mark.parametrize("upper", [np.inf], ids=["bound-lost"])
 def test_warm_start_falls_back_to_cold(upper):
     lp, x, y = equality_pair_lp()
     start = solve(lp).basis
-    # y stays at its upper bound, which is no longer finite
+    # y was at its upper bound, which is no longer finite: the start keeps
+    # its basis and y moves to the bound a cold start gives it, 2
     lp.set_bounds(y, 2.0, upper)
     cold = solve(lp)
     warm = solve(lp, start=start)
     assert warm.status is LpStatus.OPTIMAL
     assert warm.values[x] == pytest.approx(0.0, abs=1e-12)
     np.testing.assert_array_equal(warm.values, cold.values)
-    assert warm.stats.phase1_pivots == cold.stats.phase1_pivots > 0
+    assert warm.stats.start == "warm" and warm.stats.dual_pivots == 0 < cold.stats.dual_pivots
 
 
 def test_warm_start_of_wrong_size_is_malformed():
@@ -493,10 +519,10 @@ def test_refused_crash_hints_still_solve(case):
 
 def test_crash_hint_that_fits_skips_phase_one():
     lp, x, _ = equality_pair_lp()  # y starts at 0, so x = 4 is within [0, 10]
-    assert solve(lp).stats.phase1_pivots > 0
+    assert solve(lp).stats.dual_pivots > 0
     lp.rows[0].basic = x
     sol = solve(lp)
-    assert sol.status is LpStatus.OPTIMAL and sol.stats.phase1_pivots == 0
+    assert sol.status is LpStatus.OPTIMAL and sol.stats.dual_pivots == 0
     assert sol.objective_value == pytest.approx(3.0, abs=1e-12)
 
 
@@ -537,7 +563,7 @@ def test_lshl_crash_start_cuts_phase_one():
     sol = solve(lp, scenario.solver)
     ref = solve(lp, SolverOptions(backend="scipy"))
     assert sol.status is LpStatus.OPTIMAL
-    assert sol.stats.phase1_pivots <= 141  # 709 from an all-slack-and-artificial start
+    assert sol.stats.dual_pivots <= 141  # 709 phase-1 pivots from an all-slack-and-artificial start
     assert sol.objective_value == pytest.approx(ref.objective_value, rel=1e-9)
 
 
@@ -576,15 +602,15 @@ def test_resolve_after_bound_changes_matches_oracle_and_highs(monkeypatch):
         rebound(lp, rng)
         sol = solve(lp, options, start=first.basis)
         stats = sol.stats
-        assert stats.start in ("warm", "dual") and stats.phase1_pivots == 0
-        assert (stats.phase1_pivots + stats.phase2_pivots + stats.dual_pivots
-                + stats.bound_flips) == sol.iterations
+        assert stats.start == "warm"
+        assert stats.phase2_pivots + stats.dual_pivots + stats.bound_flips == sol.iterations
         expected = brute_force_min(lp)
         ref = solve(lp, highs)
         assert sol.status == ref.status
         if expected is None:
             assert sol.status is LpStatus.INFEASIBLE
-            assert len(sol.infeasible_rows) == 1 and 0 <= sol.infeasible_rows[0] < lp.n_rows
+            rows = sol.infeasible_rows
+            assert rows and rows == sorted(set(rows)) and 0 <= rows[0] <= rows[-1] < lp.n_rows
             seen["dual-infeasible"] += 1
         else:
             assert sol.status is LpStatus.OPTIMAL
@@ -592,11 +618,11 @@ def test_resolve_after_bound_changes_matches_oracle_and_highs(monkeypatch):
             assert sol.objective_value == pytest.approx(ref.objective_value, abs=1e-6)
             assert check_feasibility(lp, sol.values).ok(options.feas_tol)
         if stats.dual_pivots > 1:
-            with pytest.raises(IterationLimitExceeded):
+            with pytest.raises(IterationLimitExceeded, match=r"\(dual simplex\)"):
                 solve(lp, SolverOptions(max_iterations=1),
                       start=first.basis)
             seen["limited"] += 1
-        seen[stats.start] += 1
+        seen["dual" if stats.dual_pivots else "warm"] += 1
         seen["zero-objective"] += not lp.objective
         checked += 1
     assert min(seen.values()) >= 5, seen

@@ -112,6 +112,7 @@ def test_box_beyond_capability_is_infeasible():
     with pytest.raises(InfeasibleDispatch) as err:
         solve_robust(model, COSTS, box=box)
     assert "robust" in str(err.value)
+    assert "reserve_coverage" in err.value.tags
 
 
 def test_dg_outage_covered_by_other_devices():
