@@ -59,7 +59,7 @@ of its branch's downstream bus, a power-balance row its feeding branch's
 flow (none at the root), a load power-factor row the load's q and a SoC row
 that step's stored energy.  With the flows solved leaves-up and the voltages
 root-down, these columns make the start basis triangular along the tree, so
-only the root's balance rows start with an artificial.
+only the root's balance rows start with their logical, fixed at zero.
 
 `build_namespace` creates the step's :class:`gridres.lp.LinearProgram` as
 `ns.lp` and declares every column straight into it with its final bounds:

@@ -42,16 +42,16 @@ class InfeasibleDispatch(RuntimeError):
     """The dispatch problem has no feasible point.
 
     Carries the row indices and tags of the simplex's infeasibility
-    certificate: rows that are infeasible together.
+    certificate: rows that are infeasible together.  The HiGHS backend gives
+    no certificate, and then `rows` is empty.
     """
 
     def __init__(self, rows: list[int], tags: list[str], context: str):
         self.rows = rows
         self.tags = tags
-        super().__init__(
-            f"{context} dispatch infeasible; {len(rows)} unsatisfiable rows "
-            f"(tags: {', '.join(sorted(set(tags))) or 'n/a'})"
-        )
+        detail = (f"{len(rows)} unsatisfiable rows (tags: {', '.join(sorted(set(tags))) or 'n/a'})"
+                  if rows else "no infeasibility certificate (the HiGHS backend gives none)")
+        super().__init__(f"{context} dispatch infeasible; {detail}")
 
 
 def series_map(paired: bool = False, read=series):

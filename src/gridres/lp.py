@@ -6,7 +6,9 @@ relations in {<=, =, >=}.  Solving, the feasibility check and the HiGHS
 backend all start from one sparse assembly of the program's arrays.
 
 The built-in solver is a revised simplex in bounded-variable form over the
-sparse matrix [A | I_slack].  The basis B is kept as a sparse LU
+sparse matrix [A | I]: column n + r is the logical variable of row r, in
+[0, inf) for a "<=" row, (-inf, 0] for a ">=" row and [0, 0] for an
+equality row (Maros 2003, ch. 9).  The basis B is kept as a sparse LU
 factorization (SuperLU with the fixed COLAMD column order) followed by
 product-form eta updates, and is refactorized after a fixed number of them.
 Reduced costs come from y = B^-T c_B and no dense tableau is ever formed.
@@ -24,8 +26,8 @@ Every solve takes one path:
    feas_tol.
 
 In the primal, the column with the largest reduced-cost gain enters
-(Dantzig's rule, the lowest index on ties), and among tied ratios an
-artificial leaves first, else the lowest basic index (Maros 2003, ch. 9).
+(Dantzig's rule, the lowest index on ties), and among tied ratios the lowest
+basic index leaves.  A fixed column that leaves never enters again.
 In the dual, the largest bound violation leaves.  After BLAND_STALL
 degenerate pivots in a row either loop takes the lowest eligible index
 (Bland's rule) until a pivot makes progress; every zero-cost dual pivot is
@@ -35,9 +37,8 @@ rule once and keeps it.
 The crash basis (Bixby 1992): a row may name a column to start basic in its
 position (`Row.basic`).  The solver takes it as a hint only, refusing a fixed
 column and one an earlier row claimed, and dropping every hint if they make
-B singular.  Every other row starts with its slack, or with an artificial
-column e_r pinned to [0, 0] where it has none, so without hints the start is
-all slacks and artificials.  The feeder rows name the columns that make B
+B singular.  Every other row starts with its logical, so without hints the
+start is all logicals.  The feeder rows name the columns that make B
 triangular along the tree (see :mod:`gridres.constraints`).
 
 An optimal solve returns its final basis, together with its assembled rows
@@ -233,13 +234,13 @@ class LinearProgram:
 class SolveStats:
     """How the built-in simplex started and where it spent its iterations.
 
-    Primal (`phase2_pivots`) and dual pivots plus bound flips sum to
+    Primal and dual pivots plus bound flips sum to
     :attr:`LpSolution.iterations`.
     """
 
     # "cold" (the crash basis) or "warm" (the basis of `start`)
     start: str = "cold"
-    phase2_pivots: int = 0
+    primal_pivots: int = 0
     dual_pivots: int = 0
     bound_flips: int = 0
     # times a loop fell back to Bland's rule after a degenerate stall; once
@@ -250,7 +251,7 @@ class SolveStats:
 
     @property
     def iterations(self) -> int:
-        return self.phase2_pivots + self.dual_pivots + self.bound_flips
+        return self.primal_pivots + self.dual_pivots + self.bound_flips
 
 
 @dataclass(frozen=True)
@@ -263,8 +264,8 @@ class SimplexBasis:
     same rows takes over instead of assembling and factoring again.
     """
 
-    basic: np.ndarray  # column in each row's basis position; -1 = artificial at zero
-    status: np.ndarray  # bound status of every structural and slack column
+    basic: np.ndarray  # the column of [A | I] in each row's basis position
+    status: np.ndarray  # bound status of every structural and logical column
     rows: _Rows | None = field(default=None, repr=False, compare=False)
     lu: object = field(default=None, repr=False, compare=False)  # SuperLU of B
 
@@ -277,7 +278,8 @@ class LpSolution:
     iterations: int = 0
     # an infeasibility certificate: the rows, in order, where rho = B^-T e_r
     # of the dual simplex's unsatisfiable row r is nonzero (relative to
-    # max |rho|); they are infeasible together under the column bounds
+    # max |rho|); they are infeasible together under the column bounds.  The
+    # HiGHS backend gives no certificate: empty unless the LP has no columns
     infeasible_rows: list[int] = field(default_factory=list)
     # built-in simplex only; None from the HiGHS backend
     stats: SolveStats | None = None
@@ -336,30 +338,22 @@ class _Rows:
 
 
 class _Columns:
-    """The simplex's column form of some rows: [A | I_slack] in CSC form,
-    rows ascending within each column, and the same with one artificial
-    column e_r per row appended (`ext_*`), for building B."""
+    """The simplex's column form of some rows: [A | I] in CSC form, rows
+    ascending within each column, and the bounds of each row's logical."""
 
     def __init__(self, rows: _Rows):
         n, m = rows.n, len(rows.rel)
-        self.slack_rows = np.flatnonzero(rows.rel != _EQ)
-        n_slack = len(self.slack_rows)
-        self.N = n + n_slack
-        le = rows.rel[self.slack_rows] == _LE
-        self.slack_lo = np.where(le, 0.0, -np.inf)
-        self.slack_hi = np.where(le, np.inf, 0.0)
+        self.N = n + m
+        self.logical_lo = np.where(rows.rel == _GE, -np.inf, 0.0)
+        self.logical_hi = np.where(rows.rel == _LE, np.inf, 0.0)
         order = np.argsort(rows.cols, kind="stable")
         nnz = len(order)
         self.col_ptr = np.concatenate([
-            [0], np.cumsum(np.bincount(rows.cols, minlength=n)),
-            nnz + np.arange(1, n_slack + 1),
+            [0], np.cumsum(np.bincount(rows.cols, minlength=n)), nnz + np.arange(1, m + 1),
         ])
-        self.row_idx = np.concatenate([rows.nz_rows[order], self.slack_rows])
-        self.val = np.concatenate([rows.vals[order], np.ones(n_slack)])
+        self.row_idx = np.concatenate([rows.nz_rows[order], np.arange(m)])
+        self.val = np.concatenate([rows.vals[order], np.ones(m)])
         self.col_of_nz = np.repeat(np.arange(self.N), np.diff(self.col_ptr))
-        self.ext_ptr = np.concatenate([self.col_ptr, self.col_ptr[-1] + np.arange(1, m + 1)])
-        self.ext_row = np.concatenate([self.row_idx, np.arange(m)])
-        self.ext_val = np.concatenate([self.val, np.ones(m)])
 
 
 @dataclass(frozen=True)
@@ -624,11 +618,9 @@ class _BoundedSimplex:
     """Revised simplex over variables with general bounds: a bounded dual
     simplex to feasibility, then the primal simplex to optimality.
 
-    Columns are the structural variables followed by one slack per inequality
-    row (LE slack in [0, inf), GE slack in (-inf, 0]).  A row with neither a
-    hinted column nor a slack starts with the artificial e_r in basis
-    position r, pinned to [0, 0]; artificials may only leave the basis, and
-    `basis[r] == -1` marks one still in it.
+    Columns are the structural variables followed by one logical per row
+    (in [0, inf) for LE, (-inf, 0] for GE, [0, 0] for EQ).  A fixed logical
+    may only leave the basis.
     """
 
     def __init__(self, mat: _Assembled, opt: SolverOptions):
@@ -641,15 +633,12 @@ class _BoundedSimplex:
 
         # the set-up that depends on the rows only, shared by re-solves
         cols = mat.rows.columns
-        self.slack_rows = cols.slack_rows
         self.N = N = cols.N
         self.col_ptr, self.row_idx, self.val = cols.col_ptr, cols.row_idx, cols.val
         self.col_of_nz = cols.col_of_nz
-        # artificial columns N .. N + m - 1, appended for building B only
-        self.ext_ptr, self.ext_row, self.ext_val = cols.ext_ptr, cols.ext_row, cols.ext_val
-        self.lo = np.concatenate([mat.lower, cols.slack_lo])
-        self.hi = np.concatenate([mat.upper, cols.slack_hi])
-        self.c = np.concatenate([mat.cost, np.zeros(N - n)])
+        self.lo = np.concatenate([mat.lower, cols.logical_lo])
+        self.hi = np.concatenate([mat.upper, cols.logical_hi])
+        self.c = np.concatenate([mat.cost, np.zeros(m)])
 
         self.gain = np.empty((2, N))
         self.t_rows = np.empty(m)
@@ -665,9 +654,9 @@ class _BoundedSimplex:
         self.dirs = np.array(_GAIN_DIRS)[st].T.copy()
 
     def _set_basis(self, basis: np.ndarray) -> None:
-        self.basis = basis  # column index, or -1 = artificial
-        self.status[basis[basis >= 0]] = _BASIC
-        self.dirs[:, basis[basis >= 0]] = 0.0
+        self.basis = basis
+        self.status[basis] = _BASIC
+        self.dirs[:, basis] = 0.0
 
     def _cold_status(self) -> np.ndarray:
         """Nonbasic start: a boxed variable at its bound nearer zero."""
@@ -681,13 +670,11 @@ class _BoundedSimplex:
     def _cold_start(self) -> None:
         """The crash basis.  Each row's basis position takes the row's hinted
         column unless that column is fixed or an earlier row claimed it, else
-        the row's slack, else its artificial; if the hinted columns make B
-        singular, every position takes its slack or artificial."""
-        n, m = self.n, self.m
+        the row's logical; if the hinted columns make B singular, every
+        position takes its logical."""
         st = self._cold_status()
-        fallback = np.full(m, -1, dtype=np.int64)  # the row's slack, else its artificial
-        fallback[self.slack_rows] = n + np.arange(len(self.slack_rows))
-        basis = fallback.copy()
+        logicals = self.n + np.arange(self.m)
+        basis = logicals.copy()
         hint = self.mat.rows.basic
         rows = np.flatnonzero(hint >= 0)
         rows = rows[st[hint[rows]] != _FIXED]
@@ -700,7 +687,7 @@ class _BoundedSimplex:
             self._refactor()
         except ArithmeticError:  # the hints make B singular: drop them all
             self._place(st)
-            self._set_basis(fallback)
+            self._set_basis(logicals)
             self._refactor()
         self.x_B = self._basic_values()
 
@@ -712,7 +699,7 @@ class _BoundedSimplex:
         if basic.shape != (m,) or prev.shape != (N,):
             raise MalformedProblem(f"start basis has {len(basic)} rows and {len(prev)} "
                                    f"columns; the problem has {m} and {N}")
-        if not np.array_equal(np.flatnonzero(prev == _BASIC), np.sort(basic[basic != -1])):
+        if not np.array_equal(np.flatnonzero(prev == _BASIC), np.sort(basic)):
             raise MalformedProblem("start basis: basic columns and statuses disagree")
         # a column stays at its bound while that is finite and not fixed;
         # any other nonbasic column is placed as in a cold start
@@ -735,7 +722,7 @@ class _BoundedSimplex:
 
     def _outside(self) -> np.ndarray:
         """The basis positions whose x_B is outside the bounds of their
-        column by more than feas_tol; an artificial's bounds are [0, 0]."""
+        column by more than feas_tol."""
         self._price_basis(self.c)
         tol = self.opt.feas_tol
         return (self.x_B < self.lo_B - tol) | (self.x_B > self.hi_B + tol)
@@ -744,13 +731,12 @@ class _BoundedSimplex:
         from scipy.sparse import csc_matrix
 
         m = self.m
-        cols = np.where(self.basis >= 0, self.basis, self.N + np.arange(m))
-        start = self.ext_ptr[cols]
-        length = self.ext_ptr[cols + 1] - start
+        start = self.col_ptr[self.basis]
+        length = self.col_ptr[self.basis + 1] - start
         ptr = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(length, out=ptr[1:])
         take = np.arange(ptr[-1]) + np.repeat(start - ptr[:-1], length)
-        self.B.factor(csc_matrix((self.ext_val[take], self.ext_row[take], ptr), shape=(m, m)))
+        self.B.factor(csc_matrix((self.val[take], self.row_idx[take], ptr), shape=(m, m)))
         self.stats.refactorizations += 1
 
     # -- entering column ---------------------------------------------------------
@@ -803,13 +789,11 @@ class _BoundedSimplex:
 
     def _price_basis(self, cost: np.ndarray) -> None:
         """Price the columns at `cost`, and take the bounds and cost of the
-        variable in each basis position: an artificial's are [0, 0] and 0."""
-        real = self.basis >= 0
-        safe = np.maximum(self.basis, 0)
+        variable in each basis position."""
         self.cost = cost
-        self.lo_B = np.where(real, self.lo[safe], 0.0)
-        self.hi_B = np.where(real, self.hi[safe], 0.0)
-        self.c_B = np.where(real, cost[safe], 0.0)
+        self.lo_B = self.lo[self.basis]
+        self.hi_B = self.hi[self.basis]
+        self.c_B = cost[self.basis]
 
     def _column(self, j: int) -> np.ndarray:
         """B^-1 a_j for column j of [A | I]."""
@@ -830,13 +814,13 @@ class _BoundedSimplex:
     def _pivot(self, r: int, q: int, col: np.ndarray, theta: float, to_lo: bool) -> None:
         """Column q, with FTRAN column `col`, enters basis position r as it
         moves by `theta`; the leaving column stays at the bound it reached,
-        its lower one if `to_lo`."""
+        its lower one if `to_lo`, and a fixed one never enters again."""
         enter_val = self.xval[q] + theta
         self.x_B -= col * theta
         leave = self.basis[r]
-        if leave >= 0:
-            self._set_status(leave, _AT_LO if to_lo else _AT_HI)
-            self.xval[leave] = self.lo_B[r] if to_lo else self.hi_B[r]
+        fixed = self.lo_B[r] == self.hi_B[r]
+        self._set_status(leave, _FIXED if fixed else _AT_LO if to_lo else _AT_HI)
+        self.xval[leave] = self.lo_B[r] if to_lo else self.hi_B[r]
         self.basis[r] = q
         self._set_status(q, _BASIC)
         self.x_B[r] = enter_val
@@ -893,12 +877,12 @@ class _BoundedSimplex:
             if not math.isfinite(t_min):
                 return "unbounded"
 
-            # leaving row: Bland order with artificials (basis -1) ranked first
+            # leaving row: the lowest basic index among tied ratios
             tie = t_rows <= t_min + 1e-10 * (1.0 + t_min)
             r = int(np.where(tie, self.basis, _NO_TIE).argmin())
             self._pivot(r, j, col, sigma * t_min, w[r] > 0.0)
             d = None
-            stats.phase2_pivots += 1
+            stats.primal_pivots += 1
             stall = stall + 1 if t_min <= 1e-11 else 0
 
     def _dual(self, cost: np.ndarray, max_iter: int) -> list[int] | None:
@@ -938,7 +922,7 @@ class _BoundedSimplex:
             if not fallback and stall > BLAND_STALL:
                 stats.bland_entries += 1
             fallback = stall > BLAND_STALL
-            # leaving row: Bland order ranks artificials (basis -1) first
+            # leaving row: the largest violation, or the lowest basic index
             r = int(np.where(bad, self.basis, _NO_TIE).argmin() if fallback else gap.argmax())
             if stats.iterations >= max_iter:
                 raise IterationLimitExceeded(stats.iterations + 1, "dual")
@@ -989,18 +973,15 @@ class _BoundedSimplex:
         """x_B = B^-1 (b - N x_N)."""
         n = self.n
         x = self.xval.copy()
-        x[self.basis[self.basis >= 0]] = 0.0
-        rhs = self.mat.rhs - self.mat.row_activity(x[:n])
-        rhs[self.slack_rows] -= x[n:]
-        return self.B.ftran(rhs)
+        x[self.basis] = 0.0
+        return self.B.ftran(self.mat.rhs - self.mat.row_activity(x[:n]) - x[n:])
 
     def _finish(self) -> LpSolution:
         # re-solve the basic values from a fresh factorization
         self._refactor()
         self.x_B = self._basic_values()
-        real = self.basis >= 0
         x = self.xval.copy()
-        x[self.basis[real]] = self.x_B[real]
+        x[self.basis] = self.x_B
         values = x[:self.n]
         report = self.mat.feasibility(values, self.opt.feas_tol)
         if not report.ok(self.opt.feas_tol):

@@ -137,6 +137,28 @@ def test_equality_row():
     assert sol.values[y] == pytest.approx(4.0, abs=1e-8)
 
 
+def test_redundant_equality_row_keeps_its_logical_basic():
+    """A redundant equality row keeps its fixed logical basic at zero; the
+    basis names a column of [A | I] in every position."""
+    lp = LinearProgram()
+    x = lp.add_variable("x", 0.0, 4.0)
+    y = lp.add_variable("y", 0.0, 4.0)
+    lp.set_objective({x: 1.0, y: 2.0})
+    lp.add_row({x: 1.0, y: 1.0}, Rel.EQ, 1.0)
+    lp.add_row({x: 2.0, y: 2.0}, Rel.EQ, 2.0)
+    sol = solve(lp)
+    assert sol.status is LpStatus.OPTIMAL
+    np.testing.assert_allclose(sol.values, [1.0, 0.0], atol=1e-12)
+    n_columns = lp.n_variables + lp.n_rows
+    assert all(0 <= j < n_columns for j in sol.basis.basic), sol.basis.basic
+
+    lp.rows[1].rhs = 3.0  # now 2x + 2y = 3 contradicts x + y = 1
+    for answer in (solve(lp, start=sol.basis), solve(lp)):
+        assert answer.status is LpStatus.INFEASIBLE
+        assert answer.infeasible_rows == [0, 1]
+    assert solve(lp, SolverOptions(backend="scipy")).status is LpStatus.INFEASIBLE
+
+
 def test_malformed_problems():
     lp = LinearProgram()
     x = lp.add_variable("x", 0.0, 1.0)
@@ -313,14 +335,14 @@ def test_beale_stall_records_a_bland_entry(bland_stall, bland_entries):
 
 def test_stats_parts_sum_to_iterations(monkeypatch):
     rng = np.random.default_rng(17)
-    totals = dict(dual_pivots=0, phase2_pivots=0, bound_flips=0, refactorizations=0)
+    totals = dict(dual_pivots=0, primal_pivots=0, bound_flips=0, refactorizations=0)
     for _ in range(40):
         lp = random_bounded_lp(rng)
         for stall in STALL.values():
             monkeypatch.setattr(lp_module, "BLAND_STALL", stall)
             sol = solve(lp)
             stats = sol.stats
-            assert stats.dual_pivots + stats.phase2_pivots + stats.bound_flips == sol.iterations
+            assert stats.dual_pivots + stats.primal_pivots + stats.bound_flips == sol.iterations
             if sol.status is LpStatus.OPTIMAL:
                 assert stats.refactorizations >= 1  # the final re-solve
             for key in totals:
@@ -453,7 +475,7 @@ def test_warm_start_outside_its_bounds_runs_the_dual_simplex():
     assert warm.values[x] == pytest.approx(0.0, abs=1e-12)
     np.testing.assert_array_equal(warm.values, cold.values)
     # the dual simplex on the LP's own costs ends at the optimum
-    assert warm.stats.dual_pivots >= 1 and warm.stats.phase2_pivots == 0
+    assert warm.stats.dual_pivots >= 1 and warm.stats.primal_pivots == 0
 
 
 @pytest.mark.parametrize("upper", [np.inf], ids=["bound-lost"])
@@ -603,7 +625,7 @@ def test_resolve_after_bound_changes_matches_oracle_and_highs(monkeypatch):
         sol = solve(lp, options, start=first.basis)
         stats = sol.stats
         assert stats.start == "warm"
-        assert stats.phase2_pivots + stats.dual_pivots + stats.bound_flips == sol.iterations
+        assert stats.primal_pivots + stats.dual_pivots + stats.bound_flips == sol.iterations
         expected = brute_force_min(lp)
         ref = solve(lp, highs)
         assert sol.status == ref.status
@@ -644,7 +666,7 @@ def test_dual_stall_falls_back_to_lowest_index(monkeypatch):
         sol = solve(lp, start=first.basis)
         expected = brute_force_min(lp)
         assert sol.status is (LpStatus.INFEASIBLE if expected is None else LpStatus.OPTIMAL)
-        if sol.stats.phase2_pivots == 0:  # any fallback was the dual simplex's
+        if sol.stats.primal_pivots == 0:  # any fallback was the dual simplex's
             fallbacks += sol.stats.bland_entries
     assert fallbacks >= 5
 

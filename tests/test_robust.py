@@ -5,6 +5,7 @@ import pytest
 
 from gridres.constraints import P_DG_CAPACITY, P_LOAD_DESIRED, P_PV_FORECAST, device_groups
 from gridres.dispatch import CostConfig, InfeasibleDispatch, solve_baseline
+from gridres.lp import SolverOptions
 from gridres.network import SynthSpec, synth_feeder
 from gridres.robust import (
     ReserveCosts,
@@ -113,6 +114,19 @@ def test_box_beyond_capability_is_infeasible():
         solve_robust(model, COSTS, box=box)
     assert "robust" in str(err.value)
     assert "reserve_coverage" in err.value.tags
+
+
+def test_infeasible_dispatch_under_highs_says_it_has_no_certificate():
+    """HiGHS proves infeasibility without naming rows; the message says so
+    rather than reporting zero unsatisfiable rows."""
+    model = single_bus(load_des_w=1.0e6, load_min_w=0.9e6, dg_cap_va=1.2e6)
+    box = UncertaintyBox()
+    box.add(P_LOAD_DESIRED, "load1", 0, 1.0e6, 1.0e6, 6.0e6)  # hopeless mask
+    with pytest.raises(InfeasibleDispatch) as err:
+        solve_robust(model, COSTS, box=box, solver=SolverOptions(backend="scipy"))
+    assert err.value.rows == []
+    assert str(err.value) == ("robust dispatch infeasible; no infeasibility certificate "
+                              "(the HiGHS backend gives none)")
 
 
 def test_dg_outage_covered_by_other_devices():

@@ -1,0 +1,104 @@
+#!/usr/bin/env bash
+# Compare the simplex's solve statistics of two checkouts of gridres.
+#
+#   tools/compare_solve_counts.sh PARENT CHANGE
+#
+# PARENT and CHANGE are the roots of two source trees (each with src/gridres
+# and scenarios/).  In each, from its own sources and at seeds 2026 and 7, one
+# line is printed per solve: its name, status, repr(objective), how it
+# started, its primal and dual pivots, bound flips, Bland entries and
+# refactorizations.  The solves are the baseline LPs of lshl, hsll and
+# cyber_event, the robust LPs of hsll and cyber_event, and one `characterize`
+# pass over cyber_event's advset_steps (its solves summed, plus repr(alpha)).
+# Pivot counts are deterministic, so the two sides must match exactly.  Exits
+# 0 when every line is identical, 1 on any difference, and 2 when a run fails.
+set -euo pipefail
+
+if [ "$#" -ne 2 ]; then
+    echo "usage: $0 PARENT CHANGE" >&2
+    exit 2
+fi
+
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+
+count_solves() {
+    local root
+    root=$(cd "$1" && pwd)
+    (cd "$root" && PYTHONPATH="$root/src" OMP_NUM_THREADS=1 python - "$2" <<'EOF'
+import sys
+
+import gridres.advset as advset
+from gridres.dispatch import build_baseline_lp, solve_baseline
+from gridres.lp import solve
+from gridres.robust import ReserveSchedule, build_robust_lp
+from gridres.scenario import load_scenario
+
+COUNTS = ("primal", "dual", "flips", "bland", "refactor")
+
+
+def counts(stats) -> tuple[int, ...]:
+    # checkouts before the rename to primal_pivots call it phase2_pivots
+    primal = getattr(stats, "primal_pivots", None)
+    if primal is None:
+        primal = stats.phase2_pivots
+    return (primal, stats.dual_pivots, stats.bound_flips, stats.bland_entries,
+            stats.refactorizations)
+
+
+def line(name: str, sol) -> str:
+    parts = " ".join(f"{k}={v}" for k, v in zip(COUNTS, counts(sol.stats)))
+    return (f"{name}: {sol.status.value} objective={sol.objective_value!r} "
+            f"start={sol.stats.start} {parts}")
+
+
+seed = int(sys.argv[1])
+scenarios = {name: load_scenario(f"scenarios/{name}.json", seed_override=seed)
+             for name in ("lshl", "hsll", "cyber_event")}
+for name, sc in scenarios.items():
+    lp, _ = build_baseline_lp(sc.model, sc.costs, sc.build)
+    print(line(f"seed {seed} baseline {name}", solve(lp, sc.solver)))
+for name in ("hsll", "cyber_event"):
+    sc = scenarios[name]
+    lp, _, _ = build_robust_lp(sc.model, sc.costs, sc.reserve_costs, sc.box, sc.build)
+    print(line(f"seed {seed} robust {name}", solve(lp, sc.solver)))
+
+sc = scenarios["cyber_event"]
+base = solve_baseline(sc.model, sc.costs, sc.build, sc.solver)
+reserves = ReserveSchedule.from_headroom(sc.model, base)
+solved = []
+
+
+def counting_solve(*args, **kwargs):
+    sol = solve(*args, **kwargs)
+    solved.append(sol)
+    return sol
+
+
+advset.solve = counting_solve  # the recourse LPs call solve by this name
+alphas = [advset.characterize(sc.model, base, reserves, sc.axes, k, sc.build,
+                              sc.solver).alpha_w.tolist() for k in sc.advset_steps]
+sums = [sum(c) for c in zip(*(counts(sol.stats) for sol in solved))]
+print(f"seed {seed} advset cyber_event steps {sc.advset_steps}: solves={len(solved)} "
+      f"iterations={sum(sol.iterations for sol in solved)} "
+      + " ".join(f"{k}={v}" for k, v in zip(COUNTS, sums)) + f" alpha={alphas!r}")
+EOF
+    )
+}
+
+for side in parent change; do
+    root=$1
+    [ "$side" = change ] && root=$2
+    for seed in 2026 7; do
+        count_solves "$root" "$seed" >>"$work/$side" 2>"$work/stderr.log" \
+            || { echo "error: solve counts failed in $root at seed $seed:" >&2
+                 cat "$work/stderr.log" >&2; exit 2; }
+    done
+done
+
+if diff "$work/parent" "$work/change"; then
+    echo "identical: $(wc -l <"$work/change") solves"
+    cat "$work/change"
+else
+    exit 1
+fi
