@@ -172,8 +172,11 @@ def build_recourse_lp(
     """Single-step feasibility LP for an event of the given magnitudes.
 
     Returns the LP and the index of each axis's magnitude column (pu), fixed
-    at its magnitude; re-bound a column to let its magnitude vary.
+    at its magnitude; re-bound a column to let its magnitude vary.  Raises
+    ValueError on a step outside the horizon.
     """
+    if not 0 <= step < model.steps:
+        raise ValueError(f"step {step} outside the horizon of {model.steps} steps")
     s = PerUnit.of(model).s_base
     k = step
     ns = build_feeder_lp(model, options or BuildOptions(), steps=(k,))
@@ -381,6 +384,9 @@ def project_2d(poly: InnerPolytope, axis_i: int, axis_j: int) -> tuple[list[tupl
     magnitude is positive.  Returns (vertices, degenerate); `degenerate` marks
     a hull that collapses to a segment or point.
     """
+    for axis in (axis_i, axis_j):
+        if not 0 <= axis < len(poly.axes):
+            raise ValueError(f"projection axis {axis} outside the {len(poly.axes)} axes")
     if axis_i == axis_j:
         raise ValueError("projection axes must differ")
     a_i, a_j = float(poly.alpha_w[axis_i]), float(poly.alpha_w[axis_j])

@@ -3,16 +3,18 @@
 Every optimization in the toolkit lowers to a :class:`LinearProgram`: a list of
 bounded variables, a minimize objective, and sparse constraint rows with
 relations in {<=, =, >=}.  Solving, the feasibility check and the HiGHS
-backend all start from one sparse assembly of the program's arrays.
+backend all start from one assembly of the program: its constraint matrix A
+as one scipy CSR matrix, plus bounds, objective and right-hand sides.
 
 The built-in solver is a revised simplex in bounded-variable form over the
-sparse matrix [A | I]: column n + r is the logical variable of row r, in
-[0, inf) for a "<=" row, (-inf, 0] for a ">=" row and [0, 0] for an
-equality row (Maros 2003, ch. 9).  The basis B is kept as a sparse LU
-factorization (SuperLU with the fixed COLAMD column order) followed by
-product-form eta updates, and is refactorized after a fixed number of them.
-Reduced costs come from y = B^-T c_B and no dense tableau is ever formed.
-Every solve takes one path:
+sparse matrix [A | I], held in CSC form: column n + r is the logical
+variable of row r, in [0, inf) for a "<=" row, (-inf, 0] for a ">=" row and
+[0, 0] for an equality row (Maros 2003, ch. 9).  Every product and slice of
+the solver goes through that one matrix: the basis B is its columns in the
+basis, kept as a sparse LU factorization (SuperLU with the fixed COLAMD
+column order) followed by product-form eta updates and refactorized after a
+fixed number of them; reduced costs are c - [A | I]^T y with y = B^-T c_B,
+and no dense tableau is ever formed.  Every solve takes one path:
 
 1. It starts from a basis: the crash basis of a cold solve, or `start`.
 2. If the basic values x_B = B^-1 (b - N x_N) are outside their bounds, a
@@ -259,9 +261,10 @@ class SimplexBasis:
     """The final basis of an optimal built-in simplex solve, to warm-start a
     re-solve of the same rows through ``solve(..., start=)``.
 
-    It also carries the rows it was solved on, assembled and set up, and the
-    factorization of its basis matrix, which a re-solve of an LP with the
-    same rows takes over instead of assembling and factoring again.
+    It also carries the rows it was solved on, with their matrices A and
+    [A | I], and the factorization of its basis matrix, which a re-solve of
+    an LP with the same rows takes over instead of assembling and factoring
+    again.
     """
 
     basic: np.ndarray  # the column of [A | I] in each row's basis position
@@ -304,20 +307,16 @@ _REL_CODE = {Rel.LE: _LE, Rel.EQ: _EQ, Rel.GE: _GE}
 
 @dataclass(frozen=True)
 class _Rows:
-    """The rows of a validated :class:`LinearProgram` over its `n` columns,
-    as arrays: everything of an assembly but bounds, objective and rhs.
+    """The rows of a validated :class:`LinearProgram`: everything of an
+    assembly but bounds, objective and rhs.
 
-    The nonzeros are in CSR form (`indptr`, `cols`, `vals`), each row's in
-    the order of its coefficient dict; `nz_rows` is the row of each nonzero.
-    `given` keeps each row's coefficients, relation and hint as the LP gave
-    them, to tell whether a later LP has the same rows.
+    `A` is the constraint matrix in CSR form, each row's nonzeros in the
+    order of its coefficient dict; it is never sorted, so every product sums
+    a row in that order.  `given` keeps each row's coefficients, relation and
+    hint as the LP gave them, to tell whether a later LP has the same rows.
     """
 
-    n: int
-    indptr: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    nz_rows: np.ndarray
+    A: object  # scipy.sparse.csr_matrix, rows x columns
     rel: np.ndarray  # _LE, _EQ or _GE per row
     basic: np.ndarray  # each row's hinted starting column (Row.basic), -1 for none
     given: tuple[list, list, list]
@@ -327,33 +326,23 @@ class _Rows:
         objective and right-hand sides."""
         rows = lp.rows
         coeffs, rels, hints = self.given
-        return (lp.n_variables == self.n and len(rows) == len(rels)
+        return (lp.n_variables == self.A.shape[1] and len(rows) == len(rels)
                 and list(map(attrgetter("coeffs"), rows)) == coeffs
                 and list(map(attrgetter("rel"), rows)) == rels
                 and list(map(attrgetter("basic"), rows)) == hints)
 
     @cached_property
-    def columns(self) -> _Columns:
-        return _Columns(self)
+    def AI(self):
+        """[A | I] in CSC form, rows ascending within each column: the
+        simplex's columns, shared by every solve of these rows."""
+        from scipy.sparse import hstack, identity
 
+        return hstack([self.A.tocsc(), identity(len(self.rel), format="csc")], format="csc")
 
-class _Columns:
-    """The simplex's column form of some rows: [A | I] in CSC form, rows
-    ascending within each column, and the bounds of each row's logical."""
-
-    def __init__(self, rows: _Rows):
-        n, m = rows.n, len(rows.rel)
-        self.N = n + m
-        self.logical_lo = np.where(rows.rel == _GE, -np.inf, 0.0)
-        self.logical_hi = np.where(rows.rel == _LE, np.inf, 0.0)
-        order = np.argsort(rows.cols, kind="stable")
-        nnz = len(order)
-        self.col_ptr = np.concatenate([
-            [0], np.cumsum(np.bincount(rows.cols, minlength=n)), nnz + np.arange(1, m + 1),
-        ])
-        self.row_idx = np.concatenate([rows.nz_rows[order], np.arange(m)])
-        self.val = np.concatenate([rows.vals[order], np.ones(m)])
-        self.col_of_nz = np.repeat(np.arange(self.N), np.diff(self.col_ptr))
+    @cached_property
+    def AT(self):
+        """The transpose of :attr:`AI`, a CSR view of its arrays for [A | I]^T y."""
+        return self.AI.T
 
 
 @dataclass(frozen=True)
@@ -371,9 +360,7 @@ class _Assembled:
 
     def row_activity(self, x: np.ndarray) -> np.ndarray:
         """A @ x, summed in each row's coefficient order."""
-        rows = self.rows
-        return np.bincount(rows.nz_rows, weights=rows.vals * x[rows.cols],
-                           minlength=len(self.rhs))
+        return self.rows.A @ x
 
     def feasibility(self, point: np.ndarray, tol: float) -> FeasibilityReport:
         diff = self.row_activity(point) - self.rhs
@@ -389,14 +376,17 @@ def _assemble(lp: LinearProgram, known: _Rows | None = None) -> _Assembled:
     """Arrays of `lp`; raises :class:`MalformedProblem` on the first defect
     (bounds first, then the objective, then the rows in order).  The rows of
     `known` are taken over when `lp` has the same rows."""
+    from scipy.sparse import csr_matrix
+
     n, m = lp.n_variables, lp.n_rows
     lower = np.array(lp.lower, dtype=float)
     upper = np.array(lp.upper, dtype=float)
     nan = np.isnan(lower) | np.isnan(upper)
-    bad = nan | (lower > upper)
+    bad = nan | (lower > upper) | (lower == np.inf) | (upper == -np.inf)
     if bad.any():
         i = int(np.argmax(bad))
-        what = "NaN bound" if nan[i] else "lower > upper"
+        what = ("NaN bound" if nan[i] else "lower > upper" if lower[i] > upper[i]
+                else "lower bound +inf" if lower[i] == np.inf else "upper bound -inf")
         raise MalformedProblem(f"{what} on variable {lp.names[i]!r}")
 
     obj_idx = np.fromiter(lp.objective.keys(), dtype=np.int64, count=len(lp.objective))
@@ -427,7 +417,6 @@ def _assemble(lp: LinearProgram, known: _Rows | None = None) -> _Assembled:
                        dtype=float, count=nnz)
     rels = list(map(attrgetter("rel"), rows))
     rel = np.fromiter(map(_REL_CODE.__getitem__, rels), dtype=np.int64, count=m)
-    nz_rows = np.repeat(np.arange(m), counts)
     hints = list(map(attrgetter("basic"), rows))
     basic = np.fromiter((-1 if hint is None else hint for hint in hints),
                         dtype=np.int64, count=m)
@@ -435,7 +424,7 @@ def _assemble(lp: LinearProgram, known: _Rows | None = None) -> _Assembled:
     outside = (cols < 0) | (cols >= n)
     bad_nz = outside | ~np.isfinite(vals)
     bad_row = ~np.isfinite(rhs) | (basic < -1) | (basic >= n)
-    bad_row[nz_rows[bad_nz]] = True
+    bad_row[np.searchsorted(indptr, np.flatnonzero(bad_nz), side="right") - 1] = True
     if bad_row.any():
         ri = int(np.argmax(bad_row))
         if not math.isfinite(rhs[ri]):
@@ -447,8 +436,8 @@ def _assemble(lp: LinearProgram, known: _Rows | None = None) -> _Assembled:
             raise MalformedProblem(f"row {ri} references unknown variable index {cols[k]}")
         raise MalformedProblem(f"non-finite coefficient on row {ri}, index {cols[k]}")
     given = (list(map(dict.copy, coeffs)), rels, hints)
-    return _Assembled(_Rows(n, indptr, cols, vals, nz_rows, rel, basic, given),
-                      lower, upper, cost, rhs)
+    A = csr_matrix((vals, cols, indptr), shape=(m, n))
+    return _Assembled(_Rows(A, rel, basic, given), lower, upper, cost, rhs)
 
 
 def check_feasibility(lp: LinearProgram, point: np.ndarray, tol: float = 0.0) -> FeasibilityReport:
@@ -631,18 +620,16 @@ class _BoundedSimplex:
         self.n = n
         self.m = m
 
-        # the set-up that depends on the rows only, shared by re-solves
-        cols = mat.rows.columns
-        self.N = N = cols.N
-        self.col_ptr, self.row_idx, self.val = cols.col_ptr, cols.row_idx, cols.val
-        self.col_of_nz = cols.col_of_nz
-        self.lo = np.concatenate([mat.lower, cols.logical_lo])
-        self.hi = np.concatenate([mat.upper, cols.logical_hi])
+        self.N = N = n + m
+        # [A | I] and its transpose, shared by re-solves of the same rows
+        self.AI, self.AT = mat.rows.AI, mat.rows.AT
+        rel = mat.rows.rel
+        self.lo = np.concatenate([mat.lower, np.where(rel == _GE, -np.inf, 0.0)])
+        self.hi = np.concatenate([mat.upper, np.where(rel == _LE, np.inf, 0.0)])
         self.c = np.concatenate([mat.cost, np.zeros(m)])
 
         self.gain = np.empty((2, N))
         self.t_rows = np.empty(m)
-        self.a = np.zeros(m)
         self.B = _Basis(m)
         self.stats = SolveStats()
 
@@ -728,15 +715,18 @@ class _BoundedSimplex:
         return (self.x_B < self.lo_B - tol) | (self.x_B > self.hi_B + tol)
 
     def _refactor(self) -> None:
+        # B's columns are cut from AI's arrays: scipy's AI[:, basis] took 99
+        # against 80 us for this on the 241-row recourse LPs (2-core 2.0 GHz
+        # Xeon VM), and an advset pass factors such a B about 70 times
         from scipy.sparse import csc_matrix
 
-        m = self.m
-        start = self.col_ptr[self.basis]
-        length = self.col_ptr[self.basis + 1] - start
+        m, AI = self.m, self.AI
+        start = AI.indptr[self.basis]
+        length = AI.indptr[self.basis + 1] - start
         ptr = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(length, out=ptr[1:])
         take = np.arange(ptr[-1]) + np.repeat(start - ptr[:-1], length)
-        self.B.factor(csc_matrix((self.val[take], self.row_idx[take], ptr), shape=(m, m)))
+        self.B.factor(csc_matrix((AI.data[take], AI.indices[take], ptr), shape=(m, m)))
         self.stats.refactorizations += 1
 
     # -- entering column ---------------------------------------------------------
@@ -746,12 +736,10 @@ class _BoundedSimplex:
         self.dirs[0, j], self.dirs[1, j] = _GAIN_DIRS[st]
 
     def _reduced_costs(self, cost: np.ndarray, c_B: np.ndarray) -> np.ndarray:
-        """d = cost - A^T y with y = B^-T c_B, which is 0 when c_B is."""
+        """d = cost - [A | I]^T y with y = B^-T c_B, which is 0 when c_B is."""
         if not c_B.any():
             return cost.copy()
-        y = self.B.btran(c_B)
-        return cost - np.bincount(self.col_of_nz, weights=self.val * y[self.row_idx],
-                                  minlength=self.N)
+        return cost - self.AT @ self.B.btran(c_B)
 
     def _entering(self, d: np.ndarray, bland: bool) -> tuple[int, int] | None:
         tol = self.opt.opt_tol
@@ -797,12 +785,11 @@ class _BoundedSimplex:
 
     def _column(self, j: int) -> np.ndarray:
         """B^-1 a_j for column j of [A | I]."""
-        a = self.a  # all zero between calls
-        nz = slice(self.col_ptr[j], self.col_ptr[j + 1])
-        a[self.row_idx[nz]] = self.val[nz]
-        col = self.B.ftran(a)
-        a[self.row_idx[nz]] = 0.0
-        return col
+        AI = self.AI
+        nz = slice(AI.indptr[j], AI.indptr[j + 1])
+        a = np.zeros(self.m)
+        a.put(AI.indices[nz], AI.data[nz])
+        return self.B.ftran(a)
 
     def _flip(self, j: int) -> None:
         """Move nonbasic column j to its other bound; the caller moves x_B."""
@@ -901,14 +888,13 @@ class _BoundedSimplex:
         Returns None once x_B is within its bounds, or, when no column can
         bring row r within them, the rows that rho = B^-T e_r combines into
         that unsatisfiable row: an infeasibility certificate."""
-        m, N = self.m, self.N
         opt = self.opt
         stats = self.stats
         self._price_basis(cost)
         lo_B, hi_B, c_B = self.lo_B, self.hi_B, self.c_B
         span = self.hi - self.lo  # inf for a column without two finite bounds
         movable = span > 0.0
-        e_r = np.zeros(m)
+        e_r = np.zeros(self.m)
         stall = 0
         fallback = False
         d = None
@@ -935,7 +921,7 @@ class _BoundedSimplex:
             # row r of B^-1 [A | I], signed so that g[j] > 0 where column j
             # rising moves x_B[r] away from the bound it violates
             rises = below[r] > opt.feas_tol
-            g = np.bincount(self.col_of_nz, weights=self.val * rho[self.row_idx], minlength=N)
+            g = self.AT @ rho
             if not rises:
                 g = -g
             # how fast x_B[r] nears that bound as each column leaves its own
@@ -998,12 +984,11 @@ class _BoundedSimplex:
 
 def _solve_scipy(mat: _Assembled) -> LpSolution:
     from scipy.optimize import linprog
-    from scipy.sparse import csr_matrix
 
     rows = mat.rows
     sign = np.where(rows.rel == _GE, -1.0, 1.0)  # GE rows enter A_ub negated
-    A = csr_matrix((rows.vals * sign[rows.nz_rows], rows.cols, rows.indptr),
-                   shape=(len(mat.rhs), len(mat.lower)))
+    A = rows.A.copy()
+    A.data *= np.repeat(sign, np.diff(A.indptr))
     A.eliminate_zeros()
     b = mat.rhs * sign
     ub = np.concatenate([np.flatnonzero(rows.rel == _LE), np.flatnonzero(rows.rel == _GE)])

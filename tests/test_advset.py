@@ -23,7 +23,7 @@ from gridres.advset import (
 )
 from gridres.constraints import BuildOptions, device_groups
 from gridres.dispatch import CostConfig, solve_baseline
-from gridres.lp import LinearProgram, LpStatus, Rel, SolverOptions, solve
+from gridres.lp import LinearProgram, LpStatus, MalformedProblem, Rel, SolverOptions, solve
 from gridres.network import SynthSpec, synth_feeder
 from gridres.robust import ReserveSchedule
 from gridres.scenario import load_scenario
@@ -327,6 +327,26 @@ def test_infeasible_dispatch_point_flagged():
                      [AdversarialAxis(AXIS_LOAD_INCREASE, "load1")], step=0)
 
 
+def test_step_outside_the_horizon_is_rejected():
+    model, dispatch, reserves = dg_toy()
+    axes = [AdversarialAxis(AXIS_LOAD_INCREASE, "load1")]
+    for step in (-1, model.steps):
+        match = f"step {step} outside the horizon of {model.steps} steps"
+        with pytest.raises(ValueError, match=match):
+            build_recourse_lp(model, dispatch, reserves, step, axes, np.zeros(1))
+        with pytest.raises(ValueError, match=match):
+            characterize(model, dispatch, reserves, axes, step=step)
+        with pytest.raises(ValueError, match=match):
+            event_is_tolerable(model, dispatch, reserves, step, axes, np.zeros(1))
+
+
+def test_infinite_magnitude_is_malformed():
+    model, dispatch, reserves = dg_toy()
+    axes = [AdversarialAxis(AXIS_LOAD_INCREASE, "load1")]
+    with pytest.raises(MalformedProblem, match="upper bound -inf"):
+        event_is_tolerable(model, dispatch, reserves, 0, axes, np.array([-np.inf]))
+
+
 def test_projection_geometry():
     poly = InnerPolytope(
         step=0,
@@ -363,6 +383,9 @@ def test_projection_geometry():
 
     with pytest.raises(ValueError):
         project_2d(poly, 1, 1)
+    for i, j in [(-1, 0), (0, -1), (3, 0), (0, 3)]:
+        with pytest.raises(ValueError, match="outside the 3 axes"):
+            project_2d(poly, i, j)
 
 
 def test_sampled_points_inside_projection():

@@ -176,6 +176,46 @@ def test_malformed_problems():
     with pytest.raises(MalformedProblem):
         lp3.add_variable("z", 2.0, 1.0)
 
+    # a column fixed at an infinite bound has no finite value to take
+    lp4 = LinearProgram()
+    lp4.add_variable("w", np.inf, np.inf)
+    with pytest.raises(MalformedProblem, match="lower bound \\+inf on variable 'w'"):
+        solve(lp4)
+    lp5, x = single_var_lp()
+    lp5.set_bounds(x, -np.inf, -np.inf)
+    with pytest.raises(MalformedProblem, match="upper bound -inf on variable 'x'"):
+        solve(lp5)
+    with pytest.raises(MalformedProblem, match="upper bound -inf"):
+        check_feasibility(lp5, np.zeros(1))
+
+
+def test_assembly_of_irregular_rows():
+    """An empty row, an explicit zero coefficient, a row whose coefficients
+    come in descending column order and a column in no row."""
+    lp = LinearProgram()
+    for j, (lo, hi) in enumerate([(0.0, 4.0), (-1.0, 3.0), (0.0, 2.0), (-2.0, 5.0)]):
+        lp.add_variable(f"x{j}", lo, hi)
+    lp.set_objective({0: -1.0, 1: -2.0, 2: 0.5, 3: 1.0})  # x3 is in no row
+    lp.add_row({2: 1.0, 1: 1.0, 0: 1.0}, Rel.LE, 4.0)
+    lp.add_row({}, Rel.LE, 1.0)
+    lp.add_row({0: 1.0, 1: 0.0, 2: -1.0}, Rel.GE, -1.0)
+    lp.add_row({1: 1.0, 0: -1.0}, Rel.EQ, 0.5)
+
+    sol = solve(lp)
+    ref = solve(lp, SolverOptions(backend="scipy"))
+    assert sol.status is ref.status is LpStatus.OPTIMAL
+    assert sol.objective_value == pytest.approx(ref.objective_value, abs=1e-9)
+    assert sol.objective_value == pytest.approx(brute_force_min(lp), abs=1e-9)
+    np.testing.assert_allclose(sol.values, ref.values, atol=1e-9)
+    assert sol.values[3] == -2.0
+    assert check_feasibility(lp, sol.values).ok(1e-9)
+
+    report = check_feasibility(lp, np.array([4.0, 3.0, 0.0, 0.0]))
+    assert report.violations == [(0, 3.0), (3, 1.5)]
+    report = check_feasibility(lp, np.array([0.0, -1.0, 2.0, 0.0]))
+    assert report.violations == [(2, 1.0), (3, 1.5)]
+    assert report.max_row_residual == 1.5
+
 
 def test_iteration_limit_is_loud():
     rng = np.random.default_rng(3)

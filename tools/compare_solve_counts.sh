@@ -7,9 +7,10 @@
 # and scenarios/).  In each, from its own sources and at seeds 2026 and 7, one
 # line is printed per solve: its name, status, repr(objective), how it
 # started, its primal and dual pivots, bound flips, Bland entries and
-# refactorizations.  The solves are the baseline LPs of lshl, hsll and
-# cyber_event, the robust LPs of hsll and cyber_event, and one `characterize`
-# pass over cyber_event's advset_steps (its solves summed, plus repr(alpha)).
+# refactorizations.  The solves are the baseline LPs of lshl, hsll,
+# cyber_event and a 123-bus copy of cyber_event ("buses": 123), the robust
+# LPs of hsll, cyber_event and that copy, and one `characterize` pass over
+# cyber_event's advset_steps (its solves summed, plus repr(alpha)).
 # Pivot counts are deterministic, so the two sides must match exactly.  Exits
 # 0 when every line is identical, 1 on any difference, and 2 when a run fails.
 set -euo pipefail
@@ -25,8 +26,10 @@ trap 'rm -rf "$work"' EXIT
 count_solves() {
     local root
     root=$(cd "$1" && pwd)
-    (cd "$root" && PYTHONPATH="$root/src" OMP_NUM_THREADS=1 python - "$2" <<'EOF'
+    (cd "$root" && PYTHONPATH="$root/src" OMP_NUM_THREADS=1 python - "$2" "$work/big.json" <<'EOF'
+import json
 import sys
+from pathlib import Path
 
 import gridres.advset as advset
 from gridres.dispatch import build_baseline_lp, solve_baseline
@@ -53,12 +56,17 @@ def line(name: str, sol) -> str:
 
 
 seed = int(sys.argv[1])
-scenarios = {name: load_scenario(f"scenarios/{name}.json", seed_override=seed)
-             for name in ("lshl", "hsll", "cyber_event")}
+paths = {name: f"scenarios/{name}.json" for name in ("lshl", "hsll", "cyber_event")}
+# the size at which pricing weighs most in a simplex solve
+doc = json.loads(Path(paths["cyber_event"]).read_text())
+doc["network"]["synth"]["buses"] = 123
+paths["cyber_event_123"] = sys.argv[2]
+Path(paths["cyber_event_123"]).write_text(json.dumps(doc))
+scenarios = {name: load_scenario(path, seed_override=seed) for name, path in paths.items()}
 for name, sc in scenarios.items():
     lp, _ = build_baseline_lp(sc.model, sc.costs, sc.build)
     print(line(f"seed {seed} baseline {name}", solve(lp, sc.solver)))
-for name in ("hsll", "cyber_event"):
+for name in ("hsll", "cyber_event", "cyber_event_123"):
     sc = scenarios[name]
     lp, _, _ = build_robust_lp(sc.model, sc.costs, sc.reserve_costs, sc.box, sc.build)
     print(line(f"seed {seed} robust {name}", solve(lp, sc.solver)))
