@@ -2,11 +2,12 @@
 
 Subcommands: baseline, robust, advset, simulate, synth, validate.  Every run
 reads one scenario JSON, writes plot-ready CSV/JSON files plus a manifest into
---out, and exits with: 0 success, 1 input error, 2 optimization infeasible,
-3 downstream infeasibility (e.g. an adversarial axis with no feasible
-recourse), 4 solver failure (the simplex hit its iteration cap or lost
-numerical soundness).  Given equal inputs and seed, output files are
-byte-identical across runs (the manifest records wall-clock timing and is
+--out through its ManifestWriter, and exits with: 0 success, 1 input error (a
+malformed scenario or command line, or an --out that cannot be written), 2
+optimization infeasible, 3 downstream infeasibility (e.g. an adversarial axis
+with no feasible recourse), 4 solver failure (the simplex hit its iteration
+cap or lost numerical soundness).  Given equal inputs and seed, output files
+are byte-identical across runs (the manifest records wall-clock timing and is
 exempt).
 """
 
@@ -45,7 +46,7 @@ EXIT_SOLVER = 4
 MW = 1.0e6
 
 
-def _emit_dispatch_files(out: Path, scenario: Scenario, result: DispatchResult,
+def _emit_dispatch_files(scenario: Scenario, result: DispatchResult,
                          manifest: ManifestWriter) -> None:
     model = scenario.model
     agg = summarize(result)
@@ -58,39 +59,33 @@ def _emit_dispatch_files(out: Path, scenario: Scenario, result: DispatchResult,
             float(agg.pv_curtail_w[k] / MW), float(agg.load_curtail_w[k] / MW),
             float(agg.v_min_pu[k]), float(agg.v_max_pu[k]),
         ])
-    write_csv(out / "aggregate.csv",
+    write_csv(manifest.output("aggregate.csv"),
               ["step", "time_min", "pv_mw", "dg_mw", "es_mw", "load_mw",
                "pv_curtail_mw", "load_curtail_mw", "v_min_pu", "v_max_pu"], rows)
-    manifest.add_output(out / "aggregate.csv")
 
     rows = []
     for (bus, phase) in sorted(result.voltage_sq_pu):
         series = result.voltage_sq_pu[(bus, phase)]
         for k in range(model.steps):
             rows.append([k, bus, phase, float(np.sqrt(series[k]))])
-    write_csv(out / "voltage.csv", ["step", "bus", "phase", "v_pu"], rows)
-    manifest.add_output(out / "voltage.csv")
+    write_csv(manifest.output("voltage.csv"), ["step", "bus", "phase", "v_pu"], rows)
 
     rows = []
     for uid in sorted(result.soc_wh):
         for k, val in enumerate(result.soc_wh[uid]):
             rows.append([k, uid, float(val / MW)])
-    write_csv(out / "soc.csv", ["step", "unit", "soc_mwh"], rows)
-    manifest.add_output(out / "soc.csv")
+    write_csv(manifest.output("soc.csv"), ["step", "unit", "soc_mwh"], rows)
 
 
-def cmd_baseline(scenario: Scenario, out: Path, manifest: ManifestWriter,
-                 dump_lp: bool = False) -> int:
+def cmd_baseline(scenario: Scenario, manifest: ManifestWriter, dump_lp: bool = False) -> int:
     if dump_lp:
         from .dispatch import build_baseline_lp
 
         lp, _ns = build_baseline_lp(scenario.model, scenario.costs, scenario.build)
-        (out / "problem.lp").write_text(lp.to_lp_text(f"{scenario.name}-baseline"))
-        manifest.add_output(out / "problem.lp")
+        manifest.output("problem.lp").write_text(lp.to_lp_text(f"{scenario.name}-baseline"))
     result = solve_baseline(scenario.model, scenario.costs, scenario.build, scenario.solver)
-    write_json(out / "dispatch.json", result.to_json_dict())
-    manifest.add_output(out / "dispatch.json")
-    _emit_dispatch_files(out, scenario, result, manifest)
+    write_json(manifest.output("dispatch.json"), result.to_json_dict())
+    _emit_dispatch_files(scenario, result, manifest)
     return EXIT_OK
 
 
@@ -103,12 +98,11 @@ def _solve_robust_for(scenario: Scenario) -> RobustResult:
     )
 
 
-def _emit_robust_files(out: Path, scenario: Scenario, robust: RobustResult,
+def _emit_robust_files(scenario: Scenario, robust: RobustResult,
                        manifest: ManifestWriter) -> None:
     model = scenario.model
-    write_json(out / "robust.json", robust.to_json_dict())
-    manifest.add_output(out / "robust.json")
-    _emit_dispatch_files(out, scenario, robust.dispatch, manifest)
+    write_json(manifest.output("robust.json"), robust.to_json_dict())
+    _emit_dispatch_files(scenario, robust.dispatch, manifest)
 
     rows = []
     for (cls_name, uid) in sorted(robust.reserves.up):
@@ -118,9 +112,8 @@ def _emit_robust_files(out: Path, scenario: Scenario, robust: RobustResult,
                 float(robust.reserves.up[(cls_name, uid)][k] / MW),
                 float(robust.reserves.down[(cls_name, uid)][k] / MW),
             ])
-    write_csv(out / "reserves.csv",
+    write_csv(manifest.output("reserves.csv"),
               ["step", "device_class", "device", "up_mw", "down_mw"], rows)
-    manifest.add_output(out / "reserves.csv")
 
     rows = []
     for k in range(model.steps):
@@ -129,14 +122,12 @@ def _emit_robust_files(out: Path, scenario: Scenario, robust: RobustResult,
             k, float(up / MW), float(down / MW),
             float(robust.worst_up_w[k] / MW), float(robust.worst_down_w[k] / MW),
         ])
-    write_csv(out / "margins.csv",
+    write_csv(manifest.output("margins.csv"),
               ["step", "up_total_mw", "down_total_mw", "worst_up_mw", "worst_down_mw"],
               rows)
-    manifest.add_output(out / "margins.csv")
 
 
-def cmd_robust(scenario: Scenario, out: Path, manifest: ManifestWriter,
-               dump_lp: bool = False) -> int:
+def cmd_robust(scenario: Scenario, manifest: ManifestWriter, dump_lp: bool = False) -> int:
     if dump_lp:
         from .robust import build_robust_lp
 
@@ -144,14 +135,13 @@ def cmd_robust(scenario: Scenario, out: Path, manifest: ManifestWriter,
             scenario.model, scenario.costs, scenario.reserve_costs, scenario.box,
             scenario.build,
         )
-        (out / "problem.lp").write_text(lp.to_lp_text(f"{scenario.name}-robust"))
-        manifest.add_output(out / "problem.lp")
+        manifest.output("problem.lp").write_text(lp.to_lp_text(f"{scenario.name}-robust"))
     robust = _solve_robust_for(scenario)
-    _emit_robust_files(out, scenario, robust, manifest)
+    _emit_robust_files(scenario, robust, manifest)
     return EXIT_OK
 
 
-def cmd_advset(scenario: Scenario, out: Path, manifest: ManifestWriter,
+def cmd_advset(scenario: Scenario, manifest: ManifestWriter,
                projections: list[tuple[int, int, int]] = ()) -> int:
     """Tolerable-event set around the economic dispatch and its headroom.
 
@@ -182,32 +172,28 @@ def cmd_advset(scenario: Scenario, out: Path, manifest: ManifestWriter,
         worst_up_w=np.zeros(scenario.model.steps),
         worst_down_w=np.zeros(scenario.model.steps),
     )
-    _emit_robust_files(out, scenario, robust, manifest)
+    _emit_robust_files(scenario, robust, manifest)
     polys = characterize_steps(
         scenario.model, robust.dispatch, robust.reserves, scenario.axes,
         scenario.advset_steps, scenario.build, scenario.solver,
     )
 
-    write_json(out / "polytope.json", polytopes_to_json(polys))
-    manifest.add_output(out / "polytope.json")
+    write_json(manifest.output("polytope.json"), polytopes_to_json(polys))
 
     rows = []
     for k in sorted(polys):
         poly = polys[k]
         for i, axis in enumerate(poly.axes):
             rows.append([k, i, axis.kind, axis.entity, float(poly.alpha_w[i] / MW)])
-    write_csv(out / "alpha.csv",
+    write_csv(manifest.output("alpha.csv"),
               ["step", "axis_index", "kind", "entity", "alpha_mw"], rows)
-    manifest.add_output(out / "alpha.csv")
 
     for (i, j, k) in projections:
         poly = polys[k]
         hull, degenerate = project_2d(poly, i, j)
-        name = f"polygon_{i}_{j}_{k}.csv"
         rows = [[float(x / MW), float(y / MW)] for x, y in hull]
         header = [f"axis{i}_{poly.axes[i].entity}_mw", f"axis{j}_{poly.axes[j].entity}_mw"]
-        write_csv(out / name, header, rows)
-        manifest.add_output(out / name)
+        write_csv(manifest.output(f"polygon_{i}_{j}_{k}.csv"), header, rows)
         if degenerate:
             print(f"note: projection ({i},{j}) at step {k} is degenerate", file=sys.stderr)
     return EXIT_OK
@@ -240,7 +226,7 @@ def _trajectory_rows(model, traj) -> list[list]:
     return rows
 
 
-def cmd_simulate(scenario: Scenario, out: Path, manifest: ManifestWriter,
+def cmd_simulate(scenario: Scenario, manifest: ManifestWriter,
                  robust_path: Path | None = None, polytope_path: Path | None = None,
                  sample: int | None = None, sample_seed: int | None = None) -> int:
     if sample is None:  # before any read or solve, so a stray flag writes nothing
@@ -257,15 +243,13 @@ def cmd_simulate(scenario: Scenario, out: Path, manifest: ManifestWriter,
 
     if sample is None:
         traj = run_simulation(scenario.model, robust, scenario.events)
-        write_csv(out / "trajectory.csv",
+        write_csv(manifest.output("trajectory.csv"),
                   ["step", "time_min", "series", "entity", "value"],
                   _trajectory_rows(scenario.model, traj))
-        manifest.add_output(out / "trajectory.csv")
         report = violation_report(traj)
-        write_json(out / "violations.json",
+        write_json(manifest.output("violations.json"),
                    {"counts": report.counts, "max_magnitude": report.max_magnitude,
                     "total": report.total})
-        manifest.add_output(out / "violations.json")
         return EXIT_OK
 
     if sample < 1:
@@ -288,18 +272,14 @@ def cmd_simulate(scenario: Scenario, out: Path, manifest: ManifestWriter,
         rows.append([r, report.total, *(report.counts[c] for c in VIOLATION_CLASSES)])
         for c in totals:
             totals[c] += report.counts[c]
-    write_csv(out / "samples.csv", ["run", "violations", *VIOLATION_CLASSES], rows)
-    manifest.add_output(out / "samples.csv")
-    write_json(out / "violations.json",
+    write_csv(manifest.output("samples.csv"), ["run", "violations", *VIOLATION_CLASSES], rows)
+    write_json(manifest.output("violations.json"),
                {"runs": sample, "counts": totals, "total": sum(totals.values())})
-    manifest.add_output(out / "violations.json")
     return EXIT_OK
 
 
-def cmd_synth(scenario: Scenario, out: Path, manifest: ManifestWriter) -> int:
-    save_model(scenario.model, out / "network.json", out / "profiles.csv")
-    manifest.add_output(out / "network.json")
-    manifest.add_output(out / "profiles.csv")
+def cmd_synth(scenario: Scenario, manifest: ManifestWriter) -> int:
+    save_model(scenario.model, manifest.output("network.json"), manifest.output("profiles.csv"))
     return EXIT_OK
 
 
@@ -311,8 +291,15 @@ def cmd_validate(scenario: Scenario) -> int:
     return EXIT_OK if report.ok else EXIT_INPUT
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """A malformed command line is an input error like any other: one
+        line and exit 1, not argparse's usage block and exit 2."""
+        raise ScenarioError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gridres",
         description="Microgrid reserve dispatch and resilience analysis",
     )
@@ -360,44 +347,38 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         scenario = load_scenario(
             args.scenario, seed_override=args.seed,
             poly_sides=args.poly_sides, feas_tol=args.feas_tol,
         )
-    except ScenarioError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-
-    manifest = ManifestWriter(args.command, scenario.seed)
-    manifest.add_input(Path(args.scenario))
-
-    out = Path(args.out)
-    if args.command != "validate":
-        out.mkdir(parents=True, exist_ok=True)
-
-    try:
+        if args.command == "validate":
+            return cmd_validate(scenario)
+        manifest = ManifestWriter(args.command, scenario.seed, args.out)
+        manifest.add_input(Path(args.scenario))
         if args.command == "baseline":
-            code = cmd_baseline(scenario, out, manifest, dump_lp=args.dump_lp)
+            code = cmd_baseline(scenario, manifest, dump_lp=args.dump_lp)
         elif args.command == "robust":
-            code = cmd_robust(scenario, out, manifest, dump_lp=args.dump_lp)
+            code = cmd_robust(scenario, manifest, dump_lp=args.dump_lp)
         elif args.command == "advset":
-            code = cmd_advset(scenario, out, manifest,
-                              projections=[tuple(p) for p in args.project])
+            code = cmd_advset(scenario, manifest, projections=[tuple(p) for p in args.project])
         elif args.command == "simulate":
             code = cmd_simulate(
-                scenario, out, manifest,
+                scenario, manifest,
                 robust_path=Path(args.robust) if args.robust else None,
                 polytope_path=Path(args.polytope) if args.polytope else None,
                 sample=args.sample, sample_seed=args.sample_seed,
             )
-        elif args.command == "synth":
-            code = cmd_synth(scenario, out, manifest)
         else:
-            return cmd_validate(scenario)
+            code = cmd_synth(scenario, manifest)
+        manifest.write()
+        return code
     except ScenarioError as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as err:  # every input is read under input_error, so this is an output
+        print(f"error: --out {args.out}: {err}", file=sys.stderr)
         return EXIT_INPUT
     except InfeasibleDispatch as err:
         print(f"infeasible: {err}", file=sys.stderr)
@@ -408,9 +389,6 @@ def main(argv: list[str] | None = None) -> int:
     except (IterationLimitExceeded, ArithmeticError) as err:
         print(f"solver failure: {err}", file=sys.stderr)
         return EXIT_SOLVER
-
-    manifest.write(out)
-    return code
 
 
 def entrypoint() -> None:  # console-script shim

@@ -67,7 +67,7 @@ only the root's balance rows start with their logical, fixed at zero.
     w (squared voltage)   [v_min^2, v_max^2]; the root fixed at 1
     p (device active)     the device window, in pu
     soc (stored energy)   [e_min, e_max]
-    reserves, dg losses   [0, inf)
+    reserves              [0, inf)
     flows, reactive q     free
 
 Emitters read a device's window back from `ns.lp.lower`/`ns.lp.upper`
@@ -221,13 +221,11 @@ class VariableNamespace:
         self.soc: dict[tuple[str, int], int] = {}  # stored energy at END of step k
         self.r_up: dict[tuple[str, str, int], int] = {}  # (class, id, k)
         self.r_dn: dict[tuple[str, str, int], int] = {}
-        self.dg_loss: dict[tuple[str, int], int] = {}
 
 
 def build_namespace(
     model: NetworkModel,
     reserves: bool = False,
-    dg_loss_keys: tuple[tuple[str, int], ...] = (),
     steps: tuple[int, ...] | None = None,
 ) -> VariableNamespace:
     """Declare every LP column for `model` in deterministic order, with its bounds.
@@ -236,10 +234,9 @@ def build_namespace(
     horizon); the stored-energy columns only by default, since the SoC
     recursion spans the horizon.  Squared voltages lie in [v_min^2, v_max^2]
     (the root fixed at 1), device active powers in their `device_window`,
-    stored energies in [e_min, e_max]; flows and reactive powers are free.  With `reserves`, the four up/down reserve
-    classes are added per device and step; `dg_loss_keys` adds the
-    worst-case output-loss helpers used by the robust coverage rows.  Both
-    are non-negative.
+    stored energies in [e_min, e_max]; flows and reactive powers are free.
+    With `reserves`, the four up/down reserve classes are added per device
+    and step, all non-negative.
     """
     whole_horizon = steps is None
     ns = VariableNamespace(tuple(range(model.steps)) if whole_horizon else tuple(steps))
@@ -287,8 +284,6 @@ def build_namespace(
             for u in sorted(units, key=lambda d: d.id):
                 for k in steps:
                     ns.r_dn[(cls, u.id, k)] = new(f"rdn_{cls}[{u.id},{k}]", 0.0)
-    for uid, k in sorted(dg_loss_keys):
-        ns.dg_loss[(uid, k)] = new(f"dgloss[{uid},{k}]", 0.0)
 
     return ns
 
@@ -478,12 +473,11 @@ def build_feeder_lp(
     options: BuildOptions,
     steps: tuple[int, ...] | None = None,
     reserves: bool = False,
-    dg_loss_keys: tuple[tuple[str, int], ...] = (),
     pv_floor: dict[tuple[str, int], float] | None = None,
 ) -> VariableNamespace:
     """The feeder LP as `ns.lp`: the columns of `build_namespace`, then the
     voltage-drop, power-balance and `emit_limits` rows, in that order."""
-    ns = build_namespace(model, reserves, dg_loss_keys, steps)
+    ns = build_namespace(model, reserves, steps)
     apply_emissions(ns.lp, emit_voltage_drop(model, ns))
     apply_emissions(ns.lp, emit_power_balance(model, ns))
     apply_emissions(ns.lp, emit_limits(model, ns, options, reserves, pv_floor))

@@ -190,12 +190,6 @@ class LinearProgram:
         self.rows.append(Row(merged, Rel(rel), float(rhs), tag, basic))
         return len(self.rows) - 1
 
-    def objective_vector(self) -> np.ndarray:
-        c = np.zeros(self.n_variables)
-        for idx, coeff in self.objective.items():
-            c[idx] = coeff
-        return c
-
     def to_lp_text(self, name: str = "problem") -> str:
         """Render in CPLEX-LP style text for cross-checking with external solvers."""
 

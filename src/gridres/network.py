@@ -601,6 +601,29 @@ def dataclass_record(cls):
 
 
 # ---------------------------------------------------------------------------
+# deterministic file emission: sorted JSON keys and repr-exact floats, so
+# equal inputs give byte-identical files
+
+
+def fmt(value: float) -> str:
+    return repr(float(value))
+
+
+def write_csv(path, header: list[str], rows: list[list]) -> None:
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt(v) if isinstance(v, float) else v for v in row])
+
+
+def write_json(path, doc: dict) -> None:
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
+# ---------------------------------------------------------------------------
 # network files
 
 
@@ -682,14 +705,8 @@ def profiles_rows(model: NetworkModel) -> list[tuple[int, str, str, float]]:
 
 
 def save_model(model: NetworkModel, network_path, profiles_path) -> None:
-    with open(network_path, "w") as f:
-        json.dump(to_json_dict(model), f, indent=2, sort_keys=True)
-        f.write("\n")
-    with open(profiles_path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(PROFILES_HEADER)
-        for k, ent, fieldname, value in profiles_rows(model):
-            writer.writerow([k, ent, fieldname, repr(value)])
+    write_json(network_path, to_json_dict(model))
+    write_csv(profiles_path, PROFILES_HEADER, profiles_rows(model))
 
 
 def _profile_series(profiles, steps: int, doc: dict) -> dict[tuple[str, str], np.ndarray]:

@@ -257,14 +257,16 @@ def build_robust_lp(
 ) -> tuple[LinearProgram, VariableNamespace, WorstCase]:
     """The reserve dispatch LP against `box`, its namespace and the box's worst case."""
     worst = tighten(box, model)
-    dg_loss_keys = tuple(sorted(worst.dg_floor))
     ns = build_feeder_lp(model, options or BuildOptions(), reserves=True,
-                         dg_loss_keys=dg_loss_keys, pv_floor=worst.pv_floor)
+                         pv_floor=worst.pv_floor)
     lp = ns.lp
 
-    # worst-case output-loss helpers: loss >= P - cap_low, loss >= 0
-    for key in dg_loss_keys:
-        lp.add_row({ns.p[("dg", *key)]: 1.0, ns.dg_loss[key]: -1.0}, Rel.LE,
+    # worst-case output-loss helpers, declared last (solve_robust reads them
+    # there): loss >= P - cap_low, loss >= 0
+    dg_loss = {(uid, k): lp.add_variable(f"dgloss[{uid},{k}]", 0.0)
+               for uid, k in sorted(worst.dg_floor)}
+    for key, idx in dg_loss.items():
+        lp.add_row({ns.p[("dg", *key)]: 1.0, idx: -1.0}, Rel.LE,
                    worst.dg_floor[key], "reserve_coverage")
 
     # per-step coverage: guaranteed reserves must absorb the worst-case
@@ -280,9 +282,8 @@ def build_robust_lp(
                     continue
                 up_coeffs[ns.r_up[(cls_name, u.id, k)]] = -1.0
                 dn_coeffs[ns.r_dn[(cls_name, u.id, k)]] = -1.0
-        losses_at_k = [dg_id for (dg_id, kk) in dg_loss_keys if kk == k]
-        for dg_id in losses_at_k:
-            up_coeffs[ns.dg_loss[(dg_id, k)]] = 1.0
+        losses_at_k = [idx for (_dg_id, kk), idx in dg_loss.items() if kk == k]
+        up_coeffs.update(dict.fromkeys(losses_at_k, 1.0))
         if mask_up > 0.0 or losses_at_k:
             lp.add_row(up_coeffs, Rel.LE, -mask_up, "reserve_coverage")
         if mask_down > 0.0:
@@ -328,8 +329,10 @@ def solve_robust(
     total = dispatch.objective_value
     dispatch.objective_value = total - reserve_cost  # the pure dispatch part
 
-    # realized worst-case requirement includes the diesel loss terms
-    for (dg_id, k), idx in ns.dg_loss.items():
+    # realized worst-case requirement includes the diesel loss terms, the
+    # LP's last columns in the order of the sorted diesel floors
+    first = lp.n_variables - len(worst.dg_floor)
+    for idx, (_dg_id, k) in enumerate(sorted(worst.dg_floor), start=first):
         worst.mask_up[k] += x[idx]
 
     return RobustResult(

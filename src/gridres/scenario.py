@@ -14,7 +14,6 @@ wall-clock timing) is the one deliberately non-reproducible artifact.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import operator
@@ -30,6 +29,7 @@ from .lp import SolverOptions
 from .network import InputError as ScenarioError  # a malformed scenario or command line
 from .network import (NetworkModel, SynthSpec, array, dataclass_record, input_error, integer,
                       load_model, nullable, number, record, string, synth_feeder, validate)
+from .network import write_csv, write_json  # noqa: F401  (the CLI writes through these names)
 from .robust import ReserveCosts, UncertaintyBox
 from .sim import Event, compile_timeline
 
@@ -199,25 +199,7 @@ def load_scenario(path, seed_override: int | None = None,
 
 
 # ---------------------------------------------------------------------------
-# deterministic file emission
-
-
-def fmt(value: float) -> str:
-    return repr(float(value))
-
-
-def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(v) if isinstance(v, float) else v for v in row])
-
-
-def write_json(path: Path, doc: dict) -> None:
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+# the run's files
 
 
 def sha256_of(path: Path) -> str:
@@ -227,11 +209,15 @@ def sha256_of(path: Path) -> str:
 
 
 class ManifestWriter:
-    """Records inputs, outputs, seed, and timing of one CLI run."""
+    """The one way a CLI run writes a file: it creates the output directory,
+    hands out the path of each output while recording its name, and at the
+    end writes the manifest of inputs, outputs, seed and timing there."""
 
-    def __init__(self, command: str, seed: int):
+    def __init__(self, command: str, seed: int, out_dir):
         self.command = command
         self.seed = seed
+        self.out_dir = Path(out_dir)
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.inputs: dict[str, str] = {}
         self.outputs: list[str] = []
         self._t0 = time.perf_counter()
@@ -239,10 +225,12 @@ class ManifestWriter:
     def add_input(self, path: Path) -> None:
         self.inputs[str(path)] = sha256_of(path)
 
-    def add_output(self, path: Path) -> None:
-        self.outputs.append(Path(path).name)
+    def output(self, name: str) -> Path:
+        """The path to write output `name` to, recorded in the manifest."""
+        self.outputs.append(name)
+        return self.out_dir / name
 
-    def write(self, out_dir: Path) -> Path:
+    def write(self) -> Path:
         doc = {
             "tool": "gridres",
             "version": __version__,
@@ -252,6 +240,6 @@ class ManifestWriter:
             "outputs": sorted(self.outputs),
             "timing_s": round(time.perf_counter() - self._t0, 6),
         }
-        path = Path(out_dir) / "manifest.json"
+        path = self.out_dir / "manifest.json"
         write_json(path, doc)
         return path

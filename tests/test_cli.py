@@ -756,3 +756,82 @@ def test_baseline_infeasible_maps_to_exit_2(tmp_path):
         uncertainty=[], timeline=[],
     )
     assert main(["baseline", str(scenario), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("flags, expected", [
+    (["--seed", "abc"], "error: argument --seed: invalid int value: 'abc'"),
+    (["--bogus"], "error: unrecognized arguments: --bogus"),
+    (["--project", "0", "1"], "error: argument --project: expected 3 arguments"),
+], ids=["bad-seed", "unknown-flag", "short-project"])
+def test_malformed_command_line_is_input_error(tmp_path, capsys, flags, expected):
+    scenario = small_scenario(tmp_path)
+    out = tmp_path / "o"
+    assert main(["advset", str(scenario), "--out", str(out), *flags]) == 1
+    assert capsys.readouterr().err == expected + "\n"
+    assert not out.exists()
+
+
+def test_missing_subcommand_is_input_error(capsys):
+    assert main([]) == 1
+    assert capsys.readouterr().err == "error: the following arguments are required: command\n"
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["-h"], ["baseline", "-h"]])
+def test_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
+def test_out_naming_a_file_is_input_error(tmp_path, capsys):
+    scenario = small_scenario(tmp_path)
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert main(["baseline", str(scenario), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out {out}: ")
+    assert len(err.strip().splitlines()) == 1
+    assert out.read_text() == "not a directory\n"
+
+
+def test_unwritable_output_is_input_error(tmp_path, capsys):
+    scenario = small_scenario(tmp_path)
+    out = tmp_path / "o"
+    (out / "dispatch.json").mkdir(parents=True)  # a directory where the file goes
+    assert main(["baseline", str(scenario), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out {out}: ") and "dispatch.json" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (out / "manifest.json").exists()
+
+
+def test_validate_creates_no_out_directory(tmp_path, capsys):
+    scenario = small_scenario(tmp_path)
+    out = tmp_path / "o"
+    assert main(["validate", str(scenario), "--out", str(out)]) == 0
+    assert not out.exists()
+
+
+def test_manifest_lists_every_output(tmp_path):
+    """Each subcommand's manifest names exactly the files it wrote to --out."""
+    scenario = small_scenario(tmp_path)
+    adv = tmp_path / "advset"
+    runs = {
+        "baseline": ["--dump-lp"],
+        "robust": ["--dump-lp"],
+        "advset": ["--project", "0", "1", "1", "--project", "1", "0", "2"],
+        "simulate": [],
+        "sample": ["--robust", str(adv / "robust.json"),
+                   "--polytope", str(adv / "polytope.json"), "--sample", "5"],
+        "synth": [],
+    }
+    for tag, flags in runs.items():
+        command = "simulate" if tag == "sample" else tag
+        out = tmp_path / tag
+        assert main([command, str(scenario), "--out", str(out), *flags]) == 0, tag
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == command
+        written = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+        assert manifest["outputs"] == written, tag
+        assert written, tag

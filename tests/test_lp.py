@@ -15,7 +15,7 @@ from gridres.lp import (
     check_feasibility,
     solve,
 )
-from vertex_oracle import brute_force_min, random_bounded_lp
+from vertex_oracle import brute_force_min, objective_vector, random_bounded_lp
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -319,7 +319,7 @@ def test_weak_duality_probe():
         lo = np.array(lp.lower)
         hi = np.array(lp.upper)
         pts = rng.uniform(lo, hi, size=(1000, lp.n_variables))
-        c = lp.objective_vector()
+        c = objective_vector(lp)
         for x in pts:
             if check_feasibility(lp, x).ok(0.0):
                 assert x @ c >= sol.objective_value - 1e-6

@@ -71,12 +71,19 @@ def enumerate_vertices(lp: LinearProgram, tol: float = 1e-9) -> np.ndarray:
     return pts[keep]
 
 
+def objective_vector(lp: LinearProgram) -> np.ndarray:
+    c = np.zeros(lp.n_variables)
+    for idx, coeff in lp.objective.items():
+        c[idx] = coeff
+    return c
+
+
 def brute_force_min(lp: LinearProgram, tol: float = 1e-9) -> float | None:
     """Minimum objective over enumerated vertices; None when no vertex is feasible."""
     verts = enumerate_vertices(lp, tol)
     if verts.shape[0] == 0:
         return None
-    c = lp.objective_vector()
+    c = objective_vector(lp)
     return float(np.min(verts @ c))
 
 

@@ -7,7 +7,8 @@
 # and scenarios/).  The same command matrix runs in each, from its own
 # sources, into a temporary directory (`validate` prints its report, which is
 # kept as a file); the two result trees are then compared
-# with `diff -r`, manifest.json aside (it records timings and paths).  On a
+# with `diff -r`, manifest.json aside (it records timings and paths), and of
+# each manifest.json its `command`, `seed` and `outputs`.  On a
 # difference it then prints the objective_value of both sides of every
 # differing dispatch.json and robust.json, so one run shows whether a changed
 # schedule is only another vertex of the same optimum.  Exits 0 when every
@@ -67,7 +68,30 @@ for side in parent change; do
     run_matrix "$root" "$work/$side"
 done
 
-if diff -r -x manifest.json "$work/parent" "$work/change"; then
+# Of every manifest.json, the fields that record neither a time nor a path.
+compare_manifests() {
+    python - "$work/parent" "$work/change" <<'EOF'
+import json, sys
+from pathlib import Path
+
+def fields(root):
+    return {str(p.relative_to(root)): {key: json.loads(p.read_text())[key]
+                                       for key in ("command", "outputs", "seed")}
+            for p in sorted(root.rglob("manifest.json"))}
+
+parent, change = (fields(Path(root)) for root in sys.argv[1:])
+differ = sorted(name for name in parent.keys() | change.keys()
+                if parent.get(name) != change.get(name))
+for name in differ:
+    print(f"manifest {name}: parent {parent.get(name)} change {change.get(name)}")
+sys.exit(1 if differ else 0)
+EOF
+}
+
+same=1
+diff -r -x manifest.json "$work/parent" "$work/change" || same=0
+compare_manifests || same=0
+if [ "$same" = 1 ]; then
     echo "identical: $(find "$work/change" -type f ! -name manifest.json | wc -l) files"
 else
     (cd "$work/parent" && find . -name dispatch.json -o -name robust.json) | sort |
