@@ -60,6 +60,7 @@ from .sim import (  # noqa: F401
     Event,
     Trajectory,
     ViolationSummary,
+    compile_replay,
     events_from_polytopes,
     proportional_dispatch,
     run_simulation,

@@ -25,7 +25,8 @@ LP.
 Variable ordering is deterministic: variable kind, then entity id (sorted),
 then phase (a < b < c), then step.  Device injections are per device (not per
 phase) and split equally across the phases of the hosting bus, a load's
-withdrawn (`balance_shares`, read by the balance rows and `solve_linear_flow`).
+withdrawn (`balance_shares`, read by the balance rows and the `RadialPlan` that
+`solve_linear_flow` sweeps).
 A device's active and reactive columns are `ns.p` and `ns.q`, keyed by (class,
 id, step), where the class is one of `DEVICE_CLASSES` (pv, dg, es, load); the
 same (class, id) key names the device's reserves and its dispatch series.
@@ -93,6 +94,12 @@ storage), and each storage unit two energy rows per step.  `emit_limits`
 emits device by device, and per step in this order: SoC recursion, load
 power factor, band rows, storage energy rows, inverter polygon, PV gamma
 rows.
+
+The replay's direct flow solve, `solve_linear_flow`, takes no model: it
+sweeps a `RadialPlan`, which `RadialPlan.of` lays out once per model (the
+bus order with each phase's children, the `balance_shares`, each branch's
+phases and each branch-phase's `effective_impedance_pu`), so every step of
+every replay reuses one plan.
 """
 
 from __future__ import annotations
@@ -488,49 +495,78 @@ def build_feeder_lp(
 # direct linear power flow (used by the simulator; no optimization involved)
 
 
+@dataclass(frozen=True)
+class RadialPlan:
+    """The radial sweep of :func:`solve_linear_flow` over one model, laid out once.
+
+    `leaves_up` holds each bus from the leaves up, with its devices'
+    `balance_shares` and, per phase of the bus, its children that carry the
+    phase; `root_down` each non-root bus from the root down, with its
+    upstream bus, its feeding branch and that branch's phases and, per phase
+    of the bus, the branch-phase's `effective_impedance_pu` as (r_eff, x_eff).
+    """
+
+    s_base: float
+    root: str
+    root_phases: str
+    leaves_up: tuple[tuple[str, tuple, tuple[tuple[str, tuple[str, ...]], ...]], ...]
+    root_down: tuple[tuple[str, str, str, str, tuple[tuple[str, float, float], ...]], ...]
+
+    @classmethod
+    def of(cls, model: NetworkModel) -> "RadialPlan":
+        pu = PerUnit.of(model)
+        order, parent, children = model.tree()
+        phases = {b.id: b.phases for b in model.buses}
+        shares = balance_shares(model)
+        leaves_up = tuple(
+            (bus_id, tuple(shares[bus_id]),
+             tuple((phase, tuple(c for c in children[bus_id] if phase in phases[c]))
+                   for phase in phases[bus_id]))
+            for bus_id in reversed(order))
+        root_down = []
+        for bus_id in order[1:]:
+            br = parent[bus_id]
+            up = br.from_bus if br.to_bus == bus_id else br.to_bus
+            z = [(phase, effective_impedance_pu(br, phase, pu)) for phase in phases[bus_id]]
+            root_down.append((bus_id, up, br.id, br.phases,
+                              tuple((phase, zp.real, zp.imag) for phase, zp in z)))
+        return cls(pu.s_base, model.root.id, model.root.phases, leaves_up, tuple(root_down))
+
+
 def solve_linear_flow(
-    model: NetworkModel, p_w: dict[tuple[str, str], float], q_w: dict[tuple[str, str], float]
+    plan: RadialPlan, p_w: dict[tuple[str, str], float], q_w: dict[tuple[str, str], float]
 ) -> tuple[dict[tuple[str, str], tuple[float, float]], dict[tuple[str, str], float]]:
     """Branch flows and squared voltages for fixed device outputs.
 
-    `p_w` and `q_w` map (class, id) to a device's output in W and var, a load's
-    as drawn, which enters its bus's phases by its `balance_shares`.  Flows are
-    signed parent->child; voltages follow the same linear drop equation as the
-    LP rows, anchored at 1 pu^2 on the root.  Radial sweep, exact for the linear model.
+    `plan` is the model's :class:`RadialPlan`.  `p_w` and `q_w` map (class,
+    id) to a device's output in W and var, a load's as drawn, which enters
+    its bus's phases by its `balance_shares`.  Flows are signed
+    parent->child; voltages follow the same linear drop equation as the LP
+    rows, anchored at 1 pu^2 on the root.  Radial sweep, exact for the
+    linear model.
     """
-    pu = PerUnit.of(model)
-    order, parent, children = model.tree()
-    bus_map = {b.id: b for b in model.buses}
-    shares = balance_shares(model)
+    s_base = plan.s_base
     subtree: dict[tuple[str, str], tuple[float, float]] = {}
-    for bus_id in reversed(order):
+    for bus_id, shares, phase_children in plan.leaves_up:
         p0 = q0 = 0.0  # the injection on each phase of the bus
-        for key, share in shares[bus_id]:
-            p0 += share * pu.power(p_w[key])
-            q0 += share * pu.power(q_w[key])
-        for phase in bus_map[bus_id].phases:
+        for key, share in shares:
+            p0 += share * (p_w[key] / s_base)
+            q0 += share * (q_w[key] / s_base)
+        for phase, children in phase_children:
             p, q = p0, q0
-            for child in children[bus_id]:
-                if phase in bus_map[child].phases:
-                    cp, cq = subtree[(child, phase)]
-                    p += cp
-                    q += cq
+            for child in children:
+                cp, cq = subtree[(child, phase)]
+                p += cp
+                q += cq
             subtree[(bus_id, phase)] = (p, q)
 
     flows: dict[tuple[str, str], tuple[float, float]] = {}
-    for child, br in parent.items():
-        for phase in br.phases:
-            sp, sq = subtree.get((child, phase), (0.0, 0.0))
-            flows[(br.id, phase)] = (-sp, -sq)  # power delivered into the subtree
-
-    w: dict[tuple[str, str], float] = {}
-    for phase in model.root.phases:
-        w[(model.root.id, phase)] = 1.0
-    for bus_id in order[1:]:
-        br = parent[bus_id]
-        up = br.from_bus if br.to_bus == bus_id else br.to_bus
-        for phase in bus_map[bus_id].phases:
-            z = effective_impedance_pu(br, phase, pu)
-            fp, fq = flows[(br.id, phase)]
-            w[(bus_id, phase)] = w[(up, phase)] - 2.0 * (z.real * fp + z.imag * fq)
+    w = {(plan.root, phase): 1.0 for phase in plan.root_phases}
+    for bus_id, up, br_id, br_phases, impedances in plan.root_down:
+        for phase in br_phases:
+            sp, sq = subtree.get((bus_id, phase), (0.0, 0.0))
+            flows[(br_id, phase)] = (-sp, -sq)  # power delivered into the subtree
+        for phase, r, x in impedances:
+            fp, fq = flows[(br_id, phase)]
+            w[(bus_id, phase)] = w[(up, phase)] - 2.0 * (r * fp + x * fq)
     return flows, w

@@ -20,9 +20,13 @@ operator but present in the physics, so it surfaces through the imbalance
 measurement, which is exactly how the controller notices it.
 
 A run replays per-step events, compiled from a timeline (a list of `Event`)
-by `compile_timeline` or sampled by `events_from_polytopes`.  A run is
-strictly sequential in time; distinct runs over the same immutable model and
-schedule (e.g. a Monte Carlo suite) may execute concurrently.
+by `compile_timeline` or sampled by `events_from_polytopes`, against a
+`CompiledReplay`: what every run of one schedule on one model reads (the
+feeder's `RadialPlan`, the devices, the per-step schedule, reserves and
+windows, the voltage and line limits), built once by `compile_replay`.
+Runs only read it, so every run of a command shares one.  A run is strictly
+sequential in time; distinct runs over the same compiled replay (e.g. a
+Monte Carlo suite) may execute concurrently.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .advset import AXIS_CLASS, InnerPolytope, _simplex_points
-from .constraints import PerUnit, device_groups, device_window, reserve_room, solve_linear_flow
+from .constraints import (PerUnit, RadialPlan, device_groups, device_window, reserve_room,
+                          solve_linear_flow)
 from .network import NetworkModel
 from .robust import RobustResult
 
@@ -132,6 +137,16 @@ def events_from_polytopes(
     return runs
 
 
+def _total(values) -> float:
+    """The sum of `values`, added left to right.  The replay's values are
+    Python floats, which `sum()` compensates from Python 3.12 on; this adds
+    them as `sum()` does on 3.11, so a replay does not depend on the version."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def proportional_dispatch(
     imbalance_w: float, capacities_w: dict[tuple[str, str], float]
 ) -> tuple[dict[tuple[str, str], float], float]:
@@ -142,7 +157,7 @@ def proportional_dispatch(
     """
     if any(c < 0 for c in capacities_w.values()):
         raise ValueError("reserve capacities must be non-negative")
-    total = sum(capacities_w.values())
+    total = _total(capacities_w.values())
     if imbalance_w <= 0.0 or total <= 0.0:
         return {d: 0.0 for d in capacities_w}, max(imbalance_w, 0.0)
     deployed = min(imbalance_w, total)
@@ -184,22 +199,77 @@ _STEP_SERIES = (
 
 
 def _class_sum(column: dict[tuple[str, str], float], keys) -> float:
-    return sum(column[key] for key in keys)
+    return _total(column[key] for key in keys)
 
 
-def _forced_point(cls: str, u, k: int, sched: float, events: dict,
-                  soc: dict[str, np.ndarray], dt: float) -> tuple[float, float, float]:
-    """(setpoint after events, room up, room down) of one device at step k.
+@dataclass(frozen=True)
+class CompiledReplay:
+    """What every replay of one schedule on one model reads, built once by
+    :func:`compile_replay` and never written by :func:`run_simulation`.
 
-    The room is measured inside the device's window, a battery's narrowed by
-    its realized state of charge.  A diesel trip or a solar shortfall lowers
-    a generator's top, and its setpoint is the schedule clipped to what
-    survives.  A mask moves only a load's draw, to schedule plus masked
-    demand: shedding starts from that draw, while the room to draw more is
-    what the operator sees, above the schedule.
+    Per step, `p`, `q`, `up` and `down` map each device key (class, id) to
+    its scheduled active and reactive output and its up and down reserve,
+    and `window` maps each PV, diesel and load unit to its `device_window`
+    (a battery's depends on its realized state of charge, so a run works it
+    out per step).  All are Python floats.
     """
-    key = (cls, u.id)
-    lo, hi = device_window(cls, u, k, e_in=soc[u.id][k] if cls == "es" else None, dt=dt)
+
+    steps: int
+    dt: float
+    plan: RadialPlan
+    devices: tuple  # (class, unit), in `device_groups` order
+    keys: dict[str, tuple[tuple[str, str], ...]]  # class -> its device keys
+    p: tuple[dict[tuple[str, str], float], ...]
+    q: tuple[dict[tuple[str, str], float], ...]
+    up: tuple[dict[tuple[str, str], float], ...]
+    down: tuple[dict[tuple[str, str], float], ...]
+    window: tuple[dict[tuple[str, str], tuple[float, float]], ...]
+    voltage_limits: tuple[tuple[tuple[str, str], float, float], ...]  # (bus, phase), v_min, v_max
+    line_limits: tuple[tuple[tuple[str, str], float], ...]  # (branch, phase), limit in pu
+
+
+def compile_replay(model: NetworkModel, robust: RobustResult) -> CompiledReplay:
+    """The invariants of replaying `robust`'s schedule on `model`."""
+    groups = device_groups(model)
+    devices = tuple((cls, u) for cls, units in groups for u in units)
+    steps = range(model.steps)
+
+    def per_step(series: dict[tuple[str, str], np.ndarray]) -> tuple[dict, ...]:
+        return tuple({(cls, u.id): float(series[(cls, u.id)][k]) for cls, u in devices}
+                     for k in steps)
+
+    pu = PerUnit.of(model)
+    return CompiledReplay(
+        steps=model.steps,
+        dt=model.dt_hours,
+        plan=RadialPlan.of(model),
+        devices=devices,
+        keys={cls: tuple((cls, u.id) for u in units) for cls, units in groups},
+        p=per_step(robust.dispatch.p),
+        q=per_step(robust.dispatch.q),
+        up=per_step(robust.reserves.up),
+        down=per_step(robust.reserves.down),
+        window=tuple({(cls, u.id): device_window(cls, u, k) for cls, u in devices
+                      if cls != "es"} for k in steps),
+        voltage_limits=tuple(((bus.id, phase), bus.v_min, bus.v_max)
+                             for bus in model.buses for phase in bus.phases),
+        line_limits=tuple(((br.id, phase), pu.power(br.flow_limit_va))
+                          for br in model.branches for phase in br.phases),
+    )
+
+
+def _forced_point(key: tuple[str, str], lo: float, hi: float, sched: float,
+                  events: dict) -> tuple[float, float, float]:
+    """(setpoint after events, room up, room down) of one device at a step.
+
+    The room is measured inside the device's window [lo, hi], a battery's
+    narrowed by its realized state of charge.  A diesel trip or a solar
+    shortfall lowers a generator's top, and its setpoint is the schedule
+    clipped to what survives.  A mask moves only a load's draw, to schedule
+    plus masked demand: shedding starts from that draw, while the room to
+    draw more is what the operator sees, above the schedule.
+    """
+    cls = key[0]
     if cls == "load":
         draw = sched + events.get(key, 0.0)
         return draw, draw - lo, hi - sched
@@ -211,21 +281,18 @@ def _forced_point(cls: str, u, k: int, sched: float, events: dict,
     return (sched, *reserve_room(cls, lo, hi, sched))
 
 
-def run_simulation(model: NetworkModel, robust: RobustResult, events: list[dict]) -> Trajectory:
-    """Replay per-step events against the schedule: `events[k]` maps (class,
-    entity) to the magnitude active at step k; steps past the list have none."""
-    dispatch = robust.dispatch
-    reserves = robust.reserves
-    K = model.steps
-    dt = model.dt_hours
-    pu = PerUnit.of(model)
-    groups = device_groups(model)
-    devices = [(cls, u) for cls, units in groups for u in units]
-    keys = {cls: [(cls, u.id) for u in units] for cls, units in groups}
+def run_simulation(replay: CompiledReplay, events: list[dict]) -> Trajectory:
+    """Replay per-step events against the compiled schedule: `events[k]` maps
+    (class, entity) to the magnitude active at step k; steps past the list
+    have none."""
+    K = replay.steps
+    dt = replay.dt
+    keys = replay.keys
 
-    soc = {u.id: np.full(K + 1, u.initial_soc_wh, dtype=float) for u in model.storage_units}
+    soc = {u.id: np.full(K + 1, u.initial_soc_wh, dtype=float)
+           for cls, u in replay.devices if cls == "es"}
     arrays = {name: np.zeros(K) for name in _STEP_SERIES}
-    deployment = {(cls, u.id): np.zeros(K) for cls, u in devices}
+    deployment = {(cls, u.id): np.zeros(K) for cls, u in replay.devices}
     violations = {c: np.zeros(K, dtype=bool) for c in VIOLATION_CLASSES}
     magnitude = {c: np.zeros(K) for c in VIOLATION_CLASSES}
 
@@ -236,7 +303,7 @@ def run_simulation(model: NetworkModel, robust: RobustResult, events: list[dict]
 
     for k in range(K):
         arrays["time_min"][k] = k * dt * 60.0
-        sched = {key: dispatch.p[key][k] for key in deployment}
+        sched, window = replay.p[k], replay.window[k]
         # a mask deeper than a load's scheduled draw applies as minus that
         # draw: the draw floors at zero, a load never generates
         step_events = {key: max(mag, -sched[key]) if key[0] == "load" else mag
@@ -245,24 +312,28 @@ def run_simulation(model: NetworkModel, robust: RobustResult, events: list[dict]
         # the ledger: per device, its schedule, its setpoint after events and
         # its room to move up and down from there
         point, room_up, room_dn = {}, {}, {}
-        for cls, u in devices:
+        for cls, u in replay.devices:
             key = (cls, u.id)
+            if cls == "es":
+                lo, hi = device_window(cls, u, k, e_in=soc[u.id][k], dt=dt)
+            else:
+                lo, hi = window[key]
             point[key], room_up[key], room_dn[key] = _forced_point(
-                cls, u, k, sched[key], step_events, soc, dt)
+                key, lo, hi, sched[key], step_events)
 
         masks = [step_events.get(key, 0.0) for key in keys["load"]]
-        forced_loss = (sum(sched[key] - point[key] for key in keys["pv"])
-                       + sum(sched[key] - point[key] for key in keys["dg"]))
-        imbalance = sum(masks) + forced_loss
+        forced_loss = (_total(sched[key] - point[key] for key in keys["pv"])
+                       + _total(sched[key] - point[key] for key in keys["dg"]))
+        imbalance = _total(masks) + forced_loss
         arrays["imbalance_w"][k] = imbalance
 
         # deployable reserve in the active direction: the allocation clipped
         # by what the device can physically deliver right now
         up = imbalance >= 0.0
-        reserve, room = (reserves.up, room_up) if up else (reserves.down, room_dn)
-        caps = {key: max(min(reserve[key][k], room[key]), 0.0) for key in point}
+        reserve, room = (replay.up[k], room_up) if up else (replay.down[k], room_dn)
+        caps = {key: max(min(reserve[key], room[key]), 0.0) for key in point}
         dep, shortfall = proportional_dispatch(imbalance if up else -imbalance, caps)
-        arrays["deployed_up_w" if up else "deployed_down_w"][k] = sum(dep.values())
+        arrays["deployed_up_w" if up else "deployed_down_w"][k] = _total(dep.values())
         arrays["shortfall_w"][k] = shortfall
         idle = dict.fromkeys(dep, 0.0)
         d_up, d_dn = (dep, idle) if up else (idle, dep)
@@ -279,40 +350,41 @@ def run_simulation(model: NetworkModel, robust: RobustResult, events: list[dict]
         arrays["pv_w"][k] = _class_sum(realized, keys["pv"])
         arrays["dg_w"][k] = _class_sum(realized, keys["dg"])
         arrays["es_w"][k] = _class_sum(realized, keys["es"])
-        arrays["true_demand_w"][k] = _class_sum(sched, keys["load"]) + sum(masks)
-        arrays["shed_w"][k] = _class_sum(d_up, keys["load"])
+        true_demand = _class_sum(sched, keys["load"]) + _total(masks)
+        shed = _class_sum(d_up, keys["load"])
+        arrays["true_demand_w"][k] = true_demand
+        arrays["shed_w"][k] = shed
         # demand-side ledger: demand = served + shed + unserved shortfall
         # (a down-direction shortfall is unabsorbed surplus, not unserved load)
         arrays["served_load_w"][k] = (
-            arrays["true_demand_w"][k] - arrays["shed_w"][k]
-            + _class_sum(d_dn, keys["load"]) - (shortfall if up else 0.0)
+            true_demand - shed + _class_sum(d_dn, keys["load"]) - (shortfall if up else 0.0)
         )
 
         # state of charge
-        for u in model.storage_units:
-            soc[u.id][k + 1] = soc[u.id][k] - realized[("es", u.id)] * dt
-            e = soc[u.id][k + 1]
-            excess = max(u.energy_min_wh - e, e - u.energy_max_wh)
-            flag("soc", k, excess, 1e-6 * u.energy_max_wh, excess)
+        for cls, u in replay.devices:
+            if cls == "es":
+                soc[u.id][k + 1] = soc[u.id][k] - realized[(cls, u.id)] * dt
+                e = soc[u.id][k + 1]
+                excess = max(u.energy_min_wh - e, e - u.energy_max_wh)
+                flag("soc", k, excess, 1e-6 * u.energy_max_wh, excess)
 
         # network state at the realized outputs; a load's reactive power
         # follows its served load
-        q_w = {(cls, u.id): u.q_of(realized[(cls, u.id)]) if cls == "load"
-               else dispatch.q[(cls, u.id)][k] for cls, u in devices}
-        flows, w = solve_linear_flow(model, realized, q_w)
+        q_w = dict(replay.q[k])
+        for cls, u in replay.devices:
+            if cls == "load":
+                q_w[(cls, u.id)] = u.q_of(realized[(cls, u.id)])
+        flows, w = solve_linear_flow(replay.plan, realized, q_w)
         arrays["voltage_min_pu"][k] = math.sqrt(max(min(w.values()), 0.0))
         arrays["voltage_max_pu"][k] = math.sqrt(max(w.values()))
-        for bus in model.buses:
-            for phase in bus.phases:
-                v = math.sqrt(max(w[(bus.id, phase)], 0.0))
-                over = max(bus.v_min - v, v - bus.v_max)
-                flag("voltage", k, over, VOLTAGE_TOL, over)
-        for br in model.branches:
-            limit = pu.power(br.flow_limit_va)
-            for phase in br.phases:
-                fp, fq = flows[(br.id, phase)]
-                over = math.hypot(fp, fq) - limit
-                flag("line", k, over, 1e-6, over * pu.s_base)
+        for bus_phase, v_min, v_max in replay.voltage_limits:
+            v = math.sqrt(max(w[bus_phase], 0.0))
+            over = max(v_min - v, v - v_max)
+            flag("voltage", k, over, VOLTAGE_TOL, over)
+        for branch_phase, limit in replay.line_limits:
+            fp, fq = flows[branch_phase]
+            over = math.hypot(fp, fq) - limit
+            flag("line", k, over, 1e-6, over * replay.plan.s_base)
         flag("shortfall", k, shortfall, 1e-3, shortfall)
 
     return Trajectory(**arrays, soc_wh=soc, deployment_w=deployment,

@@ -39,14 +39,14 @@ def event_run():
     from gridres.dispatch import solve_baseline
     from gridres.robust import solve_robust
     from gridres.scenario import load_scenario
-    from gridres.sim import run_simulation
+    from gridres.sim import compile_replay, run_simulation
 
     scenario = load_scenario(SCENARIOS / "cyber_event.json")
     base = solve_baseline(scenario.model, scenario.costs, scenario.build, scenario.solver)
     t0 = time.perf_counter()
     robust = solve_robust(scenario.model, scenario.costs, scenario.reserve_costs,
                           scenario.box, scenario.build, scenario.solver)
-    traj = run_simulation(scenario.model, robust, scenario.events)
+    traj = run_simulation(compile_replay(scenario.model, robust), scenario.events)
     elapsed = time.perf_counter() - t0
     return scenario, base, robust, traj, elapsed
 

@@ -17,7 +17,7 @@ from gridres.cli import main
 from gridres.dispatch import summarize
 from gridres.lp import LpStatus, SolverOptions, solve
 from gridres.robust import UncertaintyBox, reserve_margin, solve_robust
-from gridres.sim import events_from_polytopes, run_simulation, violation_report
+from gridres.sim import compile_replay, events_from_polytopes, run_simulation, violation_report
 from vertex_oracle import brute_force_min, random_bounded_lp
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -141,8 +141,9 @@ def test_c5_adversarial_set_soundness(advset_run):
 
     runs = events_from_polytopes(polys, seed=scenario.seed, count=100)
     total = 0
+    replay = compile_replay(scenario.model, wrap)
     for per_step in runs:
-        traj = run_simulation(scenario.model, wrap, per_step)
+        traj = run_simulation(replay, per_step)
         report = violation_report(traj)
         total += report.total
         for unit in scenario.model.storage_units:
@@ -218,9 +219,9 @@ def test_c8_conservation_properties(event_run, advset_run):
 
     adv_scenario, wrap, polys = advset_run
     runs = events_from_polytopes(polys, seed=adv_scenario.seed, count=20)
+    replay = compile_replay(adv_scenario.model, wrap)
     for per_step in runs:
-        check(adv_scenario.model, wrap,
-              run_simulation(adv_scenario.model, wrap, per_step))
+        check(adv_scenario.model, wrap, run_simulation(replay, per_step))
     ok("criterion 8: conservation properties", "ledger and SoC replay within 1e-9")
 
 

@@ -582,6 +582,31 @@ def test_negative_sample_seed_is_input_error(tmp_path, capsys):
     assert err == "error: --sample-seed: expected a non-negative integer, got -5\n"
 
 
+@pytest.mark.parametrize("robust", [False, True], ids=["solved", "read"])
+@pytest.mark.parametrize("flags, expected", [
+    (["--sample", "0", "--polytope", "polytope.json"], "error: --sample must be at least 1"),
+    (["--sample", "5", "--sample-seed", "-5", "--polytope", "polytope.json"],
+     "error: --sample-seed: expected a non-negative integer, got -5"),
+    (["--sample", "5"], "error: --sample needs --polytope pointing at an advset output"),
+], ids=["zero-sample", "negative-sample-seed", "sample-without-polytope"])
+def test_bad_sample_flag_fails_before_any_read_or_solve(tmp_path, capsys, monkeypatch, flags,
+                                                        expected, robust):
+    def no_call(*args, **kwargs):
+        raise AssertionError("read or solved the schedule before checking the flags")
+
+    monkeypatch.setattr("gridres.cli.solve_robust", no_call)
+    monkeypatch.setattr("gridres.cli.RobustResult.from_json_dict", no_call)
+    monkeypatch.chdir(tmp_path)
+    scenario = small_scenario(tmp_path)
+    (tmp_path / "polytope.json").write_text(json.dumps({"steps": {"1": POLY}}))
+    (tmp_path / "robust.json").write_text("{}")
+    out = tmp_path / "o"
+    schedule = ["--robust", "robust.json"] if robust else []
+    assert main(["simulate", str(scenario), "--out", str(out), *schedule, *flags]) == 1
+    assert capsys.readouterr().err == expected + "\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.fixture(scope="module")
 def headroom_file(tmp_path_factory):
     """The small scenario and the robust.json of its `advset` run."""

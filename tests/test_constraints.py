@@ -6,6 +6,7 @@ import pytest
 from gridres.constraints import (
     BuildOptions,
     PerUnit,
+    RadialPlan,
     build_namespace,
     effective_impedance_pu,
     emit_limits,
@@ -296,7 +297,8 @@ def test_linear_flow_matches_lp_voltages():
     model = six_bus(steps=2)
     result = solve_baseline(model, CostConfig())
     k = 1
-    flows, w = solve_linear_flow(model, {key: arr[k] for key, arr in result.p.items()},
+    flows, w = solve_linear_flow(RadialPlan.of(model),
+                                 {key: arr[k] for key, arr in result.p.items()},
                                  {key: arr[k] for key, arr in result.q.items()})
     for key, arr in result.voltage_sq_pu.items():
         assert w[key] == pytest.approx(arr[k], abs=5e-7)

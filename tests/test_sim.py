@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from gridres.lp import check_feasibility
 from gridres.robust import UncertaintyBox, solve_robust
 from gridres.sim import (
     Event,
+    compile_replay,
     compile_timeline,
     events_from_polytopes,
     proportional_dispatch,
@@ -91,7 +94,7 @@ def event_toy():
 
 def test_empty_timeline_reproduces_schedule():
     model, robust = event_toy()
-    traj = run_simulation(model, robust, [])
+    traj = run_simulation(compile_replay(model, robust), [])
     np.testing.assert_array_equal(traj.imbalance_w, 0.0)
     np.testing.assert_array_equal(traj.deployed_up_w, 0.0)
     np.testing.assert_array_equal(traj.shortfall_w, 0.0)
@@ -115,7 +118,7 @@ def test_event_replay_deploys_and_stays_clean():
         Event(30.0, "load_mask_start", "load1", 0.2e6),
         Event(55.0, "load_mask_end", "load1"),
     ]
-    traj = run_simulation(model, robust, compile_timeline(model, tl))
+    traj = run_simulation(compile_replay(model, robust), compile_timeline(model, tl))
     report = violation_report(traj)
     assert report.clean(), report
     # the trip bites only if the unit was dispatched above the derated level
@@ -134,7 +137,7 @@ def test_event_replay_deploys_and_stays_clean():
 def test_soc_recursion_replay():
     model, robust = event_toy()
     tl = [Event(0.0, "dg_trip", "dg1", 0.8e6), Event(30.0, "dg_restore", "dg1")]
-    traj = run_simulation(model, robust, compile_timeline(model, tl))
+    traj = run_simulation(compile_replay(model, robust), compile_timeline(model, tl))
     dt = model.dt_hours
     for u in model.storage_units:
         es_series = []
@@ -149,7 +152,7 @@ def test_soc_recursion_replay():
 def test_oversized_event_records_shortfall():
     model, robust = event_toy()
     tl = [Event(0.0, "load_mask_start", "load1", 5.0e6)]
-    traj = run_simulation(model, robust, compile_timeline(model, tl))
+    traj = run_simulation(compile_replay(model, robust), compile_timeline(model, tl))
     report = violation_report(traj)
     assert report.counts["shortfall"] > 0
     assert report.max_magnitude["shortfall"] > 1.0e6
@@ -162,7 +165,7 @@ def test_oversized_event_records_shortfall():
 def test_violation_report_matches_recount():
     model, robust = event_toy()
     tl = [Event(0.0, "load_mask_start", "load1", 5.0e6)]
-    traj = run_simulation(model, robust, compile_timeline(model, tl))
+    traj = run_simulation(compile_replay(model, robust), compile_timeline(model, tl))
     report = violation_report(traj)
     for cls_name, flags in traj.violations.items():
         assert report.counts[cls_name] == int(flags.sum())
@@ -177,7 +180,7 @@ def test_down_direction_absorbs_load_drop():
         box.add(P_LOAD_DESIRED, "load1", k, 0.7e6, 1.0e6, 1.0e6)
     robust = solve_robust(model, COSTS, box=box)
     tl = [Event(0.0, "load_mask_start", "load1", -0.3e6)]
-    traj = run_simulation(model, robust, compile_timeline(model, tl))
+    traj = run_simulation(compile_replay(model, robust), compile_timeline(model, tl))
     assert traj.imbalance_w[0] == pytest.approx(-0.3e6, abs=1e-3)
     assert traj.deployed_down_w[0] == pytest.approx(0.3e6, abs=1e-3)
     assert violation_report(traj).clean()
@@ -190,7 +193,8 @@ def test_mask_deeper_than_the_draw_floors_the_draw_at_zero():
     sched = robust.dispatch.p[("load", "load1")]
     deep = compile_timeline(model, [Event(0.0, "load_mask_start", "load1", -5.0e6)])
     exact = [{("load", "load1"): -sched[k]} for k in range(model.steps)]
-    traj, floored = (run_simulation(model, robust, events) for events in (deep, exact))
+    replay = compile_replay(model, robust)
+    traj, floored = (run_simulation(replay, events) for events in (deep, exact))
     np.testing.assert_array_equal(traj.true_demand_w, 0.0)
     np.testing.assert_array_equal(traj.imbalance_w, -sched)
     for name in ("imbalance_w", "true_demand_w", "served_load_w", "shortfall_w"):
@@ -203,6 +207,7 @@ def test_recourse_point_satisfies_perturbed_rows():
     parameters (single-step events keep the SoC schedule intact)."""
     rng = np.random.default_rng(31)
     model, robust = event_toy()
+    replay = compile_replay(model, robust)
     for _ in range(100):
         k = int(rng.integers(0, model.steps))
         trip = bool(rng.integers(0, 2))
@@ -218,7 +223,7 @@ def test_recourse_point_satisfies_perturbed_rows():
             if k + 1 < model.steps:
                 events.append(Event((k + 1) * step_min, "load_mask_end", "load1"))
         events.sort(key=lambda e: e.time_min)
-        traj = run_simulation(model, robust, compile_timeline(model, events))
+        traj = run_simulation(replay, compile_timeline(model, events))
         assert violation_report(traj).clean()
 
         # rebuild the nominal problem at the realized parameters
@@ -259,8 +264,9 @@ def test_polytope_sampled_events_simulate_clean():
     again = events_from_polytopes(polys, seed=7, count=25)
     for a, b in zip(runs, again):
         assert a == b
+    replay = compile_replay(model, robust)
     for per_step in runs:
-        traj = run_simulation(model, robust, per_step)
+        traj = run_simulation(replay, per_step)
         assert violation_report(traj).clean()
 
 
@@ -284,14 +290,14 @@ def test_pv_loss_and_restore_events():
         Event(0.0, "pv_loss", "pv1", 0.3e6),
         Event(30.0, "pv_restore", "pv1"),
     ]
-    traj = run_simulation(model, robust, compile_timeline(model, tl))
+    traj = run_simulation(compile_replay(model, robust), compile_timeline(model, tl))
     assert violation_report(traj).clean()
     np.testing.assert_allclose(traj.imbalance_w, 0.0, atol=1e-3)
 
     # a loss beyond the covered box forces output below dispatch; if the gap
     # exceeds the reserve pool the residual is recorded as shortfall
     full = [Event(0.0, "pv_loss", "pv1")]  # default: all of it
-    traj = run_simulation(model, robust, compile_timeline(model, full))
+    traj = run_simulation(compile_replay(model, robust), compile_timeline(model, full))
     assert traj.pv_w[0] == pytest.approx(0.0, abs=1e-6)
     assert traj.imbalance_w[0] == pytest.approx(robust.dispatch.p[("pv", "pv1")][0], abs=1e-3)
 
@@ -308,7 +314,39 @@ def test_no_event_voltages_match_schedule():
         box.add(P_LOAD_DESIRED, "load1", k,
                 *(lambda n: (n, n, n + 0.1e6))(float(model.loads[0].desired_w[k])))
     robust = solve_robust(model, COSTS, box=box)
-    traj = run_simulation(model, robust, [])
+    traj = run_simulation(compile_replay(model, robust), [])
     agg = summarize(robust.dispatch)
     np.testing.assert_allclose(traj.voltage_min_pu, agg.v_min_pu, atol=5e-7)
     np.testing.assert_allclose(traj.voltage_max_pu, agg.v_max_pu, atol=5e-7)
+
+
+def trajectory_bytes(traj) -> dict:
+    """Every array of a `Trajectory`, dictionary entries by key, as (dtype, shape, bytes)."""
+    out = {}
+    for f in dataclasses.fields(traj):
+        value = getattr(traj, f.name)
+        for key, arr in (value.items() if isinstance(value, dict) else [(None, value)]):
+            out[(f.name, key)] = (arr.dtype.str, arr.shape, arr.tobytes())
+    return out
+
+
+def test_compiled_replay_is_read_only_across_runs(advset_run, event_run):
+    """Runs through one compiled replay leave nothing behind for the next."""
+    scenario, wrap, polys = advset_run
+    run_a, run_b = events_from_polytopes(polys, seed=7, count=2)
+    replay = compile_replay(scenario.model, wrap)
+    first = run_simulation(replay, run_a)
+    other = run_simulation(replay, run_b)
+    again = run_simulation(replay, run_a)
+    assert trajectory_bytes(first) == trajectory_bytes(again)
+    assert trajectory_bytes(first) != trajectory_bytes(other)
+    assert {"soc_wh", "deployment_w", "violations", "violation_magnitude"} <= {
+        name for name, _key in trajectory_bytes(first)}
+
+    # the c4 timeline through a replay that sampled runs went through first
+    # equals the fixture's, replayed through a freshly compiled one
+    scenario, _base, robust, traj, _t = event_run
+    shared = compile_replay(scenario.model, robust)
+    for events in (run_a, run_b):
+        run_simulation(shared, events)
+    assert trajectory_bytes(run_simulation(shared, scenario.events)) == trajectory_bytes(traj)

@@ -1,0 +1,117 @@
+#!/usr/bin/env bash
+# Compare the replay trajectories of two checkouts of gridres, bit for bit.
+#
+#   tools/compare_replays.sh PARENT CHANGE
+#
+# PARENT and CHANGE are the roots of two source trees (each with src/gridres
+# and scenarios/).  In each, from its own sources, `gridres advset` runs on
+# cyber_event and on the six-bus example, and one line is printed per replay:
+# its name, then a sha256 (first 16 hex digits) of every array of its
+# `Trajectory`, dictionary entries by key, over the array's dtype, shape and
+# raw bytes.  The replays are 200 runs sampled at seeds 2026 and 7 from each
+# advset polytope against that run's robust.json, and cyber_event's timeline
+# against its robust schedule.  `samples.csv` keeps only violation counts,
+# so this is what shows a sampled trajectory that moved.  Exits 0 when every
+# line is identical, 1 on any difference, and 2 when a run fails.
+set -euo pipefail
+
+if [ "$#" -ne 2 ]; then
+    echo "usage: $0 PARENT CHANGE" >&2
+    exit 2
+fi
+
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+log=$work/stderr.log
+
+hash_replays() {
+    local root out
+    root=$(cd "$1" && pwd)
+    out=$2
+    mkdir -p "$out"
+    for sc in scenarios/cyber_event.json docs/examples/sixbus_scenario.json; do
+        (cd "$root" && PYTHONPATH="$root/src" OMP_NUM_THREADS=1 \
+            python -m gridres.cli advset "$sc" --out "$out/$(basename "$sc" .json)") \
+            2>"$work/advset.log" \
+            || { echo "gridres advset $sc failed:"; cat "$work/advset.log"; return 2; } >&2
+    done
+    (cd "$root" && PYTHONPATH="$root/src" OMP_NUM_THREADS=1 python - "$out" <<'EOF'
+import dataclasses
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import gridres.sim as sim
+from gridres.advset import polytopes_from_json
+from gridres.robust import RobustResult, solve_robust
+from gridres.scenario import load_scenario
+
+SAMPLES = 200
+SEEDS = (2026, 7)
+
+
+def replayer(model, robust):
+    """One schedule's `run_simulation`; checkouts before the compiled replay
+    take (model, robust, events)."""
+    compile_replay = getattr(sim, "compile_replay", None)
+    if compile_replay is None:
+        return lambda events: sim.run_simulation(model, robust, events)
+    replay = compile_replay(model, robust)
+    return lambda events: sim.run_simulation(replay, events)
+
+
+def digest(arr) -> str:
+    h = hashlib.sha256(f"{arr.dtype.str}{arr.shape}".encode())
+    h.update(arr.tobytes())
+    return h.hexdigest()[:16]
+
+
+def line(name: str, traj) -> str:
+    parts = []
+    for f in dataclasses.fields(traj):
+        value = getattr(traj, f.name)
+        if isinstance(value, dict):
+            for key, arr in value.items():
+                label = ":".join(key) if isinstance(key, tuple) else key
+                parts.append(f"{f.name}[{label}]={digest(arr)}")
+        else:
+            parts.append(f"{f.name}={digest(value)}")
+    return f"{name}: " + " ".join(parts)
+
+
+out = Path(sys.argv[1])
+for name, path in (("cyber_event", "scenarios/cyber_event.json"),
+                   ("sixbus", "docs/examples/sixbus_scenario.json")):
+    sc = load_scenario(path)
+    robust = RobustResult.from_json_dict(json.loads((out / Path(path).stem / "robust.json")
+                                                    .read_text()))
+    polys = polytopes_from_json(json.loads((out / Path(path).stem / "polytope.json")
+                                           .read_text()), sc.model)
+    replay = replayer(sc.model, robust)
+    for seed in SEEDS:
+        for r, events in enumerate(sim.events_from_polytopes(polys, seed=seed, count=SAMPLES)):
+            print(line(f"{name} seed {seed} run {r}", replay(events)))
+
+sc = load_scenario("scenarios/cyber_event.json")
+robust = solve_robust(sc.model, sc.costs, sc.reserve_costs, sc.box, sc.build, sc.solver)
+print(line("cyber_event timeline", replayer(sc.model, robust)(sc.events)))
+EOF
+    )
+}
+
+for side in parent change; do
+    root=$1
+    [ "$side" = change ] && root=$2
+    hash_replays "$root" "$work/$side.out" >"$work/$side" 2>"$log" \
+        || { echo "error: replays failed in $root:" >&2; cat "$log" >&2; exit 2; }
+done
+
+if cmp -s "$work/parent" "$work/change"; then
+    echo "identical: $(wc -l <"$work/change") replays"
+    exit 0
+fi
+differ=$(diff "$work/parent" "$work/change" | grep -c '^>' || true)
+diff "$work/parent" "$work/change" | head -n 20 || true
+echo "different: $differ of $(wc -l <"$work/change") replays"
+exit 1
