@@ -96,16 +96,19 @@ power factor, band rows, storage energy rows, inverter polygon, PV gamma
 rows.
 
 The replay's direct flow solve, `solve_linear_flow`, takes no model: it
-sweeps a `RadialPlan`, which `RadialPlan.of` lays out once per model (the
-bus order with each phase's children, the `balance_shares`, each branch's
-phases and each branch-phase's `effective_impedance_pu`), so every step of
-every replay reuses one plan.
+sweeps a `RadialPlan`, which `RadialPlan.of` lays out once per model (a
+slot per bus phase in breadth-first bus order, each bus's `balance_shares`
+by device position, each phase's children, and each branch phase's flow
+slot and `effective_impedance_pu`), so every step of every replay reuses
+one plan.  A device's position is its index in `device_groups` order, and
+the solve takes the device outputs as sequences indexed by position.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .lp import LinearProgram, Rel, Row
@@ -443,8 +446,7 @@ def emit_limits(
                         coeffs[ns.soc[(u.id, k - 1)]] = -1.0
                     rows.append(Row(coeffs, Rel.EQ, rhs, "storage", e))
                 if cls == "load":  # reactive power follows the fixed power factor
-                    tan_phi = math.tan(math.acos(u.power_factor))
-                    rows.append(Row({q: 1.0, p: -tan_phi}, Rel.EQ, 0.0, "power_factor", q))
+                    rows.append(Row({q: 1.0, p: -u.tan_phi}, Rel.EQ, 0.0, "power_factor", q))
                 if reserves:
                     # p + R+ <= top and -p + R- <= -lo, swapped for a load
                     top = pv_floor.get((u.id, k), upper[p]) if cls == "pv" else upper[p]
@@ -499,74 +501,93 @@ def build_feeder_lp(
 class RadialPlan:
     """The radial sweep of :func:`solve_linear_flow` over one model, laid out once.
 
+    A device's position is its index in `device_groups` order.  Each bus
+    phase has a slot, in breadth-first bus order (`bus_phases`), and one
+    more slot stays empty, for a branch phase that its downstream bus lacks.
     `leaves_up` holds each bus from the leaves up, with its devices'
-    `balance_shares` and, per phase of the bus, its children that carry the
-    phase; `root_down` each non-root bus from the root down, with its
-    upstream bus, its feeding branch and that branch's phases and, per phase
-    of the bus, the branch-phase's `effective_impedance_pu` as (r_eff, x_eff).
+    `balance_shares` as (position, share) and, per phase of the bus, its
+    slot and the slots of its children that carry the phase.
+    `branch_phases` lists each non-root bus's feeding branch phases from the
+    root down, and `flow_slots` the slot each one's flow is drawn from.
+    `drops` holds, per phase of each non-root bus from the root down, its
+    slot, its upstream bus's slot, the index of its feeding branch phase and
+    that branch-phase's `effective_impedance_pu` as (r_eff, x_eff).
     """
 
     s_base: float
-    root: str
-    root_phases: str
-    leaves_up: tuple[tuple[str, tuple, tuple[tuple[str, tuple[str, ...]], ...]], ...]
-    root_down: tuple[tuple[str, str, str, str, tuple[tuple[str, float, float], ...]], ...]
+    bus_phases: tuple[tuple[str, str], ...]  # (bus, phase) per slot
+    branch_phases: tuple[tuple[str, str], ...]  # (branch, phase)
+    leaves_up: tuple  # (((position, share), ...), ((slot, child slots), ...)) per bus
+    flow_slots: tuple[int, ...]
+    drops: tuple[tuple[int, int, int, float, float], ...]
 
     @classmethod
     def of(cls, model: NetworkModel) -> "RadialPlan":
         pu = PerUnit.of(model)
         order, parent, children = model.tree()
         phases = {b.id: b.phases for b in model.buses}
+        position = {(c, u.id): i for i, (c, u) in
+                    enumerate((c, u) for c, units in device_groups(model) for u in units)}
+        bus_phases = tuple((bus_id, phase) for bus_id in order for phase in phases[bus_id])
+        slot = {key: i for i, key in enumerate(bus_phases)}
+        empty = len(bus_phases)
         shares = balance_shares(model)
         leaves_up = tuple(
-            (bus_id, tuple(shares[bus_id]),
-             tuple((phase, tuple(c for c in children[bus_id] if phase in phases[c]))
+            (tuple((position[key], share) for key, share in shares[bus_id]),
+             tuple((slot[(bus_id, phase)],
+                    tuple(slot[(c, phase)] for c in children[bus_id] if phase in phases[c]))
                    for phase in phases[bus_id]))
             for bus_id in reversed(order))
-        root_down = []
+        branch_phases, flow_slots, drops = [], [], []
         for bus_id in order[1:]:
             br = parent[bus_id]
             up = br.from_bus if br.to_bus == bus_id else br.to_bus
-            z = [(phase, effective_impedance_pu(br, phase, pu)) for phase in phases[bus_id]]
-            root_down.append((bus_id, up, br.id, br.phases,
-                              tuple((phase, zp.real, zp.imag) for phase, zp in z)))
-        return cls(pu.s_base, model.root.id, model.root.phases, leaves_up, tuple(root_down))
+            flow = {}
+            for phase in br.phases:
+                flow[phase] = len(branch_phases)
+                branch_phases.append((br.id, phase))
+                flow_slots.append(slot.get((bus_id, phase), empty))
+            for phase in phases[bus_id]:
+                z = effective_impedance_pu(br, phase, pu)
+                drops.append((slot[(bus_id, phase)], slot[(up, phase)], flow[phase],
+                              z.real, z.imag))
+        return cls(pu.s_base, bus_phases, tuple(branch_phases), leaves_up,
+                   tuple(flow_slots), tuple(drops))
 
 
 def solve_linear_flow(
-    plan: RadialPlan, p_w: dict[tuple[str, str], float], q_w: dict[tuple[str, str], float]
+    plan: RadialPlan, p_w: Sequence[float], q_w: Sequence[float]
 ) -> tuple[dict[tuple[str, str], tuple[float, float]], dict[tuple[str, str], float]]:
     """Branch flows and squared voltages for fixed device outputs.
 
-    `plan` is the model's :class:`RadialPlan`.  `p_w` and `q_w` map (class,
-    id) to a device's output in W and var, a load's as drawn, which enters
-    its bus's phases by its `balance_shares`.  Flows are signed
-    parent->child; voltages follow the same linear drop equation as the LP
-    rows, anchored at 1 pu^2 on the root.  Radial sweep, exact for the
-    linear model.
+    `plan` is the model's :class:`RadialPlan`.  `p_w` and `q_w` hold each
+    device's output in W and var by position, a load's as drawn, which
+    enters its bus's phases by its `balance_shares`.  Returns the flows
+    keyed by (branch, phase) in `plan.branch_phases` order, signed
+    parent->child, and the squared voltages keyed by (bus, phase) in
+    `plan.bus_phases` order, which follow the same linear drop equation as
+    the LP rows, anchored at 1 pu^2 on the root.  Radial sweep, exact for
+    the linear model.
     """
     s_base = plan.s_base
-    subtree: dict[tuple[str, str], tuple[float, float]] = {}
-    for bus_id, shares, phase_children in plan.leaves_up:
+    sub_p = [0.0] * (len(plan.bus_phases) + 1)  # each bus phase's subtree injection
+    sub_q = sub_p[:]
+    for shares, phase_slots in plan.leaves_up:
         p0 = q0 = 0.0  # the injection on each phase of the bus
-        for key, share in shares:
-            p0 += share * (p_w[key] / s_base)
-            q0 += share * (q_w[key] / s_base)
-        for phase, children in phase_children:
+        for i, share in shares:
+            p0 += share * (p_w[i] / s_base)
+            q0 += share * (q_w[i] / s_base)
+        for slot, children in phase_slots:
             p, q = p0, q0
             for child in children:
-                cp, cq = subtree[(child, phase)]
-                p += cp
-                q += cq
-            subtree[(bus_id, phase)] = (p, q)
+                p += sub_p[child]
+                q += sub_q[child]
+            sub_p[slot] = p
+            sub_q[slot] = q
 
-    flows: dict[tuple[str, str], tuple[float, float]] = {}
-    w = {(plan.root, phase): 1.0 for phase in plan.root_phases}
-    for bus_id, up, br_id, br_phases, impedances in plan.root_down:
-        for phase in br_phases:
-            sp, sq = subtree.get((bus_id, phase), (0.0, 0.0))
-            flows[(br_id, phase)] = (-sp, -sq)  # power delivered into the subtree
-        for phase, r, x in impedances:
-            fp, fq = flows[(br_id, phase)]
-            w[(bus_id, phase)] = w[(up, phase)] - 2.0 * (r * fp + x * fq)
-    return flows, w
+    fp = [-sub_p[slot] for slot in plan.flow_slots]  # power delivered into the subtree
+    fq = [-sub_q[slot] for slot in plan.flow_slots]
+    w = [1.0] * len(plan.bus_phases)  # the root's slots keep 1 pu^2
+    for slot, up, flow, r, x in plan.drops:
+        w[slot] = w[up] - 2.0 * (r * fp[flow] + x * fq[flow])
+    return dict(zip(plan.branch_phases, zip(fp, fq))), dict(zip(plan.bus_phases, w))

@@ -86,8 +86,10 @@ class LoadPoint:
     minimum_w: np.ndarray  # critically necessary part of the demand
     power_factor: float = 0.9  # reactive demand follows active through this
 
-    def q_of(self, p: float | np.ndarray):
-        return p * math.tan(math.acos(self.power_factor))
+    @property
+    def tan_phi(self) -> float:
+        """Reactive over active power at the fixed power factor."""
+        return math.tan(math.acos(self.power_factor))
 
 
 @dataclass

@@ -22,16 +22,22 @@ measurement, which is exactly how the controller notices it.
 A run replays per-step events, compiled from a timeline (a list of `Event`)
 by `compile_timeline` or sampled by `events_from_polytopes`, against a
 `CompiledReplay`: what every run of one schedule on one model reads (the
-feeder's `RadialPlan`, the devices, the per-step schedule, reserves and
-windows, the voltage and line limits), built once by `compile_replay`.
-Runs only read it, so every run of a command shares one.  A run is strictly
-sequential in time; distinct runs over the same compiled replay (e.g. a
-Monte Carlo suite) may execute concurrently.
+feeder's `RadialPlan`, each device's position, the per-step schedule,
+reserves and windows by position, the loads' reactive ratios, the voltage
+and line limits), built once by `compile_replay`.  A device's position is
+its index in `device_groups` order.  A run maps each step's events to
+positions once, keeps the ledger, the controller, the state of charge and
+the flow and limit checks in lists indexed by position, and builds each
+`Trajectory` array once, at the end.  Runs only read the compiled replay,
+so every run of a command shares one.  A run is strictly sequential in
+time; distinct runs over the same compiled replay (e.g. a Monte Carlo
+suite) may execute concurrently.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,21 +154,21 @@ def _total(values) -> float:
 
 
 def proportional_dispatch(
-    imbalance_w: float, capacities_w: dict[tuple[str, str], float]
-) -> tuple[dict[tuple[str, str], float], float]:
+    imbalance_w: float, capacities_w: Sequence[float]
+) -> tuple[list[float], float]:
     """Split `imbalance_w` across devices in proportion to their capacity.
 
-    Returns (per-device deployment, shortfall).  Deployments sum to
+    `capacities_w` holds each device's capacity in device order.  Returns
+    (the deployments in that order, shortfall).  Deployments sum to
     min(imbalance, total capacity); with an empty pool everything is shortfall.
     """
-    if any(c < 0 for c in capacities_w.values()):
+    if any(c < 0 for c in capacities_w):
         raise ValueError("reserve capacities must be non-negative")
-    total = _total(capacities_w.values())
+    total = _total(capacities_w)
     if imbalance_w <= 0.0 or total <= 0.0:
-        return {d: 0.0 for d in capacities_w}, max(imbalance_w, 0.0)
+        return [0.0] * len(capacities_w), max(imbalance_w, 0.0)
     deployed = min(imbalance_w, total)
-    out = {d: c / total * deployed for d, c in capacities_w.items()}
-    return out, imbalance_w - deployed
+    return [c / total * deployed for c in capacities_w], imbalance_w - deployed
 
 
 @dataclass
@@ -198,69 +204,86 @@ _STEP_SERIES = (
 )
 
 
-def _class_sum(column: dict[tuple[str, str], float], keys) -> float:
-    return _total(column[key] for key in keys)
-
-
 @dataclass(frozen=True)
 class CompiledReplay:
     """What every replay of one schedule on one model reads, built once by
     :func:`compile_replay` and never written by :func:`run_simulation`.
 
-    Per step, `p`, `q`, `up` and `down` map each device key (class, id) to
-    its scheduled active and reactive output and its up and down reserve,
-    and `window` maps each PV, diesel and load unit to its `device_window`
-    (a battery's depends on its realized state of charge, so a run works it
-    out per step).  All are Python floats.
+    A device's position is its index in `devices`, which lists them in
+    `device_groups` order, so each class's positions are one range
+    (`positions`).  Per step, `p`, `q`, `up` and `down` hold each device's
+    scheduled active and reactive output and its up and down reserve by
+    position, and `window` each device's `device_window`, None for a
+    battery, whose window depends on its realized state of charge: a run
+    works it out per step for each of `batteries`.  `tan_phi` holds each
+    load's reactive to active power ratio.  All are Python floats.  The
+    voltage limits follow the plan's `bus_phases` and the line limits its
+    `branch_phases`.
     """
 
     steps: int
     dt: float
     plan: RadialPlan
     devices: tuple  # (class, unit), in `device_groups` order
-    keys: dict[str, tuple[tuple[str, str], ...]]  # class -> its device keys
-    p: tuple[dict[tuple[str, str], float], ...]
-    q: tuple[dict[tuple[str, str], float], ...]
-    up: tuple[dict[tuple[str, str], float], ...]
-    down: tuple[dict[tuple[str, str], float], ...]
-    window: tuple[dict[tuple[str, str], tuple[float, float]], ...]
-    voltage_limits: tuple[tuple[tuple[str, str], float, float], ...]  # (bus, phase), v_min, v_max
-    line_limits: tuple[tuple[tuple[str, str], float], ...]  # (branch, phase), limit in pu
+    position: dict[tuple[str, str], int]  # (class, id) -> position
+    positions: dict[str, range]  # class -> its positions
+    p: tuple[tuple[float, ...], ...]
+    q: tuple[tuple[float, ...], ...]
+    up: tuple[tuple[float, ...], ...]
+    down: tuple[tuple[float, ...], ...]
+    window: tuple[tuple[tuple[float, float] | None, ...], ...]
+    batteries: tuple  # the storage units, in position order
+    tan_phi: tuple[float, ...]
+    voltage_limits: tuple[tuple[float, float], ...]  # v_min, v_max
+    line_limits: tuple[float, ...]  # pu
 
 
 def compile_replay(model: NetworkModel, robust: RobustResult) -> CompiledReplay:
     """The invariants of replaying `robust`'s schedule on `model`."""
     groups = device_groups(model)
     devices = tuple((cls, u) for cls, units in groups for u in units)
+    keys = [(cls, u.id) for cls, u in devices]
+    positions, start = {}, 0
+    for cls, units in groups:
+        positions[cls] = range(start, start + len(units))
+        start += len(units)
     steps = range(model.steps)
 
-    def per_step(series: dict[tuple[str, str], np.ndarray]) -> tuple[dict, ...]:
-        return tuple({(cls, u.id): float(series[(cls, u.id)][k]) for cls, u in devices}
-                     for k in steps)
+    def per_step(series: dict[tuple[str, str], np.ndarray]) -> tuple[tuple[float, ...], ...]:
+        columns = [series[key] for key in keys]
+        return tuple(tuple(float(column[k]) for column in columns) for k in steps)
 
     pu = PerUnit.of(model)
+    plan = RadialPlan.of(model)
+    bus = {b.id: b for b in model.buses}
+    branch = {br.id: br for br in model.branches}
     return CompiledReplay(
         steps=model.steps,
         dt=model.dt_hours,
-        plan=RadialPlan.of(model),
+        plan=plan,
         devices=devices,
-        keys={cls: tuple((cls, u.id) for u in units) for cls, units in groups},
+        position={key: i for i, key in enumerate(keys)},
+        positions=positions,
         p=per_step(robust.dispatch.p),
         q=per_step(robust.dispatch.q),
         up=per_step(robust.reserves.up),
         down=per_step(robust.reserves.down),
-        window=tuple({(cls, u.id): device_window(cls, u, k) for cls, u in devices
-                      if cls != "es"} for k in steps),
-        voltage_limits=tuple(((bus.id, phase), bus.v_min, bus.v_max)
-                             for bus in model.buses for phase in bus.phases),
-        line_limits=tuple(((br.id, phase), pu.power(br.flow_limit_va))
-                          for br in model.branches for phase in br.phases),
+        window=tuple(tuple(None if cls == "es" else device_window(cls, u, k)
+                           for cls, u in devices) for k in steps),
+        batteries=tuple(model.storage_units),
+        tan_phi=tuple(u.tan_phi for u in model.loads),
+        voltage_limits=tuple((bus[bus_id].v_min, bus[bus_id].v_max)
+                             for bus_id, _phase in plan.bus_phases),
+        line_limits=tuple(pu.power(branch[br_id].flow_limit_va)
+                          for br_id, _phase in plan.branch_phases),
     )
 
 
-def _forced_point(key: tuple[str, str], lo: float, hi: float, sched: float,
-                  events: dict) -> tuple[float, float, float]:
-    """(setpoint after events, room up, room down) of one device at a step.
+def _ledger(replay: CompiledReplay, k: int, events: dict[int, float | None],
+            soc: list[list[float]]) -> tuple[list[float], list[float], list[float]]:
+    """(setpoint after events, room up, room down) of every device at step k,
+    by position, given the active events by position and each battery's
+    realized state of charge.
 
     The room is measured inside the device's window [lo, hi], a battery's
     narrowed by its realized state of charge.  A diesel trip or a solar
@@ -269,16 +292,26 @@ def _forced_point(key: tuple[str, str], lo: float, hi: float, sched: float,
     plus masked demand: shedding starts from that draw, while the room to
     draw more is what the operator sees, above the schedule.
     """
-    cls = key[0]
-    if cls == "load":
-        draw = sched + events.get(key, 0.0)
-        return draw, draw - lo, hi - sched
-    if cls != "es":
-        if key in events:
-            lost = events[key]
-            hi = max(hi - (hi if lost is None else lost), 0.0)
-        sched = min(sched, hi)
-    return (sched, *reserve_room(cls, lo, hi, sched))
+    n = len(replay.devices)
+    sched, window, dt = replay.p[k], replay.window[k], replay.dt
+    point, room_up, room_dn = [0.0] * n, [0.0] * n, [0.0] * n
+    for cls in ("pv", "dg"):
+        for i in replay.positions[cls]:
+            lo, hi = window[i]
+            if i in events:
+                lost = events[i]
+                hi = max(hi - (hi if lost is None else lost), 0.0)
+            point[i] = p0 = min(sched[i], hi)
+            room_up[i], room_dn[i] = reserve_room(cls, lo, hi, p0)
+    for i, u, energy in zip(replay.positions["es"], replay.batteries, soc):
+        lo, hi = device_window("es", u, k, e_in=energy[k], dt=dt)
+        point[i] = p0 = sched[i]
+        room_up[i], room_dn[i] = reserve_room("es", lo, hi, p0)
+    for i in replay.positions["load"]:
+        lo, hi = window[i]
+        point[i] = draw = sched[i] + events.get(i, 0.0)
+        room_up[i], room_dn[i] = draw - lo, hi - sched[i]
+    return point, room_up, room_dn
 
 
 def run_simulation(replay: CompiledReplay, events: list[dict]) -> Trajectory:
@@ -287,108 +320,108 @@ def run_simulation(replay: CompiledReplay, events: list[dict]) -> Trajectory:
     have none."""
     K = replay.steps
     dt = replay.dt
-    keys = replay.keys
+    n = len(replay.devices)
+    at = {cls: slice(r.start, r.stop) for cls, r in replay.positions.items()}
+    pv, dg, es, loads = (replay.positions[cls] for cls in ("pv", "dg", "es", "load"))
+    cut = loads.start  # loads come last in `device_groups` order
 
-    soc = {u.id: np.full(K + 1, u.initial_soc_wh, dtype=float)
-           for cls, u in replay.devices if cls == "es"}
-    arrays = {name: np.zeros(K) for name in _STEP_SERIES}
-    deployment = {(cls, u.id): np.zeros(K) for cls, u in replay.devices}
-    violations = {c: np.zeros(K, dtype=bool) for c in VIOLATION_CLASSES}
-    magnitude = {c: np.zeros(K) for c in VIOLATION_CLASSES}
+    soc = [[float(u.initial_soc_wh)] for u in replay.batteries]
+    series = {name: [] for name in _STEP_SERIES}
+    deployment = []
+    violations = {c: [False] * K for c in VIOLATION_CLASSES}
+    magnitude = {c: [0.0] * K for c in VIOLATION_CLASSES}
 
-    def flag(name: str, k: int, excess: float, tol: float, size: float) -> None:
-        if excess > tol:
-            violations[name][k] = True
-            magnitude[name][k] = max(magnitude[name][k], size)
+    def flag(name: str, k: int, size: float) -> None:
+        violations[name][k] = True
+        magnitude[name][k] = max(magnitude[name][k], size)
 
     for k in range(K):
-        arrays["time_min"][k] = k * dt * 60.0
-        sched, window = replay.p[k], replay.window[k]
+        series["time_min"].append(k * dt * 60.0)
+        sched = replay.p[k]
         # a mask deeper than a load's scheduled draw applies as minus that
         # draw: the draw floors at zero, a load never generates
-        step_events = {key: max(mag, -sched[key]) if key[0] == "load" else mag
-                       for key, mag in (events[k] if k < len(events) else {}).items()}
+        step_events = {}
+        for key, mag in (events[k] if k < len(events) else {}).items():
+            i = replay.position[key]
+            step_events[i] = max(mag, -sched[i]) if i in loads else mag
 
-        # the ledger: per device, its schedule, its setpoint after events and
-        # its room to move up and down from there
-        point, room_up, room_dn = {}, {}, {}
-        for cls, u in replay.devices:
-            key = (cls, u.id)
-            if cls == "es":
-                lo, hi = device_window(cls, u, k, e_in=soc[u.id][k], dt=dt)
-            else:
-                lo, hi = window[key]
-            point[key], room_up[key], room_dn[key] = _forced_point(
-                key, lo, hi, sched[key], step_events)
+        # the ledger: per device, its setpoint after events and its room to
+        # move up and down from there
+        point, room_up, room_dn = _ledger(replay, k, step_events, soc)
 
-        masks = [step_events.get(key, 0.0) for key in keys["load"]]
-        forced_loss = (_total(sched[key] - point[key] for key in keys["pv"])
-                       + _total(sched[key] - point[key] for key in keys["dg"]))
+        masks = [step_events.get(i, 0.0) for i in loads]
+        forced_loss = (_total([sched[i] - point[i] for i in pv])
+                       + _total([sched[i] - point[i] for i in dg]))
         imbalance = _total(masks) + forced_loss
-        arrays["imbalance_w"][k] = imbalance
+        series["imbalance_w"].append(imbalance)
 
         # deployable reserve in the active direction: the allocation clipped
         # by what the device can physically deliver right now
         up = imbalance >= 0.0
         reserve, room = (replay.up[k], room_up) if up else (replay.down[k], room_dn)
-        caps = {key: max(min(reserve[key], room[key]), 0.0) for key in point}
+        caps = [max(min(r, m), 0.0) for r, m in zip(reserve, room)]
         dep, shortfall = proportional_dispatch(imbalance if up else -imbalance, caps)
-        arrays["deployed_up_w" if up else "deployed_down_w"][k] = _total(dep.values())
-        arrays["shortfall_w"][k] = shortfall
-        idle = dict.fromkeys(dep, 0.0)
+        deployed = _total(dep)
+        series["deployed_up_w"].append(deployed if up else 0.0)
+        series["deployed_down_w"].append(0.0 if up else deployed)
+        series["shortfall_w"].append(shortfall)
+        idle = [0.0] * n
         d_up, d_dn = (dep, idle) if up else (idle, dep)
 
         # realized operating point; loads move opposite to generators
-        realized = {}
-        for key, p0 in point.items():
-            if key[0] == "load":
-                realized[key] = p0 - d_up[key] + d_dn[key]
-            else:
-                realized[key] = p0 + d_up[key] - d_dn[key]
-            deployment[key][k] = d_up[key] - d_dn[key]
+        realized = ([p0 + a - b for p0, a, b in zip(point[:cut], d_up[:cut], d_dn[:cut])]
+                    + [p0 - a + b for p0, a, b in zip(point[cut:], d_up[cut:], d_dn[cut:])])
+        deployment.append([a - b for a, b in zip(d_up, d_dn)])
 
-        arrays["pv_w"][k] = _class_sum(realized, keys["pv"])
-        arrays["dg_w"][k] = _class_sum(realized, keys["dg"])
-        arrays["es_w"][k] = _class_sum(realized, keys["es"])
-        true_demand = _class_sum(sched, keys["load"]) + _total(masks)
-        shed = _class_sum(d_up, keys["load"])
-        arrays["true_demand_w"][k] = true_demand
-        arrays["shed_w"][k] = shed
+        series["pv_w"].append(_total(realized[at["pv"]]))
+        series["dg_w"].append(_total(realized[at["dg"]]))
+        series["es_w"].append(_total(realized[at["es"]]))
+        true_demand = _total(sched[at["load"]]) + _total(masks)
+        shed = _total(d_up[at["load"]])
+        series["true_demand_w"].append(true_demand)
+        series["shed_w"].append(shed)
         # demand-side ledger: demand = served + shed + unserved shortfall
         # (a down-direction shortfall is unabsorbed surplus, not unserved load)
-        arrays["served_load_w"][k] = (
-            true_demand - shed + _class_sum(d_dn, keys["load"]) - (shortfall if up else 0.0)
+        series["served_load_w"].append(
+            true_demand - shed + _total(d_dn[at["load"]]) - (shortfall if up else 0.0)
         )
 
         # state of charge
-        for cls, u in replay.devices:
-            if cls == "es":
-                soc[u.id][k + 1] = soc[u.id][k] - realized[(cls, u.id)] * dt
-                e = soc[u.id][k + 1]
-                excess = max(u.energy_min_wh - e, e - u.energy_max_wh)
-                flag("soc", k, excess, 1e-6 * u.energy_max_wh, excess)
+        for i, u, energy in zip(es, replay.batteries, soc):
+            e = energy[k] - realized[i] * dt
+            energy.append(e)
+            excess = max(u.energy_min_wh - e, e - u.energy_max_wh)
+            if excess > 1e-6 * u.energy_max_wh:
+                flag("soc", k, excess)
 
         # network state at the realized outputs; a load's reactive power
         # follows its served load
-        q_w = dict(replay.q[k])
-        for cls, u in replay.devices:
-            if cls == "load":
-                q_w[(cls, u.id)] = u.q_of(realized[(cls, u.id)])
+        q_w = list(replay.q[k])
+        for i, tan_phi in zip(loads, replay.tan_phi):
+            q_w[i] = realized[i] * tan_phi
         flows, w = solve_linear_flow(replay.plan, realized, q_w)
-        arrays["voltage_min_pu"][k] = math.sqrt(max(min(w.values()), 0.0))
-        arrays["voltage_max_pu"][k] = math.sqrt(max(w.values()))
-        for bus_phase, v_min, v_max in replay.voltage_limits:
-            v = math.sqrt(max(w[bus_phase], 0.0))
+        series["voltage_min_pu"].append(math.sqrt(max(min(w.values()), 0.0)))
+        series["voltage_max_pu"].append(math.sqrt(max(w.values())))
+        for w_k, (v_min, v_max) in zip(w.values(), replay.voltage_limits):
+            v = math.sqrt(max(w_k, 0.0))
             over = max(v_min - v, v - v_max)
-            flag("voltage", k, over, VOLTAGE_TOL, over)
-        for branch_phase, limit in replay.line_limits:
-            fp, fq = flows[branch_phase]
+            if over > VOLTAGE_TOL:
+                flag("voltage", k, over)
+        for (fp, fq), limit in zip(flows.values(), replay.line_limits):
             over = math.hypot(fp, fq) - limit
-            flag("line", k, over, 1e-6, over * replay.plan.s_base)
-        flag("shortfall", k, shortfall, 1e-3, shortfall)
+            if over > 1e-6:
+                flag("line", k, over * replay.plan.s_base)
+        if shortfall > 1e-3:
+            flag("shortfall", k, shortfall)
 
-    return Trajectory(**arrays, soc_wh=soc, deployment_w=deployment,
-                      violations=violations, violation_magnitude=magnitude)
+    columns = np.array(deployment, dtype=float).reshape(K, n).T.copy()
+    return Trajectory(
+        **{name: np.array(values, dtype=float) for name, values in series.items()},
+        soc_wh={u.id: np.array(energy) for u, energy in zip(replay.batteries, soc)},
+        deployment_w={(cls, u.id): column for (cls, u), column in zip(replay.devices, columns)},
+        violations={c: np.array(v, dtype=bool) for c, v in violations.items()},
+        violation_magnitude={c: np.array(m, dtype=float) for c, m in magnitude.items()},
+    )
 
 
 @dataclass

@@ -1,4 +1,6 @@
+import importlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -462,6 +464,53 @@ def test_advset_then_sampled_simulation(tmp_path):
     assert report["total"] == 0
     rows = (sim / "samples.csv").read_text().splitlines()
     assert len(rows) == 21  # header + one row per run
+
+
+def count_calls(monkeypatch, functions) -> dict[str, int]:
+    """Count the calls of each (module, function) of gridres, wrapping it the
+    way perfbench's tracer does: every gridres module attribute that holds
+    the function, the names other modules imported included, is patched."""
+    counts = {}
+    modules = [m for name, m in list(sys.modules.items())
+               if name == "gridres" or name.startswith("gridres.")]
+    for mod_name, fn_name in functions:
+        original = getattr(importlib.import_module(f"gridres.{mod_name}"), fn_name)
+        key = f"{mod_name}.{fn_name}"
+        counts[key] = 0
+
+        def wrapper(*args, _fn=original, _key=key, **kwargs):
+            counts[_key] += 1
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapper)
+    return counts
+
+
+def test_simulate_call_counts_match_the_benchmark_contract(tmp_path, monkeypatch):
+    """perfbench counts `sim.runs` and `constraints.flow_calls` by wrapping
+    these two functions, and checks the runs against `violations.json`: a
+    sampled simulate replays once per run and solves the flow once per step
+    of each, a timeline simulate replays once."""
+    scenario = small_scenario(tmp_path)
+    adv = tmp_path / "adv"
+    assert main(["advset", str(scenario), "--out", str(adv)]) == 0
+    steps = SMALL_SYNTH["steps"]
+    calls = count_calls(monkeypatch, [("sim", "run_simulation"),
+                                      ("constraints", "solve_linear_flow")])
+
+    assert main(["simulate", str(scenario), "--out", str(tmp_path / "timeline")]) == 0
+    assert calls == {"sim.run_simulation": 1, "constraints.solve_linear_flow": steps}
+
+    calls.update(dict.fromkeys(calls, 0))
+    out = tmp_path / "sampled"
+    assert main(["simulate", str(scenario), "--out", str(out),
+                 "--robust", str(adv / "robust.json"), "--polytope", str(adv / "polytope.json"),
+                 "--sample", "7"]) == 0
+    assert calls == {"sim.run_simulation": 7, "constraints.solve_linear_flow": 7 * steps}
+    assert json.loads((out / "violations.json").read_text())["runs"] == 7
 
 
 @pytest.mark.parametrize("triple, expected", [

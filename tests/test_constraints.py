@@ -8,6 +8,7 @@ from gridres.constraints import (
     PerUnit,
     RadialPlan,
     build_namespace,
+    device_groups,
     effective_impedance_pu,
     emit_limits,
     emit_power_balance,
@@ -297,9 +298,10 @@ def test_linear_flow_matches_lp_voltages():
     model = six_bus(steps=2)
     result = solve_baseline(model, CostConfig())
     k = 1
+    keys = [(cls, u.id) for cls, units in device_groups(model) for u in units]
     flows, w = solve_linear_flow(RadialPlan.of(model),
-                                 {key: arr[k] for key, arr in result.p.items()},
-                                 {key: arr[k] for key, arr in result.q.items()})
+                                 [result.p[key][k] for key in keys],
+                                 [result.q[key][k] for key in keys])
     for key, arr in result.voltage_sq_pu.items():
         assert w[key] == pytest.approx(arr[k], abs=5e-7)
 

@@ -134,7 +134,7 @@ def test_synth_aggregates_match_exactly():
     )
     assert peak == pytest.approx(3.5e6, rel=1e-12)
     ratio = max(
-        sum(ld.q_of(ld.desired_w[k]) for ld in model.loads) for k in range(model.steps)
+        sum(ld.desired_w[k] * ld.tan_phi for ld in model.loads) for k in range(model.steps)
     )
     assert ratio == pytest.approx(1.9e6, rel=1e-9)
 

@@ -23,27 +23,27 @@ COSTS = CostConfig(1.0, 0.1, 10.0)
 
 
 def test_proportional_split():
-    dep, shortfall = proportional_dispatch(0.6e6, {"battery": 1.0e6, "pv": 0.5e6})
-    assert dep["battery"] == pytest.approx(0.4e6)
-    assert dep["pv"] == pytest.approx(0.2e6)
+    dep, shortfall = proportional_dispatch(0.6e6, [1.0e6, 0.5e6])
+    assert dep[0] == pytest.approx(0.4e6)
+    assert dep[1] == pytest.approx(0.2e6)
     assert shortfall == 0.0
 
 
 def test_proportional_zero_imbalance():
-    dep, shortfall = proportional_dispatch(0.0, {"a": 1.0, "b": 2.0})
-    assert all(v == 0.0 for v in dep.values())
+    dep, shortfall = proportional_dispatch(0.0, [1.0, 2.0])
+    assert all(v == 0.0 for v in dep)
     assert shortfall == 0.0
 
 
 def test_proportional_saturation():
-    dep, shortfall = proportional_dispatch(2.0e6, {"a": 1.0e6, "b": 0.5e6})
-    assert sum(dep.values()) == pytest.approx(1.5e6)
+    dep, shortfall = proportional_dispatch(2.0e6, [1.0e6, 0.5e6])
+    assert sum(dep) == pytest.approx(1.5e6)
     assert shortfall == pytest.approx(0.5e6)
 
 
 def test_proportional_empty_pool():
-    dep, shortfall = proportional_dispatch(1.0e6, {})
-    assert dep == {}
+    dep, shortfall = proportional_dispatch(1.0e6, [])
+    assert dep == []
     assert shortfall == pytest.approx(1.0e6)
 
 
@@ -350,3 +350,36 @@ def test_compiled_replay_is_read_only_across_runs(advset_run, event_run):
     for events in (run_a, run_b):
         run_simulation(shared, events)
     assert trajectory_bytes(run_simulation(shared, scenario.events)) == trajectory_bytes(traj)
+
+
+def assert_ledger_close(actual, desired):
+    """Equal to 1e-9 relative or 1e-6 W, whichever is looser."""
+    actual, desired = np.asarray(actual), np.asarray(desired)
+    tol = np.maximum(1e-9 * np.maximum(np.abs(actual), np.abs(desired)), 1e-6)
+    assert (np.abs(actual - desired) <= tol).all(), (actual, desired)
+
+
+def test_ledger_identities_on_out_of_set_runs(advset_run):
+    """Sampled beyond the tolerable set (every alpha scaled by 10), runs break
+    voltage, line and shortfall limits, and every step's ledger still holds."""
+    scenario, wrap, polys = advset_run
+    model = scenario.model
+    scaled = {k: dataclasses.replace(p, alpha_w=p.alpha_w * 10.0) for k, p in polys.items()}
+    replay = compile_replay(model, wrap)
+    loads = [("load", u.id) for u in model.loads]
+    broken = dict.fromkeys(("voltage", "line", "shortfall"), 0)
+    for events in events_from_polytopes(scaled, seed=2026, count=200):
+        traj = run_simulation(replay, events)
+        for name in broken:
+            broken[name] += int(traj.violations[name].sum())
+        up = traj.imbalance_w >= 0.0
+        assert_ledger_close(sum(traj.deployment_w.values()),
+                            traj.deployed_up_w - traj.deployed_down_w)
+        assert_ledger_close(np.where(up, traj.deployed_up_w, traj.deployed_down_w)
+                            + traj.shortfall_w, np.abs(traj.imbalance_w))
+        assert_ledger_close(traj.served_load_w - traj.true_demand_w,
+                            -sum(traj.deployment_w[key] for key in loads)
+                            - np.where(up, traj.shortfall_w, 0.0))
+        assert_ledger_close(sum((soc[:-1] - soc[1:]) / model.dt_hours
+                                for soc in traj.soc_wh.values()), traj.es_w)
+    assert all(broken.values()), broken

@@ -5,14 +5,21 @@
 #
 # PARENT and CHANGE are the roots of two source trees (each with src/gridres
 # and scenarios/).  In each, from its own sources, `gridres advset` runs on
-# cyber_event and on the six-bus example, and one line is printed per replay:
-# its name, then a sha256 (first 16 hex digits) of every array of its
-# `Trajectory`, dictionary entries by key, over the array's dtype, shape and
-# raw bytes.  The replays are 200 runs sampled at seeds 2026 and 7 from each
-# advset polytope against that run's robust.json, and cyber_event's timeline
-# against its robust schedule.  `samples.csv` keeps only violation counts,
-# so this is what shows a sampled trajectory that moved.  Exits 0 when every
-# line is identical, 1 on any difference, and 2 when a run fails.
+# cyber_event, on the six-bus example and on an hourly copy of cyber_event
+# (`"dt_hours": 1.0`), and one line is printed per replay: its name, then a
+# sha256 (first 16 hex digits) of every array of its `Trajectory`,
+# dictionary entries by key, over the array's dtype, shape and raw bytes.
+# Each replay runs against its scenario's own advset robust.json:
+#   - 200 runs sampled at seeds 2026 and 7 from cyber_event's and the
+#     six-bus example's polytopes, which replay clean;
+#   - 200 runs at seed 2026 from cyber_event's polytopes with every alpha
+#     scaled by 10, which break voltage, line and shortfall limits;
+#   - 200 runs at seed 2026 from the hourly copy's polytopes, whose
+#     batteries leave their energy limits;
+#   - cyber_event's timeline against its robust schedule.
+# `samples.csv` keeps only violation counts, so this is what shows a sampled
+# trajectory, or a violation flag or magnitude, that moved.  Exits 0 when
+# every line is identical, 1 on any difference, and 2 when a run fails.
 set -euo pipefail
 
 if [ "$#" -ne 2 ]; then
@@ -23,19 +30,29 @@ fi
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 log=$work/stderr.log
+hourly=$work/cyber_hourly.json
+python - "$1/scenarios/cyber_event.json" "$hourly" <<'EOF'
+import json
+import sys
+from pathlib import Path
+
+doc = json.loads(Path(sys.argv[1]).read_text())
+doc["network"]["synth"]["dt_hours"] = 1.0
+Path(sys.argv[2]).write_text(json.dumps(doc, indent=2))
+EOF
 
 hash_replays() {
     local root out
     root=$(cd "$1" && pwd)
     out=$2
     mkdir -p "$out"
-    for sc in scenarios/cyber_event.json docs/examples/sixbus_scenario.json; do
+    for sc in scenarios/cyber_event.json docs/examples/sixbus_scenario.json "$hourly"; do
         (cd "$root" && PYTHONPATH="$root/src" OMP_NUM_THREADS=1 \
             python -m gridres.cli advset "$sc" --out "$out/$(basename "$sc" .json)") \
             2>"$work/advset.log" \
             || { echo "gridres advset $sc failed:"; cat "$work/advset.log"; return 2; } >&2
     done
-    (cd "$root" && PYTHONPATH="$root/src" OMP_NUM_THREADS=1 python - "$out" <<'EOF'
+    (cd "$root" && PYTHONPATH="$root/src" OMP_NUM_THREADS=1 python - "$out" "$hourly" <<'EOF'
 import dataclasses
 import hashlib
 import json
@@ -48,7 +65,6 @@ from gridres.robust import RobustResult, solve_robust
 from gridres.scenario import load_scenario
 
 SAMPLES = 200
-SEEDS = (2026, 7)
 
 
 def replayer(model, robust):
@@ -81,15 +97,22 @@ def line(name: str, traj) -> str:
 
 
 out = Path(sys.argv[1])
-for name, path in (("cyber_event", "scenarios/cyber_event.json"),
-                   ("sixbus", "docs/examples/sixbus_scenario.json")):
+# (name, scenario, alpha scale, seeds)
+SAMPLED = (
+    ("cyber_event", "scenarios/cyber_event.json", 1.0, (2026, 7)),
+    ("sixbus", "docs/examples/sixbus_scenario.json", 1.0, (2026, 7)),
+    ("cyber_event x10", "scenarios/cyber_event.json", 10.0, (2026,)),
+    ("cyber_hourly", sys.argv[2], 1.0, (2026,)),
+)
+for name, path, scale, seeds in SAMPLED:
     sc = load_scenario(path)
     robust = RobustResult.from_json_dict(json.loads((out / Path(path).stem / "robust.json")
                                                     .read_text()))
     polys = polytopes_from_json(json.loads((out / Path(path).stem / "polytope.json")
                                            .read_text()), sc.model)
+    polys = {k: dataclasses.replace(p, alpha_w=p.alpha_w * scale) for k, p in polys.items()}
     replay = replayer(sc.model, robust)
-    for seed in SEEDS:
+    for seed in seeds:
         for r, events in enumerate(sim.events_from_polytopes(polys, seed=seed, count=SAMPLES)):
             print(line(f"{name} seed {seed} run {r}", replay(events)))
 
