@@ -1,13 +1,13 @@
 """Lower feeder physics and device limits into linear-program rows.
 
 The linearized branch-flow voltage equation used throughout is, per branch
-(n -> m), phase, and step:
+(n upstream -> m downstream), phase, and step:
 
     w_m = w_n - 2 (r_eff P + x_eff Q)
 
-where w is the squared voltage magnitude (pu^2), P/Q the branch flow (pu) and
-(r_eff + j x_eff) the effective per-phase impedance under the balanced
-rotation approximation:
+where w is the squared voltage magnitude (pu^2), P/Q the branch flow (pu,
+n to m) and (r_eff + j x_eff) the effective per-phase impedance under the
+balanced rotation approximation:
 
     z_eff(phi) = sum_psi  a_phi * conj(a_psi) * z(phi, psi),
     a = (1, e^{-j2pi/3}, e^{+j2pi/3}) for phases (a, b, c)
@@ -97,11 +97,13 @@ rows.
 
 The replay's direct flow solve, `solve_linear_flow`, takes no model: it
 sweeps a `RadialPlan`, which `RadialPlan.of` lays out once per model (a
-slot per bus phase in breadth-first bus order, each bus's `balance_shares`
-by device position, each phase's children, and each branch phase's flow
-slot and `effective_impedance_pu`), so every step of every replay reuses
-one plan.  A device's position is its index in `device_groups` order, and
-the solve takes the device outputs as sequences indexed by position.
+slot per bus phase in breadth-first bus order with its voltage limits, each
+bus's `balance_shares` by device position, each phase's children, and one
+drop per non-root slot with its feeding branch phase's
+`effective_impedance_pu` and line limit), so every step of every replay
+reuses one plan.  A device's position is its index in `device_groups`
+order, and the solve takes the device outputs as sequences indexed by
+position.
 """
 
 from __future__ import annotations
@@ -299,27 +301,30 @@ def build_namespace(
 
 
 def emit_voltage_drop(model: NetworkModel, ns: VariableNamespace) -> list[Row]:
-    """One equality per branch-phase-step: w_to = w_from - 2(r_eff P + x_eff Q)."""
+    """One equality per branch-phase-step: w_down = w_up - 2(r_eff P + x_eff Q), the
+    ends as the tree reaches them, whichever way round the branch names them."""
     pu = PerUnit.of(model)
     _, parent, _ = model.tree()
     child = {br.id: bus_id for bus_id, br in parent.items()}
     rows = []
     for br in model.branches:
+        down = child[br.id]
+        up = br.other_end(down)
         for phase in br.phases:
             z = effective_impedance_pu(br, phase, pu)
             for k in ns.steps:
                 rows.append(
                     Row(
                         {
-                            ns.w[(br.to_bus, phase, k)]: 1.0,
-                            ns.w[(br.from_bus, phase, k)]: -1.0,
+                            ns.w[(down, phase, k)]: 1.0,
+                            ns.w[(up, phase, k)]: -1.0,
                             ns.pflow[(br.id, phase, k)]: 2.0 * z.real,
                             ns.qflow[(br.id, phase, k)]: 2.0 * z.imag,
                         },
                         Rel.EQ,
                         0.0,
                         "voltage_drop",
-                        ns.w[(child[br.id], phase, k)],
+                        ns.w[(down, phase, k)],
                     )
                 )
     return rows
@@ -386,6 +391,8 @@ class BuildOptions:
     def __post_init__(self) -> None:
         if self.poly_sides < 3:
             raise ValueError(f"poly_sides must be at least 3, got {self.poly_sides}")
+        if self.poly_sides > 1024:  # a row per side, limited branch phase or device, and step
+            raise ValueError(f"poly_sides must be at most 1024, got {self.poly_sides}")
         gamma = self.pv_power_factor_gamma
         if gamma is not None and not 0.0 <= gamma < math.inf:  # NaN fails too
             raise ValueError(f"pv_power_factor_gamma must be a non-negative finite number "
@@ -499,78 +506,73 @@ def build_feeder_lp(
 
 @dataclass(frozen=True)
 class RadialPlan:
-    """The radial sweep of :func:`solve_linear_flow` over one model, laid out once.
+    """The radial sweep of :func:`solve_linear_flow` over one model and the
+    limits the replay checks against it, laid out once.
 
     A device's position is its index in `device_groups` order.  Each bus
-    phase has a slot, in breadth-first bus order (`bus_phases`), and one
-    more slot stays empty, for a branch phase that its downstream bus lacks.
-    `leaves_up` holds each bus from the leaves up, with its devices'
-    `balance_shares` as (position, share) and, per phase of the bus, its
-    slot and the slots of its children that carry the phase.
-    `branch_phases` lists each non-root bus's feeding branch phases from the
-    root down, and `flow_slots` the slot each one's flow is drawn from.
-    `drops` holds, per phase of each non-root bus from the root down, its
-    slot, its upstream bus's slot, the index of its feeding branch phase and
-    that branch-phase's `effective_impedance_pu` as (r_eff, x_eff).
+    phase has a slot, in breadth-first bus order (`bus_phases`), and its
+    bus's (v_min, v_max) in `voltage_limits`.  `leaves_up` holds each bus
+    from the leaves up, with its devices' `balance_shares` as (position,
+    share) and, per phase of the bus, its slot and its children's slots of
+    that phase.  :func:`gridres.network.validate` pins each branch to the
+    phases of the bus it feeds, so each non-root slot has one feeding branch
+    phase: `drops` holds, per non-root slot in slot order, the slot, its
+    upstream bus's slot and that branch phase's `effective_impedance_pu` as
+    (r_eff, x_eff), and `line_limits` its flow limit in pu.
     """
 
     s_base: float
     bus_phases: tuple[tuple[str, str], ...]  # (bus, phase) per slot
-    branch_phases: tuple[tuple[str, str], ...]  # (branch, phase)
+    voltage_limits: tuple[tuple[float, float], ...]  # (v_min, v_max) per slot
     leaves_up: tuple  # (((position, share), ...), ((slot, child slots), ...)) per bus
-    flow_slots: tuple[int, ...]
-    drops: tuple[tuple[int, int, int, float, float], ...]
+    drops: tuple[tuple[int, int, float, float], ...]  # (slot, upstream slot, r_eff, x_eff)
+    line_limits: tuple[float, ...]  # pu, per drop
 
     @classmethod
     def of(cls, model: NetworkModel) -> "RadialPlan":
         pu = PerUnit.of(model)
         order, parent, children = model.tree()
-        phases = {b.id: b.phases for b in model.buses}
+        bus = {b.id: b for b in model.buses}
         position = {(c, u.id): i for i, (c, u) in
                     enumerate((c, u) for c, units in device_groups(model) for u in units)}
-        bus_phases = tuple((bus_id, phase) for bus_id in order for phase in phases[bus_id])
+        bus_phases = tuple((bus_id, phase) for bus_id in order for phase in bus[bus_id].phases)
         slot = {key: i for i, key in enumerate(bus_phases)}
-        empty = len(bus_phases)
         shares = balance_shares(model)
         leaves_up = tuple(
             (tuple((position[key], share) for key, share in shares[bus_id]),
              tuple((slot[(bus_id, phase)],
-                    tuple(slot[(c, phase)] for c in children[bus_id] if phase in phases[c]))
-                   for phase in phases[bus_id]))
+                    tuple(slot[(c, phase)] for c in children[bus_id] if phase in bus[c].phases))
+                   for phase in bus[bus_id].phases))
             for bus_id in reversed(order))
-        branch_phases, flow_slots, drops = [], [], []
+        drops, line_limits = [], []
         for bus_id in order[1:]:
             br = parent[bus_id]
-            up = br.from_bus if br.to_bus == bus_id else br.to_bus
-            flow = {}
-            for phase in br.phases:
-                flow[phase] = len(branch_phases)
-                branch_phases.append((br.id, phase))
-                flow_slots.append(slot.get((bus_id, phase), empty))
-            for phase in phases[bus_id]:
+            up = br.other_end(bus_id)
+            for phase in bus[bus_id].phases:
                 z = effective_impedance_pu(br, phase, pu)
-                drops.append((slot[(bus_id, phase)], slot[(up, phase)], flow[phase],
-                              z.real, z.imag))
-        return cls(pu.s_base, bus_phases, tuple(branch_phases), leaves_up,
-                   tuple(flow_slots), tuple(drops))
+                drops.append((slot[(bus_id, phase)], slot[(up, phase)], z.real, z.imag))
+                line_limits.append(pu.power(br.flow_limit_va))
+        return cls(pu.s_base, bus_phases,
+                   tuple((bus[bus_id].v_min, bus[bus_id].v_max) for bus_id, _ in bus_phases),
+                   leaves_up, tuple(drops), tuple(line_limits))
 
 
 def solve_linear_flow(
     plan: RadialPlan, p_w: Sequence[float], q_w: Sequence[float]
-) -> tuple[dict[tuple[str, str], tuple[float, float]], dict[tuple[str, str], float]]:
+) -> tuple[list[float], list[float], list[float]]:
     """Branch flows and squared voltages for fixed device outputs.
 
     `plan` is the model's :class:`RadialPlan`.  `p_w` and `q_w` hold each
     device's output in W and var by position, a load's as drawn, which
-    enters its bus's phases by its `balance_shares`.  Returns the flows
-    keyed by (branch, phase) in `plan.branch_phases` order, signed
-    parent->child, and the squared voltages keyed by (bus, phase) in
-    `plan.bus_phases` order, which follow the same linear drop equation as
-    the LP rows, anchored at 1 pu^2 on the root.  Radial sweep, exact for
-    the linear model.
+    enters its bus's phases by its `balance_shares`.  Returns (fp, fq, w):
+    the active and reactive flow (pu) of each feeding branch phase in
+    `plan.drops` order, signed upstream to downstream, and the squared
+    voltage of each slot in `plan.bus_phases` order, which follows the same
+    linear drop equation as the LP rows, anchored at 1 pu^2 on the root.
+    Radial sweep, exact for the linear model.
     """
     s_base = plan.s_base
-    sub_p = [0.0] * (len(plan.bus_phases) + 1)  # each bus phase's subtree injection
+    sub_p = [0.0] * len(plan.bus_phases)  # each bus phase's subtree injection
     sub_q = sub_p[:]
     for shares, phase_slots in plan.leaves_up:
         p0 = q0 = 0.0  # the injection on each phase of the bus
@@ -585,9 +587,9 @@ def solve_linear_flow(
             sub_p[slot] = p
             sub_q[slot] = q
 
-    fp = [-sub_p[slot] for slot in plan.flow_slots]  # power delivered into the subtree
-    fq = [-sub_q[slot] for slot in plan.flow_slots]
+    fp = [-sub_p[slot] for slot, _up, _r, _x in plan.drops]  # power delivered into the subtree
+    fq = [-sub_q[slot] for slot, _up, _r, _x in plan.drops]
     w = [1.0] * len(plan.bus_phases)  # the root's slots keep 1 pu^2
-    for slot, up, flow, r, x in plan.drops:
-        w[slot] = w[up] - 2.0 * (r * fp[flow] + x * fq[flow])
-    return dict(zip(plan.branch_phases, zip(fp, fq))), dict(zip(plan.bus_phases, w))
+    for (slot, up, r, x), p, q in zip(plan.drops, fp, fq):
+        w[slot] = w[up] - 2.0 * (r * p + x * q)
+    return fp, fq, w

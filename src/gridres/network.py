@@ -31,7 +31,7 @@ def _phase_key(pair: str) -> str:
 @dataclass
 class Bus:
     id: str
-    phases: str  # non-empty subset of "abc", sorted
+    phases: str  # distinct letters of "abc"
     v_min: float = 0.95  # pu magnitude
     v_max: float = 1.05
 
@@ -40,7 +40,7 @@ class Bus:
 class Branch:
     from_bus: str
     to_bus: str
-    phases: str
+    phases: str  # those of the bus it feeds
     impedance_ohm: dict[str, complex]  # keyed by sorted phase pair, e.g. "aa", "ab"
     flow_limit_va: float  # per phase
 
@@ -50,6 +50,9 @@ class Branch:
 
     def z(self, p: str, q: str) -> complex:
         return self.impedance_ohm.get(_phase_key(p + q), 0j)
+
+    def other_end(self, bus_id: str) -> str:
+        return self.from_bus if self.to_bus == bus_id else self.to_bus
 
 
 @dataclass
@@ -133,7 +136,7 @@ class NetworkModel:
         children: dict[str, list[str]] = {bus_id: [] for bus_id in adj}
         for cur in order:
             for br in adj[cur]:
-                nxt = br.to_bus if br.from_bus == cur else br.from_bus
+                nxt = br.other_end(cur)
                 if nxt != root and nxt not in parent:
                     parent[nxt] = br
                     children[cur].append(nxt)
@@ -168,7 +171,7 @@ def validate(model: NetworkModel) -> ValidationReport:
         if b.id in bus_map:
             problems.append(f"duplicate bus id {b.id}")
         bus_map[b.id] = b
-        if not b.phases or any(p not in PHASES for p in b.phases):
+        if not b.phases or len(set(b.phases) & set(PHASES)) != len(b.phases):
             problems.append(f"bus {b.id}: invalid phase set {b.phases!r}")
         if not 0 < b.v_min < b.v_max:
             problems.append(f"bus {b.id}: voltage bounds must satisfy 0 < v_min < v_max")
@@ -195,15 +198,17 @@ def validate(model: NetworkModel) -> ValidationReport:
     elif len(model.branches) >= len(model.buses):
         problems.append("cycle detected (branch count >= bus count)")
 
-    # phase compatibility down the tree
+    # phase compatibility down the tree: a branch carries its bus's phases
     if not problems:
         for bus_id, br in parent.items():
             bus = bus_map[bus_id]
-            up = br.from_bus if br.to_bus == bus_id else br.to_bus
+            up = br.other_end(bus_id)
             if not set(br.phases) <= set(bus_map[up].phases):
                 problems.append(f"branch {br.id}: phases {br.phases} not in upstream bus {up}")
             if not set(bus.phases) <= set(br.phases):
                 problems.append(f"bus {bus_id}: phases {bus.phases} not carried by branch {br.id}")
+            elif sorted(br.phases) != sorted(bus.phases):
+                problems.append(f"branch {br.id}: phases {br.phases} not those of bus {bus_id}")
 
     for dev in model.devices():
         if dev.bus not in bus_map:

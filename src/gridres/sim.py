@@ -22,28 +22,28 @@ measurement, which is exactly how the controller notices it.
 A run replays per-step events, compiled from a timeline (a list of `Event`)
 by `compile_timeline` or sampled by `events_from_polytopes`, against a
 `CompiledReplay`: what every run of one schedule on one model reads (the
-feeder's `RadialPlan`, each device's position, the per-step schedule,
-reserves and windows by position, the loads' reactive ratios, the voltage
-and line limits), built once by `compile_replay`.  A device's position is
-its index in `device_groups` order.  A run maps each step's events to
-positions once, keeps the ledger, the controller, the state of charge and
-the flow and limit checks in lists indexed by position, and builds each
-`Trajectory` array once, at the end.  Runs only read the compiled replay,
-so every run of a command shares one.  A run is strictly sequential in
-time; distinct runs over the same compiled replay (e.g. a Monte Carlo
-suite) may execute concurrently.
+feeder's `RadialPlan` with the voltage and line limits, each device's
+position, the per-step schedule, reserves and windows by position, the
+loads' reactive ratios), built once by `compile_replay`.  A device's
+position is its index in `device_groups` order.  A run maps each step's
+events to positions once, keeps the ledger, the controller, the state of
+charge and the flow and limit checks in lists indexed by position, and
+builds each `Trajectory` array once, at the end.  Runs only read the
+compiled replay, so every run of a command shares one.  A run is strictly
+sequential in time; distinct runs over the same compiled replay (e.g. a
+Monte Carlo suite) may execute concurrently.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .advset import AXIS_CLASS, InnerPolytope, _simplex_points
-from .constraints import (PerUnit, RadialPlan, device_groups, device_window, reserve_room,
+from .constraints import (RadialPlan, device_groups, device_window, reserve_room,
                           solve_linear_flow)
 from .network import NetworkModel
 from .robust import RobustResult
@@ -119,28 +119,29 @@ def compile_timeline(model: NetworkModel, timeline: list[Event]) -> list[dict]:
 
 def events_from_polytopes(
     polys: dict[int, InnerPolytope], seed: int, count: int
-) -> list[list[dict]]:
-    """`count` per-step event dictionaries sampled from per-step polytopes.
+) -> Iterator[list[dict]]:
+    """`count` runs of per-step event dictionaries sampled from per-step polytopes.
 
     At each step an independent point is drawn uniformly over the polytope,
     as :func:`gridres.advset.sample` draws, from a seed stream of its own per
-    step; deterministic per seed.
+    step; deterministic per seed.  The call draws every step's points; a
+    run's dictionaries are built only when the returned iterator reaches it.
     """
-    steps = sorted(polys)
-    horizon = max(steps) + 1
-    runs: list[list[dict]] = [[{} for _ in range(horizon)] for _ in range(count)]
-    for k in steps:
+    horizon = max(polys) + 1
+    draws = []  # (step, (class, entity) per axis, points)
+    for k in sorted(polys):
         poly = polys[k]
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(3, k)))
-        points = _simplex_points(poly, rng, count)
-        for r in range(count):
-            events = {}
-            for i, axis in enumerate(poly.axes):
-                mag = float(points[r, i])
-                if mag > 0.0:
-                    events[(AXIS_CLASS[axis.kind], axis.entity)] = mag
-            runs[r][k] = events
-    return runs
+        draws.append((k, [(AXIS_CLASS[axis.kind], axis.entity) for axis in poly.axes],
+                      _simplex_points(poly, rng, count)))
+
+    def run(r: int) -> list[dict]:
+        events = [{} for _ in range(horizon)]
+        for k, keys, points in draws:
+            events[k] = {key: mag for key, mag in zip(keys, points[r].tolist()) if mag > 0.0}
+        return events
+
+    return (run(r) for r in range(count))
 
 
 def _total(values) -> float:
@@ -216,9 +217,8 @@ class CompiledReplay:
     position, and `window` each device's `device_window`, None for a
     battery, whose window depends on its realized state of charge: a run
     works it out per step for each of `batteries`.  `tan_phi` holds each
-    load's reactive to active power ratio.  All are Python floats.  The
-    voltage limits follow the plan's `bus_phases` and the line limits its
-    `branch_phases`.
+    load's reactive to active power ratio.  All are Python floats.  `plan`,
+    the feeder's `RadialPlan`, carries the voltage and line limits.
     """
 
     steps: int
@@ -234,8 +234,6 @@ class CompiledReplay:
     window: tuple[tuple[tuple[float, float] | None, ...], ...]
     batteries: tuple  # the storage units, in position order
     tan_phi: tuple[float, ...]
-    voltage_limits: tuple[tuple[float, float], ...]  # v_min, v_max
-    line_limits: tuple[float, ...]  # pu
 
 
 def compile_replay(model: NetworkModel, robust: RobustResult) -> CompiledReplay:
@@ -253,14 +251,10 @@ def compile_replay(model: NetworkModel, robust: RobustResult) -> CompiledReplay:
         columns = [series[key] for key in keys]
         return tuple(tuple(float(column[k]) for column in columns) for k in steps)
 
-    pu = PerUnit.of(model)
-    plan = RadialPlan.of(model)
-    bus = {b.id: b for b in model.buses}
-    branch = {br.id: br for br in model.branches}
     return CompiledReplay(
         steps=model.steps,
         dt=model.dt_hours,
-        plan=plan,
+        plan=RadialPlan.of(model),
         devices=devices,
         position={key: i for i, key in enumerate(keys)},
         positions=positions,
@@ -272,10 +266,6 @@ def compile_replay(model: NetworkModel, robust: RobustResult) -> CompiledReplay:
                            for cls, u in devices) for k in steps),
         batteries=tuple(model.storage_units),
         tan_phi=tuple(u.tan_phi for u in model.loads),
-        voltage_limits=tuple((bus[bus_id].v_min, bus[bus_id].v_max)
-                             for bus_id, _phase in plan.bus_phases),
-        line_limits=tuple(pu.power(branch[br_id].flow_limit_va)
-                          for br_id, _phase in plan.branch_phases),
     )
 
 
@@ -399,16 +389,16 @@ def run_simulation(replay: CompiledReplay, events: list[dict]) -> Trajectory:
         q_w = list(replay.q[k])
         for i, tan_phi in zip(loads, replay.tan_phi):
             q_w[i] = realized[i] * tan_phi
-        flows, w = solve_linear_flow(replay.plan, realized, q_w)
-        series["voltage_min_pu"].append(math.sqrt(max(min(w.values()), 0.0)))
-        series["voltage_max_pu"].append(math.sqrt(max(w.values())))
-        for w_k, (v_min, v_max) in zip(w.values(), replay.voltage_limits):
+        fp, fq, w = solve_linear_flow(replay.plan, realized, q_w)
+        series["voltage_min_pu"].append(math.sqrt(max(min(w), 0.0)))
+        series["voltage_max_pu"].append(math.sqrt(max(w)))
+        for w_k, (v_min, v_max) in zip(w, replay.plan.voltage_limits):
             v = math.sqrt(max(w_k, 0.0))
             over = max(v_min - v, v - v_max)
             if over > VOLTAGE_TOL:
                 flag("voltage", k, over)
-        for (fp, fq), limit in zip(flows.values(), replay.line_limits):
-            over = math.hypot(fp, fq) - limit
+        for p, q, limit in zip(fp, fq, replay.plan.line_limits):
+            over = math.hypot(p, q) - limit
             if over > 1e-6:
                 flag("line", k, over * replay.plan.s_base)
         if shortfall > 1e-3:

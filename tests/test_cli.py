@@ -284,6 +284,25 @@ def test_empty_bus_list_fails_validation(tmp_path, capsys):
     assert err.strip() == "error: network failed validation: no buses"
 
 
+@pytest.mark.parametrize("command", ["validate", "baseline"])
+@pytest.mark.parametrize("edit, expected", [
+    (lambda doc: doc["branches"][2].update(phases="ab"),
+     "branch bus01->bus03: phases ab not those of bus bus03"),
+    (lambda doc: doc["branches"][2].update(phases="aa"),
+     "branch bus01->bus03: phases aa not those of bus bus03"),
+    (lambda doc: doc["buses"][3].update(phases="aa"), "bus bus03: invalid phase set 'aa'"),
+    (lambda doc: doc["buses"][1].update(phases="abca"), "bus bus01: invalid phase set 'abca'"),
+], ids=["extra-branch-phase", "repeated-branch-phase", "repeated-bus-phase",
+        "repeated-trunk-phase"])
+def test_phase_layout_fails_validation(tmp_path, capsys, command, edit, expected):
+    """A branch carries exactly the phases of the bus it feeds, and a bus's
+    phases are distinct: anything else is one validation line, not a traceback."""
+    scenario = files_scenario(tmp_path, edit)
+    assert main([command, str(scenario), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: network failed validation: {expected}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def _nan_first_profile_value(tmp_path):
     path = tmp_path / "net" / "profiles.csv"
     lines = path.read_text().splitlines()
@@ -407,6 +426,19 @@ def test_infeasible_maps_to_exit_2(tmp_path, capsys):
     )
     assert main(["robust", str(scenario), "--out", str(tmp_path / "o")]) == 2
     assert "infeasible" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize("overrides, flags", [
+    ({"build": {"poly_sides": 1025}}, []),
+    ({}, ["--poly-sides", "1025"]),
+], ids=["field", "flag"])
+def test_poly_sides_above_1024_is_input_error(tmp_path, capsys, overrides, flags):
+    """The side count is bounded before any LP is built: each side is a row
+    per limited branch phase or device and step."""
+    scenario = small_scenario(tmp_path, **overrides)
+    assert main(["validate", str(scenario), *flags]) == 1
+    assert capsys.readouterr().err == "error: build: poly_sides must be at most 1024, got 1025\n"
+    assert main(["validate", str(small_scenario(tmp_path)), "--poly-sides", "1024"]) == 0
 
 
 def test_robust_without_box_is_input_error(tmp_path):

@@ -299,11 +299,19 @@ def test_linear_flow_matches_lp_voltages():
     result = solve_baseline(model, CostConfig())
     k = 1
     keys = [(cls, u.id) for cls, units in device_groups(model) for u in units]
-    flows, w = solve_linear_flow(RadialPlan.of(model),
-                                 [result.p[key][k] for key in keys],
-                                 [result.q[key][k] for key in keys])
-    for key, arr in result.voltage_sq_pu.items():
-        assert w[key] == pytest.approx(arr[k], abs=5e-7)
+    plan = RadialPlan.of(model)
+    fp, fq, w = solve_linear_flow(plan, [result.p[key][k] for key in keys],
+                                  [result.q[key][k] for key in keys])
+    assert sorted(plan.bus_phases) == sorted(result.voltage_sq_pu)
+    for key, w_k in zip(plan.bus_phases, w, strict=True):
+        assert w_k == pytest.approx(result.voltage_sq_pu[key][k], abs=5e-7)
+    # one flow per non-root slot, fed by its bus's branch, signed upstream to downstream
+    _, parent, _ = model.tree()
+    flows = [(parent[bus].id, phase) for bus, phase in plan.bus_phases if bus in parent]
+    assert sorted(flows) == sorted(result.flow_p_w)
+    for key, p, q in zip(flows, fp, fq, strict=True):
+        assert p * plan.s_base == pytest.approx(result.flow_p_w[key][k], abs=1e-6)
+        assert q * plan.s_base == pytest.approx(result.flow_q_w[key][k], abs=1e-6)
 
 
 def test_optional_pv_power_factor_rows():

@@ -1,3 +1,6 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,7 @@ from gridres.dispatch import (
     summarize,
 )
 from gridres.lp import check_feasibility
-from gridres.network import SynthSpec, synth_feeder
+from gridres.network import SynthSpec, load_model, synth_feeder
 from util import single_bus, six_bus
 from vertex_oracle import brute_force_min
 
@@ -152,3 +155,22 @@ def test_terminal_soc_flag_pins_the_horizon_end():
     # unconstrained: the battery drains its free energy to displace diesel
     assert free.soc_wh["es1"][-1] < free.soc_wh["es1"][0] - 1e3
     assert pinned.soc_wh["es1"][-1] >= pinned.soc_wh["es1"][0] - 1e-3
+
+
+def test_branch_written_upstream_gives_the_same_dispatch():
+    """A branch whose `from` is its downstream end drops the voltage the same
+    way: the LP's ends come from the tree, as its flows are signed by it."""
+    docs = Path(__file__).resolve().parent.parent / "docs" / "examples"
+    forward = load_model(docs / "sixbus_network.json", docs / "sixbus_profiles.csv")
+    trunk = forward.branches[0]
+    assert (trunk.from_bus, trunk.to_bus) == ("bus0", "bus1")
+    reversed_trunk = dataclasses.replace(trunk, from_bus="bus1", to_bus="bus0")
+    backward = dataclasses.replace(forward, branches=[reversed_trunk, *forward.branches[1:]])
+    a = solve_baseline(forward, COSTS)
+    b = solve_baseline(backward, COSTS)
+    assert b.objective_value == pytest.approx(a.objective_value, rel=1e-12)
+    assert b.voltage_sq_pu.keys() == a.voltage_sq_pu.keys()
+    for key, w in a.voltage_sq_pu.items():
+        np.testing.assert_allclose(b.voltage_sq_pu[key], w, rtol=0, atol=1e-12, err_msg=str(key))
+    np.testing.assert_allclose(b.flow_p_w[("bus1->bus0", "a")], a.flow_p_w[("bus0->bus1", "a")],
+                               rtol=0, atol=1e-6)

@@ -259,7 +259,7 @@ def test_polytope_sampled_events_simulate_clean():
         AdversarialAxis(AXIS_LOAD_INCREASE, "load1", cap_w=0.6e6),
     ]
     polys = characterize_steps(model, robust.dispatch, robust.reserves, axes)
-    runs = events_from_polytopes(polys, seed=7, count=25)
+    runs = list(events_from_polytopes(polys, seed=7, count=25))
     assert len(runs) == 25
     again = events_from_polytopes(polys, seed=7, count=25)
     for a, b in zip(runs, again):

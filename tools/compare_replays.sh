@@ -67,16 +67,6 @@ from gridres.scenario import load_scenario
 SAMPLES = 200
 
 
-def replayer(model, robust):
-    """One schedule's `run_simulation`; checkouts before the compiled replay
-    take (model, robust, events)."""
-    compile_replay = getattr(sim, "compile_replay", None)
-    if compile_replay is None:
-        return lambda events: sim.run_simulation(model, robust, events)
-    replay = compile_replay(model, robust)
-    return lambda events: sim.run_simulation(replay, events)
-
-
 def digest(arr) -> str:
     h = hashlib.sha256(f"{arr.dtype.str}{arr.shape}".encode())
     h.update(arr.tobytes())
@@ -111,14 +101,15 @@ for name, path, scale, seeds in SAMPLED:
     polys = polytopes_from_json(json.loads((out / Path(path).stem / "polytope.json")
                                            .read_text()), sc.model)
     polys = {k: dataclasses.replace(p, alpha_w=p.alpha_w * scale) for k, p in polys.items()}
-    replay = replayer(sc.model, robust)
+    replay = sim.compile_replay(sc.model, robust)
     for seed in seeds:
         for r, events in enumerate(sim.events_from_polytopes(polys, seed=seed, count=SAMPLES)):
-            print(line(f"{name} seed {seed} run {r}", replay(events)))
+            print(line(f"{name} seed {seed} run {r}", sim.run_simulation(replay, events)))
 
 sc = load_scenario("scenarios/cyber_event.json")
 robust = solve_robust(sc.model, sc.costs, sc.reserve_costs, sc.box, sc.build, sc.solver)
-print(line("cyber_event timeline", replayer(sc.model, robust)(sc.events)))
+print(line("cyber_event timeline",
+           sim.run_simulation(sim.compile_replay(sc.model, robust), sc.events)))
 EOF
     )
 }

@@ -41,11 +41,7 @@ COUNTS = ("primal", "dual", "flips", "bland", "refactor")
 
 
 def counts(stats) -> tuple[int, ...]:
-    # checkouts before the rename to primal_pivots call it phase2_pivots
-    primal = getattr(stats, "primal_pivots", None)
-    if primal is None:
-        primal = stats.phase2_pivots
-    return (primal, stats.dual_pivots, stats.bound_flips, stats.bland_entries,
+    return (stats.primal_pivots, stats.dual_pivots, stats.bound_flips, stats.bland_entries,
             stats.refactorizations)
 
 
