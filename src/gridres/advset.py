@@ -33,7 +33,10 @@ Each step has one :class:`RecourseStep`: the recourse LP, built once and
 solved once from the crash basis with every magnitude fixed at zero.
 Every query re-bounds the magnitude columns of that LP and re-solves it from
 the zero-magnitude solve, taking over its basis, its assembled rows and its
-factored basis matrix.  An axis maximization then runs the primal simplex
+factored basis matrix, and ends on the factorization it pivoted on: the
+zero-magnitude solve's LU with the query's own etas, re-factored only if the
+final check through them fails, so a pass factors a B twice per step, both
+times in the cold solve.  An axis maximization then runs the primal simplex
 only.  A membership test fixes the magnitudes, which moves the basic values
 out of their bounds; without an objective the basis stays dual feasible, so
 the dual simplex answers it.  Nothing rebuilds the LP per query:
@@ -46,6 +49,7 @@ InnerPolytope is immutable.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -224,7 +228,10 @@ class RecourseStep:
     zero-magnitude solve: with the built-in simplex from its basis, its
     assembled and set-up rows and its factored basis matrix (see
     :func:`gridres.lp.solve`); with the HiGHS backend, or when the
-    zero-magnitude LP is infeasible, as a plain solve.
+    zero-magnitude LP is infeasible, as a plain solve.  A query checks its
+    answer through that LU and its own etas, and factors its basis only if
+    the check fails; no query starts from another's answer, so every one
+    takes over the fresh LU of the cold `base` solve.
     """
 
     def __init__(
@@ -374,6 +381,19 @@ def _simplex_points(poly: InnerPolytope, rng: np.random.Generator, count: int) -
     draws = rng.exponential(1.0, size=(count, len(poly.axes) + 1))
     weights = draws / draws.sum(axis=1, keepdims=True)
     return weights @ poly.vertices_w
+
+
+SAMPLE_CHUNK = 1024  # points drawn at a time by a lazy draw
+
+
+def _simplex_point_chunks(poly: InnerPolytope, rng: np.random.Generator,
+                          count: int) -> Iterator[np.ndarray]:
+    """The points of ``_simplex_points(poly, rng, count)``, bit for bit, drawn
+    SAMPLE_CHUNK rows at a time as the iterator reaches them.  The
+    exponential stream is sequential, and a point's coordinate i is
+    w[i+1] alpha_i plus exact zeros, so no chunk size changes a bit."""
+    for done in range(0, count, SAMPLE_CHUNK):
+        yield _simplex_points(poly, rng, min(SAMPLE_CHUNK, count - done))
 
 
 def project_2d(poly: InnerPolytope, axis_i: int, axis_j: int) -> tuple[list[tuple[float, float]], bool]:

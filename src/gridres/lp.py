@@ -24,8 +24,12 @@ and no dense tableau is ever formed.  Every solve takes one path:
    every basis is (Koberstein's cost-modification dual phase 1).  A row that
    no column can bring within its bounds proves the LP infeasible.
 3. The primal simplex pivots to optimality.
-4. B is factored afresh, x_B re-solved and every row and bound checked at
-   feas_tol.
+4. x_B is re-solved and every row and bound checked at feas_tol.  A cold
+   solve re-solves it from a fresh factorization of B; a warm one (see
+   below) through the factorization and etas it pivoted on, and factors B
+   afresh, re-solves and checks again only if that check fails: like other
+   simplex codes, it refactors on eta growth or numerical trouble rather
+   than on every return (Maros 2003; Koberstein 2005).
 
 In the primal, the column with the largest reduced-cost gain enters
 (Dantzig's rule, the lowest index on ties), and among tied ratios the lowest
@@ -44,10 +48,11 @@ start is all logicals.  The feeder rows name the columns that make B
 triangular along the tree (see :mod:`gridres.constraints`).
 
 An optimal solve returns its final basis, together with its assembled rows
-and the factorization of B, and a later solve of the same rows under
-changed bounds, objective or right-hand sides may start from it.  If the LP
-still has those rows, the re-solve takes over the assembly and the factored B
-instead of building them again.  The solver is fully deterministic:
+and, when it ended with no eta pending, the factorization of B, and a later
+solve of the same rows under changed bounds, objective or right-hand sides
+may start from it.  If the LP still has those rows, the re-solve takes over
+the assembly, and the factored B when the start carries one, instead of
+building them again.  The solver is fully deterministic:
 identical inputs produce bitwise-identical outputs.  A scipy/HiGHS backend
 can be selected through :class:`SolverOptions`; the built-in simplex remains
 the reference implementation and the one exercised by the oracle tests.
@@ -242,7 +247,8 @@ class SolveStats:
     # times a loop fell back to Bland's rule after a degenerate stall; once
     # on a cold solve whose zero-cost dual runs longer than BLAND_STALL pivots
     bland_entries: int = 0
-    # sparse LU factorizations of the basis, the final one included
+    # sparse LU factorizations of the basis: a cold solve's final check
+    # factors one, a warm solve's only when its check through the etas fails
     refactorizations: int = 0
 
     @property
@@ -256,15 +262,16 @@ class SimplexBasis:
     re-solve of the same rows through ``solve(..., start=)``.
 
     It also carries the rows it was solved on, with their matrices A and
-    [A | I], and the factorization of its basis matrix, which a re-solve of
-    an LP with the same rows takes over instead of assembling and factoring
-    again.
+    [A | I], which a re-solve of an LP with the same rows takes over instead
+    of assembling again.  `lu` is the factorization of exactly this basis
+    matrix, taken over in the same way, or None when the solve ended with
+    etas pending on its LU; a start without one factors its B.
     """
 
     basic: np.ndarray  # the column of [A | I] in each row's basis position
     status: np.ndarray  # bound status of every structural and logical column
     rows: _Rows | None = field(default=None, repr=False, compare=False)
-    lu: object = field(default=None, repr=False, compare=False)  # SuperLU of B
+    lu: object = field(default=None, repr=False, compare=False)  # SuperLU of B, or None
 
 
 @dataclass
@@ -337,6 +344,13 @@ class _Rows:
     def AT(self):
         """The transpose of :attr:`AI`, a CSR view of its arrays for [A | I]^T y."""
         return self.AI.T
+
+    @cached_property
+    def logical_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """The bounds of each row's logical column: [0, inf) for "<=",
+        (-inf, 0] for ">=" and [0, 0] for "="."""
+        return (np.where(self.rel == _GE, -np.inf, 0.0),
+                np.where(self.rel == _LE, np.inf, 0.0))
 
 
 @dataclass(frozen=True)
@@ -464,10 +478,12 @@ def solve(lp: LinearProgram, options: SolverOptions | None = None,
     changed.  Its nonbasic columns keep their bounds while those are finite
     and not fixed, and are otherwise placed as on a cold solve; B is the
     start's own factorization when the rows are still the ones it was solved
-    on.  Only a B that is singular for these rows starts from the crash
-    basis instead; :attr:`SolveStats.start` says which.  A start of the
-    wrong size raises :class:`MalformedProblem`; the HiGHS backend ignores
-    it.
+    on and the start carries one, and is factored otherwise.  Only a B that
+    is singular for these rows starts from the crash basis instead;
+    :attr:`SolveStats.start` says which.  A warm solve ends on the
+    factorization it pivoted on, which its basis passes on only if no eta
+    is pending.  A start of the wrong size raises :class:`MalformedProblem`;
+    the HiGHS backend ignores it.
     """
     options = options or SolverOptions()
     mat = _assemble(lp, start.rows if start is not None else None)
@@ -492,6 +508,7 @@ _FIXED = 4
 # per status: two factors on a reduced cost d whose maximum is the gain of
 # moving the variable off its bound (-d at a lower, d at an upper, |d| free)
 _GAIN_DIRS = ((0.0, 0.0), (-1.0, -1.0), (1.0, 1.0), (1.0, -1.0), (0.0, 0.0))
+_GAIN_DIRS_T = np.array(_GAIN_DIRS).T.copy()  # row f holds factor f of every status
 _NO_TIE = np.iinfo(np.int64).max
 
 # Eta updates between refactorizations of the basis.  Applying the etas costs
@@ -615,11 +632,12 @@ class _BoundedSimplex:
         self.m = m
 
         self.N = N = n + m
-        # [A | I] and its transpose, shared by re-solves of the same rows
+        # [A | I], its transpose and the logicals' bounds, shared by
+        # re-solves of the same rows
         self.AI, self.AT = mat.rows.AI, mat.rows.AT
-        rel = mat.rows.rel
-        self.lo = np.concatenate([mat.lower, np.where(rel == _GE, -np.inf, 0.0)])
-        self.hi = np.concatenate([mat.upper, np.where(rel == _LE, np.inf, 0.0)])
+        logical_lo, logical_hi = mat.rows.logical_bounds
+        self.lo = np.concatenate([mat.lower, logical_lo])
+        self.hi = np.concatenate([mat.upper, logical_hi])
         self.c = np.concatenate([mat.cost, np.zeros(m)])
 
         self.gain = np.empty((2, N))
@@ -632,7 +650,7 @@ class _BoundedSimplex:
         lo, hi = self.lo, self.hi
         self.status = st
         self.xval = np.where(st == _AT_HI, hi, np.where(st == _FREE, 0.0, lo))
-        self.dirs = np.array(_GAIN_DIRS)[st].T.copy()
+        self.dirs = np.take(_GAIN_DIRS_T, st, axis=1)
 
     def _set_basis(self, basis: np.ndarray) -> None:
         self.basis = basis
@@ -691,9 +709,9 @@ class _BoundedSimplex:
         st[keep] = prev[keep]
         self._place(st)
         self._set_basis(basic.copy())
-        if start.rows is self.mat.rows:
+        if start.rows is self.mat.rows and start.lu is not None:
             self.B.lu = start.lu  # the same B, factored when the start was solved
-        else:
+        else:  # other rows, or a start that ended with etas pending
             try:
                 self._refactor()
             except ArithmeticError:  # the basis does not fit this problem's rows
@@ -711,7 +729,8 @@ class _BoundedSimplex:
     def _refactor(self) -> None:
         # B's columns are cut from AI's arrays: scipy's AI[:, basis] took 99
         # against 80 us for this on the 241-row recourse LPs (2-core 2.0 GHz
-        # Xeon VM), and an advset pass factors such a B about 70 times
+        # Xeon VM), and an advset pass factors such a B 24 times, twice per
+        # step's cold zero-magnitude solve
         from scipy.sparse import csc_matrix
 
         m, AI = self.m, self.AI
@@ -767,7 +786,7 @@ class _BoundedSimplex:
         if self._iterate(max_iter) == "unbounded":
             return LpSolution(LpStatus.UNBOUNDED, iterations=self.stats.iterations,
                               stats=self.stats)
-        return self._finish()
+        return self._finish(warm)
 
     def _price_basis(self, cost: np.ndarray) -> None:
         """Price the columns at `cost`, and take the bounds and cost of the
@@ -956,24 +975,37 @@ class _BoundedSimplex:
         x[self.basis] = 0.0
         return self.B.ftran(self.mat.rhs - self.mat.row_activity(x[:n]) - x[n:])
 
-    def _finish(self) -> LpSolution:
-        # re-solve the basic values from a fresh factorization
-        self._refactor()
+    def _checked_values(self) -> tuple[np.ndarray, FeasibilityReport]:
+        """The structural values with x_B re-solved through the current
+        factorization, and their check against every row and bound."""
         self.x_B = self._basic_values()
         x = self.xval.copy()
         x[self.basis] = self.x_B
         values = x[:self.n]
-        report = self.mat.feasibility(values, self.opt.feas_tol)
-        if not report.ok(self.opt.feas_tol):
+        return values, self.mat.feasibility(values, self.opt.feas_tol)
+
+    def _finish(self, warm: bool) -> LpSolution:
+        # a cold solve re-solves the basic values from a fresh factorization;
+        # a warm one through the factorization it pivoted on, refactoring
+        # only when that answer fails the check
+        tol = self.opt.feas_tol
+        if not warm:
+            self._refactor()
+        values, report = self._checked_values()
+        if warm and not report.ok(tol):
+            self._refactor()
+            values, report = self._checked_values()
+        if not report.ok(tol):
             raise ArithmeticError(
                 "simplex finished with residual "
                 f"{max(report.max_row_residual, report.max_bound_violation):.3e} > feas_tol"
             )
         obj = float(np.dot(self.c[:self.n], values))
+        # the LU is B's own only with no eta pending
+        lu = self.B.lu if self.B.count == 0 else None
         return LpSolution(LpStatus.OPTIMAL, values=values, objective_value=obj,
                           iterations=self.stats.iterations, stats=self.stats,
-                          basis=SimplexBasis(self.basis, self.status, self.mat.rows,
-                                             self.B.lu))
+                          basis=SimplexBasis(self.basis, self.status, self.mat.rows, lu))
 
 
 def _solve_scipy(mat: _Assembled) -> LpSolution:

@@ -36,13 +36,14 @@ Monte Carlo suite) may execute concurrently.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .advset import AXIS_CLASS, InnerPolytope, _simplex_points
+from .advset import AXIS_CLASS, InnerPolytope, _simplex_point_chunks
 from .constraints import (RadialPlan, device_groups, device_window, reserve_room,
                           solve_linear_flow)
 from .network import NetworkModel
@@ -124,24 +125,28 @@ def events_from_polytopes(
 
     At each step an independent point is drawn uniformly over the polytope,
     as :func:`gridres.advset.sample` draws, from a seed stream of its own per
-    step; deterministic per seed.  The call draws every step's points; a
-    run's dictionaries are built only when the returned iterator reaches it.
+    step; deterministic per seed.  Nothing is drawn by the call: each step's
+    points are drawn from its stream a chunk at a time, and a run's
+    dictionaries built, as the returned iterator reaches them, so memory does
+    not grow with `count`.
     """
     horizon = max(polys) + 1
-    draws = []  # (step, (class, entity) per axis, points)
+    steps = []  # (step, (class, entity) per axis)
+    streams = []  # each step's points, as lists
     for k in sorted(polys):
         poly = polys[k]
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(3, k)))
-        draws.append((k, [(AXIS_CLASS[axis.kind], axis.entity) for axis in poly.axes],
-                      _simplex_points(poly, rng, count)))
+        steps.append((k, [(AXIS_CLASS[axis.kind], axis.entity) for axis in poly.axes]))
+        chunks = _simplex_point_chunks(poly, rng, count)
+        streams.append(itertools.chain.from_iterable(map(np.ndarray.tolist, chunks)))
 
-    def run(r: int) -> list[dict]:
+    def run(points: tuple[list[float], ...]) -> list[dict]:
         events = [{} for _ in range(horizon)]
-        for k, keys, points in draws:
-            events[k] = {key: mag for key, mag in zip(keys, points[r].tolist()) if mag > 0.0}
+        for (k, keys), point in zip(steps, points):
+            events[k] = {key: mag for key, mag in zip(keys, point) if mag > 0.0}
         return events
 
-    return (run(r) for r in range(count))
+    return map(run, zip(*streams))
 
 
 def _total(values) -> float:

@@ -267,6 +267,18 @@ def test_sampling_is_deterministic_and_inside():
         assert contains(poly, point, tol=1e-7)
 
 
+def test_chunked_draws_are_the_points_of_one_draw():
+    """Points drawn a chunk at a time, across chunk boundaries, are the
+    points of one draw of the same stream, bit for bit."""
+    axes = [AdversarialAxis(AXIS_DG_LOSS, f"dg{i}") for i in range(4)]
+    poly = InnerPolytope(0, axes, np.array([3.0e5, 0.0, 1.7e5, 2.9e4]))
+    count = 2 * advset.SAMPLE_CHUNK + 3
+    whole = advset._simplex_points(poly, np.random.default_rng(9), count)
+    chunks = list(advset._simplex_point_chunks(poly, np.random.default_rng(9), count))
+    assert [len(c) for c in chunks] == [advset.SAMPLE_CHUNK, advset.SAMPLE_CHUNK, 3]
+    assert np.concatenate(chunks).tobytes() == whole.tobytes()
+
+
 def test_vertices_and_samples_are_tolerable():
     """The defining property: every vertex and every convex sample admits a
     feasible recourse point (the convexity argument, checked literally)."""

@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -717,8 +718,77 @@ def test_resolve_with_changed_rows_refactors():
     lp, x, y = equality_pair_lp()
     start = solve(lp).basis
     same = solve(lp, start=start)
-    assert same.stats.refactorizations == 1  # the final check only
+    assert same.stats.refactorizations == 0
     lp.rows[0].coeffs[y] = 2.0  # x + 2y = 4: x = 2 with y at 1
     sol = solve(lp, start=start)
-    assert sol.stats.refactorizations == 2
+    assert sol.stats.refactorizations == 1
     assert sol.status is LpStatus.OPTIMAL and sol.values[x] == pytest.approx(2.0, abs=1e-12)
+
+
+def test_warm_chain_matches_cold_solve_and_highs():
+    """Cold, then warm from the cold solve's basis, then warm from that warm
+    solve's basis, the bounds moved before each re-solve.  A warm solve that
+    pivoted ends on its LU and etas, so its basis carries no factorization
+    and the next start factors its own B."""
+    rng = np.random.default_rng(2027)
+    highs = SolverOptions(backend="scipy")
+    chained = 0
+    while chained < 40:
+        lp = random_bounded_lp(rng)
+        first = solve(lp)
+        if first.status is not LpStatus.OPTIMAL:
+            continue
+        rebound(lp, rng)
+        second = solve(lp, start=first.basis)
+        if second.status is not LpStatus.OPTIMAL or not (
+                second.stats.primal_pivots or second.stats.dual_pivots):
+            continue
+        assert second.stats.start == "warm" and second.basis.lu is None
+        rebound(lp, rng)
+        third = solve(lp, start=second.basis)
+        cold = solve(lp)
+        ref = solve(lp, highs)
+        assert third.stats.start == "warm"
+        assert third.status == cold.status == ref.status
+        if third.status is LpStatus.OPTIMAL:
+            assert third.objective_value == pytest.approx(cold.objective_value,
+                                                          rel=1e-9, abs=1e-9)
+            assert third.objective_value == pytest.approx(ref.objective_value, abs=1e-6)
+            assert check_feasibility(lp, third.values).ok(SolverOptions().feas_tol)
+        chained += 1
+
+
+def test_warm_resolve_refactors_when_its_check_fails(monkeypatch):
+    """A warm re-solve checks its answer through the LU and etas it pivoted
+    on; if that check fails it refactors once and checks again."""
+    lp, x, y = equality_pair_lp()
+    start = solve(lp).basis
+    lp.set_bounds(y, 2.0, 5.0)  # x_B = -1: one dual pivot
+    plain = solve(lp, start=start)
+    assert plain.stats.dual_pivots == 1 and plain.stats.refactorizations == 0
+    assert plain.basis.lu is None  # an eta is pending
+
+    real = lp_module._Assembled.feasibility
+    reports = []
+
+    def failing(fails):
+        def feasibility(self, point, tol):
+            report = real(self, point, tol)
+            reports.append(report)
+            if len(reports) <= fails:
+                report = dataclasses.replace(report, max_row_residual=2.0 * tol)
+            return report
+        return feasibility
+
+    monkeypatch.setattr(lp_module._Assembled, "feasibility", failing(1))
+    sol = solve(lp, start=start)
+    assert len(reports) == 2 and sol.stats.refactorizations == 1
+    assert sol.status is LpStatus.OPTIMAL
+    np.testing.assert_array_equal(sol.values, plain.values)
+    assert sol.basis.lu is not None  # the fresh factorization of the final B
+
+    reports.clear()
+    monkeypatch.setattr(lp_module._Assembled, "feasibility", failing(2))
+    with pytest.raises(ArithmeticError, match="simplex finished with residual"):
+        solve(lp, start=start)
+    assert len(reports) == 2

@@ -1,4 +1,9 @@
 import dataclasses
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,6 +273,42 @@ def test_polytope_sampled_events_simulate_clean():
     for per_step in runs:
         traj = run_simulation(replay, per_step)
         assert violation_report(traj).clean()
+
+
+# Runs the draw in a child process whose address space is capped, so that a
+# draw that allocates every point at once fails there with a MemoryError
+# (37 GiB for 10**9 points of five weights) instead of taking the machine's
+# memory.
+LAZY_DRAW = """
+import numpy as np
+from gridres.advset import AXIS_DG_LOSS, AXIS_LOAD_INCREASE, AdversarialAxis, InnerPolytope
+from gridres.sim import events_from_polytopes
+
+axes = [AdversarialAxis(AXIS_DG_LOSS, "dg1"), AdversarialAxis(AXIS_LOAD_INCREASE, "load1"),
+        AdversarialAxis(AXIS_DG_LOSS, "dg2"), AdversarialAxis(AXIS_LOAD_INCREASE, "load2")]
+alpha = np.array([2.0e5, 0.0, 5.0e4, 1.25e5])
+polys = {k: InnerPolytope(k, axes, alpha * (k + 1)) for k in (0, 2, 3)}
+many = events_from_polytopes(polys, 2026, 10**9)
+first = [next(many) for _ in range(3)]
+assert first == list(events_from_polytopes(polys, 2026, 3)), first
+print("ok")
+"""
+ADDRESS_SPACE_CAP = 2 * 2**30  # bytes
+
+
+def test_sampled_runs_are_drawn_lazily():
+    """The first 3 of 10**9 sampled runs are the 3 runs of count=3, drawn
+    without room for the other points."""
+    import gridres
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_CAP, ADDRESS_SPACE_CAP))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(gridres.__file__).parent.parent),
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", LAZY_DRAW], env=env, preexec_fn=cap,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
 
 
 def test_pv_loss_and_restore_events():
