@@ -25,8 +25,8 @@ LP.
 Variable ordering is deterministic: variable kind, then entity id (sorted),
 then phase (a < b < c), then step.  Device injections are per device (not per
 phase) and split equally across the phases of the hosting bus, a load's
-withdrawn (`balance_shares`, read by the balance rows and the `RadialPlan` that
-`solve_linear_flow` sweeps).
+withdrawn (`balance_shares`, which the `RadialPlan` records for the balance
+rows and the radial sweep alike).
 A device's active and reactive columns are `ns.p` and `ns.q`, keyed by (class,
 id, step), where the class is one of `DEVICE_CLASSES` (pv, dg, es, load); the
 same (class, id) key names the device's reserves and its dispatch series.
@@ -43,8 +43,9 @@ so lowers p.  The dispatch columns' bounds, the recourse bands
 the room as well.
 
 `build_feeder_lp` is the one place that lists the feeder's rows: it declares
-a namespace and applies the voltage-drop, power-balance and `emit_limits`
-rows to its LP.  The baseline and robust dispatch LPs and the
+a namespace, lays the feeder out once as a `RadialPlan`, and applies the
+voltage-drop and power-balance rows emitted from that plan and the
+`emit_limits` rows to its LP.  The baseline and robust dispatch LPs and the
 adversarial-set recourse LP are built by it and add only their own rows.
 A namespace is declared for a set of steps, the whole horizon by default,
 and every emitter emits rows for exactly the namespace's steps.  The
@@ -95,15 +96,12 @@ emits device by device, and per step in this order: SoC recursion, load
 power factor, band rows, storage energy rows, inverter polygon, PV gamma
 rows.
 
-The replay's direct flow solve, `solve_linear_flow`, takes no model: it
-sweeps a `RadialPlan`, which `RadialPlan.of` lays out once per model (a
-slot per bus phase in breadth-first bus order with its voltage limits, each
-bus's `balance_shares` by device position, each phase's children, and one
-drop per non-root slot with its feeding branch phase's
-`effective_impedance_pu` and line limit), so every step of every replay
-reuses one plan.  A device's position is its index in `device_groups`
-order, and the solve takes the device outputs as sequences indexed by
-position.
+The feeder is laid out once per model by `RadialPlan.of`, the one tree walk
+here.  The voltage-drop rows are emitted from its drops and the
+power-balance rows from its slots, in the model's branch and bus order, and
+the replay's direct flow solve, `solve_linear_flow`, sweeps the same plan:
+it takes no model, and takes the device outputs as sequences indexed by
+position, a device's index in `device_groups` order.
 """
 
 from __future__ import annotations
@@ -300,36 +298,6 @@ def build_namespace(
     return ns
 
 
-def emit_voltage_drop(model: NetworkModel, ns: VariableNamespace) -> list[Row]:
-    """One equality per branch-phase-step: w_down = w_up - 2(r_eff P + x_eff Q), the
-    ends as the tree reaches them, whichever way round the branch names them."""
-    pu = PerUnit.of(model)
-    _, parent, _ = model.tree()
-    child = {br.id: bus_id for bus_id, br in parent.items()}
-    rows = []
-    for br in model.branches:
-        down = child[br.id]
-        up = br.other_end(down)
-        for phase in br.phases:
-            z = effective_impedance_pu(br, phase, pu)
-            for k in ns.steps:
-                rows.append(
-                    Row(
-                        {
-                            ns.w[(down, phase, k)]: 1.0,
-                            ns.w[(up, phase, k)]: -1.0,
-                            ns.pflow[(br.id, phase, k)]: 2.0 * z.real,
-                            ns.qflow[(br.id, phase, k)]: 2.0 * z.imag,
-                        },
-                        Rel.EQ,
-                        0.0,
-                        "voltage_drop",
-                        ns.w[(down, phase, k)],
-                    )
-                )
-    return rows
-
-
 def balance_shares(model: NetworkModel) -> dict[str, list[tuple[tuple[str, str], float]]]:
     """Each bus's devices in `device_groups` order, as ((class, id), share): the
     device's coefficient on each phase of its bus, 1/|phases|, negated for a load."""
@@ -341,37 +309,117 @@ def balance_shares(model: NetworkModel) -> dict[str, list[tuple[tuple[str, str],
     return shares
 
 
-def emit_power_balance(model: NetworkModel, ns: VariableNamespace) -> list[Row]:
-    """Two equalities (P and Q) per bus-phase-step.
+@dataclass(frozen=True)
+class RadialPlan:
+    """The feeder's one layout, laid out once per model: the radial sweep of
+    :func:`solve_linear_flow`, the limits the replay checks against it, and
+    the network rows of the feeder LP.
 
-    Inflow - outflow + generation - load = 0; the injection belongs to the
-    downstream bus of its feeding branch.  Summed over the feeder these rows
-    telescope to total generation = total load (the lossless-model identity).
+    Each bus phase has a slot, in breadth-first bus order, the root's
+    `n_root` slots first.  `leaves_up` holds each bus from the leaves up,
+    with its devices' `balance_shares` by position and, per phase of the
+    bus, its slot and its children's slots of that phase in `model.tree()`
+    order.  :func:`gridres.network.validate` pins each branch to the phases
+    of the bus it feeds, so each non-root slot has one feeding branch phase,
+    its drop: drop d feeds slot n_root + d.  `drop_rows` and
+    `balance_buses` keep the LP's rows in the model's branch and bus order.
     """
-    _, parent, children = model.tree()
-    shares = balance_shares(model)
+
+    s_base: float
+    devices: tuple[tuple[str, str], ...]  # (class, id) per position
+    bus_phases: tuple[tuple[str, str], ...]  # (bus, phase) per slot
+    voltage_limits: tuple[tuple[float, float], ...]  # (v_min, v_max) per slot
+    leaves_up: tuple  # (((position, share), ...), ((slot, child slots), ...)) per bus
+    drops: tuple[tuple[int, int, float, float], ...]  # (slot, upstream slot, r_eff, x_eff)
+    flows: tuple[tuple[str, str], ...]  # (branch id, phase) per drop
+    line_limits: tuple[float, ...]  # pu, per drop
+    drop_rows: tuple[int, ...]  # drop per voltage-drop row
+    balance_buses: tuple[int, ...]  # leaves_up index per bus of `model.buses`
+
+    @property
+    def n_root(self) -> int:  # how many slots the root has: 0 .. n_root - 1
+        return len(self.bus_phases) - len(self.drops)
+
+    @classmethod
+    def of(cls, model: NetworkModel) -> "RadialPlan":
+        pu = PerUnit.of(model)
+        order, parent, children = model.tree()
+        bus = {b.id: b for b in model.buses}
+        devices = tuple((c, u.id) for c, units in device_groups(model) for u in units)
+        position = {key: i for i, key in enumerate(devices)}
+        bus_phases = tuple((bus_id, phase) for bus_id in order for phase in bus[bus_id].phases)
+        slot = {key: i for i, key in enumerate(bus_phases)}
+        shares = balance_shares(model)
+        leaves_up = tuple(
+            (tuple((position[key], share) for key, share in shares[bus_id]),
+             tuple((slot[(bus_id, phase)],
+                    tuple(slot[(c, phase)] for c in children[bus_id] if phase in bus[c].phases))
+                   for phase in bus[bus_id].phases))
+            for bus_id in reversed(order))
+        drops, flows, line_limits = [], [], []
+        for bus_id in order[1:]:
+            br = parent[bus_id]
+            up = br.other_end(bus_id)
+            for phase in bus[bus_id].phases:
+                z = effective_impedance_pu(br, phase, pu)
+                drops.append((slot[(bus_id, phase)], slot[(up, phase)], z.real, z.imag))
+                flows.append((br.id, phase))
+                line_limits.append(pu.power(br.flow_limit_va))
+        n_root = len(bus_phases) - len(drops)
+        fed = {br.id: bus_id for bus_id, br in parent.items()}  # the bus each branch feeds
+        drop_rows = tuple(slot[(fed[br.id], phase)] - n_root
+                          for br in model.branches for phase in br.phases)
+        leaves_up_index = {bus_id: i for i, bus_id in enumerate(reversed(order))}
+        return cls(pu.s_base, devices, bus_phases,
+                   tuple((bus[bus_id].v_min, bus[bus_id].v_max) for bus_id, _ in bus_phases),
+                   leaves_up, tuple(drops), tuple(flows), tuple(line_limits), drop_rows,
+                   tuple(leaves_up_index[b.id] for b in model.buses))
+
+
+def emit_voltage_drop(plan: RadialPlan, ns: VariableNamespace) -> list[Row]:
+    """One equality per branch-phase-step, in `plan.drop_rows` order:
+    w_down = w_up - 2(r_eff P + x_eff Q), the ends as the tree reaches them,
+    whichever way round the branch names them."""
     rows = []
-    for bus in model.buses:
-        for phase in bus.phases:
+    for d in plan.drop_rows:
+        slot, up, r, x = plan.drops[d]
+        (down, phase), (upper, _) = plan.bus_phases[slot], plan.bus_phases[up]
+        br = plan.flows[d][0]
+        for k in ns.steps:
+            w = ns.w[(down, phase, k)]
+            rows.append(Row({w: 1.0, ns.w[(upper, phase, k)]: -1.0,
+                             ns.pflow[(br, phase, k)]: 2.0 * r,
+                             ns.qflow[(br, phase, k)]: 2.0 * x},
+                            Rel.EQ, 0.0, "voltage_drop", w))
+    return rows
+
+
+def emit_power_balance(plan: RadialPlan, ns: VariableNamespace) -> list[Row]:
+    """Two equalities (P and Q) per bus-phase-step, bus by bus in
+    `plan.balance_buses` order.
+
+    Inflow - outflow + generation - load = 0: the feeding flow, the child
+    flows of the phase and the devices' `balance_shares`, in that order.
+    Summed over the feeder these rows telescope to total generation = total
+    load (the lossless-model identity).
+    """
+    n_root = plan.n_root
+    rows = []
+    for b in plan.balance_buses:
+        shares, phase_slots = plan.leaves_up[b]
+        devices = [(plan.devices[i], share) for i, share in shares]
+        for slot, children in phase_slots:
+            feed = plan.flows[slot - n_root] if slot >= n_root else None
+            outflows = [plan.flows[child - n_root] for child in children]
             for k in ns.steps:
-                pco: dict[int, float] = {}
-                qco: dict[int, float] = {}
-                p_in = q_in = None  # the feeding branch's flows, the rows' basic hints
-                up = parent.get(bus.id)
-                if up is not None and phase in up.phases:
-                    p_in, q_in = ns.pflow[(up.id, phase, k)], ns.qflow[(up.id, phase, k)]
-                    pco[p_in] = 1.0
-                    qco[q_in] = 1.0
-                for child in children[bus.id]:
-                    br = parent[child]
-                    if phase in br.phases:
-                        pco[ns.pflow[(br.id, phase, k)]] = -1.0
-                        qco[ns.qflow[(br.id, phase, k)]] = -1.0
-                for (cls, uid), share in shares[bus.id]:
-                    pco[ns.p[(cls, uid, k)]] = share
-                    qco[ns.q[(cls, uid, k)]] = share
-                rows.append(Row(pco, Rel.EQ, 0.0, "power_balance", p_in))
-                rows.append(Row(qco, Rel.EQ, 0.0, "power_balance", q_in))
+                for flow, power in ((ns.pflow, ns.p), (ns.qflow, ns.q)):  # the P row, the Q row
+                    inflow = None if feed is None else flow[(*feed, k)]  # the basic hint
+                    coeffs = {} if inflow is None else {inflow: 1.0}
+                    for br, phase in outflows:
+                        coeffs[flow[(br, phase, k)]] = -1.0
+                    for (cls, uid), share in devices:
+                        coeffs[power[(cls, uid, k)]] = share
+                    rows.append(Row(coeffs, Rel.EQ, 0.0, "power_balance", inflow))
     return rows
 
 
@@ -494,67 +542,15 @@ def build_feeder_lp(
     """The feeder LP as `ns.lp`: the columns of `build_namespace`, then the
     voltage-drop, power-balance and `emit_limits` rows, in that order."""
     ns = build_namespace(model, reserves, steps)
-    apply_emissions(ns.lp, emit_voltage_drop(model, ns))
-    apply_emissions(ns.lp, emit_power_balance(model, ns))
+    plan = RadialPlan.of(model)
+    apply_emissions(ns.lp, emit_voltage_drop(plan, ns))
+    apply_emissions(ns.lp, emit_power_balance(plan, ns))
     apply_emissions(ns.lp, emit_limits(model, ns, options, reserves, pv_floor))
     return ns
 
 
 # ---------------------------------------------------------------------------
 # direct linear power flow (used by the simulator; no optimization involved)
-
-
-@dataclass(frozen=True)
-class RadialPlan:
-    """The radial sweep of :func:`solve_linear_flow` over one model and the
-    limits the replay checks against it, laid out once.
-
-    A device's position is its index in `device_groups` order.  Each bus
-    phase has a slot, in breadth-first bus order (`bus_phases`), and its
-    bus's (v_min, v_max) in `voltage_limits`.  `leaves_up` holds each bus
-    from the leaves up, with its devices' `balance_shares` as (position,
-    share) and, per phase of the bus, its slot and its children's slots of
-    that phase.  :func:`gridres.network.validate` pins each branch to the
-    phases of the bus it feeds, so each non-root slot has one feeding branch
-    phase: `drops` holds, per non-root slot in slot order, the slot, its
-    upstream bus's slot and that branch phase's `effective_impedance_pu` as
-    (r_eff, x_eff), and `line_limits` its flow limit in pu.
-    """
-
-    s_base: float
-    bus_phases: tuple[tuple[str, str], ...]  # (bus, phase) per slot
-    voltage_limits: tuple[tuple[float, float], ...]  # (v_min, v_max) per slot
-    leaves_up: tuple  # (((position, share), ...), ((slot, child slots), ...)) per bus
-    drops: tuple[tuple[int, int, float, float], ...]  # (slot, upstream slot, r_eff, x_eff)
-    line_limits: tuple[float, ...]  # pu, per drop
-
-    @classmethod
-    def of(cls, model: NetworkModel) -> "RadialPlan":
-        pu = PerUnit.of(model)
-        order, parent, children = model.tree()
-        bus = {b.id: b for b in model.buses}
-        position = {(c, u.id): i for i, (c, u) in
-                    enumerate((c, u) for c, units in device_groups(model) for u in units)}
-        bus_phases = tuple((bus_id, phase) for bus_id in order for phase in bus[bus_id].phases)
-        slot = {key: i for i, key in enumerate(bus_phases)}
-        shares = balance_shares(model)
-        leaves_up = tuple(
-            (tuple((position[key], share) for key, share in shares[bus_id]),
-             tuple((slot[(bus_id, phase)],
-                    tuple(slot[(c, phase)] for c in children[bus_id] if phase in bus[c].phases))
-                   for phase in bus[bus_id].phases))
-            for bus_id in reversed(order))
-        drops, line_limits = [], []
-        for bus_id in order[1:]:
-            br = parent[bus_id]
-            up = br.other_end(bus_id)
-            for phase in bus[bus_id].phases:
-                z = effective_impedance_pu(br, phase, pu)
-                drops.append((slot[(bus_id, phase)], slot[(up, phase)], z.real, z.imag))
-                line_limits.append(pu.power(br.flow_limit_va))
-        return cls(pu.s_base, bus_phases,
-                   tuple((bus[bus_id].v_min, bus[bus_id].v_max) for bus_id, _ in bus_phases),
-                   leaves_up, tuple(drops), tuple(line_limits))
 
 
 def solve_linear_flow(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from gridres.constraints import (
 )
 from gridres.dispatch import CostConfig, solve_baseline
 from gridres.lp import Rel
-from gridres.network import Branch, Bus, NetworkModel, SynthSpec, synth_feeder
+from gridres.network import Branch, Bus, NetworkModel, SynthSpec, synth_feeder, validate
 from util import Z_BASE, six_bus, two_bus
 
 
@@ -61,7 +62,7 @@ def test_voltage_drop_direct_substitution():
     """z = 0.01+0.02j pu, P = 1, Q = 0.5 pu at w_from = 1 gives w_to = 0.96."""
     model = two_bus(z_pu=0.01 + 0.02j, load=False)
     ns = build_namespace(model)
-    rows = emit_voltage_drop(model, ns)
+    rows = emit_voltage_drop(RadialPlan.of(model), ns)
     assert len(rows) == 1
     row = rows[0]
     # w_to - w_from + 2r P + 2x Q = 0  =>  w_to = 1 - 2(0.01*1 + 0.02*0.5) = 0.96
@@ -80,7 +81,7 @@ def test_voltage_drop_direct_substitution():
 def test_voltage_drop_zero_impedance_is_identity():
     model = two_bus(z_pu=0.0 + 0.0j, load=False)
     ns = build_namespace(model)
-    row = emit_voltage_drop(model, ns)[0]
+    row = emit_voltage_drop(RadialPlan.of(model), ns)[0]
     assert row.coeffs.get(ns.pflow[("bus0->bus1", "a", 0)], 0.0) == 0.0
     assert row.coeffs.get(ns.qflow[("bus0->bus1", "a", 0)], 0.0) == 0.0
 
@@ -123,7 +124,7 @@ def test_rotation_mixes_mutual_impedance():
 def test_power_balance_leaf_and_junction():
     model = six_bus(steps=1)
     ns = build_namespace(model)
-    rows = emit_power_balance(model, ns)
+    rows = emit_power_balance(RadialPlan.of(model), ns)
     # 2 rows (P, Q) per bus-phase-step
     n_bus_phase = sum(len(b.phases) for b in model.buses)
     assert len(rows) == 2 * n_bus_phase
@@ -150,7 +151,7 @@ def test_balance_rows_telescope_to_lossless_identity():
     """Summing all P rows leaves only generation - load (flows cancel)."""
     model = six_bus(steps=2)
     ns = build_namespace(model)
-    rows = emit_power_balance(model, ns)
+    rows = emit_power_balance(RadialPlan.of(model), ns)
     k = 1
     total = {}
     for row in rows:
@@ -249,9 +250,9 @@ def test_row_count_formulas_fuzz():
         bus_phases = sum(len(b.phases) for b in model.buses)
         branch_phases = sum(len(br.phases) for br in model.branches)
 
-        vd = emit_voltage_drop(model, ns)
+        vd = emit_voltage_drop(RadialPlan.of(model), ns)
         assert len(vd) == branch_phases * K
-        pb = emit_power_balance(model, ns)
+        pb = emit_power_balance(RadialPlan.of(model), ns)
         assert len(pb) == 2 * bus_phases * K
         rows = emit_limits(model, ns, BuildOptions(poly_sides=sides))
         by_tag = {}
@@ -295,23 +296,33 @@ def test_voltage_monotone_on_consuming_feeder():
 
 
 def test_linear_flow_matches_lp_voltages():
-    model = six_bus(steps=2)
-    result = solve_baseline(model, CostConfig())
+    """The sweep's w and flows equal the LP's, also when the single-phase
+    lateral bus1-bus3, which feeds load2, is written downstream to upstream."""
+    forward = six_bus(steps=2)
+    lateral = forward.branches[2]
+    assert (lateral.id, lateral.phases) == ("bus1->bus3", "b")
+    backward = dataclasses.replace(forward, branches=[
+        dataclasses.replace(br, from_bus="bus3", to_bus="bus1") if br is lateral else br
+        for br in forward.branches])
+    assert validate(backward).ok
     k = 1
-    keys = [(cls, u.id) for cls, units in device_groups(model) for u in units]
-    plan = RadialPlan.of(model)
-    fp, fq, w = solve_linear_flow(plan, [result.p[key][k] for key in keys],
-                                  [result.q[key][k] for key in keys])
-    assert sorted(plan.bus_phases) == sorted(result.voltage_sq_pu)
-    for key, w_k in zip(plan.bus_phases, w, strict=True):
-        assert w_k == pytest.approx(result.voltage_sq_pu[key][k], abs=5e-7)
-    # one flow per non-root slot, fed by its bus's branch, signed upstream to downstream
-    _, parent, _ = model.tree()
-    flows = [(parent[bus].id, phase) for bus, phase in plan.bus_phases if bus in parent]
-    assert sorted(flows) == sorted(result.flow_p_w)
-    for key, p, q in zip(flows, fp, fq, strict=True):
-        assert p * plan.s_base == pytest.approx(result.flow_p_w[key][k], abs=1e-6)
-        assert q * plan.s_base == pytest.approx(result.flow_q_w[key][k], abs=1e-6)
+    for model in (forward, backward):
+        result = solve_baseline(model, CostConfig())
+        keys = [(cls, u.id) for cls, units in device_groups(model) for u in units]
+        plan = RadialPlan.of(model)
+        fp, fq, w = solve_linear_flow(plan, [result.p[key][k] for key in keys],
+                                      [result.q[key][k] for key in keys])
+        assert sorted(plan.bus_phases) == sorted(result.voltage_sq_pu)
+        for key, w_k in zip(plan.bus_phases, w, strict=True):
+            assert w_k == pytest.approx(result.voltage_sq_pu[key][k], abs=5e-7)
+        # one flow per non-root slot, fed by its bus's branch, signed upstream to downstream
+        _, parent, _ = model.tree()
+        flows = [(parent[bus].id, phase) for bus, phase in plan.bus_phases if bus in parent]
+        assert sorted(flows) == sorted(result.flow_p_w)
+        for key, p, q in zip(flows, fp, fq, strict=True):
+            assert p * plan.s_base == pytest.approx(result.flow_p_w[key][k], abs=1e-6)
+            assert q * plan.s_base == pytest.approx(result.flow_q_w[key][k], abs=1e-6)
+    assert result.flow_p_w[("bus3->bus1", "b")][k] > 0.0  # into bus3, which only draws
 
 
 def test_optional_pv_power_factor_rows():

@@ -1,0 +1,105 @@
+"""Metamorphic relations: the answers must not depend on how the input is written.
+
+Each relation rewrites a scenario's network and profile files into an
+equivalent input, reloaded through `network.files`:
+
+    R1  permute buses[1:], the branches, each device list and the profile rows;
+    R2  swap `from` and `to` on every branch.
+
+The baseline and robust objectives and every alpha of the scenario's
+`advset` characterization must match the unchanged files' to 1e-9
+relative.  The schedules are not compared: at a degenerate optimum they
+move with the simplex's choice of vertex.
+"""
+
+import json
+import random
+from pathlib import Path
+
+import pytest
+
+from gridres.advset import characterize_steps
+from gridres.dispatch import solve_baseline
+from gridres.network import save_model
+from gridres.robust import ReserveSchedule, solve_robust
+from gridres.scenario import load_scenario
+
+ROOT = Path(__file__).resolve().parents[1]
+SIXBUS = ROOT / "docs" / "examples" / "sixbus_scenario.json"
+REL = 1e-9
+
+
+def permute(network: dict, profiles: list[str], rng: random.Random) -> None:
+    """R1, in place: every list reordered, the root kept first."""
+    root, *rest = network["buses"]
+    rng.shuffle(rest)
+    network["buses"] = [root, *rest]
+    for key in ("branches", "pv", "dg", "storage", "loads"):
+        rng.shuffle(network[key])
+    rng.shuffle(profiles)
+
+
+def reverse(network: dict, profiles: list[str], rng: random.Random) -> None:
+    """R2, in place: every branch written the other way round."""
+    for br in network["branches"]:
+        br["from"], br["to"] = br["to"], br["from"]
+
+
+RELATIONS = {"R1": permute, "R2": reverse}
+
+
+def write_scenario(directory: Path, doc: dict, network: dict, profiles: list[str],
+                   header: str) -> Path:
+    """`doc` as a scenario in `directory` reading `network` and `profiles` from files."""
+    directory.mkdir()
+    (directory / "network.json").write_text(json.dumps(network))
+    (directory / "profiles.csv").write_text("\n".join([header, *profiles]) + "\n")
+    doc = {**doc, "network": {"files": {"network": "network.json", "profiles": "profiles.csv"}}}
+    path = directory / "scenario.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def answers(path: Path) -> tuple[float, float, dict[int, list[float]]]:
+    """(baseline objective, robust objective, alpha per advset step) as the CLI gets them."""
+    sc = load_scenario(path)
+    base = solve_baseline(sc.model, sc.costs, sc.build, sc.solver)
+    robust = solve_robust(sc.model, sc.costs, sc.reserve_costs, sc.box, sc.build, sc.solver)
+    reserves = ReserveSchedule.from_headroom(sc.model, base)
+    polys = characterize_steps(sc.model, base, reserves, sc.axes, sc.advset_steps, sc.build,
+                               sc.solver)
+    return base.objective_value, robust.objective_value, {
+        k: poly.alpha_w.tolist() for k, poly in polys.items()}
+
+
+@pytest.fixture(scope="module", params=["cyber_event", "sixbus"])
+def written(request, tmp_path_factory):
+    """(scenario document, network document, profile rows, CSV header, answers):
+    `cyber_event` exported with `save_model`, the six-bus example as shipped."""
+    work = tmp_path_factory.mktemp(request.param)
+    if request.param == "cyber_event":
+        source = ROOT / "scenarios" / "cyber_event.json"
+        save_model(load_scenario(source).model, work / "network.json", work / "profiles.csv")
+        network_path, profiles_path = work / "network.json", work / "profiles.csv"
+    else:
+        source = SIXBUS
+        files = json.loads(SIXBUS.read_text())["network"]["files"]
+        network_path, profiles_path = SIXBUS.parent / files["network"], SIXBUS.parent / files["profiles"]
+    doc = json.loads(source.read_text())
+    network = json.loads(network_path.read_text())
+    header, *profiles = profiles_path.read_text().splitlines()
+    want = answers(write_scenario(work / "original", doc, network, profiles, header))
+    return doc, network, profiles, header, want
+
+
+@pytest.mark.parametrize("relation", sorted(RELATIONS))
+def test_answers_invariant(written, relation, tmp_path):
+    doc, network, profiles, header, want = written
+    network, profiles = json.loads(json.dumps(network)), list(profiles)
+    RELATIONS[relation](network, profiles, random.Random(2026))
+    got = answers(write_scenario(tmp_path / relation, doc, network, profiles, header))
+    assert got[0] == pytest.approx(want[0], rel=REL)
+    assert got[1] == pytest.approx(want[1], rel=REL)
+    assert got[2].keys() == want[2].keys()
+    for k, alpha in want[2].items():
+        assert got[2][k] == pytest.approx(alpha, rel=REL), f"step {k}"

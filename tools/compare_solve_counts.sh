@@ -7,12 +7,16 @@
 # and scenarios/).  In each, from its own sources and at seeds 2026 and 7, one
 # line is printed per solve: its name, status, repr(objective), how it
 # started, its primal and dual pivots, bound flips, Bland entries and
-# refactorizations.  The solves are the baseline LPs of lshl, hsll,
-# cyber_event and a 123-bus copy of cyber_event ("buses": 123), the robust
-# LPs of hsll, cyber_event and that copy, and one `characterize` pass over
-# cyber_event's advset_steps (its solves summed, plus repr(alpha)).
-# Pivot counts are deterministic, so the two sides must match exactly.  Exits
-# 0 when every line is identical, 1 on any difference, and 2 when a run fails.
+# refactorizations, and its LP's row count, nonzero count and row hash (the
+# first 16 hex digits of a sha256 over the rows in order: each row's
+# coefficient indices and values in dict order, relation, rhs, tag and basic
+# hint), so a moved or changed row shows directly.  The solves are the
+# baseline LPs of lshl, hsll, cyber_event and a 123-bus copy of cyber_event
+# ("buses": 123), the robust LPs of hsll, cyber_event and that copy, and one
+# `characterize` pass over cyber_event's advset_steps (its solves summed and
+# hashed in order, plus repr(alpha)).  Pivot counts are deterministic, so the
+# two sides must match exactly.  Exits 0 when every line is identical, 1 on
+# any difference, and 2 when a run fails.
 set -euo pipefail
 
 if [ "$#" -ne 2 ]; then
@@ -27,6 +31,7 @@ count_solves() {
     local root
     root=$(cd "$1" && pwd)
     (cd "$root" && PYTHONPATH="$root/src" OMP_NUM_THREADS=1 python - "$2" "$work/big.json" <<'EOF'
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -45,10 +50,25 @@ def counts(stats) -> tuple[int, ...]:
             stats.refactorizations)
 
 
-def line(name: str, sol) -> str:
+def hash_rows(digest, lp) -> tuple[int, int]:
+    """Feed `lp`'s rows to `digest` in order; return its row and nonzero counts."""
+    nnz = 0
+    for row in lp.rows:
+        nnz += len(row.coeffs)
+        digest.update(repr((list(row.coeffs.items()), row.rel.value, row.rhs, row.tag,
+                            row.basic)).encode())
+    return len(lp.rows), nnz
+
+
+def row_stats(rows: int, nnz: int, digest) -> str:
+    return f"rows={rows} nnz={nnz} rowhash={digest.hexdigest()[:16]}"
+
+
+def line(name: str, lp, sol) -> str:
     parts = " ".join(f"{k}={v}" for k, v in zip(COUNTS, counts(sol.stats)))
+    digest = hashlib.sha256()
     return (f"{name}: {sol.status.value} objective={sol.objective_value!r} "
-            f"start={sol.stats.start} {parts}")
+            f"start={sol.stats.start} {parts} {row_stats(*hash_rows(digest, lp), digest)}")
 
 
 seed = int(sys.argv[1])
@@ -61,20 +81,23 @@ Path(paths["cyber_event_123"]).write_text(json.dumps(doc))
 scenarios = {name: load_scenario(path, seed_override=seed) for name, path in paths.items()}
 for name, sc in scenarios.items():
     lp, _ = build_baseline_lp(sc.model, sc.costs, sc.build)
-    print(line(f"seed {seed} baseline {name}", solve(lp, sc.solver)))
+    print(line(f"seed {seed} baseline {name}", lp, solve(lp, sc.solver)))
 for name in ("hsll", "cyber_event", "cyber_event_123"):
     sc = scenarios[name]
     lp, _, _ = build_robust_lp(sc.model, sc.costs, sc.reserve_costs, sc.box, sc.build)
-    print(line(f"seed {seed} robust {name}", solve(lp, sc.solver)))
+    print(line(f"seed {seed} robust {name}", lp, solve(lp, sc.solver)))
 
 sc = scenarios["cyber_event"]
 base = solve_baseline(sc.model, sc.costs, sc.build, sc.solver)
 reserves = ReserveSchedule.from_headroom(sc.model, base)
 solved = []
+advset_digest, advset_shape = hashlib.sha256(), [0, 0]  # every solve's rows, as it read them
 
 
-def counting_solve(*args, **kwargs):
-    sol = solve(*args, **kwargs)
+def counting_solve(lp, *args, **kwargs):
+    for i, n in enumerate(hash_rows(advset_digest, lp)):
+        advset_shape[i] += n
+    sol = solve(lp, *args, **kwargs)
     solved.append(sol)
     return sol
 
@@ -85,7 +108,8 @@ alphas = [advset.characterize(sc.model, base, reserves, sc.axes, k, sc.build,
 sums = [sum(c) for c in zip(*(counts(sol.stats) for sol in solved))]
 print(f"seed {seed} advset cyber_event steps {sc.advset_steps}: solves={len(solved)} "
       f"iterations={sum(sol.iterations for sol in solved)} "
-      + " ".join(f"{k}={v}" for k, v in zip(COUNTS, sums)) + f" alpha={alphas!r}")
+      + " ".join(f"{k}={v}" for k, v in zip(COUNTS, sums))
+      + f" {row_stats(*advset_shape, advset_digest)} alpha={alphas!r}")
 EOF
     )
 }
