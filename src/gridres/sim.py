@@ -25,9 +25,10 @@ by `compile_timeline` or sampled by `events_from_polytopes`, against a
 feeder's `RadialPlan` with the voltage and line limits, each device's
 position, the per-step schedule, reserves and windows by position, the
 loads' reactive ratios), built once by `compile_replay`.  A device's
-position is its index in `device_groups` order.  A run maps each step's
-events to positions once, keeps the ledger, the controller, the state of
-charge and the flow and limit checks in lists indexed by position, and
+position is its index in `device_groups` order.  It also holds each step's
+ledger with no event and each limit's band, narrowed inward beyond any
+rounding.  A run copies a step's ledger and recomputes only the devices its
+events touch and the batteries, evaluates a limit only outside its band, and
 builds each `Trajectory` array once, at the end.  Runs only read the
 compiled replay, so every run of a command shares one.  A run is strictly
 sequential in time; distinct runs over the same compiled replay (e.g. a
@@ -202,6 +203,8 @@ class Trajectory:
 
 VIOLATION_CLASSES = ("voltage", "soc", "line", "shortfall")
 VOLTAGE_TOL = 1e-7  # pu of voltage magnitude outside [v_min, v_max] flagged as a violation
+LINE_TOL = 1e-6  # pu of apparent flow above a line's limit flagged as a violation
+BAND_MARGIN = 1e-9  # relative; millions of ulps, beyond any rounding of a square or a root
 
 _STEP_SERIES = (
     "time_min", "pv_w", "dg_w", "es_w", "served_load_w",
@@ -221,9 +224,15 @@ class CompiledReplay:
     scheduled active and reactive output and its up and down reserve by
     position, and `window` each device's `device_window`, None for a
     battery, whose window depends on its realized state of charge: a run
-    works it out per step for each of `batteries`.  `tan_phi` holds each
-    load's reactive to active power ratio.  All are Python floats.  `plan`,
-    the feeder's `RadialPlan`, carries the voltage and line limits.
+    works it out per step for each of `batteries`.  `ledger` holds each
+    step's `_ledger` with no event and the capacities, the reserve clipped
+    to that room, by position (None at a battery), then its scheduled load
+    total.  `tan_phi` holds each load's reactive
+    to active power ratio.  All are Python floats.  `plan`, the feeder's
+    `RadialPlan`, carries the voltage and line limits; `voltage_band`, the
+    squared voltage of every slot, and `line_bands`, each drop's squared
+    apparent flow, lie `BAND_MARGIN` inside v_min - VOLTAGE_TOL,
+    v_max + VOLTAGE_TOL and limit + LINE_TOL.
     """
 
     steps: int
@@ -237,8 +246,11 @@ class CompiledReplay:
     up: tuple[tuple[float, ...], ...]
     down: tuple[tuple[float, ...], ...]
     window: tuple[tuple[tuple[float, float] | None, ...], ...]
+    ledger: tuple  # (point, room_up, room_dn, cap_up, cap_dn, demand)
     batteries: tuple  # the storage units, in position order
     tan_phi: tuple[float, ...]
+    voltage_band: tuple[float, float]
+    line_bands: tuple[float, ...]
 
 
 def compile_replay(model: NetworkModel, robust: RobustResult) -> CompiledReplay:
@@ -251,62 +263,91 @@ def compile_replay(model: NetworkModel, robust: RobustResult) -> CompiledReplay:
         positions[cls] = range(start, start + len(units))
         start += len(units)
     steps = range(model.steps)
+    plan = RadialPlan.of(model)
 
     def per_step(series: dict[tuple[str, str], np.ndarray]) -> tuple[tuple[float, ...], ...]:
         columns = [series[key] for key in keys]
         return tuple(tuple(float(column[k]) for column in columns) for k in steps)
 
+    p, up, down = (per_step(s) for s in (robust.dispatch.p, robust.reserves.up,
+                                         robust.reserves.down))
+    window = tuple(tuple(None if cls == "es" else device_window(cls, u, k)
+                         for cls, u in devices) for k in steps)
+
+    def ledger(k: int) -> tuple:
+        sched, loads = p[k], positions["load"]
+        entries = [(None,) * 3 if cls == "es" else _ledger(cls, sched[i], window[k][i], {}, i)
+                   for i, (cls, _u) in enumerate(devices)]
+        point, room_up, room_dn = (tuple(entry[j] for entry in entries) for j in range(3))
+        caps = (tuple(None if m is None else max(min(r, m), 0.0) for r, m in zip(reserve, room))
+                for reserve, room in ((up[k], room_up), (down[k], room_dn)))
+        return point, room_up, room_dn, *caps, _total(sched[loads.start:loads.stop])
+
+    limits = plan.voltage_limits
     return CompiledReplay(
         steps=model.steps,
         dt=model.dt_hours,
-        plan=RadialPlan.of(model),
+        plan=plan,
         devices=devices,
         position={key: i for i, key in enumerate(keys)},
         positions=positions,
-        p=per_step(robust.dispatch.p),
+        p=p,
         q=per_step(robust.dispatch.q),
-        up=per_step(robust.reserves.up),
-        down=per_step(robust.reserves.down),
-        window=tuple(tuple(None if cls == "es" else device_window(cls, u, k)
-                           for cls, u in devices) for k in steps),
+        up=up,
+        down=down,
+        window=window,
+        ledger=tuple(map(ledger, steps)),
         batteries=tuple(model.storage_units),
         tan_phi=tuple(u.tan_phi for u in model.loads),
+        voltage_band=(max(((lo - VOLTAGE_TOL) * (1.0 + BAND_MARGIN)) ** 2 for lo, _ in limits),
+                      min(((hi + VOLTAGE_TOL) * (1.0 - BAND_MARGIN)) ** 2 for _, hi in limits)),
+        line_bands=tuple(((limit + LINE_TOL) * (1.0 - BAND_MARGIN)) ** 2
+                         for limit in plan.line_limits),
     )
 
 
-def _ledger(replay: CompiledReplay, k: int, events: dict[int, float | None],
-            soc: list[list[float]]) -> tuple[list[float], list[float], list[float]]:
-    """(setpoint after events, room up, room down) of every device at step k,
-    by position, given the active events by position and each battery's
-    realized state of charge.
+def _ledger(cls: str, sched: float, window: tuple[float, float],
+            events: dict[int, float | None], i: int) -> tuple[float, float, float]:
+    """(setpoint after events, room up, room down) of the device of class
+    `cls` at position i, scheduled at `sched` in the window [lo, hi] (a
+    battery's narrowed by its realized state of charge), given the active
+    events by position.  A diesel trip or a solar shortfall lowers a
+    generator's top, and its setpoint is the schedule clipped to what
+    survives.  A mask moves only a load's draw, to schedule plus masked
+    demand: shedding starts from that draw, while the room to draw more is
+    what the operator sees, above the schedule."""
+    lo, hi = window
+    if cls == "load":
+        draw = sched + events.get(i, 0.0)
+        return draw, draw - lo, hi - sched
+    if i in events:
+        lost = events[i]
+        hi = max(hi - (hi if lost is None else lost), 0.0)
+    point = sched if cls == "es" else min(sched, hi)
+    return (point, *reserve_room(cls, lo, hi, point))
 
-    The room is measured inside the device's window [lo, hi], a battery's
-    narrowed by its realized state of charge.  A diesel trip or a solar
-    shortfall lowers a generator's top, and its setpoint is the schedule
-    clipped to what survives.  A mask moves only a load's draw, to schedule
-    plus masked demand: shedding starts from that draw, while the room to
-    draw more is what the operator sees, above the schedule.
-    """
-    n = len(replay.devices)
-    sched, window, dt = replay.p[k], replay.window[k], replay.dt
-    point, room_up, room_dn = [0.0] * n, [0.0] * n, [0.0] * n
-    for cls in ("pv", "dg"):
-        for i in replay.positions[cls]:
-            lo, hi = window[i]
-            if i in events:
-                lost = events[i]
-                hi = max(hi - (hi if lost is None else lost), 0.0)
-            point[i] = p0 = min(sched[i], hi)
-            room_up[i], room_dn[i] = reserve_room(cls, lo, hi, p0)
-    for i, u, energy in zip(replay.positions["es"], replay.batteries, soc):
-        lo, hi = device_window("es", u, k, e_in=energy[k], dt=dt)
-        point[i] = p0 = sched[i]
-        room_up[i], room_dn[i] = reserve_room("es", lo, hi, p0)
-    for i in replay.positions["load"]:
-        lo, hi = window[i]
-        point[i] = draw = sched[i] + events.get(i, 0.0)
-        room_up[i], room_dn[i] = draw - lo, hi - sched[i]
-    return point, room_up, room_dn
+
+def _limit_flags(replay: CompiledReplay, fp: Sequence[float], fq: Sequence[float],
+                 w: Sequence[float]) -> list[tuple[str, float]]:
+    """("voltage", excess in pu) per slot and then ("line", excess in W) per
+    drop that flags at a flow solve's squared voltages `w` and flows `fp`,
+    `fq`, by the exact formula, which only a slot or drop outside its band
+    needs: inside it, no limit flags."""
+    plan, (lo, hi) = replay.plan, replay.voltage_band
+    flags = []
+    if not (lo <= min(w) and max(w) <= hi):
+        for w_k, (v_min, v_max) in zip(w, plan.voltage_limits):
+            if not lo <= w_k <= hi:
+                v = math.sqrt(max(w_k, 0.0))
+                over = max(v_min - v, v - v_max)
+                if over > VOLTAGE_TOL:
+                    flags.append(("voltage", over))
+    for p, q, band, limit in zip(fp, fq, replay.line_bands, plan.line_limits):
+        if not p * p + q * q <= band:
+            over = math.hypot(p, q) - limit
+            if over > LINE_TOL:
+                flags.append(("line", over * plan.s_base))
+    return flags
 
 
 def run_simulation(replay: CompiledReplay, events: list[dict]) -> Trajectory:
@@ -321,8 +362,7 @@ def run_simulation(replay: CompiledReplay, events: list[dict]) -> Trajectory:
     cut = loads.start  # loads come last in `device_groups` order
 
     soc = [[float(u.initial_soc_wh)] for u in replay.batteries]
-    series = {name: [] for name in _STEP_SERIES}
-    deployment = []
+    rows, deployment = [], []  # per step: its `_STEP_SERIES`, its deployment by position
     violations = {c: [False] * K for c in VIOLATION_CLASSES}
     magnitude = {c: [0.0] * K for c in VIOLATION_CLASSES}
 
@@ -331,8 +371,8 @@ def run_simulation(replay: CompiledReplay, events: list[dict]) -> Trajectory:
         magnitude[name][k] = max(magnitude[name][k], size)
 
     for k in range(K):
-        series["time_min"].append(k * dt * 60.0)
-        sched = replay.p[k]
+        sched, window = replay.p[k], replay.window[k]
+        point, room_up, room_dn, cap_up, cap_dn, demand = replay.ledger[k]
         # a mask deeper than a load's scheduled draw applies as minus that
         # draw: the draw floors at zero, a load never generates
         step_events = {}
@@ -341,45 +381,49 @@ def run_simulation(replay: CompiledReplay, events: list[dict]) -> Trajectory:
             step_events[i] = max(mag, -sched[i]) if i in loads else mag
 
         # the ledger: per device, its setpoint after events and its room to
-        # move up and down from there
-        point, room_up, room_dn = _ledger(replay, k, step_events, soc)
+        # move up and down from there; the step's compiled one, recomputed
+        # where an event touches a device and at every battery
+        point, room_up, room_dn = list(point), list(room_up), list(room_dn)
+        for i in step_events:
+            point[i], room_up[i], room_dn[i] = _ledger(
+                replay.devices[i][0], sched[i], window[i], step_events, i)
+        for i, u, energy in zip(es, replay.batteries, soc):
+            point[i], room_up[i], room_dn[i] = _ledger(
+                "es", sched[i], device_window("es", u, k, e_in=energy[k], dt=dt), step_events, i)
 
-        masks = [step_events.get(i, 0.0) for i in loads]
+        masked = _total([step_events.get(i, 0.0) for i in loads])
         forced_loss = (_total([sched[i] - point[i] for i in pv])
                        + _total([sched[i] - point[i] for i in dg]))
-        imbalance = _total(masks) + forced_loss
-        series["imbalance_w"].append(imbalance)
+        imbalance = masked + forced_loss
 
         # deployable reserve in the active direction: the allocation clipped
         # by what the device can physically deliver right now
         up = imbalance >= 0.0
-        reserve, room = (replay.up[k], room_up) if up else (replay.down[k], room_dn)
-        caps = [max(min(r, m), 0.0) for r, m in zip(reserve, room)]
+        reserve, room, caps = ((replay.up[k], room_up, list(cap_up)) if up
+                               else (replay.down[k], room_dn, list(cap_dn)))
+        for i in itertools.chain(step_events, es):
+            caps[i] = max(min(reserve[i], room[i]), 0.0)
         dep, shortfall = proportional_dispatch(imbalance if up else -imbalance, caps)
         deployed = _total(dep)
-        series["deployed_up_w"].append(deployed if up else 0.0)
-        series["deployed_down_w"].append(0.0 if up else deployed)
-        series["shortfall_w"].append(shortfall)
-        idle = [0.0] * n
-        d_up, d_dn = (dep, idle) if up else (idle, dep)
 
-        # realized operating point; loads move opposite to generators
-        realized = ([p0 + a - b for p0, a, b in zip(point[:cut], d_up[:cut], d_dn[:cut])]
-                    + [p0 - a + b for p0, a, b in zip(point[cut:], d_up[cut:], d_dn[cut:])])
-        deployment.append([a - b for a, b in zip(d_up, d_dn)])
+        # realized operating point, loads moving opposite to generators: the
+        # setpoint plus up minus down deployment, the idle direction's 0.0
+        # kept where it can turn -0.0 into +0.0 (x - 0.0 is x for every float)
+        if up:
+            realized = ([p0 + d for p0, d in zip(point[:cut], dep)]
+                        + [p0 - d + 0.0 for p0, d in zip(point[cut:], dep[cut:])])
+            deployment.append(dep)
+        else:
+            realized = ([p0 + 0.0 - d for p0, d in zip(point[:cut], dep)]
+                        + [p0 + d for p0, d in zip(point[cut:], dep[cut:])])
+            deployment.append([0.0 - d for d in dep])
 
-        series["pv_w"].append(_total(realized[at["pv"]]))
-        series["dg_w"].append(_total(realized[at["dg"]]))
-        series["es_w"].append(_total(realized[at["es"]]))
-        true_demand = _total(sched[at["load"]]) + _total(masks)
-        shed = _total(d_up[at["load"]])
-        series["true_demand_w"].append(true_demand)
-        series["shed_w"].append(shed)
+        true_demand = demand + masked
+        load_dep = _total(dep[cut:])  # shed up, absorbed down
+        shed = load_dep if up else 0.0
         # demand-side ledger: demand = served + shed + unserved shortfall
         # (a down-direction shortfall is unabsorbed surplus, not unserved load)
-        series["served_load_w"].append(
-            true_demand - shed + _total(d_dn[at["load"]]) - (shortfall if up else 0.0)
-        )
+        served = true_demand - shed + (0.0 if up else load_dep) - (shortfall if up else 0.0)
 
         # state of charge
         for i, u, energy in zip(es, replay.batteries, soc):
@@ -392,26 +436,21 @@ def run_simulation(replay: CompiledReplay, events: list[dict]) -> Trajectory:
         # network state at the realized outputs; a load's reactive power
         # follows its served load
         q_w = list(replay.q[k])
-        for i, tan_phi in zip(loads, replay.tan_phi):
-            q_w[i] = realized[i] * tan_phi
+        q_w[cut:] = [p * tan_phi for p, tan_phi in zip(realized[cut:], replay.tan_phi)]
         fp, fq, w = solve_linear_flow(replay.plan, realized, q_w)
-        series["voltage_min_pu"].append(math.sqrt(max(min(w), 0.0)))
-        series["voltage_max_pu"].append(math.sqrt(max(w)))
-        for w_k, (v_min, v_max) in zip(w, replay.plan.voltage_limits):
-            v = math.sqrt(max(w_k, 0.0))
-            over = max(v_min - v, v - v_max)
-            if over > VOLTAGE_TOL:
-                flag("voltage", k, over)
-        for p, q, limit in zip(fp, fq, replay.plan.line_limits):
-            over = math.hypot(p, q) - limit
-            if over > 1e-6:
-                flag("line", k, over * replay.plan.s_base)
+        rows.append((k * dt * 60.0, _total(realized[at["pv"]]), _total(realized[at["dg"]]),
+                     _total(realized[at["es"]]), served, true_demand, shed, imbalance,
+                     deployed if up else 0.0, 0.0 if up else deployed, shortfall,
+                     math.sqrt(max(min(w), 0.0)), math.sqrt(max(w))))
+        for name, size in _limit_flags(replay, fp, fq, w):
+            flag(name, k, size)
         if shortfall > 1e-3:
             flag("shortfall", k, shortfall)
 
+    series = np.array(rows, dtype=float).reshape(K, len(_STEP_SERIES)).T.copy()
     columns = np.array(deployment, dtype=float).reshape(K, n).T.copy()
     return Trajectory(
-        **{name: np.array(values, dtype=float) for name, values in series.items()},
+        **dict(zip(_STEP_SERIES, series)),
         soc_wh={u.id: np.array(energy) for u, energy in zip(replay.batteries, soc)},
         deployment_w={(cls, u.id): column for (cls, u), column in zip(replay.devices, columns)},
         violations={c: np.array(v, dtype=bool) for c, v in violations.items()},

@@ -1,10 +1,13 @@
 """Metamorphic relations: the answers must not depend on how the input is written.
 
-Each relation rewrites a scenario's network and profile files into an
-equivalent input, reloaded through `network.files`:
+Each relation rewrites a scenario's network and profile files, and the
+scenario document where it names them, into an equivalent input, reloaded
+through `network.files`:
 
     R1  permute buses[1:], the branches, each device list and the profile rows;
-    R2  swap `from` and `to` on every branch.
+    R2  swap `from` and `to` on every branch;
+    R3  rename every bus and device id, in the network, the profile rows and
+        the scenario's uncertainty, axes and timeline entities alike.
 
 The baseline and robust objectives and every alpha of the scenario's
 `advset` characterization must match the unchanged files' to 1e-9
@@ -29,7 +32,7 @@ SIXBUS = ROOT / "docs" / "examples" / "sixbus_scenario.json"
 REL = 1e-9
 
 
-def permute(network: dict, profiles: list[str], rng: random.Random) -> None:
+def permute(doc: dict, network: dict, profiles: list[str], rng: random.Random) -> None:
     """R1, in place: every list reordered, the root kept first."""
     root, *rest = network["buses"]
     rng.shuffle(rest)
@@ -39,13 +42,38 @@ def permute(network: dict, profiles: list[str], rng: random.Random) -> None:
     rng.shuffle(profiles)
 
 
-def reverse(network: dict, profiles: list[str], rng: random.Random) -> None:
+def reverse(doc: dict, network: dict, profiles: list[str], rng: random.Random) -> None:
     """R2, in place: every branch written the other way round."""
     for br in network["branches"]:
         br["from"], br["to"] = br["to"], br["from"]
 
 
-RELATIONS = {"R1": permute, "R2": reverse}
+DEVICE_LISTS = ("pv", "dg", "storage", "loads")
+
+
+def rename(doc: dict, network: dict, profiles: list[str], rng: random.Random) -> None:
+    """R3, in place: every id replaced by a new one, drawn so that the new
+    ids sort in a different order from the old."""
+    old = [rec["id"] for key in ("buses", *DEVICE_LISTS) for rec in network[key]]
+    new = [f"n{j:03d}" for j in range(len(old))]
+    rng.shuffle(new)
+    name = dict(zip(old, new))
+    for key in ("buses", *DEVICE_LISTS):
+        for rec in network[key]:
+            rec["id"] = name[rec["id"]]
+            if "bus" in rec:
+                rec["bus"] = name[rec["bus"]]
+    for br in network["branches"]:
+        br["from"], br["to"] = name[br["from"]], name[br["to"]]
+    for j, row in enumerate(profiles):
+        time, entity, rest = row.split(",", 2)
+        profiles[j] = ",".join((time, name[entity], rest))
+    for key in ("uncertainty", "axes", "timeline"):
+        for entry in doc.get(key, []):
+            entry["entity"] = name[entry["entity"]]
+
+
+RELATIONS = {"R1": permute, "R2": reverse, "R3": rename}
 
 
 def write_scenario(directory: Path, doc: dict, network: dict, profiles: list[str],
@@ -95,8 +123,9 @@ def written(request, tmp_path_factory):
 @pytest.mark.parametrize("relation", sorted(RELATIONS))
 def test_answers_invariant(written, relation, tmp_path):
     doc, network, profiles, header, want = written
-    network, profiles = json.loads(json.dumps(network)), list(profiles)
-    RELATIONS[relation](network, profiles, random.Random(2026))
+    doc, network = json.loads(json.dumps(doc)), json.loads(json.dumps(network))
+    profiles = list(profiles)
+    RELATIONS[relation](doc, network, profiles, random.Random(2026))
     got = answers(write_scenario(tmp_path / relation, doc, network, profiles, header))
     assert got[0] == pytest.approx(want[0], rel=REL)
     assert got[1] == pytest.approx(want[1], rel=REL)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import resource
 import subprocess
@@ -14,7 +15,10 @@ from gridres.dispatch import CostConfig, build_baseline_lp
 from gridres.lp import check_feasibility
 from gridres.robust import UncertaintyBox, solve_robust
 from gridres.sim import (
+    LINE_TOL,
+    VOLTAGE_TOL,
     Event,
+    _limit_flags,
     compile_replay,
     compile_timeline,
     events_from_polytopes,
@@ -424,3 +428,73 @@ def test_ledger_identities_on_out_of_set_runs(advset_run):
         assert_ledger_close(sum((soc[:-1] - soc[1:]) / model.dt_hours
                                 for soc in traj.soc_wh.values()), traj.es_w)
     assert all(broken.values()), broken
+
+
+def unfiltered_flags(plan, fp, fq, w) -> list[tuple[str, float]]:
+    """Every slot's and drop's limit check by the exact formula, no band."""
+    flags = []
+    for w_k, (v_min, v_max) in zip(w, plan.voltage_limits):
+        v = math.sqrt(max(w_k, 0.0))
+        over = max(v_min - v, v - v_max)
+        if over > VOLTAGE_TOL:
+            flags.append(("voltage", over))
+    for p, q, limit in zip(fp, fq, plan.line_limits):
+        over = math.hypot(p, q) - limit
+        if over > LINE_TOL:
+            flags.append(("line", over * plan.s_base))
+    return flags
+
+
+def near(x: float, spread: float = 1e-9, ulps: int = 3) -> list[float]:
+    """x - spread, x and x + spread, each with the floats up to `ulps` ulps
+    either side of it."""
+    out = []
+    for centre in (x - spread, x, x + spread):
+        y = centre
+        for _ in range(ulps):
+            y = math.nextafter(y, -math.inf)
+        for _ in range(2 * ulps + 1):
+            out.append(y)
+            y = math.nextafter(y, math.inf)
+    return out
+
+
+def test_limit_bands_never_skip_a_flag(event_run):
+    """Voltages and flows within 1e-9 and a few ulps of each flagging
+    threshold, and of each compiled band's edge, flag exactly as the
+    unfiltered formula does, with the same magnitudes."""
+    scenario, _base, robust, _traj, _t = event_run
+    model = scenario.model
+    # limits that differ by bus and branch, so the common voltage band is
+    # narrower than some slots' own
+    buses = [dataclasses.replace(b, v_min=0.9 + 0.02 * (j % 3), v_max=1.04 + 0.03 * (j % 2))
+             for j, b in enumerate(model.buses)]
+    branches = [dataclasses.replace(br, flow_limit_va=br.flow_limit_va * (1.0 + 0.5 * (j % 2)))
+                for j, br in enumerate(model.branches)]
+    replay = compile_replay(dataclasses.replace(model, buses=buses, branches=branches), robust)
+    plan = replay.plan
+    slots, drops = len(plan.bus_phases), len(plan.drops)
+    lo, hi = replay.voltage_band
+    seen = {"flagged": 0, "clean": 0, "outside band, clean": 0}
+
+    def check(fp, fq, w, inside: bool) -> None:
+        want = unfiltered_flags(plan, fp, fq, w)
+        assert _limit_flags(replay, fp, fq, w) == want, (fp, fq, w)
+        seen["flagged" if want else "outside band, clean" if not inside else "clean"] += 1
+
+    zeros = [0.0] * drops
+    for s, (v_min, v_max) in enumerate(plan.voltage_limits):
+        probes = [w_k for t in (v_min - VOLTAGE_TOL, v_max + VOLTAGE_TOL)
+                  for w_k in [v * v for v in near(t)] + near(t * t)] + near(lo) + near(hi)
+        for w_k in probes:
+            w = [1.0] * slots
+            w[s] = w_k
+            check(zeros, zeros, w, lo <= w_k <= hi)
+            check(zeros, zeros, [w_k] * slots, lo <= w_k <= hi)
+    for d, (limit, band) in enumerate(zip(plan.line_limits, replay.line_bands)):
+        for size in near(limit + LINE_TOL) + near(math.sqrt(band)):
+            for angle in (0.0, 0.7, math.pi / 2, 2.5, math.pi, -1.2):
+                fp, fq = [0.0] * drops, [0.0] * drops
+                fp[d], fq[d] = size * math.cos(angle), size * math.sin(angle)
+                check(fp, fq, [1.0] * slots, fp[d] ** 2 + fq[d] ** 2 <= band)
+    assert all(seen.values()), seen

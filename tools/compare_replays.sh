@@ -16,7 +16,13 @@
 #     scaled by 10, which break voltage, line and shortfall limits;
 #   - 200 runs at seed 2026 from the hourly copy's polytopes, whose
 #     batteries leave their energy limits;
-#   - cyber_event's timeline against its robust schedule.
+#   - cyber_event's timeline against its robust schedule;
+#   - a second cyber_event timeline against the same schedule, with the
+#     events that neither the scenario's timeline nor a sampled run has: a
+#     pv_loss with no magnitude_w (all of the unit's output), a partial
+#     pv_loss, and a load_mask_start whose negative magnitude_w is deeper
+#     than the load's schedule, so the draw floors at zero and the
+#     imbalance turns negative.
 # `samples.csv` keeps only violation counts, so this is what shows a sampled
 # trajectory, or a violation flag or magnitude, that moved.  Exits 0 when
 # every line is identical, 1 on any difference, and 2 when a run fails.
@@ -108,8 +114,19 @@ for name, path, scale, seeds in SAMPLED:
 
 sc = load_scenario("scenarios/cyber_event.json")
 robust = solve_robust(sc.model, sc.costs, sc.reserve_costs, sc.box, sc.build, sc.solver)
-print(line("cyber_event timeline",
-           sim.run_simulation(sim.compile_replay(sc.model, robust), sc.events)))
+replay = sim.compile_replay(sc.model, robust)
+print(line("cyber_event timeline", sim.run_simulation(replay, sc.events)))
+pv02, load03 = sc.model.pv_units[1], sc.model.loads[2]
+timeline = [
+    sim.Event(5.0, "pv_loss", "pv01"),
+    sim.Event(15.0, "pv_restore", "pv01"),
+    sim.Event(15.0, "pv_loss", "pv02", float(pv02.forecast_w[3]) / 2),
+    sim.Event(25.0, "pv_restore", "pv02"),
+    sim.Event(30.0, "load_mask_start", "load03", -10.0 * float(load03.desired_w.max())),
+    sim.Event(45.0, "load_mask_end", "load03"),
+]
+print(line("cyber_event pv loss and deep mask timeline",
+           sim.run_simulation(replay, sim.compile_timeline(sc.model, timeline))))
 EOF
     )
 }

@@ -11,14 +11,19 @@ slow phase of the machine then falls on both sides alike, which separate
 benchmark runs a few at a time cannot promise: their medians can move by
 20-30 % on code that did not change.
 
-Two cases are timed per round and side:
+Three cases are timed per round and side:
 
 * `characterize`: one `advset.characterize` pass over cyber_event's
   advset_steps, against cyber_event's headroom dispatch (the dispatch and
   reserves of `gridres advset` run once, with the HiGHS backend, from
   PARENT's sources, as the benchmark prepares its `advset` workload);
 * `dispatch LPs`: the build and solve of the lshl baseline LP and of the
-  cyber_event robust LP.
+  cyber_event robust LP;
+* `replay`: what `gridres simulate --sample 100` does between reading its
+  inputs and writing its outputs: one `sim.compile_replay` of that headroom
+  schedule, then `sim.run_simulation` and `sim.violation_report` over 100
+  runs that `sim.events_from_polytopes` samples from the polytopes the same
+  `gridres advset` run wrote next to its robust.json.
 
 For each case it prints each side's median seconds and the median of the
 per-round ratio CHANGE / PARENT, with its quartiles.  It times only: it
@@ -43,6 +48,7 @@ from pathlib import Path  # noqa: E402
 
 LSHL = "scenarios/lshl.json"
 CYBER = "scenarios/cyber_event.json"
+REPLAY_RUNS = 100
 
 
 def load_tree(root: Path, name: str):
@@ -58,7 +64,8 @@ def load_tree(root: Path, name: str):
 
 
 def headroom(gr, root: Path, seed: int, work: Path) -> Path:
-    """robust.json of `gridres advset` on cyber_event under the HiGHS backend."""
+    """The output directory of `gridres advset` on cyber_event under the HiGHS
+    backend, with its robust.json and polytope.json."""
     doc = json.loads((root / CYBER).read_text())
     doc.setdefault("solver", {})["backend"] = "scipy"
     scenario = work / "cyber_event_highs.json"
@@ -67,18 +74,22 @@ def headroom(gr, root: Path, seed: int, work: Path) -> Path:
     code = gr.cli.main(["advset", str(scenario), "--out", str(out), "--seed", str(seed)])
     if code != 0:
         raise SystemExit(f"preparation `gridres advset` exited {code}")
-    return out / "robust.json"
+    return out
 
 
 class Side:
-    """One tree's inputs and the two timed cases."""
+    """One tree's inputs and the three timed cases."""
 
-    def __init__(self, gr, root: Path, seed: int, robust_json: Path):
+    def __init__(self, gr, root: Path, seed: int, prepared: Path):
         self.gr = gr
+        self.seed = seed
         self.lshl = gr.scenario.load_scenario(root / LSHL, seed_override=seed)
         self.cyber = gr.scenario.load_scenario(root / CYBER, seed_override=seed)
-        prepared = gr.robust.RobustResult.from_json_dict(json.loads(robust_json.read_text()))
-        self.dispatch, self.reserves = prepared.dispatch, prepared.reserves
+        self.prepared = gr.robust.RobustResult.from_json_dict(
+            json.loads((prepared / "robust.json").read_text()))
+        self.dispatch, self.reserves = self.prepared.dispatch, self.prepared.reserves
+        self.polys = gr.advset.polytopes_from_json(
+            json.loads((prepared / "polytope.json").read_text()), self.cyber.model)
 
     def characterize(self) -> None:
         sc = self.cyber
@@ -93,6 +104,12 @@ class Side:
         lp, _, _ = gr.robust.build_robust_lp(event.model, event.costs, event.reserve_costs,
                                              event.box, event.build)
         gr.lp.solve(lp, event.solver)
+
+    def replay(self) -> None:
+        sim = self.gr.sim
+        replay = sim.compile_replay(self.cyber.model, self.prepared)
+        for events in sim.events_from_polytopes(self.polys, seed=self.seed, count=REPLAY_RUNS):
+            sim.violation_report(sim.run_simulation(replay, events))
 
 
 def timed(fn, side: Side) -> float:
@@ -113,10 +130,11 @@ def main(argv=None) -> int:
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     packages = {side: load_tree(root, f"gridres_{side}") for side, root in roots.items()}
     with tempfile.TemporaryDirectory() as work:
-        robust_json = headroom(packages["parent"], roots["parent"], args.seed, Path(work))
-        sides = {side: Side(packages[side], roots[side], args.seed, robust_json)
+        prepared = headroom(packages["parent"], roots["parent"], args.seed, Path(work))
+        sides = {side: Side(packages[side], roots[side], args.seed, prepared)
                  for side in roots}
-        cases = {"characterize": Side.characterize, "dispatch LPs": Side.dispatch_lps}
+        cases = {"characterize": Side.characterize, "dispatch LPs": Side.dispatch_lps,
+                 "replay": Side.replay}
         for side in sides.values():  # warm-up: imports, caches, first allocations
             for fn in cases.values():
                 fn(side)
