@@ -25,8 +25,8 @@ LP.
 Variable ordering is deterministic: variable kind, then entity id (sorted),
 then phase (a < b < c), then step.  Device injections are per device (not per
 phase) and split equally across the phases of the hosting bus, a load's
-withdrawn (`balance_shares`, which the `RadialPlan` records for the balance
-rows and the radial sweep alike).
+withdrawn, by the shares the `RadialPlan` lays out for the balance rows and
+the radial sweep alike.
 A device's active and reactive columns are `ns.p` and `ns.q`, keyed by (class,
 id, step), where the class is one of `DEVICE_CLASSES` (pv, dg, es, load); the
 same (class, id) key names the device's reserves and its dispatch series.
@@ -44,8 +44,8 @@ the room as well.
 
 `build_feeder_lp` is the one place that lists the feeder's rows: it declares
 a namespace, lays the feeder out once as a `RadialPlan`, and applies the
-voltage-drop and power-balance rows emitted from that plan and the
-`emit_limits` rows to its LP.  The baseline and robust dispatch LPs and the
+voltage-drop, power-balance and `emit_limits` rows emitted from that plan to
+its LP.  The baseline and robust dispatch LPs and the
 adversarial-set recourse LP are built by it and add only their own rows.
 A namespace is declared for a set of steps, the whole horizon by default,
 and every emitter emits rows for exactly the namespace's steps.  The
@@ -92,16 +92,17 @@ voltage boxes and the dispatch windows are column bounds and emit no rows:
 In reserve mode each device adds two band rows per step, R+ <= room up and
 R- <= room down (tagged curtailment_bounds for PV and loads, dg_cap,
 storage), and each storage unit two energy rows per step.  `emit_limits`
-emits device by device, and per step in this order: SoC recursion, load
-power factor, band rows, storage energy rows, inverter polygon, PV gamma
-rows.
+emits the line polygons drop by drop, then device by device, and per step
+in this order: SoC recursion, load power factor, band rows, storage energy
+rows, inverter polygon, PV gamma rows.
 
 The feeder is laid out once per model by `RadialPlan.of`, the one tree walk
-here.  The voltage-drop rows are emitted from its drops and the
-power-balance rows from its slots, in the model's branch and bus order, and
-the replay's direct flow solve, `solve_linear_flow`, sweeps the same plan:
-it takes no model, and takes the device outputs as sequences indexed by
-position, a device's index in `device_groups` order.
+and device layout here.  The voltage-drop and line-limit rows are emitted
+from its drops and the power-balance rows from its slots, in the model's
+branch and bus order, and the device rows by position, a device's index in
+`device_groups` order.  The replay sweeps the same plan with
+`solve_linear_flow`, which takes no model and the device outputs by
+position, and checks the same pu line limits that the LP's polygons enforce.
 """
 
 from __future__ import annotations
@@ -231,6 +232,7 @@ class VariableNamespace:
         self.soc: dict[tuple[str, int], int] = {}  # stored energy at END of step k
         self.r_up: dict[tuple[str, str, int], int] = {}  # (class, id, k)
         self.r_dn: dict[tuple[str, str, int], int] = {}
+        self.dg_loss: dict[tuple[str, int], int] = {}  # (dg id, k), the robust LP's loss helpers
 
 
 def build_namespace(
@@ -298,35 +300,28 @@ def build_namespace(
     return ns
 
 
-def balance_shares(model: NetworkModel) -> dict[str, list[tuple[tuple[str, str], float]]]:
-    """Each bus's devices in `device_groups` order, as ((class, id), share): the
-    device's coefficient on each phase of its bus, 1/|phases|, negated for a load."""
-    shares = {bus.id: [] for bus in model.buses}
-    split = {bus.id: 1.0 / len(bus.phases) for bus in model.buses}
-    for cls, units in device_groups(model):
-        for u in units:
-            shares[u.bus].append(((cls, u.id), (-1.0 if cls == "load" else 1.0) * split[u.bus]))
-    return shares
-
-
 @dataclass(frozen=True)
 class RadialPlan:
-    """The feeder's one layout, laid out once per model: the radial sweep of
-    :func:`solve_linear_flow`, the limits the replay checks against it, and
-    the network rows of the feeder LP.
+    """The feeder's one layout, laid out once per model: its devices, the
+    radial sweep of :func:`solve_linear_flow`, the limits the replay checks
+    against it, and the network and line-limit rows of the feeder LP.
 
+    A device's position is its index in `devices`, in `device_groups` order.
     Each bus phase has a slot, in breadth-first bus order, the root's
     `n_root` slots first.  `leaves_up` holds each bus from the leaves up,
-    with its devices' `balance_shares` by position and, per phase of the
-    bus, its slot and its children's slots of that phase in `model.tree()`
-    order.  :func:`gridres.network.validate` pins each branch to the phases
-    of the bus it feeds, so each non-root slot has one feeding branch phase,
-    its drop: drop d feeds slot n_root + d.  `drop_rows` and
-    `balance_buses` keep the LP's rows in the model's branch and bus order.
+    with its devices' shares on each of its phases (1/|phases|, negated for
+    a load) by position and, per phase of the bus, its slot and its
+    children's slots of that phase in `model.tree()` order.
+    :func:`gridres.network.validate` pins each branch to the phases of the
+    bus it feeds, so each non-root slot has one feeding branch phase, its
+    drop: drop d feeds slot n_root + d.  `drop_rows` and `balance_buses`
+    keep the LP's rows in the model's branch and bus order.
     """
 
     s_base: float
-    devices: tuple[tuple[str, str], ...]  # (class, id) per position
+    devices: tuple  # (class, unit) per position, in `device_groups` order
+    position: dict[tuple[str, str], int]  # (class, id) -> position
+    positions: dict[str, range]  # class -> its positions
     bus_phases: tuple[tuple[str, str], ...]  # (bus, phase) per slot
     voltage_limits: tuple[tuple[float, float], ...]  # (v_min, v_max) per slot
     leaves_up: tuple  # (((position, share), ...), ((slot, child slots), ...)) per bus
@@ -345,13 +340,20 @@ class RadialPlan:
         pu = PerUnit.of(model)
         order, parent, children = model.tree()
         bus = {b.id: b for b in model.buses}
-        devices = tuple((c, u.id) for c, units in device_groups(model) for u in units)
-        position = {key: i for i, key in enumerate(devices)}
+        groups = device_groups(model)
+        devices = tuple((c, u) for c, units in groups for u in units)
+        positions, start = {}, 0
+        for c, units in groups:
+            positions[c] = range(start, start + len(units))
+            start += len(units)
+        shares = {bus_id: [] for bus_id in bus}  # (position, share) per device of the bus
+        for i, (c, u) in enumerate(devices):
+            split = 1.0 / len(bus[u.bus].phases)
+            shares[u.bus].append((i, (-1.0 if c == "load" else 1.0) * split))
         bus_phases = tuple((bus_id, phase) for bus_id in order for phase in bus[bus_id].phases)
         slot = {key: i for i, key in enumerate(bus_phases)}
-        shares = balance_shares(model)
         leaves_up = tuple(
-            (tuple((position[key], share) for key, share in shares[bus_id]),
+            (tuple(shares[bus_id]),
              tuple((slot[(bus_id, phase)],
                     tuple(slot[(c, phase)] for c in children[bus_id] if phase in bus[c].phases))
                    for phase in bus[bus_id].phases))
@@ -370,7 +372,8 @@ class RadialPlan:
         drop_rows = tuple(slot[(fed[br.id], phase)] - n_root
                           for br in model.branches for phase in br.phases)
         leaves_up_index = {bus_id: i for i, bus_id in enumerate(reversed(order))}
-        return cls(pu.s_base, devices, bus_phases,
+        return cls(pu.s_base, devices, {(c, u.id): i for i, (c, u) in enumerate(devices)},
+                   positions, bus_phases,
                    tuple((bus[bus_id].v_min, bus[bus_id].v_max) for bus_id, _ in bus_phases),
                    leaves_up, tuple(drops), tuple(flows), tuple(line_limits), drop_rows,
                    tuple(leaves_up_index[b.id] for b in model.buses))
@@ -399,7 +402,7 @@ def emit_power_balance(plan: RadialPlan, ns: VariableNamespace) -> list[Row]:
     `plan.balance_buses` order.
 
     Inflow - outflow + generation - load = 0: the feeding flow, the child
-    flows of the phase and the devices' `balance_shares`, in that order.
+    flows of the phase and the devices' shares, in that order.
     Summed over the feeder these rows telescope to total generation = total
     load (the lossless-model identity).
     """
@@ -417,8 +420,8 @@ def emit_power_balance(plan: RadialPlan, ns: VariableNamespace) -> list[Row]:
                     coeffs = {} if inflow is None else {inflow: 1.0}
                     for br, phase in outflows:
                         coeffs[flow[(br, phase, k)]] = -1.0
-                    for (cls, uid), share in devices:
-                        coeffs[power[(cls, uid, k)]] = share
+                    for (cls, u), share in devices:
+                        coeffs[power[(cls, u.id, k)]] = share
                     rows.append(Row(coeffs, Rel.EQ, 0.0, "power_balance", inflow))
     return rows
 
@@ -455,6 +458,7 @@ _POLYGON_TAG = {"pv": "pv_cap", "dg": "dg_cap", "es": "storage"}
 
 def emit_limits(
     model: NetworkModel,
+    plan: RadialPlan,
     ns: VariableNamespace,
     options: BuildOptions,
     reserves: bool = False,
@@ -462,8 +466,10 @@ def emit_limits(
 ) -> list[Row]:
     """Polygonized apparent-power limits, SoC dynamics, and load power factors.
 
-    Rows are emitted for the namespace's steps, device by device in
-    `device_groups` order.  The voltage boxes and dispatch windows are the
+    Rows are emitted for the namespace's steps: first the line-flow polygon
+    of each drop of `plan`, in `plan.drop_rows` order (the model's branch,
+    then phase order) with the drop's `plan.line_limits`, then device by
+    device in position order.  The voltage boxes and dispatch windows are the
     column bounds of `ns.lp`.  In reserve mode each window widens into two
     band rows, read off those bounds; a PV upper band whose (unit, step) is a
     key of `pv_floor` is capped at that floor (pu) rather than at the
@@ -479,50 +485,48 @@ def emit_limits(
     soc = bool(ns.soc)
 
     rows = []
-    for br in model.branches:  # line-flow polygons
-        for phase in br.phases:
-            for k in ns.steps:
-                rows += apparent_power_rows(ns.pflow[(br.id, phase, k)],
-                                            ns.qflow[(br.id, phase, k)],
-                                            pu.power(br.flow_limit_va), poly, "line_limits")
-    for cls, units in device_groups(model):
-        for u in units:
-            e0 = pu.energy(u.initial_soc_wh) if cls == "es" else None
-            for k in ns.steps:
-                p = ns.p[(cls, u.id, k)]
-                q = ns.q[(cls, u.id, k)]
+    for d in plan.drop_rows:  # line-flow polygons, one per drop
+        br, phase = plan.flows[d]
+        for k in ns.steps:
+            rows += apparent_power_rows(ns.pflow[(br, phase, k)], ns.qflow[(br, phase, k)],
+                                        plan.line_limits[d], poly, "line_limits")
+    for cls, u in plan.devices:
+        e0 = pu.energy(u.initial_soc_wh) if cls == "es" else None
+        for k in ns.steps:
+            p = ns.p[(cls, u.id, k)]
+            q = ns.q[(cls, u.id, k)]
+            if cls == "es" and soc:
+                e = ns.soc[(u.id, k)]
+                coeffs = {e: 1.0, p: dt}
+                rhs = 0.0
+                if k == 0:
+                    rhs = e0
+                else:
+                    coeffs[ns.soc[(u.id, k - 1)]] = -1.0
+                rows.append(Row(coeffs, Rel.EQ, rhs, "storage", e))
+            if cls == "load":  # reactive power follows the fixed power factor
+                rows.append(Row({q: 1.0, p: -u.tan_phi}, Rel.EQ, 0.0, "power_factor", q))
+            if reserves:
+                # p + R+ <= top and -p + R- <= -lo, swapped for a load
+                top = pv_floor.get((u.id, k), upper[p]) if cls == "pv" else upper[p]
+                minus_lo = 0.0 - lower[p]  # +0.0, not -0.0, for a zero lo
+                sign, up_rhs, dn_rhs = 1.0, top, minus_lo
+                if cls == "load":  # a load's up-reserve sheds demand
+                    sign, up_rhs, dn_rhs = -1.0, minus_lo, top
+                up, dn = ns.r_up[(cls, u.id, k)], ns.r_dn[(cls, u.id, k)]
+                rows.append(Row({p: sign, up: 1.0}, Rel.LE, up_rhs, _BAND_TAG[cls]))
+                rows.append(Row({p: -sign, dn: 1.0}, Rel.LE, dn_rhs, _BAND_TAG[cls]))
                 if cls == "es" and soc:
-                    e = ns.soc[(u.id, k)]
-                    coeffs = {e: 1.0, p: dt}
-                    rhs = 0.0
-                    if k == 0:
-                        rhs = e0
-                    else:
-                        coeffs[ns.soc[(u.id, k - 1)]] = -1.0
-                    rows.append(Row(coeffs, Rel.EQ, rhs, "storage", e))
-                if cls == "load":  # reactive power follows the fixed power factor
-                    rows.append(Row({q: 1.0, p: -u.tan_phi}, Rel.EQ, 0.0, "power_factor", q))
-                if reserves:
-                    # p + R+ <= top and -p + R- <= -lo, swapped for a load
-                    top = pv_floor.get((u.id, k), upper[p]) if cls == "pv" else upper[p]
-                    minus_lo = 0.0 - lower[p]  # +0.0, not -0.0, for a zero lo
-                    sign, up_rhs, dn_rhs = 1.0, top, minus_lo
-                    if cls == "load":  # a load's up-reserve sheds demand
-                        sign, up_rhs, dn_rhs = -1.0, minus_lo, top
-                    up, dn = ns.r_up[(cls, u.id, k)], ns.r_dn[(cls, u.id, k)]
-                    rows.append(Row({p: sign, up: 1.0}, Rel.LE, up_rhs, _BAND_TAG[cls]))
-                    rows.append(Row({p: -sign, dn: 1.0}, Rel.LE, dn_rhs, _BAND_TAG[cls]))
-                    if cls == "es" and soc:
-                        rows.append(Row({e: 1.0, dn: dt}, Rel.LE, upper[e], "storage"))
-                        rows.append(Row({e: -1.0, up: dt}, Rel.LE, -lower[e], "storage"))
-                if cls in _POLYGON_TAG:
-                    rows += apparent_power_rows(p, q, pu.power(u.capacity_va), poly,
-                                                _POLYGON_TAG[cls])
-                if cls == "pv" and gamma is not None:
-                    rows.append(Row({q: 1.0, p: -gamma}, Rel.LE, 0.0, "power_factor"))
-                    rows.append(Row({q: -1.0, p: -gamma}, Rel.LE, 0.0, "power_factor"))
-            if cls == "es" and soc and options.terminal_soc_geq_initial:
-                rows.append(Row({ns.soc[(u.id, ns.steps[-1])]: 1.0}, Rel.GE, e0, "storage"))
+                    rows.append(Row({e: 1.0, dn: dt}, Rel.LE, upper[e], "storage"))
+                    rows.append(Row({e: -1.0, up: dt}, Rel.LE, -lower[e], "storage"))
+            if cls in _POLYGON_TAG:
+                rows += apparent_power_rows(p, q, pu.power(u.capacity_va), poly,
+                                            _POLYGON_TAG[cls])
+            if cls == "pv" and gamma is not None:
+                rows.append(Row({q: 1.0, p: -gamma}, Rel.LE, 0.0, "power_factor"))
+                rows.append(Row({q: -1.0, p: -gamma}, Rel.LE, 0.0, "power_factor"))
+        if cls == "es" and soc and options.terminal_soc_geq_initial:
+            rows.append(Row({ns.soc[(u.id, ns.steps[-1])]: 1.0}, Rel.GE, e0, "storage"))
     return rows
 
 
@@ -545,7 +549,7 @@ def build_feeder_lp(
     plan = RadialPlan.of(model)
     apply_emissions(ns.lp, emit_voltage_drop(plan, ns))
     apply_emissions(ns.lp, emit_power_balance(plan, ns))
-    apply_emissions(ns.lp, emit_limits(model, ns, options, reserves, pv_floor))
+    apply_emissions(ns.lp, emit_limits(model, plan, ns, options, reserves, pv_floor))
     return ns
 
 
@@ -560,7 +564,7 @@ def solve_linear_flow(
 
     `plan` is the model's :class:`RadialPlan`.  `p_w` and `q_w` hold each
     device's output in W and var by position, a load's as drawn, which
-    enters its bus's phases by its `balance_shares`.  Returns (fp, fq, w):
+    enters its bus's phases by its share in `plan.leaves_up`.  Returns (fp, fq, w):
     the active and reactive flow (pu) of each feeding branch phase in
     `plan.drops` order, signed upstream to downstream, and the squared
     voltage of each slot in `plan.bus_phases` order, which follows the same

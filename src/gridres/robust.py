@@ -261,10 +261,10 @@ def build_robust_lp(
                          pv_floor=worst.pv_floor)
     lp = ns.lp
 
-    # worst-case output-loss helpers, declared last (solve_robust reads them
-    # there): loss >= P - cap_low, loss >= 0
-    dg_loss = {(uid, k): lp.add_variable(f"dgloss[{uid},{k}]", 0.0)
-               for uid, k in sorted(worst.dg_floor)}
+    # worst-case output-loss helpers, `ns.dg_loss` by (unit id, step):
+    # loss >= P - cap_low, loss >= 0
+    dg_loss = ns.dg_loss = {(uid, k): lp.add_variable(f"dgloss[{uid},{k}]", 0.0)
+                            for uid, k in sorted(worst.dg_floor)}
     for key, idx in dg_loss.items():
         lp.add_row({ns.p[("dg", *key)]: 1.0, idx: -1.0}, Rel.LE,
                    worst.dg_floor[key], "reserve_coverage")
@@ -329,17 +329,16 @@ def solve_robust(
     total = dispatch.objective_value
     dispatch.objective_value = total - reserve_cost  # the pure dispatch part
 
-    # realized worst-case requirement includes the diesel loss terms, the
-    # LP's last columns in the order of the sorted diesel floors
-    first = lp.n_variables - len(worst.dg_floor)
-    for idx, (_dg_id, k) in enumerate(sorted(worst.dg_floor), start=first):
-        worst.mask_up[k] += x[idx]
+    # realized worst-case requirement includes the diesel loss terms
+    worst_up = worst.mask_up.copy()
+    for (_dg_id, k), idx in ns.dg_loss.items():
+        worst_up[k] += x[idx]
 
     return RobustResult(
         dispatch=dispatch,
         reserves=ReserveSchedule(up, down),
         objective_value=total,
         reserve_cost=reserve_cost,
-        worst_up_w=worst.mask_up * s,
+        worst_up_w=worst_up * s,
         worst_down_w=worst.mask_down * s,
     )

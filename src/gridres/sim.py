@@ -22,17 +22,18 @@ measurement, which is exactly how the controller notices it.
 A run replays per-step events, compiled from a timeline (a list of `Event`)
 by `compile_timeline` or sampled by `events_from_polytopes`, against a
 `CompiledReplay`: what every run of one schedule on one model reads (the
-feeder's `RadialPlan` with the voltage and line limits, each device's
-position, the per-step schedule, reserves and windows by position, the
-loads' reactive ratios), built once by `compile_replay`.  A device's
-position is its index in `device_groups` order.  It also holds each step's
-ledger with no event and each limit's band, narrowed inward beyond any
-rounding.  A run copies a step's ledger and recomputes only the devices its
-events touch and the batteries, evaluates a limit only outside its band, and
-builds each `Trajectory` array once, at the end.  Runs only read the
-compiled replay, so every run of a command shares one.  A run is strictly
-sequential in time; distinct runs over the same compiled replay (e.g. a
-Monte Carlo suite) may execute concurrently.
+feeder's `RadialPlan`, the one layout of its devices and of its voltage and
+line limits that the LP is built from too, the per-step schedule, reserves
+and windows by position, the loads' reactive ratios), built once by
+`compile_replay`.  A device's position is its index in the plan's
+`device_groups` order.  It also holds each step's ledger with no event and
+each limit's band, narrowed inward beyond any rounding.  A run copies a
+step's ledger and recomputes only the devices its events touch and the
+batteries, evaluates a limit only outside its band, and builds each
+`Trajectory` array once, at the end.  Runs only read the compiled replay, so
+every run of a command shares one.  A run is strictly sequential in time;
+distinct runs over the same compiled replay (e.g. a Monte Carlo suite) may
+execute concurrently.
 """
 
 from __future__ import annotations
@@ -218,36 +219,32 @@ class CompiledReplay:
     """What every replay of one schedule on one model reads, built once by
     :func:`compile_replay` and never written by :func:`run_simulation`.
 
-    A device's position is its index in `devices`, which lists them in
-    `device_groups` order, so each class's positions are one range
-    (`positions`).  Per step, `p`, `q`, `up` and `down` hold each device's
-    scheduled active and reactive output and its up and down reserve by
-    position, and `window` each device's `device_window`, None for a
-    battery, whose window depends on its realized state of charge: a run
-    works it out per step for each of `batteries`.  `ledger` holds each
-    step's `_ledger` with no event and the capacities, the reserve clipped
-    to that room, by position (None at a battery), then its scheduled load
-    total.  `tan_phi` holds each load's reactive
-    to active power ratio.  All are Python floats.  `plan`, the feeder's
-    `RadialPlan`, carries the voltage and line limits; `voltage_band`, the
-    squared voltage of every slot, and `line_bands`, each drop's squared
-    apparent flow, lie `BAND_MARGIN` inside v_min - VOLTAGE_TOL,
-    v_max + VOLTAGE_TOL and limit + LINE_TOL.
+    `plan`, the feeder's `RadialPlan`, lays out the devices and carries the
+    voltage and line limits.  A device's position is its index in
+    `plan.devices`, its (class, unit) pairs in `device_groups` order, so
+    each class's positions are one range (`plan.positions`).  Per step,
+    `p`, `q`, `up` and `down` hold each device's scheduled active and
+    reactive output and its up and down reserve by position, and `window`
+    each device's `device_window`, None for a battery, whose window depends
+    on its realized state of charge: a run works it out per step for each
+    battery.  `ledger` holds each step's `_ledger` with no event and the
+    capacities, the reserve clipped to that room, by position (None at a
+    battery), then its scheduled load total.  `tan_phi` holds each load's
+    reactive to active power ratio.  All are Python floats.
+    `voltage_band`, the squared voltage of every slot, and `line_bands`,
+    each drop's squared apparent flow, lie `BAND_MARGIN` inside
+    v_min - VOLTAGE_TOL, v_max + VOLTAGE_TOL and limit + LINE_TOL.
     """
 
     steps: int
     dt: float
     plan: RadialPlan
-    devices: tuple  # (class, unit), in `device_groups` order
-    position: dict[tuple[str, str], int]  # (class, id) -> position
-    positions: dict[str, range]  # class -> its positions
     p: tuple[tuple[float, ...], ...]
     q: tuple[tuple[float, ...], ...]
     up: tuple[tuple[float, ...], ...]
     down: tuple[tuple[float, ...], ...]
     window: tuple[tuple[tuple[float, float] | None, ...], ...]
     ledger: tuple  # (point, room_up, room_dn, cap_up, cap_dn, demand)
-    batteries: tuple  # the storage units, in position order
     tan_phi: tuple[float, ...]
     voltage_band: tuple[float, float]
     line_bands: tuple[float, ...]
@@ -255,18 +252,12 @@ class CompiledReplay:
 
 def compile_replay(model: NetworkModel, robust: RobustResult) -> CompiledReplay:
     """The invariants of replaying `robust`'s schedule on `model`."""
-    groups = device_groups(model)
-    devices = tuple((cls, u) for cls, units in groups for u in units)
-    keys = [(cls, u.id) for cls, u in devices]
-    positions, start = {}, 0
-    for cls, units in groups:
-        positions[cls] = range(start, start + len(units))
-        start += len(units)
-    steps = range(model.steps)
     plan = RadialPlan.of(model)
+    devices = plan.devices
+    steps = range(model.steps)
 
     def per_step(series: dict[tuple[str, str], np.ndarray]) -> tuple[tuple[float, ...], ...]:
-        columns = [series[key] for key in keys]
+        columns = [series[key] for key in plan.position]
         return tuple(tuple(float(column[k]) for column in columns) for k in steps)
 
     p, up, down = (per_step(s) for s in (robust.dispatch.p, robust.reserves.up,
@@ -275,7 +266,7 @@ def compile_replay(model: NetworkModel, robust: RobustResult) -> CompiledReplay:
                          for cls, u in devices) for k in steps)
 
     def ledger(k: int) -> tuple:
-        sched, loads = p[k], positions["load"]
+        sched, loads = p[k], plan.positions["load"]
         entries = [(None,) * 3 if cls == "es" else _ledger(cls, sched[i], window[k][i], {}, i)
                    for i, (cls, _u) in enumerate(devices)]
         point, room_up, room_dn = (tuple(entry[j] for entry in entries) for j in range(3))
@@ -288,16 +279,12 @@ def compile_replay(model: NetworkModel, robust: RobustResult) -> CompiledReplay:
         steps=model.steps,
         dt=model.dt_hours,
         plan=plan,
-        devices=devices,
-        position={key: i for i, key in enumerate(keys)},
-        positions=positions,
         p=p,
         q=per_step(robust.dispatch.q),
         up=up,
         down=down,
         window=window,
         ledger=tuple(map(ledger, steps)),
-        batteries=tuple(model.storage_units),
         tan_phi=tuple(u.tan_phi for u in model.loads),
         voltage_band=(max(((lo - VOLTAGE_TOL) * (1.0 + BAND_MARGIN)) ** 2 for lo, _ in limits),
                       min(((hi + VOLTAGE_TOL) * (1.0 - BAND_MARGIN)) ** 2 for _, hi in limits)),
@@ -356,12 +343,14 @@ def run_simulation(replay: CompiledReplay, events: list[dict]) -> Trajectory:
     have none."""
     K = replay.steps
     dt = replay.dt
-    n = len(replay.devices)
-    at = {cls: slice(r.start, r.stop) for cls, r in replay.positions.items()}
-    pv, dg, es, loads = (replay.positions[cls] for cls in ("pv", "dg", "es", "load"))
+    plan = replay.plan
+    devices, position, positions = plan.devices, plan.position, plan.positions
+    at = {cls: slice(r.start, r.stop) for cls, r in positions.items()}
+    pv, dg, es, loads = (positions[cls] for cls in ("pv", "dg", "es", "load"))
     cut = loads.start  # loads come last in `device_groups` order
+    batteries = [u for _cls, u in devices[at["es"]]]
 
-    soc = [[float(u.initial_soc_wh)] for u in replay.batteries]
+    soc = [[float(u.initial_soc_wh)] for u in batteries]
     rows, deployment = [], []  # per step: its `_STEP_SERIES`, its deployment by position
     violations = {c: [False] * K for c in VIOLATION_CLASSES}
     magnitude = {c: [0.0] * K for c in VIOLATION_CLASSES}
@@ -377,7 +366,7 @@ def run_simulation(replay: CompiledReplay, events: list[dict]) -> Trajectory:
         # draw: the draw floors at zero, a load never generates
         step_events = {}
         for key, mag in (events[k] if k < len(events) else {}).items():
-            i = replay.position[key]
+            i = position[key]
             step_events[i] = max(mag, -sched[i]) if i in loads else mag
 
         # the ledger: per device, its setpoint after events and its room to
@@ -386,8 +375,8 @@ def run_simulation(replay: CompiledReplay, events: list[dict]) -> Trajectory:
         point, room_up, room_dn = list(point), list(room_up), list(room_dn)
         for i in step_events:
             point[i], room_up[i], room_dn[i] = _ledger(
-                replay.devices[i][0], sched[i], window[i], step_events, i)
-        for i, u, energy in zip(es, replay.batteries, soc):
+                devices[i][0], sched[i], window[i], step_events, i)
+        for i, u, energy in zip(es, batteries, soc):
             point[i], room_up[i], room_dn[i] = _ledger(
                 "es", sched[i], device_window("es", u, k, e_in=energy[k], dt=dt), step_events, i)
 
@@ -426,7 +415,7 @@ def run_simulation(replay: CompiledReplay, events: list[dict]) -> Trajectory:
         served = true_demand - shed + (0.0 if up else load_dep) - (shortfall if up else 0.0)
 
         # state of charge
-        for i, u, energy in zip(es, replay.batteries, soc):
+        for i, u, energy in zip(es, batteries, soc):
             e = energy[k] - realized[i] * dt
             energy.append(e)
             excess = max(u.energy_min_wh - e, e - u.energy_max_wh)
@@ -448,11 +437,11 @@ def run_simulation(replay: CompiledReplay, events: list[dict]) -> Trajectory:
             flag("shortfall", k, shortfall)
 
     series = np.array(rows, dtype=float).reshape(K, len(_STEP_SERIES)).T.copy()
-    columns = np.array(deployment, dtype=float).reshape(K, n).T.copy()
+    columns = np.array(deployment, dtype=float).reshape(K, len(devices)).T.copy()
     return Trajectory(
         **dict(zip(_STEP_SERIES, series)),
-        soc_wh={u.id: np.array(energy) for u, energy in zip(replay.batteries, soc)},
-        deployment_w={(cls, u.id): column for (cls, u), column in zip(replay.devices, columns)},
+        soc_wh={u.id: np.array(energy) for u, energy in zip(batteries, soc)},
+        deployment_w=dict(zip(position, columns)),
         violations={c: np.array(v, dtype=bool) for c, v in violations.items()},
         violation_magnitude={c: np.array(m, dtype=float) for c, m in magnitude.items()},
     )
@@ -472,6 +461,6 @@ class ViolationSummary:
 
 
 def violation_report(traj: Trajectory) -> ViolationSummary:
-    counts = {c: int(traj.violations[c].sum()) for c in VIOLATION_CLASSES}
+    counts = {c: int(np.count_nonzero(traj.violations[c])) for c in VIOLATION_CLASSES}
     max_mag = {c: float(traj.violation_magnitude[c].max()) for c in VIOLATION_CLASSES}
     return ViolationSummary(counts, max_mag)

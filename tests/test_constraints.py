@@ -211,7 +211,7 @@ def test_soc_recursion_arithmetic():
         )
     ]
     ns = build_namespace(model)
-    rows = emit_limits(model, ns, BuildOptions())
+    rows = emit_limits(model, RadialPlan.of(model), ns, BuildOptions())
     rec = [r for r in rows if r.tag == "storage" and r.rel is Rel.EQ]
     assert len(rec) == 2
     first = rec[0]
@@ -254,7 +254,7 @@ def test_row_count_formulas_fuzz():
         assert len(vd) == branch_phases * K
         pb = emit_power_balance(RadialPlan.of(model), ns)
         assert len(pb) == 2 * bus_phases * K
-        rows = emit_limits(model, ns, BuildOptions(poly_sides=sides))
+        rows = emit_limits(model, RadialPlan.of(model), ns, BuildOptions(poly_sides=sides))
         by_tag = {}
         for r in rows:
             by_tag[r.tag] = by_tag.get(r.tag, 0) + 1
@@ -283,6 +283,31 @@ def test_row_count_formulas_fuzz():
         assert len(windows) == (n_pv + n_load) * K
         for key, window in windows.items():
             assert (lp.lower[ns.p[key]], lp.upper[ns.p[key]]) == window
+
+
+def test_line_polygons_carry_their_branch_limits():
+    """Every line polygon holds one drop's flow columns, at the rating of that
+    drop's own branch: 2.4 MVA on the synthetic trunk, 1.8 MVA on a lateral.
+    The feeder's breadth-first drops are not in branch order, so a polygon
+    given another drop's limit would carry the wrong rating."""
+    model = synth_feeder(SynthSpec(buses=8, seed=3, steps=2, balanced_phases=False))
+    plan = RadialPlan.of(model)
+    assert plan.drop_rows != tuple(range(len(plan.drops)))
+    assert {br.flow_limit_va for br in model.branches} == {2.4e6, 1.8e6}
+    sides = 8
+    ns = build_namespace(model)
+    rows = [r for r in emit_limits(model, plan, ns, BuildOptions(poly_sides=sides))
+            if r.tag == "line_limits"]
+    drop = {(ns.pflow[key], ns.qflow[key]): key for key in ns.pflow}  # (branch, phase, k)
+    limit = {br.id: br.flow_limit_va for br in model.branches}
+    polygons = {}
+    for r in rows:
+        key = drop[tuple(r.coeffs)]
+        assert r.rhs == limit[key[0]] / plan.s_base * math.cos(math.pi / sides)
+        polygons.setdefault(key, []).append((r.coeffs[ns.pflow[key]], r.coeffs[ns.qflow[key]]))
+    assert polygons.keys() == ns.pflow.keys()
+    for polygon in polygons.values():
+        assert polygon == [(cs, sn) for cs, sn, _ in polygon_rows(sides)]
 
 
 def test_voltage_monotone_on_consuming_feeder():
@@ -329,7 +354,7 @@ def test_optional_pv_power_factor_rows():
     """With a gamma set, PV reactive output is fenced to |Q| <= gamma * P."""
     model = two_bus(steps=2)
     ns = build_namespace(model)
-    rows = emit_limits(model, ns, BuildOptions(pv_power_factor_gamma=0.4))
+    rows = emit_limits(model, RadialPlan.of(model), ns, BuildOptions(pv_power_factor_gamma=0.4))
     pf_rows = [r for r in rows if r.tag == "power_factor" and r.rel is Rel.LE]
     assert len(pf_rows) == 2 * 1 * 2  # two rows per pv unit and step
 

@@ -7,12 +7,20 @@ through `network.files`:
     R1  permute buses[1:], the branches, each device list and the profile rows;
     R2  swap `from` and `to` on every branch;
     R3  rename every bus and device id, in the network, the profile rows and
-        the scenario's uncertainty, axes and timeline entities alike.
+        the scenario's uncertainty, axes and timeline entities alike;
+    R4  double `base.power_va`;
+    R5  split the first branch into two half-impedance segments through a
+        new bus with no devices and the phases and voltage limits of the bus
+        it feeds;
+    R6  split one device of each class, one that no axis, box entry or
+        timeline event names, into two identical halves on its bus: its
+        ratings, energies, initial state of charge and profile rows halved.
 
-The baseline and robust objectives and every alpha of the scenario's
-`advset` characterization must match the unchanged files' to 1e-9
-relative.  The schedules are not compared: at a degenerate optimum they
-move with the simplex's choice of vertex.
+The baseline and robust objectives in physical units (the reported pu
+objective times `base.power_va`) and every alpha of the scenario's `advset`
+characterization must match the unchanged files' to 1e-9 relative.  The
+schedules are not compared: at a degenerate optimum they move with the
+simplex's choice of vertex.
 """
 
 import json
@@ -73,7 +81,62 @@ def rename(doc: dict, network: dict, profiles: list[str], rng: random.Random) ->
             entry["entity"] = name[entry["entity"]]
 
 
-RELATIONS = {"R1": permute, "R2": reverse, "R3": rename}
+def rebase(doc: dict, network: dict, profiles: list[str], rng: random.Random) -> None:
+    """R4, in place: the base power doubled, every physical quantity kept."""
+    network["base"]["power_va"] *= 2.0
+
+
+def split_branch(doc: dict, network: dict, profiles: list[str], rng: random.Random) -> None:
+    """R5, in place: the first branch A -> B becomes A -> M -> B, each
+    segment with half its impedance and the whole of its flow limit, M a new
+    bus with no devices and B's phases and voltage limits."""
+    branch = network["branches"][0]
+    fed = next(bus for bus in network["buses"] if bus["id"] == branch["to"])
+    middle = {**fed, "id": f"{fed['id']}_split"}
+    network["buses"].append(middle)
+    half = {**branch, "impedance_ohm": {pair: [r / 2.0, x / 2.0]
+                                        for pair, (r, x) in branch["impedance_ohm"].items()}}
+    network["branches"][0] = {**half, "to": middle["id"]}
+    network["branches"].append({**half, "from": middle["id"]})
+
+
+# the fields of each device list that scale with a unit's size; a split unit's
+# profile rows (a load's demand, a PV unit's forecast) are halved as well
+HALVED = {"pv": ("capacity_va",), "dg": ("capacity_va",),
+          "storage": ("capacity_va", "power_w", "energy_min_wh", "energy_max_wh",
+                      "initial_soc_wh"),
+          "loads": ()}
+
+
+def halve(doc: dict, network: dict, profiles: list[str], rng: random.Random) -> None:
+    """R6, in place: per class, the first device that the scenario's
+    uncertainty, axes and timeline do not name becomes two halves, `<id>`
+    and `<id>_half`, on its bus."""
+    named = {entry["entity"] for key in ("uncertainty", "axes", "timeline")
+             for entry in doc.get(key, [])}
+    split = set()
+    for key, fields in HALVED.items():
+        free = [rec for rec in network[key] if rec["id"] not in named]
+        if not free:
+            continue
+        rec = free[0]
+        rec.update({field: rec[field] / 2.0 for field in fields})
+        network[key].append({**rec, "id": f"{rec['id']}_half"})
+        split.add(rec["id"])
+    rows = []
+    for row in profiles:
+        time, entity, field, value = row.split(",")
+        if entity in split:
+            half = repr(float(value) / 2.0)
+            rows += [",".join((time, entity, field, half)),
+                     ",".join((time, f"{entity}_half", field, half))]
+        else:
+            rows.append(row)
+    profiles[:] = rows
+
+
+RELATIONS = {"R1": permute, "R2": reverse, "R3": rename, "R4": rebase, "R5": split_branch,
+             "R6": halve}
 
 
 def write_scenario(directory: Path, doc: dict, network: dict, profiles: list[str],
@@ -89,14 +152,16 @@ def write_scenario(directory: Path, doc: dict, network: dict, profiles: list[str
 
 
 def answers(path: Path) -> tuple[float, float, dict[int, list[float]]]:
-    """(baseline objective, robust objective, alpha per advset step) as the CLI gets them."""
+    """(baseline objective, robust objective, alpha per advset step) as the CLI
+    gets them, the objectives times `base.power_va`."""
     sc = load_scenario(path)
     base = solve_baseline(sc.model, sc.costs, sc.build, sc.solver)
     robust = solve_robust(sc.model, sc.costs, sc.reserve_costs, sc.box, sc.build, sc.solver)
     reserves = ReserveSchedule.from_headroom(sc.model, base)
     polys = characterize_steps(sc.model, base, reserves, sc.axes, sc.advset_steps, sc.build,
                                sc.solver)
-    return base.objective_value, robust.objective_value, {
+    s_base = sc.model.base.power_va
+    return base.objective_value * s_base, robust.objective_value * s_base, {
         k: poly.alpha_w.tolist() for k, poly in polys.items()}
 
 
