@@ -30,20 +30,16 @@ tolerable set: tolerability constraints are affine in (recourse, magnitude),
 so any convex combination of feasible extremes stays feasible.
 
 Each step has one :class:`RecourseStep`: the recourse LP, built once and
-solved once from the crash basis with every magnitude fixed at zero.
-Every query re-bounds the magnitude columns of that LP and re-solves it from
-the zero-magnitude solve, taking over its basis, its assembled rows and its
-factored basis matrix, and ends on the factorization it pivoted on: the
-zero-magnitude solve's LU with the query's own etas, re-factored only if the
-final check through them fails, so a pass factors a B twice per step, both
-times in the cold solve.  An axis maximization then runs the primal simplex
-only.  A membership test fixes the magnitudes, which moves the basic values
-out of their bounds; without an objective the basis stays dual feasible, so
-the dual simplex answers it.  Nothing rebuilds the LP per query:
-:func:`event_is_tolerable` is a one-off step object.  Distinct steps share
-nothing but immutable inputs and may be characterized concurrently by
-callers; one step object serves one caller at a time.  A built
-InnerPolytope is immutable.
+solved once from the crash basis with every magnitude fixed at zero.  Every
+query re-bounds the magnitude columns and re-solves that LP in place from
+the solve's kept state (:class:`gridres.lp.KeptSimplex`): its rows, basis
+and LU, to which the query adds its own etas, so a pass factors a B only
+twice per step.  An axis maximization runs the primal simplex only; a
+membership test fixes the magnitudes, which moves the basic values out of
+their bounds, and without an objective the basis stays dual feasible, so
+the dual simplex answers it.  Distinct steps share nothing but immutable
+inputs and may be characterized concurrently by callers; one step object
+serves one caller at a time.  A built InnerPolytope is immutable.
 """
 
 from __future__ import annotations
@@ -223,16 +219,9 @@ def build_recourse_lp(
 
 class RecourseStep:
     """The recourse LP of one step, solved once with every magnitude at zero.
-
-    Each query re-bounds the magnitude columns and re-solves from that
-    zero-magnitude solve: with the built-in simplex from its basis, its
-    assembled and set-up rows and its factored basis matrix (see
-    :func:`gridres.lp.solve`); with the HiGHS backend, or when the
-    zero-magnitude LP is infeasible, as a plain solve.  A query checks its
-    answer through that LU and its own etas, and factors its basis only if
-    the check fails; no query starts from another's answer, so every one
-    takes over the fresh LU of the cold `base` solve.
-    """
+    Each query re-solves it in place from that solve's kept state (a plain
+    solve under HiGHS or if it is infeasible) and never writes that state,
+    so no answer depends on the queries before it."""
 
     def __init__(
         self,
@@ -258,7 +247,7 @@ class RecourseStep:
         for col, lo, hi in zip(self.alpha, lower, upper):
             self.lp.set_bounds(col, lo, hi)
         self.lp.set_objective(objective or {})
-        return solve(self.lp, self.solver, start=self.base.basis)
+        return solve(self.lp, self.solver, start=self.base.kept)
 
     def event(self, magnitudes_w: np.ndarray) -> LpSolution:
         """The recourse LP with every magnitude fixed at `magnitudes_w` (W)."""
@@ -269,6 +258,8 @@ class RecourseStep:
 
     def maximize(self, i: int) -> LpSolution:
         """Maximize magnitude i up to its axis's cap, the others at zero."""
+        if not 0 <= i < len(self.axes):
+            raise ValueError(f"axis {i} outside the {len(self.axes)} axes")
         cap = self.axes[i].cap_w
         upper = np.zeros(len(self.axes))
         upper[i] = math.inf if cap is None else cap / self.s_base
@@ -299,13 +290,8 @@ def characterize(
     options: BuildOptions | None = None,
     solver: SolverOptions | None = None,
 ) -> InnerPolytope:
-    """Maximal tolerable magnitude along each axis at `step`.
-
-    The step's :class:`RecourseStep` solves its LP once with every magnitude
-    at 0 and no objective, from the crash basis.  Axis i then frees alpha_i
-    up to its cap and maximizes it from that solve, in the primal simplex
-    only.
-    """
+    """Maximal tolerable magnitude along each axis at `step`, each axis a
+    :meth:`RecourseStep.maximize` of the step's recourse LP."""
     validate_axes(model, axes)
     recourse = RecourseStep(model, dispatch, reserves, step, axes, options, solver)
     if recourse.base.status is not LpStatus.OPTIMAL:
@@ -347,8 +333,10 @@ def contains(poly: InnerPolytope, point_w: np.ndarray, tol: float = 1e-9) -> boo
     In closed form: x >= 0, x_i = 0 where alpha_i = 0, and sum x_i / alpha_i
     <= 1.  Coordinates are measured in units of max(1 W, max |alpha|), and
     `tol` (at least 1e-9) is allowed in those units on each sign and zero
-    condition and on the sum.
+    condition and on the sum; a NaN `tol` raises ValueError.
     """
+    if math.isnan(tol):
+        raise ValueError("tol must be a number, got nan")
     point = np.asarray(point_w, dtype=float)
     m = len(poly.axes)
     if point.shape != (m,):

@@ -47,15 +47,13 @@ B singular.  Every other row starts with its logical, so without hints the
 start is all logicals.  The feeder rows name the columns that make B
 triangular along the tree (see :mod:`gridres.constraints`).
 
-An optimal solve returns its final basis, together with its assembled rows
-and, when it ended with no eta pending, the factorization of B, and a later
-solve of the same rows under changed bounds, objective or right-hand sides
-may start from it.  If the LP still has those rows, the re-solve takes over
-the assembly, and the factored B when the start carries one, instead of
-building them again.  The solver is fully deterministic:
-identical inputs produce bitwise-identical outputs.  A scipy/HiGHS backend
-can be selected through :class:`SolverOptions`; the built-in simplex remains
-the reference implementation and the one exercised by the oracle tests.
+An optimal solve returns its final basis, a plain warm start for any LP with
+the same rows, and a kept state (:class:`KeptSimplex`) that re-solves the
+same LP object in place, taking over its assembled rows and factored B.  The
+solver is fully deterministic: identical inputs produce bitwise-identical
+outputs.  A scipy/HiGHS backend can be selected through
+:class:`SolverOptions`; the built-in simplex remains the reference
+implementation and the one exercised by the oracle tests.
 """
 
 from __future__ import annotations
@@ -65,7 +63,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, is_
 
 import numpy as np
 
@@ -142,7 +140,7 @@ class LinearProgram:
     """Minimize c.x subject to sparse rows and variable bounds.
 
     The solver never mutates an instance and reads it afresh on every
-    :func:`solve`, so bounds and objective may be changed between solves.
+    :func:`solve`, but for the rows of a re-solve from a :class:`KeptSimplex`.
     """
 
     def __init__(self) -> None:
@@ -258,20 +256,45 @@ class SolveStats:
 
 @dataclass(frozen=True)
 class SimplexBasis:
-    """The final basis of an optimal built-in simplex solve, to warm-start a
-    re-solve of the same rows through ``solve(..., start=)``.
-
-    It also carries the rows it was solved on, with their matrices A and
-    [A | I], which a re-solve of an LP with the same rows takes over instead
-    of assembling again.  `lu` is the factorization of exactly this basis
-    matrix, taken over in the same way, or None when the solve ended with
-    etas pending on its LU; a start without one factors its B.
-    """
+    """The final basis of an optimal built-in simplex solve: a plain warm
+    start of any LP with the same rows through ``solve(..., start=)``."""
 
     basic: np.ndarray  # the column of [A | I] in each row's basis position
     status: np.ndarray  # bound status of every structural and logical column
-    rows: _Rows | None = field(default=None, repr=False, compare=False)
-    lu: object = field(default=None, repr=False, compare=False)  # SuperLU of B, or None
+
+
+@dataclass(frozen=True)
+class KeptSimplex:
+    """An optimal simplex solve's assembled rows, final basis and LU of B,
+    to re-solve the same LinearProgram in place: ``solve(lp, start=kept)``
+    re-reads only its bounds, objective and right-hand sides (a row's `rhs`
+    may be edited in place) and never writes the kept state.  Another LP,
+    other columns or other Row objects raise :class:`MalformedProblem`;
+    editing a kept row's coefficients, relation or hint in place voids it."""
+
+    lp: LinearProgram = field(repr=False)
+    given: tuple[Row, ...] = field(repr=False)  # the LP's Row objects, in order
+    rows: _Rows = field(repr=False)
+    basis: SimplexBasis
+    lu: object = field(repr=False)  # SuperLU of B; None if etas were pending
+
+    def _reassemble(self, lp: LinearProgram) -> _Assembled:
+        """`lp`'s bounds, objective and right-hand sides over the kept rows,
+        with the checks and messages of a full assembly."""
+        if lp is not self.lp:
+            raise MalformedProblem("kept start belongs to another LinearProgram")
+        (m, n), given = self.rows.A.shape, self.given
+        if (lp.n_rows, lp.n_variables) != (m, n):
+            raise MalformedProblem(f"kept start was solved on {m} rows and {n} columns; "
+                                   f"the problem has {lp.n_rows} and {lp.n_variables}")
+        if not all(map(is_, lp.rows, given)):
+            ri = next(i for i, (row, old) in enumerate(zip(lp.rows, given)) if row is not old)
+            raise MalformedProblem(f"kept start: row {ri} is not the row it was solved on")
+        lower, upper, cost = _columns(lp)
+        rhs = np.fromiter(map(attrgetter("rhs"), lp.rows), dtype=float, count=m)
+        if not np.isfinite(rhs).all():
+            raise MalformedProblem(f"non-finite rhs on row {int(np.argmax(~np.isfinite(rhs)))}")
+        return _Assembled(self.rows, lower, upper, cost, rhs)
 
 
 @dataclass
@@ -289,6 +312,7 @@ class LpSolution:
     stats: SolveStats | None = None
     # built-in simplex and OPTIMAL only
     basis: SimplexBasis | None = None
+    kept: KeptSimplex | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -313,24 +337,12 @@ class _Rows:
 
     `A` is the constraint matrix in CSR form, each row's nonzeros in the
     order of its coefficient dict; it is never sorted, so every product sums
-    a row in that order.  `given` keeps each row's coefficients, relation and
-    hint as the LP gave them, to tell whether a later LP has the same rows.
+    a row in that order.
     """
 
     A: object  # scipy.sparse.csr_matrix, rows x columns
     rel: np.ndarray  # _LE, _EQ or _GE per row
     basic: np.ndarray  # each row's hinted starting column (Row.basic), -1 for none
-    given: tuple[list, list, list]
-
-    def fits(self, lp: LinearProgram) -> bool:
-        """Whether `lp` has these columns and rows, whatever its bounds,
-        objective and right-hand sides."""
-        rows = lp.rows
-        coeffs, rels, hints = self.given
-        return (lp.n_variables == self.A.shape[1] and len(rows) == len(rels)
-                and list(map(attrgetter("coeffs"), rows)) == coeffs
-                and list(map(attrgetter("rel"), rows)) == rels
-                and list(map(attrgetter("basic"), rows)) == hints)
 
     @cached_property
     def AI(self):
@@ -380,13 +392,10 @@ class _Assembled:
                                  float(max(bound_viol.max(initial=0.0), 0.0)), violations)
 
 
-def _assemble(lp: LinearProgram, known: _Rows | None = None) -> _Assembled:
-    """Arrays of `lp`; raises :class:`MalformedProblem` on the first defect
-    (bounds first, then the objective, then the rows in order).  The rows of
-    `known` are taken over when `lp` has the same rows."""
-    from scipy.sparse import csr_matrix
-
-    n, m = lp.n_variables, lp.n_rows
+def _columns(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each column's bounds and cost; raises :class:`MalformedProblem` on the
+    first defect (bounds first, then the objective)."""
+    n = lp.n_variables
     lower = np.array(lp.lower, dtype=float)
     upper = np.array(lp.upper, dtype=float)
     nan = np.isnan(lower) | np.isnan(upper)
@@ -408,13 +417,18 @@ def _assemble(lp: LinearProgram, known: _Rows | None = None) -> _Assembled:
         raise MalformedProblem(f"non-finite objective coefficient on index {obj_idx[i]}")
     cost = np.zeros(n)
     cost[obj_idx] = obj_val
+    return lower, upper, cost
 
+
+def _assemble(lp: LinearProgram) -> _Assembled:
+    """Arrays of `lp`; raises :class:`MalformedProblem` on the first defect
+    (bounds first, then the objective, then the rows in order)."""
+    from scipy.sparse import csr_matrix
+
+    lower, upper, cost = _columns(lp)
+    n, m = lp.n_variables, lp.n_rows
     rows = lp.rows
     rhs = np.fromiter(map(attrgetter("rhs"), rows), dtype=float, count=m)
-    if known is not None and known.fits(lp):
-        if not np.isfinite(rhs).all():
-            raise MalformedProblem(f"non-finite rhs on row {int(np.argmax(~np.isfinite(rhs)))}")
-        return _Assembled(known, lower, upper, cost, rhs)
     coeffs = list(map(attrgetter("coeffs"), rows))
     counts = np.fromiter(map(len, coeffs), dtype=np.int64, count=m)
     indptr = np.zeros(m + 1, dtype=np.int64)
@@ -423,10 +437,9 @@ def _assemble(lp: LinearProgram, known: _Rows | None = None) -> _Assembled:
     cols = np.fromiter(itertools.chain.from_iterable(coeffs), dtype=np.int64, count=nnz)
     vals = np.fromiter(itertools.chain.from_iterable(map(dict.values, coeffs)),
                        dtype=float, count=nnz)
-    rels = list(map(attrgetter("rel"), rows))
-    rel = np.fromiter(map(_REL_CODE.__getitem__, rels), dtype=np.int64, count=m)
-    hints = list(map(attrgetter("basic"), rows))
-    basic = np.fromiter((-1 if hint is None else hint for hint in hints),
+    rel = np.fromiter(map(_REL_CODE.__getitem__, map(attrgetter("rel"), rows)),
+                      dtype=np.int64, count=m)
+    basic = np.fromiter((-1 if row.basic is None else row.basic for row in rows),
                         dtype=np.int64, count=m)
 
     outside = (cols < 0) | (cols >= n)
@@ -443,9 +456,8 @@ def _assemble(lp: LinearProgram, known: _Rows | None = None) -> _Assembled:
         if outside[k]:
             raise MalformedProblem(f"row {ri} references unknown variable index {cols[k]}")
         raise MalformedProblem(f"non-finite coefficient on row {ri}, index {cols[k]}")
-    given = (list(map(dict.copy, coeffs)), rels, hints)
     A = csr_matrix((vals, cols, indptr), shape=(m, n))
-    return _Assembled(_Rows(A, rel, basic, given), lower, upper, cost, rhs)
+    return _Assembled(_Rows(A, rel, basic), lower, upper, cost, rhs)
 
 
 def check_feasibility(lp: LinearProgram, point: np.ndarray, tol: float = 0.0) -> FeasibilityReport:
@@ -464,7 +476,7 @@ def check_feasibility(lp: LinearProgram, point: np.ndarray, tol: float = 0.0) ->
 
 
 def solve(lp: LinearProgram, options: SolverOptions | None = None,
-          start: SimplexBasis | None = None) -> LpSolution:
+          start: SimplexBasis | KeptSimplex | None = None) -> LpSolution:
     """Solve `lp` to optimality, infeasibility, or unboundedness.
 
     Optimal solutions satisfy all rows and bounds to `feas_tol` and are optimal
@@ -473,20 +485,16 @@ def solve(lp: LinearProgram, options: SolverOptions | None = None,
     defects and :class:`IterationLimitExceeded` rather than ever returning a
     silently suboptimal "optimal".
 
-    `start` is the :attr:`LpSolution.basis` of an earlier solve of the same
-    rows, whose bounds, objective and right-hand sides may since have
-    changed.  Its nonbasic columns keep their bounds while those are finite
-    and not fixed, and are otherwise placed as on a cold solve; B is the
-    start's own factorization when the rows are still the ones it was solved
-    on and the start carries one, and is factored otherwise.  Only a B that
-    is singular for these rows starts from the crash basis instead;
-    :attr:`SolveStats.start` says which.  A warm solve ends on the
-    factorization it pivoted on, which its basis passes on only if no eta
-    is pending.  A start of the wrong size raises :class:`MalformedProblem`;
-    the HiGHS backend ignores it.
-    """
+    `start` is an earlier optimal solve's :attr:`LpSolution.basis`, for any
+    LP with the same rows, or its :attr:`LpSolution.kept` state, to re-solve
+    that same LP in place (see :class:`KeptSimplex`).  Its nonbasic columns
+    keep their bounds while those are finite and not fixed, and are
+    otherwise placed as on a cold solve.  A basis is factored afresh; only
+    a B singular for these rows starts from the crash basis instead
+    (:attr:`SolveStats.start` says which), and a basis of the wrong size
+    raises :class:`MalformedProblem`.  The HiGHS backend ignores `start`."""
     options = options or SolverOptions()
-    mat = _assemble(lp, start.rows if start is not None else None)
+    mat = start._reassemble(lp) if isinstance(start, KeptSimplex) else _assemble(lp)
     if not lp.n_variables:  # each row reads 0 <rel> rhs
         stats = SolveStats() if options.backend == "simplex" else None
         bad = [ri for ri, _ in mat.feasibility(np.zeros(0), options.feas_tol).violations]
@@ -496,7 +504,7 @@ def solve(lp: LinearProgram, options: SolverOptions | None = None,
                           stats=stats)
     if options.backend == "scipy":
         return _solve_scipy(mat)
-    return _BoundedSimplex(mat, options).run(start)
+    return _BoundedSimplex(lp, mat, options).run(start)
 
 
 # status codes for nonbasic/basic variables
@@ -623,7 +631,8 @@ class _BoundedSimplex:
     may only leave the basis.
     """
 
-    def __init__(self, mat: _Assembled, opt: SolverOptions):
+    def __init__(self, lp: LinearProgram, mat: _Assembled, opt: SolverOptions):
+        self.lp = lp
         self.mat = mat
         self.opt = opt
         n = len(mat.lower)
@@ -690,10 +699,11 @@ class _BoundedSimplex:
             self._refactor()
         self.x_B = self._basic_values()
 
-    def _warm_start(self, start: SimplexBasis) -> bool:
-        """Take the basis of `start` under the LP's current bounds; False
-        when its B is singular for these rows."""
+    def _warm_start(self, start: SimplexBasis | KeptSimplex) -> bool:
+        """Take the basis of `start` under the LP's current bounds, and a kept
+        state's LU; False when its B is singular for these rows."""
         m, N = self.m, self.N
+        start, lu = (start.basis, start.lu) if isinstance(start, KeptSimplex) else (start, None)
         basic, prev = start.basic, start.status
         if basic.shape != (m,) or prev.shape != (N,):
             raise MalformedProblem(f"start basis has {len(basic)} rows and {len(prev)} "
@@ -709,9 +719,8 @@ class _BoundedSimplex:
         st[keep] = prev[keep]
         self._place(st)
         self._set_basis(basic.copy())
-        if start.rows is self.mat.rows and start.lu is not None:
-            self.B.lu = start.lu  # the same B, factored when the start was solved
-        else:  # other rows, or a start that ended with etas pending
+        self.B.lu = lu  # a kept B's factorization, if any
+        if lu is None:
             try:
                 self._refactor()
             except ArithmeticError:  # the basis does not fit this problem's rows
@@ -766,7 +775,7 @@ class _BoundedSimplex:
 
     # -- core loop ---------------------------------------------------------------
 
-    def run(self, start: SimplexBasis | None = None) -> LpSolution:
+    def run(self, start: SimplexBasis | KeptSimplex | None = None) -> LpSolution:
         warm = start is not None and self._warm_start(start)
         if not warm:
             self._cold_start()
@@ -1001,11 +1010,13 @@ class _BoundedSimplex:
                 f"{max(report.max_row_residual, report.max_bound_violation):.3e} > feas_tol"
             )
         obj = float(np.dot(self.c[:self.n], values))
+        basis = SimplexBasis(self.basis, self.status)
         # the LU is B's own only with no eta pending
-        lu = self.B.lu if self.B.count == 0 else None
+        kept = KeptSimplex(self.lp, tuple(self.lp.rows), self.mat.rows, basis,
+                           self.B.lu if self.B.count == 0 else None)
         return LpSolution(LpStatus.OPTIMAL, values=values, objective_value=obj,
                           iterations=self.stats.iterations, stats=self.stats,
-                          basis=SimplexBasis(self.basis, self.status, self.mat.rows, lu))
+                          basis=basis, kept=kept)
 
 
 def _solve_scipy(mat: _Assembled) -> LpSolution:

@@ -214,6 +214,21 @@ def test_membership_basics():
     assert not contains(poly, beyond)
     inside = 0.4 * poly.vertices_w[1] + 0.3 * poly.vertices_w[2]
     assert contains(poly, inside)
+    with pytest.raises(ValueError, match="tol must be a number"):
+        contains(poly, 0.1 * poly.vertices_w[1], tol=float("nan"))
+
+
+def test_maximize_rejects_an_axis_outside_the_axes():
+    model, dispatch, reserves = dg_toy()
+    axes = [
+        AdversarialAxis(AXIS_LOAD_INCREASE, "load1"),
+        AdversarialAxis(AXIS_DG_LOSS, "dg1"),
+    ]
+    step = RecourseStep(model, dispatch, reserves, 0, axes)
+    for i in (-1, len(axes)):
+        with pytest.raises(ValueError, match=f"axis {i} outside the 2 axes"):
+            step.maximize(i)
+    assert step.maximize(1).status is LpStatus.OPTIMAL
 
 
 def vertex_lp_contains(poly, point, tol=1e-9):
@@ -434,7 +449,9 @@ def test_recourse_step_answers_equal_cold_solves():
     """On the six-bus example, 200 seeded magnitudes per step, inside and
     outside the polytope: the step object's answer equals a cold solve of
     the recourse LP built at those magnitudes, and every re-solve starts from
-    the step's basis."""
+    the step's basis.  Answered a second time in reverse order, interleaved
+    with the axis maximizations, every answer is the same bit for bit: no
+    query depends on the queries before it."""
     sc = load_scenario(DOCS / "sixbus_scenario.json")
     dispatch = solve_baseline(sc.model, sc.costs, sc.build, sc.solver)
     reserves = ReserveSchedule.from_headroom(sc.model, dispatch)
@@ -445,12 +462,27 @@ def test_recourse_step_answers_equal_cold_solves():
         step = RecourseStep(sc.model, dispatch, reserves, k, sc.axes, sc.build, sc.solver)
         inside = sample(poly, seed=k, count=100)
         outward = rng.uniform(1.05, 4.0, size=(100, 1)) * sample(poly, seed=100 + k, count=100)
-        for point in np.concatenate([inside, outward]):
+        points = np.concatenate([inside, outward])
+        first = []
+        for point in points:
             sol = step.event(point)
             lp, _ = build_recourse_lp(sc.model, dispatch, reserves, k, sc.axes, point, sc.build)
             assert sol.status == solve(lp, sc.solver).status, (k, point)
             assert sol.stats.start == "warm"
             answers.append(sol.status is LpStatus.OPTIMAL)
+            first.append(sol)
+        maxima = [step.maximize(i) for i in range(len(sc.axes))]
+        every = len(points) // len(sc.axes)
+        for j in reversed(range(len(points))):
+            if j % every == 0:  # an axis maximization between the events
+                i = j // every
+                again = step.maximize(i)
+                np.testing.assert_array_equal(again.values, maxima[i].values)
+                assert again.stats == maxima[i].stats
+            again = step.event(points[j])
+            assert again.status == first[j].status and again.stats == first[j].stats
+            if again.status is LpStatus.OPTIMAL:
+                np.testing.assert_array_equal(again.values, first[j].values)
     assert answers[:100] == [True] * 100
     assert answers.count(False) >= 100, answers.count(False)
 

@@ -542,11 +542,53 @@ def test_warm_start_of_wrong_size_is_malformed():
         solve(lp, start=start)
 
 
+def test_kept_start_rereads_bounds_objective_and_rhs():
+    """Re-banding a kept LP's bounds, objective and a row's rhs in place is
+    allowed: the re-solve takes over the kept factorization, answers as a
+    cold solve does, and checks what it re-reads as a full assembly does."""
+    lp, x, y = equality_pair_lp()
+    kept = solve(lp).kept
+    lp.set_bounds(y, 0.0, 0.5)
+    lp.rows[0].rhs = 5.0  # x + y = 5: x = 4.5 with y at 0.5
+    lp.set_objective({x: 1.0, y: -1.0})
+    sol = solve(lp, start=kept)
+    assert sol.stats.start == "warm" and sol.stats.refactorizations == 0
+    assert sol.values[x] == pytest.approx(4.5, abs=1e-12)
+    np.testing.assert_array_equal(sol.values, solve(lp).values)
+    lp.rows[0].rhs = np.inf
+    with pytest.raises(MalformedProblem, match="non-finite rhs on row 0"):
+        solve(lp, start=kept)
+    lp.lower[x] = np.nan
+    with pytest.raises(MalformedProblem, match="NaN bound on variable 'x'"):
+        solve(lp, start=kept)
+
+
+@pytest.mark.parametrize("edit, message", [
+    ("other LP", "kept start belongs to another LinearProgram"),
+    ("add_row", "solved on 1 rows and 2 columns; the problem has 2 and 2"),
+    ("add_variable", "solved on 1 rows and 2 columns; the problem has 1 and 3"),
+    ("replaced row", "kept start: row 0 is not the row it was solved on"),
+])
+def test_kept_start_of_another_shape_is_malformed(edit, message):
+    lp, x, y = equality_pair_lp()
+    kept = solve(lp).kept
+    if edit == "other LP":
+        lp, _, _ = equality_pair_lp()
+    elif edit == "add_row":
+        lp.add_row({y: 1.0}, Rel.LE, 1.0)
+    elif edit == "add_variable":
+        lp.add_variable("z", 0.0, 1.0)
+    else:  # an equal row, but not the object the kept state was solved on
+        lp.rows[0] = dataclasses.replace(lp.rows[0])
+    with pytest.raises(MalformedProblem, match=message):
+        solve(lp, start=kept)
+
+
 def test_scipy_backend_returns_no_basis():
     lp, x, _ = equality_pair_lp()
     start = solve(lp).basis
     sol = solve(lp, SolverOptions(backend="scipy"), start=start)
-    assert sol.status is LpStatus.OPTIMAL and sol.basis is None
+    assert sol.status is LpStatus.OPTIMAL and sol.basis is None and sol.kept is None
     assert sol.values[x] == pytest.approx(3.0)
 
 
@@ -713,14 +755,15 @@ def test_dual_stall_falls_back_to_lowest_index(monkeypatch):
 
 
 def test_resolve_with_changed_rows_refactors():
-    """A start carries the rows it was solved on; a re-solve of an LP with
-    other coefficients factors its own basis and still finds the optimum."""
+    """A kept state re-solves its LP on the factorization it kept; a plain
+    basis carries no rows, so a re-solve of an LP with other coefficients
+    factors its own basis and still finds the optimum."""
     lp, x, y = equality_pair_lp()
-    start = solve(lp).basis
-    same = solve(lp, start=start)
+    first = solve(lp)
+    same = solve(lp, start=first.kept)
     assert same.stats.refactorizations == 0
     lp.rows[0].coeffs[y] = 2.0  # x + 2y = 4: x = 2 with y at 1
-    sol = solve(lp, start=start)
+    sol = solve(lp, start=first.basis)
     assert sol.stats.refactorizations == 1
     assert sol.status is LpStatus.OPTIMAL and sol.values[x] == pytest.approx(2.0, abs=1e-12)
 
@@ -728,8 +771,9 @@ def test_resolve_with_changed_rows_refactors():
 def test_warm_chain_matches_cold_solve_and_highs():
     """Cold, then warm from the cold solve's basis, then warm from that warm
     solve's basis, the bounds moved before each re-solve.  A warm solve that
-    pivoted ends on its LU and etas, so its basis carries no factorization
-    and the next start factors its own B."""
+    pivoted ends on its LU and etas, so its kept state carries no
+    factorization, and a re-solve from it factors B as one from its basis
+    does, to the same answer bit for bit."""
     rng = np.random.default_rng(2027)
     highs = SolverOptions(backend="scipy")
     chained = 0
@@ -743,9 +787,12 @@ def test_warm_chain_matches_cold_solve_and_highs():
         if second.status is not LpStatus.OPTIMAL or not (
                 second.stats.primal_pivots or second.stats.dual_pivots):
             continue
-        assert second.stats.start == "warm" and second.basis.lu is None
+        assert second.stats.start == "warm" and second.kept.lu is None
         rebound(lp, rng)
         third = solve(lp, start=second.basis)
+        in_place = solve(lp, start=second.kept)
+        assert in_place.status == third.status and in_place.stats == third.stats
+        np.testing.assert_array_equal(in_place.values, third.values)
         cold = solve(lp)
         ref = solve(lp, highs)
         assert third.stats.start == "warm"
@@ -762,11 +809,11 @@ def test_warm_resolve_refactors_when_its_check_fails(monkeypatch):
     """A warm re-solve checks its answer through the LU and etas it pivoted
     on; if that check fails it refactors once and checks again."""
     lp, x, y = equality_pair_lp()
-    start = solve(lp).basis
+    start = solve(lp).kept
     lp.set_bounds(y, 2.0, 5.0)  # x_B = -1: one dual pivot
     plain = solve(lp, start=start)
     assert plain.stats.dual_pivots == 1 and plain.stats.refactorizations == 0
-    assert plain.basis.lu is None  # an eta is pending
+    assert plain.kept.lu is None  # an eta is pending
 
     real = lp_module._Assembled.feasibility
     reports = []
@@ -785,7 +832,7 @@ def test_warm_resolve_refactors_when_its_check_fails(monkeypatch):
     assert len(reports) == 2 and sol.stats.refactorizations == 1
     assert sol.status is LpStatus.OPTIMAL
     np.testing.assert_array_equal(sol.values, plain.values)
-    assert sol.basis.lu is not None  # the fresh factorization of the final B
+    assert sol.kept.lu is not None  # the fresh factorization of the final B
 
     reports.clear()
     monkeypatch.setattr(lp_module._Assembled, "feasibility", failing(2))
