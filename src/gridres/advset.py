@@ -29,16 +29,18 @@ their convex hull with the nominal point is an inner approximation of the
 tolerable set: tolerability constraints are affine in (recourse, magnitude),
 so any convex combination of feasible extremes stays feasible.
 
-Each step has one :class:`RecourseStep`: the recourse LP, built once and
-solved once from the crash basis with every magnitude fixed at zero.  Every
-query re-bounds the magnitude columns and re-solves that LP in place from
-the solve's kept state (:class:`gridres.lp.KeptSimplex`): its rows, basis
-and LU, to which the query adds its own etas, so a pass factors a B only
-twice per step.  An axis maximization runs the primal simplex only; a
-membership test fixes the magnitudes, which moves the basic values out of
-their bounds, and without an objective the basis stays dual feasible, so
-the dual simplex answers it.  Distinct steps share nothing but immutable
-inputs and may be characterized concurrently by callers; one step object
+A pass walks one :class:`RecourseStep` over its steps in the order given:
+the recourse LP is built once and solved from the crash basis with every
+magnitude at zero, then narrowed in place to each later step (its device
+columns' bounds and its axis rows' right-hand sides) and re-solved from the
+kept state (:class:`gridres.lp.KeptSimplex`) of the step before: its rows,
+basis and LU.  Every query re-bounds the magnitude columns and re-solves
+from the step's kept state, adding its own etas, so a one-step pass factors
+a B twice and a longer one seldom more.  An axis maximization runs the
+primal simplex only; a membership test fixes the magnitudes, which moves
+the basic values out of their bounds, and without an objective the basis
+stays dual feasible, so the dual simplex answers it.  Distinct passes share
+nothing but immutable inputs and may run concurrently; one step object
 serves one caller at a time.  A built InnerPolytope is immutable.
 """
 
@@ -50,7 +52,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .constraints import BuildOptions, PerUnit, build_feeder_lp, device_groups, device_window
+from .constraints import (BuildOptions, PerUnit, VariableNamespace, build_feeder_lp,
+                          build_namespace, device_groups, device_window)
 from .dispatch import DispatchResult
 from .lp import LinearProgram, LpSolution, LpStatus, Rel, SolverOptions, solve
 from .network import (InputError, NetworkModel, array, input_error, integer, mapping,
@@ -175,26 +178,40 @@ def build_recourse_lp(
     at its magnitude; re-bound a column to let its magnitude vary.  Raises
     ValueError on a step outside the horizon.
     """
+    _check_step(model, step)
+    s = PerUnit.of(model).s_base
+    ns = build_feeder_lp(model, options or BuildOptions(), steps=(step,))
+    alpha = [ns.lp.add_variable(f"alpha[{i}]", m / s, m / s)
+             for i, m in enumerate(np.asarray(magnitudes_w, dtype=float))]
+    _narrow(ns.lp, ns, alpha, model, dispatch, reserves, step, axes)
+    return ns.lp, alpha
+
+
+def _check_step(model: NetworkModel, step: int) -> None:
     if not 0 <= step < model.steps:
         raise ValueError(f"step {step} outside the horizon of {model.steps} steps")
-    s = PerUnit.of(model).s_base
-    k = step
-    ns = build_feeder_lp(model, options or BuildOptions(), steps=(k,))
-    lp = ns.lp
-    alpha = [lp.add_variable(f"alpha[{i}]", m / s, m / s)
-             for i, m in enumerate(np.asarray(magnitudes_w, dtype=float))]
-    target_of = {(AXIS_CLASS[a.kind], a.entity): i for i, a in enumerate(axes)}
 
+
+def _narrow(lp: LinearProgram, ns: VariableNamespace, alpha: list[int], model: NetworkModel,
+            dispatch: DispatchResult, reserves: ReserveSchedule, k: int,
+            axes: list[AdversarialAxis]) -> None:
+    """Narrow the recourse LP `lp` to step k in place: set each device
+    column's bounds and each axis row's right-hand side, adding the axis rows
+    if `lp` has none.  `ns` is a one-step namespace, laid out as `lp` is."""
+    s = PerUnit.of(model).s_base
+    target_of = {(AXIS_CLASS[a.kind], a.entity): i for i, a in enumerate(axes)}
+    limits = []  # (coefficients, rhs) of each axis row, in row order
     # realized device active powers narrow from their windows to reserve bands
     # around the schedule, each clamped into the declared window first and
     # kept in its band, so solver-tolerance dust cannot invert a band
     for cls, units in device_groups(model):
         for u in units:
             key = (cls, u.id)
-            p = ns.p[(cls, u.id, k)]
+            p = ns.p[(cls, u.id, ns.steps[0])]
             e_in = dispatch.soc_wh[u.id][k] / s if cls == "es" else None  # pu-h
             lo, hi = device_window(cls, u, k, s, e_in, model.dt_hours)
-            sched = min(max(dispatch.p[key][k] / s, lp.lower[p]), lp.upper[p])
+            declared_lo, declared_hi = device_window(cls, u, k, s)
+            sched = min(max(dispatch.p[key][k] / s, declared_lo), declared_hi)
             up, down = reserves.up[key][k] / s, reserves.down[key][k] / s
             # a load's up-reserve sheds demand, so its band reaches up below p
             below, above = (up, down) if cls == "load" else (down, up)
@@ -207,21 +224,25 @@ def build_recourse_lp(
                 # served load is free: the true demand may exceed the desired
                 # level; serve at most that demand, shed at most the up-reserve
                 lp.set_bounds(p, -math.inf, math.inf)
-                lp.add_row({p: 1.0, alpha[i]: -1.0}, Rel.LE, sched, "axis")
-                lp.add_row({p: -1.0, alpha[i]: 1.0}, Rel.LE, up - sched, "axis")
+                limits += [({p: 1.0, alpha[i]: -1.0}, sched),
+                           ({p: -1.0, alpha[i]: 1.0}, up - sched)]
             else:
                 # an axis on a solar or diesel unit takes its magnitude out of
                 # the available power: the forecast or the rating
                 lp.set_bounds(p, lo, band_hi)
-                lp.add_row({p: 1.0, alpha[i]: 1.0}, Rel.LE, hi, "axis")
-    return lp, alpha
+                limits.append(({p: 1.0, alpha[i]: 1.0}, hi))
+    rows = [row for row in lp.rows if row.tag == "axis"]
+    rows = rows or [lp.rows[lp.add_row(coeffs, Rel.LE, 0.0, "axis")] for coeffs, _ in limits]
+    for row, (_, rhs) in zip(rows, limits):
+        row.rhs = float(rhs)
 
 
 class RecourseStep:
-    """The recourse LP of one step, solved once with every magnitude at zero.
-    Each query re-solves it in place from that solve's kept state (a plain
-    solve under HiGHS or if it is infeasible) and never writes that state,
-    so no answer depends on the queries before it."""
+    """The recourse LP at one step of a pass and the kept state of its solve
+    with every magnitude at zero, the only state it holds.  Each query
+    re-solves the LP in place from that state (a plain solve under HiGHS or
+    if it is infeasible) and never writes it, so no answer depends on the
+    queries before it."""
 
     def __init__(
         self,
@@ -233,12 +254,23 @@ class RecourseStep:
         options: BuildOptions | None = None,
         solver: SolverOptions | None = None,
     ):
+        self.model, self.dispatch, self.reserves, self.step = model, dispatch, reserves, step
         self.axes = list(axes)
         self.solver = solver
         self.s_base = PerUnit.of(model).s_base
         self.lp, self.alpha = build_recourse_lp(model, dispatch, reserves, step, self.axes,
                                                 np.zeros(len(self.axes)), options)
         self.base = solve(self.lp, solver)  # the built LP has no objective
+        self._ns: VariableNamespace | None = None  # the LP's column layout, once it moves
+
+    def move_to(self, step: int) -> None:
+        """Narrow the LP to `step` in place and re-solve it at zero magnitude
+        from the kept state of the step before, which the new one replaces."""
+        _check_step(self.model, step)
+        self._ns = self._ns or build_namespace(self.model, steps=(self.step,))
+        _narrow(self.lp, self._ns, self.alpha, self.model, self.dispatch, self.reserves, step,
+                self.axes)
+        self.step, self.base = step, self.event(np.zeros(len(self.axes)))
 
     def _resolve(self, lower: np.ndarray, upper: np.ndarray,
                  objective: dict[int, float] | None = None) -> LpSolution:
@@ -290,26 +322,9 @@ def characterize(
     options: BuildOptions | None = None,
     solver: SolverOptions | None = None,
 ) -> InnerPolytope:
-    """Maximal tolerable magnitude along each axis at `step`, each axis a
-    :meth:`RecourseStep.maximize` of the step's recourse LP."""
-    validate_axes(model, axes)
-    recourse = RecourseStep(model, dispatch, reserves, step, axes, options, solver)
-    if recourse.base.status is not LpStatus.OPTIMAL:
-        raise AxisInfeasible(f"recourse LP infeasible even at zero event magnitude at step "
-                             f"{step}; the dispatch point is not feasible")
-    alphas = np.zeros(len(axes))
-    for i, axis in enumerate(axes):
-        sol = recourse.maximize(i)
-        if sol.status is LpStatus.INFEASIBLE:  # alpha = 0 is feasible: numerical trouble
-            raise AxisInfeasible(f"axis {axis.kind}/{axis.entity} infeasible at step {step} "
-                                 "although zero magnitude is feasible")
-        if sol.status is LpStatus.UNBOUNDED:
-            raise ValueError(
-                f"axis {axis.kind}/{axis.entity} unbounded at step {step}; "
-                "give the axis an outer cap"
-            )
-        alphas[i] = sol.values[recourse.alpha[i]] * recourse.s_base
-    return InnerPolytope(step, list(axes), alphas)
+    """Maximal tolerable magnitude along each axis at `step`: the one-step
+    pass of :func:`characterize_steps`, whose LP is built and solved cold."""
+    return characterize_steps(model, dispatch, reserves, axes, [step], options, solver)[step]
 
 
 def characterize_steps(
@@ -321,10 +336,33 @@ def characterize_steps(
     options: BuildOptions | None = None,
     solver: SolverOptions | None = None,
 ) -> dict[int, InnerPolytope]:
-    steps = list(range(model.steps)) if steps is None else steps
-    return {
-        k: characterize(model, dispatch, reserves, axes, k, options, solver) for k in steps
-    }
+    """Maximal tolerable magnitude along each axis at each of `steps`
+    (default: every step), walked in the order given on one
+    :class:`RecourseStep`, each axis a :meth:`RecourseStep.maximize`."""
+    validate_axes(model, axes)
+    polys, recourse = {}, None
+    for k in range(model.steps) if steps is None else steps:
+        if recourse is None:
+            recourse = RecourseStep(model, dispatch, reserves, k, axes, options, solver)
+        else:
+            recourse.move_to(k)
+        if recourse.base.status is not LpStatus.OPTIMAL:
+            raise AxisInfeasible(f"recourse LP infeasible even at zero event magnitude at step "
+                                 f"{k}; the dispatch point is not feasible")
+        alphas = np.zeros(len(axes))
+        for i, axis in enumerate(axes):
+            sol = recourse.maximize(i)
+            if sol.status is LpStatus.INFEASIBLE:  # alpha = 0 is feasible: numerical trouble
+                raise AxisInfeasible(f"axis {axis.kind}/{axis.entity} infeasible at step {k} "
+                                     "although zero magnitude is feasible")
+            if sol.status is LpStatus.UNBOUNDED:
+                raise ValueError(
+                    f"axis {axis.kind}/{axis.entity} unbounded at step {k}; "
+                    "give the axis an outer cap"
+                )
+            alphas[i] = sol.values[recourse.alpha[i]] * recourse.s_base
+        polys[k] = InnerPolytope(k, list(axes), alphas)
+    return polys
 
 
 def contains(poly: InnerPolytope, point_w: np.ndarray, tol: float = 1e-9) -> bool:

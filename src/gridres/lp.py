@@ -174,6 +174,10 @@ class LinearProgram:
         return idx
 
     def set_bounds(self, idx: int, lower: float, upper: float) -> None:
+        if not 0 <= idx < self.n_variables:
+            raise MalformedProblem(f"bounds set on unknown variable index {idx}")
+        if math.isnan(lower) or math.isnan(upper):
+            raise MalformedProblem(f"NaN bound on variable {self.names[idx]!r}")
         if lower > upper:
             raise MalformedProblem(f"lower > upper on variable {self.names[idx]!r}")
         self.lower[idx] = float(lower)

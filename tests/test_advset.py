@@ -123,14 +123,15 @@ def test_characterize_builds_once_per_step(monkeypatch):
 
     monkeypatch.setattr(advset, "build_recourse_lp", counting)
     polys = characterize_steps(model, dispatch, reserves, axes, steps=[0, 2])
-    assert builds == [0, 2]
+    assert builds == [0]  # step 2 narrows the LP built at step 0
     assert (polys[2].alpha_w > 0).any()
 
 
 def test_one_phase_one_per_step_and_alpha_matches_cold(monkeypatch):
-    """On the six-bus example only the zero-magnitude solve of each step runs
-    the dual simplex to feasibility; the axes start from its basis and find
-    the cold solves' alpha."""
+    """On the six-bus example the walk cold-solves only the first step's
+    zero-magnitude LP, which runs the dual simplex to feasibility; every
+    later solve starts from a kept state, and the axes, which take no dual
+    pivot, find the cold solves' alpha."""
     sc = load_scenario(DOCS / "sixbus_scenario.json")
     dispatch = solve_baseline(sc.model, sc.costs, sc.build, sc.solver)
     reserves = ReserveSchedule.from_headroom(sc.model, dispatch)
@@ -148,10 +149,11 @@ def test_one_phase_one_per_step_and_alpha_matches_cold(monkeypatch):
     monkeypatch.undo()
     per_step = 1 + len(sc.axes)
     assert len(solves) == per_step * len(steps)
-    assert [cold for cold, _ in solves] == ([True] + [False] * len(sc.axes)) * len(steps)
-    assert all(stats.dual_pivots > 0 for cold, stats in solves if cold)
-    assert all(stats.start == "warm" and stats.dual_pivots == 0
-               for cold, stats in solves if not cold)
+    assert [cold for cold, _ in solves] == [True] + [False] * (len(solves) - 1)
+    assert solves[0][1].dual_pivots > 0
+    assert all(stats.start == "warm" for _, stats in solves[1:])
+    assert all(stats.dual_pivots == 0
+               for j, (_, stats) in enumerate(solves) if j % per_step)
 
     s = sc.model.base.power_va
     for k in steps:
@@ -163,6 +165,58 @@ def test_one_phase_one_per_step_and_alpha_matches_cold(monkeypatch):
             cold = solve(lp, sc.solver)
             assert polys[k].alpha_w[i] == pytest.approx(cold.values[alpha[i]] * s,
                                                         rel=1e-9, abs=1e-9)
+
+
+def check_walk_orders(monkeypatch, model, dispatch, reserves, axes, build, solver, steps,
+                      forward):
+    """Walked in reverse, with one step repeated, and with each step alone,
+    every alpha agrees with the forward walk `forward` to 1e-12 relative, and
+    each step after a walk's first re-solves its zero-magnitude LP warm."""
+    per_step = 1 + len(axes)
+    repeated = steps[:2] + steps[1:]  # the second step twice in a row
+    for walk in [steps[::-1], repeated] + [[k] for k in steps]:
+        solves = []
+
+        def recording(lp, options=None, start=None):
+            sol = solve(lp, options, start)
+            solves.append(sol.stats)
+            return sol
+
+        monkeypatch.setattr(advset, "solve", recording)
+        if len(walk) == 1:
+            polys = {walk[0]: characterize(model, dispatch, reserves, axes, walk[0], build,
+                                           solver)}
+        else:
+            polys = characterize_steps(model, dispatch, reserves, axes, walk, build, solver)
+        monkeypatch.undo()
+        zero_magnitude = solves[::per_step]
+        assert len(zero_magnitude) == len(walk)
+        assert [stats.start for stats in zero_magnitude] == ["cold"] + ["warm"] * (len(walk) - 1)
+        for k in walk:
+            np.testing.assert_allclose(polys[k].alpha_w, forward[k].alpha_w, rtol=1e-12, atol=0)
+
+
+def test_walk_order_moves_no_alpha(monkeypatch, advset_run):
+    """One recourse LP narrowed from step to step answers as if each step were
+    characterized alone, on the six-bus example and on cyber_event, in any
+    order of the steps; a step outside the horizon still raises."""
+    sc = load_scenario(DOCS / "sixbus_scenario.json")
+    dispatch = solve_baseline(sc.model, sc.costs, sc.build, sc.solver)
+    reserves = ReserveSchedule.from_headroom(sc.model, dispatch)
+    steps = list(range(sc.model.steps))
+    forward = characterize_steps(sc.model, dispatch, reserves, sc.axes, steps, sc.build,
+                                 sc.solver)
+    check_walk_orders(monkeypatch, sc.model, dispatch, reserves, sc.axes, sc.build, sc.solver,
+                      steps, forward)
+    for bad in (-1, sc.model.steps):
+        with pytest.raises(ValueError, match=f"step {bad} outside the horizon of "
+                                             f"{sc.model.steps} steps"):
+            characterize_steps(sc.model, dispatch, reserves, sc.axes, [0, bad], sc.build,
+                               sc.solver)
+
+    scenario, wrap, polys = advset_run
+    check_walk_orders(monkeypatch, scenario.model, wrap.dispatch, wrap.reserves, scenario.axes,
+                      scenario.build, scenario.solver, list(scenario.advset_steps), polys)
 
 
 def test_zero_reserves_zero_alpha():

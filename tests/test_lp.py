@@ -189,6 +189,17 @@ def test_malformed_problems():
     with pytest.raises(MalformedProblem, match="upper bound -inf"):
         check_feasibility(lp5, np.zeros(1))
 
+    # set_bounds checks its index and its bounds as add_variable does, and
+    # writes nothing when it raises: -1 would bound the last column
+    lp6, x = single_var_lp()
+    for idx in (-1, lp6.n_variables):
+        with pytest.raises(MalformedProblem, match=f"unknown variable index {idx}$"):
+            lp6.set_bounds(idx, 5.0, 5.0)
+    for lower, upper in ((np.nan, 1.0), (0.0, np.nan)):
+        with pytest.raises(MalformedProblem, match="NaN bound on variable 'x'"):
+            lp6.set_bounds(x, lower, upper)
+    assert (lp6.lower, lp6.upper) == ([0.0], [10.0])
+
 
 def test_assembly_of_irregular_rows():
     """An empty row, an explicit zero coefficient, a row whose coefficients

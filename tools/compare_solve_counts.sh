@@ -13,10 +13,10 @@
 # hint), so a moved or changed row shows directly.  The solves are the
 # baseline LPs of lshl, hsll, cyber_event and a 123-bus copy of cyber_event
 # ("buses": 123), the robust LPs of hsll, cyber_event and that copy, and one
-# `characterize` pass over cyber_event's advset_steps (its solves summed and
-# hashed in order, plus repr(alpha)).  Pivot counts are deterministic, so the
-# two sides must match exactly.  Exits 0 when every line is identical, 1 on
-# any difference, and 2 when a run fails.
+# `characterize_steps` walk over cyber_event's advset_steps, as `gridres
+# advset` runs it (its solves summed and hashed in order, plus repr(alpha)).
+# Pivot counts are deterministic, so the two sides must match exactly.  Exits
+# 0 when every line is identical, 1 on any difference, and 2 when a run fails.
 set -euo pipefail
 
 if [ "$#" -ne 2 ]; then
@@ -103,8 +103,9 @@ def counting_solve(lp, *args, **kwargs):
 
 
 advset.solve = counting_solve  # the recourse LPs call solve by this name
-alphas = [advset.characterize(sc.model, base, reserves, sc.axes, k, sc.build,
-                              sc.solver).alpha_w.tolist() for k in sc.advset_steps]
+polys = advset.characterize_steps(sc.model, base, reserves, sc.axes, sc.advset_steps, sc.build,
+                                  sc.solver)
+alphas = [polys[k].alpha_w.tolist() for k in sc.advset_steps]
 sums = [sum(c) for c in zip(*(counts(sol.stats) for sol in solved))]
 print(f"seed {seed} advset cyber_event steps {sc.advset_steps}: solves={len(solved)} "
       f"iterations={sum(sol.iterations for sol in solved)} "

@@ -11,12 +11,15 @@ slow phase of the machine then falls on both sides alike, which separate
 benchmark runs a few at a time cannot promise: their medians can move by
 20-30 % on code that did not change.
 
-Three cases are timed per round and side:
+Four cases are timed per round and side:
 
-* `characterize`: one `advset.characterize` pass over cyber_event's
-  advset_steps, against cyber_event's headroom dispatch (the dispatch and
-  reserves of `gridres advset` run once, with the HiGHS backend, from
-  PARENT's sources, as the benchmark prepares its `advset` workload);
+* `characterize`: `advset.characterize` once per step of cyber_event's
+  advset_steps, as the benchmark's `advset` workload calls it, against
+  cyber_event's headroom dispatch (the dispatch and reserves of `gridres
+  advset` run once, with the HiGHS backend, from PARENT's sources, as the
+  benchmark prepares that workload);
+* `advset pass`: one `advset.characterize_steps` pass over the same steps
+  and dispatch, as `gridres advset` walks them;
 * `dispatch LPs`: the build and solve of the lshl baseline LP and of the
   cyber_event robust LP;
 * `replay`: what `gridres simulate --sample 100` does between reading its
@@ -78,7 +81,7 @@ def headroom(gr, root: Path, seed: int, work: Path) -> Path:
 
 
 class Side:
-    """One tree's inputs and the three timed cases."""
+    """One tree's inputs and the four timed cases."""
 
     def __init__(self, gr, root: Path, seed: int, prepared: Path):
         self.gr = gr
@@ -96,6 +99,11 @@ class Side:
         for k in sc.advset_steps:
             self.gr.advset.characterize(sc.model, self.dispatch, self.reserves, sc.axes, k,
                                         sc.build, sc.solver)
+
+    def advset_pass(self) -> None:
+        sc = self.cyber
+        self.gr.advset.characterize_steps(sc.model, self.dispatch, self.reserves, sc.axes,
+                                          sc.advset_steps, sc.build, sc.solver)
 
     def dispatch_lps(self) -> None:
         gr, base, event = self.gr, self.lshl, self.cyber
@@ -133,8 +141,8 @@ def main(argv=None) -> int:
         prepared = headroom(packages["parent"], roots["parent"], args.seed, Path(work))
         sides = {side: Side(packages[side], roots[side], args.seed, prepared)
                  for side in roots}
-        cases = {"characterize": Side.characterize, "dispatch LPs": Side.dispatch_lps,
-                 "replay": Side.replay}
+        cases = {"characterize": Side.characterize, "advset pass": Side.advset_pass,
+                 "dispatch LPs": Side.dispatch_lps, "replay": Side.replay}
         for side in sides.values():  # warm-up: imports, caches, first allocations
             for fn in cases.values():
                 fn(side)
