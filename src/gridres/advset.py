@@ -241,8 +241,8 @@ class RecourseStep:
     """The recourse LP at one step of a pass and the kept state of its solve
     with every magnitude at zero, the only state it holds.  Each query
     re-solves the LP in place from that state (a plain solve under HiGHS or
-    if it is infeasible) and never writes it, so no answer depends on the
-    queries before it."""
+    if it is infeasible); the first may store the LU of its basis there,
+    the same for every query, so no answer depends on the queries before it."""
 
     def __init__(
         self,

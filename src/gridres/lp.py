@@ -16,7 +16,8 @@ column order) followed by product-form eta updates and refactorized after a
 fixed number of them; reduced costs are c - [A | I]^T y with y = B^-T c_B,
 and no dense tableau is ever formed.  Every solve takes one path:
 
-1. It starts from a basis: the crash basis of a cold solve, or `start`.
+1. It starts from a basis: the crash basis of a cold solve, or the kept
+   basis of a warm one (see below).
 2. If the basic values x_B = B^-1 (b - N x_N) are outside their bounds, a
    bounded dual simplex with bound flipping (Koberstein 2005; Maros 2003)
    drives them into their bounds.  It prices by the LP's costs when the
@@ -47,11 +48,11 @@ B singular.  Every other row starts with its logical, so without hints the
 start is all logicals.  The feeder rows name the columns that make B
 triangular along the tree (see :mod:`gridres.constraints`).
 
-An optimal solve returns its final basis, a plain warm start for any LP with
-the same rows, and a kept state (:class:`KeptSimplex`) that re-solves the
-same LP object in place, taking over its assembled rows and factored B.  The
-solver is fully deterministic: identical inputs produce bitwise-identical
-outputs.  A scipy/HiGHS backend can be selected through
+An optimal solve returns a kept state (:class:`KeptSimplex`): its assembled
+rows, final basis and LU of B, the one warm start, which re-solves the same
+LP object in place after its bounds, objective or right-hand sides moved.
+The solver is fully deterministic: identical inputs produce
+bitwise-identical outputs.  A scipy/HiGHS backend can be selected through
 :class:`SolverOptions`; the built-in simplex remains the reference
 implementation and the one exercised by the oracle tests.
 """
@@ -61,9 +62,11 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import attrgetter, is_
+from operator import attrgetter, is_, methodcaller
+from types import MappingProxyType
 
 import numpy as np
 
@@ -101,12 +104,19 @@ class DimensionMismatch(ValueError):
 
 @dataclass
 class Row:
-    coeffs: dict[int, float]
+    """sum(coeffs[j] x_j) <rel> rhs.  The coefficients are a read-only copy
+    of those given: a kept solve (:class:`KeptSimplex`) answers for the rows
+    it was solved on, so a row's coefficients cannot change under it."""
+
+    coeffs: Mapping[int, float]
     rel: Rel
     rhs: float
     tag: str = ""
     # a column to start basic in this row's position; a hint the solver may drop
     basic: int | None = None
+
+    def __post_init__(self) -> None:
+        self.coeffs = MappingProxyType(dict(self.coeffs))
 
 
 BACKENDS = ("simplex", "scipy")
@@ -241,7 +251,7 @@ class SolveStats:
     :attr:`LpSolution.iterations`.
     """
 
-    # "cold" (the crash basis) or "warm" (the basis of `start`)
+    # "cold" (the crash basis) or "warm" (the basis of a kept state)
     start: str = "cold"
     primal_pivots: int = 0
     dual_pivots: int = 0
@@ -249,8 +259,10 @@ class SolveStats:
     # times a loop fell back to Bland's rule after a degenerate stall; once
     # on a cold solve whose zero-cost dual runs longer than BLAND_STALL pivots
     bland_entries: int = 0
-    # sparse LU factorizations of the basis: a cold solve's final check
-    # factors one, a warm solve's only when its check through the etas fails
+    # sparse LU factorizations of the basis: a cold solve's crash basis and
+    # final check factor one each; a warm solve factors the kept B only if
+    # no solve has factored it yet, and its own only if its check through
+    # the etas fails
     refactorizations: int = 0
 
     @property
@@ -258,29 +270,22 @@ class SolveStats:
         return self.primal_pivots + self.dual_pivots + self.bound_flips
 
 
-@dataclass(frozen=True)
-class SimplexBasis:
-    """The final basis of an optimal built-in simplex solve: a plain warm
-    start of any LP with the same rows through ``solve(..., start=)``."""
-
-    basic: np.ndarray  # the column of [A | I] in each row's basis position
-    status: np.ndarray  # bound status of every structural and logical column
-
-
-@dataclass(frozen=True)
+@dataclass
 class KeptSimplex:
     """An optimal simplex solve's assembled rows, final basis and LU of B,
     to re-solve the same LinearProgram in place: ``solve(lp, start=kept)``
     re-reads only its bounds, objective and right-hand sides (a row's `rhs`
-    may be edited in place) and never writes the kept state.  Another LP,
-    other columns or other Row objects raise :class:`MalformedProblem`;
-    editing a kept row's coefficients, relation or hint in place voids it."""
+    may be edited in place).  Another LP, other columns or other Row objects
+    raise :class:`MalformedProblem`; a new relation on a kept row voids it.
+    A solve that ended with etas pending keeps no LU: the first re-solve
+    factors B and stores its LU here, the only write to a kept state."""
 
     lp: LinearProgram = field(repr=False)
     given: tuple[Row, ...] = field(repr=False)  # the LP's Row objects, in order
     rows: _Rows = field(repr=False)
-    basis: SimplexBasis
-    lu: object = field(repr=False)  # SuperLU of B; None if etas were pending
+    basic: np.ndarray  # the column of [A | I] in each row's basis position
+    status: np.ndarray  # bound status of every structural and logical column
+    lu: object = field(repr=False)  # SuperLU of B; None until B is factored
 
     def _reassemble(self, lp: LinearProgram) -> _Assembled:
         """`lp`'s bounds, objective and right-hand sides over the kept rows,
@@ -315,7 +320,6 @@ class LpSolution:
     # built-in simplex only; None from the HiGHS backend
     stats: SolveStats | None = None
     # built-in simplex and OPTIMAL only
-    basis: SimplexBasis | None = None
     kept: KeptSimplex | None = field(default=None, repr=False)
 
 
@@ -439,7 +443,7 @@ def _assemble(lp: LinearProgram) -> _Assembled:
     np.cumsum(counts, out=indptr[1:])
     nnz = int(indptr[-1])
     cols = np.fromiter(itertools.chain.from_iterable(coeffs), dtype=np.int64, count=nnz)
-    vals = np.fromiter(itertools.chain.from_iterable(map(dict.values, coeffs)),
+    vals = np.fromiter(itertools.chain.from_iterable(map(methodcaller("values"), coeffs)),
                        dtype=float, count=nnz)
     rel = np.fromiter(map(_REL_CODE.__getitem__, map(attrgetter("rel"), rows)),
                       dtype=np.int64, count=m)
@@ -480,7 +484,7 @@ def check_feasibility(lp: LinearProgram, point: np.ndarray, tol: float = 0.0) ->
 
 
 def solve(lp: LinearProgram, options: SolverOptions | None = None,
-          start: SimplexBasis | KeptSimplex | None = None) -> LpSolution:
+          start: KeptSimplex | None = None) -> LpSolution:
     """Solve `lp` to optimality, infeasibility, or unboundedness.
 
     Optimal solutions satisfy all rows and bounds to `feas_tol` and are optimal
@@ -489,16 +493,15 @@ def solve(lp: LinearProgram, options: SolverOptions | None = None,
     defects and :class:`IterationLimitExceeded` rather than ever returning a
     silently suboptimal "optimal".
 
-    `start` is an earlier optimal solve's :attr:`LpSolution.basis`, for any
-    LP with the same rows, or its :attr:`LpSolution.kept` state, to re-solve
-    that same LP in place (see :class:`KeptSimplex`).  Its nonbasic columns
-    keep their bounds while those are finite and not fixed, and are
-    otherwise placed as on a cold solve.  A basis is factored afresh; only
-    a B singular for these rows starts from the crash basis instead
-    (:attr:`SolveStats.start` says which), and a basis of the wrong size
-    raises :class:`MalformedProblem`.  The HiGHS backend ignores `start`."""
+    `start` is an earlier optimal solve's :attr:`LpSolution.kept` state, to
+    re-solve that same LP in place (see :class:`KeptSimplex`); any other
+    start raises :class:`MalformedProblem`.  Its nonbasic columns keep their
+    bounds while those are finite and not fixed, and are otherwise placed as
+    on a cold solve.  The HiGHS backend ignores `start`."""
     options = options or SolverOptions()
-    mat = start._reassemble(lp) if isinstance(start, KeptSimplex) else _assemble(lp)
+    if start is not None and not isinstance(start, KeptSimplex):
+        raise MalformedProblem(f"start must be a KeptSimplex, not {type(start).__name__}")
+    mat = _assemble(lp) if start is None else start._reassemble(lp)
     if not lp.n_variables:  # each row reads 0 <rel> rhs
         stats = SolveStats() if options.backend == "simplex" else None
         bad = [ri for ri, _ in mat.feasibility(np.zeros(0), options.feas_tol).violations]
@@ -703,34 +706,23 @@ class _BoundedSimplex:
             self._refactor()
         self.x_B = self._basic_values()
 
-    def _warm_start(self, start: SimplexBasis | KeptSimplex) -> bool:
-        """Take the basis of `start` under the LP's current bounds, and a kept
-        state's LU; False when its B is singular for these rows."""
-        m, N = self.m, self.N
-        start, lu = (start.basis, start.lu) if isinstance(start, KeptSimplex) else (start, None)
-        basic, prev = start.basic, start.status
-        if basic.shape != (m,) or prev.shape != (N,):
-            raise MalformedProblem(f"start basis has {len(basic)} rows and {len(prev)} "
-                                   f"columns; the problem has {m} and {N}")
-        if not np.array_equal(np.flatnonzero(prev == _BASIC), np.sort(basic)):
-            raise MalformedProblem("start basis: basic columns and statuses disagree")
+    def _warm_start(self, kept: KeptSimplex) -> None:
+        """Take the kept basis under the LP's current bounds, and its LU,
+        factored here and stored in `kept` if it has none yet."""
         # a column stays at its bound while that is finite and not fixed;
         # any other nonbasic column is placed as in a cold start
-        lo, hi = self.lo, self.hi
+        lo, hi, prev = self.lo, self.hi, kept.status
         st = self._cold_status()
         keep = ((prev == _AT_LO) & np.isfinite(lo)) | ((prev == _AT_HI) & np.isfinite(hi))
         keep &= lo != hi
         st[keep] = prev[keep]
         self._place(st)
-        self._set_basis(basic.copy())
-        self.B.lu = lu  # a kept B's factorization, if any
-        if lu is None:
-            try:
-                self._refactor()
-            except ArithmeticError:  # the basis does not fit this problem's rows
-                return False
+        self._set_basis(kept.basic.copy())
+        if kept.lu is None:  # its solve ended with etas pending
+            self._refactor()
+            kept.lu = self.B.lu
+        self.B.lu = kept.lu
         self.x_B = self._basic_values()
-        return True
 
     def _outside(self) -> np.ndarray:
         """The basis positions whose x_B is outside the bounds of their
@@ -779,9 +771,11 @@ class _BoundedSimplex:
 
     # -- core loop ---------------------------------------------------------------
 
-    def run(self, start: SimplexBasis | KeptSimplex | None = None) -> LpSolution:
-        warm = start is not None and self._warm_start(start)
-        if not warm:
+    def run(self, start: KeptSimplex | None = None) -> LpSolution:
+        warm = start is not None
+        if warm:
+            self._warm_start(start)
+        else:
             self._cold_start()
         self.stats.start = "warm" if warm else "cold"
         max_iter = self.opt.max_iterations
@@ -1014,13 +1008,11 @@ class _BoundedSimplex:
                 f"{max(report.max_row_residual, report.max_bound_violation):.3e} > feas_tol"
             )
         obj = float(np.dot(self.c[:self.n], values))
-        basis = SimplexBasis(self.basis, self.status)
         # the LU is B's own only with no eta pending
-        kept = KeptSimplex(self.lp, tuple(self.lp.rows), self.mat.rows, basis,
-                           self.B.lu if self.B.count == 0 else None)
+        kept = KeptSimplex(self.lp, tuple(self.lp.rows), self.mat.rows, self.basis,
+                           self.status, self.B.lu if self.B.count == 0 else None)
         return LpSolution(LpStatus.OPTIMAL, values=values, objective_value=obj,
-                          iterations=self.stats.iterations, stats=self.stats,
-                          basis=basis, kept=kept)
+                          iterations=self.stats.iterations, stats=self.stats, kept=kept)
 
 
 def _solve_scipy(mat: _Assembled) -> LpSolution:

@@ -12,6 +12,7 @@ from gridres.lp import (
     LpStatus,
     MalformedProblem,
     Rel,
+    Row,
     SolverOptions,
     check_feasibility,
     solve,
@@ -151,10 +152,10 @@ def test_redundant_equality_row_keeps_its_logical_basic():
     assert sol.status is LpStatus.OPTIMAL
     np.testing.assert_allclose(sol.values, [1.0, 0.0], atol=1e-12)
     n_columns = lp.n_variables + lp.n_rows
-    assert all(0 <= j < n_columns for j in sol.basis.basic), sol.basis.basic
+    assert all(0 <= j < n_columns for j in sol.kept.basic), sol.kept.basic
 
     lp.rows[1].rhs = 3.0  # now 2x + 2y = 3 contradicts x + y = 1
-    for answer in (solve(lp, start=sol.basis), solve(lp)):
+    for answer in (solve(lp, start=sol.kept), solve(lp)):
         assert answer.status is LpStatus.INFEASIBLE
         assert answer.infeasible_rows == [0, 1]
     assert solve(lp, SolverOptions(backend="scipy")).status is LpStatus.INFEASIBLE
@@ -474,12 +475,12 @@ def test_warm_start_matches_cold_solve():
         lp = random_bounded_lp(rng)
         first = solve(lp)
         if first.status is not LpStatus.OPTIMAL:
-            assert first.basis is None
+            assert first.kept is None
             continue
         for _ in range(3):
             rebound_and_reprice(lp, rng)
             cold = solve(lp)
-            warm = solve(lp, start=first.basis)
+            warm = solve(lp, start=first.kept)
             assert warm.status == cold.status
             if cold.status is LpStatus.OPTIMAL:
                 assert warm.objective_value == pytest.approx(cold.objective_value,
@@ -497,10 +498,10 @@ def test_warm_start_from_unchanged_lp_takes_no_pivots():
         cold = solve(lp)
         if cold.status is not LpStatus.OPTIMAL:
             continue
-        warm = solve(lp, start=cold.basis)
+        warm = solve(lp, start=cold.kept)
         assert warm.iterations == 0
         assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-12, abs=1e-12)
-        np.testing.assert_array_equal(warm.basis.basic, cold.basis.basic)
+        np.testing.assert_array_equal(warm.kept.basic, cold.kept.basic)
         solved += 1
     assert solved >= 3
 
@@ -517,7 +518,7 @@ def equality_pair_lp():
 
 def test_warm_start_outside_its_bounds_runs_the_dual_simplex():
     lp, x, y = equality_pair_lp()
-    start = solve(lp).basis
+    start = solve(lp).kept
     # y stays at its upper bound 5, so x_B = -1 < 0; d_y = -1 keeps the basis
     # dual feasible
     lp.set_bounds(y, 2.0, 5.0)
@@ -533,7 +534,7 @@ def test_warm_start_outside_its_bounds_runs_the_dual_simplex():
 @pytest.mark.parametrize("upper", [np.inf], ids=["bound-lost"])
 def test_warm_start_falls_back_to_cold(upper):
     lp, x, y = equality_pair_lp()
-    start = solve(lp).basis
+    start = solve(lp).kept
     # y was at its upper bound, which is no longer finite: the start keeps
     # its basis and y moves to the bound a cold start gives it, 2
     lp.set_bounds(y, 2.0, upper)
@@ -545,12 +546,14 @@ def test_warm_start_falls_back_to_cold(upper):
     assert warm.stats.start == "warm" and warm.stats.dual_pivots == 0 < cold.stats.dual_pivots
 
 
-def test_warm_start_of_wrong_size_is_malformed():
+def test_start_that_is_not_kept_is_malformed():
+    """A kept state is the only warm start, under either backend."""
     lp, _, _ = equality_pair_lp()
-    start = solve(lp).basis
-    lp.add_variable("z", 0.0, 1.0)
-    with pytest.raises(MalformedProblem):
-        solve(lp, start=start)
+    sol = solve(lp)
+    for start in (sol, sol.kept.basic, (sol.kept.basic, sol.kept.status)):
+        for options in (SolverOptions(), SolverOptions(backend="scipy")):
+            with pytest.raises(MalformedProblem, match="start must be a KeptSimplex, not"):
+                solve(lp, options, start=start)
 
 
 def test_kept_start_rereads_bounds_objective_and_rhs():
@@ -597,9 +600,9 @@ def test_kept_start_of_another_shape_is_malformed(edit, message):
 
 def test_scipy_backend_returns_no_basis():
     lp, x, _ = equality_pair_lp()
-    start = solve(lp).basis
+    start = solve(lp).kept
     sol = solve(lp, SolverOptions(backend="scipy"), start=start)
-    assert sol.status is LpStatus.OPTIMAL and sol.basis is None and sol.kept is None
+    assert sol.status is LpStatus.OPTIMAL and sol.kept is None
     assert sol.values[x] == pytest.approx(3.0)
 
 
@@ -716,7 +719,7 @@ def test_resolve_after_bound_changes_matches_oracle_and_highs(monkeypatch):
         if first.status is not LpStatus.OPTIMAL:
             continue
         rebound(lp, rng)
-        sol = solve(lp, options, start=first.basis)
+        sol = solve(lp, options, start=first.kept)
         stats = sol.stats
         assert stats.start == "warm"
         assert stats.primal_pivots + stats.dual_pivots + stats.bound_flips == sol.iterations
@@ -735,8 +738,7 @@ def test_resolve_after_bound_changes_matches_oracle_and_highs(monkeypatch):
             assert check_feasibility(lp, sol.values).ok(options.feas_tol)
         if stats.dual_pivots > 1:
             with pytest.raises(IterationLimitExceeded, match=r"\(dual simplex\)"):
-                solve(lp, SolverOptions(max_iterations=1),
-                      start=first.basis)
+                solve(lp, SolverOptions(max_iterations=1), start=first.kept)
             seen["limited"] += 1
         seen["dual" if stats.dual_pivots else "warm"] += 1
         seen["zero-objective"] += not lp.objective
@@ -757,7 +759,7 @@ def test_dual_stall_falls_back_to_lowest_index(monkeypatch):
         if first.status is not LpStatus.OPTIMAL:
             continue
         rebound(lp, rng)
-        sol = solve(lp, start=first.basis)
+        sol = solve(lp, start=first.kept)
         expected = brute_force_min(lp)
         assert sol.status is (LpStatus.INFEASIBLE if expected is None else LpStatus.OPTIMAL)
         if sol.stats.primal_pivots == 0:  # any fallback was the dual simplex's
@@ -765,26 +767,60 @@ def test_dual_stall_falls_back_to_lowest_index(monkeypatch):
     assert fallbacks >= 5
 
 
-def test_resolve_with_changed_rows_refactors():
-    """A kept state re-solves its LP on the factorization it kept; a plain
-    basis carries no rows, so a re-solve of an LP with other coefficients
-    factors its own basis and still finds the optimum."""
+def test_kept_row_coefficients_are_read_only():
+    """A kept state answers for the rows it was solved on, so a row's
+    coefficients cannot be edited in place; a changed row is a new Row,
+    which the kept state refuses."""
     lp, x, y = equality_pair_lp()
-    first = solve(lp)
-    same = solve(lp, start=first.kept)
-    assert same.stats.refactorizations == 0
-    lp.rows[0].coeffs[y] = 2.0  # x + 2y = 4: x = 2 with y at 1
-    sol = solve(lp, start=first.basis)
-    assert sol.stats.refactorizations == 1
+    kept = solve(lp).kept
+    with pytest.raises(TypeError):
+        lp.rows[0].coeffs[y] = 2.0  # x + 2y = 4 would move x from 3 to 2
+    assert solve(lp, start=kept).values[x] == pytest.approx(3.0, abs=1e-12)
+    coeffs = {x: 1.0, y: 2.0}
+    lp.rows[0] = Row(coeffs, Rel.EQ, 4.0)
+    coeffs[y] = 5.0  # the row holds its own copy
+    with pytest.raises(MalformedProblem, match="row 0 is not the row it was solved on"):
+        solve(lp, start=kept)
+    sol = solve(lp)
     assert sol.status is LpStatus.OPTIMAL and sol.values[x] == pytest.approx(2.0, abs=1e-12)
 
 
+def test_kept_state_factors_its_basis_once():
+    """A warm solve that pivoted ends on its LU and etas, so its kept state
+    carries no factorization.  The first re-solve from it factors B and
+    keeps the LU there; a second re-solve factors nothing and answers bit
+    for bit as a re-solve that factors the same B itself."""
+    rng = np.random.default_rng(2027)
+    checked = 0
+    while checked < 20:
+        lp = random_bounded_lp(rng)
+        first = solve(lp)
+        if first.status is not LpStatus.OPTIMAL:
+            continue
+        rebound(lp, rng)
+        second = solve(lp, start=first.kept)
+        if second.status is not LpStatus.OPTIMAL or second.kept.lu is not None:
+            continue
+        kept = second.kept
+        unfactored = dataclasses.replace(kept)  # the same state, before any re-solve
+        rebound(lp, rng)
+        once = solve(lp, start=kept)
+        again = solve(lp, start=kept)
+        own = solve(lp, start=unfactored)
+        assert kept.lu is not None and unfactored.lu is not None
+        assert own.stats == once.stats
+        assert again.stats == dataclasses.replace(once.stats,
+                                                  refactorizations=once.stats.refactorizations - 1)
+        assert once.status == again.status == own.status
+        if once.status is LpStatus.OPTIMAL:
+            np.testing.assert_array_equal(again.values, once.values)
+            np.testing.assert_array_equal(own.values, once.values)
+        checked += 1
+
+
 def test_warm_chain_matches_cold_solve_and_highs():
-    """Cold, then warm from the cold solve's basis, then warm from that warm
-    solve's basis, the bounds moved before each re-solve.  A warm solve that
-    pivoted ends on its LU and etas, so its kept state carries no
-    factorization, and a re-solve from it factors B as one from its basis
-    does, to the same answer bit for bit."""
+    """Cold, then warm from the cold solve's kept state, then warm from
+    that warm solve's, the bounds moved before each re-solve."""
     rng = np.random.default_rng(2027)
     highs = SolverOptions(backend="scipy")
     chained = 0
@@ -794,16 +830,13 @@ def test_warm_chain_matches_cold_solve_and_highs():
         if first.status is not LpStatus.OPTIMAL:
             continue
         rebound(lp, rng)
-        second = solve(lp, start=first.basis)
+        second = solve(lp, start=first.kept)
         if second.status is not LpStatus.OPTIMAL or not (
                 second.stats.primal_pivots or second.stats.dual_pivots):
             continue
-        assert second.stats.start == "warm" and second.kept.lu is None
+        assert second.stats.start == "warm"
         rebound(lp, rng)
-        third = solve(lp, start=second.basis)
-        in_place = solve(lp, start=second.kept)
-        assert in_place.status == third.status and in_place.stats == third.stats
-        np.testing.assert_array_equal(in_place.values, third.values)
+        third = solve(lp, start=second.kept)
         cold = solve(lp)
         ref = solve(lp, highs)
         assert third.stats.start == "warm"

@@ -1,0 +1,108 @@
+"""The paper's guarantees on feeders no one picked: properties of the pipeline
+over seeded random synthetic feeders.
+
+Each feeder is a copy of `scenarios/cyber_event.json` on a 14-bus synthetic
+feeder, named by its seed and its phase layout: balanced (the generation
+fleet on the three-phase trunk, loads split evenly over the phases) or
+unbalanced (loads and generators on any bus, single-phase laterals
+included).  The default set is balanced seeds 1 and 2 and unbalanced seeds
+3 and 4.  `GRIDRES_PROPERTY_FEEDERS=N` and `GRIDRES_PROPERTY_SEED=S` draw N
+feeders instead, seeds S to S + N - 1, the first half balanced and the rest
+unbalanced; `tools/properties_at_seed.sh` sets them.
+
+* P1, backend agreement: the baseline objective and every alpha of the
+  tolerable set around the baseline's headroom (as `gridres advset` runs
+  it), the built-in simplex against HiGHS, to 1e-9 relative; a baseline one
+  backend finds infeasible, the other does too.
+* P5, exits: `gridres baseline` on a feeder exits 0 and prints nothing, or,
+  when the baseline is infeasible, exits 2 with one line.  The unbalanced
+  seed-6 feeder is such a feeder and always runs.
+"""
+
+import dataclasses
+import json
+import os
+from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
+import pytest
+
+from gridres.advset import characterize_steps
+from gridres.cli import main
+from gridres.dispatch import InfeasibleDispatch, solve_baseline
+from gridres.robust import ReserveSchedule
+from gridres.scenario import load_scenario
+
+CYBER = Path(__file__).resolve().parent.parent / "scenarios" / "cyber_event.json"
+BUSES = 14
+REL = 1e-9
+
+
+class Feeder(NamedTuple):
+    seed: int
+    balanced: bool
+
+    def __str__(self) -> str:
+        return f"{'balanced' if self.balanced else 'unbalanced'}-{self.seed}"
+
+    def write(self, path: Path) -> Path:
+        """The scenario file of this feeder, written at `path`."""
+        doc = json.loads(CYBER.read_text())
+        doc["seed"] = self.seed
+        doc["network"]["synth"].update(buses=BUSES, balanced_phases=self.balanced)
+        path.write_text(json.dumps(doc, indent=2))
+        return path
+
+
+def drawn_feeders() -> list[Feeder]:
+    count = int(os.environ.get("GRIDRES_PROPERTY_FEEDERS", "4"))
+    first = int(os.environ.get("GRIDRES_PROPERTY_SEED", "1"))
+    balanced = (count + 1) // 2
+    return [Feeder(first + i, i < balanced) for i in range(count)]
+
+
+FEEDERS = drawn_feeders()
+INFEASIBLE = Feeder(6, balanced=False)  # its baseline has no feasible point
+
+
+def outcome(scenario, backend: str):
+    """The baseline objective and the alphas (W, one row per step) under
+    `backend`, or None if the baseline is infeasible."""
+    solver = dataclasses.replace(scenario.solver, backend=backend)
+    try:
+        base = solve_baseline(scenario.model, scenario.costs, scenario.build, solver)
+    except InfeasibleDispatch:
+        return None
+    reserves = ReserveSchedule.from_headroom(scenario.model, base)
+    polys = characterize_steps(scenario.model, base, reserves, scenario.axes,
+                               scenario.advset_steps, scenario.build, solver)
+    return base.objective_value, np.array([polys[k].alpha_w for k in sorted(polys)])
+
+
+@pytest.mark.parametrize("feeder", FEEDERS, ids=str)
+def test_p1_simplex_and_highs_agree(feeder, tmp_path):
+    scenario = load_scenario(feeder.write(tmp_path / "scenario.json"))
+    ours, ref = outcome(scenario, "simplex"), outcome(scenario, "scipy")
+    assert (ours is None) == (ref is None), f"{feeder}: one backend found no baseline"
+    if ours is None:
+        return
+    (objective, alpha), (ref_objective, ref_alpha) = ours, ref
+    assert objective == pytest.approx(ref_objective, rel=REL, abs=0.0)
+    assert alpha.shape == ref_alpha.shape and alpha.size
+    np.testing.assert_allclose(alpha, ref_alpha, rtol=REL, atol=0.0)
+
+
+@pytest.mark.parametrize("feeder", sorted({*FEEDERS, INFEASIBLE}), ids=str)
+def test_p5_baseline_exits_0_or_2_with_one_line(feeder, tmp_path, capsys):
+    code = main(["baseline", str(feeder.write(tmp_path / "scenario.json")),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    if feeder == INFEASIBLE:
+        assert code == 2
+    assert code in (0, 2), err
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.count("\n") == 1 and err.startswith("infeasible: "), err
+        assert "unsatisfiable rows (tags: " in err
