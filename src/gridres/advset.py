@@ -30,18 +30,20 @@ tolerable set: tolerability constraints are affine in (recourse, magnitude),
 so any convex combination of feasible extremes stays feasible.
 
 A pass walks one :class:`RecourseStep` over its steps in the order given:
-the recourse LP is built once and solved from the crash basis with every
-magnitude at zero, then narrowed in place to each later step (its device
-columns' bounds and its axis rows' right-hand sides) and re-solved from the
-kept state (:class:`gridres.lp.KeptSimplex`) of the step before: its rows,
-basis and LU.  Every query re-bounds the magnitude columns and re-solves
-from the step's kept state, adding its own etas, so a one-step pass factors
-a B twice and a longer one seldom more.  An axis maximization runs the
-primal simplex only; a membership test fixes the magnitudes, which moves
-the basic values out of their bounds, and without an objective the basis
-stays dual feasible, so the dual simplex answers it.  Distinct passes share
-nothing but immutable inputs and may run concurrently; one step object
-serves one caller at a time.  A built InnerPolytope is immutable.
+the recourse LP is built once, its axes checked, and solved from the crash
+basis with every magnitude at zero, then narrowed in place to each later
+step through the namespace it was built with (its device columns' bounds
+and its axis rows' right-hand sides) and re-solved from the kept state
+(:class:`gridres.lp.KeptSimplex`) of the step before: its rows, basis and
+LU.  Every query re-bounds the magnitude columns and re-solves from the
+step's kept state, adding its own etas, so a one-step pass factors a B
+twice and a longer one seldom more.  An axis maximization runs the primal
+simplex only; a membership test fixes the magnitudes, which moves the basic
+values out of their bounds, and without an objective the basis stays dual
+feasible, so the dual simplex answers it, as one cold solve
+(:func:`event_is_tolerable`) would.  Distinct passes share nothing but
+immutable inputs and may run concurrently; one step object serves one
+caller at a time.  A built InnerPolytope is immutable.
 """
 
 from __future__ import annotations
@@ -53,9 +55,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .constraints import (BuildOptions, PerUnit, VariableNamespace, build_feeder_lp,
-                          build_namespace, device_groups, device_window)
+                          device_groups, device_window)
 from .dispatch import DispatchResult
-from .lp import LinearProgram, LpSolution, LpStatus, Rel, SolverOptions, solve
+from .lp import LpSolution, LpStatus, Rel, SolverOptions, solve
 from .network import (InputError, NetworkModel, array, input_error, integer, mapping,
                       non_negative_series, nullable, number, record, string)
 from .robust import ReserveSchedule
@@ -171,20 +173,21 @@ def build_recourse_lp(
     axes: list[AdversarialAxis],
     magnitudes_w: np.ndarray,
     options: BuildOptions | None = None,
-) -> tuple[LinearProgram, list[int]]:
-    """Single-step feasibility LP for an event of the given magnitudes.
+) -> tuple[VariableNamespace, list[int]]:
+    """Single-step feasibility LP for an event of one magnitude per axis.
 
-    Returns the LP and the index of each axis's magnitude column (pu), fixed
-    at its magnitude; re-bound a column to let its magnitude vary.  Raises
-    ValueError on a step outside the horizon.
+    Returns its namespace (the LP is `ns.lp`) and each axis's magnitude
+    column (pu), fixed at its magnitude.  Raises ValueError on a step outside
+    the horizon, on axes failing `validate_axes`, or on another magnitude count.
     """
     _check_step(model, step)
+    validate_axes(model, axes)
     s = PerUnit.of(model).s_base
     ns = build_feeder_lp(model, options or BuildOptions(), steps=(step,))
     alpha = [ns.lp.add_variable(f"alpha[{i}]", m / s, m / s)
-             for i, m in enumerate(np.asarray(magnitudes_w, dtype=float))]
-    _narrow(ns.lp, ns, alpha, model, dispatch, reserves, step, axes)
-    return ns.lp, alpha
+             for i, m in enumerate(_magnitudes(magnitudes_w, axes))]
+    _narrow(ns, alpha, model, dispatch, reserves, step, axes)
+    return ns, alpha
 
 
 def _check_step(model: NetworkModel, step: int) -> None:
@@ -192,13 +195,20 @@ def _check_step(model: NetworkModel, step: int) -> None:
         raise ValueError(f"step {step} outside the horizon of {model.steps} steps")
 
 
-def _narrow(lp: LinearProgram, ns: VariableNamespace, alpha: list[int], model: NetworkModel,
+def _magnitudes(magnitudes_w, axes: list[AdversarialAxis]) -> np.ndarray:
+    m = np.asarray(magnitudes_w, dtype=float)
+    if m.shape != (len(axes),):
+        raise ValueError(f"magnitudes have shape {m.shape}, expected ({len(axes)},)")
+    return m
+
+
+def _narrow(ns: VariableNamespace, alpha: list[int], model: NetworkModel,
             dispatch: DispatchResult, reserves: ReserveSchedule, k: int,
             axes: list[AdversarialAxis]) -> None:
-    """Narrow the recourse LP `lp` to step k in place: set each device
-    column's bounds and each axis row's right-hand side, adding the axis rows
-    if `lp` has none.  `ns` is a one-step namespace, laid out as `lp` is."""
-    s = PerUnit.of(model).s_base
+    """Narrow the one-step recourse LP `ns.lp` to step k in place: set each
+    device column's bounds and each axis row's right-hand side, adding the
+    axis rows if the LP has none."""
+    lp, s = ns.lp, PerUnit.of(model).s_base
     target_of = {(AXIS_CLASS[a.kind], a.entity): i for i, a in enumerate(axes)}
     limits = []  # (coefficients, rhs) of each axis row, in row order
     # realized device active powers narrow from their windows to reserve bands
@@ -238,11 +248,12 @@ def _narrow(lp: LinearProgram, ns: VariableNamespace, alpha: list[int], model: N
 
 
 class RecourseStep:
-    """The recourse LP at one step of a pass and the kept state of its solve
-    with every magnitude at zero, the only state it holds.  Each query
-    re-solves the LP in place from that state (a plain solve under HiGHS or
-    if it is infeasible); the first may store the LU of its basis there,
-    the same for every query, so no answer depends on the queries before it."""
+    """The recourse LP at one step of a pass, the namespace `ns` it was built
+    with (the LP is `ns.lp`), and the kept state of its solve with every
+    magnitude at zero, the only state it holds.  Each query re-solves the LP
+    in place from that state (a plain solve under HiGHS or if it is
+    infeasible); the first may store the LU of its basis there, the same for
+    every query, so no answer depends on the queries before it."""
 
     def __init__(
         self,
@@ -254,39 +265,34 @@ class RecourseStep:
         options: BuildOptions | None = None,
         solver: SolverOptions | None = None,
     ):
-        self.model, self.dispatch, self.reserves, self.step = model, dispatch, reserves, step
+        self.model, self.dispatch, self.reserves = model, dispatch, reserves
         self.axes = list(axes)
         self.solver = solver
         self.s_base = PerUnit.of(model).s_base
-        self.lp, self.alpha = build_recourse_lp(model, dispatch, reserves, step, self.axes,
+        self.ns, self.alpha = build_recourse_lp(model, dispatch, reserves, step, self.axes,
                                                 np.zeros(len(self.axes)), options)
-        self.base = solve(self.lp, solver)  # the built LP has no objective
-        self._ns: VariableNamespace | None = None  # the LP's column layout, once it moves
+        self.base = solve(self.ns.lp, solver)  # the built LP has no objective
 
     def move_to(self, step: int) -> None:
         """Narrow the LP to `step` in place and re-solve it at zero magnitude
         from the kept state of the step before, which the new one replaces."""
         _check_step(self.model, step)
-        self._ns = self._ns or build_namespace(self.model, steps=(self.step,))
-        _narrow(self.lp, self._ns, self.alpha, self.model, self.dispatch, self.reserves, step,
-                self.axes)
-        self.step, self.base = step, self.event(np.zeros(len(self.axes)))
+        _narrow(self.ns, self.alpha, self.model, self.dispatch, self.reserves, step, self.axes)
+        self.base = self.event(np.zeros(len(self.axes)))
 
     def _resolve(self, lower: np.ndarray, upper: np.ndarray,
                  objective: dict[int, float] | None = None) -> LpSolution:
         """Solve with magnitude i in [lower[i], upper[i]] (pu) under
         `objective`, starting from the zero-magnitude solve."""
         for col, lo, hi in zip(self.alpha, lower, upper):
-            self.lp.set_bounds(col, lo, hi)
-        self.lp.set_objective(objective or {})
-        return solve(self.lp, self.solver, start=self.base.kept)
+            self.ns.lp.set_bounds(col, lo, hi)
+        self.ns.lp.set_objective(objective or {})
+        return solve(self.ns.lp, self.solver, start=self.base.kept)
 
     def event(self, magnitudes_w: np.ndarray) -> LpSolution:
         """The recourse LP with every magnitude fixed at `magnitudes_w` (W)."""
-        m = np.asarray(magnitudes_w, dtype=float)
-        if m.shape != (len(self.axes),):
-            raise ValueError(f"magnitudes have shape {m.shape}, expected ({len(self.axes)},)")
-        return self._resolve(m / self.s_base, m / self.s_base)
+        m = _magnitudes(magnitudes_w, self.axes) / self.s_base
+        return self._resolve(m, m)
 
     def maximize(self, i: int) -> LpSolution:
         """Maximize magnitude i up to its axis's cap, the others at zero."""
@@ -308,9 +314,9 @@ def event_is_tolerable(
     options: BuildOptions | None = None,
     solver: SolverOptions | None = None,
 ) -> bool:
-    """Feasibility of the recourse LP at fixed event magnitudes."""
-    return RecourseStep(model, dispatch, reserves, step, axes, options,
-                        solver).event(magnitudes_w).status is LpStatus.OPTIMAL
+    """Feasibility of the recourse LP at fixed event magnitudes, solved cold once."""
+    ns, _ = build_recourse_lp(model, dispatch, reserves, step, axes, magnitudes_w, options)
+    return solve(ns.lp, solver).status is LpStatus.OPTIMAL
 
 
 def characterize(
@@ -339,7 +345,6 @@ def characterize_steps(
     """Maximal tolerable magnitude along each axis at each of `steps`
     (default: every step), walked in the order given on one
     :class:`RecourseStep`, each axis a :meth:`RecourseStep.maximize`."""
-    validate_axes(model, axes)
     polys, recourse = {}, None
     for k in range(model.steps) if steps is None else steps:
         if recourse is None:

@@ -102,11 +102,11 @@ class DimensionMismatch(ValueError):
     pass
 
 
-@dataclass
+@dataclass(init=False)
 class Row:
-    """sum(coeffs[j] x_j) <rel> rhs.  The coefficients are a read-only copy
-    of those given: a kept solve (:class:`KeptSimplex`) answers for the rows
-    it was solved on, so a row's coefficients cannot change under it."""
+    """sum(coeffs[j] x_j) <rel> rhs.  A kept solve (:class:`KeptSimplex`)
+    answers for the rows it was solved on, so only `rhs` may be re-set; the
+    other fields are set once, the coefficients as a read-only copy."""
 
     coeffs: Mapping[int, float]
     rel: Rel
@@ -115,8 +115,16 @@ class Row:
     # a column to start basic in this row's position; a hint the solver may drop
     basic: int | None = None
 
-    def __post_init__(self) -> None:
-        self.coeffs = MappingProxyType(dict(self.coeffs))
+    def __init__(self, coeffs: Mapping[int, float], rel: Rel, rhs: float, tag: str = "",
+                 basic: int | None = None) -> None:
+        state = self.__dict__  # set here once, past __setattr__, which re-sets only rhs
+        state["coeffs"], state["rel"], state["rhs"] = MappingProxyType(dict(coeffs)), rel, rhs
+        state["tag"], state["basic"] = tag, basic
+
+    def __setattr__(self, name: str, value) -> None:
+        if name != "rhs":
+            raise AttributeError(f"Row.{name} is set once; a changed row is a new Row")
+        self.__dict__[name] = value
 
 
 BACKENDS = ("simplex", "scipy")
@@ -275,8 +283,8 @@ class KeptSimplex:
     """An optimal simplex solve's assembled rows, final basis and LU of B,
     to re-solve the same LinearProgram in place: ``solve(lp, start=kept)``
     re-reads only its bounds, objective and right-hand sides (a row's `rhs`
-    may be edited in place).  Another LP, other columns or other Row objects
-    raise :class:`MalformedProblem`; a new relation on a kept row voids it.
+    may be edited in place, and is all of a Row that may).  Another LP,
+    other columns or other Row objects raise :class:`MalformedProblem`.
     A solve that ended with etas pending keeps no LU: the first re-solve
     factors B and stores its LU here, the only write to a kept state."""
 

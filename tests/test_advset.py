@@ -69,10 +69,11 @@ def test_recourse_row_count_formulas_fuzz():
         axes += [AdversarialAxis(AXIS_LOAD_INCREASE, u.id)
                  for u in model.loads[:int(rng.integers(1, 3))]]
         step = int(rng.integers(0, K))
-        lp, alpha = build_recourse_lp(model, dispatch, ReserveSchedule.zero(model), step,
+        ns, alpha = build_recourse_lp(model, dispatch, ReserveSchedule.zero(model), step,
                                       axes, np.zeros(len(axes)),
                                       BuildOptions(poly_sides=sides, pv_power_factor_gamma=gamma,
                                                    terminal_soc_geq_initial=terminal))
+        lp = ns.lp
         bus_phases = sum(len(b.phases) for b in model.buses)
         branch_phases = sum(len(br.phases) for br in model.branches)
         n_pv, n_dg, n_es, n_load = (
@@ -101,9 +102,9 @@ def test_one_step_recourse_ignores_the_soc_recursion():
                                    BuildOptions(terminal_soc_geq_initial=flag)).alpha_w
                       for flag in (False, True))
     np.testing.assert_array_equal(terminal, free)
-    lp, _ = build_recourse_lp(model, dispatch, reserves, 0, axes, np.zeros(1),
+    ns, _ = build_recourse_lp(model, dispatch, reserves, 0, axes, np.zeros(1),
                               BuildOptions(terminal_soc_geq_initial=True))
-    assert not any(name.startswith("soc[") for name in lp.names)
+    assert not ns.soc and not any(name.startswith("soc[") for name in ns.lp.names)
 
 
 def test_characterize_builds_once_per_step(monkeypatch):
@@ -158,8 +159,9 @@ def test_one_phase_one_per_step_and_alpha_matches_cold(monkeypatch):
     s = sc.model.base.power_va
     for k in steps:
         for i, axis in enumerate(sc.axes):
-            lp, alpha = build_recourse_lp(sc.model, dispatch, reserves, k, sc.axes,
+            ns, alpha = build_recourse_lp(sc.model, dispatch, reserves, k, sc.axes,
                                           np.zeros(len(sc.axes)), sc.build)
+            lp = ns.lp
             lp.set_bounds(alpha[i], 0.0, np.inf if axis.cap_w is None else axis.cap_w / s)
             lp.set_objective({alpha[i]: -1.0})
             cold = solve(lp, sc.solver)
@@ -421,6 +423,43 @@ def test_step_outside_the_horizon_is_rejected():
             event_is_tolerable(model, dispatch, reserves, step, axes, np.zeros(1))
 
 
+@pytest.mark.parametrize("axes, match", [
+    ([AdversarialAxis(AXIS_DG_LOSS, "nope")],
+     r"axes\[0\]: unknown entity 'nope' for dg_capacity_loss"),
+    ([AdversarialAxis(AXIS_DG_LOSS, "dg1")] * 2,
+     r"axes\[1\]: duplicate axis dg_capacity_loss/dg1; axes must be independent"),
+], ids=["unknown-entity", "repeated-axis"])
+def test_every_recourse_entry_point_checks_the_axes(axes, match):
+    """An axis whose entity the model lacks, or a repeated one, raises
+    `validate_axes`' ValueError at each entry point.  Unchecked, a 1 GW loss
+    on either read as tolerable: the unknown entity's magnitude enters no
+    row, and neither does a repeated axis's first copy, whose entity's row
+    takes the last copy's magnitude."""
+    model = six_bus()
+    dispatch = solve_baseline(model, COSTS)
+    reserves = ReserveSchedule.from_headroom(model, dispatch)
+    gigawatt = np.zeros(len(axes))
+    gigawatt[0] = 1e9
+    with pytest.raises(ValueError, match=match):
+        build_recourse_lp(model, dispatch, reserves, 0, axes, gigawatt)
+    with pytest.raises(ValueError, match=match):
+        RecourseStep(model, dispatch, reserves, 0, axes)
+    with pytest.raises(ValueError, match=match):
+        event_is_tolerable(model, dispatch, reserves, 0, axes, gigawatt)
+    with pytest.raises(ValueError, match=match):
+        characterize_steps(model, dispatch, reserves, axes)
+
+
+def test_magnitudes_of_another_shape_are_rejected():
+    model, dispatch, reserves = dg_toy()
+    axes = [AdversarialAxis(AXIS_DG_LOSS, "dg1")]
+    match = r"magnitudes have shape \(2,\), expected \(1,\)"
+    with pytest.raises(ValueError, match=match):
+        event_is_tolerable(model, dispatch, reserves, 0, axes, np.zeros(2))
+    with pytest.raises(ValueError, match=match):
+        RecourseStep(model, dispatch, reserves, 0, axes).event(np.zeros(2))
+
+
 def test_infinite_magnitude_is_malformed():
     model, dispatch, reserves = dg_toy()
     axes = [AdversarialAxis(AXIS_LOAD_INCREASE, "load1")]
@@ -520,8 +559,8 @@ def test_recourse_step_answers_equal_cold_solves():
         first = []
         for point in points:
             sol = step.event(point)
-            lp, _ = build_recourse_lp(sc.model, dispatch, reserves, k, sc.axes, point, sc.build)
-            assert sol.status == solve(lp, sc.solver).status, (k, point)
+            ns, _ = build_recourse_lp(sc.model, dispatch, reserves, k, sc.axes, point, sc.build)
+            assert sol.status == solve(ns.lp, sc.solver).status, (k, point)
             assert sol.stats.start == "warm"
             answers.append(sol.status is LpStatus.OPTIMAL)
             first.append(sol)
@@ -556,12 +595,12 @@ def test_headroom_sweep_resolves_without_a_cold_start(advset_run):
         for rho in (0.75, 0.5, 0.25):
             scaled = ReserveSchedule({key: rho * v for key, v in wrap.reserves.up.items()},
                                      {key: rho * v for key, v in wrap.reserves.down.items()})
-            banded, _ = build_recourse_lp(model, dispatch, scaled, k, scenario.axes,
-                                          np.zeros(n_axes), scenario.build)
+            banded = build_recourse_lp(model, dispatch, scaled, k, scenario.axes,
+                                       np.zeros(n_axes), scenario.build)[0].lp
             # the narrower bands are the column bounds and axis-row right-hand
             # sides of the LP built at the scaled reserves
-            step.lp.lower[:], step.lp.upper[:] = banded.lower, banded.upper
-            for row, new in zip(step.lp.rows, banded.rows):
+            step.ns.lp.lower[:], step.ns.lp.upper[:] = banded.lower, banded.upper
+            for row, new in zip(step.ns.lp.rows, banded.rows):
                 row.rhs = new.rhs
             sol = step.event(np.zeros(n_axes))
             assert sol.status is solve(banded, scenario.solver).status is LpStatus.OPTIMAL

@@ -6,10 +6,12 @@ from pathlib import Path
 import pytest
 
 from gridres import cli, dispatch
+from gridres.advset import AxisInfeasible
 from gridres.cli import main
 from gridres.lp import IterationLimitExceeded
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+DOCS = SCENARIOS.parent / "docs" / "examples"
 SMALL_SYNTH = {"buses": 6, "steps": 4, "dt_hours": 0.25, "profile": "event_day",
                "initial_soc": "mid", "n_loads": 3, "n_pv": 2, "n_dg": 2, "n_storage": 1}
 
@@ -253,6 +255,38 @@ def test_solver_failure_maps_to_exit_4(tmp_path, capsys, monkeypatch, error):
     err = capsys.readouterr().err
     assert err.startswith("solver failure:") and str(error) in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_feas_tol_flag_reaches_the_solver(tmp_path, capsys, monkeypatch):
+    """`--feas-tol` overrides the scenario's solver tolerance; a zero
+    tolerance is an input error named by its block, before any solve."""
+    seen = []
+
+    def recording(model, costs, build, solver):
+        seen.append(solver.feas_tol)
+        return dispatch.solve_baseline(model, costs, build, solver)
+
+    monkeypatch.setattr(cli, "solve_baseline", recording)
+    sixbus = str(DOCS / "sixbus_scenario.json")
+    assert main(["baseline", sixbus, "--out", str(tmp_path / "o"), "--feas-tol", "1e-6"]) == 0
+    assert seen == [1e-6] and capsys.readouterr().err == ""
+    assert main(["baseline", sixbus, "--out", str(tmp_path / "z"), "--feas-tol", "0"]) == 1
+    assert capsys.readouterr().err == (
+        "error: solver: feas_tol must be a positive finite number, got 0.0\n")
+    assert seen == [1e-6] and not (tmp_path / "z").exists()
+
+
+def test_downstream_infeasibility_maps_to_exit_3(tmp_path, capsys, monkeypatch):
+    """Headroom reserves make the zero-magnitude recourse LP feasible by
+    construction, so only a stand-in walk reaches exit 3."""
+    def failing(*args, **kwargs):
+        raise AxisInfeasible("recourse LP infeasible even at zero event magnitude at step 0")
+
+    monkeypatch.setattr(cli, "characterize_steps", failing)
+    scenario = small_scenario(tmp_path)
+    assert main(["advset", str(scenario), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == ("downstream infeasibility: recourse LP infeasible even "
+                                       "at zero event magnitude at step 0\n")
 
 
 def files_scenario(tmp_path, edit) -> Path:

@@ -639,7 +639,7 @@ def test_refused_crash_hints_still_solve(case):
 def test_crash_hint_that_fits_skips_phase_one():
     lp, x, _ = equality_pair_lp()  # y starts at 0, so x = 4 is within [0, 10]
     assert solve(lp).stats.dual_pivots > 0
-    lp.rows[0].basic = x
+    lp.rows[0] = dataclasses.replace(lp.rows[0], basic=x)
     sol = solve(lp)
     assert sol.status is LpStatus.OPTIMAL and sol.stats.dual_pivots == 0
     assert sol.objective_value == pytest.approx(3.0, abs=1e-12)
@@ -650,9 +650,9 @@ def test_random_crash_hints_match_the_oracle():
     checked = 0
     for _ in range(60):
         lp = random_bounded_lp(rng)
-        for row in lp.rows:  # usually a column of the row, sometimes any column
+        for r, row in enumerate(lp.rows):  # usually a column of the row, sometimes any
             pool = list(row.coeffs) if rng.random() < 0.8 else range(lp.n_variables)
-            row.basic = int(rng.choice(pool))
+            lp.rows[r] = dataclasses.replace(row, basic=int(rng.choice(pool)))
         expected = brute_force_min(lp)
         sol = solve(lp)
         if expected is None:
@@ -666,7 +666,7 @@ def test_random_crash_hints_match_the_oracle():
 
 def test_hint_of_unknown_column_is_malformed():
     lp, x, _ = equality_pair_lp()
-    lp.rows[0].basic = x + 5
+    lp.rows[0] = dataclasses.replace(lp.rows[0], basic=x + 5)
     with pytest.raises(MalformedProblem, match="hints unknown variable index"):
         solve(lp)
 
@@ -783,6 +783,26 @@ def test_kept_row_coefficients_are_read_only():
         solve(lp, start=kept)
     sol = solve(lp)
     assert sol.status is LpStatus.OPTIMAL and sol.values[x] == pytest.approx(2.0, abs=1e-12)
+
+
+def test_only_a_kept_rows_rhs_can_be_reset():
+    """A kept state re-reads only each row's rhs, so that is all of a Row
+    that can change: rebinding its coefficients, relation, tag or crash hint
+    raises, and a re-solve from the kept state answers as a cold solve of
+    the LP as it stands."""
+    lp, x, y = equality_pair_lp()
+    kept = solve(lp).kept
+    row = lp.rows[0]
+    for name, value in [("coeffs", {x: 1.0, y: 2.0}), ("rel", Rel.GE), ("tag", "other"),
+                        ("basic", x)]:
+        with pytest.raises(AttributeError, match=f"Row.{name} is set once"):
+            setattr(row, name, value)
+    assert (dict(row.coeffs), row.rel, row.tag, row.basic) == ({x: 1.0, y: 1.0}, Rel.EQ, "", None)
+    assert solve(lp, start=kept).values[x] == pytest.approx(3.0, abs=1e-12)
+    row.rhs = 5.0
+    warm, cold = solve(lp, start=kept), solve(lp)
+    assert warm.values[x] == pytest.approx(cold.values[x], abs=1e-12)
+    assert cold.values[x] == pytest.approx(4.0, abs=1e-12)
 
 
 def test_kept_state_factors_its_basis_once():

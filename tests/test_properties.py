@@ -14,6 +14,11 @@ unbalanced; `tools/properties_at_seed.sh` sets them.
   tolerable set around the baseline's headroom (as `gridres advset` runs
   it), the built-in simplex against HiGHS, to 1e-9 relative; a baseline one
   backend finds infeasible, the other does too.
+* P2, soundness (criterion c5 per step, its vertex half): every vertex of
+  every step's polytope, the nominal point and each alpha_i e_i, is
+  tolerable at feas_tol 1e-7.
+* P3, maximality (criterion c6): alpha_i + 1 kW along any axis is not
+  tolerable, unless the axis's cap clamps alpha_i.
 * P5, exits: `gridres baseline` on a feeder exits 0 and prints nothing, or,
   when the baseline is infeasible, exits 2 with one line.  The unbalanced
   seed-6 feeder is such a feeder and always runs.
@@ -28,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from gridres.advset import characterize_steps
+from gridres.advset import characterize_steps, event_is_tolerable
 from gridres.cli import main
 from gridres.dispatch import InfeasibleDispatch, solve_baseline
 from gridres.robust import ReserveSchedule
@@ -37,6 +42,8 @@ from gridres.scenario import load_scenario
 CYBER = Path(__file__).resolve().parent.parent / "scenarios" / "cyber_event.json"
 BUSES = 14
 REL = 1e-9
+SOUND_TOL = 1e-7  # the feasibility tolerance a vertex is tolerable at (c5)
+BEYOND_W = 1e3  # the step past alpha_i that must not be tolerable (c6)
 
 
 class Feeder(NamedTuple):
@@ -92,6 +99,64 @@ def test_p1_simplex_and_highs_agree(feeder, tmp_path):
     assert alpha.shape == ref_alpha.shape and alpha.size
     np.testing.assert_allclose(alpha, ref_alpha, rtol=REL, atol=0.0)
 
+
+@pytest.fixture(scope="module")
+def tolerable_sets(tmp_path_factory):
+    """Per feeder, once: its scenario, baseline, headroom reserves and
+    polytopes under the built-in simplex, or None if the baseline is
+    infeasible."""
+    cache = {}
+
+    def of(feeder: Feeder):
+        if feeder not in cache:
+            path = feeder.write(tmp_path_factory.mktemp(str(feeder)) / "scenario.json")
+            scenario = load_scenario(path)
+            try:
+                base = solve_baseline(scenario.model, scenario.costs, scenario.build,
+                                      scenario.solver)
+            except InfeasibleDispatch:
+                cache[feeder] = None
+                return None
+            reserves = ReserveSchedule.from_headroom(scenario.model, base)
+            polys = characterize_steps(scenario.model, base, reserves, scenario.axes,
+                                       scenario.advset_steps, scenario.build, scenario.solver)
+            cache[feeder] = scenario, base, reserves, polys
+        return cache[feeder]
+
+    return of
+
+
+@pytest.mark.parametrize("feeder", FEEDERS, ids=str)
+def test_p2_every_vertex_is_tolerable(feeder, tolerable_sets):
+    found = tolerable_sets(feeder)
+    if found is None:
+        pytest.skip(f"{feeder}: no feasible baseline")
+    scenario, base, reserves, polys = found
+    tight = dataclasses.replace(scenario.solver, feas_tol=SOUND_TOL)
+    for k, poly in polys.items():
+        for j, vertex in enumerate(poly.vertices_w):
+            assert event_is_tolerable(scenario.model, base, reserves, k, poly.axes, vertex,
+                                      scenario.build, tight), f"{feeder}: step {k} vertex {j}"
+
+
+@pytest.mark.parametrize("feeder", FEEDERS, ids=str)
+def test_p3_one_kilowatt_past_alpha_is_not_tolerable(feeder, tolerable_sets):
+    found = tolerable_sets(feeder)
+    if found is None:
+        pytest.skip(f"{feeder}: no feasible baseline")
+    scenario, base, reserves, polys = found
+    probed = 0
+    for k, poly in polys.items():
+        for i, axis in enumerate(poly.axes):
+            if axis.cap_w is not None and poly.alpha_w[i] >= axis.cap_w - 1e-6:
+                continue  # the cap, not feasibility, stops this axis
+            probe = np.zeros(len(poly.axes))
+            probe[i] = poly.alpha_w[i] + BEYOND_W
+            assert not event_is_tolerable(scenario.model, base, reserves, k, poly.axes, probe,
+                                          scenario.build, scenario.solver), (
+                f"{feeder}: axis {axis.kind}/{axis.entity} not maximal at step {k}")
+            probed += 1
+    assert probed > 0
 
 @pytest.mark.parametrize("feeder", sorted({*FEEDERS, INFEASIBLE}), ids=str)
 def test_p5_baseline_exits_0_or_2_with_one_line(feeder, tmp_path, capsys):

@@ -11,9 +11,10 @@ import pytest
 
 from gridres.advset import AdversarialAxis, AXIS_DG_LOSS, AXIS_LOAD_INCREASE, characterize_steps
 from gridres.constraints import P_DG_CAPACITY, P_LOAD_DESIRED
-from gridres.dispatch import CostConfig, build_baseline_lp
+from gridres.dispatch import CostConfig, build_baseline_lp, solve_baseline
 from gridres.lp import check_feasibility
-from gridres.robust import UncertaintyBox, solve_robust
+from gridres.network import StorageUnit
+from gridres.robust import ReserveSchedule, RobustResult, UncertaintyBox, solve_robust
 from gridres.sim import (
     LINE_TOL,
     VOLTAGE_TOL,
@@ -156,6 +157,36 @@ def test_soc_recursion_replay():
         for k in range(model.steps):
             resid = traj.soc_wh[u.id][k + 1] - traj.soc_wh[u.id][k] + es_series[k] * dt
             assert abs(resid) <= 1e-9
+
+
+def test_reserve_deployed_early_flags_a_later_scheduled_discharge():
+    """A battery holding 80 kWh (floor 20 kWh) is scheduled idle, then to
+    discharge 200 kW for a 15-minute step: 30 kWh stays above the floor.
+    A 100 kW mask at step 0 deploys its whole up-reserve, 25 kWh, so the
+    scheduled discharge ends 15 kWh below the floor, and the replay flags
+    that step's state of charge by exactly that much."""
+    model = single_bus(load_des_w=1.0e6, load_min_w=0.5e6, dg_cap_va=1.5e6, steps=2)
+    model.storage_units = [StorageUnit("es1", "bus0", 0.4e6, 0.02e6, 0.2e6, 0.5e6, 0.08e6)]
+    base = solve_baseline(model, COSTS)
+    base.p[("es", "es1")] = np.array([0.0, 0.2e6])
+    base.p[("dg", "dg1")] = 1.0e6 - base.p[("es", "es1")]
+    reserves = ReserveSchedule.zero(model)
+    reserves.up[("es", "es1")][0] = 0.1e6
+    schedule = RobustResult(base, reserves, base.objective_value, 0.0, np.zeros(2),
+                            np.zeros(2))
+    replay = compile_replay(model, schedule)
+    clean = run_simulation(replay, [])
+    np.testing.assert_allclose(clean.soc_wh["es1"], [80e3, 80e3, 30e3], rtol=0, atol=1e-6)
+    assert violation_report(clean).clean()
+
+    traj = run_simulation(replay, [{("load", "load1"): 0.1e6}])
+    assert traj.deployed_up_w[0] == pytest.approx(0.1e6, abs=1e-6)
+    np.testing.assert_allclose(traj.soc_wh["es1"], [80e3, 55e3, 5e3], rtol=0, atol=1e-6)
+    np.testing.assert_array_equal(traj.violations["soc"], [False, True])
+    np.testing.assert_allclose(traj.violation_magnitude["soc"], [0.0, 15e3], rtol=0, atol=1e-6)
+    report = violation_report(traj)
+    assert report.counts == {"voltage": 0, "soc": 1, "line": 0, "shortfall": 0}
+    assert report.max_magnitude["soc"] == pytest.approx(15e3, abs=1e-6)
 
 
 def test_oversized_event_records_shortfall():
