@@ -34,16 +34,16 @@ the recourse LP is built once, its axes checked, and solved from the crash
 basis with every magnitude at zero, then narrowed in place to each later
 step through the namespace it was built with (its device columns' bounds
 and its axis rows' right-hand sides) and re-solved from the kept state
-(:class:`gridres.lp.KeptSimplex`) of the step before: its rows, basis and
-LU.  Every query re-bounds the magnitude columns and re-solves from the
-step's kept state, adding its own etas, so a one-step pass factors a B
-twice and a longer one seldom more.  An axis maximization runs the primal
-simplex only; a membership test fixes the magnitudes, which moves the basic
-values out of their bounds, and without an objective the basis stays dual
-feasible, so the dual simplex answers it, as one cold solve
+(:class:`gridres.lp.KeptSimplex`) of the step before: the rows, assembled
+once a pass, its basis and LU.  Every query re-bounds the magnitude columns
+and re-solves from the step's kept state, adding its own etas, so a one-step
+pass factors a B twice and a longer one seldom more.  An axis maximization
+runs the primal simplex only; a membership test fixes the magnitudes, which
+moves the basic values out of their bounds, and without an objective the
+basis stays dual feasible, so the dual simplex answers it, as one cold solve
 (:func:`event_is_tolerable`) would.  Distinct passes share nothing but
-immutable inputs and may run concurrently; one step object serves one
-caller at a time.  A built InnerPolytope is immutable.
+immutable inputs and may run concurrently; one step object serves one caller
+at a time.  A built InnerPolytope is immutable.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ import numpy as np
 from .constraints import (BuildOptions, PerUnit, VariableNamespace, build_feeder_lp,
                           device_groups, device_window)
 from .dispatch import DispatchResult
-from .lp import LpSolution, LpStatus, Rel, SolverOptions, solve
+from .lp import LpSolution, LpStatus, Rel, Row, SolverOptions, solve
 from .network import (InputError, NetworkModel, array, input_error, integer, mapping,
                       non_negative_series, nullable, number, record, string)
 from .robust import ReserveSchedule
@@ -104,13 +104,18 @@ _read_polytope = record({"step": integer, "axes": array(read_axis),
                          "alpha_w": non_negative_series})
 
 
-@dataclass
+@dataclass(frozen=True)
 class InnerPolytope:
     """Vertices {nominal, nominal + alpha_i e_i} in axis-magnitude coordinates (W)."""
 
     step: int
-    axes: list[AdversarialAxis]
+    axes: tuple[AdversarialAxis, ...]
     alpha_w: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "axes", tuple(self.axes))
+        object.__setattr__(self, "alpha_w", np.array(self.alpha_w, dtype=float))
+        self.alpha_w.flags.writeable = False
 
     @property
     def vertices_w(self) -> np.ndarray:
@@ -242,7 +247,8 @@ def _narrow(ns: VariableNamespace, alpha: list[int], model: NetworkModel,
                 lp.set_bounds(p, lo, band_hi)
                 limits.append(({p: 1.0, alpha[i]: 1.0}, hi))
     rows = [row for row in lp.rows if row.tag == "axis"]
-    rows = rows or [lp.rows[lp.add_row(coeffs, Rel.LE, 0.0, "axis")] for coeffs, _ in limits]
+    if not rows:  # the LP as built: add its axis rows
+        lp.rows += tuple(Row(coeffs, Rel.LE, float(rhs), "axis") for coeffs, rhs in limits)
     for row, (_, rhs) in zip(rows, limits):
         row.rhs = float(rhs)
 
@@ -366,7 +372,7 @@ def characterize_steps(
                     "give the axis an outer cap"
                 )
             alphas[i] = sol.values[recourse.alpha[i]] * recourse.s_base
-        polys[k] = InnerPolytope(k, list(axes), alphas)
+        polys[k] = InnerPolytope(k, axes, alphas)
     return polys
 
 

@@ -157,6 +157,8 @@ def cmd_advset(scenario: Scenario, manifest: ManifestWriter,
     if not scenario.advset_steps:
         raise ScenarioError("advset_steps is empty; no step to characterize")
     for (i, j, k) in projections:  # before any solve, so a bad triple writes nothing
+        if projections.count((i, j, k)) > 1:
+            raise ScenarioError(f"--project {i} {j} {k} is given twice")
         if k not in scenario.advset_steps:
             raise ScenarioError(f"--project step {k} was not characterized")
         if not (0 <= i < len(scenario.axes) and 0 <= j < len(scenario.axes)):

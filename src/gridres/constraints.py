@@ -533,7 +533,7 @@ def emit_limits(
 def apply_emissions(lp: LinearProgram, rows: list[Row]) -> None:
     """Append the emitters' rows to `lp` as they are: each already has int
     keys with one entry per column, a `Rel` and a float rhs."""
-    lp.rows.extend(rows)
+    lp.rows += tuple(rows)
 
 
 def build_feeder_lp(

@@ -48,9 +48,9 @@ B singular.  Every other row starts with its logical, so without hints the
 start is all logicals.  The feeder rows name the columns that make B
 triangular along the tree (see :mod:`gridres.constraints`).
 
-An optimal solve returns a kept state (:class:`KeptSimplex`): its assembled
-rows, final basis and LU of B, the one warm start, which re-solves the same
-LP object in place after its bounds, objective or right-hand sides moved.
+An optimal solve returns a kept state (:class:`KeptSimplex`): the LP's rows,
+assembled once per `rows` tuple, its final basis and the LU of B: the one
+warm start, re-solving the same LP after its bounds, objective or rhs moved.
 The solver is fully deterministic: identical inputs produce
 bitwise-identical outputs.  A scipy/HiGHS backend can be selected through
 :class:`SolverOptions`; the built-in simplex remains the reference
@@ -65,7 +65,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import attrgetter, is_, methodcaller
+from operator import attrgetter, methodcaller
 from types import MappingProxyType
 
 import numpy as np
@@ -104,9 +104,9 @@ class DimensionMismatch(ValueError):
 
 @dataclass(init=False)
 class Row:
-    """sum(coeffs[j] x_j) <rel> rhs.  A kept solve (:class:`KeptSimplex`)
-    answers for the rows it was solved on, so only `rhs` may be re-set; the
-    other fields are set once, the coefficients as a read-only copy."""
+    """sum(coeffs[j] x_j) <rel> rhs.  An LP's assembled rows answer for the
+    rows they were built from, so only `rhs` may be re-set; the other fields
+    are set once, the coefficients as a read-only copy."""
 
     coeffs: Mapping[int, float]
     rel: Rel
@@ -157,8 +157,8 @@ class SolverOptions:
 class LinearProgram:
     """Minimize c.x subject to sparse rows and variable bounds.
 
-    The solver never mutates an instance and reads it afresh on every
-    :func:`solve`, but for the rows of a re-solve from a :class:`KeptSimplex`.
+    `rows` is a tuple that :meth:`add_row` rebinds.  The solver keeps the
+    assembly of `rows` here, and reads the rest afresh on every :func:`solve`.
     """
 
     def __init__(self) -> None:
@@ -166,8 +166,9 @@ class LinearProgram:
         self.lower: list[float] = []
         self.upper: list[float] = []
         self.objective: dict[int, float] = {}
-        self.rows: list[Row] = []
+        self.rows: tuple[Row, ...] = ()
         self._name_set: set[str] = set()
+        self._assembled_rows: _Rows | None = None
 
     @property
     def n_variables(self) -> int:
@@ -212,7 +213,7 @@ class LinearProgram:
         merged: dict[int, float] = {}
         for k, v in coeffs.items():
             merged[int(k)] = merged.get(int(k), 0.0) + float(v)
-        self.rows.append(Row(merged, Rel(rel), float(rhs), tag, basic))
+        self.rows += (Row(merged, Rel(rel), float(rhs), tag, basic),)
         return len(self.rows) - 1
 
     def to_lp_text(self, name: str = "problem") -> str:
@@ -282,36 +283,15 @@ class SolveStats:
 class KeptSimplex:
     """An optimal simplex solve's assembled rows, final basis and LU of B,
     to re-solve the same LinearProgram in place: ``solve(lp, start=kept)``
-    re-reads only its bounds, objective and right-hand sides (a row's `rhs`
-    may be edited in place, and is all of a Row that may).  Another LP,
-    other columns or other Row objects raise :class:`MalformedProblem`.
-    A solve that ended with etas pending keeps no LU: the first re-solve
-    factors B and stores its LU here, the only write to a kept state."""
+    re-reads only its bounds, objective and right-hand sides; an LP assembled
+    from other rows raises :class:`MalformedProblem`.  A solve that ended
+    with etas pending keeps no LU: the first re-solve factors B and stores
+    its LU here, the only write to a kept state."""
 
-    lp: LinearProgram = field(repr=False)
-    given: tuple[Row, ...] = field(repr=False)  # the LP's Row objects, in order
     rows: _Rows = field(repr=False)
     basic: np.ndarray  # the column of [A | I] in each row's basis position
     status: np.ndarray  # bound status of every structural and logical column
     lu: object = field(repr=False)  # SuperLU of B; None until B is factored
-
-    def _reassemble(self, lp: LinearProgram) -> _Assembled:
-        """`lp`'s bounds, objective and right-hand sides over the kept rows,
-        with the checks and messages of a full assembly."""
-        if lp is not self.lp:
-            raise MalformedProblem("kept start belongs to another LinearProgram")
-        (m, n), given = self.rows.A.shape, self.given
-        if (lp.n_rows, lp.n_variables) != (m, n):
-            raise MalformedProblem(f"kept start was solved on {m} rows and {n} columns; "
-                                   f"the problem has {lp.n_rows} and {lp.n_variables}")
-        if not all(map(is_, lp.rows, given)):
-            ri = next(i for i, (row, old) in enumerate(zip(lp.rows, given)) if row is not old)
-            raise MalformedProblem(f"kept start: row {ri} is not the row it was solved on")
-        lower, upper, cost = _columns(lp)
-        rhs = np.fromiter(map(attrgetter("rhs"), lp.rows), dtype=float, count=m)
-        if not np.isfinite(rhs).all():
-            raise MalformedProblem(f"non-finite rhs on row {int(np.argmax(~np.isfinite(rhs)))}")
-        return _Assembled(self.rows, lower, upper, cost, rhs)
 
 
 @dataclass
@@ -356,6 +336,7 @@ class _Rows:
     a row in that order.
     """
 
+    source: tuple[Row, ...]  # the `rows` tuple these were built from
     A: object  # scipy.sparse.csr_matrix, rows x columns
     rel: np.ndarray  # _LE, _EQ or _GE per row
     basic: np.ndarray  # each row's hinted starting column (Row.basic), -1 for none
@@ -438,13 +419,18 @@ def _columns(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _assemble(lp: LinearProgram) -> _Assembled:
     """Arrays of `lp`; raises :class:`MalformedProblem` on the first defect
-    (bounds first, then the objective, then the rows in order)."""
+    (bounds first, then the objective, then the rows in order).  The rows'
+    arrays are built once per `lp.rows` tuple and column count."""
     from scipy.sparse import csr_matrix
 
     lower, upper, cost = _columns(lp)
     n, m = lp.n_variables, lp.n_rows
-    rows = lp.rows
+    rows, kept = lp.rows, lp._assembled_rows
     rhs = np.fromiter(map(attrgetter("rhs"), rows), dtype=float, count=m)
+    if kept is not None and kept.source is rows and kept.A.shape[1] == n:
+        if not np.isfinite(rhs).all():
+            raise MalformedProblem(f"non-finite rhs on row {int(np.argmax(~np.isfinite(rhs)))}")
+        return _Assembled(kept, lower, upper, cost, rhs)
     coeffs = list(map(attrgetter("coeffs"), rows))
     counts = np.fromiter(map(len, coeffs), dtype=np.int64, count=m)
     indptr = np.zeros(m + 1, dtype=np.int64)
@@ -472,8 +458,8 @@ def _assemble(lp: LinearProgram) -> _Assembled:
         if outside[k]:
             raise MalformedProblem(f"row {ri} references unknown variable index {cols[k]}")
         raise MalformedProblem(f"non-finite coefficient on row {ri}, index {cols[k]}")
-    A = csr_matrix((vals, cols, indptr), shape=(m, n))
-    return _Assembled(_Rows(A, rel, basic), lower, upper, cost, rhs)
+    lp._assembled_rows = _Rows(rows, csr_matrix((vals, cols, indptr), shape=(m, n)), rel, basic)
+    return _Assembled(lp._assembled_rows, lower, upper, cost, rhs)
 
 
 def check_feasibility(lp: LinearProgram, point: np.ndarray, tol: float = 0.0) -> FeasibilityReport:
@@ -502,14 +488,19 @@ def solve(lp: LinearProgram, options: SolverOptions | None = None,
     silently suboptimal "optimal".
 
     `start` is an earlier optimal solve's :attr:`LpSolution.kept` state, to
-    re-solve that same LP in place (see :class:`KeptSimplex`); any other
+    re-solve that same LP, assembled from the same rows, in place; any other
     start raises :class:`MalformedProblem`.  Its nonbasic columns keep their
     bounds while those are finite and not fixed, and are otherwise placed as
     on a cold solve.  The HiGHS backend ignores `start`."""
     options = options or SolverOptions()
     if start is not None and not isinstance(start, KeptSimplex):
         raise MalformedProblem(f"start must be a KeptSimplex, not {type(start).__name__}")
-    mat = _assemble(lp) if start is None else start._reassemble(lp)
+    mat = _assemble(lp)
+    if start is not None and start.rows is not mat.rows:
+        m, n = start.rows.A.shape
+        raise MalformedProblem(f"kept start belongs to another LinearProgram or rows: solved on "
+                               f"{m} rows and {n} columns; the problem has {lp.n_rows} and "
+                               f"{lp.n_variables}")
     if not lp.n_variables:  # each row reads 0 <rel> rhs
         stats = SolveStats() if options.backend == "simplex" else None
         bad = [ri for ri, _ in mat.feasibility(np.zeros(0), options.feas_tol).violations]
@@ -519,7 +510,7 @@ def solve(lp: LinearProgram, options: SolverOptions | None = None,
                           stats=stats)
     if options.backend == "scipy":
         return _solve_scipy(mat)
-    return _BoundedSimplex(lp, mat, options).run(start)
+    return _BoundedSimplex(mat, options).run(start)
 
 
 # status codes for nonbasic/basic variables
@@ -646,8 +637,7 @@ class _BoundedSimplex:
     may only leave the basis.
     """
 
-    def __init__(self, lp: LinearProgram, mat: _Assembled, opt: SolverOptions):
-        self.lp = lp
+    def __init__(self, mat: _Assembled, opt: SolverOptions):
         self.mat = mat
         self.opt = opt
         n = len(mat.lower)
@@ -1017,8 +1007,8 @@ class _BoundedSimplex:
             )
         obj = float(np.dot(self.c[:self.n], values))
         # the LU is B's own only with no eta pending
-        kept = KeptSimplex(self.lp, tuple(self.lp.rows), self.mat.rows, self.basis,
-                           self.status, self.B.lu if self.B.count == 0 else None)
+        kept = KeptSimplex(self.mat.rows, self.basis, self.status,
+                           self.B.lu if self.B.count == 0 else None)
         return LpSolution(LpStatus.OPTIMAL, values=values, objective_value=obj,
                           iterations=self.stats.iterations, stats=self.stats, kept=kept)
 

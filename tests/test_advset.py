@@ -538,6 +538,25 @@ def test_polytope_json_round_trip():
     np.testing.assert_array_equal(back.alpha_w, poly.alpha_w)
 
 
+def test_inner_polytope_is_immutable():
+    """A built polytope's step, axes and magnitudes cannot be edited, and
+    it holds its own float copy of the magnitudes it was given."""
+    axes = [AdversarialAxis(AXIS_DG_LOSS, "dg1"), AdversarialAxis(AXIS_PV_ERROR, "pv1")]
+    alpha = np.array([3, 2])
+    poly = InnerPolytope(0, axes, alpha)
+    alpha[0] = 7
+    axes.append(AdversarialAxis(AXIS_LOAD_INCREASE, "load1"))
+    assert poly.axes == tuple(axes[:2]) and poly.alpha_w.tolist() == [3.0, 2.0]
+    assert poly.alpha_w.dtype == float
+    with pytest.raises(ValueError, match="read-only"):
+        poly.alpha_w[0] = -5.0
+    with pytest.raises(AttributeError):
+        poly.axes.append(AdversarialAxis(AXIS_LOAD_INCREASE, "load1"))
+    with pytest.raises(AttributeError):
+        poly.step = 1
+    assert len(poly.axes) == 2 and poly.alpha_w.tolist() == [3.0, 2.0] and poly.step == 0
+
+
 def test_recourse_step_answers_equal_cold_solves():
     """On the six-bus example, 200 seeded magnitudes per step, inside and
     outside the polytope: the step object's answer equals a cold solve of

@@ -586,7 +586,10 @@ def test_simulate_call_counts_match_the_benchmark_contract(tmp_path, monkeypatch
     (["0", "2", "1"], "error: --project axes (0, 2) out of range"),
     (["-1", "0", "1"], "error: --project axes (-1, 0) out of range"),
     (["0", "1", "9"], "error: --project step 9 was not characterized"),
-], ids=["same-axes", "axis-out-of-range", "negative-axis", "step-not-characterized"])
+    (["0", "1", "1", "--project", "0", "1", "2", "--project", "0", "1", "1"],
+     "error: --project 0 1 1 is given twice"),
+], ids=["same-axes", "axis-out-of-range", "negative-axis", "step-not-characterized",
+        "repeated-triple"])
 def test_bad_projection_fails_before_any_solve(tmp_path, capsys, monkeypatch, triple, expected):
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before checking --project")

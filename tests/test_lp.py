@@ -581,7 +581,7 @@ def test_kept_start_rereads_bounds_objective_and_rhs():
     ("other LP", "kept start belongs to another LinearProgram"),
     ("add_row", "solved on 1 rows and 2 columns; the problem has 2 and 2"),
     ("add_variable", "solved on 1 rows and 2 columns; the problem has 1 and 3"),
-    ("replaced row", "kept start: row 0 is not the row it was solved on"),
+    ("replaced row", "kept start belongs to another LinearProgram or rows: solved on 1 rows"),
 ])
 def test_kept_start_of_another_shape_is_malformed(edit, message):
     lp, x, y = equality_pair_lp()
@@ -593,9 +593,29 @@ def test_kept_start_of_another_shape_is_malformed(edit, message):
     elif edit == "add_variable":
         lp.add_variable("z", 0.0, 1.0)
     else:  # an equal row, but not the object the kept state was solved on
-        lp.rows[0] = dataclasses.replace(lp.rows[0])
+        lp.rows = (dataclasses.replace(lp.rows[0]),)
     with pytest.raises(MalformedProblem, match=message):
         solve(lp, start=kept)
+
+
+def test_rows_are_assembled_once_per_rows_tuple():
+    """An LP's rows are an immutable tuple, assembled once: two solves and a
+    feasibility check of an unchanged LP share one assembly of its rows, and
+    only a rebound `rows` tuple, as add_row makes, or another column count
+    assembles them again."""
+    lp, x, y = equality_pair_lp()
+    with pytest.raises(TypeError):
+        lp.rows[0] = Row({x: 1.0}, Rel.EQ, 4.0)
+    first, second = solve(lp), solve(lp)
+    check_feasibility(lp, first.values)
+    assembled = lp._assembled_rows
+    assert first.kept.rows is second.kept.rows is assembled and assembled.source is lp.rows
+    lp.add_row({y: 1.0}, Rel.LE, 1.0)
+    grown = solve(lp).kept.rows
+    assert grown is not assembled and grown.A.shape == (2, 2)
+    lp.add_variable("z", 0.0, 1.0)
+    check_feasibility(lp, np.zeros(3))
+    assert lp._assembled_rows is not grown and lp._assembled_rows.A.shape == (2, 3)
 
 
 def test_scipy_backend_returns_no_basis():
@@ -639,7 +659,7 @@ def test_refused_crash_hints_still_solve(case):
 def test_crash_hint_that_fits_skips_phase_one():
     lp, x, _ = equality_pair_lp()  # y starts at 0, so x = 4 is within [0, 10]
     assert solve(lp).stats.dual_pivots > 0
-    lp.rows[0] = dataclasses.replace(lp.rows[0], basic=x)
+    lp.rows = (dataclasses.replace(lp.rows[0], basic=x),)
     sol = solve(lp)
     assert sol.status is LpStatus.OPTIMAL and sol.stats.dual_pivots == 0
     assert sol.objective_value == pytest.approx(3.0, abs=1e-12)
@@ -650,9 +670,11 @@ def test_random_crash_hints_match_the_oracle():
     checked = 0
     for _ in range(60):
         lp = random_bounded_lp(rng)
-        for r, row in enumerate(lp.rows):  # usually a column of the row, sometimes any
+        hinted = []
+        for row in lp.rows:  # usually a column of the row, sometimes any
             pool = list(row.coeffs) if rng.random() < 0.8 else range(lp.n_variables)
-            lp.rows[r] = dataclasses.replace(row, basic=int(rng.choice(pool)))
+            hinted.append(dataclasses.replace(row, basic=int(rng.choice(pool))))
+        lp.rows = tuple(hinted)
         expected = brute_force_min(lp)
         sol = solve(lp)
         if expected is None:
@@ -666,7 +688,7 @@ def test_random_crash_hints_match_the_oracle():
 
 def test_hint_of_unknown_column_is_malformed():
     lp, x, _ = equality_pair_lp()
-    lp.rows[0] = dataclasses.replace(lp.rows[0], basic=x + 5)
+    lp.rows = (dataclasses.replace(lp.rows[0], basic=x + 5),)
     with pytest.raises(MalformedProblem, match="hints unknown variable index"):
         solve(lp)
 
@@ -777,9 +799,9 @@ def test_kept_row_coefficients_are_read_only():
         lp.rows[0].coeffs[y] = 2.0  # x + 2y = 4 would move x from 3 to 2
     assert solve(lp, start=kept).values[x] == pytest.approx(3.0, abs=1e-12)
     coeffs = {x: 1.0, y: 2.0}
-    lp.rows[0] = Row(coeffs, Rel.EQ, 4.0)
+    lp.rows = (Row(coeffs, Rel.EQ, 4.0),)
     coeffs[y] = 5.0  # the row holds its own copy
-    with pytest.raises(MalformedProblem, match="row 0 is not the row it was solved on"):
+    with pytest.raises(MalformedProblem, match="belongs to another LinearProgram or rows"):
         solve(lp, start=kept)
     sol = solve(lp)
     assert sol.status is LpStatus.OPTIMAL and sol.values[x] == pytest.approx(2.0, abs=1e-12)

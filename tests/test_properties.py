@@ -19,6 +19,10 @@ unbalanced; `tools/properties_at_seed.sh` sets them.
   tolerable at feas_tol 1e-7.
 * P3, maximality (criterion c6): alpha_i + 1 kW along any axis is not
   tolerable, unless the axis's cap clamps alpha_i.
+* P4, model consistency: at every step, `solve_linear_flow` at the
+  baseline's device outputs gives the LP's squared voltages to 1e-9 pu, on
+  single-phase laterals too, where the drop order differs from the branch
+  order.
 * P5, exits: `gridres baseline` on a feeder exits 0 and prints nothing, or,
   when the baseline is infeasible, exits 2 with one line.  The unbalanced
   seed-6 feeder is such a feeder and always runs.
@@ -35,6 +39,7 @@ import pytest
 
 from gridres.advset import characterize_steps, event_is_tolerable
 from gridres.cli import main
+from gridres.constraints import RadialPlan, device_groups, solve_linear_flow
 from gridres.dispatch import InfeasibleDispatch, solve_baseline
 from gridres.robust import ReserveSchedule
 from gridres.scenario import load_scenario
@@ -44,6 +49,7 @@ BUSES = 14
 REL = 1e-9
 SOUND_TOL = 1e-7  # the feasibility tolerance a vertex is tolerable at (c5)
 BEYOND_W = 1e3  # the step past alpha_i that must not be tolerable (c6)
+FLOW_TOL = 1e-9  # pu of squared voltage between the flow solve and the LP (P4)
 
 
 class Feeder(NamedTuple):
@@ -157,6 +163,25 @@ def test_p3_one_kilowatt_past_alpha_is_not_tolerable(feeder, tolerable_sets):
                 f"{feeder}: axis {axis.kind}/{axis.entity} not maximal at step {k}")
             probed += 1
     assert probed > 0
+
+
+@pytest.mark.parametrize("feeder", FEEDERS, ids=str)
+def test_p4_linear_flow_gives_the_lp_voltages(feeder, tolerable_sets):
+    found = tolerable_sets(feeder)
+    if found is None:
+        pytest.skip(f"{feeder}: no feasible baseline")
+    scenario, base, _, _ = found
+    model = scenario.model
+    plan = RadialPlan.of(model)
+    keys = [(cls, u.id) for cls, units in device_groups(model) for u in units]
+    assert sorted(plan.bus_phases) == sorted(base.voltage_sq_pu)
+    for k in range(model.steps):
+        _, _, w = solve_linear_flow(plan, [base.p[key][k] for key in keys],
+                                    [base.q[key][k] for key in keys])
+        for key, w_k in zip(plan.bus_phases, w, strict=True):
+            assert w_k == pytest.approx(base.voltage_sq_pu[key][k], rel=0.0, abs=FLOW_TOL), (
+                f"{feeder}: {key} at step {k}")
+
 
 @pytest.mark.parametrize("feeder", sorted({*FEEDERS, INFEASIBLE}), ids=str)
 def test_p5_baseline_exits_0_or_2_with_one_line(feeder, tmp_path, capsys):

@@ -12,9 +12,11 @@
 # coefficient indices and values in dict order, relation, rhs, tag and basic
 # hint), so a moved or changed row shows directly.  The solves are the
 # baseline LPs of lshl, hsll, cyber_event and a 123-bus copy of cyber_event
-# ("buses": 123), the robust LPs of hsll, cyber_event and that copy, and one
+# ("buses": 123), the robust LPs of hsll, cyber_event and that copy, one
 # `characterize_steps` walk over cyber_event's advset_steps, as `gridres
-# advset` runs it (its solves summed and hashed in order, plus repr(alpha)).
+# advset` runs it, and one per-step `advset.characterize` call at each of
+# those steps, as the benchmark's `advset` workload times them (each of the
+# two lines with its solves summed and hashed in order, plus repr(alpha)).
 # Pivot counts are deterministic, so the two sides must match exactly.  Exits
 # 0 when every line is identical, 1 on any difference, and 2 when a run fails.
 set -euo pipefail
@@ -90,27 +92,35 @@ for name in ("hsll", "cyber_event", "cyber_event_123"):
 sc = scenarios["cyber_event"]
 base = solve_baseline(sc.model, sc.costs, sc.build, sc.solver)
 reserves = ReserveSchedule.from_headroom(sc.model, base)
-solved = []
-advset_digest, advset_shape = hashlib.sha256(), [0, 0]  # every solve's rows, as it read them
 
 
-def counting_solve(lp, *args, **kwargs):
-    for i, n in enumerate(hash_rows(advset_digest, lp)):
-        advset_shape[i] += n
-    sol = solve(lp, *args, **kwargs)
-    solved.append(sol)
-    return sol
+def advset_line(name: str, characterize) -> str:
+    """The summed statistics of every recourse solve `characterize()` makes,
+    its solves' rows hashed in order as each read them, and its alphas."""
+    solved, digest, shape = [], hashlib.sha256(), [0, 0]
+
+    def counting_solve(lp, *args, **kwargs):
+        for i, n in enumerate(hash_rows(digest, lp)):
+            shape[i] += n
+        sol = solve(lp, *args, **kwargs)
+        solved.append(sol)
+        return sol
+
+    advset.solve = counting_solve  # the recourse LPs call solve by this name
+    polys = characterize()
+    alphas = [polys[k].alpha_w.tolist() for k in sc.advset_steps]
+    sums = [sum(c) for c in zip(*(counts(sol.stats) for sol in solved))]
+    return (f"seed {seed} {name} cyber_event steps {sc.advset_steps}: solves={len(solved)} "
+            f"iterations={sum(sol.iterations for sol in solved)} "
+            + " ".join(f"{k}={v}" for k, v in zip(COUNTS, sums))
+            + f" {row_stats(*shape, digest)} alpha={alphas!r}")
 
 
-advset.solve = counting_solve  # the recourse LPs call solve by this name
-polys = advset.characterize_steps(sc.model, base, reserves, sc.axes, sc.advset_steps, sc.build,
-                                  sc.solver)
-alphas = [polys[k].alpha_w.tolist() for k in sc.advset_steps]
-sums = [sum(c) for c in zip(*(counts(sol.stats) for sol in solved))]
-print(f"seed {seed} advset cyber_event steps {sc.advset_steps}: solves={len(solved)} "
-      f"iterations={sum(sol.iterations for sol in solved)} "
-      + " ".join(f"{k}={v}" for k, v in zip(COUNTS, sums))
-      + f" {row_stats(*advset_shape, advset_digest)} alpha={alphas!r}")
+args = (sc.model, base, reserves, sc.axes)
+print(advset_line("advset", lambda: advset.characterize_steps(*args, sc.advset_steps, sc.build,
+                                                              sc.solver)))
+print(advset_line("advset per-step characterize", lambda: {
+    k: advset.characterize(*args, k, sc.build, sc.solver) for k in sc.advset_steps}))
 EOF
     )
 }
