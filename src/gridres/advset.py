@@ -104,9 +104,12 @@ _read_polytope = record({"step": integer, "axes": array(read_axis),
                          "alpha_w": non_negative_series})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InnerPolytope:
-    """Vertices {nominal, nominal + alpha_i e_i} in axis-magnitude coordinates (W)."""
+    """Vertices {nominal, nominal + alpha_i e_i} in axis-magnitude coordinates (W).
+
+    Like any object holding an array, a polytope compares and hashes by
+    identity; compare `alpha_w` to compare magnitudes."""
 
     step: int
     axes: tuple[AdversarialAxis, ...]

@@ -16,8 +16,9 @@ column order) followed by product-form eta updates and refactorized after a
 fixed number of them; reduced costs are c - [A | I]^T y with y = B^-T c_B,
 and no dense tableau is ever formed.  Every solve takes one path:
 
-1. It starts from a basis: the crash basis of a cold solve, or the kept
-   basis of a warm one (see below).
+1. It starts from a basis, a cold solve's crash basis or a warm one's kept
+   basis (see below), in one way: each nonbasic column at a bound, a warm
+   solve's at its kept one where it can, and B's LU, kept or factored.
 2. If the basic values x_B = B^-1 (b - N x_N) are outside their bounds, a
    bounded dual simplex with bound flipping (Koberstein 2005; Maros 2003)
    drives them into their bounds.  It prices by the LP's costs when the
@@ -281,12 +282,13 @@ class SolveStats:
 
 @dataclass
 class KeptSimplex:
-    """An optimal simplex solve's assembled rows, final basis and LU of B,
-    to re-solve the same LinearProgram in place: ``solve(lp, start=kept)``
-    re-reads only its bounds, objective and right-hand sides; an LP assembled
-    from other rows raises :class:`MalformedProblem`.  A solve that ended
-    with etas pending keeps no LU: the first re-solve factors B and stores
-    its LU here, the only write to a kept state."""
+    """An optimal simplex solve's assembled rows, final basis, statuses and
+    LU of B, to re-solve the same LinearProgram in place: ``solve(lp,
+    start=kept)`` re-reads only its bounds, objective and right-hand sides,
+    and starts from this basis the way a cold solve starts from its crash
+    basis; an LP assembled from other rows raises :class:`MalformedProblem`.
+    A solve that ended with etas pending keeps no LU: the first re-solve
+    factors B and stores its LU here, the only write to a kept state."""
 
     rows: _Rows = field(repr=False)
     basic: np.ndarray  # the column of [A | I] in each row's basis position
@@ -659,67 +661,41 @@ class _BoundedSimplex:
         self.B = _Basis(m)
         self.stats = SolveStats()
 
-    def _place(self, st: np.ndarray) -> None:
-        """Put each nonbasic column at the bound its status names."""
-        lo, hi = self.lo, self.hi
-        self.status = st
-        self.xval = np.where(st == _AT_HI, hi, np.where(st == _FREE, 0.0, lo))
-        self.dirs = np.take(_GAIN_DIRS_T, st, axis=1)
+    def _crash_basis(self) -> np.ndarray:
+        """Each row's basis position takes the row's hinted column unless that
+        column is fixed or an earlier row claimed it, else the row's logical."""
+        basis = self.n + np.arange(self.m)
+        hint = self.mat.rows.basic
+        rows = np.flatnonzero(hint >= 0)
+        rows = rows[self.lo[hint[rows]] != self.hi[hint[rows]]]
+        _, first = np.unique(hint[rows], return_index=True)  # the first row's claim
+        rows = rows[first]
+        basis[rows] = hint[rows]
+        return basis
 
-    def _set_basis(self, basis: np.ndarray) -> None:
-        self.basis = basis
-        self.status[basis] = _BASIC
-        self.dirs[:, basis] = 0.0
-
-    def _cold_status(self) -> np.ndarray:
-        """Nonbasic start: a boxed variable at its bound nearer zero."""
+    def _start(self, basis: np.ndarray, kept: KeptSimplex | None) -> None:
+        """Take `basis`, with each nonbasic column at its bound in `kept` while
+        that bound is finite and not fixed, else at its finite bound nearer
+        zero (0 if it has none), then B's LU, the kept one or B factored here
+        and stored in `kept`, and x_B."""
         lo, hi = self.lo, self.hi
         flo, fhi = np.isfinite(lo), np.isfinite(hi)
         st = np.where(flo, _AT_LO, np.where(fhi, _AT_HI, _FREE)).astype(np.int8)
         st[flo & fhi & (np.abs(lo) > np.abs(hi))] = _AT_HI
+        if kept is not None:
+            keep = ((kept.status == _AT_LO) & flo) | ((kept.status == _AT_HI) & fhi)
+            st[keep] = kept.status[keep]
         st[lo == hi] = _FIXED
-        return st
-
-    def _cold_start(self) -> None:
-        """The crash basis.  Each row's basis position takes the row's hinted
-        column unless that column is fixed or an earlier row claimed it, else
-        the row's logical; if the hinted columns make B singular, every
-        position takes its logical."""
-        st = self._cold_status()
-        logicals = self.n + np.arange(self.m)
-        basis = logicals.copy()
-        hint = self.mat.rows.basic
-        rows = np.flatnonzero(hint >= 0)
-        rows = rows[st[hint[rows]] != _FIXED]
-        _, first = np.unique(hint[rows], return_index=True)  # the first row's claim
-        rows = rows[first]
-        basis[rows] = hint[rows]
-        self._place(st.copy())
-        self._set_basis(basis)
-        try:
+        self.xval = np.where(st == _AT_HI, hi, np.where(st == _FREE, 0.0, lo))
+        st[basis] = _BASIC
+        self.status, self.basis = st, basis.copy()  # pivots rewrite it; a kept one stays
+        self.dirs = np.take(_GAIN_DIRS_T, st, axis=1)
+        if kept is not None and kept.lu is not None:
+            self.B.lu = kept.lu
+        else:
             self._refactor()
-        except ArithmeticError:  # the hints make B singular: drop them all
-            self._place(st)
-            self._set_basis(logicals)
-            self._refactor()
-        self.x_B = self._basic_values()
-
-    def _warm_start(self, kept: KeptSimplex) -> None:
-        """Take the kept basis under the LP's current bounds, and its LU,
-        factored here and stored in `kept` if it has none yet."""
-        # a column stays at its bound while that is finite and not fixed;
-        # any other nonbasic column is placed as in a cold start
-        lo, hi, prev = self.lo, self.hi, kept.status
-        st = self._cold_status()
-        keep = ((prev == _AT_LO) & np.isfinite(lo)) | ((prev == _AT_HI) & np.isfinite(hi))
-        keep &= lo != hi
-        st[keep] = prev[keep]
-        self._place(st)
-        self._set_basis(kept.basic.copy())
-        if kept.lu is None:  # its solve ended with etas pending
-            self._refactor()
-            kept.lu = self.B.lu
-        self.B.lu = kept.lu
+            if kept is not None:
+                kept.lu = self.B.lu
         self.x_B = self._basic_values()
 
     def _outside(self) -> np.ndarray:
@@ -772,9 +748,12 @@ class _BoundedSimplex:
     def run(self, start: KeptSimplex | None = None) -> LpSolution:
         warm = start is not None
         if warm:
-            self._warm_start(start)
+            self._start(start.basic, start)
         else:
-            self._cold_start()
+            try:
+                self._start(self._crash_basis(), None)
+            except ArithmeticError:  # the hints make B singular: drop them all
+                self._start(self.n + np.arange(self.m), None)
         self.stats.start = "warm" if warm else "cold"
         max_iter = self.opt.max_iterations
         if max_iter is None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
@@ -192,8 +193,8 @@ def validate(model: NetworkModel) -> ValidationReport:
             f"not radial: {len(model.branches)} branches for {len(model.buses)} buses"
         )
     order, parent, _ = model.tree()
-    if len(order) != len(model.buses):
-        missing = sorted(set(ids) - set(order))
+    missing = sorted(set(ids) - set(order))
+    if missing:
         problems.append(f"disconnected buses: {', '.join(missing)}")
     elif len(model.branches) >= len(model.buses):
         problems.append("cycle detected (branch count >= bus count)")
@@ -213,6 +214,11 @@ def validate(model: NetworkModel) -> ValidationReport:
     for dev in model.devices():
         if dev.bus not in bus_map:
             problems.append(f"device {dev.id}: unknown bus {dev.bus}")
+    # the LP and every result key a device by its class and id
+    for label, units in (("pv", model.pv_units), ("dg", model.dg_units),
+                         ("storage", model.storage_units), ("load", model.loads)):
+        repeats = Counter(u.id for u in units)
+        problems += [f"duplicate {label} id {i}" for i, n in repeats.items() if n > 1]
 
     for pv in model.pv_units:
         if pv.capacity_va <= 0:
@@ -722,6 +728,7 @@ def _profile_series(profiles, steps: int, doc: dict) -> dict[tuple[str, str], np
     line in the profiles CSV, whose header is line 1."""
     series = {(d["id"], name): np.zeros(max(steps, 0))  # validate() reports steps < 1
               for rec in NETWORK_LAYOUT for d in doc[rec.key] for _, name in rec.series}
+    first_line: dict[tuple[int, str, str], int] = {}
     for line, (k, ent, name, value) in enumerate(profiles, start=2):
         if name not in SERIES_FIELDS:
             raise InputError(f"profiles line {line}: unknown field {name!r}; "
@@ -730,6 +737,10 @@ def _profile_series(profiles, steps: int, doc: dict) -> dict[tuple[str, str], np
             raise InputError(f"profiles line {line}: {name} for unknown entity {ent!r}")
         if not 0 <= k < steps:
             raise InputError(f"profiles line {line}: step {k} outside [0, {steps})")
+        first = first_line.setdefault((k, ent, name), line)
+        if first != line:
+            raise InputError(f"profiles line {line}: repeats step {k} of {name} for {ent} "
+                             f"(line {first})")
         series[(ent, name)][k] = value
     return series
 

@@ -227,10 +227,10 @@ class CompiledReplay:
     reactive output and its up and down reserve by position, and `window`
     each device's `device_window`, None for a battery, whose window depends
     on its realized state of charge: a run works it out per step for each
-    battery.  `ledger` holds each step's `_ledger` with no event and the
-    capacities, the reserve clipped to that room, by position (None at a
-    battery), then its scheduled load total.  `tan_phi` holds each load's
-    reactive to active power ratio.  All are Python floats.
+    battery.  `ledger` holds each step's setpoints with no event and the
+    capacities, each reserve clipped to its `_ledger` room, by position (None
+    at a battery), then its scheduled load total.  `tan_phi` holds each
+    load's reactive to active power ratio.  All are Python floats.
     `voltage_band`, the squared voltage of every slot, and `line_bands`,
     each drop's squared apparent flow, lie `BAND_MARGIN` inside
     v_min - VOLTAGE_TOL, v_max + VOLTAGE_TOL and limit + LINE_TOL.
@@ -244,7 +244,7 @@ class CompiledReplay:
     up: tuple[tuple[float, ...], ...]
     down: tuple[tuple[float, ...], ...]
     window: tuple[tuple[tuple[float, float] | None, ...], ...]
-    ledger: tuple  # (point, room_up, room_dn, cap_up, cap_dn, demand)
+    ledger: tuple  # (point, cap_up, cap_dn, demand)
     tan_phi: tuple[float, ...]
     voltage_band: tuple[float, float]
     line_bands: tuple[float, ...]
@@ -272,7 +272,7 @@ def compile_replay(model: NetworkModel, robust: RobustResult) -> CompiledReplay:
         point, room_up, room_dn = (tuple(entry[j] for entry in entries) for j in range(3))
         caps = (tuple(None if m is None else max(min(r, m), 0.0) for r, m in zip(reserve, room))
                 for reserve, room in ((up[k], room_up), (down[k], room_dn)))
-        return point, room_up, room_dn, *caps, _total(sched[loads.start:loads.stop])
+        return point, *caps, _total(sched[loads.start:loads.stop])
 
     limits = plan.voltage_limits
     return CompiledReplay(
@@ -361,7 +361,7 @@ def run_simulation(replay: CompiledReplay, events: list[dict]) -> Trajectory:
 
     for k in range(K):
         sched, window = replay.p[k], replay.window[k]
-        point, room_up, room_dn, cap_up, cap_dn, demand = replay.ledger[k]
+        point, cap_up, cap_dn, demand = replay.ledger[k]
         # a mask deeper than a load's scheduled draw applies as minus that
         # draw: the draw floors at zero, a load never generates
         step_events = {}
@@ -369,15 +369,14 @@ def run_simulation(replay: CompiledReplay, events: list[dict]) -> Trajectory:
             i = position[key]
             step_events[i] = max(mag, -sched[i]) if i in loads else mag
 
-        # the ledger: per device, its setpoint after events and its room to
-        # move up and down from there; the step's compiled one, recomputed
-        # where an event touches a device and at every battery
-        point, room_up, room_dn = list(point), list(room_up), list(room_dn)
+        # the ledger: per device, its setpoint after events, the step's
+        # compiled one except where an event touches a device and at every
+        # battery, which are recomputed with their room to move (up, down)
+        point, rooms = list(point), {}
         for i in step_events:
-            point[i], room_up[i], room_dn[i] = _ledger(
-                devices[i][0], sched[i], window[i], step_events, i)
+            point[i], *rooms[i] = _ledger(devices[i][0], sched[i], window[i], step_events, i)
         for i, u, energy in zip(es, batteries, soc):
-            point[i], room_up[i], room_dn[i] = _ledger(
+            point[i], *rooms[i] = _ledger(
                 "es", sched[i], device_window("es", u, k, e_in=energy[k], dt=dt), step_events, i)
 
         masked = _total([step_events.get(i, 0.0) for i in loads])
@@ -388,10 +387,9 @@ def run_simulation(replay: CompiledReplay, events: list[dict]) -> Trajectory:
         # deployable reserve in the active direction: the allocation clipped
         # by what the device can physically deliver right now
         up = imbalance >= 0.0
-        reserve, room, caps = ((replay.up[k], room_up, list(cap_up)) if up
-                               else (replay.down[k], room_dn, list(cap_dn)))
-        for i in itertools.chain(step_events, es):
-            caps[i] = max(min(reserve[i], room[i]), 0.0)
+        reserve, caps = (replay.up[k], list(cap_up)) if up else (replay.down[k], list(cap_dn))
+        for i, (room_up, room_dn) in rooms.items():
+            caps[i] = max(min(reserve[i], room_up if up else room_dn), 0.0)
         dep, shortfall = proportional_dispatch(imbalance if up else -imbalance, caps)
         deployed = _total(dep)
 

@@ -557,6 +557,17 @@ def test_inner_polytope_is_immutable():
     assert len(poly.axes) == 2 and poly.alpha_w.tolist() == [3.0, 2.0] and poly.step == 0
 
 
+def test_inner_polytope_compares_by_identity():
+    """`==`, `!=` and hashing answer without comparing arrays: two equal
+    two-axis polytopes are distinct objects with equal magnitudes."""
+    axes = (AdversarialAxis(AXIS_DG_LOSS, "dg1"), AdversarialAxis(AXIS_PV_ERROR, "pv1"))
+    poly, twin = InnerPolytope(0, axes, [3.0, 2.0]), InnerPolytope(0, axes, [3.0, 2.0])
+    assert poly == poly and not poly != poly
+    assert poly != twin and not poly == twin
+    assert {poly, twin, poly} == {poly, twin} and len({poly}) == 1
+    assert np.array_equal(poly.alpha_w, twin.alpha_w) and poly.axes == twin.axes
+
+
 def test_recourse_step_answers_equal_cold_solves():
     """On the six-bus example, 200 seeded magnitudes per step, inside and
     outside the polytope: the step object's answer equals a cold solve of

@@ -337,6 +337,33 @@ def test_phase_layout_fails_validation(tmp_path, capsys, command, edit, expected
     assert not (tmp_path / "o").exists()
 
 
+def _repeat(block, index):
+    return lambda doc: doc[block].append(dict(doc[block][index]))
+
+
+@pytest.mark.parametrize("command", ["validate", "baseline"])
+@pytest.mark.parametrize("edit, expected", [
+    (_repeat("pv", 0), "duplicate pv id pv01"),
+    (_repeat("dg", 1), "duplicate dg id dg02"),
+    (_repeat("storage", 0), "duplicate storage id es01"),
+    (_repeat("loads", 2), "duplicate load id load03"),
+    (_repeat("buses", 5), "duplicate bus id bus05; not radial: 5 branches for 7 buses"),
+], ids=["pv", "dg", "storage", "load", "bus"])
+def test_repeated_id_fails_validation(tmp_path, capsys, command, edit, expected):
+    """The LP and every result key a device by its class and id, so a
+    repeated one is one validation line, not a traceback from the LP; a
+    repeated bus names no bus as disconnected."""
+    scenario = files_scenario(tmp_path, edit)
+    assert main([command, str(scenario), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: network failed validation: {expected}\n"
+
+
+def test_device_id_may_repeat_across_classes(tmp_path, capsys):
+    scenario = files_scenario(tmp_path, _set("dg", 0, "id", "pv01"))
+    assert main(["validate", str(scenario)]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
 def _nan_first_profile_value(tmp_path):
     path = tmp_path / "net" / "profiles.csv"
     lines = path.read_text().splitlines()
@@ -410,6 +437,14 @@ def _profile_cells(edit):
     return apply
 
 
+def _repeat_first_profile_row(tmp_path):
+    """Insert a copy of CSV line 2, with another value, as line 3."""
+    path = tmp_path / "net" / "profiles.csv"
+    lines = path.read_text().splitlines()
+    lines.insert(2, lines[1].rsplit(",", 1)[0] + ",123456.0")
+    path.write_text("\n".join(lines) + "\n")
+
+
 def _set(block, index, key, value):
     return lambda doc: doc[block][index].update({key: value})
 
@@ -438,10 +473,13 @@ def _set(block, index, key, value):
      "profiles line 2: unknown field 'pv_forcast_w'"),
     (lambda doc: None, _profile_cells(lambda c: [c[0], "pv99", *c[2:]]),
      "profiles line 2: pv_forecast_w for unknown entity 'pv99'"),
+    (lambda doc: None, _repeat_first_profile_row,
+     "profiles line 3: repeats step 0 of pv_forecast_w for pv01 (line 2)"),
 ], ids=["integer-phases", "integer-bus-id", "array-device-bus", "boolean-voltage-bound",
         "missing-list", "string-steps", "string-dt", "string-impedance", "unknown-phase-pair",
         "unknown-record-field", "profile-step-past-horizon", "profile-negative-step",
-        "profile-three-columns", "profile-unknown-field", "profile-unknown-entity"])
+        "profile-three-columns", "profile-unknown-field", "profile-unknown-entity",
+        "profile-repeated-row"])
 def test_malformed_network_files_are_input_errors(tmp_path, capsys, edit, profiles, expected):
     scenario = files_scenario(tmp_path, edit)
     if profiles is not None:
