@@ -40,7 +40,6 @@ from .robust import (  # noqa: F401
     ReserveSchedule,
     RobustResult,
     UncertaintyBox,
-    reserve_margin,
     solve_robust,
     tighten,
 )

@@ -23,10 +23,11 @@ import numpy as np
 from . import __version__
 from .advset import (AxisInfeasible, characterize_steps, polytopes_from_json, polytopes_to_json,
                      project_2d)
-from .dispatch import DispatchResult, InfeasibleDispatch, solve_baseline, summarize
+from .dispatch import (DispatchResult, InfeasibleDispatch, build_baseline_lp, solve_baseline,
+                       summarize)
 from .lp import IterationLimitExceeded
 from .network import input_error, save_model
-from .robust import ReserveSchedule, RobustResult, reserve_margin, solve_robust
+from .robust import ReserveSchedule, RobustResult, build_robust_lp, solve_robust
 from .scenario import (
     ManifestWriter,
     Scenario,
@@ -80,10 +81,8 @@ def _emit_dispatch_files(scenario: Scenario, result: DispatchResult,
 
 def cmd_baseline(scenario: Scenario, manifest: ManifestWriter, dump_lp: bool = False) -> int:
     if dump_lp:
-        from .dispatch import build_baseline_lp
-
-        lp, _ns = build_baseline_lp(scenario.model, scenario.costs, scenario.build)
-        manifest.output("problem.lp").write_text(lp.to_lp_text(f"{scenario.name}-baseline"))
+        ns = build_baseline_lp(scenario.model, scenario.costs, scenario.build)
+        manifest.output("problem.lp").write_text(ns.lp.to_lp_text(f"{scenario.name}-baseline"))
     result = solve_baseline(scenario.model, scenario.costs, scenario.build, scenario.solver)
     write_json(manifest.output("dispatch.json"), result.to_json_dict())
     _emit_dispatch_files(scenario, result, manifest)
@@ -118,9 +117,8 @@ def _emit_robust_files(scenario: Scenario, robust: RobustResult,
 
     rows = []
     for k in range(model.steps):
-        up, down = reserve_margin(robust, k)
         rows.append([
-            k, float(up / MW), float(down / MW),
+            k, float(robust.reserves.total_up(k) / MW), float(robust.reserves.total_down(k) / MW),
             float(robust.worst_up_w[k] / MW), float(robust.worst_down_w[k] / MW),
         ])
     write_csv(manifest.output("margins.csv"),
@@ -130,13 +128,9 @@ def _emit_robust_files(scenario: Scenario, robust: RobustResult,
 
 def cmd_robust(scenario: Scenario, manifest: ManifestWriter, dump_lp: bool = False) -> int:
     if dump_lp:
-        from .robust import build_robust_lp
-
-        lp, *_rest = build_robust_lp(
-            scenario.model, scenario.costs, scenario.reserve_costs, scenario.box,
-            scenario.build,
-        )
-        manifest.output("problem.lp").write_text(lp.to_lp_text(f"{scenario.name}-robust"))
+        ns, _worst = build_robust_lp(scenario.model, scenario.costs, scenario.reserve_costs,
+                                     scenario.box, scenario.build)
+        manifest.output("problem.lp").write_text(ns.lp.to_lp_text(f"{scenario.name}-robust"))
     robust = _solve_robust_for(scenario)
     _emit_robust_files(scenario, robust, manifest)
     return EXIT_OK

@@ -89,12 +89,12 @@ voltage boxes and the dispatch windows are column bounds and emit no rows:
     pv_cap           n_pv * K * sides
     dg_cap           n_dg * K * sides
     line_limits      sum_branch |phases| * K * sides
-In reserve mode each device adds two band rows per step, R+ <= room up and
-R- <= room down (tagged curtailment_bounds for PV and loads, dg_cap,
-storage), and each storage unit two energy rows per step.  `emit_limits`
-emits the line polygons drop by drop, then device by device, and per step
-in this order: SoC recursion, load power factor, band rows, storage energy
-rows, inverter polygon, PV gamma rows.
+Reserve mode is a namespace with reserve columns: each device adds two band
+rows per step, R+ <= room up and R- <= room down (tagged curtailment_bounds
+for PV and loads, dg_cap, storage), and each storage unit two energy rows
+per step.  `emit_limits` emits the line polygons drop by drop, then device
+by device, and per step in this order: SoC recursion, load power factor,
+band rows, storage energy rows, inverter polygon, PV gamma rows.
 
 The feeder is laid out once per model by `RadialPlan.of`, the one tree walk
 and device layout here.  The voltage-drop and line-limit rows are emitted
@@ -461,7 +461,6 @@ def emit_limits(
     plan: RadialPlan,
     ns: VariableNamespace,
     options: BuildOptions,
-    reserves: bool = False,
     pv_floor: dict[tuple[str, int], float] | None = None,
 ) -> list[Row]:
     """Polygonized apparent-power limits, SoC dynamics, and load power factors.
@@ -470,11 +469,12 @@ def emit_limits(
     of each drop of `plan`, in `plan.drop_rows` order (the model's branch,
     then phase order) with the drop's `plan.line_limits`, then device by
     device in position order.  The voltage boxes and dispatch windows are the
-    column bounds of `ns.lp`.  In reserve mode each window widens into two
-    band rows, read off those bounds; a PV upper band whose (unit, step) is a
-    key of `pv_floor` is capped at that floor (pu) rather than at the
-    nominal forecast.  The SoC recursion, the terminal-SoC row and the
-    storage energy rows need the namespace's SoC columns.
+    column bounds of `ns.lp`.  When the namespace declares reserve columns
+    (reserve mode), each window widens into two band rows, read off those
+    bounds; a PV upper band whose (unit, step) is a key of `pv_floor` is
+    capped at that floor (pu) rather than at the nominal forecast.  The SoC
+    recursion, the terminal-SoC row and the storage energy rows need the
+    namespace's SoC columns.
     """
     pv_floor = pv_floor or {}
     pu = PerUnit.of(model)
@@ -482,7 +482,7 @@ def emit_limits(
     dt = model.dt_hours
     gamma = options.pv_power_factor_gamma
     poly = polygon_rows(options.poly_sides)
-    soc = bool(ns.soc)
+    soc, reserves = bool(ns.soc), bool(ns.r_up)
 
     rows = []
     for d in plan.drop_rows:  # line-flow polygons, one per drop
@@ -544,12 +544,13 @@ def build_feeder_lp(
     pv_floor: dict[tuple[str, int], float] | None = None,
 ) -> VariableNamespace:
     """The feeder LP as `ns.lp`: the columns of `build_namespace`, then the
-    voltage-drop, power-balance and `emit_limits` rows, in that order."""
+    voltage-drop, power-balance and `emit_limits` rows, in that order; in
+    reserve mode with `reserves`."""
     ns = build_namespace(model, reserves, steps)
     plan = RadialPlan.of(model)
     apply_emissions(ns.lp, emit_voltage_drop(plan, ns))
     apply_emissions(ns.lp, emit_power_balance(plan, ns))
-    apply_emissions(ns.lp, emit_limits(model, plan, ns, options, reserves, pv_floor))
+    apply_emissions(ns.lp, emit_limits(model, plan, ns, options, pv_floor))
     return ns
 
 

@@ -9,7 +9,7 @@ critical demand is served first; curtailing free solar carries the smallest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .constraints import (
     device_groups,
     PerUnit,
 )
-from .lp import LinearProgram, LpSolution, LpStatus, SolverOptions, solve
+from .lp import LpSolution, LpStatus, SolverOptions, solve
 from .network import NetworkModel, integer, mapping, number, record, series, validate
 
 
@@ -78,7 +78,7 @@ _read_dispatch = record({"objective_value": number, "iterations": integer,
 
 @dataclass
 class DispatchResult:
-    """Optimal setpoints in SI units plus the raw LP point for diagnostics.
+    """Optimal setpoints in SI units, read off a dispatch LP's optimal point.
 
     `p` and `q` hold each device's active and reactive series (W, var),
     keyed by (class, id) like the reserves.
@@ -94,7 +94,6 @@ class DispatchResult:
     load_curtail_w: dict[str, np.ndarray]
     objective_value: float
     iterations: int
-    lp_values: np.ndarray = field(repr=False, default=None)
 
     def to_json_dict(self) -> dict:
         doc = {"objective_value": self.objective_value, "iterations": self.iterations,
@@ -114,16 +113,15 @@ class DispatchResult:
 
 def build_baseline_lp(
     model: NetworkModel, costs: CostConfig, options: BuildOptions | None = None
-) -> tuple[LinearProgram, VariableNamespace]:
+) -> VariableNamespace:
+    """The baseline dispatch LP as `ns.lp`: the feeder LP with the dispatch cost."""
     ns = build_feeder_lp(model, options or BuildOptions())
-    set_dispatch_objective(ns.lp, ns, model, costs)
-    return ns.lp, ns
+    set_dispatch_objective(ns, model, costs)
+    return ns
 
 
-def set_dispatch_objective(
-    lp: LinearProgram, ns: VariableNamespace, model: NetworkModel, costs: CostConfig
-) -> None:
-    """Install the dispatch cost on the LP variables.
+def set_dispatch_objective(ns: VariableNamespace, model: NetworkModel, costs: CostConfig) -> None:
+    """Install the dispatch cost on the columns of `ns.lp`.
 
     Curtailments are affine in the setpoints, so the LP carries -c2*Ppv and
     -c3*Pload; the constant baseline (c2*forecast + c3*desired) is added back
@@ -132,7 +130,7 @@ def set_dispatch_objective(
     weight = {"pv": -costs.pv_curtail, "dg": costs.dg_energy, "load": -costs.load_curtail}
     for (cls, _uid, _k), idx in ns.p.items():
         if cls in weight:
-            lp.add_objective_term(idx, weight[cls])
+            ns.lp.add_objective_term(idx, weight[cls])
 
 
 def device_series(model: NetworkModel, cols: dict[tuple[str, str, int], int], x: np.ndarray,
@@ -184,7 +182,6 @@ def extract_result(
         load_curtail_w=load_curtail,
         objective_value=float(solution.objective_value + objective_constant),
         iterations=solution.iterations,
-        lp_values=x,
     )
 
 
@@ -195,17 +192,17 @@ def require_valid(model: NetworkModel) -> None:
         raise ValueError("model failed validation: " + "; ".join(report.problems))
 
 
-def solve_dispatch_lp(model: NetworkModel, costs: CostConfig, lp: LinearProgram,
-                      ns: VariableNamespace, solver: SolverOptions | None,
+def solve_dispatch_lp(model: NetworkModel, costs: CostConfig, ns: VariableNamespace,
+                      solver: SolverOptions | None,
                       context: str) -> tuple[LpSolution, DispatchResult]:
-    """Solve a dispatch LP to optimality and read its result.
+    """Solve the dispatch LP `ns.lp` to optimality and read its result.
 
     Raises :class:`InfeasibleDispatch` with the certificate's row tags, or
     ArithmeticError on an unbounded LP, which bounded devices rule out.
     """
-    sol = solve(lp, solver)
+    sol = solve(ns.lp, solver)
     if sol.status is LpStatus.INFEASIBLE:
-        tags = [lp.rows[i].tag for i in sol.infeasible_rows]
+        tags = [ns.lp.rows[i].tag for i in sol.infeasible_rows]
         raise InfeasibleDispatch(sol.infeasible_rows, tags, context)
     if sol.status is LpStatus.UNBOUNDED:
         raise ArithmeticError(f"{context} dispatch unbounded; model is corrupt")
@@ -221,8 +218,8 @@ def solve_baseline(
     """Solve the baseline dispatch; raises :class:`InfeasibleDispatch` otherwise."""
     require_valid(model)
     costs = costs or CostConfig()
-    lp, ns = build_baseline_lp(model, costs, options)
-    return solve_dispatch_lp(model, costs, lp, ns, solver, "baseline")[1]
+    ns = build_baseline_lp(model, costs, options)
+    return solve_dispatch_lp(model, costs, ns, solver, "baseline")[1]
 
 
 def _objective_constant(model: NetworkModel, costs: CostConfig) -> float:

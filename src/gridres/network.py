@@ -166,7 +166,6 @@ def validate(model: NetworkModel) -> ValidationReport:
     if not model.buses:
         return ValidationReport(["no buses"])
     problems: list[str] = []
-    ids = [b.id for b in model.buses]
     bus_map = {}
     for b in model.buses:
         if b.id in bus_map:
@@ -187,16 +186,14 @@ def validate(model: NetworkModel) -> ValidationReport:
             if not (math.isfinite(z.real) and math.isfinite(z.imag)):
                 problems.append(f"branch {br.id}: non-finite impedance on {pair}")
 
-    # connectivity and radiality
-    if len(model.branches) != len(model.buses) - 1:
-        problems.append(
-            f"not radial: {len(model.branches)} branches for {len(model.buses)} buses"
-        )
+    # connectivity and radiality, over the distinct bus ids
+    if len(model.branches) != len(bus_map) - 1:
+        problems.append(f"not radial: {len(model.branches)} branches for {len(bus_map)} buses")
     order, parent, _ = model.tree()
-    missing = sorted(set(ids) - set(order))
+    missing = sorted(set(bus_map) - set(order))
     if missing:
         problems.append(f"disconnected buses: {', '.join(missing)}")
-    elif len(model.branches) >= len(model.buses):
+    elif len(model.branches) >= len(bus_map):
         problems.append("cycle detected (branch count >= bus count)")
 
     # phase compatibility down the tree: a branch carries its bus's phases

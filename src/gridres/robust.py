@@ -51,7 +51,7 @@ from .dispatch import (
     set_dispatch_objective,
     solve_dispatch_lp,
 )
-from .lp import LinearProgram, Rel, SolverOptions
+from .lp import Rel, SolverOptions
 from .network import InputError, NetworkModel, non_negative_series, number, record, series
 
 
@@ -147,9 +147,6 @@ class ReserveCosts:
             load=load * costs.load_curtail,
         )
 
-    def of(self, cls_name: str) -> float:
-        return getattr(self, cls_name)
-
 
 @dataclass
 class ReserveSchedule:
@@ -243,19 +240,14 @@ class RobustResult:
                 raise InputError(f"{path}: expected {n} values, got {got}")
 
 
-def reserve_margin(result: RobustResult, k: int) -> tuple[float, float]:
-    """Total allocated (up, down) reserve in W at step k."""
-    return result.reserves.total_up(k), result.reserves.total_down(k)
-
-
 def build_robust_lp(
     model: NetworkModel,
     costs: CostConfig,
     reserve_costs: ReserveCosts,
     box: UncertaintyBox,
     options: BuildOptions | None = None,
-) -> tuple[LinearProgram, VariableNamespace, WorstCase]:
-    """The reserve dispatch LP against `box`, its namespace and the box's worst case."""
+) -> tuple[VariableNamespace, WorstCase]:
+    """The reserve dispatch LP against `box` as `ns.lp`, and the box's worst case."""
     worst = tighten(box, model)
     ns = build_feeder_lp(model, options or BuildOptions(), reserves=True,
                          pv_floor=worst.pv_floor)
@@ -289,10 +281,10 @@ def build_robust_lp(
         if mask_down > 0.0:
             lp.add_row(dn_coeffs, Rel.LE, -mask_down, "reserve_coverage")
 
-    set_dispatch_objective(lp, ns, model, costs)
+    set_dispatch_objective(ns, model, costs)
     for (cls_name, _uid, _k), idx in [*ns.r_up.items(), *ns.r_dn.items()]:
-        lp.add_objective_term(idx, reserve_costs.of(cls_name))
-    return lp, ns, worst
+        lp.add_objective_term(idx, getattr(reserve_costs, cls_name))
+    return ns, worst
 
 
 def solve_robust(
@@ -314,17 +306,17 @@ def solve_robust(
     box = box or UncertaintyBox()
     box.validate(model)
 
-    lp, ns, worst = build_robust_lp(model, costs, reserve_costs, box, options)
-    sol, dispatch = solve_dispatch_lp(model, costs, lp, ns, solver, "robust")
+    ns, worst = build_robust_lp(model, costs, reserve_costs, box, options)
+    sol, dispatch = solve_dispatch_lp(model, costs, ns, solver, "robust")
     x, s = sol.values, PerUnit.of(model).s_base
 
     # reserves are definitionally non-negative; strip basic-variable dust
     up, down = ({key: np.maximum(arr, 0.0)
                  for key, arr in device_series(model, cols, x, s).items()}
                 for cols in (ns.r_up, ns.r_dn))
-    reserve_cost = 0.0
-    for (cls_name, _uid, _k), idx in [*ns.r_up.items(), *ns.r_dn.items()]:
-        reserve_cost += reserve_costs.of(cls_name) * x[idx]
+    reserve_cost = 0.0  # priced as the LP's objective prices it
+    for idx in [*ns.r_up.values(), *ns.r_dn.values()]:
+        reserve_cost += ns.lp.objective[idx] * x[idx]
 
     total = dispatch.objective_value
     dispatch.objective_value = total - reserve_cost  # the pure dispatch part

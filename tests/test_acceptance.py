@@ -16,7 +16,7 @@ from gridres.advset import event_is_tolerable
 from gridres.cli import main
 from gridres.dispatch import summarize
 from gridres.lp import LpStatus, SolverOptions, solve
-from gridres.robust import UncertaintyBox, reserve_margin, solve_robust
+from gridres.robust import UncertaintyBox, solve_robust
 from gridres.sim import compile_replay, events_from_polytopes, run_simulation, violation_report
 from vertex_oracle import brute_force_min, random_bounded_lp
 
@@ -108,8 +108,7 @@ def test_c4_cyber_physical_event_replay(event_run):
     report = violation_report(traj)
     assert report.total == 0, report.counts
     for k in range(scenario.model.steps):
-        up, _down = reserve_margin(robust, k)
-        assert up >= traj.imbalance_w[k] - 1e-3
+        assert robust.reserves.total_up(k) >= traj.imbalance_w[k] - 1e-3
 
     # the response the event is supposed to trigger: battery plus solar output
     # exceeds schedule while the diesel is offline (minutes 20-40)

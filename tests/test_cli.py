@@ -347,7 +347,7 @@ def _repeat(block, index):
     (_repeat("dg", 1), "duplicate dg id dg02"),
     (_repeat("storage", 0), "duplicate storage id es01"),
     (_repeat("loads", 2), "duplicate load id load03"),
-    (_repeat("buses", 5), "duplicate bus id bus05; not radial: 5 branches for 7 buses"),
+    (_repeat("buses", 5), "duplicate bus id bus05"),
 ], ids=["pv", "dg", "storage", "load", "bus"])
 def test_repeated_id_fails_validation(tmp_path, capsys, command, edit, expected):
     """The LP and every result key a device by its class and id, so a
@@ -355,6 +355,25 @@ def test_repeated_id_fails_validation(tmp_path, capsys, command, edit, expected)
     repeated bus names no bus as disconnected."""
     scenario = files_scenario(tmp_path, edit)
     assert main([command, str(scenario), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: network failed validation: {expected}\n"
+
+
+@pytest.mark.parametrize("extra_branches, expected", [
+    ([], "duplicate bus id bus5"),
+    ([{"from": "bus0", "to": "bus2"}], "duplicate bus id bus5; not radial: 6 branches for 6 "
+                                       "buses; cycle detected (branch count >= bus count)"),
+], ids=["tree", "cycle"])
+def test_repeated_bus_counts_as_one_bus(tmp_path, capsys, extra_branches, expected):
+    """A repeated bus record is not another bus: the six-bus example's five
+    branches still form a tree over its six distinct buses, and a sixth closes
+    a cycle."""
+    for name in ("sixbus_scenario.json", "sixbus_profiles.csv"):
+        (tmp_path / name).write_text((DOCS / name).read_text())
+    doc = json.loads((DOCS / "sixbus_network.json").read_text())
+    doc["buses"].append(dict(next(b for b in doc["buses"] if b["id"] == "bus5")))
+    doc["branches"] += [{**doc["branches"][1], **ends} for ends in extra_branches]
+    (tmp_path / "sixbus_network.json").write_text(json.dumps(doc))
+    assert main(["validate", str(tmp_path / "sixbus_scenario.json")]) == 1
     assert capsys.readouterr().err == f"error: network failed validation: {expected}\n"
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -255,9 +256,7 @@ def test_row_count_formulas_fuzz():
         pb = emit_power_balance(RadialPlan.of(model), ns)
         assert len(pb) == 2 * bus_phases * K
         rows = emit_limits(model, RadialPlan.of(model), ns, BuildOptions(poly_sides=sides))
-        by_tag = {}
-        for r in rows:
-            by_tag[r.tag] = by_tag.get(r.tag, 0) + 1
+        by_tag = Counter(r.tag for r in rows)
         n_pv, n_dg, n_es, n_load = (
             len(model.pv_units), len(model.dg_units),
             len(model.storage_units), len(model.loads),
@@ -283,6 +282,18 @@ def test_row_count_formulas_fuzz():
         assert len(windows) == (n_pv + n_load) * K
         for key, window in windows.items():
             assert (lp.lower[ns.p[key]], lp.upper[ns.p[key]]) == window
+
+        # reserve mode is a namespace with reserve columns: each device adds two
+        # band rows per step, each storage unit two energy rows more
+        plain = by_tag
+        rows = emit_limits(model, RadialPlan.of(model), build_namespace(model, reserves=True),
+                           BuildOptions(poly_sides=sides))
+        by_tag = Counter(r.tag for r in rows)
+        assert by_tag["curtailment_bounds"] == 2 * (n_pv + n_load) * K
+        assert by_tag["dg_cap"] == n_dg * K * sides + 2 * n_dg * K
+        assert by_tag["storage"] == n_es * K * sides + n_es * K + 4 * n_es * K
+        for tag in ("line_limits", "pv_cap", "power_factor"):
+            assert by_tag[tag] == plain[tag]
 
 
 def test_line_polygons_carry_their_branch_limits():

@@ -9,6 +9,7 @@ from gridres.dispatch import (
     InfeasibleDispatch,
     build_baseline_lp,
     solve_baseline,
+    solve_dispatch_lp,
     summarize,
 )
 from gridres.lp import check_feasibility
@@ -42,7 +43,7 @@ def test_scarce_capacity_sheds_to_the_cap():
     assert result.load_curtail_w["load1"][0] == pytest.approx(1.0e6, abs=1)
     assert result.objective_value == pytest.approx(11.0, abs=1e-7)
 
-    lp, ns = build_baseline_lp(model, COSTS)
+    lp = build_baseline_lp(model, COSTS).lp
     for j in range(lp.n_variables):
         # box the free reactive variables so the vertex oracle can enumerate;
         # the inverter polygons already confine them well inside +-5 pu
@@ -118,9 +119,9 @@ def test_load_curtailment_monotone_in_penalty():
 
 def test_optimum_passes_feasibility_check():
     model = six_bus()
-    lp, ns = build_baseline_lp(model, COSTS)
-    result = solve_baseline(model, COSTS)
-    report = check_feasibility(lp, result.lp_values)
+    ns = build_baseline_lp(model, COSTS)
+    sol, _result = solve_dispatch_lp(model, COSTS, ns, None, "baseline")
+    report = check_feasibility(ns.lp, sol.values)
     assert report.ok(1e-7)
 
 

@@ -700,7 +700,7 @@ def test_lshl_crash_start_cuts_phase_one():
 
     scenario = load_scenario(SCENARIOS / "lshl.json")
     assert scenario.seed == 2026
-    lp, _ = build_baseline_lp(scenario.model, scenario.costs, scenario.build)
+    lp = build_baseline_lp(scenario.model, scenario.costs, scenario.build).lp
     sol = solve(lp, scenario.solver)
     ref = solve(lp, SolverOptions(backend="scipy"))
     assert sol.status is LpStatus.OPTIMAL

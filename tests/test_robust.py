@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gridres.constraints import P_DG_CAPACITY, P_LOAD_DESIRED, P_PV_FORECAST, device_groups
+from gridres.constraints import (P_DG_CAPACITY, P_LOAD_DESIRED, P_PV_FORECAST, PerUnit,
+                                 device_groups)
 from gridres.dispatch import CostConfig, InfeasibleDispatch, solve_baseline
 from gridres.lp import SolverOptions
 from gridres.network import SynthSpec, synth_feeder
@@ -12,7 +13,6 @@ from gridres.robust import (
     ReserveSchedule,
     RobustResult,
     UncertaintyBox,
-    reserve_margin,
     solve_robust,
     tighten,
 )
@@ -58,7 +58,8 @@ def test_zero_width_box_matches_baseline():
     rob = solve_robust(model, COSTS, box=box)
     assert rob.objective_value == pytest.approx(base.objective_value, abs=1e-7)
     assert rob.reserve_cost == pytest.approx(0.0, abs=1e-9)
-    assert reserve_margin(rob, 0) == (pytest.approx(0.0, abs=1e-3), pytest.approx(0.0, abs=1e-3))
+    assert rob.reserves.total_up(0) == pytest.approx(0.0, abs=1e-3)
+    assert rob.reserves.total_down(0) == pytest.approx(0.0, abs=1e-3)
 
 
 def test_load_mask_allocates_up_reserve():
@@ -72,11 +73,24 @@ def test_load_mask_allocates_up_reserve():
     box.add(P_LOAD_DESIRED, "load1", 0, 1.0e6, 1.0e6, 1.4e6)
     rob = solve_robust(model, COSTS, box=box)
     assert rob.dispatch.p[("dg", "dg1")][0] >= 1.0e6 - 1.0
-    up, _dn = reserve_margin(rob, 0)
-    assert up >= 0.4e6 - 1.0
+    assert rob.reserves.total_up(0) >= 0.4e6 - 1.0
     assert rob.reserves.up[("dg", "dg1")][0] == pytest.approx(0.4e6, abs=1.0)
     assert rob.objective_value == pytest.approx(1.08, abs=1e-7)
     assert rob.worst_up_w[0] == pytest.approx(0.4e6, abs=1.0)
+
+
+def test_load_mask_below_nominal_prices_down_reserve():
+    """Load in [0.6, 1] MW around a 1 MW nominal, with a 2 MW DG: the demand
+    drop is covered by 0.4 MW of DG down-reserve at 0.2*c1 per MW, so the
+    reserve cost is 0.08 and the objective c1*1 + 0.08 = 1.08."""
+    model = single_bus(load_des_w=1.0e6, load_min_w=0.4e6, dg_cap_va=2.0e6)
+    box = UncertaintyBox()
+    box.add(P_LOAD_DESIRED, "load1", 0, 0.6e6, 1.0e6, 1.0e6)
+    rob = solve_robust(model, COSTS, box=box)
+    assert rob.reserves.down[("dg", "dg1")][0] == pytest.approx(0.4e6, abs=1.0)
+    assert rob.reserve_cost == pytest.approx(0.08, abs=1e-9)
+    assert rob.objective_value == pytest.approx(1.08, abs=1e-7)
+    assert rob.dispatch.objective_value == pytest.approx(1.0, abs=1e-7)
 
 
 def test_up_reserve_monotone_in_mask_width():
@@ -86,7 +100,7 @@ def test_up_reserve_monotone_in_mask_width():
         box = UncertaintyBox()
         box.add(P_LOAD_DESIRED, "load1", 0, 1.0e6, 1.0e6, 1.0e6 + extra)
         rob = solve_robust(model, COSTS, box=box)
-        up, _ = reserve_margin(rob, 0)
+        up = rob.reserves.total_up(0)
         assert up >= prev - 1.0
         prev = up
 
@@ -102,8 +116,7 @@ def test_robust_never_cheaper_than_baseline():
     rob = solve_robust(model, COSTS, box=box)
     assert rob.objective_value >= base.objective_value - 1e-9
     for k in range(model.steps):
-        up, _ = reserve_margin(rob, k)
-        assert up >= 0.25e6 - 1.0
+        assert rob.reserves.total_up(k) >= 0.25e6 - 1.0
 
 
 def test_box_beyond_capability_is_infeasible():
@@ -192,6 +205,21 @@ def test_scipy_backend_solves_the_pipeline():
     theirs = solve_robust(model, COSTS, box=box,
                           solver=SolverOptions(backend="scipy"))
     assert theirs.objective_value == pytest.approx(ours.objective_value, abs=1e-6)
+
+
+@pytest.mark.parametrize("run", ["hsll_run", "event_run"])
+def test_reserve_cost_is_the_priced_reserves(request, run):
+    """The reported reserve cost is each class's reserve price times its
+    allocated up and down reserve, in pu, and the dispatch part is the rest
+    of the objective."""
+    scenario, _base, rob, *_replay = request.getfixturevalue(run)
+    r, prices = rob.reserves, scenario.reserve_costs
+    priced = sum(getattr(prices, cls) * float(np.sum(r.up[(cls, uid)] + r.down[(cls, uid)]))
+                 for cls, uid in r.up) / PerUnit.of(scenario.model).s_base
+    assert rob.reserve_cost > 0.0
+    assert rob.reserve_cost == pytest.approx(priced, rel=1e-9)
+    assert rob.objective_value == pytest.approx(
+        rob.dispatch.objective_value + rob.reserve_cost, rel=1e-12)
 
 
 def test_result_json_round_trip(hsll_run):

@@ -271,7 +271,8 @@ def test_recourse_point_satisfies_perturbed_rows():
                                with_storage=True, steps=4)
         if trip:
             perturbed.dg_units[0].capacity_va = 1.5e6  # bound handled below
-        lp, ns = build_baseline_lp(perturbed, COSTS)
+        ns = build_baseline_lp(perturbed, COSTS)
+        lp = ns.lp
         point = np.zeros(lp.n_variables)
         point[ns.w[("bus0", "a", 0)]] = 1.0
         for kk in range(model.steps):

@@ -17,6 +17,10 @@
 # advset` runs it, and one per-step `advset.characterize` call at each of
 # those steps, as the benchmark's `advset` workload times them (each of the
 # two lines with its solves summed and hashed in order, plus repr(alpha)).
+# Each dispatch LP is solved through `solve_baseline` or `solve_robust`, its
+# LP and solution caught where `gridres.dispatch` calls `solve`, so the script
+# reads no builder's return value and runs alike on trees whose builders
+# differ.
 # Pivot counts are deterministic, so the two sides must match exactly.  Exits
 # 0 when every line is identical, 1 on any difference, and 2 when a run fails.
 set -euo pipefail
@@ -39,9 +43,10 @@ import sys
 from pathlib import Path
 
 import gridres.advset as advset
-from gridres.dispatch import build_baseline_lp, solve_baseline
+import gridres.dispatch as dispatch
+from gridres.dispatch import solve_baseline
 from gridres.lp import solve
-from gridres.robust import ReserveSchedule, build_robust_lp
+from gridres.robust import ReserveSchedule, solve_robust
 from gridres.scenario import load_scenario
 
 COUNTS = ("primal", "dual", "flips", "bland", "refactor")
@@ -73,6 +78,24 @@ def line(name: str, lp, sol) -> str:
             f"start={sol.stats.start} {parts} {row_stats(*hash_rows(digest, lp), digest)}")
 
 
+def dispatch_line(name: str, run) -> str:
+    """The line of the one dispatch LP solve that `run()` makes."""
+    solved = []
+
+    def catching_solve(lp, *args, **kwargs):
+        sol = solve(lp, *args, **kwargs)
+        solved.append((lp, sol))
+        return sol
+
+    dispatch.solve = catching_solve  # solve_dispatch_lp calls solve by this name
+    try:
+        run()
+    finally:
+        dispatch.solve = solve
+    [(lp, sol)] = solved
+    return line(name, lp, sol)
+
+
 seed = int(sys.argv[1])
 paths = {name: f"scenarios/{name}.json" for name in ("lshl", "hsll", "cyber_event")}
 # the size at which pricing weighs most in a simplex solve
@@ -82,12 +105,12 @@ paths["cyber_event_123"] = sys.argv[2]
 Path(paths["cyber_event_123"]).write_text(json.dumps(doc))
 scenarios = {name: load_scenario(path, seed_override=seed) for name, path in paths.items()}
 for name, sc in scenarios.items():
-    lp, _ = build_baseline_lp(sc.model, sc.costs, sc.build)
-    print(line(f"seed {seed} baseline {name}", lp, solve(lp, sc.solver)))
+    print(dispatch_line(f"seed {seed} baseline {name}",
+                        lambda: solve_baseline(sc.model, sc.costs, sc.build, sc.solver)))
 for name in ("hsll", "cyber_event", "cyber_event_123"):
     sc = scenarios[name]
-    lp, _, _ = build_robust_lp(sc.model, sc.costs, sc.reserve_costs, sc.box, sc.build)
-    print(line(f"seed {seed} robust {name}", lp, solve(lp, sc.solver)))
+    print(dispatch_line(f"seed {seed} robust {name}", lambda: solve_robust(
+        sc.model, sc.costs, sc.reserve_costs, sc.box, sc.build, sc.solver)))
 
 sc = scenarios["cyber_event"]
 base = solve_baseline(sc.model, sc.costs, sc.build, sc.solver)

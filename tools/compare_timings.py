@@ -20,8 +20,9 @@ Four cases are timed per round and side:
   benchmark prepares that workload);
 * `advset pass`: one `advset.characterize_steps` pass over the same steps
   and dispatch, as `gridres advset` walks them;
-* `dispatch LPs`: the build and solve of the lshl baseline LP and of the
-  cyber_event robust LP;
+* `dispatch LPs`: `dispatch.solve_baseline` on lshl plus
+  `robust.solve_robust` on cyber_event, each the build, solve and read of
+  its dispatch LP;
 * `replay`: what `gridres simulate --sample 100` does between reading its
   inputs and writing its outputs: one `sim.compile_replay` of that headroom
   schedule, then `sim.run_simulation` and `sim.violation_report` over 100
@@ -107,11 +108,9 @@ class Side:
 
     def dispatch_lps(self) -> None:
         gr, base, event = self.gr, self.lshl, self.cyber
-        lp, _ = gr.dispatch.build_baseline_lp(base.model, base.costs, base.build)
-        gr.lp.solve(lp, base.solver)
-        lp, _, _ = gr.robust.build_robust_lp(event.model, event.costs, event.reserve_costs,
-                                             event.box, event.build)
-        gr.lp.solve(lp, event.solver)
+        gr.dispatch.solve_baseline(base.model, base.costs, base.build, base.solver)
+        gr.robust.solve_robust(event.model, event.costs, event.reserve_costs, event.box,
+                               event.build, event.solver)
 
     def replay(self) -> None:
         sim = self.gr.sim
