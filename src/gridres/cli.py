@@ -127,7 +127,7 @@ def _emit_robust_files(scenario: Scenario, robust: RobustResult,
 
 
 def cmd_robust(scenario: Scenario, manifest: ManifestWriter, dump_lp: bool = False) -> int:
-    if dump_lp:
+    if dump_lp and scenario.has_box:  # without a box the solve below fails, writing nothing
         ns, _worst = build_robust_lp(scenario.model, scenario.costs, scenario.reserve_costs,
                                      scenario.box, scenario.build)
         manifest.output("problem.lp").write_text(ns.lp.to_lp_text(f"{scenario.name}-robust"))

@@ -706,19 +706,7 @@ class _BoundedSimplex:
         return (self.x_B < self.lo_B - tol) | (self.x_B > self.hi_B + tol)
 
     def _refactor(self) -> None:
-        # B's columns are cut from AI's arrays: scipy's AI[:, basis] took 99
-        # against 80 us for this on the 241-row recourse LPs (2-core 2.0 GHz
-        # Xeon VM), and an advset pass factors such a B 24 times, twice per
-        # step's cold zero-magnitude solve
-        from scipy.sparse import csc_matrix
-
-        m, AI = self.m, self.AI
-        start = AI.indptr[self.basis]
-        length = AI.indptr[self.basis + 1] - start
-        ptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(length, out=ptr[1:])
-        take = np.arange(ptr[-1]) + np.repeat(start - ptr[:-1], length)
-        self.B.factor(csc_matrix((AI.data[take], AI.indices[take], ptr), shape=(m, m)))
+        self.B.factor(self.AI[:, self.basis])
         self.stats.refactorizations += 1
 
     # -- entering column ---------------------------------------------------------

@@ -30,7 +30,6 @@ import numpy as np
 from .constraints import (
     BuildOptions,
     P_DG_CAPACITY,
-    P_LOAD_DESIRED,
     P_PV_FORECAST,
     PARAM_CLASS,
     ParamKey,
@@ -73,18 +72,6 @@ class UncertaintyBox:
             raise ValueError(f"box entry {kind}/{entity}/{step}: need lo <= nom <= hi")
         self.entries[(kind, entity, step)] = (float(lo), float(nom), float(hi))
 
-    def validate(self, model: NetworkModel) -> None:
-        ids = {cls: {u.id for u in units} for cls, units in device_groups(model)}
-        for (kind, entity, step), (lo, nom, hi) in self.entries.items():
-            if kind not in PARAM_CLASS:
-                raise ValueError(f"unknown uncertain parameter kind {kind!r}")
-            if entity not in ids[PARAM_CLASS[kind]]:
-                raise ValueError(f"box references unknown entity {entity!r} for {kind}")
-            if not 0 <= step < model.steps:
-                raise ValueError(f"box step {step} outside horizon")
-            if not lo <= nom <= hi:
-                raise ValueError(f"box entry {kind}/{entity}/{step}: lo <= nom <= hi violated")
-
 
 @dataclass
 class WorstCase:
@@ -105,18 +92,31 @@ class WorstCase:
 def tighten(box: UncertaintyBox, model: NetworkModel) -> WorstCase:
     """Read `box` once into its worst case for the robust dispatch rows.
 
-    A diesel entry whose capacity cannot fall by more than 1e-12 pu is
-    treated as certain and yields no floor.
+    Each entry is checked as it is read, since `entries` can be written past
+    :meth:`UncertaintyBox.add`: the first whose kind is unknown, whose entity
+    is no unit of that kind's class, whose step lies outside the horizon or
+    whose bounds are out of order raises ValueError.  A diesel entry whose
+    capacity cannot fall by more than 1e-12 pu is treated as certain and
+    yields no floor.
     """
     pu = PerUnit.of(model)
+    ids = {cls: {u.id for u in units} for cls, units in device_groups(model)}
     worst = WorstCase({}, {}, np.zeros(model.steps), np.zeros(model.steps))
     for (kind, entity, k), (lo, nom, hi) in box.entries.items():
+        if kind not in PARAM_CLASS:
+            raise ValueError(f"unknown uncertain parameter kind {kind!r}")
+        if entity not in ids[PARAM_CLASS[kind]]:
+            raise ValueError(f"box references unknown entity {entity!r} for {kind}")
+        if not 0 <= k < model.steps:
+            raise ValueError(f"box step {k} outside horizon")
+        if not lo <= nom <= hi:
+            raise ValueError(f"box entry {kind}/{entity}/{k}: lo <= nom <= hi violated")
         if kind == P_PV_FORECAST:
             worst.pv_floor[(entity, k)] = pu.power(lo)
         elif kind == P_DG_CAPACITY:
             if pu.power(nom - lo) > 1e-12:
                 worst.dg_floor[(entity, k)] = pu.power(lo)
-        elif kind == P_LOAD_DESIRED:
+        else:  # masked desired load
             worst.mask_up[k] += pu.power(hi - nom)
             worst.mask_down[k] += pu.power(nom - lo)
     return worst
@@ -304,7 +304,6 @@ def solve_robust(
     costs = costs or CostConfig()
     reserve_costs = reserve_costs or ReserveCosts.from_costs(costs)
     box = box or UncertaintyBox()
-    box.validate(model)
 
     ns, worst = build_robust_lp(model, costs, reserve_costs, box, options)
     sol, dispatch = solve_dispatch_lp(model, costs, ns, solver, "robust")

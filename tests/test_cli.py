@@ -905,6 +905,16 @@ def test_dump_lp_flag(tmp_path):
     assert text.startswith("\\ small-baseline\nMinimize")
 
 
+@pytest.mark.parametrize("flags", [[], ["--dump-lp"]], ids=["plain", "dump-lp"])
+def test_robust_without_a_box_writes_nothing(tmp_path, capsys, flags):
+    scenario = small_scenario(tmp_path, uncertainty=[])
+    out = tmp_path / "out"
+    assert main(["robust", str(scenario), "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: scenario has no uncertainty box; nothing to robustify\n"
+    assert list(out.iterdir()) == []
+
+
 def test_shipped_scenarios_load():
     for name in ("lshl.json", "hsll.json", "cyber_event.json"):
         from gridres.scenario import load_scenario

@@ -113,6 +113,7 @@ def test_unbounded():
     lp.set_objective({x: -1.0})
     sol = solve(lp)
     assert sol.status is LpStatus.UNBOUNDED
+    assert solve(lp, SolverOptions(backend="scipy")).status is LpStatus.UNBOUNDED
 
 
 def test_fixed_and_free_variables():
@@ -200,6 +201,41 @@ def test_malformed_problems():
         with pytest.raises(MalformedProblem, match="NaN bound on variable 'x'"):
             lp6.set_bounds(x, lower, upper)
     assert (lp6.lower, lp6.upper) == ([0.0], [10.0])
+
+
+def _duplicate_name(lp, x):
+    lp.add_variable("x", 0.0, 1.0)
+
+
+def _objective_index_out_of_range(lp, x):
+    lp.add_objective_term(3, 1.0)
+    solve(lp)
+
+
+def _non_finite_objective(lp, x):
+    lp.set_objective({x: np.inf})
+    solve(lp)
+
+
+def _non_finite_rhs(lp, x):  # on the first assembly of these rows
+    lp.add_row({x: 1.0}, Rel.LE, np.nan)
+    solve(lp)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_duplicate_name, "duplicate variable name 'x'"),
+    (lambda lp, x: lp.add_variable("y", np.nan, 1.0), "NaN bound on variable 'y'"),
+    (lambda lp, x: lp.add_variable("y", 0.0, np.nan), "NaN bound on variable 'y'"),
+    (lambda lp, x: lp.set_bounds(x, 2.0, 1.0), "lower > upper on variable 'x'"),
+    (_objective_index_out_of_range, "objective references unknown variable index 3"),
+    (_non_finite_objective, "non-finite objective coefficient on index 0"),
+    (_non_finite_rhs, "non-finite rhs on row 1"),
+], ids=["duplicate-name", "nan-lower", "nan-upper", "set-bounds-crossed",
+        "objective-index", "objective-inf", "rhs-nan"])
+def test_input_check_names_the_defect(edit, message):
+    lp, x = single_var_lp()
+    with pytest.raises(MalformedProblem, match=f"^{message}$"):
+        edit(lp, x)
 
 
 def test_assembly_of_irregular_rows():

@@ -18,7 +18,7 @@ from gridres.network import (
     validate,
 )
 from gridres.scenario import load_scenario
-from util import six_bus, two_bus
+from util import single_bus, six_bus, two_bus
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -67,6 +67,46 @@ def test_phase_compatibility_checked():
     branches = [Branch("bus0", "bus1", "abc", {p + p: 0.1j for p in "abc"}, 1e6)]
     report = validate(bare_model(buses, branches))
     assert any("phases" in p for p in report.problems)
+
+
+def test_bus_phases_not_carried_by_its_branch():
+    buses = [Bus("bus0", "abc"), Bus("bus1", "ab")]
+    branches = [Branch("bus0", "bus1", "a", {"aa": 0.1j}, 1e6)]
+    report = validate(bare_model(buses, branches))
+    assert report.problems == ["bus bus1: phases ab not carried by branch bus0->bus1"]
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (lambda m: setattr(m.pv_units[0], "capacity_va", 0.0), "pv pv1: capacity must be positive"),
+    (lambda m: setattr(m.pv_units[0], "forecast_w", np.array([-1.0])),
+     "pv pv1: negative forecast"),
+    (lambda m: setattr(m.dg_units[0], "capacity_va", -1.0), "dg dg1: capacity must be positive"),
+    (lambda m: setattr(m.storage_units[0], "energy_min_wh", 2.0e6),
+     "storage es1: need 0 <= energy_min < energy_max"),
+    (lambda m: setattr(m.storage_units[0], "power_w", 0.0),
+     "storage es1: power rating must be positive"),
+    (lambda m: setattr(m.storage_units[0], "capacity_va", 0.0),
+     "storage es1: capacity must be positive"),
+    (lambda m: setattr(m.storage_units[0], "initial_soc_wh", 0.1e6),
+     "storage es1: initial SoC outside energy limits"),
+    (lambda m: setattr(m.loads[0], "minimum_w", np.array([1.0, 2.0])),
+     "load load1: profile length != 1"),
+    (lambda m: setattr(m.loads[0], "minimum_w", np.array([-1.0])),
+     "load load1: need 0 <= minimum <= desired at every step"),
+    (lambda m: setattr(m.loads[0], "minimum_w", np.array([2.0e6])),
+     "load load1: need 0 <= minimum <= desired at every step"),
+    (lambda m: setattr(m.loads[0], "power_factor", 0.0),
+     "load load1: power factor must be in (0, 1]"),
+    (lambda m: setattr(m, "steps", 0), "horizon must have at least one step"),
+    (lambda m: setattr(m, "dt_hours", 0.0), "dt_hours must be positive"),
+], ids=["pv-capacity", "pv-forecast", "dg-capacity", "storage-energy", "storage-power",
+        "storage-capacity", "storage-soc", "load-length", "load-minimum-negative",
+        "load-minimum-above-desired", "load-power-factor", "steps", "dt-hours"])
+def test_device_and_horizon_checks(edit, problem):
+    model = single_bus(with_pv=True, with_storage=True)
+    assert validate(model).ok
+    edit(model)
+    assert problem in validate(model).problems
 
 
 def test_profile_length_checked():

@@ -13,6 +13,7 @@ from gridres.robust import (
     ReserveSchedule,
     RobustResult,
     UncertaintyBox,
+    build_robust_lp,
     solve_robust,
     tighten,
 )
@@ -48,6 +49,53 @@ def test_tighten_sums_mask_widths_per_step():
     worst = tighten(box, model)
     assert worst.mask_up == pytest.approx([0.0, 0.3, 0.4])
     assert worst.mask_down == pytest.approx([0.0, 0.4, 0.0])
+
+
+BOUNDS = (0.9e6, 1.0e6, 1.2e6)
+BAD_ENTRIES = {  # case: (key, (lo, nom, hi), message)
+    "step-before-horizon": ((P_LOAD_DESIRED, "load1", -1), BOUNDS,
+                            "box step -1 outside horizon"),
+    "step-past-horizon": ((P_LOAD_DESIRED, "load1", 40), BOUNDS,
+                          "box step 40 outside horizon"),
+    "unknown-kind": (("wind_forecast", "load1", 0), BOUNDS,
+                     "unknown uncertain parameter kind 'wind_forecast'"),
+    "unknown-load": ((P_LOAD_DESIRED, "nope", 0), BOUNDS,
+                     "box references unknown entity 'nope' for load_desired"),
+    "unknown-diesel": ((P_DG_CAPACITY, "nope", 0), BOUNDS,
+                       "box references unknown entity 'nope' for dg_capacity"),
+    "pv-entity-as-diesel": ((P_DG_CAPACITY, "pv1", 0), BOUNDS,
+                            "box references unknown entity 'pv1' for dg_capacity"),
+    "bounds-out-of-order": ((P_LOAD_DESIRED, "load1", 0), (1.1e6, 1.0e6, 1.2e6),
+                            "box entry load_desired/load1/0: lo <= nom <= hi violated"),
+}
+
+
+@pytest.mark.parametrize("entry_point", ["tighten", "build_robust_lp", "solve_robust"])
+@pytest.mark.parametrize("case", BAD_ENTRIES)
+def test_every_box_reader_rejects_a_bad_entry(entry_point, case):
+    """An entry written straight into `entries`, past `add`, is checked where
+    the box is read: none is dropped, wrapped onto another step or summed in."""
+    model = single_bus(with_pv=True, steps=2)
+    box = UncertaintyBox()
+    box.add(P_LOAD_DESIRED, "load1", 1, *BOUNDS)  # a good entry first
+    key, bounds, message = BAD_ENTRIES[case]
+    box.entries[key] = bounds
+    read = {"tighten": lambda: tighten(box, model),
+            "build_robust_lp": lambda: build_robust_lp(
+                model, COSTS, ReserveCosts.from_costs(COSTS), box),
+            "solve_robust": lambda: solve_robust(model, COSTS, box=box)}[entry_point]
+    with pytest.raises(ValueError) as err:
+        read()
+    assert str(err.value) == message
+
+
+def test_tighten_reports_the_first_bad_entry():
+    model = single_bus(steps=2)
+    box = UncertaintyBox()
+    for key in [(P_LOAD_DESIRED, "load1", 5), ("wind_forecast", "load1", 0)]:
+        box.entries[key] = (1.0e6, 1.0e6, 1.2e6)
+    with pytest.raises(ValueError, match="^box step 5 outside horizon$"):
+        tighten(box, model)
 
 
 def test_zero_width_box_matches_baseline():
